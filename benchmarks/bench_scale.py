@@ -3,19 +3,18 @@
 Exercises the whole large-design path on hierarchical block-composed
 netlists (:func:`repro.circuit.generate.hierarchical_netlist`): ~10k
 nodes at the default config, ~50k with ``cloud_gates=12_000``.  For each
-design it times three executions of the same workload:
+design it times two executions of the same workload through the one
+block executor:
 
-* **block** — the monolithic block engine, every plan buffer resident;
-* **streamed** — the same engine under a :class:`~repro.memory.MemoryBudget`
-  a fraction of the monolithic plan's footprint (streamed arena chunks,
-  spilled history);
-* **partitioned** — the partition-and-stitch engine under that budget
-  (fanin-closed level bands compiled independently).
+* **block** — every plan buffer resident;
+* **streamed** — under a :class:`~repro.memory.MemoryBudget` a fraction
+  of the resident plan's footprint (gather chunks carved from one shared
+  arena, a shallower history flushed per block).
 
 and then pushes the design through fault labelling and budgeted
 :class:`~repro.runtime.predictor.BatchedPredictor` inference.  Every
-scenario is *verified before it is reported*: budgeted and partitioned
-results must be float64-bitwise-identical to the monolithic run
+scenario is *verified before it is reported*: budgeted results must be
+float64-bitwise-identical to the resident run
 (``np.array_equal``, no tolerances), and the budget must genuinely be
 smaller than the monolithic resident footprint — the reported shrink
 factors come with proof that not a single result bit moved.
@@ -102,7 +101,6 @@ def main() -> None:
     from repro.runtime.predictor import BatchedPredictor, predict_one
     from repro.sim.faults import FaultConfig, simulate_with_faults
     from repro.sim.logicsim import SimConfig, SimPlan, compile_netlist, simulate
-    from repro.sim.partition import PartitionedSimulator
     from repro.sim.workload import random_workload
 
     sim_cfg = SimConfig(cycles=args.cycles, streams=args.streams, seed=0)
@@ -128,7 +126,7 @@ def main() -> None:
             f"budget {budget.plan_bytes} B"
         )
 
-        # --- fault-free: block vs streamed vs partitioned ---------------
+        # --- fault-free: resident vs streamed ----------------------------
         ref, block_s = best_of(
             lambda: simulate(compiled, wl, sim_cfg), args.reps
         )
@@ -136,30 +134,16 @@ def main() -> None:
             lambda: simulate(compiled, wl, sim_cfg, budget=budget), args.reps
         )
         check_sim_bitwise(ref, got, f"{label}/sim streamed")
-        par, partitioned_s = best_of(
-            lambda: simulate(
-                nl, wl, sim_cfg, engine="partitioned", budget=budget
-            ),
-            args.reps,
-        )
-        check_sim_bitwise(ref, par, f"{label}/sim partitioned")
         streamed_bytes = SimPlan(compiled, words, budget=budget).resident_bytes()
-        part_bytes = PartitionedSimulator(
-            nl, streams=args.streams, budget=budget
-        ).resident_bytes()
         scenarios[f"{label}/sim"] = {
             "block_s": block_s,
             "streamed_s": streamed_s,
-            "partitioned_s": partitioned_s,
             "streamed_shrink": mono_bytes / streamed_bytes,
-            "partitioned_shrink": mono_bytes / part_bytes,
             "bitwise_verified": True,
         }
         print(
             f"  sim      block {block_s:6.2f} s   streamed {streamed_s:6.2f} s "
-            f"({mono_bytes / streamed_bytes:5.1f}x less resident)   "
-            f"partitioned {partitioned_s:6.2f} s "
-            f"({mono_bytes / part_bytes:5.1f}x less resident)   bitwise ok"
+            f"({mono_bytes / streamed_bytes:5.1f}x less resident)   bitwise ok"
         )
 
         # --- fault labelling under budget -------------------------------

@@ -1,22 +1,24 @@
-"""Simulation-engine benchmark: per-cycle vs block vs packed engines.
+"""Simulation benchmark: per-cycle reference vs the block executor, alone
+and packed.
 
-Times the ground-truth simulator's engines on the small and medium bench
-circuits, fault-free and with Monte-Carlo fault injection:
+Times the ground-truth simulator on the small and medium bench circuits,
+fault-free and with Monte-Carlo fault injection:
 
-* **cycle** — the original per-cycle loop (``engine="cycle"``), kept as
-  the pinned reference;
-* **block** — the block-stepped engine (``engine="block"``): stimulus
-  pregenerated per block, preallocated gather/output buffers with
-  in-place ufuncs, whole-block SWAR popcount statistics, and batched
-  fault-injector draws;
+* **cycle** — the per-cycle loop (``engine="cycle"``), the pinned
+  reference oracle;
+* **block** — the block executor (``engine="block"``) on one circuit, i.e.
+  a one-member pack: stimulus pregenerated per block, precomputed
+  gather/output chunks with in-place ufuncs, whole-block SWAR popcount
+  statistics, and fault masks drawn in bulk per member stream;
 * **packed** — K circuits fused into one disjoint super-graph sweep
-  (:mod:`repro.sim.pack`), timed against K sequential *block*-engine
-  runs, so the reported packed speedup is multiplicative with block's.
+  through the same executor (:mod:`repro.sim.pack`), timed against K
+  sequential one-member runs, so the reported packed speedup is
+  multiplicative with block's.
 
-Every run is *verified before it is reported*: the block engine's
+Every run is *verified before it is reported*: the executor's
 ``SimResult``/``FaultSimResult`` must be float64-bitwise-identical to the
-per-cycle engine's, packed results must be member-wise identical to
-sequential block runs, and (at default parameters) the label-cache
+per-cycle reference's, packed results must be member-wise identical to
+sequential one-member runs, and (at default parameters) the label-cache
 digests must equal the constants pinned from the pre-refactor engine —
 i.e. the speedups come with a proof that every cached label stays valid
 and no ``CACHE_VERSION`` bump is owed.
@@ -111,9 +113,9 @@ def main() -> None:
         help="members per packed scenario (0 skips packed scenarios)",
     )
     parser.add_argument(
-        "--packed-min-speedup", type=float, default=2.0,
-        help="fail when a packed fault-sim speedup over sequential block "
-        "runs falls below this factor (0 disables)",
+        "--packed-min-speedup", type=float, default=1.3,
+        help="fail when a packed fault-sim speedup over sequential "
+        "one-member runs falls below this factor (0 disables)",
     )
     parser.add_argument("--json", default=None)
     args = parser.parse_args()

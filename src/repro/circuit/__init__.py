@@ -33,12 +33,7 @@ from repro.circuit.benchmarks import (
 )
 from repro.circuit.compose import Stitch, UnionMapping, disjoint_union, stitched_union
 from repro.circuit.library import LIBRARY, library_circuit, library_names
-from repro.circuit.extract import (
-    LevelPartition,
-    extract_dataset,
-    extract_subcircuit,
-    partition_by_levels,
-)
+from repro.circuit.extract import extract_dataset, extract_subcircuit
 from repro.circuit.gates import (
     AIG_TYPES,
     ONE_HOT_DIM,
@@ -92,10 +87,8 @@ __all__ = [
     "UnionMapping",
     "disjoint_union",
     "stitched_union",
-    "LevelPartition",
     "extract_dataset",
     "extract_subcircuit",
-    "partition_by_levels",
     "AIG_TYPES",
     "ONE_HOT_DIM",
     "GateType",

@@ -12,7 +12,6 @@ materialize the induced netlist with boundary signals promoted to fresh PIs
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ from repro.circuit.netlist import Netlist
 __all__ = [
     "extract_subcircuit",
     "extract_dataset",
-    "LevelPartition",
-    "partition_by_levels",
 ]
 
 
@@ -91,95 +88,3 @@ def extract_dataset(
         out.append(sub)
     return out
 
-
-# ----------------------------------------------------------------------
-# level-band partitioning (memory-bounded execution)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelPartition:
-    """One fanin-closed band of a level-partitioned netlist.
-
-    Attributes:
-        netlist: self-contained combinational sub-netlist; its PIs are the
-            band's imports (parent PIs, DFFs or earlier-band gates) in
-            ascending parent-id order, its gates the band's combinational
-            gates in level order, every gate marked PO.
-        parent_of: parent node id per sub node (imports map to the parent
-            node they import).
-        comb_ids: sub ids of the band's combinational gates (the values a
-            stitched executor exports back to the parent value array).
-    """
-
-    netlist: Netlist
-    parent_of: np.ndarray
-    comb_ids: np.ndarray
-
-
-def partition_by_levels(nl: Netlist, max_comb_nodes: int) -> list[LevelPartition]:
-    """Cut a netlist into fanin-closed bands of contiguous logic levels.
-
-    Greedily packs consecutive combinational levels into bands of at most
-    ``max_comb_nodes`` gates (always at least one level per band, so a
-    single oversized level still forms a valid band).  Within a band every
-    fanin is either an import (smaller level than the band start — a PI,
-    DFF or earlier-band gate) or an earlier gate of the same band, so
-    executing bands in order over a shared parent-indexed value array
-    reproduces the monolithic evaluation bit for bit.
-
-    Returns an empty list for netlists with no combinational gates.
-    """
-    from repro.circuit.levelize import levelize
-
-    if max_comb_nodes < 1:
-        raise ValueError("max_comb_nodes must be >= 1")
-    lev = levelize(nl)
-    if not lev.comb_forward:
-        return []
-
-    bands: list[list[np.ndarray]] = [[]]
-    count = 0
-    for batch in lev.comb_forward:
-        if bands[-1] and count + batch.size > max_comb_nodes:
-            bands.append([])
-            count = 0
-        bands[-1].append(batch)
-        count += batch.size
-
-    parts: list[LevelPartition] = []
-    for band in bands:
-        band_nodes = np.concatenate(band)
-        in_band = set(int(n) for n in band_nodes)
-        imports: list[int] = []
-        seen: set[int] = set()
-        for node in band_nodes:
-            for f in nl.fanins(int(node)):
-                if f not in in_band and f not in seen:
-                    seen.add(f)
-                    imports.append(f)
-        imports.sort()
-
-        sub = Netlist(f"{nl.name}_band{len(parts)}")
-        sub_of: dict[int, int] = {}
-        parent_of: list[int] = []
-        for parent in imports:
-            sub_of[parent] = sub.add_pi(f"cut{parent}")
-            parent_of.append(parent)
-        comb_ids: list[int] = []
-        for node in band_nodes:
-            node = int(node)
-            fanins = [sub_of[f] for f in nl.fanins(node)]
-            sid = sub.add_gate(nl.gate_type(node), fanins, f"p{node}")
-            sub_of[node] = sid
-            parent_of.append(node)
-            comb_ids.append(sid)
-            sub.add_po(sid)
-        sub.validate()
-        parts.append(
-            LevelPartition(
-                netlist=sub,
-                parent_of=np.asarray(parent_of, dtype=np.int64),
-                comb_ids=np.asarray(comb_ids, dtype=np.int64),
-            )
-        )
-    return parts

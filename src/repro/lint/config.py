@@ -34,6 +34,7 @@ DEFAULTS: dict = {
             "src/repro/serve/*.py",
             "src/repro/runtime/predictor.py",
             "src/repro/data/cache.py",
+            "src/repro/lru.py",
         ],
     },
     "rep004": {

@@ -1,15 +1,16 @@
 """Explicit memory budgets for plan construction and execution.
 
 The compile-and-execute spine (``repro.sim`` block plans, ``repro.runtime``
-graph plans, the partition-and-stitch engine) historically sized its working
-buffers linearly with node count.  A :class:`MemoryBudget` makes the bound
-explicit: plan builders receive one and keep their *resident* buffers under
-it — by shrinking history depth, streaming per-level buffers out of a
-bounded arena, or cutting the netlist into fanin-closed partitions — while
-guaranteeing that the budget never changes a single result bit.  Budgets
-bound bookkeeping buffers (gathers, histories, feature rows), not the
-irreducible per-node state itself (one value/hidden row per node must exist
-somewhere for per-node statistics to exist at all).
+graph plans) historically sized its working buffers linearly with node
+count.  A :class:`MemoryBudget` makes the bound explicit: plan builders
+receive one and keep their *resident* buffers under it — by shrinking
+history depth and by cutting per-level work into chunks served from a
+bounded arena — while guaranteeing that the budget never changes a single
+result bit, nor which loop executes: a budgeted plan is the same plan cut
+finer.  Budgets bound bookkeeping buffers (gathers, histories, feature
+rows, fault-mask chunks), not the irreducible per-node state itself (one
+value/hidden row per node must exist somewhere for per-node statistics to
+exist at all).
 
 This module sits above ``repro.circuit`` / ``repro.sim`` / ``repro.runtime``
 so every layer can import it without cycles.
@@ -37,15 +38,15 @@ class MemoryBudget:
 
     Attributes:
         plan_bytes: bound on a plan's resident evaluation buffers — the
-            gather/output arenas of a :class:`repro.sim.logicsim.SimPlan`,
-            the cached per-level feature rows of a
-            :class:`repro.runtime.plan.GraphPlan`, or one partition's plan
-            in the partition-and-stitch engine.  ``None`` = unlimited.
-        history_bytes: bound on value-history buffers (the block engine's
-            ``(block_cycles, N, words)`` window).  The window never drops
-            below one cycle; instead of growing it, oversized designs
-            flush each window to their observers and reuse the buffer.
-            ``None`` falls back to the engine's flat default cap.
+            gather/output arena of a :class:`repro.sim.logicsim.SimPlan`
+            or the cached per-level feature rows of a
+            :class:`repro.runtime.plan.GraphPlan`.  ``None`` = unlimited.
+        history_bytes: bound on per-cycle windows — the block executor's
+            ``(block_cycles, N, words)`` value history and the chunk of
+            fault masks its lockstep loop prepares ahead.  A window never
+            drops below one cycle; instead of growing it, oversized
+            designs flush each window to their observers and reuse the
+            buffer.  ``None`` falls back to the flat default caps.
 
     Budgets are advisory *sizes*, never semantics: every execution mode
     selected by a budget is float64-bitwise-identical to the unbudgeted

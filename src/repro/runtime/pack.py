@@ -16,13 +16,12 @@ construction and the plan compilation.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuit.compose import disjoint_union
 from repro.circuit.graph import CircuitGraph
+from repro.lru import FingerprintLRU
 from repro.runtime.plan import GraphPlan, fingerprint_of, plan_for
 
 __all__ = [
@@ -81,12 +80,7 @@ class PackCacheInfo:
     maxsize: int
 
 
-_LOCK = threading.Lock()
-_CACHE: OrderedDict[tuple[str, ...], PackedPlan] = OrderedDict()
-_MAXSIZE = [32]
-_HITS = [0]
-_MISSES = [0]
-_EVICTIONS = [0]
+_CACHE = FingerprintLRU(32, PackCacheInfo, "pack cache")
 
 
 def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPlan:
@@ -104,13 +98,9 @@ def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPla
         )
     keys = tuple(fingerprint_of(g) for g in graphs)
     if cache:
-        with _LOCK:
-            packed = _CACHE.get(keys)
-            if packed is not None:
-                _CACHE.move_to_end(keys)
-                _HITS[0] += 1
-                return packed
-            _MISSES[0] += 1
+        packed = _CACHE.get(keys)
+        if packed is not None:
+            return packed
     if len(graphs) == 1:
         graph = graphs[0]
         packed = PackedPlan(
@@ -129,46 +119,19 @@ def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPla
             sizes=mapping.sizes,
             member_keys=keys,
         )
-    if cache:
-        with _LOCK:
-            existing = _CACHE.get(keys)
-            if existing is not None:
-                # Another thread built the same pack first; keep its entry
-                # so every caller shares one PackedPlan per composition.
-                _CACHE.move_to_end(keys)
-                return existing
-            _CACHE[keys] = packed
-            while len(_CACHE) > _MAXSIZE[0]:
-                _CACHE.popitem(last=False)
-                _EVICTIONS[0] += 1
-    return packed
+    return _CACHE.insert(keys, packed) if cache else packed
 
 
 def configure_pack_cache(maxsize: int) -> None:
     """Bound the packed-plan cache to ``maxsize`` entries."""
-    if maxsize < 1:
-        raise ValueError("pack cache needs room for at least one entry")
-    with _LOCK:
-        _MAXSIZE[0] = int(maxsize)
-        while len(_CACHE) > _MAXSIZE[0]:
-            _CACHE.popitem(last=False)
-            _EVICTIONS[0] += 1
+    _CACHE.configure(maxsize)
 
 
 def clear_pack_cache() -> None:
     """Drop every cached packed plan and reset the hit/miss counters."""
-    with _LOCK:
-        _CACHE.clear()
-        _HITS[0] = _MISSES[0] = _EVICTIONS[0] = 0
+    _CACHE.clear()
 
 
 def pack_cache_info() -> PackCacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
-    with _LOCK:
-        return PackCacheInfo(
-            hits=_HITS[0],
-            misses=_MISSES[0],
-            evictions=_EVICTIONS[0],
-            size=len(_CACHE),
-            maxsize=_MAXSIZE[0],
-        )
+    return _CACHE.info()

@@ -21,14 +21,13 @@ single-circuit results exactly.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuit.graph import CircuitGraph, EdgeBatch
 from repro.circuit.netlist import Netlist
+from repro.lru import FingerprintLRU
 from repro.memory import MemoryBudget
 
 __all__ = [
@@ -262,12 +261,7 @@ class PlanCacheInfo:
     maxsize: int
 
 
-_LOCK = threading.Lock()
-_CACHE: OrderedDict[str, GraphPlan] = OrderedDict()
-_MAXSIZE = [128]
-_HITS = [0]
-_MISSES = [0]
-_EVICTIONS = [0]
+_CACHE = FingerprintLRU(128, PlanCacheInfo, "plan cache")
 
 
 def plan_for(circuit: CircuitGraph | Netlist, cache: bool = True) -> GraphPlan:
@@ -286,54 +280,25 @@ def plan_for(circuit: CircuitGraph | Netlist, cache: bool = True) -> GraphPlan:
         key = circuit.fingerprint()
         graph = None
     if cache:
-        with _LOCK:
-            plan = _CACHE.get(key)
-            if plan is not None:
-                _CACHE.move_to_end(key)
-                _HITS[0] += 1
-                return plan
-            _MISSES[0] += 1
+        plan = _CACHE.get(key)
+        if plan is not None:
+            return plan
     if graph is None:
         graph = CircuitGraph(circuit)  # type: ignore[arg-type]
     plan = GraphPlan(graph, key)
-    if cache:
-        with _LOCK:
-            existing = _CACHE.get(key)
-            if existing is not None:
-                _CACHE.move_to_end(key)
-                return existing
-            _CACHE[key] = plan
-            while len(_CACHE) > _MAXSIZE[0]:
-                _CACHE.popitem(last=False)
-                _EVICTIONS[0] += 1
-    return plan
+    return _CACHE.insert(key, plan) if cache else plan
 
 
 def configure_plan_cache(maxsize: int) -> None:
     """Bound the shared plan cache to ``maxsize`` entries (evicts LRU-first)."""
-    if maxsize < 1:
-        raise ValueError("plan cache needs room for at least one plan")
-    with _LOCK:
-        _MAXSIZE[0] = int(maxsize)
-        while len(_CACHE) > _MAXSIZE[0]:
-            _CACHE.popitem(last=False)
-            _EVICTIONS[0] += 1
+    _CACHE.configure(maxsize)
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the hit/miss counters."""
-    with _LOCK:
-        _CACHE.clear()
-        _HITS[0] = _MISSES[0] = _EVICTIONS[0] = 0
+    _CACHE.clear()
 
 
 def plan_cache_info() -> PlanCacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
-    with _LOCK:
-        return PlanCacheInfo(
-            hits=_HITS[0],
-            misses=_MISSES[0],
-            evictions=_EVICTIONS[0],
-            size=len(_CACHE),
-            maxsize=_MAXSIZE[0],
-        )
+    return _CACHE.info()

@@ -24,11 +24,11 @@ import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
-from repro.sim.bitvec import popcount, popcount_int64
+from repro.sim.bitvec import popcount
 from repro.sim.logicsim import (
+    _BLOCK_ENGINES,
     CompiledCircuit,
     SimConfig,
-    SimPlan,
     Simulator,
     compile_netlist,
 )
@@ -60,6 +60,13 @@ class FaultConfig:
             raise ValueError("fault_rate must lie in [0, 1]")
         if self.episode_cycles < 2:
             raise ValueError("episode_cycles must be >= 2")
+        if self.effective_cycle_rate > 0.5:
+            # The injector ANDs k >= 1 uniform words per mask (density
+            # 2**-k), so no per-cycle flip density above 1/2 is reachable.
+            raise ValueError(
+                f"per-cycle flip rate {self.effective_cycle_rate:g} exceeds "
+                "0.5, the densest mask the fault injector can draw"
+            )
 
     @property
     def effective_cycle_rate(self) -> float:
@@ -119,28 +126,19 @@ class _FaultInjector:
     Exact per-bit Bernoulli masks would need 64 random floats per node per
     cycle; instead we AND ``k`` uniform random words, giving density
     ``2**-k``, and mix two adjacent ``k`` values so the *expected* density
-    equals ``fault_rate`` exactly.
+    equals ``fault_rate`` exactly (for rates up to 0.5, the ``k = 1``
+    ceiling :class:`FaultConfig` enforces).
 
-    ``batch_draws`` selects how the ``k`` uniform words are drawn: the
-    reference path makes ``k`` sequential ``(m, words)`` draws; the block
-    engine requests one ``(k, m, words)`` draw and AND-reduces it.  A
-    C-order fill of ``(k, m, words)`` consumes the PCG64 stream element
-    for element like ``k`` successive ``(m, words)`` fills, so both paths
-    return bitwise-identical masks from identical generator states (a
-    regression test pins this) — which is what keeps block-engine fault
-    labels, and therefore every cached fault digest, valid.
+    This is the reference oracle: one scalar choice draw, then ``k``
+    sequential ``(m, words)`` draws, per (cycle, group).  The block
+    executor draws the same stream in bulk
+    (:class:`repro.sim.pack._PackedInjector`) and is pinned bitwise
+    against this class.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        words: int,
-        rng: np.random.Generator,
-        batch_draws: bool = False,
-    ):
+    def __init__(self, rate: float, words: int, rng: np.random.Generator):
         self.words = words
         self.rng = rng
-        self.batch_draws = batch_draws
         if rate <= 0.0:
             self.k_lo = None
             return
@@ -156,11 +154,6 @@ class _FaultInjector:
         if self.k_lo is None:
             return np.zeros(shape, dtype=np.uint64)
         k = self.k_lo if self.rng.random() < self.w_lo else self.k_hi
-        if self.batch_draws and k > 1:
-            draws = self.rng.integers(
-                0, 2**64, size=(k,) + shape, dtype=np.uint64
-            )
-            return np.bitwise_and.reduce(draws, axis=0)
         out = self.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
         for _ in range(k - 1):
             out &= self.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
@@ -168,19 +161,28 @@ class _FaultInjector:
 
 
 class _FaultStats:
-    """Accumulators shared by the per-cycle and block fault engines."""
+    """One circuit's lockstep accumulators, shared by both engines.
 
-    def __init__(self, compiled: CompiledCircuit) -> None:
-        n = compiled.num_nodes
-        self.obs0 = np.zeros(n, dtype=np.int64)
-        self.obs1 = np.zeros(n, dtype=np.int64)
-        self.e01 = np.zeros(n, dtype=np.int64)
-        self.e10 = np.zeros(n, dtype=np.int64)
+    All integers, so block-wise and per-cycle summation agree exactly.
+    ``counts`` lets the block executor hand each pack member its
+    ``(4, n)`` slice of the union-wide ``obs0/obs1/e01/e10`` arrays.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        po_ids: np.ndarray,
+        counts: np.ndarray | None = None,
+    ) -> None:
+        if counts is None:
+            counts = np.zeros((4, len(netlist)), dtype=np.int64)
+        self.obs0, self.obs1, self.e01, self.e10 = counts
         self.po_ok = 0
         self.po_total = 0
-        self.po_ids = np.asarray(compiled.netlist.pos, dtype=np.int64)
+        self.po_ids = po_ids
+        self.netlist = netlist
 
-    def result(self, compiled: CompiledCircuit) -> FaultSimResult:
+    def result(self) -> FaultSimResult:
         err01 = np.divide(self.e01, np.maximum(self.obs0, 1), dtype=np.float64)
         err10 = np.divide(self.e10, np.maximum(self.obs1, 1), dtype=np.float64)
         reliability = self.po_ok / self.po_total if self.po_total else 1.0
@@ -188,9 +190,9 @@ class _FaultStats:
             err01=err01,
             err10=err10,
             reliability=float(reliability),
-            observed0=self.obs0,
-            observed1=self.obs1,
-            netlist=compiled.netlist,
+            observed0=self.obs0.copy(),
+            observed1=self.obs1.copy(),
+            netlist=self.netlist,
         )
 
 
@@ -216,7 +218,6 @@ def simulate_with_faults(
     engine: str = "block",
     block_cycles: int | None = None,
     budget: "MemoryBudget | None" = None,
-    max_partition_nodes: int | None = None,
 ) -> FaultSimResult:
     """Run golden and faulty simulations in lockstep; collect error stats.
 
@@ -225,12 +226,11 @@ def simulate_with_faults(
     stream itself defaults to the workload's own seed (matching
     :func:`repro.sim.logicsim.simulate`); ``replay_seed`` overrides it.
 
-    ``engine="block"`` (default) runs both machines block-stepped with
-    per-block statistics; ``"cycle"`` is the original per-cycle loop kept
-    as the pinned reference; ``"partitioned"`` runs both machines through
-    the partition-and-stitch engine of :mod:`repro.sim.partition` with
-    pre-drawn per-cycle masks.  Stimulus draws, episode resets and fault
-    injector draws happen in identical generator order under all engines
+    ``engine="block"`` (default; ``"partitioned"`` is a deprecated alias)
+    runs both machines through the block executor as the one-member case
+    of :func:`repro.sim.pack.simulate_with_faults_packed`; ``"cycle"`` is
+    the per-cycle reference loop.  Stimulus draws, episode resets and
+    fault draws consume their generators in identical order under both
     (the injector only draws inside faulty steps, whose cycle order is
     unchanged), so results are float64-bitwise-identical and cached fault
     labels keep their digests.  ``budget`` bounds plan buffers
@@ -238,18 +238,22 @@ def simulate_with_faults(
     """
     sim_config = sim_config or SimConfig()
     fault_config = fault_config or FaultConfig()
-    if engine == "partitioned":
-        from repro.sim.partition import simulate_with_faults_partitioned
+    if engine in _BLOCK_ENGINES:
+        # Deferred: repro.sim.pack builds on this module.
+        from repro.sim.pack import _run_packed_faults, pack_circuits
 
-        return simulate_with_faults_partitioned(
-            circuit,
-            workload,
+        packed = pack_circuits([circuit], cache=False)
+        return _run_packed_faults(
+            packed,
+            [workload],
             sim_config,
             fault_config,
-            replay_seed=replay_seed,
-            budget=budget,
-            max_partition_nodes=max_partition_nodes,
-        )
+            [replay_seed],
+            block_cycles,
+            budget,
+        )[0]
+    if engine != "cycle":
+        raise ValueError(f"unknown engine {engine!r}")
     compiled = (
         circuit if isinstance(circuit, CompiledCircuit) else compile_netlist(circuit)
     )
@@ -259,29 +263,15 @@ def simulate_with_faults(
         fault_config.effective_cycle_rate,
         golden.words,
         np.random.default_rng(fault_config.seed),
-        batch_draws=engine == "block",
     )
     source = PatternSource(workload, streams=sim_config.streams, seed=replay_seed)
-    stats = _FaultStats(compiled)
-    if engine == "cycle":
-        _run_faults_cycle(
-            golden, faulty, injector, source, sim_config, fault_config, stats
-        )
-    elif engine == "block":
-        _run_faults_block(
-            golden,
-            faulty,
-            injector,
-            source,
-            sim_config,
-            fault_config,
-            stats,
-            block_cycles,
-            budget,
-        )
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return stats.result(compiled)
+    stats = _FaultStats(
+        compiled.netlist, np.asarray(compiled.netlist.pos, dtype=np.int64)
+    )
+    _run_faults_cycle(
+        golden, faulty, injector, source, sim_config, fault_config, stats
+    )
+    return stats.result()
 
 
 def _run_faults_cycle(
@@ -322,68 +312,3 @@ def _run_faults_cycle(
             golden.latch()
             faulty.latch()
 
-
-def _run_faults_block(
-    golden: Simulator,
-    faulty: Simulator,
-    injector: _FaultInjector,
-    source: PatternSource,
-    sim_config: SimConfig,
-    fault_config: FaultConfig,
-    stats: _FaultStats,
-    block_cycles: int | None,
-    budget: "MemoryBudget | None" = None,
-) -> None:
-    """Block-stepped lockstep: two plans, shared stimulus blocks.
-
-    Per block, the golden machine runs hook-free, then the faulty machine
-    replays the same stimulus with the injector attached — the injector
-    draws per (cycle, group) in exactly the per-cycle engine's order
-    because golden steps never draw.  Statistics reduce over whole
-    observed history slices; all accumulators are integers, so block
-    summation is arithmetically identical to per-cycle summation.
-    """
-    compiled = golden.compiled
-    plan_g = SimPlan(compiled, golden.words, block_cycles, budget=budget)
-    plan_f = SimPlan(compiled, golden.words, block_cycles, budget=budget)
-    po_ids = stats.po_ids
-    streams = golden.streams
-    cycle = 0
-    for episode, observe in enumerate(_episode_schedule(sim_config, fault_config)):
-        init_rng = np.random.default_rng(sim_config.seed + episode)
-        golden.reset(sim_config.init_state, init_rng)
-        faulty.reset(
-            sim_config.init_state, np.random.default_rng(sim_config.seed + episode)
-        )
-        total = sim_config.warmup + observe
-        done = 0
-        while done < total:
-            b = min(plan_g.block_cycles, total - done)
-            block = source.next_block(b)
-            gh = plan_g.history[:b]
-            fh = plan_f.history[:b]
-            golden.run_block(block, plan_g, history=gh, start_cycle=cycle)
-            faulty.run_block(
-                block,
-                plan_f,
-                history=fh,
-                fault_hook=injector.mask,
-                start_cycle=cycle,
-            )
-            lo = max(sim_config.warmup - done, 0)
-            if lo < b:
-                g = gh[lo:]
-                f = fh[lo:]
-                nobs = g.shape[0]
-                ones = popcount_int64(g, axis=2).sum(axis=0)
-                stats.obs1 += ones
-                stats.obs0 += nobs * streams - ones
-                diff = g ^ f
-                stats.e01 += popcount_int64(diff & f, axis=2).sum(axis=0)
-                stats.e10 += popcount_int64(diff & g, axis=2).sum(axis=0)
-                if po_ids.size:
-                    any_bad = np.bitwise_or.reduce(diff[:, po_ids], axis=1)
-                    stats.po_total += nobs * streams
-                    stats.po_ok += nobs * streams - int(popcount_int64(any_bad))
-            cycle += b
-            done += b

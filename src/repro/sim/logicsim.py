@@ -19,26 +19,33 @@ Bit-packing runs 64·``words`` independent streams of the same workload in
 parallel, so "10,000 cycles" can be realised as e.g. 64 × 157 cycles with
 identical statistics (stationary workloads) and ~64x less wall-clock.
 
-Two execution engines share these semantics:
+One executor and one reference share these semantics:
 
-* the **per-cycle loop** (:meth:`Simulator.step` / :meth:`Simulator.latch`
-  driven by ``simulate(engine="cycle")``) — the original engine, kept as
-  the pinned reference whose value traces the golden-hash tests freeze;
-* the **block-stepped engine** (:class:`SimPlan` + :meth:`Simulator.run`)
-  — stimulus pregenerated in blocks, gate groups evaluated through
-  preallocated gather/output buffers with in-place ufuncs, and activity
-  statistics reduced once per block over a value-history buffer.
+* the **block executor** (:class:`SimPlan` + :meth:`Simulator.run_block`,
+  driven by :meth:`Simulator.run`) — the only gate-evaluation loop that
+  produces labels.  Stimulus is pregenerated in blocks, every evaluation
+  group runs through precomputed chunks of gather/output views with
+  in-place ufuncs, and statistics reduce once per block over a
+  value-history buffer.  A :class:`~repro.memory.MemoryBudget` only
+  changes how the plan is cut (chunks carved from one shared arena, a
+  shallower history); :func:`simulate` is the one-member case of
+  :func:`repro.sim.pack.simulate_packed`, so single circuits, packs and
+  budgeted large designs all run the same loop;
+* the **per-cycle reference** (:meth:`Simulator.step` /
+  :meth:`Simulator.latch`, ``simulate(engine="cycle")``) — the original
+  loop, kept as the oracle whose value traces the golden-hash tests
+  freeze.
 
-The block engine is the default everywhere because it is provably
-float64-bitwise-identical to the per-cycle loop (same RNG consumption
-order, same integer accumulators) at roughly half the wall-clock or
-better; the engine choice therefore never enters label-cache digests.
+The executor is float64-bitwise-identical to the reference (same RNG
+consumption order, same integer accumulators) at roughly half the
+wall-clock or better; the engine choice therefore never enters
+label-cache digests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +67,10 @@ __all__ = [
     "SimResult",
     "simulate",
 ]
+
+#: ``engine=`` values that run the block executor.  ``"partitioned"`` is
+#: a deprecated alias kept for callers of the removed partition engine.
+_BLOCK_ENGINES = ("block", "partitioned")
 
 #: Injection hook signature: (cycle_index, node_ids) -> uint64 flip mask
 #: of shape (len(node_ids), words), xor-ed into freshly computed outputs.
@@ -154,17 +165,38 @@ DEFAULT_BLOCK_CYCLES = 64
 MAX_BLOCK_BYTES = 8 << 20
 
 
+class _Chunk(NamedTuple):
+    """One precomputed evaluation step of a :class:`SimPlan`: a run of
+    gates of one group, with the views it gathers into and evaluates
+    through."""
+
+    gate_type: GateType
+    flat: np.ndarray  # (arity * m,) fanin ids, row-major over fanin rows
+    gather: np.ndarray  # (arity * m, words): one np.take fills all rows
+    in_buf: np.ndarray  # the same memory viewed (arity, m, words)
+    out: np.ndarray  # (m, words)
+    rows: np.ndarray  # (m,) node ids the outputs are scattered to
+    #: The whole group's node list on the group's first chunk — where the
+    #: fault hook draws the group's mask — ``None`` on its later chunks.
+    group: np.ndarray | None
+    #: This chunk's gates within the group; ``None`` when it is the whole
+    #: group (the hot loop then skips slicing the mask).
+    sl: slice | None
+
+
 class SimPlan:
     """Preallocated block-execution state for one compiled circuit.
 
-    The per-cycle engine pays, every cycle and for every evaluation group,
-    a fresh fanin gather list, a fresh output array and a byte-LUT
-    popcount.  A plan hoists all of that out of the loop: one stacked
-    ``(arity, m, words)`` gather buffer and one ``(m, words)`` output
-    buffer per :class:`_LevelOp`, a ``(block_cycles, nodes, words)``
+    The per-cycle reference pays, every cycle and for every evaluation
+    group, a fresh fanin gather list, a fresh output array and a byte-LUT
+    popcount.  A plan hoists all of that out of the loop: per
+    :class:`_LevelOp` a list of *chunks*, each a stacked ``(arity, m,
+    words)`` gather view and an ``(m, words)`` output view with their
+    flat fanin ids precomputed; a ``(block_cycles, nodes, words)``
     value-history buffer that statistics are reduced over once per
-    *block*, and the DFF next-state staging buffer.  Building a plan never touches values —
-    execution through a plan is bitwise-identical to per-cycle stepping.
+    *block*; and the DFF next-state staging buffer.  Building a plan
+    never touches values — execution through a plan is bitwise-identical
+    to per-cycle stepping.
 
     ``block_cycles`` is clamped so the history stays under
     ``max_block_bytes`` regardless of netlist size.
@@ -172,11 +204,12 @@ class SimPlan:
     A :class:`~repro.memory.MemoryBudget` tightens both bounds further:
     ``history_bytes`` caps the history window's depth (windows are flushed
     to observers every block, so statistics and tracing survive any depth
-    down to one cycle), and when the dedicated per-op buffers would exceed
-    ``plan_bytes`` the plan switches to **streamed** mode — one shared
-    arena, each evaluation group chunked over its gates so the resident
-    gather/output buffers never exceed the arena.  Either way execution
-    stays bitwise-identical to the unbudgeted plan.
+    down to one cycle).  Without a budget — or while the per-group buffers
+    fit ``plan_bytes`` — every group is one chunk on its own buffers; past
+    it the plan is **streamed**: groups are cut into chunks of gates whose
+    views are carved from one shared arena of ``plan_bytes`` (never less
+    than one gate of the widest group).  Within a level no gate reads
+    another's output, so chunking cannot change a bit.
     """
 
     def __init__(
@@ -206,56 +239,62 @@ class SimPlan:
         self.state_buf = np.empty(
             (compiled.dff_ids.size, words), dtype=np.uint64
         )
+        # Rows of ``words`` uint64 one gate of a group occupies: its
+        # ``arity`` gathered fanins plus its output.
+        rows = [op.fanins.shape[0] + 1 for op in compiled.ops]
         full_bytes = sum(
-            (op.fanins.shape[0] + 1) * op.fanins.shape[1] * words * 8
-            for op in compiled.ops
+            r * op.nodes.size * words * 8 for r, op in zip(rows, compiled.ops)
         )
         self.streamed = budget is not None and not budget.allows_plan(full_bytes)
-        # Per-op entry: (gate_type, nodes, flat fanin ids, gather view,
-        # stacked input view, output buffer).  The gather view is the
-        # stacked buffer reshaped flat so one np.take fills every fanin row.
-        self.entries: list[tuple] = []
-        #: Streamed entry: (gate_type, nodes, 2-d fanins, chunk gates).
-        self.stream_entries: list[tuple] = []
-        self.arena: np.ndarray | None = None
+        #: Distinct evaluation buffers this plan owns (one shared arena
+        #: when streamed, one per group otherwise).
+        self._buffers: list[np.ndarray] = []
+        if self.streamed:
+            arena_rows = max(budget.plan_bytes // (words * 8), max(rows))
+            self._buffers.append(np.empty(arena_rows * words, dtype=np.uint64))
+        #: One :class:`_Chunk` per step of a cycle, in evaluation order.
+        self.entries: list[_Chunk] = []
+        for r, op in zip(rows, compiled.ops):
+            arity, m = op.fanins.shape
+            if self.streamed:
+                buf = self._buffers[0]
+                step = min(m, arena_rows // r)
+            else:
+                buf = np.empty(r * m * words, dtype=np.uint64)
+                self._buffers.append(buf)
+                step = m
+            for lo in range(0, m, step):
+                sl = slice(lo, min(m, lo + step))
+                mm = sl.stop - lo
+                gather = buf[: arity * mm * words].reshape(arity * mm, words)
+                self.entries.append(
+                    _Chunk(
+                        gate_type=op.gate_type,
+                        flat=np.ascontiguousarray(op.fanins[:, sl]).reshape(-1),
+                        gather=gather,
+                        in_buf=gather.reshape(arity, mm, words),
+                        out=buf[gather.size : r * mm * words].reshape(mm, words),
+                        rows=op.nodes[sl],
+                        group=op.nodes if lo == 0 else None,
+                        sl=None if mm == m else sl,
+                    )
+                )
+        # Constants never change: the fault-free path scatters them once
+        # per run and skips their entries in the cycle loop entirely.
+        self.dyn_entries = [e for e in self.entries if e.flat.size]
         const_rows: list[np.ndarray] = []
         const_fill: list[np.ndarray] = []
-        if self.streamed:
-            # One gate of the widest group must fit, whatever the budget.
-            max_need = max(
-                (op.fanins.shape[0] + 1) * words * 8 for op in compiled.ops
-            )
-            arena_bytes = max(budget.plan_bytes, max_need)
-            self.arena = np.empty(arena_bytes // 8, dtype=np.uint64)
-            for op in compiled.ops:
-                arity, m = op.fanins.shape
-                chunk = max(1, arena_bytes // ((arity + 1) * words * 8))
-                self.stream_entries.append(
-                    (op.gate_type, op.nodes, op.fanins, min(chunk, m))
-                )
-        else:
-            for op in compiled.ops:
-                arity, m = op.fanins.shape
-                in_buf = np.empty((arity, m, words), dtype=np.uint64)
-                out = np.empty((m, words), dtype=np.uint64)
-                flat = np.ascontiguousarray(op.fanins.reshape(arity * m))
-                gather = in_buf.reshape(arity * m, words)
-                self.entries.append(
-                    (op.gate_type, op.nodes, flat, gather, in_buf, out)
-                )
         for op in compiled.ops:
-            arity, m = op.fanins.shape
-            if arity == 0:
+            if op.fanins.shape[0] == 0:
                 const_rows.append(op.nodes)
                 fill = (
                     np.uint64(0xFFFFFFFFFFFFFFFF)
                     if op.gate_type is GateType.CONST1
                     else np.uint64(0)
                 )
-                const_fill.append(np.full((m, words), fill, dtype=np.uint64))
-        # Constants never change: the fault-free path scatters them once
-        # per run and skips their entries in the cycle loop entirely.
-        self.dyn_entries = [e for e in self.entries if e[2].size]
+                const_fill.append(
+                    np.full((op.nodes.size, words), fill, dtype=np.uint64)
+                )
         self._const_nodes = (
             np.concatenate(const_rows)
             if const_rows
@@ -275,57 +314,15 @@ class SimPlan:
     def resident_bytes(self) -> int:
         """Bytes of bookkeeping buffers this plan keeps resident.
 
-        History window + DFF staging + either the dedicated per-op
-        gather/output buffers or the shared streamed arena.  Excludes the
-        irreducible ``(num_nodes, words)`` value array the simulator owns.
+        History window + DFF staging + the evaluation buffers (per group,
+        or the one shared arena when streamed).  Excludes the irreducible
+        ``(num_nodes, words)`` value array the simulator owns.
         """
-        total = self.history.nbytes + self.state_buf.nbytes
-        if self.streamed:
-            total += self.arena.nbytes
-        else:
-            total += sum(e[4].nbytes + e[5].nbytes for e in self.entries)
-        return total
-
-
-def _run_ops_streamed(
-    vals: np.ndarray,
-    stream_entries: list[tuple],
-    arena: np.ndarray,
-    words: int,
-    cycle: int,
-    fault_hook: FaultHook | None,
-) -> None:
-    """Evaluate one cycle's groups through a shared bounded arena.
-
-    Each group is chunked over its gates; gather, evaluate and scatter
-    run per chunk through views carved out of ``arena``.  Within a level
-    no gate reads another's output, so chunking cannot change any bit.
-    The fault hook is still called exactly once per (cycle, group) with
-    the *full* node list — identical RNG consumption to the dedicated
-    path — and its mask is sliced per chunk.
-    """
-    for gate_type, nodes, fanins, chunk in stream_entries:
-        arity, m = fanins.shape
-        if fault_hook is not None:
-            mask = fault_hook(cycle, nodes)
-        elif arity == 0:
-            continue  # constants were scattered once before the loop
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            mm = hi - lo
-            in_buf = arena[: arity * mm * words].reshape(arity, mm, words)
-            out = arena[
-                arity * mm * words : (arity + 1) * mm * words
-            ].reshape(mm, words)
-            if arity:
-                flat = np.ascontiguousarray(
-                    fanins[:, lo:hi]
-                ).reshape(arity * mm)
-                vals.take(flat, 0, in_buf.reshape(arity * mm, words), "clip")
-            eval_gate_into(gate_type, in_buf, out)
-            if fault_hook is not None:
-                np.bitwise_xor(out, mask[lo:hi], out=out)
-            vals[nodes[lo:hi]] = out
+        return (
+            self.history.nbytes
+            + self.state_buf.nbytes
+            + sum(buf.nbytes for buf in self._buffers)
+        )
 
 
 class Simulator:
@@ -455,26 +452,6 @@ class Simulator:
         state_buf = plan.state_buf
         has_pis = pi_ids.size > 0
         has_dffs = dff_ids.size > 0
-        if plan.streamed:
-            if fault_hook is None:
-                plan.scatter_consts(vals)
-            for b in range(len(pi_block)):
-                if has_pis:
-                    vals[pi_ids] = pi_block[b]
-                _run_ops_streamed(
-                    vals,
-                    plan.stream_entries,
-                    plan.arena,
-                    self.words,
-                    start_cycle + b,
-                    fault_hook,
-                )
-                if history is not None:
-                    history[b] = vals
-                if has_dffs:
-                    vals.take(dff_src, 0, state_buf, "clip")
-                    vals[dff_ids] = state_buf
-            return vals
         if fault_hook is None:
             plan.scatter_consts(vals)
             entries = plan.dyn_entries
@@ -483,15 +460,21 @@ class Simulator:
         for b in range(len(pi_block)):
             if has_pis:
                 vals[pi_ids] = pi_block[b]
-            for gate_type, nodes, flat, gather, in_buf, out in entries:
+            for gate_type, flat, gather, in_buf, out, rows, group, sl in entries:
                 if flat.size:
                     vals.take(flat, 0, gather, "clip")
                 eval_gate_into(gate_type, in_buf, out)
                 if fault_hook is not None:
+                    # One hook call per (cycle, group) over the group's
+                    # full node list — the per-cycle engine's draw order —
+                    # however the group is chunked; each chunk takes its
+                    # slice of the mask.
+                    if group is not None:
+                        mask = fault_hook(start_cycle + b, group)
                     np.bitwise_xor(
-                        out, fault_hook(start_cycle + b, nodes), out=out
+                        out, mask if sl is None else mask[sl], out=out
                     )
-                vals[nodes] = out
+                vals[rows] = out
             if history is not None:
                 history[b] = vals
             if has_dffs:
@@ -628,6 +611,22 @@ class ActivityCounter:
         self._prev = history[-1].copy()
         self.cycles += block
 
+    def result(
+        self, netlist: Netlist, streams: int, rows: slice = slice(None)
+    ) -> "SimResult":
+        """Activity probabilities of the nodes in ``rows`` (all of them, or
+        one pack member's slice of a union counter)."""
+        samples = self.cycles * streams
+        pair_samples = max(self.pairs, 1) * streams
+        return SimResult(
+            logic_prob=self.ones[rows] / samples,
+            tr01_prob=self.tr01[rows] / pair_samples,
+            tr10_prob=self.tr10[rows] / pair_samples,
+            cycles=self.cycles,
+            streams=streams,
+            netlist=netlist,
+        )
+
 
 @dataclass
 class SimConfig:
@@ -700,7 +699,6 @@ def simulate(
     engine: str = "block",
     block_cycles: int | None = None,
     budget: MemoryBudget | None = None,
-    max_partition_nodes: int | None = None,
 ) -> SimResult:
     """Run a workload and collect per-node activity statistics.
 
@@ -712,62 +710,36 @@ def simulate(
     :func:`repro.sim.faults.simulate_with_faults` relies on.
 
     ``engine`` selects the execution strategy, never the result:
-    ``"block"`` (default) runs the block-stepped :meth:`Simulator.run`
-    path, ``"cycle"`` the original per-cycle loop kept as the pinned
-    reference, ``"partitioned"`` the partition-and-stitch engine of
-    :mod:`repro.sim.partition` (the netlist cut into fanin-closed level
-    bands sized by ``max_partition_nodes``, compiled independently and
-    stitched through a shared value array).  All engines are
+    ``"block"`` (default) is the block executor, run as the one-member
+    case of :func:`repro.sim.pack.simulate_packed`; ``"cycle"`` is the
+    per-cycle reference loop.  ``"partitioned"`` is a deprecated alias of
+    ``"block"`` (pass a ``budget`` to bound memory).  The two are
     float64-bitwise-identical (golden-hash and differential tests enforce
     it), so the engine choice is deliberately excluded from label-cache
-    digests.  ``block_cycles`` tunes the block engine's history depth
-    (default :data:`DEFAULT_BLOCK_CYCLES`, capped by a flat memory bound)
-    and ``budget`` bounds the plan's resident buffers
+    digests.  ``block_cycles``
+    tunes the block executor's history depth (default
+    :data:`DEFAULT_BLOCK_CYCLES`, capped by a flat memory bound) and
+    ``budget`` bounds the plan's resident buffers
     (:class:`~repro.memory.MemoryBudget`), neither affecting results.
     """
     config = config or SimConfig()
-    if engine == "partitioned":
-        from repro.sim.partition import simulate_partitioned
+    if engine in _BLOCK_ENGINES:
+        # Deferred: repro.sim.pack builds on this module.
+        from repro.sim.pack import _run_packed, pack_circuits
 
-        return simulate_partitioned(
-            circuit,
-            workload,
-            config,
-            replay_seed=replay_seed,
-            budget=budget,
-            max_partition_nodes=max_partition_nodes,
-        )
-    sim = Simulator(circuit, streams=config.streams)
-    compiled = sim.compiled
-    rng = np.random.default_rng(config.seed)
-    sim.reset(config.init_state, rng)
-    source = PatternSource(workload, streams=config.streams, seed=replay_seed)
-    counter = ActivityCounter(compiled.num_nodes, sim.words)
-    if engine == "block":
-        sim.run(
-            config.cycles,
-            source,
-            counter,
-            warmup=config.warmup,
-            block_cycles=block_cycles,
-            budget=budget,
-        )
-    elif engine == "cycle":
-        total = config.warmup + config.cycles
-        for cycle in range(total):
-            values = sim.step(source.next_cycle(), cycle)
-            if cycle >= config.warmup:
-                counter.observe(values)
-            sim.latch()
-    else:
+        packed = pack_circuits([circuit], cache=False)
+        return _run_packed(
+            packed, [workload], config, [replay_seed], block_cycles, budget
+        )[0]
+    if engine != "cycle":
         raise ValueError(f"unknown engine {engine!r}")
-    samples = counter.cycles * sim.streams
-    pair_samples = max(counter.pairs, 1) * sim.streams
-    return SimResult(
-        logic_prob=counter.ones / samples,
-        tr01_prob=counter.tr01 / pair_samples,
-        tr10_prob=counter.tr10 / pair_samples,
-        cycles=counter.cycles,
-        streams=sim.streams,
-        netlist=compiled.netlist,
-    )
+    sim = Simulator(circuit, streams=config.streams)
+    sim.reset(config.init_state, np.random.default_rng(config.seed))
+    source = PatternSource(workload, streams=config.streams, seed=replay_seed)
+    counter = ActivityCounter(sim.compiled.num_nodes, sim.words)
+    for cycle in range(config.warmup + config.cycles):
+        values = sim.step(source.next_cycle(), cycle)
+        if cycle >= config.warmup:
+            counter.observe(values)
+        sim.latch()
+    return counter.result(sim.compiled.netlist, sim.streams)

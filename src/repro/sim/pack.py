@@ -16,9 +16,13 @@ at once, and the block engine's history/:meth:`ActivityCounter
 buffers.  Packed plans live in a bounded LRU keyed by the tuple of member
 content hashes, exactly like the runtime's pack cache.
 
+This module also *is* the block executor's driver: the run and lockstep
+loops below are the only ones, and :func:`~repro.sim.logicsim.simulate` /
+:func:`~repro.sim.faults.simulate_with_faults` call them with a
+one-member pack (built uncached, so the pack LRU never sees it).
+
 Everything observable is **bitwise-identical** to K sequential
-:func:`~repro.sim.logicsim.simulate` /
-:func:`~repro.sim.faults.simulate_with_faults` calls:
+per-cycle reference runs (``engine="cycle"``):
 
 * stimulus stays per-member — each member draws blocks from its *own*
   PCG64 stream (:meth:`PatternSource.next_block`), consuming it in
@@ -26,10 +30,10 @@ Everything observable is **bitwise-identical** to K sequential
 * random DFF initialization draws per member from a fresh generator,
   exactly as each member's own reset would;
 * fault injection runs golden/faulty lockstep *per member* inside the
-  shared sweep: each member has its own
-  :class:`~repro.sim.faults._FaultInjector` whose masks are drawn per
-  (cycle, member-group) in the member's own compiled-op order, then
-  scattered into a union-wide flip buffer the shared sweep XORs in;
+  shared sweep: each member has its own fault generator whose masks
+  equal those a reference :class:`~repro.sim.faults._FaultInjector`
+  draws per (cycle, member-group) in the member's own compiled-op
+  order, scattered into a union-wide flip buffer the sweep XORs in;
 * all statistics accumulators are integers, so reducing them over the
   union and slicing per member cannot change a single count.
 
@@ -41,8 +45,6 @@ never enters :func:`~repro.data.cache.label_key`.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,11 +52,15 @@ import numpy as np
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
+from repro.lru import FingerprintLRU
+from repro.memory import MemoryBudget
+from repro.sim.bitvec import popcount_int64
 from repro.sim.faults import (
     FaultConfig,
     FaultSimResult,
     _episode_schedule,
     _FaultInjector,
+    _FaultStats,
 )
 from repro.sim.logicsim import (
     ActivityCounter,
@@ -97,7 +103,6 @@ class PackedSimPlan:
         members: the member compiled circuits, in pack order.
         offsets: node-id offset of each member inside the union.
         sizes: node count per member.
-        member_keys: content hash per member (the cache key).
         pi_slices: row range of each member's PIs inside stacked stimulus
             blocks (stimulus concatenates member blocks in pack order).
         po_ids: union node ids of each member's primary outputs.
@@ -110,7 +115,6 @@ class PackedSimPlan:
     members: tuple[CompiledCircuit, ...]
     offsets: tuple[int, ...]
     sizes: tuple[int, ...]
-    member_keys: tuple[str, ...]
     pi_slices: tuple[slice, ...]
     po_ids: tuple[np.ndarray, ...]
     shifted_ops: tuple[tuple[np.ndarray, ...], ...]
@@ -137,12 +141,7 @@ class SimPackCacheInfo:
     maxsize: int
 
 
-_LOCK = threading.Lock()
-_CACHE: OrderedDict[tuple[str, ...], PackedSimPlan] = OrderedDict()
-_MAXSIZE = [32]
-_HITS = [0]
-_MISSES = [0]
-_EVICTIONS = [0]
+_CACHE = FingerprintLRU(32, SimPackCacheInfo, "sim pack cache")
 
 
 def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
@@ -196,9 +195,10 @@ def pack_circuits(
 ) -> PackedSimPlan:
     """Pack member circuits into one compiled union simulation plan.
 
-    Accepts netlists (compiled here) or pre-compiled circuits.  Raises a
-    :class:`ValueError` for empty packs and for packs above
-    :data:`MAX_PACK_MEMBERS`.
+    Accepts netlists (compiled here) or pre-compiled circuits.  Cached
+    plans are keyed by the tuple of member content hashes; ``cache=False``
+    neither hashes nor touches the LRU.  Raises a :class:`ValueError` for
+    empty packs and for packs above :data:`MAX_PACK_MEMBERS`.
     """
     if not circuits:
         raise ValueError("cannot pack zero circuits")
@@ -211,15 +211,11 @@ def pack_circuits(
         c if isinstance(c, CompiledCircuit) else compile_netlist(c)
         for c in circuits
     )
-    keys = tuple(m.netlist.fingerprint() for m in members)
     if cache:
-        with _LOCK:
-            packed = _CACHE.get(keys)
-            if packed is not None:
-                _CACHE.move_to_end(keys)
-                _HITS[0] += 1
-                return packed
-            _MISSES[0] += 1
+        keys = tuple(m.netlist.fingerprint() for m in members)
+        packed = _CACHE.get(keys)
+        if packed is not None:
+            return packed
     compiled = members[0] if len(members) == 1 else _merge_members(members)
     offsets: list[int] = []
     pi_slices: list[slice] = []
@@ -240,54 +236,26 @@ def pack_circuits(
         members=members,
         offsets=tuple(offsets),
         sizes=tuple(m.num_nodes for m in members),
-        member_keys=keys,
         pi_slices=tuple(pi_slices),
         po_ids=tuple(po_ids),
         shifted_ops=tuple(shifted_ops),
     )
-    if cache:
-        with _LOCK:
-            existing = _CACHE.get(keys)
-            if existing is not None:
-                # Another thread packed the same composition first; keep
-                # its entry so every caller shares one plan per batch.
-                _CACHE.move_to_end(keys)
-                return existing
-            _CACHE[keys] = packed
-            while len(_CACHE) > _MAXSIZE[0]:
-                _CACHE.popitem(last=False)
-                _EVICTIONS[0] += 1
-    return packed
+    return _CACHE.insert(keys, packed) if cache else packed
 
 
 def configure_sim_pack_cache(maxsize: int) -> None:
     """Bound the packed-plan cache to ``maxsize`` entries."""
-    if maxsize < 1:
-        raise ValueError("sim pack cache needs room for at least one entry")
-    with _LOCK:
-        _MAXSIZE[0] = int(maxsize)
-        while len(_CACHE) > _MAXSIZE[0]:
-            _CACHE.popitem(last=False)
-            _EVICTIONS[0] += 1
+    _CACHE.configure(maxsize)
 
 
 def clear_sim_pack_cache() -> None:
     """Drop every cached packed plan and reset the hit/miss counters."""
-    with _LOCK:
-        _CACHE.clear()
-        _HITS[0] = _MISSES[0] = _EVICTIONS[0] = 0
+    _CACHE.clear()
 
 
 def sim_pack_cache_info() -> SimPackCacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
-    with _LOCK:
-        return SimPackCacheInfo(
-            hits=_HITS[0],
-            misses=_MISSES[0],
-            evictions=_EVICTIONS[0],
-            size=len(_CACHE),
-            maxsize=_MAXSIZE[0],
-        )
+    return _CACHE.info()
 
 
 # ----------------------------------------------------------------------
@@ -311,17 +279,22 @@ class _PackedSource:
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-#: Cap on the prepared flip-chunk buffer, mirroring ``SimPlan``'s history
-#: cap: chunks shrink on very large unions rather than ballooning memory.
+#: Cap on one prepared chunk of fault masks — the union flip buffer plus
+#: the largest member's raw draw — mirroring ``SimPlan``'s history cap:
+#: chunks shrink on very large unions and members rather than ballooning
+#: memory.
 _CHUNK_BYTES_CAP = 8 << 20
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class _PackedInjector:
     """Per-member fault streams drawn in bulk behind one union flip hook.
 
     Bitwise contract: each member's masks equal those a standalone
-    :class:`_FaultInjector` (``batch_draws=True``) would draw per (cycle,
-    group) in the member's compiled-op order.  Drawing them that way costs
+    :class:`_FaultInjector` would draw per (cycle, group) in the member's
+    compiled-op order (``k`` successive ``(m, words)`` draws fill like one
+    C-order ``(k, m, words)`` draw).  Drawing them that way costs
     two generator calls per (cycle, member, group) — the dominant cost of
     packed fault sweeps — so this class collapses them using two PCG64
     facts (property-tested in ``tests/sim/test_packed_engine.py``):
@@ -351,6 +324,7 @@ class _PackedInjector:
         fault_config: FaultConfig,
         words: int,
         total_cycles: int,
+        budget: MemoryBudget | None = None,
     ) -> None:
         self.packed = packed
         self.words = words
@@ -383,10 +357,18 @@ class _PackedInjector:
                 len(groups) + self.k_hi * sum(m for _, m in groups) * words
                 for groups in self.member_groups
             ]
-        per_cycle_bytes = max(packed.num_nodes * words * 8, 1)
-        self.chunk_cycles = max(
-            1, min(128, _CHUNK_BYTES_CAP // per_cycle_bytes)
+        # One prepared cycle keeps alive its row of the union flip buffer
+        # and, while _prepare parses a member, that member's raw draw —
+        # ``k_hi`` (18 at the paper's rate) times the member's flip rows,
+        # so on a large member it, not the flip buffer, sets the chunk.
+        # (The per-group mask gather is bounded by the raw draw too.)
+        cap = _CHUNK_BYTES_CAP
+        if budget is not None and budget.history_bytes is not None:
+            cap = min(cap, budget.history_bytes)
+        per_cycle_bytes = 8 * (
+            packed.num_nodes * words + max(self.max_per_cycle)
         )
+        self.chunk_cycles = max(1, min(128, cap // max(per_cycle_bytes, 1)))
         alloc = np.zeros if self.k_lo is None else np.empty
         self.flips = alloc(
             (self.chunk_cycles, packed.num_nodes, words), dtype=np.uint64
@@ -400,8 +382,8 @@ class _PackedInjector:
         Two passes per member: a scalar walk over the raw buffer records
         each (cycle, group) mask's ``k`` choice and start offset — the
         only sequentially-dependent part — then one gather + AND-reduce +
-        scatter per (group, ``k``) builds every cycle's mask of that shape
-        at once.  The walk consumes raw words in exactly the standalone
+        scatter per group builds every cycle's mask of that group at
+        once.  The walk consumes raw words in exactly the standalone
         draw order; the vectorized pass only rearranges already-drawn
         words, so it cannot move a bit.
         """
@@ -445,16 +427,15 @@ class _PackedInjector:
                 rng.bit_generator.advance(pos - buf.size)
             span = np.arange(k_hi * max(sizes, default=1))
             for g, (rows, m) in enumerate(groups):
-                for k, pick in ((k_lo, lo[:, g]), (k_hi, ~lo[:, g])):
-                    cyc = np.nonzero(pick)[0]
-                    if not cyc.size:
-                        continue
-                    n = k * m * words
-                    segs = buf[starts[cyc, g][:, None] + span[:n]]
-                    masks = and_reduce(
-                        segs.reshape(cyc.size, k, m, words), axis=1
-                    )
-                    flips[cyc[:, None], rows] = masks
+                # Every cycle's mask of this group at once: gather k_hi
+                # words per mask, and where the walk chose k_lo — so the
+                # last word already belongs to the next draw — replace it
+                # by the AND identity.  The worst-case-sized buffer always
+                # holds k_hi words past any mask's start.
+                segs = buf[starts[:, g, None] + span[: k_hi * m * words]]
+                segs = segs.reshape(ncyc, k_hi, m, words)
+                segs[lo[:, g], k_lo] = _ALL_ONES
+                flips[:ncyc, rows] = and_reduce(segs, axis=1)
 
     def hook(self, cycle: int, nodes: np.ndarray) -> np.ndarray:
         while cycle >= self.end:
@@ -521,25 +502,32 @@ def _reset_members(
         raise ValueError(f"unknown init_state {init_state!r}")
 
 
-def _member_sim_results(
-    packed: PackedSimPlan, counter: ActivityCounter, streams: int
+def _run_packed(
+    packed: PackedSimPlan,
+    workloads: Sequence[Workload],
+    config: SimConfig,
+    replay_seeds: Sequence[int | None] | None,
+    block_cycles: int | None,
+    budget: MemoryBudget | None = None,
 ) -> list[SimResult]:
-    samples = counter.cycles * streams
-    pair_samples = max(counter.pairs, 1) * streams
-    results = []
-    for k, member in enumerate(packed.members):
-        sl = packed.member_slice(k)
-        results.append(
-            SimResult(
-                logic_prob=counter.ones[sl] / samples,
-                tr01_prob=counter.tr01[sl] / pair_samples,
-                tr10_prob=counter.tr10[sl] / pair_samples,
-                cycles=counter.cycles,
-                streams=streams,
-                netlist=member.netlist,
-            )
-        )
-    return results
+    """The block executor's fault-free run over a pack of >= 1 members."""
+    _check_pack_inputs(packed, workloads)
+    sim = Simulator(packed.compiled, streams=config.streams)
+    _reset_members(sim, packed, config.init_state, config.seed)
+    source = _make_sources(packed, workloads, config.streams, replay_seeds)
+    counter = ActivityCounter(packed.num_nodes, sim.words)
+    sim.run(
+        config.cycles,
+        source,
+        counter,
+        warmup=config.warmup,
+        block_cycles=block_cycles,
+        budget=budget,
+    )
+    return [
+        counter.result(member.netlist, sim.streams, packed.member_slice(k))
+        for k, member in enumerate(packed.members)
+    ]
 
 
 def simulate_packed(
@@ -559,73 +547,54 @@ def simulate_packed(
     DFF initialization and statistics are all per-member as documented in
     the module docstring.  All members share one :class:`SimConfig`.
     """
-    config = config or SimConfig()
     if packed is None:
         packed = pack_circuits(circuits, cache=cache)
-    _check_pack_inputs(packed, workloads)
-    sim = Simulator(packed.compiled, streams=config.streams)
-    _reset_members(sim, packed, config.init_state, config.seed)
-    source = _make_sources(packed, workloads, config.streams, replay_seeds)
-    counter = ActivityCounter(packed.num_nodes, sim.words)
-    sim.run(
-        config.cycles,
-        source,
-        counter,
-        warmup=config.warmup,
-        block_cycles=block_cycles,
+    return _run_packed(
+        packed, workloads, config or SimConfig(), replay_seeds, block_cycles
     )
-    return _member_sim_results(packed, counter, sim.streams)
 
 
-def simulate_with_faults_packed(
-    circuits: Sequence[Netlist | CompiledCircuit],
+def _run_packed_faults(
+    packed: PackedSimPlan,
     workloads: Sequence[Workload],
-    sim_config: SimConfig | None = None,
-    fault_config: FaultConfig | None = None,
-    *,
-    replay_seeds: Sequence[int | None] | None = None,
-    block_cycles: int | None = None,
-    packed: PackedSimPlan | None = None,
-    cache: bool = True,
+    sim_config: SimConfig,
+    fault_config: FaultConfig,
+    replay_seeds: Sequence[int | None] | None,
+    block_cycles: int | None,
+    budget: MemoryBudget | None = None,
 ) -> list[FaultSimResult]:
-    """Golden/faulty lockstep fault simulation of K members in one sweep.
+    """The block executor's golden/faulty lockstep loop over >= 1 members.
 
-    Mirrors :func:`repro.sim.faults.simulate_with_faults`'s block engine:
-    per episode both machines reset (per member), then per block the
+    Per episode both machines reset (per member), then per block the
     golden machine runs hook-free and the faulty machine replays the same
-    stacked stimulus with per-member injector masks XOR-ed in.  Per-node
-    error counts reduce over the union history; PO-mismatch reliability
-    reduces per member over that member's PO rows.  Results are
-    bitwise-identical to K sequential calls.
+    stacked stimulus with per-member injector masks XOR-ed in — the
+    injector draws per (cycle, group) in exactly the per-cycle engine's
+    order because golden steps never draw.  Per-node error counts reduce
+    over the union history; PO-mismatch reliability reduces per member
+    over that member's PO rows.  All accumulators are integers, so block
+    summation is arithmetically identical to per-cycle summation.
     """
-    sim_config = sim_config or SimConfig()
-    fault_config = fault_config or FaultConfig()
-    if packed is None:
-        packed = pack_circuits(circuits, cache=cache)
     _check_pack_inputs(packed, workloads)
     golden = Simulator(packed.compiled, streams=sim_config.streams)
     faulty = Simulator(packed.compiled, streams=sim_config.streams)
     schedule = _episode_schedule(sim_config, fault_config)
     total_cycles = sum(sim_config.warmup + observe for observe in schedule)
     injector = _PackedInjector(
-        packed, fault_config, golden.words, total_cycles
+        packed, fault_config, golden.words, total_cycles, budget
     )
     source = _make_sources(
         packed, workloads, sim_config.streams, replay_seeds
     )
-    plan_g = SimPlan(packed.compiled, golden.words, block_cycles)
-    plan_f = SimPlan(packed.compiled, golden.words, block_cycles)
-    n = packed.num_nodes
-    obs0 = np.zeros(n, dtype=np.int64)
-    obs1 = np.zeros(n, dtype=np.int64)
-    e01 = np.zeros(n, dtype=np.int64)
-    e10 = np.zeros(n, dtype=np.int64)
-    po_ok = np.zeros(packed.num_members, dtype=np.int64)
-    po_total = np.zeros(packed.num_members, dtype=np.int64)
+    plan_g = SimPlan(packed.compiled, golden.words, block_cycles, budget=budget)
+    plan_f = SimPlan(packed.compiled, golden.words, block_cycles, budget=budget)
+    counts = np.zeros((4, packed.num_nodes), dtype=np.int64)
+    obs0, obs1, e01, e10 = counts
+    stats = [
+        _FaultStats(member.netlist, pos, counts[:, packed.member_slice(k)])
+        for k, (member, pos) in enumerate(zip(packed.members, packed.po_ids))
+    ]
     streams = golden.streams
     cycle = 0
-    from repro.sim.bitvec import popcount_int64
-
     for episode, observe in enumerate(schedule):
         # Pattern boundary: both machines restart from the reset state,
         # every member from its own fresh generator.
@@ -654,39 +623,48 @@ def simulate_with_faults_packed(
             if lo < b:
                 g = gh[lo:]
                 f = fh[lo:]
-                nobs = g.shape[0]
+                samples = g.shape[0] * streams
                 ones = popcount_int64(g, axis=2).sum(axis=0)
                 obs1 += ones
-                obs0 += nobs * streams - ones
+                obs0 += samples - ones
                 diff = g ^ f
                 e01 += popcount_int64(diff & f, axis=2).sum(axis=0)
                 e10 += popcount_int64(diff & g, axis=2).sum(axis=0)
-                for k, pos in enumerate(packed.po_ids):
-                    if pos.size:
-                        any_bad = np.bitwise_or.reduce(diff[:, pos], axis=1)
-                        po_total[k] += nobs * streams
-                        po_ok[k] += nobs * streams - int(
-                            popcount_int64(any_bad)
+                for member in stats:
+                    if member.po_ids.size:
+                        any_bad = np.bitwise_or.reduce(
+                            diff[:, member.po_ids], axis=1
                         )
+                        member.po_total += samples
+                        member.po_ok += samples - int(popcount_int64(any_bad))
             cycle += b
             done += b
+    return [member.result() for member in stats]
 
-    results = []
-    for k, member in enumerate(packed.members):
-        sl = packed.member_slice(k)
-        err01 = np.divide(e01[sl], np.maximum(obs0[sl], 1), dtype=np.float64)
-        err10 = np.divide(e10[sl], np.maximum(obs1[sl], 1), dtype=np.float64)
-        reliability = (
-            po_ok[k] / po_total[k] if po_total[k] else 1.0
-        )
-        results.append(
-            FaultSimResult(
-                err01=err01,
-                err10=err10,
-                reliability=float(reliability),
-                observed0=obs0[sl].copy(),
-                observed1=obs1[sl].copy(),
-                netlist=member.netlist,
-            )
-        )
-    return results
+
+def simulate_with_faults_packed(
+    circuits: Sequence[Netlist | CompiledCircuit],
+    workloads: Sequence[Workload],
+    sim_config: SimConfig | None = None,
+    fault_config: FaultConfig | None = None,
+    *,
+    replay_seeds: Sequence[int | None] | None = None,
+    block_cycles: int | None = None,
+    packed: PackedSimPlan | None = None,
+    cache: bool = True,
+) -> list[FaultSimResult]:
+    """Golden/faulty lockstep fault simulation of K members in one sweep.
+
+    Results are bitwise-identical to K sequential
+    :func:`repro.sim.faults.simulate_with_faults` calls.
+    """
+    if packed is None:
+        packed = pack_circuits(circuits, cache=cache)
+    return _run_packed_faults(
+        packed,
+        workloads,
+        sim_config or SimConfig(),
+        fault_config or FaultConfig(),
+        replay_seeds,
+        block_cycles,
+    )

@@ -65,62 +65,3 @@ class TestExtractDataset:
         nl.add_pi()
         with pytest.raises(ValueError):
             extract_dataset(nl, count=1, size_range=(5, 10))
-
-
-class TestPartitionByLevels:
-    def test_bands_cover_comb_gates_exactly_once(self, parent):
-        from repro.circuit.extract import partition_by_levels
-        from repro.circuit.levelize import levelize
-
-        parts = partition_by_levels(parent, max_comb_nodes=40)
-        covered = np.concatenate([p.parent_of[p.comb_ids] for p in parts])
-        expected = np.concatenate(levelize(parent).comb_forward)
-        assert np.array_equal(np.sort(covered), np.sort(expected))
-        assert len(set(covered.tolist())) == covered.size
-
-    def test_band_netlists_validate_and_are_fanin_closed(self, parent):
-        from repro.circuit.extract import partition_by_levels
-
-        for part in partition_by_levels(parent, max_comb_nodes=40):
-            assert part.netlist.validate() is None
-            # every gate's fanin is either an import PI or an earlier gate
-            sub = part.netlist
-            for node in sub.nodes():
-                for f in sub.fanins(node):
-                    assert f < node
-
-    def test_parent_map_consistent(self, parent):
-        from repro.circuit.extract import partition_by_levels
-
-        for part in partition_by_levels(parent, max_comb_nodes=60):
-            sub = part.netlist
-            for sid in sub.nodes():
-                pid = int(part.parent_of[sid])
-                if sub.gate_type(sid) is not GateType.PI:
-                    assert parent.gate_type(pid) is sub.gate_type(sid)
-
-    def test_all_dff_netlist_has_no_bands(self):
-        from repro.circuit.extract import partition_by_levels
-        from repro.circuit.netlist import Netlist
-
-        nl = Netlist("ffs")
-        pi = nl.add_pi("a")
-        prev = pi
-        for k in range(5):
-            prev = nl.add_dff(prev, f"f{k}")
-        nl.add_po(prev)
-        nl.validate()
-        assert partition_by_levels(nl, max_comb_nodes=10) == []
-
-    def test_bad_budget_rejected(self, parent):
-        from repro.circuit.extract import partition_by_levels
-
-        with pytest.raises(ValueError):
-            partition_by_levels(parent, max_comb_nodes=0)
-
-    def test_band_count_shrinks_with_budget(self, parent):
-        from repro.circuit.extract import partition_by_levels
-
-        many = partition_by_levels(parent, max_comb_nodes=20)
-        few = partition_by_levels(parent, max_comb_nodes=10_000)
-        assert len(many) > len(few) >= 1

@@ -42,6 +42,17 @@ KEY_FAULT = "b80a949a8214db85769d42c5b44201bc82ca4a9a4b4ef781eb8d615961d53311"
 CFG = SimConfig(cycles=48, streams=96, warmup=4, seed=5, init_state="random")
 FAULT_CFG = FaultConfig(fault_rate=0.02, episode_cycles=20, seed=9)
 
+#: Extra kwargs per ``engine=`` value.  ``"partitioned"`` (an alias of
+#: the block executor since the partition engine's removal) runs under the
+#: tightest budget there is — the widest group evaluated gate by gate, a
+#: one-cycle history, one-cycle fault-mask chunks — so the digests are
+#: also hit through the chunked path, sim and fault.
+ENGINE_KWARGS = {
+    "cycle": {},
+    "block": {},
+    "partitioned": {"budget": MemoryBudget(plan_bytes=1, history_bytes=1)},
+}
+
 
 @pytest.fixture(scope="module")
 def zoo():
@@ -85,8 +96,7 @@ class TestFinalStats:
     @pytest.mark.parametrize("engine", ["cycle", "block", "partitioned"])
     def test_sim_stats_pinned(self, zoo, engine):
         nl, wl = zoo
-        kwargs = {"max_partition_nodes": 6} if engine == "partitioned" else {}
-        r = simulate(nl, wl, CFG, engine=engine, **kwargs)
+        r = simulate(nl, wl, CFG, engine=engine, **ENGINE_KWARGS[engine])
         digest = stats_hash([r.logic_prob, r.tr01_prob, r.tr10_prob])
         assert digest == STATS_SIM
 
@@ -102,8 +112,9 @@ class TestFinalStats:
     @pytest.mark.parametrize("engine", ["cycle", "block", "partitioned"])
     def test_fault_stats_pinned(self, zoo, engine):
         nl, wl = zoo
-        kwargs = {"max_partition_nodes": 6} if engine == "partitioned" else {}
-        fr = simulate_with_faults(nl, wl, CFG, FAULT_CFG, engine=engine, **kwargs)
+        fr = simulate_with_faults(
+            nl, wl, CFG, FAULT_CFG, engine=engine, **ENGINE_KWARGS[engine]
+        )
         digest = stats_hash(
             [
                 fr.err01,

@@ -6,7 +6,8 @@ import pytest
 from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.circuit.netlist import Netlist
-from repro.sim.faults import FaultConfig, simulate_with_faults
+from repro.sim.bitvec import popcount
+from repro.sim.faults import FaultConfig, _FaultInjector, simulate_with_faults
 from repro.sim.logicsim import SimConfig
 from repro.sim.workload import Workload, random_workload
 
@@ -29,6 +30,26 @@ class TestConfig:
             FaultConfig(fault_rate=1.5)
         with pytest.raises(ValueError):
             FaultConfig(episode_cycles=1)
+
+    @pytest.mark.parametrize("rate", [0.6, 0.9, 1.0])
+    def test_unreachable_per_cycle_rate_rejected(self, rate):
+        """The AND-of-k-words mask tops out at density 0.5 (k = 1); a
+        higher per-cycle rate used to be accepted and silently injected
+        ~0.5 instead."""
+        with pytest.raises(ValueError, match="exceeds 0.5"):
+            FaultConfig(fault_rate=rate, per_pattern=False)
+        # Per pattern the same rate is spread over >= 2 cycles, so the
+        # per-cycle rate never passes 0.5 and the config stays valid.
+        fc = FaultConfig(fault_rate=rate, episode_cycles=2, per_pattern=True)
+        assert fc.effective_cycle_rate == pytest.approx(rate / 2)
+
+    def test_densest_rate_is_injected_as_configured(self):
+        fc = FaultConfig(fault_rate=0.5, per_pattern=False)
+        injector = _FaultInjector(
+            fc.effective_cycle_rate, 4, np.random.default_rng(0)
+        )
+        mask = injector.mask(0, np.arange(2500))
+        assert popcount(mask).sum() / (mask.size * 64) == pytest.approx(0.5, abs=5e-3)
 
     def test_effective_rate_per_pattern(self):
         fc = FaultConfig(fault_rate=5e-4, episode_cycles=100, per_pattern=True)

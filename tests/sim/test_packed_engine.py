@@ -3,8 +3,10 @@
 The packed engine (:mod:`repro.sim.pack`) fuses K circuits into one
 block-stepped sweep and promises results *bitwise-identical* to K
 sequential per-circuit calls — which is what lets packed execution reuse
-the label cache without a ``CACHE_VERSION`` bump.  This layer pins that
-promise four ways:
+the label cache without a ``CACHE_VERSION`` bump.  Single-circuit
+``simulate``/``simulate_with_faults`` are themselves packs of one, so the
+independent oracle here is the per-cycle reference (``engine="cycle"``).
+This layer pins the promise four ways:
 
 * **golden digests** — packed members reproduce the same pinned SHA-256
   stats digests the per-circuit engines are frozen to;
@@ -132,7 +134,7 @@ class TestDifferential:
             cache=False,
         )
         for i, (nl, wl) in enumerate(members):
-            ref = simulate(nl, wl, cfg)
+            ref = simulate(nl, wl, cfg, engine="cycle")
             assert_sim_equal(ref, packed[i], f"member {i}")
 
     @settings(max_examples=6, deadline=None)
@@ -158,7 +160,7 @@ class TestDifferential:
             cache=False,
         )
         for i, (nl, wl) in enumerate(members):
-            ref = simulate_with_faults(nl, wl, cfg, fault)
+            ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
             assert_fault_equal(ref, packed[i], f"member {i}")
 
     def test_precompiled_and_netlist_members_agree(self):
@@ -171,6 +173,42 @@ class TestDifferential:
         )
         for a, b in zip(from_nl, from_cc):
             assert_sim_equal(a, b)
+
+class TestSingleRunIsPackOfOne:
+    """``simulate``/``simulate_with_faults`` are the one-member case of
+    the packed runs: bitwise-equal, and invisible to the pack LRU."""
+
+    def test_bitwise_equal_and_cache_untouched(self):
+        nl, wl = random_member(5)
+        cfg = SimConfig(cycles=40, streams=128, warmup=3, seed=4, init_state="random")
+        fault = FaultConfig(fault_rate=0.03, episode_cycles=15, seed=8)
+        pack_circuits([nl, nl])  # one real entry, so the counters are live
+        before = sim_pack_cache_info()
+        single = simulate(nl, wl, cfg, replay_seed=77)
+        single_fault = simulate_with_faults(nl, wl, cfg, fault, replay_seed=77)
+        assert sim_pack_cache_info() == before
+        [packed] = simulate_packed([nl], [wl], cfg, replay_seeds=[77], cache=False)
+        [packed_fault] = simulate_with_faults_packed(
+            [nl], [wl], cfg, fault, replay_seeds=[77], cache=False
+        )
+        assert_sim_equal(single, packed)
+        assert (single.cycles, single.streams) == (packed.cycles, packed.streams)
+        assert single.netlist is packed.netlist is nl
+        assert_fault_equal(single_fault, packed_fault)
+        assert single_fault.netlist is nl
+
+    def test_budget_and_block_size_thread_through(self):
+        from repro.memory import MemoryBudget
+
+        nl, wl = random_member(6)
+        cfg = SimConfig(cycles=24, streams=64, warmup=2, seed=1)
+        fault = FaultConfig(fault_rate=0.05, episode_cycles=10, seed=2)
+        ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
+        got = simulate_with_faults(
+            nl, wl, cfg, fault, block_cycles=5,
+            budget=MemoryBudget(plan_bytes=1, history_bytes=1),
+        )
+        assert_fault_equal(ref, got)
 
 
 class TestInjectorStreamAlignment:
@@ -192,9 +230,57 @@ class TestInjectorStreamAlignment:
         packed = simulate_with_faults_packed(
             [nl] * 4, [wl] * 4, cfg, fault, cache=False
         )
-        ref = simulate_with_faults(nl, wl, cfg, fault)
+        ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
         for k, got in enumerate(packed):
             assert_fault_equal(ref, got, f"member {k}")
+
+    def test_large_member_chunks_by_raw_draw_and_stays_bitwise(self):
+        """One large member at the paper's fault rate: the raw draw is
+        ``k_hi`` = 18 times the flip buffer, so it must set the chunk
+        (sizing by the flip buffer alone peaked at 183 MiB on a 19k-node
+        design).  Pins the traced peak of preparing masks and re-asserts
+        mask equality with the standalone injector across chunk
+        boundaries."""
+        import tracemalloc
+
+        from repro.sim.faults import _FaultInjector
+        from repro.sim.pack import _PackedInjector
+
+        nl = random_sequential_netlist(
+            GeneratorConfig(n_pis=16, n_dffs=32, n_gates=6000, n_pos=8), seed=4
+        )
+        packed = pack_circuits([nl], cache=False)
+        config = FaultConfig(seed=5)  # 5e-4 per 100-cycle pattern
+        cycles = 20
+        ops = packed.compiled.ops
+        got = np.zeros((cycles, packed.num_nodes, 1), dtype=np.uint64)
+        tracemalloc.start()
+        bulk = _PackedInjector(packed, config, 1, cycles)
+        for c in range(cycles):
+            for op in ops:
+                got[c, op.nodes] = bulk.hook(c, op.nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert bulk.k_hi == 18
+        raw_cycle_bytes = 8 * bulk.max_per_cycle[0]
+        assert raw_cycle_bytes > 16 * 8 * packed.num_nodes
+        cap = pack_mod._CHUNK_BYTES_CAP
+        # Sized by the flip buffer alone, one chunk would have covered the
+        # run and drawn cycles * raw bytes at once; sized by the raw draw
+        # the run takes several chunks and the traced peak — flip buffer,
+        # raw draw and mask gathers — stays near the cap.
+        assert cycles * raw_cycle_bytes > 2 * cap
+        assert 1 < bulk.chunk_cycles < cycles
+        assert bulk.chunk_cycles * raw_cycle_bytes <= cap
+        assert peak < 5 * cap // 4
+        ref = _FaultInjector(
+            config.effective_cycle_rate, 1, np.random.default_rng(config.seed)
+        )
+        want = np.zeros_like(got)
+        for c in range(cycles):
+            for op in ops:
+                want[c, op.nodes] = ref.mask(c, op.nodes)
+        assert got.any() and np.array_equal(want, got)
 
     def test_full_range_integers_split_like_one_call(self):
         bulk = Generator(PCG64(42)).integers(0, 2**64, size=16, dtype=np.uint64)

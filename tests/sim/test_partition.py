@@ -1,9 +1,14 @@
-"""Differential tests of the partition-and-stitch engine and memory budgets.
+"""Differential tests of memory budgets on the block executor.
 
-The contract under test is absolute: budgets and partitioning change how
-much memory the execution keeps resident, never a single result bit.
-Every test here compares against the monolithic engines with
-``np.array_equal`` (exact float64 / uint64 equality), not tolerances.
+The contract under test is absolute: a budget changes how much memory the
+execution keeps resident (chunked gather arena, history depth), never a
+single result bit.  Every test here compares against the unbudgeted
+executor or the per-cycle reference with ``np.array_equal`` (exact
+float64 / uint64 equality), not tolerances.
+
+``engine="partitioned"`` named the removed partition-and-stitch engine; it
+is still accepted as an alias of the block executor, and the
+``TestPartitionedEngine`` cases keep it honest under byte budgets.
 """
 
 import numpy as np
@@ -12,12 +17,7 @@ import pytest
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.memory import MemoryBudget
 from repro.sim.faults import FaultConfig, simulate_with_faults
-from repro.sim.logicsim import SimConfig, SimPlan, Simulator, compile_netlist, simulate
-from repro.sim.partition import (
-    DEFAULT_PARTITION_NODES,
-    PartitionedSimulator,
-    simulate_partitioned,
-)
+from repro.sim.logicsim import SimConfig, SimPlan, compile_netlist, simulate
 from repro.sim.workload import Workload
 
 
@@ -67,8 +67,35 @@ class TestStreamedSimPlan:
             words,
             budget=MemoryBudget(plan_bytes=4096, history_bytes=20_000),
         )
-        assert tight.streamed
+        assert tight.streamed and not full.streamed
         assert tight.resident_bytes() < full.resident_bytes()
+        # Resident: one chunk per group, each on its own buffers.
+        assert len(full.entries) == len(compiled.ops)
+        assert all(e.group is not None for e in full.entries)
+
+    def test_one_byte_budget_means_one_gate_chunks(self, circuit):
+        """The arena never drops below one gate of the widest group, so a
+        one-byte budget evaluates that group gate by gate (narrower
+        groups fit a few gates in the same rows) over a one-cycle history."""
+        compiled = compile_netlist(circuit)
+        tight = SimPlan(
+            compiled, 2, budget=MemoryBudget(plan_bytes=1, history_bytes=1)
+        )
+        assert tight.streamed and tight.block_cycles == 1
+        widest = max(op.fanins.shape[0] for op in compiled.ops)
+        assert tight.resident_bytes() == (
+            tight.history.nbytes + tight.state_buf.nbytes + (widest + 1) * 2 * 8
+        )
+        entries = iter(tight.entries)
+        for op in compiled.ops:
+            per_chunk = (widest + 1) // (op.fanins.shape[0] + 1)
+            chunks = [next(entries) for _ in range(-(-op.nodes.size // per_chunk))]
+            # The group's node list rides on its first chunk only.
+            assert chunks[0].group is op.nodes
+            assert all(c.group is None for c in chunks[1:])
+            assert all(c.rows.size == per_chunk for c in chunks[:-1])
+            assert np.array_equal(np.concatenate([c.rows for c in chunks]), op.nodes)
+        assert next(entries, None) is None
 
     def test_block_budget_bitwise(self, circuit, workload):
         ref = simulate(circuit, workload, CFG, engine="block")
@@ -94,31 +121,19 @@ class TestStreamedSimPlan:
 
 
 class TestPartitionedEngine:
-    @pytest.mark.parametrize("max_nodes", [16, 64, 10_000])
-    def test_fault_free_bitwise(self, circuit, workload, max_nodes):
+    """The ``"partitioned"`` alias: the block executor under a budget."""
+
+    @pytest.mark.parametrize("plan_bytes", [16, 64, 10_000])
+    def test_fault_free_bitwise(self, circuit, workload, plan_bytes):
         ref = simulate(circuit, workload, CFG, engine="cycle")
         got = simulate(
             circuit,
             workload,
             CFG,
             engine="partitioned",
-            max_partition_nodes=max_nodes,
+            budget=MemoryBudget(plan_bytes=plan_bytes),
         )
         assert_same_sim(ref, got)
-
-    def test_budget_caps_partition_size(self):
-        big = random_sequential_netlist(
-            GeneratorConfig(n_pis=16, n_dffs=32, n_gates=4000, n_pos=8), seed=4
-        )
-        tight = PartitionedSimulator(
-            big, streams=64, budget=MemoryBudget(plan_bytes=8192)
-        )
-        free = PartitionedSimulator(big, streams=64)
-        assert len(tight.parts) > len(free.parts)
-        # The acceptance bar: partitioned execution keeps far less
-        # bookkeeping resident than the monolithic block plan's buffers.
-        mono = SimPlan(compile_netlist(big), tight.words)
-        assert tight.resident_bytes() < mono.resident_bytes()
 
     def test_faults_bitwise_across_engines(self, circuit, workload):
         fcfg = FaultConfig(fault_rate=0.01, episode_cycles=20, seed=5)
@@ -126,7 +141,7 @@ class TestPartitionedEngine:
         blk = simulate_with_faults(circuit, workload, CFG, fcfg, engine="block")
         par = simulate_with_faults(
             circuit, workload, CFG, fcfg, engine="partitioned",
-            max_partition_nodes=48,
+            budget=MemoryBudget(plan_bytes=48, history_bytes=1),
         )
         for got in (blk, par):
             assert np.array_equal(ref.err01, got.err01)
@@ -136,7 +151,7 @@ class TestPartitionedEngine:
             assert ref.reliability == got.reliability
 
     def test_replay_seed_honoured(self, circuit, workload):
-        a = simulate_partitioned(circuit, workload, CFG, replay_seed=99)
+        a = simulate(circuit, workload, CFG, engine="partitioned", replay_seed=99)
         b = simulate(circuit, workload, CFG, engine="cycle", replay_seed=99)
         assert_same_sim(a, b)
 
@@ -154,8 +169,14 @@ class TestPartitionedEngine:
         cfg = SimConfig(cycles=32, streams=64)
         assert_same_sim(
             simulate(nl, wl, cfg, engine="cycle"),
-            simulate(nl, wl, cfg, engine="partitioned", max_partition_nodes=1),
+            simulate(
+                nl, wl, cfg, engine="partitioned",
+                budget=MemoryBudget(plan_bytes=1),
+            ),
         )
 
-    def test_default_partition_constant(self):
-        assert DEFAULT_PARTITION_NODES >= 1
+    def test_unknown_engine_rejected(self, circuit, workload):
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate(circuit, workload, CFG, engine="banded")
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_with_faults(circuit, workload, CFG, engine="banded")

@@ -1,6 +1,6 @@
 """Deep and degenerate topologies through the full compile/execute stack.
 
-Levelize, SimPlan, GraphPlan and the partitioned engine all iterate per
+Levelize, SimPlan (resident and chunked) and GraphPlan all iterate per
 logic level; a 10k-level combinational chain is the adversarial depth
 case (10k batches of one node each), and an all-DFF netlist is the
 no-combinational-levels edge.  These are cheap in nodes but lethal to
@@ -67,7 +67,7 @@ class TestSimulation:
         blk = simulate(deep_chain, wl, self.CFG, engine="block")
         par = simulate(
             deep_chain, wl, self.CFG, engine="partitioned",
-            max_partition_nodes=500,
+            budget=MemoryBudget(plan_bytes=1, history_bytes=1),
         )
         bud = simulate(
             deep_chain, wl, self.CFG, engine="block",
@@ -90,7 +90,8 @@ class TestSimulation:
         ref = simulate(all_dff, wl, self.CFG, engine="cycle")
         blk = simulate(all_dff, wl, self.CFG, engine="block")
         par = simulate(
-            all_dff, wl, self.CFG, engine="partitioned", max_partition_nodes=100
+            all_dff, wl, self.CFG, engine="partitioned",
+            budget=MemoryBudget(plan_bytes=1, history_bytes=1),
         )
         for got in (blk, par):
             assert np.array_equal(ref.logic_prob, got.logic_prob)
