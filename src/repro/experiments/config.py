@@ -111,8 +111,6 @@ class ServeConfig:
             may actually use — oversubscribing compute threads beyond
             cores only adds interpreter switching and cache thrash.
             Queue management and future resolution still overlap freely.
-        latency_window: number of most-recent latency samples the metrics
-            keep for percentile estimates.
         mp_start_method: multiprocessing start method for the gateway's
             worker processes (and anything else that asks
             :func:`repro.runtime.mp.resolve_mp_context`).  ``None`` picks
@@ -139,7 +137,6 @@ class ServeConfig:
     max_pending: int = 256
     deadline_ms: float | None = None
     max_concurrent_sweeps: int | None = None
-    latency_window: int = 4096
     mp_start_method: str | None = None
     host: str = "127.0.0.1"
     port: int = 0
@@ -164,8 +161,6 @@ class ServeConfig:
             raise ValueError("deadline_ms must be positive (or None)")
         if self.max_concurrent_sweeps is not None and self.max_concurrent_sweeps < 1:
             raise ValueError("max_concurrent_sweeps must be >= 1 (or None)")
-        if self.latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
         if self.mp_start_method not in (None, "forkserver", "spawn", "fork"):
             raise ValueError(
                 "mp_start_method must be None, 'forkserver', 'spawn' or 'fork', "

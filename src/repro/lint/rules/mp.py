@@ -1,7 +1,7 @@
 """REP002: multiprocessing safety — never the platform-default fork.
 
 Forking a process that already runs threads (a live ``Server``, a
-``BatchedPredictor`` deadline timer, the caller's own pool) copies every
+``Gateway`` event loop, the caller's own pool) copies every
 lock in whatever state the fork caught it; a lock held by a thread that
 does not exist in the child deadlocks the child the first time it
 touches the allocator or a cache lock.  PR 7 shipped exactly this fix

@@ -7,9 +7,9 @@ serving-oriented callers (tasks, experiments, examples, benchmarks):
   process-wide content-hash-keyed LRU plan cache;
 * :mod:`repro.runtime.pack` — multi-circuit packing into disjoint
   super-graph plans;
-* :mod:`repro.runtime.predictor` — :class:`BatchedPredictor` (bounded
-  request queue over packed sweeps) and the float32 parameter-shadow
-  fast path;
+* :mod:`repro.runtime.predictor` — :class:`BatchedPredictor` (bounded,
+  synchronous request queue over packed sweeps; deadline-flushed serving
+  is :mod:`repro.serve`) and the float32 parameter-shadow fast path;
 * :mod:`repro.runtime.trainstep` — packed training minibatches
   (:func:`pack_samples` / :func:`train_step`) sharing the same plan and
   pack caches as serving;

@@ -4,8 +4,7 @@ Every place this repo spawns worker processes (the data factory's
 ``ProcessPoolExecutor``, the serving gateway's model workers) must pass an
 *explicit* multiprocessing context.  The platform default on Linux is
 ``fork``, and forking a process that already runs threads — a live
-:class:`repro.serve.Server` with K workers, a
-:class:`~repro.runtime.predictor.BatchedPredictor` deadline-timer daemon,
+:class:`repro.serve.Server` with K workers, a gateway's event-loop thread,
 or simply the caller's own thread pool — copies every lock in whatever
 state the forking instant caught it.  A lock held by a thread that does
 not exist in the child stays held forever, and the child deadlocks the

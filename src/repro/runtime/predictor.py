@@ -13,11 +13,11 @@ Three layers, lowest first:
   :func:`predict_packed`: callers stream ``submit(circuit, workload)``
   calls and receive handles; the predictor packs pending requests into
   super-graphs of ``batch_size`` circuits and resolves the handles on
-  flush (automatic when the queue fills, when the oldest pending request
-  reaches ``max_latency_ms``, explicit via :meth:`flush`, or lazy via
-  ``handle.result()``).  Submission is thread-safe; the deadline flush
-  runs on a background timer thread owned by the predictor and stopped
-  by :meth:`close`.
+  flush (automatic when the queue fills, explicit via :meth:`flush`, or
+  lazy via ``handle.result()``).  Submission is thread-safe, and every
+  flush runs on a calling thread — the predictor owns none.  For a
+  latency bound on queued requests use :class:`repro.serve.Server`
+  (``workers=1`` is this predictor behind a deadline flush).
 
 Equivalence guarantee: packed execution computes bit-identical float64
 results to sequential :meth:`RecurrentDagGnn.predict` calls, because each
@@ -30,7 +30,6 @@ matches to ~1e-4 max-abs on probability outputs.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from collections import deque
 from contextlib import contextmanager, nullcontext
@@ -299,11 +298,6 @@ class BatchedPredictor:
         max_pending: bound of the request queue; submitting beyond it
             triggers an automatic flush, so memory stays bounded no matter
             how fast callers stream.
-        max_latency_ms: when set, a background timer thread flushes the
-            queue as soon as the *oldest* pending request has waited this
-            long — the micro-batching latency bound.  ``None`` (default)
-            keeps the legacy behaviour: flush only on a full queue,
-            explicit :meth:`flush`, or ``handle.result()``.
         memory_budget: optional :class:`~repro.memory.MemoryBudget`.  Its
             ``plan_bytes`` bounds each flushed pack: members are admitted
             while the sum of their plans' materialized feature-row bytes
@@ -320,11 +314,10 @@ class BatchedPredictor:
         predictor.flush()
         results = [h.result() for h in handles]
 
-    Submission, flushing and the timer are all thread-safe; a predictor
-    with a timer should be :meth:`close`\\ d (or used as a context
-    manager) so the daemon thread stops.  After fine-tuning the model,
-    call :meth:`refresh_parameters` so the cached low-precision parameter
-    shadow picks up the new weights.
+    Submission and flushing are thread-safe.  :meth:`close` (or leaving
+    the ``with`` block) resolves whatever is still queued.  After
+    fine-tuning the model, call :meth:`refresh_parameters` so the cached
+    low-precision parameter shadow picks up the new weights.
     """
 
     def __init__(
@@ -333,30 +326,22 @@ class BatchedPredictor:
         batch_size: int = 8,
         dtype=np.float32,
         max_pending: int = 64,
-        max_latency_ms: float | None = None,
         memory_budget: MemoryBudget | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if max_pending < batch_size:
             raise ValueError("max_pending must be >= batch_size")
-        if max_latency_ms is not None and max_latency_ms <= 0:
-            raise ValueError("max_latency_ms must be positive (or None)")
         self.model = model
         self.batch_size = int(batch_size)
         self.dtype = np.dtype(dtype)
         self.max_pending = int(max_pending)
-        self.max_latency_ms = max_latency_ms
         self.memory_budget = memory_budget
-        self._queue: deque[
-            tuple[CircuitGraph, object, PendingPrediction, float]
-        ] = deque()
+        #: ``(graph, workload, handle)`` per pending request, oldest first.
+        self._queue: deque[tuple] = deque()
         self._lock = threading.Lock()
         self._resolved = threading.Condition(self._lock)
-        #: notified on submit and close — wakes the deadline timer thread.
-        self._work = threading.Condition(self._lock)
         self._closed = False
-        self._timer: threading.Thread | None = None
         self.circuits_processed = 0
         self.batches_flushed = 0
 
@@ -378,45 +363,20 @@ class BatchedPredictor:
         mismatch, so an invalid request cannot reach a packed batch, and
         :class:`RuntimeError` once the predictor is closed.
         """
+        # Deferred: repro.serve builds on this module.
+        from repro.serve.batching import validate_request
+
         graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
-        num_pis = getattr(workload, "num_pis", None)
-        if num_pis is not None and num_pis != graph.num_pis:
-            raise ValueError(
-                f"workload has {num_pis} PIs, circuit has {graph.num_pis}"
-            )
+        validate_request(graph.num_pis, workload, None)
         handle = PendingPrediction(self)
         with self._lock:
             if self._closed:
                 raise RuntimeError("predictor is closed")
-            self._queue.append((graph, workload, handle, time.monotonic()))
+            self._queue.append((graph, workload, handle))
             overflow = len(self._queue) >= self.max_pending
-            if self.max_latency_ms is not None and self._timer is None:
-                self._timer = threading.Thread(
-                    target=self._timer_loop,
-                    name="BatchedPredictor-timer",
-                    daemon=True,
-                )
-                self._timer.start()
-            self._work.notify_all()
         if overflow:
             self.flush()
         return handle
-
-    def _timer_loop(self) -> None:
-        """Flush whenever the oldest pending request ages past the bound."""
-        assert self.max_latency_ms is not None
-        max_wait = self.max_latency_ms / 1000.0
-        while True:
-            with self._work:
-                while not self._closed and not self._queue:
-                    self._work.wait()
-                if self._closed:
-                    return
-                remaining = self._queue[0][3] + max_wait - time.monotonic()
-                if remaining > 0:
-                    self._work.wait(timeout=remaining)
-                    continue
-            self.flush()
 
     def _member_bytes(self, graph: CircuitGraph) -> int:
         """One member's feature-row footprint inside a packed sweep."""
@@ -438,7 +398,7 @@ class BatchedPredictor:
             with self._lock:
                 if not self._queue:
                     break
-                chunk: list[tuple[CircuitGraph, object, PendingPrediction, float]] = []
+                chunk: list[tuple] = []
                 total = 0
                 while self._queue and len(chunk) < self.batch_size:
                     if cap is not None:
@@ -447,12 +407,15 @@ class BatchedPredictor:
                             break
                         total += need
                     chunk.append(self._queue.popleft())
-            graphs = [graph for graph, _, _, _ in chunk]
-            workloads = [wl for _, wl, _, _ in chunk]
             results = run_packed_isolated(
-                self.model, graphs, workloads, dtype=self.dtype, budget=budget
+                self.model,
+                [entry[0] for entry in chunk],
+                [entry[1] for entry in chunk],
+                dtype=self.dtype,
+                budget=budget,
             )
-            for (_, _, handle, _), res in zip(chunk, results):
+            for entry, res in zip(chunk, results):
+                handle = entry[2]
                 if isinstance(res, Exception):
                     handle._error = res
                 else:
@@ -465,7 +428,7 @@ class BatchedPredictor:
         return flushed
 
     def close(self, flush: bool = True) -> None:
-        """Stop accepting requests and shut the timer thread down.
+        """Stop accepting requests.
 
         With ``flush=True`` (default) pending requests are drained first —
         every outstanding handle resolves.  With ``flush=False`` pending
@@ -475,20 +438,16 @@ class BatchedPredictor:
             if self._closed:
                 return
             self._closed = True
-            timer = self._timer
             if not flush:
                 abandoned = list(self._queue)
                 self._queue.clear()
             else:
                 abandoned = []
-            self._work.notify_all()
-        if timer is not None:
-            timer.join(timeout=5.0)
         if flush:
             self.flush()
         else:
-            for _, _, handle, _ in abandoned:
-                handle._error = RuntimeError(
+            for entry in abandoned:
+                entry[2]._error = RuntimeError(
                     "predictor closed with the request still pending"
                 )
             with self._resolved:

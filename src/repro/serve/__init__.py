@@ -1,14 +1,18 @@
 """Sharded serving subsystem: deadline-batched multi-worker inference.
 
-* :mod:`repro.serve.server` — :class:`Server` (bounded admission queue,
-  per-request deadlines, deadline-based micro-batch flush, K worker
-  threads each holding a serialized-equal model replica, graceful
-  drain/shutdown);
+* :mod:`repro.serve.batching` — the front half both tiers share:
+  :class:`~repro.serve.batching.MicroBatcher` (bounded admission,
+  per-request deadlines, deadline-based micro-batch flush, ladder claim —
+  a synchronous, clock-injected policy object), request validation, the
+  warm ladder and the typed :class:`ServeError` family;
+* :mod:`repro.serve.server` — :class:`Server`: K worker threads, each
+  holding a serialized-equal model replica, driving one batcher under a
+  lock; graceful drain/shutdown;
 * :mod:`repro.serve.gateway` — :class:`Gateway` / :class:`GatewayClient`,
-  the multi-*process* tier: an asyncio socket front door doing admission
-  and deadline micro-batching over N supervised worker processes, with
-  shared-memory feature/result arenas and crash-restart (typed
-  :class:`WorkerDied` failures, never hung clients);
+  the multi-*process* tier: an asyncio socket front door driving the same
+  batcher over N supervised worker processes, with shared-memory
+  feature/result arenas and crash-restart (typed :class:`WorkerDied`
+  failures, never hung clients);
 * :mod:`repro.serve.metrics` — thread-safe request / latency / throughput
   metrics behind :attr:`Server.metrics` and :attr:`Gateway.metrics`.
 
@@ -19,17 +23,16 @@ fuzz and concurrency suites that enforce it.
 """
 
 from repro.experiments.config import ServeConfig
-from repro.serve.gateway import Gateway, GatewayClient
-from repro.serve.metrics import LatencyRecorder, ServerMetrics
-from repro.serve.server import (
+from repro.serve.batching import (
     DeadlineExceeded,
     QueueFull,
     ServeError,
-    ServeFuture,
-    Server,
     ServerClosed,
     quantize_chunk,
 )
+from repro.serve.gateway import Gateway, GatewayClient
+from repro.serve.metrics import LatencyRecorder, ServerMetrics
+from repro.serve.server import ServeFuture, Server
 from repro.serve.supervisor import WorkerDied
 
 __all__ = [

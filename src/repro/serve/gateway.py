@@ -9,8 +9,8 @@ promotes the same architecture to processes:
   everything the threaded front half did — admission control against
   ``max_pending`` (blocking admission is TCP backpressure: the gateway
   simply stops reading a connection until space frees), per-request
-  deadlines, and deadline micro-batching with the same
-  :func:`~repro.serve.server.quantize_chunk` ladder;
+  deadlines, and deadline micro-batching, all by driving the same
+  :class:`~repro.serve.batching.MicroBatcher` the threaded server drives;
 * **worker processes** (:mod:`repro.serve.worker`), spawned through an
   explicit forkserver/spawn context and supervised with bounded-backoff
   restarts (:mod:`repro.serve.supervisor`), each hold a model replica
@@ -43,7 +43,6 @@ import json
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -54,37 +53,31 @@ from repro.experiments.config import ServeConfig
 from repro.models.base import Prediction, RecurrentDagGnn
 from repro.runtime.shm import write_arrays
 from repro.serve import transport
-from repro.serve.metrics import ServerMetrics
-from repro.serve.server import (
-    DeadlineExceeded,
-    QueueFull,
+from repro.serve.batching import (
+    MicroBatcher,
+    Request,
     ServeError,
-    ServeFuture,
     ServerClosed,
-    quantize_chunk,
+    ladder_sizes,
+    validate_request,
 )
+from repro.serve.metrics import ServerMetrics
+from repro.serve.server import ServeFuture
 from repro.serve.supervisor import Supervisor, WorkerDied, WorkerHandle
 
 __all__ = ["Gateway", "GatewayClient"]
 
 
-class _GwRequest:
-    __slots__ = (
-        "fingerprint",
-        "workload",
-        "t_submit",
-        "t_deadline",
-        "respond",
-    )
-
-    def __init__(self, fingerprint, workload, t_submit, t_deadline, respond):
-        self.fingerprint = fingerprint
-        self.workload = workload
-        self.t_submit = t_submit
-        self.t_deadline = t_deadline
-        #: ``respond(prediction_or_None, error_or_None)`` — schedules the
-        #: client response; must be called exactly once, on the loop.
-        self.respond = respond
+def _parse(payload: bytes) -> tuple | None:
+    """``(op, req_id, args)`` of one client frame, or ``None`` when the
+    bytes name no request an error reply could be addressed to."""
+    try:
+        msg = transport.decode(payload)
+    except Exception:  # arbitrary bytes fail to unpickle in arbitrary ways
+        return None
+    if not isinstance(msg, tuple) or len(msg) < 2:
+        return None
+    return msg[0], msg[1], msg[2:]
 
 
 class _Batch:
@@ -128,13 +121,12 @@ class Gateway:
             cfg = replace(cfg, **overrides)
         self.config = cfg
         self.dtype = np.dtype(cfg.dtype)
-        self.metrics = ServerMetrics(window=cfg.latency_window)
+        self.metrics = ServerMetrics()
         self.supervisor = Supervisor(model, cfg)
         self.address: tuple[str, int] | None = None
         self._netlists: dict[str, Netlist] = {}
-        self._queue: deque[_GwRequest] = deque()
-        self._inflight = 0
-        self._closing = False
+        #: the batching policy; touched on the loop thread only.
+        self._batcher = MicroBatcher(cfg, self.metrics)
         self._closed = False
         self._loop_stopped = False
         self._close_lock = threading.Lock()
@@ -201,26 +193,23 @@ class Gateway:
         wlock = asyncio.Lock()
         self._conns.add(writer)
         try:
-            try:
-                first = await reader.readexactly(len(transport.HTTP_PREFIX))
-            except asyncio.IncompleteReadError:
-                return
-            if first == transport.HTTP_PREFIX:
+            header = await reader.readexactly(len(transport.HTTP_PREFIX))
+            if header == transport.HTTP_PREFIX:
                 await self._handle_http(reader, writer)
                 return
             # Those four bytes are the first half of a frame header.
-            rest = await reader.readexactly(8 - len(first))
-            length = int.from_bytes(first + rest, "big")
-            if length > transport.MAX_FRAME_BYTES:
-                return
-            payload: bytes | None = await reader.readexactly(length)
-            while payload is not None:
-                await self._handle_message(
-                    transport.decode(payload), writer, wlock
-                )
-                payload = await transport.read_frame(reader)
+            header += await reader.readexactly(8 - len(header))
+            while True:
+                length = int.from_bytes(header, "big")
+                if length > transport.MAX_FRAME_BYTES:
+                    return  # corrupt or hostile prefix: nothing to answer
+                message = _parse(await reader.readexactly(length))
+                if message is None:
+                    return
+                await self._handle_message(*message, writer, wlock)
+                header = await reader.readexactly(8)
         except (asyncio.IncompleteReadError, ConnectionError):
-            pass
+            pass  # EOF (also mid-frame) or reset: the client is gone
         finally:
             self._conns.discard(writer)
             writer.close()
@@ -246,22 +235,15 @@ class Gateway:
         except (ConnectionError, RuntimeError):
             pass  # client went away; nothing to deliver to
 
-    async def _handle_message(self, msg: tuple, writer, wlock) -> None:
-        op = msg[0]
+    async def _handle_message(self, op, req_id, args, writer, wlock) -> None:
         if op == "ping":
-            await self._respond(writer, wlock, ("pong", msg[1]))
+            await self._respond(writer, wlock, ("pong", req_id))
             return
         if op == "metrics":
             await self._respond(
-                writer, wlock, ("metrics_result", msg[1], self.metrics.snapshot())
+                writer, wlock, ("metrics_result", req_id, self.metrics.snapshot())
             )
             return
-        if op != "predict":
-            await self._respond(
-                writer, wlock, ("error", msg[1], ServeError(f"unknown op {op!r}"))
-            )
-            return
-        _, req_id, netlist, workload, deadline_ms, block = msg
 
         def respond(value, error):
             if error is not None:
@@ -270,51 +252,31 @@ class Gateway:
                 message = ("result", req_id, value.tr, value.lg)
             self._loop.create_task(self._respond(writer, wlock, message))
 
+        if op != "predict":
+            respond(None, ServeError(f"unknown op {op!r}"))
+            return
+        if len(args) != 4 or not isinstance(args[0], Netlist):
+            respond(None, ServeError("malformed predict request"))
+            return
+        netlist, workload, deadline_ms, block = args
         try:
-            num_pis = getattr(workload, "num_pis", None)
-            if num_pis is not None and num_pis != len(netlist.pis):
-                raise ValueError(
-                    f"workload has {num_pis} PIs, circuit has {len(netlist.pis)}"
-                )
-            if deadline_ms is None:
-                deadline_ms = self.config.deadline_ms
-            if deadline_ms is not None and deadline_ms <= 0:
-                raise ValueError("deadline_ms must be positive (or None)")
+            validate_request(len(netlist.pis), workload, deadline_ms)
         except ValueError as exc:
             respond(None, exc)
             return
         # Admission: blocking submitters get TCP backpressure (this
         # handler simply does not read the connection's next frame until
         # space frees), non-blocking ones bounce with QueueFull.
-        while not self._closing and len(self._queue) >= self.config.max_pending:
-            if not block:
-                self.metrics.incr("rejected")
-                respond(
-                    None,
-                    QueueFull(
-                        f"admission queue at max_pending={self.config.max_pending}"
-                    ),
-                )
-                return
+        while block and self._batcher.full:
             self._space.clear()
             await self._space.wait()
-        if self._closing:
-            respond(None, ServerClosed("gateway is shut down"))
-            return
         fingerprint = netlist.fingerprint()
-        if fingerprint not in self._netlists:
-            self._netlists[fingerprint] = netlist
-        now = time.monotonic()
-        self._queue.append(
-            _GwRequest(
-                fingerprint,
-                workload,
-                now,
-                None if deadline_ms is None else now + deadline_ms / 1000.0,
-                respond,
-            )
-        )
-        self.metrics.incr("submitted")
+        try:
+            self._batcher.admit(fingerprint, workload, deadline_ms, respond)
+        except ServeError as exc:  # QueueFull, or ServerClosed once closing
+            respond(None, exc)
+            return
+        self._netlists.setdefault(fingerprint, netlist)
         self._wake.set()
 
     # ------------------------------------------------------------------
@@ -329,40 +291,34 @@ class Gateway:
             import traceback
 
             traceback.print_exc()
-            self._fail_queue(ServeError(f"gateway dispatcher crashed: {exc!r}"))
+            self._batcher.fail_pending(
+                ServeError(f"gateway dispatcher crashed: {exc!r}")
+            )
             self._drained.set()
 
     async def _dispatch_loop(self) -> None:
-        max_wait = self.config.max_latency_ms / 1000.0
         while True:
-            if not self._queue:
-                if self._closing:
-                    self._maybe_drained()
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            if len(self._queue) < self.config.batch_size and not self._closing:
-                remaining = self._queue[0].t_submit + max_wait - time.monotonic()
-                if remaining > 0:
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout=remaining)
-                    except asyncio.TimeoutError:
-                        pass
-                    continue
-            handle = await self._claim_idle_worker()
-            if handle is None:  # closing with no live workers left
-                self._fail_queue(ServerClosed("gateway is shut down"))
+            wait = self._batcher.wait_s()
+            if wait is None and self._batcher.closing:
                 self._maybe_drained()
                 return
-            size = min(
-                quantize_chunk(self.config.batch_size, len(self._queue)),
-                len(self._queue),
-            )
-            chunk = [self._queue.popleft() for _ in range(size)]
+            if wait is None or wait > 0:
+                self._wake.clear()
+                try:
+                    await asyncio.wait_for(self._wake.wait(), timeout=wait)
+                except asyncio.TimeoutError:
+                    pass
+                continue
+            handle = await self._claim_idle_worker()
+            if handle is None:  # closing with no live workers left
+                self._batcher.fail_pending(ServerClosed("gateway is shut down"))
+                self._maybe_drained()
+                return
+            # The queue may have been failed (a no-drain close) while we
+            # waited for the worker; claim() then returns nothing.
+            live = self._batcher.claim()
             self._space.set()
-            await self._dispatch(handle, chunk)
+            await self._dispatch(handle, live)
 
     async def _claim_idle_worker(self) -> WorkerHandle | None:
         """Next live idle worker; skips entries gone stale after a death."""
@@ -374,40 +330,23 @@ class Gateway:
                 and handle.generation == generation
             ):
                 return handle
-            if self._closing and not any(
+            if self._batcher.closing and not any(
                 h.conn is not None for h in self.supervisor.handles
             ):
                 return None
 
-    async def _dispatch(self, handle: WorkerHandle, chunk: list[_GwRequest]) -> None:
-        now = time.monotonic()
-        live: list[_GwRequest] = []
-        for req in chunk:
-            if req.t_deadline is not None and now > req.t_deadline:
-                self.metrics.incr("expired")
-                self.metrics.e2e.record((now - req.t_submit) * 1000.0)
-                req.respond(
-                    None,
-                    DeadlineExceeded(
-                        f"request queued {1000 * (now - req.t_submit):.1f} ms, "
-                        f"deadline was "
-                        f"{1000 * (req.t_deadline - req.t_submit):.1f} ms"
-                    ),
-                )
-            else:
-                self.metrics.queue_wait.record((now - req.t_submit) * 1000.0)
-                live.append(req)
+    async def _dispatch(self, handle: WorkerHandle, live: list[Request]) -> None:
         if not live:
             self._idle.put_nowait((handle.generation, handle))
             self._maybe_drained()
             return
         try:
             for req in live:
-                if req.fingerprint not in handle.shipped:
+                if req.payload not in handle.shipped:
                     handle.conn.send(
-                        ("structure", req.fingerprint, self._netlists[req.fingerprint])
+                        ("structure", req.payload, self._netlists[req.payload])
                     )
-                    handle.shipped.add(req.fingerprint)
+                    handle.shipped.add(req.payload)
             # Feature buffers ride the shared-memory arena (fall back to
             # inline copies only if a giant batch overflows it).
             layout = write_arrays(
@@ -420,21 +359,15 @@ class Gateway:
                     spec = ("inline", np.asarray(wl.pi_probs), wl.name, wl.seed)
                 else:
                     spec = ("shm", layout[i][0], wl.num_pis, wl.name, wl.seed)
-                members.append((req.fingerprint, spec))
+                members.append((req.payload, spec))
             batch_id = next(self._batch_ids)
-            handle.inflight = _Batch(batch_id, live, time.monotonic())
-            self._inflight += 1
+            handle.inflight = _Batch(batch_id, live, self._batcher.clock())
             handle.conn.send(("batch", batch_id, members))
         except (OSError, BrokenPipeError, ValueError):
             # The pipe died under us; the EOF watcher runs the restart
             # path — here we only fail this batch's requests typed.
-            if handle.inflight is not None:
-                handle.inflight = None
-                self._inflight -= 1
-            for req in live:
-                self.metrics.incr("failed")
-                self.metrics.e2e.record((time.monotonic() - req.t_submit) * 1000.0)
-                req.respond(None, WorkerDied("worker died before executing batch"))
+            handle.inflight = None
+            self._batcher.fail(live, WorkerDied("worker died before executing batch"))
             self._maybe_drained()
 
     # ------------------------------------------------------------------
@@ -473,24 +406,19 @@ class Gateway:
         if batch is None or batch.batch_id != batch_id:  # pragma: no cover
             return
         handle.inflight = None
-        self._inflight -= 1
-        t1 = time.monotonic()
-        self.metrics.record_batch(len(batch.requests), (t1 - batch.t0) * 1000.0)
-        for req, meta in zip(batch.requests, metas):
-            self.metrics.e2e.record((t1 - req.t_submit) * 1000.0)
+        outcomes: list[Prediction | Exception] = []
+        for meta in metas:
             if meta[0] == "err":
-                self.metrics.incr("failed")
-                req.respond(None, meta[1])
+                outcomes.append(meta[1])
             elif meta[0] == "inline":
-                self.metrics.incr("completed")
-                req.respond(Prediction(tr=meta[1], lg=meta[2]), None)
+                outcomes.append(Prediction(tr=meta[1], lg=meta[2]))
             else:
                 _, tr_off, tr_shape, lg_off, lg_shape = meta
                 # Copy out before the arena region can be reused.
                 tr = handle.res_arena.ndarray(tr_off, tr_shape, self.dtype).copy()
                 lg = handle.res_arena.ndarray(lg_off, lg_shape, self.dtype).copy()
-                self.metrics.incr("completed")
-                req.respond(Prediction(tr=tr, lg=lg), None)
+                outcomes.append(Prediction(tr=tr, lg=lg))
+        self._batcher.finish(batch.requests, outcomes, batch.t0)
         self.supervisor.note_success(handle)
         self._idle.put_nowait((handle.generation, handle))
         self._maybe_drained()
@@ -500,24 +428,16 @@ class Gateway:
         batch = handle.inflight
         handle.inflight = None
         if batch is not None:
-            self._inflight -= 1
-            for req in batch.requests:
-                self.metrics.incr("failed")
-                self.metrics.e2e.record(
-                    (time.monotonic() - req.t_submit) * 1000.0
-                )
-                req.respond(
-                    None,
-                    WorkerDied(
-                        "worker process died while executing this request"
-                    ),
-                )
+            self._batcher.fail(
+                batch.requests,
+                WorkerDied("worker process died while executing this request"),
+            )
         handle.generation += 1
         delay = self.supervisor.note_death(handle)
         self._maybe_drained()
-        while not self._closing:
+        while not self._batcher.closing:
             await asyncio.sleep(delay)
-            if self._closing:
+            if self._batcher.closing:
                 return
             try:
                 await self._loop.run_in_executor(
@@ -542,13 +462,8 @@ class Gateway:
         structure transfer nor a cold union-plan compile in any worker.
         """
         netlist = circuit.netlist if isinstance(circuit, CircuitGraph) else circuit
-        sizes = []
-        size = self.config.batch_size
-        while size >= 1:
-            sizes.append(size)
-            size >>= 1
         future = asyncio.run_coroutine_threadsafe(
-            self._warm(netlist, sizes), self._loop
+            self._warm(netlist, ladder_sizes(self.config.batch_size)), self._loop
         )
         future.result()
 
@@ -581,22 +496,18 @@ class Gateway:
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
-    def _fail_queue(self, error: Exception) -> None:
-        while self._queue:
-            req = self._queue.popleft()
-            self.metrics.incr("failed")
-            req.respond(None, error)
-
     def _maybe_drained(self) -> None:
-        if self._closing and not self._queue and self._inflight == 0:
+        if self._batcher.closing and self._batcher.idle:
             self._drained.set()
 
     async def _begin_close(self, drain: bool) -> None:
-        self._closing = True
+        self._batcher.close()
         self._server.close()
         if not drain:
             # Stricter close wins, even against an in-progress drain.
-            self._fail_queue(ServerClosed("gateway closed before execution"))
+            self._batcher.fail_pending(
+                ServerClosed("gateway closed before execution")
+            )
         self._wake.set()
         self._space.set()
         # Wake a dispatcher that may be blocked waiting for an idle worker
@@ -608,7 +519,7 @@ class Gateway:
         try:
             await asyncio.wait_for(self._drained.wait(), timeout)
         except asyncio.TimeoutError:
-            self._fail_queue(ServerClosed("gateway close timed out"))
+            self._batcher.fail_pending(ServerClosed("gateway close timed out"))
             self._drained.set()
 
     async def _close_connections(self) -> None:
@@ -627,7 +538,7 @@ class Gateway:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return self._batcher.pending
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
         """Graceful shutdown; see :meth:`Server.close` for the semantics.
@@ -774,11 +685,7 @@ class GatewayClient:
         is at capacity.
         """
         netlist = circuit.netlist if isinstance(circuit, CircuitGraph) else circuit
-        num_pis = getattr(workload, "num_pis", None)
-        if num_pis is not None and num_pis != len(netlist.pis):
-            raise ValueError(
-                f"workload has {num_pis} PIs, circuit has {len(netlist.pis)}"
-            )
+        validate_request(len(netlist.pis), workload, deadline_ms)
         req_id = next(self._ids)
         return self._request(
             ("predict", req_id, netlist, workload, deadline_ms, block), req_id

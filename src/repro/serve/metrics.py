@@ -17,13 +17,16 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "ServerMetrics"]
+__all__ = ["LATENCY_WINDOW", "LatencyRecorder", "ServerMetrics"]
+
+#: Most-recent latency samples kept per distribution for percentiles.
+LATENCY_WINDOW = 4096
 
 
 class LatencyRecorder:
     """Bounded sliding-window sample reservoir with percentile queries."""
 
-    def __init__(self, window: int = 4096) -> None:
+    def __init__(self, window: int = LATENCY_WINDOW) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self._samples: deque[float] = deque(maxlen=int(window))
@@ -77,7 +80,7 @@ class ServerMetrics:
     for requests that ran, and expiry/failure paths still record ``e2e``.
     """
 
-    def __init__(self, window: int = 4096) -> None:
+    def __init__(self, window: int = LATENCY_WINDOW) -> None:
         self._lock = threading.Lock()
         self.queue_wait = LatencyRecorder(window)
         self.service = LatencyRecorder(window)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import replace
 from typing import Sequence
 
@@ -43,51 +42,18 @@ from repro.models.base import Prediction, RecurrentDagGnn
 from repro.nn.serialize import clone_module, dumps_state, loads_state
 from repro.runtime.predictor import _model_lock, refresh_shadows, run_packed_isolated
 from repro.runtime.plan import plan_for
+from repro.serve.batching import (
+    MicroBatcher,
+    Request,
+    ServeError,
+    ServerClosed,
+    ladder_sizes,
+    validate_request,
+    warm_ladder,
+)
 from repro.serve.metrics import ServerMetrics
 
-__all__ = [
-    "Server",
-    "ServeFuture",
-    "ServeError",
-    "ServerClosed",
-    "QueueFull",
-    "DeadlineExceeded",
-    "quantize_chunk",
-]
-
-
-def quantize_chunk(batch_size: int, pending: int) -> int:
-    """Quantize a batch claim to the ladder ``batch_size >> k``.
-
-    Compiling a union plan costs more than the sweep it serves, and the
-    pack LRU is keyed by the member-fingerprint tuple — so claiming
-    whatever happens to be pending (24, 31, 17, ...) would compile a
-    fresh super-graph plan per batch-size encountered.  Rounding down to
-    a power-of-two ladder bounds the distinct compositions per traffic
-    mix at ``log2(batch_size)+1``, after which every flush is a
-    pack-cache hit.  Shared by the threaded :class:`Server` and the
-    multi-process gateway (:mod:`repro.serve.gateway`).
-    """
-    size = batch_size
-    while size > pending:
-        size >>= 1
-    return max(size, 1)
-
-
-class ServeError(RuntimeError):
-    """Base class of every serving-layer failure."""
-
-
-class ServerClosed(ServeError):
-    """The server is shutting down (or already shut down)."""
-
-
-class QueueFull(ServeError):
-    """Non-blocking submit found the admission queue at ``max_pending``."""
-
-
-class DeadlineExceeded(ServeError):
-    """The request's deadline expired before execution started."""
+__all__ = ["Server", "ServeFuture"]
 
 
 class ServeFuture:
@@ -125,17 +91,6 @@ class ServeFuture:
         return self._error
 
 
-class _Request:
-    __slots__ = ("graph", "workload", "future", "t_submit", "t_deadline")
-
-    def __init__(self, graph, workload, future, t_submit, t_deadline) -> None:
-        self.graph = graph
-        self.workload = workload
-        self.future = future
-        self.t_submit = t_submit
-        self.t_deadline = t_deadline
-
-
 class Server:
     """Deadline-batched, multi-worker serving front-end.
 
@@ -165,15 +120,14 @@ class Server:
         self.config = cfg
         self.model = model
         self.dtype = np.dtype(cfg.dtype)
-        self.metrics = ServerMetrics(window=cfg.latency_window)
+        self.metrics = ServerMetrics()
         self._replicas = [clone_module(model) for _ in range(cfg.workers)]
-        self._queue: deque[_Request] = deque()
+        #: the batching policy; every call to it happens under ``_lock``.
+        self._batcher = MicroBatcher(cfg, self.metrics)
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._closing = False
         self._closed = False
-        self._inflight = 0
         self._idle = threading.Condition(self._lock)
         permits = cfg.max_concurrent_sweeps
         if permits is None:
@@ -200,11 +154,15 @@ class Server:
     def pending(self) -> int:
         """Requests admitted but not yet claimed by a worker."""
         with self._lock:
-            return len(self._queue)
+            return self._batcher.pending
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def _closing(self) -> bool:
+        return self._batcher.closing
 
     def submit(
         self,
@@ -226,38 +184,13 @@ class Server:
         mismatch and :class:`ServerClosed` after :meth:`close`.
         """
         graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
-        num_pis = getattr(workload, "num_pis", None)
-        if num_pis is not None and num_pis != graph.num_pis:
-            raise ValueError(
-                f"workload has {num_pis} PIs, circuit has {graph.num_pis}"
-            )
-        if deadline_ms is None:
-            deadline_ms = self.config.deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
+        validate_request(graph.num_pis, workload, deadline_ms)
         future = ServeFuture()
         with self._lock:
-            while not self._closing and len(self._queue) >= self.config.max_pending:
-                if not block:
-                    self.metrics.incr("rejected")
-                    raise QueueFull(
-                        f"admission queue at max_pending={self.config.max_pending}"
-                    )
+            while block and self._batcher.full:
                 self._not_full.wait()
-            if self._closing:
-                raise ServerClosed("server is shut down")
-            now = time.monotonic()
-            self._queue.append(
-                _Request(
-                    graph,
-                    workload,
-                    future,
-                    now,
-                    None if deadline_ms is None else now + deadline_ms / 1000.0,
-                )
-            )
-            self.metrics.incr("submitted")
-            pending = len(self._queue)
+            self._batcher.admit(graph, workload, deadline_ms, future._resolve)
+            pending = self._batcher.pending
             # Wake a worker only at the two actionable edges: a new oldest
             # request (someone must start the deadline watch) and a full
             # batch (someone should flush now).  Waking every worker on
@@ -282,103 +215,54 @@ class Server:
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
-    def _chunk_size(self, pending: int) -> int:
-        """Quantized claim size (see :func:`quantize_chunk`)."""
-        return quantize_chunk(self.config.batch_size, pending)
-
-    def _take_batch(self) -> list[_Request] | None:
-        """Claim the next micro-batch; ``None`` tells the worker to exit.
-
-        Flush condition: ``batch_size`` requests pending, or the oldest
-        pending request is ``max_latency_ms`` old, or the server is
-        draining (shutdown flushes immediately regardless of age).
-        """
-        max_wait = self.config.max_latency_ms / 1000.0
+    def _take_batch(self) -> list[Request] | None:
+        """Claim the next micro-batch's live requests (possibly none, when
+        all of it expired); ``None`` tells the worker to exit."""
         with self._lock:
-            while True:
-                if self._queue:
-                    if len(self._queue) >= self.config.batch_size or self._closing:
-                        break
-                    remaining = self._queue[0].t_submit + max_wait - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._not_empty.wait(timeout=remaining)
-                else:
-                    if self._closing:
-                        return None
-                    self._not_empty.wait()
-            chunk = [
-                self._queue.popleft()
-                for _ in range(self._chunk_size(len(self._queue)))
-            ]
-            self._inflight += len(chunk)
-            if self._queue:
+            while (wait := self._batcher.wait_s()) is None or wait > 0:
+                if wait is None and self._batcher.closing:
+                    return None
+                self._not_empty.wait(timeout=wait)
+            live = self._batcher.claim()
+            if self._batcher.pending:
                 # A quantized claim can leave residual requests behind;
                 # hand the deadline watch to another worker before we go
                 # compute, or the leftovers would wait out our whole sweep.
                 self._not_empty.notify(1)
             self._not_full.notify_all()
-        return chunk
+        return live
 
     def _worker_loop(self, replica: RecurrentDagGnn) -> None:
         while True:
-            chunk = self._take_batch()
-            if chunk is None:
+            live = self._take_batch()
+            if live is None:
                 return
             try:
-                self._execute(replica, chunk)
+                if live:
+                    self._execute(replica, live)
             except BaseException as exc:
                 # run_packed_isolated already isolates per-member model
                 # failures; anything reaching here is bookkeeping gone
                 # wrong.  Resolve the claimed futures with the error so no
                 # client blocks forever, and keep the worker alive.
-                for req in chunk:
-                    if not req.future.done:
-                        self.metrics.incr("failed")
-                        req.future._resolve(None, ServeError(f"worker error: {exc!r}"))
+                with self._lock:
+                    self._batcher.fail(live, ServeError(f"worker error: {exc!r}"))
             finally:
                 with self._lock:
-                    self._inflight -= len(chunk)
-                    if not self._inflight and not self._queue:
+                    if self._batcher.idle:
                         self._idle.notify_all()
 
-    def _execute(self, replica: RecurrentDagGnn, chunk: list[_Request]) -> None:
-        now = time.monotonic()
-        live: list[_Request] = []
-        for req in chunk:
-            if req.t_deadline is not None and now > req.t_deadline:
-                self.metrics.incr("expired")
-                self.metrics.e2e.record((now - req.t_submit) * 1000.0)
-                req.future._resolve(
-                    None,
-                    DeadlineExceeded(
-                        f"request queued {1000 * (now - req.t_submit):.1f} ms, "
-                        f"deadline was {1000 * (req.t_deadline - req.t_submit):.1f} ms"
-                    ),
-                )
-            else:
-                self.metrics.queue_wait.record((now - req.t_submit) * 1000.0)
-                live.append(req)
-        if not live:
-            return
+    def _execute(self, replica: RecurrentDagGnn, live: list[Request]) -> None:
         with self._sweep_permits:
-            t0 = time.monotonic()
+            started = self._batcher.clock()
             results = run_packed_isolated(
                 replica,
-                [req.graph for req in live],
+                [req.payload for req in live],
                 [req.workload for req in live],
                 dtype=self.dtype,
             )
-            t1 = time.monotonic()
-        self.metrics.record_batch(len(live), (t1 - t0) * 1000.0)
-        for req, res in zip(live, results):
-            self.metrics.e2e.record((t1 - req.t_submit) * 1000.0)
-            if isinstance(res, Exception):
-                self.metrics.incr("failed")
-                req.future._resolve(None, res)
-            else:
-                self.metrics.incr("completed")
-                req.future._resolve(res, None)
+        with self._lock:
+            self._batcher.finish(live, results, started)
 
     # ------------------------------------------------------------------
     def warm(self, circuit: CircuitGraph | Netlist) -> None:
@@ -388,16 +272,10 @@ class Server:
         deployments that know their circuit structures call this at
         startup so the first wave of real requests never pays it.
         """
-        from repro.runtime.pack import pack_graphs
-
         graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
-        custom = getattr(self.model, "use_custom_batches", True)
-        size = self.config.batch_size
-        while size >= 1:
-            packed = pack_graphs([graph] * size)
-            packed.plan.schedule(custom)
-            packed.plan.feature_rows(custom, self.dtype)
-            size >>= 1
+        warm_ladder(
+            self.model, graph, ladder_sizes(self.config.batch_size), self.dtype
+        )
 
     def refresh_parameters(self) -> None:
         """Re-sync every worker replica from the source model.
@@ -421,7 +299,7 @@ class Server:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._idle:
-            while self._queue or self._inflight:
+            while not self._batcher.idle:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("drain timed out with requests in flight")
@@ -443,14 +321,11 @@ class Server:
         at most ``timeout`` rather than ``K * timeout``.
         """
         with self._lock:
-            self._closing = True
+            self._batcher.close()
             if not drain:
-                while self._queue:
-                    req = self._queue.popleft()
-                    self.metrics.incr("failed")
-                    req.future._resolve(
-                        None, ServerClosed("server closed before execution")
-                    )
+                self._batcher.fail_pending(
+                    ServerClosed("server closed before execution")
+                )
             self._not_empty.notify_all()
             self._not_full.notify_all()
         deadline = None if timeout is None else time.monotonic() + timeout

@@ -29,7 +29,7 @@ import numpy as np
 from repro.nn.serialize import dumps_state
 from repro.runtime.mp import resolve_mp_context
 from repro.runtime.shm import ShmBlock, publish_param_block
-from repro.serve.server import ServeError
+from repro.serve.batching import ServeError
 from repro.serve.worker import WorkerInit, worker_main
 
 __all__ = ["WorkerDied", "WorkerHandle", "Supervisor"]

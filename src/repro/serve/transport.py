@@ -24,9 +24,10 @@ Gateway -> client messages::
     ("metrics_result", req_id, snapshot_dict)
     ("pong", req_id)
 
-Both sync-socket helpers (used by :class:`repro.serve.gateway.GatewayClient`)
-and asyncio-stream helpers (used by the gateway's connection handler) are
-provided so the two sides share one frame implementation.
+The sync-socket helpers serve :class:`repro.serve.gateway.GatewayClient`;
+the gateway's connection handler writes frames with :func:`write_frame` and
+reads them itself, because it must tell a frame header from the HTTP prefix
+and drop a connection whose length prefix exceeds :data:`MAX_FRAME_BYTES`.
 
 A connection whose first four bytes are ``b"GET "`` is handed to the tiny
 HTTP responder instead: ``GET /metrics`` returns the gateway's
@@ -48,7 +49,6 @@ __all__ = [
     "decode",
     "send_frame",
     "recv_frame",
-    "read_frame",
     "write_frame",
     "http_response",
 ]
@@ -110,19 +110,6 @@ def recv_frame(sock: socket.socket) -> bytes | None:
 # ----------------------------------------------------------------------
 # asyncio side (gateway)
 # ----------------------------------------------------------------------
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError:
-        return None
-    (length,) = _LEN.unpack(header)
-    _check_length(length)
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        return None
-
 
 async def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     _check_length(len(payload))

@@ -102,7 +102,7 @@ def _install_shared_shadow(model, name: str, layout: list, dtype):
 
 def _picklable(exc: Exception) -> Exception:
     """``exc`` if it survives a pickle round-trip, else a ServeError stand-in."""
-    from repro.serve.server import ServeError
+    from repro.serve.batching import ServeError
 
     try:
         pickle.loads(pickle.dumps(exc))
@@ -117,7 +117,7 @@ def worker_main(conn, init: WorkerInit) -> None:
     from repro.runtime.plan import plan_for
     from repro.runtime.predictor import run_packed_isolated
     from repro.runtime.shm import ShmBlock, write_arrays
-    from repro.serve.server import ServeError
+    from repro.serve.batching import ServeError, warm_ladder
     from repro.sim.workload import Workload
 
     replica = pickle.loads(init.model_pickle)
@@ -150,18 +150,9 @@ def worker_main(conn, init: WorkerInit) -> None:
                 graphs[fingerprint] = plan_for(netlist).graph
                 continue
             if op == "warm":
-                # Precompile every requested ladder pack so the first real
-                # batches over this structure skip the union-plan compile
-                # (the process-local mirror of Server.warm).
+                # The process-local mirror of Server.warm.
                 _, fingerprint, sizes = msg
-                from repro.runtime.pack import pack_graphs
-
-                graph = graphs[fingerprint]
-                custom = getattr(replica, "use_custom_batches", True)
-                for size in sizes:
-                    packed = pack_graphs([graph] * size)
-                    packed.plan.schedule(custom)
-                    packed.plan.feature_rows(custom, dtype)
+                warm_ladder(replica, graphs[fingerprint], sizes, dtype)
                 conn.send(("warmed", fingerprint))
                 continue
             if op != "batch":  # pragma: no cover - protocol bug

@@ -361,9 +361,8 @@ def evaluate(
     """
     from repro.runtime import BatchedPredictor
 
-    # Context-managed: the predictor owns a deadline-timer daemon thread
-    # and queue state; per-epoch validation constructing one per call must
-    # close it or every epoch leaks a thread.
+    # Context-managed so the predictor's queue is closed (and anything
+    # still pending resolved) however the evaluation exits.
     with BatchedPredictor(
         model, batch_size=max(1, batch_size), dtype=dtype
     ) as predictor:

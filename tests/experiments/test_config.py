@@ -67,8 +67,6 @@ class TestServeConfig:
             ServeConfig(deadline_ms=-1.0)
         with pytest.raises(ValueError):
             ServeConfig(max_concurrent_sweeps=0)
-        with pytest.raises(ValueError):
-            ServeConfig(latency_window=0)
         with pytest.raises(ValueError, match="dtype"):
             ServeConfig(dtype="float46")  # typo must fail here, not in Server
         with pytest.raises(ValueError, match="dtype"):

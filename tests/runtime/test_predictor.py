@@ -280,8 +280,6 @@ class TestBatchedPredictor:
             BatchedPredictor(model, batch_size=0)
         with pytest.raises(ValueError):
             BatchedPredictor(model, batch_size=8, max_pending=4)
-        with pytest.raises(ValueError):
-            BatchedPredictor(model, max_latency_ms=0)
 
     def test_predict_many_length_mismatch(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
@@ -292,38 +290,7 @@ class TestBatchedPredictor:
 
 
 class TestDeadlineFlushAndShutdown:
-    """The serving-oriented extensions: timer flush, close semantics."""
-
-    def test_timer_flushes_aged_requests(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=20)
-        with BatchedPredictor(
-            model, batch_size=8, dtype=np.float64, max_latency_ms=20
-        ) as predictor:
-            handle = predictor.submit(graph, wl)
-            # No explicit flush, batch nowhere near full: the deadline
-            # timer must resolve the handle on its own.
-            deadline = time.monotonic() + 5.0
-            while not handle.done and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert handle.done
-            np.testing.assert_array_equal(
-                handle.result().tr, model.predict(graph, wl).tr
-            )
-            assert predictor.batches_flushed >= 1
-
-    def test_timer_keeps_serving_a_trickle(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=21)
-        with BatchedPredictor(
-            model, batch_size=8, dtype=np.float64, max_latency_ms=10
-        ) as predictor:
-            for _ in range(3):
-                handle = predictor.submit(graph, wl)
-                deadline = time.monotonic() + 5.0
-                while not handle.done and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                assert handle.done
+    """The serving-oriented extensions: close semantics."""
 
     def test_close_flushes_pending_requests(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))

@@ -20,7 +20,10 @@ one module-scoped gateway; lifecycle tests build their own.
 
 import json
 import os
+import pickle
 import signal
+import socket
+import struct
 import time
 import urllib.request
 from pathlib import Path
@@ -35,8 +38,10 @@ from repro.serve import (
     DeadlineExceeded,
     Gateway,
     QueueFull,
+    ServeError,
     ServerClosed,
     WorkerDied,
+    transport,
 )
 
 from tests.conftest import build_pair
@@ -166,6 +171,58 @@ class TestProtocolSurface:
             fut = client.submit(*pairs[0], deadline_ms=0.0001)
             exc = fut.exception(timeout=60)
         assert exc is None or isinstance(exc, DeadlineExceeded)
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("!Q", len(payload)) + payload
+
+
+class TestMalformedFrames:
+    """Bytes no GatewayClient would send must cost one connection at most:
+    never an unhandled exception in the gateway's handler task."""
+
+    @pytest.mark.parametrize(
+        "raw, reply",
+        [
+            (_frame(b"this is not a pickle"), None),
+            (_frame(pickle.dumps(7)), None),
+            (_frame(pickle.dumps(("predict", 1))), ("error", 1)),
+            (_frame(pickle.dumps(("predict", 2, "no netlist", None, None, True))),
+             ("error", 2)),
+            # A well-formed ping first, so the oversized prefix arrives as
+            # a *later* frame of the connection.
+            (_frame(pickle.dumps(("ping", 3))) + struct.pack("!Q", 1 << 60),
+             ("pong", 3)),
+        ],
+        ids=["not-a-pickle", "non-tuple", "predict-arity", "predict-no-netlist",
+             "oversized-later-frame"],
+    )
+    def test_malformed_input_never_reaches_the_loop_handler(
+        self, gateway, raw, reply
+    ):
+        seen: list[dict] = []
+        loop = gateway._loop
+        loop.call_soon_threadsafe(
+            loop.set_exception_handler, lambda _loop, context: seen.append(context)
+        )
+        try:
+            with socket.create_connection(gateway.address, timeout=30) as sock:
+                sock.sendall(raw)
+                if reply is not None:
+                    msg = transport.decode(transport.recv_frame(sock))
+                    assert msg[:2] == reply
+                if reply is not None and reply[0] == "error":
+                    # A request the gateway could answer keeps its connection.
+                    assert isinstance(msg[2], ServeError)
+                    sock.sendall(_frame(pickle.dumps(("ping", 9))))
+                    assert transport.decode(transport.recv_frame(sock)) == ("pong", 9)
+                else:
+                    assert sock.recv(1) == b""  # hung up without a word
+            with gateway.connect() as client:
+                assert client.ping()
+        finally:
+            loop.call_soon_threadsafe(loop.set_exception_handler, None)
+        assert seen == []
 
 
 class TestWorkerFaults:
