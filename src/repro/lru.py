@@ -2,10 +2,11 @@
 
 ``runtime/plan.py`` (graph plans), ``runtime/pack.py`` (packed graph
 plans) and ``sim/pack.py`` (packed simulation plans) each cache compiled
-structures under content-hash keys.  They share this class: a bounded,
-thread-safe ``OrderedDict`` with hit/miss/eviction counters and a
-double-checked insert, so concurrent builders of the same key end up
-sharing the first entry that landed.
+structures under content-hash keys; ``models/base.py`` caches initial
+hidden-state bases under ``(num_nodes, hidden)``.  They all share this
+class: a bounded, thread-safe ``OrderedDict`` with hit/miss/eviction
+counters and a double-checked insert, so concurrent builders of the same
+key end up sharing the first entry that landed.
 
 Like :mod:`repro.memory`, this module sits above the layers that use it.
 """
@@ -23,12 +24,16 @@ class FingerprintLRU:
     """Bounded LRU of immutable compiled values keyed by content hashes.
 
     ``info_type`` is the caller's public ``*CacheInfo`` record
-    (``hits, misses, evictions, size, maxsize``); ``name`` words the
-    error raised for a non-positive bound.
+    (``hits, misses, evictions, size, maxsize``; a plain ``dict`` for
+    caches with no public statistics); ``name`` words the error raised
+    for a non-positive bound.
     """
 
     def __init__(
-        self, maxsize: int, info_type: Callable[..., Any], name: str
+        self,
+        maxsize: int,
+        info_type: Callable[..., Any] = dict,
+        name: str = "cache",
     ) -> None:
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()

@@ -18,7 +18,8 @@ one aggregated message row per batch node.
 Note on Eq. (6): the paper writes a softmax over a *single* logit, which is
 identically 1; following the additive-attention reading we implement the
 gate as a sigmoid of the same score — the standard single-query attention
-degeneration (recorded as a documented deviation in DESIGN.md).
+degeneration.  This is a deliberate deviation from the equation as
+printed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.circuit.graph import EdgeBatch
 from repro.nn.functional import segment_softmax
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 __all__ = [
     "Aggregator",
@@ -113,66 +114,21 @@ class DualAttentionAggregator(Aggregator):
         self.w4 = Linear(hidden, 1, bias=False, seed=seed + 3)
 
     def forward(self, h_cur: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
+        """Fused Eqs. (5)-(7): the only executed kernel for sorted batches,
+        for every dtype and both grad modes.
+
+        One graph node that replays the arithmetic of
+        :meth:`_forward_composed` on raw arrays (values bitwise equal) and
+        pushes analytic gradients to ``h_cur``, ``h_prev`` and the four
+        attention weight vectors in one backward step.  Under ``no_grad``
+        :meth:`Tensor._make` drops the closure, so inference is this same
+        forward without the tape.  Every step is per-row or per-segment
+        (einsum scores, ``reduceat`` reductions), so packed multi-circuit
+        sweeps reproduce sequential results bitwise.
+        """
         layout = batch.dst_layout()
-        if (
-            not is_grad_enabled()
-            and layout is not None
-            and h_cur.data.dtype == np.float32
-        ):
-            # float32 serving kernels; float64 inference keeps the autograd
-            # operator graph (see GRUCell.forward).
-            return Tensor(
-                self._forward_inference(h_cur.data, h_prev.data, batch, layout)
-            )
-        if is_grad_enabled() and layout is not None:
-            # Training hot path: one fused graph node (see _forward_train).
-            return self._forward_train(h_cur, h_prev, batch, layout)
-        return self._forward_composed(h_cur, h_prev, batch, layout)
-
-    def _forward_composed(
-        self,
-        h_cur: Tensor,
-        h_prev: Tensor,
-        batch: EdgeBatch,
-        layout: tuple[np.ndarray, np.ndarray] | None,
-    ) -> Tensor:
-        """Reference implementation from individual autograd operators.
-
-        Kept as the differential-test oracle for the fused training kernel
-        and as the fallback for unsorted edge batches.
-        """
-        h_src = h_cur.gather_rows(batch.src)
-        h_dst_prev = h_prev.gather_rows(batch.nodes)  # (m, d)
-        # Eq. (5): logic message.
-        scores = self.w1(h_dst_prev).gather_rows(batch.dst_local) + self.w2(h_src)
-        alpha = segment_softmax(
-            scores, batch.dst_local, batch.num_nodes, layout=layout
-        )
-        m_lg = (h_src * alpha).segment_sum(
-            batch.dst_local, batch.num_nodes, layout=layout
-        )
-        # Eq. (6): transition message — gate m_LG against the previous state
-        # (transition probability depends on current vs previous state).
-        gate = (self.w3(h_dst_prev) + self.w4(m_lg)).sigmoid()
-        m_tr = m_lg * gate
-        # Eq. (7): concatenate.
-        return Tensor.concat([m_tr, m_lg], axis=1)
-
-    def _forward_train(
-        self,
-        h_cur: Tensor,
-        h_prev: Tensor,
-        batch: EdgeBatch,
-        layout: tuple[np.ndarray, np.ndarray],
-    ) -> Tensor:
-        """Fused differentiable Eqs. (5)-(7) (values bitwise equal to
-        :meth:`_forward_composed`).
-
-        The forward replays the composed operator arithmetic on raw arrays;
-        the backward closure pushes analytic gradients to ``h_cur``,
-        ``h_prev`` and the four attention weight vectors in one step,
-        collapsing the ~20-node per-level autograd subgraph.
-        """
+        if layout is None:
+            return self._forward_composed(h_cur, h_prev, batch, layout)
         src, dst, nodes = batch.src, batch.dst_local, batch.nodes
         nonempty, starts = layout
         num_nodes = batch.num_nodes
@@ -181,23 +137,27 @@ class DualAttentionAggregator(Aggregator):
         w3, w4 = self.w3.weight, self.w4.weight
         h_src = hc[src]  # (E, d)
         h_dst_prev = hp[nodes]  # (m, d)
-        # Eq. (5): additive attention scores, softmax within dst segments.
-        w1_out = np.einsum("ij,jc->ic", h_dst_prev, w1.data.T)  # (m, 1)
-        scores = w1_out[dst, 0] + np.einsum("ij,jc->ic", h_src, w2.data.T)[:, 0]
+        # Eq. (5): additive attention scores, softmax within dst segments
+        # (scores -> exp -> alpha share one buffer).
+        scores = np.einsum("ij,jc->ic", h_src, w2.data.T)[:, 0]
+        scores += np.einsum("ij,jc->ic", h_dst_prev, w1.data.T)[dst, 0]
         seg_max = np.full(num_nodes, -np.inf, dtype=scores.dtype)
         seg_max[nonempty] = np.maximum.reduceat(scores, starts)
         seg_max[~np.isfinite(seg_max)] = 0.0
-        e = np.exp(scores - seg_max[dst])
-        denom = np.zeros(num_nodes, dtype=e.dtype)
-        denom[nonempty] = np.add.reduceat(e, starts)
-        alpha = e / denom[dst]  # (E,)
-        scaled = h_src * alpha[:, None]
+        scores -= seg_max[dst]
+        alpha = np.exp(scores, out=scores)
+        denom = np.zeros(num_nodes, dtype=alpha.dtype)
+        denom[nonempty] = np.add.reduceat(alpha, starts)
+        alpha /= denom[dst]  # (E,)
         m_lg = np.zeros((num_nodes,) + h_src.shape[1:], dtype=h_src.dtype)
-        m_lg[nonempty] = np.add.reduceat(scaled, starts, axis=0)
+        m_lg[nonempty] = np.add.reduceat(h_src * alpha[:, None], starts, axis=0)
         # Eq. (6): sigmoid gate of the previous state against m_LG.
-        pre_gate = np.einsum("ij,jc->ic", h_dst_prev, w3.data.T)
-        pre_gate = pre_gate + np.einsum("ij,jc->ic", m_lg, w4.data.T)
-        gate = 1.0 / (1.0 + np.exp(-pre_gate))  # (m, 1)
+        gate = np.einsum("ij,jc->ic", h_dst_prev, w3.data.T)
+        gate += np.einsum("ij,jc->ic", m_lg, w4.data.T)
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.reciprocal(gate, out=gate)  # (m, 1)
         # Eq. (7): m_TR || m_LG.
         out_data = np.concatenate([m_lg * gate, m_lg], axis=1)
 
@@ -242,47 +202,36 @@ class DualAttentionAggregator(Aggregator):
         out = Tensor._make(out_data, (h_cur, h_prev, w1, w2, w3, w4), backward)
         return out
 
-    def _forward_inference(
+    def _forward_composed(
         self,
-        h_cur: np.ndarray,
-        h_prev: np.ndarray,
+        h_cur: Tensor,
+        h_prev: Tensor,
         batch: EdgeBatch,
-        layout: tuple[np.ndarray, np.ndarray],
-    ) -> np.ndarray:
-        """No-autograd fast path: Eqs. (5)-(7) on raw arrays.
+        layout: tuple[np.ndarray, np.ndarray] | None,
+    ) -> Tensor:
+        """Reference implementation from individual autograd operators.
 
-        Every step is per-row or per-segment (einsum scores, reduceat
-        reductions), so packed multi-circuit sweeps reproduce sequential
-        results bitwise.
+        Never dispatched by dtype or grad mode — kept as the
+        differential-test oracle for :meth:`forward` (bitwise forward
+        values, gradients to rounding error) and as the fallback for
+        unsorted edge batches, which have no ``reduceat`` layout.
         """
-        dst = batch.dst_local
-        nonempty, starts = layout
-        h_src = h_cur[batch.src]
-        h_dst_prev = h_prev[batch.nodes]
-        # Eq. (5): additive attention scores, softmax within segments.
-        scores = np.einsum("ij,jc->ic", h_dst_prev, self.w1.weight.data.T)[dst, 0]
-        scores = scores + np.einsum("ij,j->i", h_src, self.w2.weight.data[0])
-        seg_max = np.full(batch.num_nodes, -np.inf, dtype=scores.dtype)
-        seg_max[nonempty] = np.maximum.reduceat(scores, starts)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        scores -= seg_max[dst]
-        np.exp(scores, out=scores)
-        denom = np.zeros(batch.num_nodes, dtype=scores.dtype)
-        denom[nonempty] = np.add.reduceat(scores, starts)
-        alpha = scores
-        alpha /= denom[dst]
-        h_src *= alpha[:, None]  # h_src is a fresh gather copy: reuse it
-        m_lg = np.zeros((batch.num_nodes,) + h_src.shape[1:], dtype=h_src.dtype)
-        m_lg[nonempty] = np.add.reduceat(h_src, starts, axis=0)
-        # Eq. (6): sigmoid gate of the previous state against m_LG.
-        gate = np.einsum("ij,jc->ic", h_dst_prev, self.w3.weight.data.T)
-        gate += np.einsum("ij,jc->ic", m_lg, self.w4.weight.data.T)
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.reciprocal(gate, out=gate)
-        # Eq. (7): m_TR || m_LG.
-        return np.concatenate([m_lg * gate, m_lg], axis=1)
+        h_src = h_cur.gather_rows(batch.src)
+        h_dst_prev = h_prev.gather_rows(batch.nodes)  # (m, d)
+        # Eq. (5): logic message.
+        scores = self.w1(h_dst_prev).gather_rows(batch.dst_local) + self.w2(h_src)
+        alpha = segment_softmax(
+            scores, batch.dst_local, batch.num_nodes, layout=layout
+        )
+        m_lg = (h_src * alpha).segment_sum(
+            batch.dst_local, batch.num_nodes, layout=layout
+        )
+        # Eq. (6): transition message — gate m_LG against the previous state
+        # (transition probability depends on current vs previous state).
+        gate = (self.w3(h_dst_prev) + self.w4(m_lg)).sigmoid()
+        m_tr = m_lg * gate
+        # Eq. (7): concatenate.
+        return Tensor.concat([m_tr, m_lg], axis=1)
 
 
 _AGGREGATORS = {

@@ -16,13 +16,13 @@ during propagation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuit.gates import ONE_HOT_DIM
 from repro.circuit.graph import CircuitGraph, EdgeBatch
+from repro.lru import FingerprintLRU
 from repro.nn.layers import MLP
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
@@ -38,8 +38,9 @@ __all__ = ["ModelConfig", "Prediction", "RecurrentDagGnn", "baseline_batches"]
 #: keyed by (num_nodes, hidden).  The base depends only on those two values
 #: (fixed seed), so re-deriving it per call is pure waste in the serving
 #: and training loops; a small LRU bounds memory for huge packed unions.
-_H0_BASE_CACHE: "OrderedDict[tuple[int, int], np.ndarray]" = OrderedDict()
-_H0_BASE_CACHE_SIZE = 16
+#: Every serving worker thread draws from it (each replica has its own
+#: model lock, so nothing else serializes them) — hence the locked LRU.
+_H0_BASE_CACHE = FingerprintLRU(16, name="h0 base cache")
 
 
 def _h0_base(num_nodes: int, hidden: int) -> np.ndarray:
@@ -48,11 +49,7 @@ def _h0_base(num_nodes: int, hidden: int) -> np.ndarray:
     if base is None:
         rng = np.random.default_rng(0xD5EC + num_nodes)
         base = rng.uniform(-1.0, 1.0, size=(num_nodes, hidden)) / np.sqrt(hidden)
-        _H0_BASE_CACHE[key] = base
-        while len(_H0_BASE_CACHE) > _H0_BASE_CACHE_SIZE:
-            _H0_BASE_CACHE.popitem(last=False)
-    else:
-        _H0_BASE_CACHE.move_to_end(key)
+        base = _H0_BASE_CACHE.insert(key, base)
     return base
 
 
@@ -143,30 +140,21 @@ class RecurrentDagGnn(Module):
         its parameters — loading a checkpoint into a model constructed with
         any seed reproduces identical outputs.
         """
-        d = self.config.hidden
-        h0 = _h0_base(graph.num_nodes, d).copy()
-        if workload.num_pis != graph.num_pis:
-            raise ValueError(
-                f"workload has {workload.num_pis} PIs, graph has {graph.num_pis}"
-            )
-        h0[graph.pi_ids] = workload.pi_probs[:, None]
+        h0 = np.empty((graph.num_nodes, self.config.hidden))
+        self.initial_hidden_into(graph, workload, h0)
         return Tensor(h0)
 
     def initial_hidden_into(
         self, graph: CircuitGraph, workload: Workload, out: np.ndarray
     ) -> None:
-        """Write :meth:`initial_hidden` into a preallocated buffer slice.
+        """Write the initial hidden state into a preallocated buffer.
 
-        The packed runtime assembles the union's h0 member by member; going
-        through :meth:`initial_hidden` would copy each member's base matrix,
-        concatenate, then cast — three temporaries per member that this
-        single cast-on-assignment avoids (elementwise values are identical,
-        so float64 stays bitwise and float32 matches the ``astype`` path).
-        Models that override :meth:`initial_hidden` fall back to it here.
+        The packed runtime assembles the union's h0 member by member,
+        straight into slices of one buffer in the sweep dtype: a single
+        cast-on-assignment per member instead of copy, concatenate, cast
+        (elementwise values are identical, so float64 stays bitwise and
+        float32 matches the ``astype`` path).
         """
-        if type(self).initial_hidden is not RecurrentDagGnn.initial_hidden:
-            out[...] = self.initial_hidden(graph, workload).data
-            return
         if workload.num_pis != graph.num_pis:
             raise ValueError(
                 f"workload has {workload.num_pis} PIs, graph has {graph.num_pis}"
@@ -271,19 +259,17 @@ class RecurrentDagGnn(Module):
     ) -> Prediction:
         """Inference helper (no autograd, in-place propagation).
 
-        ``dtype`` selects the execution precision: ``None``/float64 runs
-        on the master weights; float32 routes through the runtime's
-        parameter-shadow fast path.
+        Every dtype goes through :func:`repro.runtime.predictor.predict_one`
+        — one code path, serialized per model against concurrent runtime
+        calls that swap the parameter arrays.  ``None``/float64 runs on the
+        master weights, float32 on the runtime's parameter shadow; both
+        execute the same kernels.
         """
-        from repro.nn.tensor import no_grad
+        from repro.runtime.predictor import predict_one
 
-        if dtype is not None and np.dtype(dtype) != np.float64:
-            from repro.runtime.predictor import predict_one
-
-            return predict_one(self, graph, workload, dtype=dtype, plan=plan)
-        with no_grad():
-            pred_tr, pred_lg = self.forward(graph, workload, plan=plan)
-        return Prediction(tr=pred_tr.data.copy(), lg=pred_lg.data[:, 0].copy())
+        if dtype is None:
+            dtype = np.float64
+        return predict_one(self, graph, workload, dtype=dtype, plan=plan)
 
     def readout(
         self, graph: CircuitGraph, workload: Workload, mode: str = "mean"

@@ -2,6 +2,10 @@
 
 The paper's regressor is "2 independent sets of 3-MLPs" with ReLU between
 layers (Section IV-A3); :class:`MLP` reproduces that shape.
+
+No layer here branches on dtype or grad mode: inference runs the same
+operators under ``no_grad`` (:meth:`Tensor._make` skips the tape), and
+float32 differs only by the parameter arrays the runtime swaps in.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import numpy as np
 
 from repro.nn.init import xavier_uniform
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled, rowstable_matmul
+from repro.nn.tensor import Tensor
 
 __all__ = ["Linear", "ReLU", "Sigmoid", "Sequential", "MLP"]
 
@@ -36,15 +40,6 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled() and x.data.dtype == np.float32:
-            # float32 serving fast path (float64 inference keeps the
-            # autograd operator graph — see GRUCell.forward).
-            out_data = rowstable_matmul(
-                x.data, np.ascontiguousarray(self.weight.data.T)
-            )
-            if self.bias is not None:
-                out_data += self.bias.data
-            return Tensor(out_data)
         out = x @ self.weight.T
         if self.bias is not None:
             out = out + self.bias
@@ -56,19 +51,11 @@ class Linear(Module):
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled() and x.data.dtype == np.float32:
-            return Tensor(np.maximum(x.data, np.float32(0.0)))
         return x.relu()
 
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled() and x.data.dtype == np.float32:
-            out = np.negative(x.data)
-            np.exp(out, out=out)
-            out += 1.0
-            np.reciprocal(out, out=out)
-            return Tensor(out)
         return x.sigmoid()
 
 

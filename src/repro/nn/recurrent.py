@@ -40,58 +40,45 @@ class GRUCell(Module):
         )
         self.b_ih = Parameter(np.zeros(3 * hidden_size))
         self.b_hh = Parameter(np.zeros(3 * hidden_size))
-        self._t_cache: dict = {}
+        self._t_cache: tuple | None = None
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        """One step: ``x`` is (B, input_size), ``h`` is (B, hidden_size)."""
-        if is_grad_enabled():
-            # Training hot path: one fused graph node with a hand-written
-            # backward instead of ~25 composed tensor ops per level.
-            return self._forward_train(x, h)
-        if x.data.dtype == np.float32:
-            # float32 is the serving dtype: fused raw-numpy kernels.
-            # float64 inference stays on the autograd operator graph
-            # (same operator sequence as the differentiable forward).
-            return Tensor(self._forward_inference(x.data, h.data))
-        return self._forward_composed(x, h)
+        """One step: ``x`` is (B, input_size), ``h`` is (B, hidden_size).
 
-    def _forward_composed(self, x: Tensor, h: Tensor) -> Tensor:
-        """Reference implementation from individual autograd operators.
+        The only executed kernel, for every dtype and both grad modes: one
+        graph node that replays the arithmetic of :meth:`_forward_composed`
+        on raw arrays (same kernels, same operation order, so the values
+        are bitwise equal) and pushes analytic gradients to all six
+        parents in one backward step.  Under ``no_grad``
+        :meth:`Tensor._make` drops the closure, so inference is this same
+        forward without the tape.
 
-        Kept as the differential-test oracle for the fused kernels: the
-        fused training path must match it bitwise in the forward values and
-        to rounding error in the gradients.
-        """
-        gi = x @ self.w_ih.T + self.b_ih
-        gh = h @ self.w_hh.T + self.b_hh
-        hs = self.hidden_size
-        i_r, i_z, i_n = (gi.narrow(1, k * hs, hs) for k in range(3))
-        h_r, h_z, h_n = (gh.narrow(1, k * hs, hs) for k in range(3))
-        r = (i_r + h_r).sigmoid()
-        z = (i_z + h_z).sigmoid()
-        n = (i_n + r * h_n).tanh()
-        one = Tensor(np.ones_like(z.data))
-        return (one - z) * n + z * h
-
-    def _forward_train(self, x: Tensor, h: Tensor) -> Tensor:
-        """Fused differentiable step (values bitwise equal to composed).
-
-        The forward replays the exact arithmetic of
-        :meth:`_forward_composed` on raw arrays (same kernels, same
-        operation order), and the backward closure pushes analytic
-        gradients to all six parents in one step — collapsing the ~25-node
-        per-level autograd subgraph that dominated training time.
+        Buffer discipline is part of the contract (large float32 packs are
+        memory-bound): two gemms, biases added in place, both sigmoids on
+        one ``(B, 2*hs)`` buffer, the candidate built in place; ``r``,
+        ``z``, ``n`` and ``h_n`` stay alive for the backward.
         """
         w_ih, w_hh, b_ih, b_hh = self.w_ih, self.w_hh, self.b_ih, self.b_hh
         xd, hd = x.data, h.data
         hs = self.hidden_size
-        gi = rowstable_matmul(xd, w_ih.data.T) + b_ih.data
-        gh = rowstable_matmul(hd, w_hh.data.T) + b_hh.data
-        r = 1.0 / (1.0 + np.exp(-(gi[:, :hs] + gh[:, :hs])))
-        z = 1.0 / (1.0 + np.exp(-(gi[:, hs : 2 * hs] + gh[:, hs : 2 * hs])))
+        wi_t, wh_t = self._transposed_weights()
+        gi = rowstable_matmul(xd, wi_t)
+        gi += b_ih.data
+        gh = rowstable_matmul(hd, wh_t)
+        gh += b_hh.data
+        rz = gi[:, : 2 * hs] + gh[:, : 2 * hs]
+        np.negative(rz, out=rz)
+        np.exp(rz, out=rz)
+        rz += 1.0
+        np.reciprocal(rz, out=rz)  # sigmoid = 1 / (1 + exp(-.))
+        r, z = rz[:, :hs], rz[:, hs:]
         h_n = gh[:, 2 * hs :]
-        n = np.tanh(gi[:, 2 * hs :] + r * h_n)
-        out_data = (1.0 - z) * n + z * hd
+        n = r * h_n
+        n += gi[:, 2 * hs :]
+        np.tanh(n, out=n)
+        out_data = 1.0 - z
+        out_data *= n
+        out_data += z * hd  # (1 - z) * n + z * h
 
         def backward(g: np.ndarray) -> None:
             dn_pre = (g * (1.0 - z)) * (1.0 - n * n)  # through tanh
@@ -115,69 +102,58 @@ class GRUCell(Module):
         out = Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
         return out
 
-    def _gate_weights(self) -> tuple[np.ndarray, ...]:
-        """Per-gate contiguous transposed weight blocks and combined
-        biases, cached until the parameter arrays are swapped (the
-        runtime's dtype shadow replaces ``data`` wholesale) or mutated in
-        place (optimizer steps bump the global parameter version)."""
+    def _transposed_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w_ih.T, w_hh.T)`` as the right operands of the two gemms.
+
+        BLAS picks M-dependent kernels for a transposed-view right operand
+        (see :attr:`Tensor.T`), which would break the runtime's bitwise
+        packed-equals-sequential guarantee — so under ``no_grad`` the
+        transposes are contiguous copies, cached until the parameter
+        arrays are swapped (the runtime's dtype shadow replaces ``data``
+        wholesale) or mutated in place (optimizer steps bump the global
+        parameter version).  Grad mode keeps the free views: gradients
+        don't need batch-height determinism.
+        """
         wi, wh = self.w_ih.data, self.w_hh.data
+        if is_grad_enabled():
+            return wi.T, wh.T
         version = parameter_version()
-        cached = self._t_cache.get("gates")
+        cached = self._t_cache
         if (
             cached is None
             or cached[0] is not wi
             or cached[1] is not wh
-            or self._t_cache.get("version") != version
+            or cached[2] != version
         ):
-            self._t_cache["version"] = version
-            hs = self.hidden_size
-            wi_t, wh_t = wi.T, wh.T
-            bias = self.b_ih.data + self.b_hh.data
-            cached = (
+            cached = self._t_cache = (
                 wi,
                 wh,
-                tuple(
-                    np.ascontiguousarray(w_t[:, k * hs : (k + 1) * hs])
-                    for w_t in (wi_t, wh_t)
-                    for k in range(3)
-                ),
-                tuple(bias[k * hs : (k + 1) * hs].copy() for k in range(3)),
-                tuple(self.b_hh.data[k * hs : (k + 1) * hs].copy() for k in range(3)),
+                version,
+                np.ascontiguousarray(wi.T),
+                np.ascontiguousarray(wh.T),
             )
-            self._t_cache["gates"] = cached
-        return cached[2], cached[3], cached[4]
+        return cached[3], cached[4]
 
-    def _forward_inference(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """No-autograd fused fast path: same gate math, contiguous per-gate
-        buffers mutated in place.
+    def __getstate__(self) -> dict:
+        # The transpose cache is derived state that pins the float32
+        # shadow arrays; it must not ride the structure pickles shipped to
+        # worker processes.
+        return {**self.__dict__, "_t_cache": None}
 
-        Row-deterministic (row-stable gemm + per-row elementwise), so
-        packed multi-circuit sweeps stay bitwise equal to sequential ones.
+    def _forward_composed(self, x: Tensor, h: Tensor) -> Tensor:
+        """Reference implementation from individual autograd operators.
+
+        Never dispatched — kept as the differential-test oracle for
+        :meth:`forward`, which must match it bitwise in the forward values
+        (both grad modes) and to rounding error in the gradients.
         """
-        (wi_r, wi_z, wi_n, wh_r, wh_z, wh_n), bias, bias_hh = self._gate_weights()
-        r = rowstable_matmul(x, wi_r)
-        r += rowstable_matmul(h, wh_r)
-        r += bias[0]
-        np.negative(r, out=r)
-        np.exp(r, out=r)
-        r += 1.0
-        np.reciprocal(r, out=r)  # r = sigmoid(i_r + h_r)
-        z = rowstable_matmul(x, wi_z)
-        z += rowstable_matmul(h, wh_z)
-        z += bias[1]
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)  # z = sigmoid(i_z + h_z)
-        hn = rowstable_matmul(h, wh_n)
-        hn += bias_hh[2]
-        hn *= r
-        n = rowstable_matmul(x, wi_n)
-        n += self.b_ih.data[2 * self.hidden_size :]
-        n += hn
-        np.tanh(n, out=n)  # n = tanh(i_n + r * (h_n + b_hh_n))
-        out = 1.0 - z
-        out *= n
-        z *= h
-        out += z  # (1 - z) * n + z * h
-        return out
+        gi = x @ self.w_ih.T + self.b_ih
+        gh = h @ self.w_hh.T + self.b_hh
+        hs = self.hidden_size
+        i_r, i_z, i_n = (gi.narrow(1, k * hs, hs) for k in range(3))
+        h_r, h_z, h_n = (gh.narrow(1, k * hs, hs) for k in range(3))
+        r = (i_r + h_r).sigmoid()
+        z = (i_z + h_z).sigmoid()
+        n = (i_n + r * h_n).tanh()
+        one = Tensor(np.ones_like(z.data))
+        return (one - z) * n + z * h

@@ -24,6 +24,22 @@ from repro.circuit.netlist import Netlist
 from repro.sim.workload import random_workload
 
 
+def perturb_parameters(module, seed: int = 0, scale: float = 0.1):
+    """Move every parameter of ``module`` off its initial value, in place.
+
+    Biases start at exactly zero, which hides any reordering of the bias
+    sums and makes float32 and float64 weights agree more than they will
+    after training; differential tests perturb first.  Returns ``module``.
+    """
+    from repro.nn.module import bump_parameter_version
+
+    rng = np.random.default_rng(seed)
+    for p in module.parameters():
+        p.data += rng.normal(scale=scale, size=p.data.shape)
+    bump_parameter_version()
+    return module
+
+
 @lru_cache(maxsize=None)
 def build_graph(
     seed: int = 0,

@@ -1,14 +1,19 @@
 """Tests for the shared DAG-GNN machinery (repro.models.base)."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.models.base import ModelConfig, baseline_batches
+from repro.models.base import ModelConfig, _h0_base, baseline_batches
 from repro.models.deepseq import DeepSeq
 from repro.models.baselines import DagRecGnn
+from repro.runtime.predictor import _model_lock, _shadow_context
 from repro.sim.workload import random_workload
 
-from tests.conftest import build_pair
+from tests.conftest import build_pair, perturb_parameters
 
 
 CFG = ModelConfig(hidden=12, iterations=2, seed=0)
@@ -41,6 +46,90 @@ class TestInitialHidden:
         h0 = model.initial_hidden(graph, wl).numpy()
         gate_rows = h0[graph.and_ids]
         assert gate_rows.std() > 0.01
+
+
+    def test_into_buffer_matches_and_casts(self, setup):
+        graph, wl = setup
+        model = DeepSeq(CFG)
+        h0 = model.initial_hidden(graph, wl).numpy()
+        assert h0.dtype == np.float64
+        out = np.empty(h0.shape, dtype=np.float32)
+        model.initial_hidden_into(graph, wl, out)
+        assert np.array_equal(out, h0.astype(np.float32))
+
+    def test_base_cache_survives_concurrent_eviction(self):
+        """Serving workers share the base cache with nothing else
+        serializing them; more sizes than the cache holds forces constant
+        eviction under the hammer."""
+        sizes = list(range(3, 42))
+        errors: list[Exception] = []
+
+        def hammer(seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(sizes).tolist()
+            try:
+                for _ in range(60):
+                    for n in order:
+                        if _h0_base(n, 8).shape != (n, 8):
+                            raise AssertionError(f"wrong base for {n}")
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,), daemon=True)
+                for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        fresh = np.random.default_rng(0xD5EC + 17).uniform(-1.0, 1.0, size=(17, 8))
+        assert np.array_equal(_h0_base(17, 8), fresh / np.sqrt(8))
+
+
+class TestPredictEntryPoint:
+    def test_float64_predict_waits_for_the_model_lock(self, setup):
+        """While another caller holds the model lock with a float32 shadow
+        swapped in, ``predict`` must block — not compute a float64-typed
+        result from float32 weights."""
+        graph, wl = setup
+        model = perturb_parameters(DeepSeq(CFG))
+        reference = model.predict(graph, wl)
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.append(model.predict(graph, wl)), daemon=True
+        )
+        with _model_lock(model), _shadow_context(model, np.dtype(np.float32)):
+            assert model.forward_gru.w_ih.data.dtype == np.float32
+            worker.start()
+            worker.join(timeout=0.5)
+            assert worker.is_alive() and not got, "predict bypassed the model lock"
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert np.array_equal(got[0].tr, reference.tr)
+        assert np.array_equal(got[0].lg, reference.lg)
+
+    def test_derived_caches_stay_out_of_the_pickle(self, setup):
+        """The structure pickle shipped to workers must not grow once the
+        model has served: no cached transposes, no float32 shadow arrays."""
+        graph, wl = setup
+        model = perturb_parameters(DeepSeq(CFG))
+        size = len(pickle.dumps(model))
+        p32 = model.predict(graph, wl, dtype=np.float32)
+        assert len(pickle.dumps(model)) == size
+        p64 = model.predict(graph, wl)
+        assert len(pickle.dumps(model)) == size
+        replica = pickle.loads(pickle.dumps(model))
+        r64 = replica.predict(graph, wl)
+        r32 = replica.predict(graph, wl, dtype=np.float32)
+        assert np.array_equal(r64.tr, p64.tr) and np.array_equal(r64.lg, p64.lg)
+        assert np.array_equal(r32.tr, p32.tr) and np.array_equal(r32.lg, p32.lg)
 
 
 class TestPropagation:

@@ -77,6 +77,19 @@ class TestNonlinearities:
         t.relu().sum().backward()
         assert t.grad.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_bits_at_the_edges(self, dtype):
+        """relu is ``where(x > 0, x, +0.0)`` bit for bit: NaN and -0.0 map
+        to +0.0, infinities and denormals pass through by sign."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array(
+            [np.nan, -0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -1.5], dtype=dtype
+        )
+        got = Tensor(x).relu().numpy()
+        want = np.where(x > 0, x, dtype(0.0))
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_sigmoid(self):
         gradcheck(lambda a: a.sigmoid().sum(), [(3, 2)])
 

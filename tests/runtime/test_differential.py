@@ -3,8 +3,10 @@
 Every fast path in the runtime has a slow, obviously-correct counterpart;
 these tests pin the fast path to it:
 
-* fused training kernels (GRU, dual attention) vs the composed autograd
-  operator graph — forward bitwise, gradients to rounding error;
+* the fused cell kernels (GRU, dual attention) — the only executed
+  forward of each cell — vs the composed autograd operator graph: forward
+  bitwise in both grad modes, gradients to rounding error; row-
+  deterministic at float64 and float32;
 * float32 parameter-shadow inference vs float64 — within tolerance;
 * packed K-circuit execution vs sequential per-circuit ``predict`` —
   float64 bitwise, across all three model families, DFF-heavy circuits
@@ -12,6 +14,8 @@ these tests pin the fast path to it:
 * packed training gradients vs the legacy ``merge_samples`` path —
   float64 bitwise.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,10 +25,10 @@ from repro.models.base import ModelConfig
 from repro.models.registry import make_model
 from repro.nn.functional import l1_loss
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor
-from repro.runtime.pack import clear_pack_cache
-from repro.runtime.plan import clear_plan_cache
-from repro.runtime.predictor import predict_one, predict_packed
+from repro.nn.tensor import Tensor, no_grad
+from repro.runtime.pack import clear_pack_cache, pack_graphs
+from repro.runtime.plan import clear_plan_cache, plan_for
+from repro.runtime.predictor import ParameterShadow, predict_one, predict_packed
 from repro.runtime.trainstep import pack_samples, train_step
 from repro.sim.workload import random_workload
 from repro.train.dataset import CircuitSample, merge_samples
@@ -48,7 +52,7 @@ def fresh_caches():
     clear_pack_cache()
 
 
-from tests.conftest import build_pair, single_node_pair
+from tests.conftest import build_pair, perturb_parameters, single_node_pair
 
 
 def make_pair(seed=0, n_pis=4, n_dffs=3, n_gates=30):
@@ -73,7 +77,7 @@ class TestFusedGruVsComposed:
         gru = GRUCell(12, 6, seed=1)
         x = Tensor(rng.normal(size=(rows, 12)), requires_grad=True)
         h = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
-        fused = gru._forward_train(x, h)
+        fused = gru(x, h)
         composed = gru._forward_composed(x, h)
         assert np.array_equal(fused.data, composed.data)
         seed_grad = rng.normal(size=fused.data.shape)
@@ -101,7 +105,7 @@ class TestFusedDualAttentionVsComposed:
         for batch in graph.forward_batches[:3]:
             layout = batch.dst_layout()
             assert layout is not None
-            fused = agg._forward_train(h_cur, h_prev, batch, layout)
+            fused = agg(h_cur, h_prev, batch)
             composed = agg._forward_composed(h_cur, h_prev, batch, layout)
             assert np.array_equal(fused.data, composed.data)
             seed_grad = rng.normal(size=fused.data.shape)
@@ -117,10 +121,144 @@ class TestFusedDualAttentionVsComposed:
                 p.zero_grad()
 
 
+class TestOneKernelPerCell:
+    """``forward`` is each cell's only executed kernel: pinned to the
+    composed oracle at float64 in both grad modes (``no_grad`` feeds BLAS
+    the contiguous transpose on both sides, grad mode the view), row-
+    deterministic, and float32 within tolerance of float64.  The GRU has
+    the paper's shape (hidden 64, dual-attention message + one-hot input):
+    at that width BLAS does pick M-dependent kernels for a transposed
+    view, so the determinism test is live."""
+
+    @staticmethod
+    def gru_inputs(rows, dtype=np.float64):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(rows, 132)).astype(dtype)
+        h = rng.normal(size=(rows, 64)).astype(dtype)
+        return x, h
+
+    @staticmethod
+    def agg_inputs(graph, dtype=np.float64):
+        rng = np.random.default_rng(4)
+        h_cur = rng.normal(size=(graph.num_nodes, 16)).astype(dtype)
+        h_prev = rng.normal(size=(graph.num_nodes, 16)).astype(dtype)
+        return h_cur, h_prev
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_gru_equals_composed_bitwise(self, rows, grad):
+        gru = perturb_parameters(GRUCell(132, 64, seed=1))
+        assert np.abs(gru.b_ih.data).min() > 0 and np.abs(gru.b_hh.data).min() > 0
+        x, h = (Tensor(a) for a in self.gru_inputs(rows))
+        with nullcontext() if grad else no_grad():
+            fused = gru(x, h)
+            composed = gru._forward_composed(x, h)
+        assert fused.requires_grad == grad
+        assert fused.data.dtype == np.float64
+        assert np.array_equal(fused.data, composed.data)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_dual_attention_equals_composed_bitwise(self, grad):
+        graph, _ = make_pair(seed=5)
+        agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
+        h_cur, h_prev = (Tensor(a) for a in self.agg_inputs(graph))
+        checked = 0
+        with nullcontext() if grad else no_grad():
+            for batch in graph.forward_batches + graph.reverse_batches:
+                if batch.num_edges == 0:
+                    continue
+                layout = batch.dst_layout()
+                assert layout is not None
+                fused = agg(h_cur, h_prev, batch)
+                composed = agg._forward_composed(h_cur, h_prev, batch, layout)
+                assert fused.requires_grad == grad
+                assert np.array_equal(fused.data, composed.data)
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gru_rows_do_not_depend_on_batch_height(self, dtype):
+        """Rows 1 and 7 alone equal their rows in the stacked batch of 8:
+        what the packed-equals-sequential guarantee needs from the cell,
+        and what breaks if ``no_grad`` feeds BLAS the transposed view."""
+        gru = perturb_parameters(GRUCell(132, 64, seed=1))
+        (x1, h1), (x7, h7) = self.gru_inputs(1, dtype), self.gru_inputs(7, dtype)
+        x7, h7 = x7[::-1].copy(), h7[::-1].copy()  # distinct from row 1
+        with no_grad(), ParameterShadow(gru, dtype).active():
+            out1 = gru(Tensor(x1), Tensor(h1)).data
+            out7 = gru(Tensor(x7), Tensor(h7)).data
+            out8 = gru(
+                Tensor(np.concatenate([x1, x7])), Tensor(np.concatenate([h1, h7]))
+            ).data
+        assert out8.dtype == dtype
+        assert np.array_equal(out8[:1], out1)
+        assert np.array_equal(out8[1:], out7)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dual_attention_rows_do_not_depend_on_packing(self, dtype):
+        """A level batch of a packed pair gives each member the rows its
+        own level batch gives it alone."""
+        pairs = [make_pair(1), make_pair(2, n_gates=45)]
+        graphs = [g for g, _ in pairs]
+        packed = pack_graphs(graphs)
+        agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
+        states = [self.agg_inputs(g, dtype) for g in graphs]
+        union_cur = Tensor(np.concatenate([s[0] for s in states]))
+        union_prev = Tensor(np.concatenate([s[1] for s in states]))
+        union_batches, _ = packed.plan.schedule(custom=True)
+        batch_of = np.full(packed.plan.num_nodes, -1)
+        for k, union_batch in enumerate(union_batches):
+            batch_of[union_batch.nodes] = k
+        checked = 0
+        with no_grad(), ParameterShadow(agg, dtype).active():
+            union_out = [
+                agg(union_cur, union_prev, b).data if b.num_edges else None
+                for b in union_batches
+            ]
+            for member, graph in enumerate(graphs):
+                h_cur, h_prev = (Tensor(a) for a in states[member])
+                for batch in plan_for(graph).schedule(custom=True)[0]:
+                    if batch.num_edges == 0:
+                        continue
+                    nodes = batch.nodes + packed.offsets[member]
+                    k = batch_of[nodes[0]]
+                    rows = np.searchsorted(union_batches[k].nodes, nodes)
+                    assert np.array_equal(union_batches[k].nodes[rows], nodes)
+                    solo = agg(h_cur, h_prev, batch).data
+                    assert solo.dtype == dtype
+                    assert np.array_equal(union_out[k][rows], solo)
+                    checked += 1
+        assert checked >= 4
+
+    def test_float32_within_tolerance_of_float64(self):
+        gru = perturb_parameters(GRUCell(132, 64, seed=1))
+        x, h = self.gru_inputs(7)
+        graph, _ = make_pair(seed=5)
+        agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
+        h_cur, h_prev = self.agg_inputs(graph)
+        batch = max(graph.forward_batches, key=lambda b: b.num_edges)
+        with no_grad():
+            gru64 = gru(Tensor(x), Tensor(h)).data
+            agg64 = agg(Tensor(h_cur), Tensor(h_prev), batch).data
+            with ParameterShadow(gru, np.float32).active():
+                gru32 = gru(
+                    Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32))
+                ).data
+            with ParameterShadow(agg, np.float32).active():
+                agg32 = agg(
+                    Tensor(h_cur.astype(np.float32)),
+                    Tensor(h_prev.astype(np.float32)),
+                    batch,
+                ).data
+        assert gru32.dtype == np.float32 and agg32.dtype == np.float32
+        np.testing.assert_allclose(gru32, gru64, atol=2e-5)
+        np.testing.assert_allclose(agg32, agg64, atol=2e-5)
+
+
 class TestFloat32VsFloat64:
     @pytest.mark.parametrize("name,agg", FAMILIES)
     def test_predictions_within_tolerance(self, name, agg):
-        model = make_model(name, CFG, agg)
+        model = perturb_parameters(make_model(name, CFG, agg))
         for graph, wl in [make_pair(3), dff_heavy_pair(), single_node_pair()]:
             p64 = predict_one(model, graph, wl, dtype=np.float64)
             p32 = predict_one(model, graph, wl, dtype=np.float32)
