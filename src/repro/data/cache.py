@@ -26,6 +26,7 @@ import hashlib
 import os
 import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,8 +158,10 @@ class LabelCache:
                 try:
                     with np.load(path) as npz:
                         value = {name: npz[name].copy() for name in npz.files}
-                except (OSError, ValueError):
-                    value = None  # truncated/foreign file: treat as miss
+                except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+                    # Foreign, empty, truncated or bit-flipped (CRC) file:
+                    # a miss; the following put() replaces it atomically.
+                    value = None
                 if value is not None:
                     _freeze(value)
                     with self._lock:

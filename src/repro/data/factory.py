@@ -19,8 +19,11 @@ written by either engine hit for both.
   not 32.  Workers compile locally and return plain label arrays, so no
   simulator state or graph object ever crosses back.  Uncached jobs are
   grouped into **packed sweeps** (:mod:`repro.sim.pack`) of up to
-  ``pack_size`` circuits per pool task, amortizing per-level dispatch
-  across the batch without moving a label bit;
+  ``pack_size`` circuits, amortizing per-level dispatch across the batch
+  without moving a label bit.  There is one scheduling loop and one job
+  function: a group of one is what ``simulate``/``simulate_with_faults``
+  run for a single circuit, and the in-process path is the pooled path
+  minus the pool (members are netlists instead of fingerprints);
 * **memoization** — results are stored in a content-addressed
   :class:`~repro.data.cache.LabelCache` keyed by
   ``(fingerprint, workload, SimConfig[, FaultConfig])``, so repeated
@@ -39,15 +42,15 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
 from repro.data.cache import LabelCache, label_key
 from repro.runtime.mp import resolve_mp_context
-from repro.sim.faults import FaultConfig, FaultSimResult, simulate_with_faults
-from repro.sim.logicsim import SimConfig, SimResult, simulate
+from repro.sim.faults import FaultConfig, FaultSimResult
+from repro.sim.logicsim import SimConfig, SimResult
 from repro.sim.pack import simulate_packed, simulate_with_faults_packed
 from repro.sim.workload import Workload
 from repro.train.dataset import CircuitSample, dataset_workloads
@@ -79,37 +82,6 @@ def _fault_labels(res: FaultSimResult) -> dict[str, np.ndarray]:
     }
 
 
-def _sim_job(args: tuple[Netlist, Workload, SimConfig]) -> dict[str, np.ndarray]:
-    nl, workload, sim_config = args
-    return _sim_labels(simulate(nl, workload, sim_config))
-
-
-def _fault_job(
-    args: tuple[Netlist, Workload, SimConfig, FaultConfig]
-) -> dict[str, np.ndarray]:
-    nl, workload, sim_config, fault_config = args
-    return _fault_labels(
-        simulate_with_faults(nl, workload, sim_config, fault_config)
-    )
-
-
-def _packed_sim_job(
-    args: tuple[list[Netlist], list[Workload], SimConfig]
-) -> list[dict[str, np.ndarray]]:
-    nls, workloads, sim_config = args
-    return [_sim_labels(r) for r in simulate_packed(nls, workloads, sim_config)]
-
-
-def _packed_fault_job(
-    args: tuple[list[Netlist], list[Workload], SimConfig, FaultConfig]
-) -> list[dict[str, np.ndarray]]:
-    nls, workloads, sim_config, fault_config = args
-    results = simulate_with_faults_packed(
-        nls, workloads, sim_config, fault_config
-    )
-    return [_fault_labels(r) for r in results]
-
-
 #: Worker-side netlist registry, filled by the pool initializer before any
 #: job runs: ``{fingerprint: netlist}``.  Pool tasks reference circuits by
 #: fingerprint, so one netlist crosses the process boundary exactly once
@@ -123,11 +95,6 @@ def _init_worker_netlists(payload: bytes) -> None:
     _WORKER_NETLISTS.update(pickle.loads(payload))
 
 
-def _netlist_payload(circuits: list[Netlist], fps: list[str]) -> bytes:
-    """Pickle the unique ``{fingerprint: netlist}`` map shipped per pool."""
-    return pickle.dumps(dict(zip(fps, circuits)), protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def _registered(fp: str) -> Netlist:
     try:
         return _WORKER_NETLISTS[fp]
@@ -138,35 +105,27 @@ def _registered(fp: str) -> Netlist:
         ) from None
 
 
-def _sim_job_fp(args: tuple[str, Workload, SimConfig]) -> dict[str, np.ndarray]:
-    fp, workload, sim_config = args
-    return _sim_labels(simulate(_registered(fp), workload, sim_config))
-
-
-def _fault_job_fp(
-    args: tuple[str, Workload, SimConfig, FaultConfig]
-) -> dict[str, np.ndarray]:
-    fp, workload, sim_config, fault_config = args
-    return _fault_labels(
-        simulate_with_faults(_registered(fp), workload, sim_config, fault_config)
-    )
-
-
-def _packed_sim_job_fp(
-    args: tuple[list[str], list[Workload], SimConfig]
+def _label_job(
+    kind: str,
+    members: list[str] | list[Netlist],
+    workloads: list[Workload],
+    sim_config: SimConfig,
+    fault_config: FaultConfig | None,
 ) -> list[dict[str, np.ndarray]]:
-    fps, workloads, sim_config = args
-    nls = [_registered(fp) for fp in fps]
-    return [_sim_labels(r) for r in simulate_packed(nls, workloads, sim_config)]
+    """Label one group of (circuit, workload) pairs in one packed sweep.
 
-
-def _packed_fault_job_fp(
-    args: tuple[list[str], list[Workload], SimConfig, FaultConfig]
-) -> list[dict[str, np.ndarray]]:
-    fps, workloads, sim_config, fault_config = args
-    nls = [_registered(fp) for fp in fps]
+    ``members`` are fingerprints of registered netlists in a pool worker
+    and the netlists themselves in-process.  A group of one is
+    call-for-call what ``simulate``/``simulate_with_faults`` do and stays
+    off the sim-pack LRU.
+    """
+    nls = [_registered(m) if isinstance(m, str) else m for m in members]
+    cache = len(nls) > 1
+    if kind == "sim":
+        results = simulate_packed(nls, workloads, sim_config, cache=cache)
+        return [_sim_labels(r) for r in results]
     results = simulate_with_faults_packed(
-        nls, workloads, sim_config, fault_config
+        nls, workloads, sim_config, fault_config, cache=cache
     )
     return [_fault_labels(r) for r in results]
 
@@ -209,13 +168,11 @@ class FactoryConfig:
         keep_sim: default for stashing full ``SimResult``/``FaultSimResult``
             objects in ``extras`` — off in the factory path, overridable
             per build.
-        min_chunk: smallest number of pool tasks worth sending one worker.
         pack_size: maximum circuits fused into one packed simulation
-            sweep (:mod:`repro.sim.pack`) per pool task; ``0``/``1``
-            disables packing and submits one circuit per task.  Packing
-            never changes label values — packed sweeps are bitwise-
-            identical to per-circuit runs — so cache keys and contents
-            are independent of this knob.
+            sweep (:mod:`repro.sim.pack`) per job; ``0``/``1`` makes every
+            group a group of one.  Packing never changes label values —
+            packed sweeps are bitwise-identical to per-circuit runs — so
+            cache keys and contents are independent of this knob.
         mp_start_method: start method for the simulation pool's worker
             processes.  ``None`` resolves through
             :func:`repro.runtime.mp.resolve_mp_context` (forkserver, else
@@ -229,7 +186,6 @@ class FactoryConfig:
     cache_dir: str | os.PathLike | None = None
     memory_entries: int = 512
     keep_sim: bool = False
-    min_chunk: int = 1
     pack_size: int = 8
     mp_start_method: str | None = None
 
@@ -261,11 +217,7 @@ class DataFactory:
         self, nl: Netlist, workload: Workload, sim_config: SimConfig | None = None
     ) -> SimResult:
         """Cached :func:`repro.sim.logicsim.simulate` (bitwise-identical)."""
-        sim_config = sim_config or SimConfig()
-        labels = self._run_many(
-            "sim", [nl], [workload], sim_config, None
-        )[0]
-        return _labels_to_sim_result(labels, nl)
+        return self.simulate_many([nl], [workload], sim_config)[0]
 
     def simulate_faults(
         self,
@@ -275,12 +227,9 @@ class DataFactory:
         fault_config: FaultConfig | None = None,
     ) -> FaultSimResult:
         """Cached :func:`repro.sim.faults.simulate_with_faults`."""
-        sim_config = sim_config or SimConfig()
-        fault_config = fault_config or FaultConfig()
-        labels = self._run_many(
-            "fault", [nl], [workload], sim_config, fault_config
+        return self.simulate_faults_many(
+            [nl], [workload], sim_config, fault_config
         )[0]
-        return _labels_to_fault_result(labels, nl)
 
     def simulate_many(
         self,
@@ -294,8 +243,9 @@ class DataFactory:
         execution never changes label bits), but uncached work is fused
         into ``pack_size``-circuit sweeps and fanned out across the pool.
         """
-        sim_config = sim_config or SimConfig()
-        results = self._run_many("sim", circuits, workloads, sim_config, None)
+        results = self._run_many(
+            "sim", circuits, workloads, sim_config or SimConfig(), None
+        )
         return [
             _labels_to_sim_result(labels, nl)
             for labels, nl in zip(results, circuits)
@@ -309,10 +259,12 @@ class DataFactory:
         fault_config: FaultConfig | None = None,
     ) -> list[FaultSimResult]:
         """Cached batch fault simulation; misses ride packed sweeps."""
-        sim_config = sim_config or SimConfig()
-        fault_config = fault_config or FaultConfig()
         results = self._run_many(
-            "fault", circuits, workloads, sim_config, fault_config
+            "fault",
+            circuits,
+            workloads,
+            sim_config or SimConfig(),
+            fault_config or FaultConfig(),
         )
         return [
             _labels_to_fault_result(labels, nl)
@@ -331,26 +283,12 @@ class DataFactory:
         keep_sim: bool | None = None,
     ) -> list[CircuitSample]:
         """Parallel equivalent of :func:`repro.train.dataset.build_dataset`."""
-        sim_config = sim_config or SimConfig()
         keep = self.config.keep_sim if keep_sim is None else keep_sim
         wls = dataset_workloads(circuits, seed, workloads)
-        results = self._run_many("sim", circuits, wls, sim_config, None)
-        samples: list[CircuitSample] = []
-        for nl, wl, labels in zip(circuits, wls, results):
-            extras = {"sim": _labels_to_sim_result(labels, nl)} if keep else {}
-            samples.append(
-                CircuitSample(
-                    graph=CircuitGraph(nl),
-                    workload=wl,
-                    target_tr=np.stack(
-                        [labels["tr01_prob"], labels["tr10_prob"]], axis=1
-                    ),
-                    target_lg=labels["logic_prob"],
-                    name=nl.name,
-                    extras=extras,
-                )
-            )
-        return samples
+        results = self.simulate_many(circuits, wls, sim_config)
+        return [
+            CircuitSample.from_sim(res, wl, keep) for res, wl in zip(results, wls)
+        ]
 
     def build_reliability(
         self,
@@ -363,25 +301,13 @@ class DataFactory:
     ) -> list[CircuitSample]:
         """Parallel equivalent of
         :func:`repro.train.dataset.build_reliability_dataset`."""
-        sim_config = sim_config or SimConfig()
-        fault_config = fault_config or FaultConfig()
         keep = self.config.keep_sim if keep_sim is None else keep_sim
         wls = dataset_workloads(circuits, seed, workloads)
-        results = self._run_many("fault", circuits, wls, sim_config, fault_config)
-        samples: list[CircuitSample] = []
-        for nl, wl, labels in zip(circuits, wls, results):
-            fault_res = _labels_to_fault_result(labels, nl)
-            samples.append(
-                CircuitSample(
-                    graph=CircuitGraph(nl),
-                    workload=wl,
-                    target_tr=fault_res.error_prob,
-                    target_lg=fault_res.golden_logic_prob,
-                    name=nl.name,
-                    extras={"faults": fault_res} if keep else {},
-                )
-            )
-        return samples
+        results = self.simulate_faults_many(circuits, wls, sim_config, fault_config)
+        return [
+            CircuitSample.from_faults(res, wl, keep)
+            for res, wl in zip(results, wls)
+        ]
 
     # ------------------------------------------------------------------
     # scheduling
@@ -397,14 +323,15 @@ class DataFactory:
         """Resolve one labelling job per (circuit, workload), cache-first.
 
         Jobs whose digest is already cached are served from the cache;
-        the rest fan out to the process pool (or run serially), grouped
-        into packed sweeps of up to ``pack_size`` circuits per pool task
-        (group size shrinks below ``pack_size`` when that keeps more
-        workers busy).  Pooled runs ship each unique netlist once via the
-        pool initializer and reference it by fingerprint in the job args.
-        Result order always matches the input order, and duplicate
-        digests within one call are simulated once.  Neither packing nor
-        scheduling ever touches label values.
+        the rest are grouped into packed sweeps of up to ``pack_size``
+        circuits (group size shrinks, down to a group of one, when that
+        keeps more workers busy) and every group runs :func:`_label_job`
+        — across the process pool when more than one worker has a group
+        to run, else in this process.  Pooled runs ship each unique
+        netlist once via the pool initializer and reference it by
+        fingerprint in the job args.  Result order always matches the
+        input order, and duplicate digests within one call are simulated
+        once.  Neither packing nor scheduling ever touches label values.
         """
         fps = [nl.fingerprint() for nl in circuits]
         keys = [
@@ -426,82 +353,38 @@ class DataFactory:
 
         if pending:
             workers = min(self.config.resolve_workers(), len(pending))
-            pack = max(1, self.config.pack_size)
-            if pack > 1:
-                pack = min(
-                    pack, -(-len(pending) // max(workers, 1))
-                )
-            cfg_tail = (
-                (sim_config,)
-                if fault_config is None
-                else (sim_config, fault_config)
+            pack = min(
+                max(1, self.config.pack_size),
+                -(-len(pending) // max(workers, 1)),
             )
-            if pack > 1:
-                groups = [
-                    pending[j : j + pack]
-                    for j in range(0, len(pending), pack)
-                ]
-                workers = min(workers, len(groups))
-                if workers > 1:
-                    job = (
-                        _packed_sim_job_fp
-                        if kind == "sim"
-                        else _packed_fault_job_fp
-                    )
-                    args = [
-                        (
-                            [fps[i] for i in grp],
-                            [workloads[i] for i in grp],
+            groups = [
+                pending[j : j + pack] for j in range(0, len(pending), pack)
+            ]
+            workers = min(workers, len(groups))
+            members = fps if workers > 1 else circuits
+            member_groups = [[members[i] for i in grp] for grp in groups]
+            workload_groups = [[workloads[i] for i in grp] for grp in groups]
+            job = partial(
+                _label_job, kind, sim_config=sim_config, fault_config=fault_config
+            )
+            if workers > 1:
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=resolve_mp_context(self.config.mp_start_method),
+                    initializer=_init_worker_netlists,
+                    initargs=(self._pending_payload(circuits, fps, pending),),
+                ) as pool:
+                    grouped = list(
+                        pool.map(
+                            job,
+                            member_groups,
+                            workload_groups,
+                            chunksize=len(groups) // (4 * workers) or 1,
                         )
-                        + cfg_tail
-                        for grp in groups
-                    ]
-                    chunk = max(
-                        self.config.min_chunk,
-                        len(groups) // (4 * workers) or 1,
                     )
-                    with ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=resolve_mp_context(self.config.mp_start_method),
-                        initializer=_init_worker_netlists,
-                        initargs=(self._pending_payload(circuits, fps, pending),),
-                    ) as pool:
-                        grouped = list(pool.map(job, args, chunksize=chunk))
-                else:
-                    job = _packed_sim_job if kind == "sim" else _packed_fault_job
-                    args = [
-                        (
-                            [circuits[i] for i in grp],
-                            [workloads[i] for i in grp],
-                        )
-                        + cfg_tail
-                        for grp in groups
-                    ]
-                    grouped = [job(a) for a in args]
-                fresh = [labels for batch in grouped for labels in batch]
             else:
-                if workers > 1:
-                    job = _sim_job_fp if kind == "sim" else _fault_job_fp
-                    args = [
-                        (fps[i], workloads[i]) + cfg_tail for i in pending
-                    ]
-                    chunk = max(
-                        self.config.min_chunk,
-                        len(pending) // (4 * workers) or 1,
-                    )
-                    with ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=resolve_mp_context(self.config.mp_start_method),
-                        initializer=_init_worker_netlists,
-                        initargs=(self._pending_payload(circuits, fps, pending),),
-                    ) as pool:
-                        fresh = list(pool.map(job, args, chunksize=chunk))
-                else:
-                    job = _sim_job if kind == "sim" else _fault_job
-                    args = [
-                        (circuits[i], workloads[i]) + cfg_tail for i in pending
-                    ]
-                    fresh = [job(a) for a in args]
+                grouped = list(map(job, member_groups, workload_groups))
+            fresh = (labels for batch in grouped for labels in batch)
             for i, labels in zip(pending, fresh):
                 results[keys[i]] = labels
                 self.cache.put(keys[i], labels)
@@ -515,7 +398,7 @@ class DataFactory:
         uniq: dict[str, Netlist] = {}
         for i in pending:
             uniq.setdefault(fps[i], circuits[i])
-        return _netlist_payload(list(uniq.values()), list(uniq.keys()))
+        return pickle.dumps(uniq, protocol=pickle.HIGHEST_PROTOCOL)
 
     @property
     def stats(self):
@@ -533,23 +416,16 @@ _DEFAULT: list[DataFactory | None] = [None]
 def get_factory() -> DataFactory:
     """The process-default factory, configured from the environment.
 
-    ``REPRO_DATA_CACHE`` sets the on-disk cache directory,
-    ``REPRO_DATA_WORKERS`` the pool size (``0`` = serial) and
-    ``REPRO_DATA_PACK`` the packed-sweep size (``1`` = unpacked) for
-    callers that don't thread an explicit factory — benchmarks, examples,
-    CI.
+    ``REPRO_DATA_CACHE`` sets the on-disk cache directory and
+    ``REPRO_DATA_WORKERS`` the pool size (``0`` = serial) for callers
+    that don't thread an explicit factory — benchmarks, examples, CI.
     """
     if _DEFAULT[0] is None:
         workers_env = os.environ.get("REPRO_DATA_WORKERS")
-        pack_env = os.environ.get("REPRO_DATA_PACK")
-        overrides = {}
-        if pack_env:
-            overrides["pack_size"] = int(pack_env)
         _DEFAULT[0] = DataFactory(
             FactoryConfig(
                 workers=int(workers_env) if workers_env else None,
                 cache_dir=os.environ.get("REPRO_DATA_CACHE") or None,
-                **overrides,
             )
         )
     return _DEFAULT[0]

@@ -11,7 +11,7 @@ don't depend on them; reloaded netlists carry default ``n<i>`` names).
 :class:`ShardReader` is a lazy ``Sequence[CircuitSample]``: it decodes one
 shard at a time (keeping a tiny LRU of decoded shards) and plugs straight
 into :class:`repro.train.trainer.Trainer` /
-:func:`repro.runtime.trainstep.make_minibatches`, so training on a large
+:func:`repro.runtime.trainstep.pack_samples`, so training on a large
 persisted dataset never materializes every sample — let alone every
 ``SimResult`` — in memory at once.
 """

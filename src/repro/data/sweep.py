@@ -120,12 +120,7 @@ def sweep_workloads(
     # factory's packed sweeps; acceptance stays strictly in seed order
     # (a wave's surplus candidates never count as draws), so workloads,
     # draws and rejected are identical to one-at-a-time screening.
-    screen_many = getattr(factory, "simulate_many", None)
-    wave = (
-        max(1, getattr(getattr(factory, "config", None), "pack_size", 1) or 1)
-        if screen_many is not None
-        else 1
-    )
+    wave = max(1, factory.config.pack_size)
     accepted: list[Workload] = []
     coverages: list[ToggleCoverage] = []
     rejected = 0
@@ -134,10 +129,9 @@ def sweep_workloads(
         if len(accepted) >= config.count:
             break
         wave_cands = candidates[lo : lo + wave]
-        if screen_many is not None:
-            sims = screen_many([nl] * len(wave_cands), wave_cands, config.sim)
-        else:
-            sims = [factory.simulate(nl, wl, config.sim) for wl in wave_cands]
+        sims = factory.simulate_many(
+            [nl] * len(wave_cands), wave_cands, config.sim
+        )
         for wl, sim_res in zip(wave_cands, sims):
             if len(accepted) >= config.count:
                 break

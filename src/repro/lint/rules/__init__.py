@@ -1,8 +1,7 @@
 """Rule registry: one instance of every invariant check.
 
-Rule ids are stable and documented in the README's "Static analysis"
-section; suppression comments and the ``disable`` config key refer to
-them by id.
+Rule ids are stable and documented in ``docs/lint.md``; suppression
+comments and the ``disable`` config key refer to them by id.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ _EXPORTS = {
     "PackedBatch": "repro.runtime.trainstep",
     "StepResult": "repro.runtime.trainstep",
     "pack_samples": "repro.runtime.trainstep",
-    "make_minibatches": "repro.runtime.trainstep",
     "train_step": "repro.runtime.trainstep",
     # ddp
     "DdpError": "repro.runtime.ddp",

@@ -39,7 +39,6 @@ __all__ = [
     "StepResult",
     "pack_samples",
     "minibatch_membership",
-    "make_minibatches",
     "train_step",
 ]
 
@@ -145,10 +144,11 @@ def minibatch_membership(
 ) -> list[list[int]]:
     """Partition ``count`` sample indices into minibatch member lists.
 
-    This is :func:`make_minibatches` minus the packing: the trainer's
-    data-parallel path needs the membership itself (workers receive
-    member samples and pack locally), and both paths must consume the
-    ``rng`` stream identically or sequential and sharded runs would build
+    ``rng`` shuffles the membership (which samples share a union); pass
+    ``None`` for sequential assignment.  Membership is separate from
+    packing because the trainer's data-parallel path ships member samples
+    to workers that pack locally, and both paths must consume the ``rng``
+    stream identically or sequential and sharded runs would build
     different batches from the same seed.
     """
     order = list(range(count))
@@ -156,23 +156,6 @@ def minibatch_membership(
         rng.shuffle(order)
     size = max(1, int(batch_size))
     return [order[lo : lo + size] for lo in range(0, len(order), size)]
-
-
-def make_minibatches(
-    dataset: Sequence[CircuitSample],
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-) -> list[PackedBatch]:
-    """Partition a dataset into packed minibatches of ``batch_size``.
-
-    ``rng`` shuffles the membership (which samples share a union); pass
-    ``None`` for sequential assignment.  Batch *order* randomization per
-    epoch is the trainer's job.
-    """
-    return [
-        pack_samples([dataset[i] for i in members])
-        for members in minibatch_membership(len(dataset), batch_size, rng)
-    ]
 
 
 def train_step(

@@ -20,8 +20,8 @@ import numpy as np
 from repro.circuit.compose import disjoint_union
 from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
-from repro.sim.faults import FaultConfig, simulate_with_faults
-from repro.sim.logicsim import SimConfig, simulate
+from repro.sim.faults import FaultConfig, FaultSimResult, simulate_with_faults
+from repro.sim.logicsim import SimConfig, SimResult, simulate
 from repro.sim.workload import Workload, random_workload, spawn_seeds
 
 __all__ = [
@@ -56,6 +56,43 @@ class CircuitSample:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    @classmethod
+    def from_sim(
+        cls, result: SimResult, workload: Workload, keep_sim: bool
+    ) -> "CircuitSample":
+        """Section III-A sample: transition + logic probabilities.
+
+        ``keep_sim=True`` stashes ``result`` under ``extras["sim"]`` (the
+        Grannite fine-tune consumes it); lean samples hold only the graph
+        and the label arrays.
+        """
+        return cls(
+            graph=CircuitGraph(result.netlist),
+            workload=workload,
+            target_tr=result.transition_prob,
+            target_lg=result.logic_prob,
+            name=result.netlist.name,
+            extras={"sim": result} if keep_sim else {},
+        )
+
+    @classmethod
+    def from_faults(
+        cls, result: FaultSimResult, workload: Workload, keep_sim: bool
+    ) -> "CircuitSample":
+        """Section V-B1 sample: ``target_tr`` is the 2-d error-probability
+        vector; ``target_lg`` keeps the fault-free logic probability as the
+        auxiliary task, read off the lockstep golden run (one simulation
+        per circuit, not two).  ``keep_sim`` stashes ``extras["faults"]``.
+        """
+        return cls(
+            graph=CircuitGraph(result.netlist),
+            workload=workload,
+            target_tr=result.error_prob,
+            target_lg=result.golden_logic_prob,
+            name=result.netlist.name,
+            extras={"faults": result} if keep_sim else {},
+        )
+
 
 def dataset_workloads(
     circuits: list[Netlist], seed: int, workloads: list[Workload] | None = None
@@ -86,25 +123,14 @@ def build_dataset(
 ) -> list[CircuitSample]:
     """Simulate one (given or random) workload per circuit; label all nodes.
 
-    ``keep_sim=True`` stashes the full :class:`SimResult` under
-    ``extras["sim"]`` (the Grannite fine-tune consumes it); pass ``False``
-    for lean samples that hold only graphs and label arrays.
+    The serial reference :meth:`repro.data.DataFactory.build` is verified
+    bitwise against; see :meth:`CircuitSample.from_sim` for ``keep_sim``.
     """
     sim_config = sim_config or SimConfig()
-    samples: list[CircuitSample] = []
-    for nl, wl in zip(circuits, dataset_workloads(circuits, seed, workloads)):
-        result = simulate(nl, wl, sim_config)
-        samples.append(
-            CircuitSample(
-                graph=CircuitGraph(nl),
-                workload=wl,
-                target_tr=result.transition_prob,
-                target_lg=result.logic_prob,
-                name=nl.name,
-                extras={"sim": result} if keep_sim else {},
-            )
-        )
-    return samples
+    return [
+        CircuitSample.from_sim(simulate(nl, wl, sim_config), wl, keep_sim)
+        for nl, wl in zip(circuits, dataset_workloads(circuits, seed, workloads))
+    ]
 
 
 def build_reliability_dataset(
@@ -117,27 +143,17 @@ def build_reliability_dataset(
 ) -> list[CircuitSample]:
     """Label nodes with 0→1 / 1→0 *error* probabilities (fault injection).
 
-    ``target_tr`` carries the 2-d error-probability vector the paper
-    fine-tunes on; ``target_lg`` keeps the fault-free logic probability as
-    the auxiliary task — read off the lockstep golden run inside
-    :func:`simulate_with_faults` (one simulation per circuit, not two).
+    The serial reference of :meth:`repro.data.DataFactory.build_reliability`;
+    see :meth:`CircuitSample.from_faults` for the targets.
     """
     sim_config = sim_config or SimConfig()
     fault_config = fault_config or FaultConfig()
-    samples: list[CircuitSample] = []
-    for nl, wl in zip(circuits, dataset_workloads(circuits, seed, workloads)):
-        fault_res = simulate_with_faults(nl, wl, sim_config, fault_config)
-        samples.append(
-            CircuitSample(
-                graph=CircuitGraph(nl),
-                workload=wl,
-                target_tr=fault_res.error_prob,
-                target_lg=fault_res.golden_logic_prob,
-                name=nl.name,
-                extras={"faults": fault_res} if keep_sim else {},
-            )
+    return [
+        CircuitSample.from_faults(
+            simulate_with_faults(nl, wl, sim_config, fault_config), wl, keep_sim
         )
-    return samples
+        for nl, wl in zip(circuits, dataset_workloads(circuits, seed, workloads))
+    ]
 
 
 def merge_samples(samples: list[CircuitSample], name: str = "batch") -> CircuitSample:

@@ -22,11 +22,7 @@ from repro.models.base import RecurrentDagGnn
 from repro.sim.faults import FaultConfig
 from repro.sim.logicsim import SimConfig
 from repro.sim.workload import Workload, testbench_workload
-from repro.train.dataset import (
-    CircuitSample,
-    build_dataset,
-    build_reliability_dataset,
-)
+from repro.train.dataset import CircuitSample
 from repro.train.trainer import TrainConfig, Trainer
 
 __all__ = [
@@ -90,37 +86,14 @@ def workload_suite(
     ]
 
 
-def _build(
-    factory,
-    circuits: list[Netlist],
-    sim_config: SimConfig,
-    seed: int,
-    workloads: list[Workload] | None = None,
-    keep_sim: bool = False,
-    fault_config: FaultConfig | None = None,
-) -> list[CircuitSample]:
-    """Factory-backed dataset build, serial when no factory is given.
-
-    ``fault_config`` switches to the reliability (fault-injection) builder.
-    """
-    if fault_config is not None:
-        if factory is not None:
-            return factory.build_reliability(
-                circuits, sim_config, fault_config, seed=seed,
-                workloads=workloads, keep_sim=keep_sim,
-            )
-        return build_reliability_dataset(
-            circuits, sim_config=sim_config, fault_config=fault_config,
-            seed=seed, workloads=workloads, keep_sim=keep_sim,
-        )
+def _label_factory(factory):
+    """``factory=None`` means a fresh in-process, memory-cached factory."""
     if factory is not None:
-        return factory.build(
-            circuits, sim_config, seed=seed, workloads=workloads, keep_sim=keep_sim
-        )
-    return build_dataset(
-        circuits, sim_config=sim_config, seed=seed, workloads=workloads,
-        keep_sim=keep_sim,
-    )
+        return factory
+    # Deferred: repro.data.factory builds on repro.train.dataset.
+    from repro.data.factory import DataFactory
+
+    return DataFactory(workers=0)
 
 
 def finetune_on_workloads(
@@ -135,15 +108,16 @@ def finetune_on_workloads(
     model is updated in place.  ``factory`` (a
     :class:`repro.data.DataFactory`) parallelizes and caches the label
     simulations — with 1,000 workloads per design (paper scale) this is
-    the dominant fine-tuning setup cost.
+    the dominant fine-tuning setup cost.  ``None`` labels through a fresh
+    in-process ``DataFactory(workers=0)``: same labels, no pool, nothing
+    kept after the call (all three fine-tunes share this default).
     """
     config = config or FinetuneConfig()
     workloads = workload_suite(
         nl, config.num_workloads, config.seed, config.workload_activity
     )
-    dataset = _build(
-        factory, [nl] * len(workloads), config.sim, config.seed,
-        workloads=workloads,
+    dataset = _label_factory(factory).build(
+        [nl] * len(workloads), config.sim, workloads=workloads
     )
     trainer = Trainer(config.train_config())
     trainer.train(model, dataset)
@@ -175,9 +149,8 @@ def finetune_grannite(
     )
     # Grannite's source-activity inputs read ``extras["sim"]``, so this is
     # the one fine-tune that keeps full SimResults on its samples.
-    dataset = _build(
-        factory, [nl] * len(workloads), config.sim, config.seed,
-        workloads=workloads, keep_sim=True,
+    dataset = _label_factory(factory).build(
+        [nl] * len(workloads), config.sim, workloads=workloads, keep_sim=True
     )
     opt = Adam(model.parameters(), lr=config.lr)
     rng = np.random.default_rng(config.seed)
@@ -213,9 +186,8 @@ def finetune_for_reliability(
     import numpy as np
 
     config = config or FinetuneConfig()
-    dataset = _build(
-        factory, circuits, config.sim, config.seed,
-        fault_config=fault_config or FaultConfig(),
+    dataset = _label_factory(factory).build_reliability(
+        circuits, config.sim, fault_config, seed=config.seed
     )
     for sample in dataset:
         sample.target_tr = np.clip(

@@ -35,11 +35,7 @@ from repro.runtime.ddp import (
     LocalGradExecutor,
     reduce_gradients,
 )
-from repro.runtime.trainstep import (
-    PackedBatch,
-    minibatch_membership,
-    pack_samples,
-)
+from repro.runtime.trainstep import minibatch_membership, pack_samples
 from repro.sim.workload import spawn_seeds
 from repro.train.dataset import CircuitSample
 from repro.train.metrics import EvalMetrics, avg_prediction_error
@@ -332,17 +328,6 @@ class Trainer:
         finally:
             executor.close()
         return history
-
-    def _make_batches(
-        self, dataset: Sequence[CircuitSample], rng: np.random.Generator
-    ) -> list[PackedBatch]:
-        """Randomized membership partition into packed minibatches."""
-        return [
-            pack_samples([dataset[i] for i in members])
-            for members in minibatch_membership(
-                len(dataset), self.config.batch_size, rng
-            )
-        ]
 
 
 def evaluate(

@@ -24,6 +24,16 @@ from repro.circuit.netlist import Netlist
 from repro.sim.workload import random_workload
 
 
+def packed_minibatches(dataset, batch_size, rng=None):
+    """Membership partition + per-group packing, composed as the trainer does."""
+    from repro.runtime.trainstep import minibatch_membership, pack_samples
+
+    return [
+        pack_samples([dataset[i] for i in members])
+        for members in minibatch_membership(len(dataset), batch_size, rng)
+    ]
+
+
 def perturb_parameters(module, seed: int = 0, scale: float = 0.1):
     """Move every parameter of ``module`` off its initial value, in place.
 

@@ -14,6 +14,21 @@ WL = Workload(np.array([0.25, 0.75]), name="w", seed=7)
 SIM = SimConfig(cycles=40, streams=64, seed=1)
 
 
+def _bitflip(data: bytes) -> bytes:
+    flipped = bytearray(data)
+    flipped[len(flipped) // 2] ^= 0x10  # lands in array data: CRC mismatch
+    return bytes(flipped)
+
+
+#: Ways an on-disk entry goes bad, as ``good bytes -> bad bytes``.
+CORRUPTIONS = {
+    "garbage": lambda data: b"not an npz",
+    "truncated": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+    "bitflipped": _bitflip,
+}
+
+
 class TestLabelKey:
     def test_deterministic(self):
         assert label_key("sim", FP, WL, SIM) == label_key("sim", FP, WL, SIM)
@@ -124,15 +139,20 @@ class TestDiskTier:
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
 
-    def test_corrupt_entry_treated_as_miss(self, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+    def test_corrupt_entry_treated_as_miss(self, tmp_path, damage):
         cache = LabelCache(cache_dir=tmp_path)
         key = label_key("sim", FP, WL, SIM)
-        cache.put(key, {"v": np.asarray(1)})
+        value = {"v": np.arange(64.0)}
+        cache.put(key, value)
         path = tmp_path / key[:2] / f"{key}.npz"
-        path.write_bytes(b"not an npz")
+        path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
         fresh = LabelCache(cache_dir=tmp_path)
         assert fresh.get(key) is None
         assert fresh.stats.misses == 1
+        fresh.put(key, value)  # atomically replaces the bad file
+        reread = LabelCache(cache_dir=tmp_path).get(key)
+        assert np.array_equal(reread["v"], value["v"])
 
     def test_memory_only_cache_reports_zero_disk(self):
         assert LabelCache().disk_entries() == 0

@@ -13,6 +13,7 @@ from repro.circuit.benchmarks import family_subcircuits
 from repro.data import DataFactory, FactoryConfig, get_factory, set_factory
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, simulate
+from repro.sim.pack import sim_pack_cache_info
 from repro.sim.workload import random_workload
 from repro.train.dataset import build_dataset, build_reliability_dataset
 
@@ -209,6 +210,64 @@ class TestPackedScheduling:
             assert_bitwise(a, b)
 
 
+class TestOneSchedulingLoop:
+    """Every (workers, pack_size, kind) cell runs the same loop over the
+    same job; only group size and where the job runs differ."""
+
+    @staticmethod
+    def build(factory, kind, nls, wls):
+        if kind == "sim":
+            return factory.build(nls, SIM, workloads=wls)
+        return factory.build_reliability(nls, SIM, FAULT, workloads=wls)
+
+    @pytest.mark.parametrize("kind", ["sim", "fault"])
+    @pytest.mark.parametrize("pack_size", [1, 3, 8])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_partially_warm_batch_matches_serial_reference(
+        self, circuits, workers, pack_size, kind
+    ):
+        batch = [circuits[0], circuits[1], circuits[0], circuits[2], circuits[1]]
+        wls = [random_workload(nl, 100 + i) for i, nl in enumerate(batch)]
+        # Positions 0 and 2 are one digest (same netlist, same workload).
+        wls[2] = wls[0]
+        if kind == "sim":
+            reference = build_dataset(batch, SIM, workloads=wls)
+        else:
+            reference = build_reliability_dataset(batch, SIM, FAULT, workloads=wls)
+        factory = DataFactory(FactoryConfig(workers=workers, pack_size=pack_size))
+        self.build(factory, kind, batch[1:2], wls[1:2])  # warm 1 of 4 digests
+        assert factory.stats.puts == 1
+        built = self.build(factory, kind, batch, wls)
+        assert factory.stats.puts == 4, "one put per unique miss"
+        for a, b in zip(reference, built):
+            assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("kind", ["sim", "fault"])
+    def test_group_of_one_stays_off_the_pack_lru(self, circuits, kind):
+        factory = DataFactory(FactoryConfig(workers=0, pack_size=1))
+        before = sim_pack_cache_info()
+        self.build(factory, kind, circuits, None)
+        assert factory.stats.puts == len(circuits)
+        assert sim_pack_cache_info() == before
+
+
+class TestCorruptDiskEntry:
+    def test_build_recovers_and_rewrites_entry(self, circuits, reference, tmp_path):
+        DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path)).build(
+            circuits, SIM, seed=0
+        )
+        victim = sorted(tmp_path.glob("*/*.npz"))[0]
+        victim.write_bytes(victim.read_bytes()[:100])  # truncated zip
+        fresh = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
+        built = fresh.build(circuits, SIM, seed=0)
+        for a, b in zip(reference, built):
+            assert_bitwise(a, b)
+        assert (fresh.stats.misses, fresh.stats.puts) == (1, 1)
+        again = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
+        again.build(circuits, SIM, seed=0)
+        assert again.stats.disk_hits == len(circuits), "entry reloads cleanly"
+
+
 class TestForkSafety:
     """The simulation pool must use an explicit safe start method.
 
@@ -271,15 +330,6 @@ class TestDefaultFactory:
             assert factory is get_factory(), "singleton"
             assert factory.config.resolve_workers() == 0
             assert str(factory.cache.cache_dir) == str(tmp_path / "cache")
-        finally:
-            set_factory(None)
-
-    def test_pack_env_configuration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATA_WORKERS", "0")
-        monkeypatch.setenv("REPRO_DATA_PACK", "3")
-        set_factory(None)
-        try:
-            assert get_factory().config.pack_size == 3
         finally:
             set_factory(None)
 

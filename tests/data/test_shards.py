@@ -96,10 +96,10 @@ class TestStreaming:
         assert reader[0].name == dataset[0].name
 
     def test_feeds_packed_minibatches(self, dataset, written):
-        from repro.runtime.trainstep import make_minibatches
+        from tests.conftest import packed_minibatches
 
         reader = ShardReader(written)
-        batches = make_minibatches(reader, batch_size=2)
+        batches = packed_minibatches(reader, batch_size=2)
         assert sum(b.num_members for b in batches) == len(dataset)
 
     def test_trains_a_model(self, written):

@@ -1,4 +1,4 @@
-"""Packed training minibatches: pack_samples / make_minibatches / train_step."""
+"""Packed training minibatches: pack_samples / minibatch_membership / train_step."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from repro.models.registry import make_model
 from repro.nn.optim import Adam
 from repro.runtime.pack import clear_pack_cache
 from repro.runtime.plan import clear_plan_cache
-from repro.runtime.trainstep import make_minibatches, pack_samples, train_step
+from repro.runtime.trainstep import pack_samples, train_step
 
-from tests.conftest import build_sample
+from tests.conftest import build_sample, packed_minibatches
 
 CFG = ModelConfig(hidden=8, iterations=2, seed=0)
 
@@ -66,7 +66,7 @@ class TestPackSamples:
 
 class TestMakeMinibatches:
     def test_partition_covers_dataset(self, samples):
-        batches = make_minibatches(samples, 2, np.random.default_rng(0))
+        batches = packed_minibatches(samples, 2, np.random.default_rng(0))
         assert sum(b.num_members for b in batches) == len(samples)
         assert sum(b.num_nodes for b in batches) == sum(
             s.num_nodes for s in samples
@@ -76,8 +76,8 @@ class TestMakeMinibatches:
         assert names == sorted(s.name for s in samples)
 
     def test_rng_shuffles_membership(self, samples):
-        a = make_minibatches(samples, 2, np.random.default_rng(1))
-        b = make_minibatches(samples, 2, None)
+        a = packed_minibatches(samples, 2, np.random.default_rng(1))
+        b = packed_minibatches(samples, 2, None)
         assert [x.names for x in b] == [("s0", "s1"), ("s2", "s3"), ("s4",)]
         assert [x.names for x in a] != [x.names for x in b]
 

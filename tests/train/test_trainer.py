@@ -8,7 +8,7 @@ from repro.models.registry import make_model
 from repro.train.metrics import EvalMetrics, avg_prediction_error
 from repro.train.trainer import TrainConfig, Trainer, evaluate
 
-from tests.conftest import build_dataset_cached
+from tests.conftest import build_dataset_cached, packed_minibatches
 
 CFG = ModelConfig(hidden=12, iterations=2, seed=0)
 
@@ -60,16 +60,14 @@ class TestTrainer:
             Trainer().train(model, [])
 
     def test_batching_merges_circuits(self, dataset):
-        trainer = Trainer(TrainConfig(batch_size=2, seed=0))
-        batches = trainer._make_batches(dataset, np.random.default_rng(0))
+        batches = packed_minibatches(dataset, 2, np.random.default_rng(0))
         assert len(batches) == 2
         assert sum(b.num_nodes for b in batches) == sum(
             s.num_nodes for s in dataset
         )
 
     def test_batch_size_one_keeps_samples(self, dataset):
-        trainer = Trainer(TrainConfig(batch_size=1))
-        batches = trainer._make_batches(dataset, np.random.default_rng(0))
+        batches = packed_minibatches(dataset, 1, np.random.default_rng(0))
         assert len(batches) == len(dataset)
 
     def test_loss_weights(self, dataset):
