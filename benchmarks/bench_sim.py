@@ -113,9 +113,11 @@ def main() -> None:
         help="members per packed scenario (0 skips packed scenarios)",
     )
     parser.add_argument(
-        "--packed-min-speedup", type=float, default=1.3,
+        "--packed-min-speedup", type=float, default=1.0,
         help="fail when a packed fault-sim speedup over sequential "
-        "one-member runs falls below this factor (0 disables)",
+        "one-member runs falls below this factor (0 disables; since the "
+        "lockstep pass halved the per-level overhead packing saves, the "
+        "bar is that packing never loses)",
     )
     parser.add_argument("--json", default=None)
     args = parser.parse_args()

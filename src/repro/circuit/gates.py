@@ -12,7 +12,7 @@ boolean evaluation of every gate.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,15 @@ __all__ = [
     "one_hot",
     "eval_gate",
     "eval_gate_into",
+    "gate_kernel",
+    "GateKernel",
     "gate_truth_table",
 ]
+
+
+#: An in-place gate evaluation: ``kernel(inputs, out)`` reads the stacked
+#: ``(arity, m, words)`` fanins and writes the ``(m, words)`` result.
+GateKernel = Callable[[np.ndarray, np.ndarray], None]
 
 
 class GateType(enum.Enum):
@@ -132,94 +139,62 @@ def eval_gate(gate_type: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
     bitwise operators used here are meaningful for both.  DFFs and PIs are
     not functions of their fanins within a cycle and are rejected.
     """
-    n = len(inputs)
-    if gate_type is GateType.AND:
-        _require_min(gate_type, n, 2)
-        return _reduce_and(inputs)
+    if gate_type not in _KERNELS or FANIN_ARITY[gate_type] == 0:
+        raise ValueError(f"{gate_type} is not combinationally evaluable")
+    _check_arity(gate_type, len(inputs))
     if gate_type is GateType.NOT:
-        _require_exact(gate_type, n, 1)
         return ~inputs[0]
     if gate_type is GateType.BUF:
-        _require_exact(gate_type, n, 1)
         return inputs[0].copy()
-    if gate_type is GateType.OR:
-        _require_min(gate_type, n, 2)
-        return _reduce_or(inputs)
-    if gate_type is GateType.NAND:
-        _require_min(gate_type, n, 2)
-        return ~_reduce_and(inputs)
-    if gate_type is GateType.NOR:
-        _require_min(gate_type, n, 2)
-        return ~_reduce_or(inputs)
-    if gate_type is GateType.XOR:
-        _require_min(gate_type, n, 2)
-        return _reduce_xor(inputs)
-    if gate_type is GateType.XNOR:
-        _require_min(gate_type, n, 2)
-        return ~_reduce_xor(inputs)
     if gate_type is GateType.MUX:
         # MUX(sel, a, b) = a when sel=0 else b.
-        _require_exact(gate_type, n, 3)
         sel, a, b = inputs
         return (a & ~sel) | (b & sel)
-    raise ValueError(f"{gate_type} is not combinationally evaluable")
+    ufunc, inverted = _KERNELS[gate_type]
+    out = inputs[0].copy()
+    for arr in inputs[1:]:
+        ufunc(out, arr, out=out)
+    return ~out if inverted else out
 
 
-def eval_gate_into(
-    gate_type: GateType, inputs: np.ndarray, out: np.ndarray
-) -> None:
-    """Allocation-free :func:`eval_gate`: write the result into ``out``.
+def gate_kernel(gate_type: GateType, arity: int) -> GateKernel:
+    """The allocation-free :func:`eval_gate` of one gate kind and arity.
 
-    ``inputs`` is the stacked fanin array ``(arity, m, words)`` (a plan's
-    gather buffer); ``out`` is a preallocated ``(m, words)`` buffer.  The
-    contents of ``inputs`` may be clobbered (MUX reuses a fanin row as
-    scratch), which is safe because gather buffers are refilled before
-    every evaluation.  Results are bitwise-identical to :func:`eval_gate`;
-    unlike it, the constant gates are accepted here so the fault-injection
-    path can re-materialize and flip them in place each cycle.
+    Returns ``kernel(inputs, out)``: ``inputs`` is the stacked fanin array
+    ``(arity, m, words)`` (a plan's gather buffer), ``out`` a preallocated
+    ``(m, words)`` buffer the result is written into.  ``inputs`` may be
+    clobbered (MUX reuses a fanin row as scratch), which is safe because
+    gather buffers are refilled before every evaluation.  Results are
+    bitwise-identical to :func:`eval_gate`; unlike it, the constant gates
+    are served too, so the fault path can re-materialize and flip them.
+
+    The arity is checked here, once: a :class:`repro.sim.logicsim.SimPlan`
+    binds the kernel per chunk at build time, so the cycle loop neither
+    dispatches nor validates.
     """
-    n = inputs.shape[0]
-    if gate_type is GateType.AND:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_and, inputs, out)
-    elif gate_type is GateType.NOT:
-        _require_exact(gate_type, n, 1)
-        np.invert(inputs[0], out=out)
-    elif gate_type is GateType.BUF:
-        _require_exact(gate_type, n, 1)
-        np.copyto(out, inputs[0])
-    elif gate_type is GateType.OR:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_or, inputs, out)
-    elif gate_type is GateType.NAND:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_and, inputs, out)
-        np.invert(out, out=out)
-    elif gate_type is GateType.NOR:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_or, inputs, out)
-        np.invert(out, out=out)
-    elif gate_type is GateType.XOR:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_xor, inputs, out)
-    elif gate_type is GateType.XNOR:
-        _require_min(gate_type, n, 2)
-        _reduce_into(np.bitwise_xor, inputs, out)
-        np.invert(out, out=out)
-    elif gate_type is GateType.MUX:
-        # MUX(sel, a, b) = a when sel=0 else b.
-        _require_exact(gate_type, n, 3)
-        sel, a, b = inputs
-        np.invert(sel, out=out)
-        np.bitwise_and(out, a, out=out)
-        np.bitwise_and(b, sel, out=inputs[0])
-        np.bitwise_or(out, inputs[0], out=out)
-    elif gate_type is GateType.CONST0:
-        out.fill(0)
-    elif gate_type is GateType.CONST1:
-        out.fill(np.iinfo(out.dtype).max if out.dtype.kind == "u" else True)
-    else:
+    if gate_type not in _KERNELS:
         raise ValueError(f"{gate_type} is not combinationally evaluable")
+    _check_arity(gate_type, arity)
+    kernel = _KERNELS[gate_type]
+    if not isinstance(kernel, tuple):
+        return kernel
+    ufunc, inverted = kernel
+    binary = arity == 2
+
+    def reduce_into(inputs: np.ndarray, out: np.ndarray) -> None:
+        if binary:
+            ufunc(inputs[0], inputs[1], out)
+        else:
+            ufunc.reduce(inputs, axis=0, out=out)
+        if inverted:
+            np.invert(out, out)
+
+    return reduce_into
+
+
+def eval_gate_into(gate_type: GateType, inputs: np.ndarray, out: np.ndarray) -> None:
+    """One call through :func:`gate_kernel` for ``inputs.shape[0]`` fanins."""
+    gate_kernel(gate_type, inputs.shape[0])(inputs, out)
 
 
 def gate_truth_table(gate_type: GateType, arity: int) -> np.ndarray:
@@ -230,55 +205,63 @@ def gate_truth_table(gate_type: GateType, arity: int) -> np.ndarray:
     bit.  Used by the Grannite baseline's truth-table-derived node features
     and by tests that cross-check :func:`eval_gate`.
     """
-    expected = FANIN_ARITY[gate_type]
-    if expected == 0:
+    if FANIN_ARITY[gate_type] == 0:
         if gate_type is GateType.CONST0:
             return np.zeros(1, dtype=bool)
         if gate_type is GateType.CONST1:
             return np.ones(1, dtype=bool)
         raise ValueError(f"{gate_type} has no truth table")
-    if expected is not None and arity != expected:
-        raise ValueError(f"{gate_type} requires arity {expected}, got {arity}")
-    if expected is None and arity < 2:
-        raise ValueError(f"{gate_type} requires arity >= 2, got {arity}")
     rows = np.arange(2**arity, dtype=np.uint32)
     columns = [((rows >> k) & 1).astype(bool) for k in range(arity)]
     return eval_gate(gate_type, columns)
 
 
-def _reduce_into(ufunc: np.ufunc, inputs: np.ndarray, out: np.ndarray) -> None:
-    if inputs.shape[0] == 2:
-        ufunc(inputs[0], inputs[1], out=out)
-    else:
-        ufunc.reduce(inputs, axis=0, out=out)
+def _not_into(inputs: np.ndarray, out: np.ndarray) -> None:
+    np.invert(inputs[0], out)
 
 
-def _reduce_and(inputs: Sequence[np.ndarray]) -> np.ndarray:
-    out = inputs[0].copy()
-    for arr in inputs[1:]:
-        out &= arr
-    return out
+def _buf_into(inputs: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, inputs[0])
 
 
-def _reduce_or(inputs: Sequence[np.ndarray]) -> np.ndarray:
-    out = inputs[0].copy()
-    for arr in inputs[1:]:
-        out |= arr
-    return out
+def _mux_into(inputs: np.ndarray, out: np.ndarray) -> None:
+    sel, a, b = inputs
+    np.invert(sel, out)
+    np.bitwise_and(out, a, out)
+    np.bitwise_and(b, sel, sel)
+    np.bitwise_or(out, sel, out)
 
 
-def _reduce_xor(inputs: Sequence[np.ndarray]) -> np.ndarray:
-    out = inputs[0].copy()
-    for arr in inputs[1:]:
-        out ^= arr
-    return out
+def _const0_into(inputs: np.ndarray, out: np.ndarray) -> None:
+    out.fill(0)
 
 
-def _require_exact(gate_type: GateType, n: int, expected: int) -> None:
-    if n != expected:
+def _const1_into(inputs: np.ndarray, out: np.ndarray) -> None:
+    out.fill(np.iinfo(out.dtype).max if out.dtype.kind == "u" else True)
+
+
+#: The one dispatch table of gate semantics: per evaluable gate kind its
+#: in-place kernel or, for the n-ary reducing gates, ``(ufunc, inverted)``.
+_KERNELS: dict[GateType, "GateKernel | tuple[np.ufunc, bool]"] = {
+    GateType.AND: (np.bitwise_and, False),
+    GateType.OR: (np.bitwise_or, False),
+    GateType.NAND: (np.bitwise_and, True),
+    GateType.NOR: (np.bitwise_or, True),
+    GateType.XOR: (np.bitwise_xor, False),
+    GateType.XNOR: (np.bitwise_xor, True),
+    GateType.NOT: _not_into,
+    GateType.BUF: _buf_into,
+    GateType.MUX: _mux_into,
+    GateType.CONST0: _const0_into,
+    GateType.CONST1: _const1_into,
+}
+
+
+def _check_arity(gate_type: GateType, n: int) -> None:
+    """Reject a fanin count :data:`FANIN_ARITY` does not allow."""
+    expected = FANIN_ARITY[gate_type]
+    if expected is None:
+        if n < 2:
+            raise ValueError(f"{gate_type} requires >= 2 fanins, got {n}")
+    elif n != expected:
         raise ValueError(f"{gate_type} requires {expected} fanin(s), got {n}")
-
-
-def _require_min(gate_type: GateType, n: int, minimum: int) -> None:
-    if n < minimum:
-        raise ValueError(f"{gate_type} requires >= {minimum} fanins, got {n}")

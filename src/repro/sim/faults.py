@@ -11,9 +11,11 @@ each cycle, and record per node the conditional error probabilities
 Circuit *reliability* is summarized as the probability that all primary
 outputs are correct, estimated over all observed (cycle, stream) samples.
 
-Both simulators run in lockstep sharing a single :class:`PatternSource`
+Both machines run in lockstep sharing a single :class:`PatternSource`
 replay, so stimulus is identical bit-for-bit; only the injected flips (and
-their propagation through logic and flip-flop state) differ.
+their propagation through logic and flip-flop state) differ.  The block
+executor runs them as the two halves of one doubled word axis; the
+two-simulator loop at the bottom of this module is the reference.
 """
 
 from __future__ import annotations
@@ -129,11 +131,11 @@ class _FaultInjector:
     equals ``fault_rate`` exactly (for rates up to 0.5, the ``k = 1``
     ceiling :class:`FaultConfig` enforces).
 
-    This is the reference oracle: one scalar choice draw, then ``k``
-    sequential ``(m, words)`` draws, per (cycle, group).  The block
-    executor draws the same stream in bulk
-    (:class:`repro.sim.pack._PackedInjector`) and is pinned bitwise
-    against this class.
+    This is the reference oracle, used by the per-cycle engine only: one
+    scalar choice draw, then ``k`` sequential ``(m, words)`` draws, per
+    (cycle, group).  The block executor draws the same stream in bulk
+    and applies only the non-zero masks
+    (:class:`repro.sim.pack._PackedInjector`), pinned bitwise to this.
     """
 
     def __init__(self, rate: float, words: int, rng: np.random.Generator):
@@ -227,13 +229,14 @@ def simulate_with_faults(
     :func:`repro.sim.logicsim.simulate`); ``replay_seed`` overrides it.
 
     ``engine="block"`` (default; ``"partitioned"`` is a deprecated alias)
-    runs both machines through the block executor as the one-member case
-    of :func:`repro.sim.pack.simulate_with_faults_packed`; ``"cycle"`` is
+    runs both machines in one block-executor pass over a doubled word
+    axis, as the one-member case of
+    :func:`repro.sim.pack.simulate_with_faults_packed`; ``"cycle"`` is
     the per-cycle reference loop.  Stimulus draws, episode resets and
     fault draws consume their generators in identical order under both
-    (the injector only draws inside faulty steps, whose cycle order is
-    unchanged), so results are float64-bitwise-identical and cached fault
-    labels keep their digests.  ``budget`` bounds plan buffers
+    (only the faulty machine draws, in unchanged cycle order), so
+    results are float64-bitwise-identical and cached fault labels keep
+    their digests.  ``budget`` bounds the doubled plan's buffers
     (:class:`~repro.memory.MemoryBudget`) without affecting results.
     """
     sim_config = sim_config or SimConfig()

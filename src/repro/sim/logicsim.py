@@ -24,13 +24,15 @@ One executor and one reference share these semantics:
 * the **block executor** (:class:`SimPlan` + :meth:`Simulator.run_block`,
   driven by :meth:`Simulator.run`) — the only gate-evaluation loop that
   produces labels.  Stimulus is pregenerated in blocks, every evaluation
-  group runs through precomputed chunks of gather/output views with
-  in-place ufuncs, and statistics reduce once per block over a
+  group runs through precomputed chunks of gather/output views and a gate
+  kernel bound at plan time, and statistics reduce once per block over a
   value-history buffer.  A :class:`~repro.memory.MemoryBudget` only
   changes how the plan is cut (chunks carved from one shared arena, a
   shallower history); :func:`simulate` is the one-member case of
   :func:`repro.sim.pack.simulate_packed`, so single circuits, packs and
-  budgeted large designs all run the same loop;
+  budgeted large designs all run the same loop — fault labelling once
+  over a doubled word axis, golden machine in the low words, faulty in
+  the high words (:func:`repro.sim.pack.simulate_with_faults_packed`);
 * the **per-cycle reference** (:meth:`Simulator.step` /
   :meth:`Simulator.latch`, ``simulate(engine="cycle")``) — the original
   loop, kept as the oracle whose value traces the golden-hash tests
@@ -45,11 +47,11 @@ label-cache digests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType, eval_gate, eval_gate_into
+from repro.circuit.gates import GateKernel, GateType, eval_gate, gate_kernel
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
@@ -170,17 +172,15 @@ class _Chunk(NamedTuple):
     gates of one group, with the views it gathers into and evaluates
     through."""
 
-    gate_type: GateType
+    kernel: GateKernel  # gate_kernel(type, arity): checked at plan time
     flat: np.ndarray  # (arity * m,) fanin ids, row-major over fanin rows
     gather: np.ndarray  # (arity * m, words): one np.take fills all rows
     in_buf: np.ndarray  # the same memory viewed (arity, m, words)
     out: np.ndarray  # (m, words)
     rows: np.ndarray  # (m,) node ids the outputs are scattered to
-    #: The whole group's node list on the group's first chunk — where the
-    #: fault hook draws the group's mask — ``None`` on its later chunks.
-    group: np.ndarray | None
-    #: This chunk's gates within the group; ``None`` when it is the whole
-    #: group (the hot loop then skips slicing the mask).
+    op: int  # index of the chunk's group in ``compiled.ops``
+    #: This chunk's gates within the group — its rows of the group's flip
+    #: mask; ``None`` when the chunk is the whole group.
     sl: slice | None
 
 
@@ -192,7 +192,8 @@ class SimPlan:
     popcount.  A plan hoists all of that out of the loop: per
     :class:`_LevelOp` a list of *chunks*, each a stacked ``(arity, m,
     words)`` gather view and an ``(m, words)`` output view with their
-    flat fanin ids precomputed; a ``(block_cycles, nodes, words)``
+    flat fanin ids precomputed and gate kernel bound (a bad arity fails
+    here, not in the cycle loop); a ``(block_cycles, nodes, words)``
     value-history buffer that statistics are reduced over once per
     *block*; and the DFF next-state staging buffer.  Building a plan
     never touches values — execution through a plan is bitwise-identical
@@ -209,7 +210,9 @@ class SimPlan:
     it the plan is **streamed**: groups are cut into chunks of gates whose
     views are carved from one shared arena of ``plan_bytes`` (never less
     than one gate of the widest group).  Within a level no gate reads
-    another's output, so chunking cannot change a bit.
+    another's output, so chunking cannot change a bit.  (The lockstep
+    fault run builds one plan over ``2 * W`` words, so one budget bounds
+    both machines together.)
     """
 
     def __init__(
@@ -224,7 +227,6 @@ class SimPlan:
             raise ValueError("block_cycles must be >= 1")
         self.compiled = compiled
         self.words = words
-        self.budget = budget
         bytes_per_cycle = max(1, compiled.num_nodes * words * 8)
         cap = max(1, max_block_bytes // bytes_per_cycle)
         want = DEFAULT_BLOCK_CYCLES if block_cycles is None else block_cycles
@@ -254,8 +256,9 @@ class SimPlan:
             self._buffers.append(np.empty(arena_rows * words, dtype=np.uint64))
         #: One :class:`_Chunk` per step of a cycle, in evaluation order.
         self.entries: list[_Chunk] = []
-        for r, op in zip(rows, compiled.ops):
+        for index, (r, op) in enumerate(zip(rows, compiled.ops)):
             arity, m = op.fanins.shape
+            kernel = gate_kernel(op.gate_type, arity)
             if self.streamed:
                 buf = self._buffers[0]
                 step = min(m, arena_rows // r)
@@ -269,42 +272,29 @@ class SimPlan:
                 gather = buf[: arity * mm * words].reshape(arity * mm, words)
                 self.entries.append(
                     _Chunk(
-                        gate_type=op.gate_type,
+                        kernel=kernel,
                         flat=np.ascontiguousarray(op.fanins[:, sl]).reshape(-1),
                         gather=gather,
                         in_buf=gather.reshape(arity, mm, words),
                         out=buf[gather.size : r * mm * words].reshape(mm, words),
                         rows=op.nodes[sl],
-                        group=op.nodes if lo == 0 else None,
+                        op=index,
                         sl=None if mm == m else sl,
                     )
                 )
         # Constants never change: the fault-free path scatters them once
         # per run and skips their entries in the cycle loop entirely.
         self.dyn_entries = [e for e in self.entries if e.flat.size]
-        const_rows: list[np.ndarray] = []
-        const_fill: list[np.ndarray] = []
-        for op in compiled.ops:
-            if op.fanins.shape[0] == 0:
-                const_rows.append(op.nodes)
-                fill = (
-                    np.uint64(0xFFFFFFFFFFFFFFFF)
-                    if op.gate_type is GateType.CONST1
-                    else np.uint64(0)
-                )
-                const_fill.append(
-                    np.full((op.nodes.size, words), fill, dtype=np.uint64)
-                )
-        self._const_nodes = (
-            np.concatenate(const_rows)
-            if const_rows
-            else np.empty(0, dtype=np.int64)
+        consts = [op for op in compiled.ops if op.fanins.shape[0] == 0]
+        self._const_nodes = np.concatenate(
+            [op.nodes for op in consts] + [np.empty(0, dtype=np.int64)]
         )
-        self._const_vals = (
-            np.concatenate(const_fill, axis=0)
-            if const_fill
-            else np.empty((0, words), dtype=np.uint64)
-        )
+        self._const_vals = np.empty((self._const_nodes.size, words), np.uint64)
+        done = 0
+        for op in consts:
+            fill = self._const_vals[done : done + op.nodes.size]
+            gate_kernel(op.gate_type, 0)(None, fill)
+            done += op.nodes.size
 
     def scatter_consts(self, values: np.ndarray) -> None:
         """Write the constant gates' fixed outputs into a value array."""
@@ -424,8 +414,7 @@ class Simulator:
         plan: SimPlan,
         *,
         history: np.ndarray | None = None,
-        fault_hook: FaultHook | None = None,
-        start_cycle: int = 0,
+        flips: Sequence[Mapping[int, np.ndarray]] | None = None,
     ) -> np.ndarray:
         """Advance ``len(pi_block)`` clock cycles through ``plan`` buffers.
 
@@ -434,11 +423,17 @@ class Simulator:
         ``history[b]`` when a history array is given; latching happens
         internally, so do not interleave with :meth:`step`/:meth:`latch`.
         Value sequences are bitwise-identical to per-cycle stepping: the
-        only differences are preallocated buffers (``np.take`` + in-place
-        ufuncs via :func:`repro.circuit.gates.eval_gate_into`) and the
-        constant gates being scattered once instead of re-evaluated — or,
-        under a ``fault_hook``, re-materialized in the loop so their flip
-        masks are drawn exactly like the per-cycle engine's.
+        only differences are preallocated buffers (``np.take`` + the
+        chunk's plan-bound in-place kernel) and the constant gates being
+        scattered once instead of re-evaluated.
+
+        ``flips`` makes the pass the golden/faulty lockstep: the word axis
+        is two machines side by side (the caller writes stimulus and reset
+        state to both halves) and ``flips[b]`` maps the index of every
+        group with a non-zero flip mask in block cycle ``b`` to that
+        ``(m, words // 2)`` mask, XOR-ed into the high (faulty) half of the
+        group's fresh outputs; other groups cost nothing.  Constants are
+        then re-materialized every cycle, so a flipped one lasts a cycle.
         """
         if plan.compiled is not self.compiled or plan.words != self.words:
             raise ValueError("plan was built for a different simulator")
@@ -452,28 +447,26 @@ class Simulator:
         state_buf = plan.state_buf
         has_pis = pi_ids.size > 0
         has_dffs = dff_ids.size > 0
-        if fault_hook is None:
+        if flips is None:
             plan.scatter_consts(vals)
             entries = plan.dyn_entries
         else:
             entries = plan.entries
+        half = self.words // 2
+        hit: Mapping[int, np.ndarray] = {}
         for b in range(len(pi_block)):
             if has_pis:
                 vals[pi_ids] = pi_block[b]
-            for gate_type, flat, gather, in_buf, out, rows, group, sl in entries:
-                if flat.size:
-                    vals.take(flat, 0, gather, "clip")
-                eval_gate_into(gate_type, in_buf, out)
-                if fault_hook is not None:
-                    # One hook call per (cycle, group) over the group's
-                    # full node list — the per-cycle engine's draw order —
-                    # however the group is chunked; each chunk takes its
-                    # slice of the mask.
-                    if group is not None:
-                        mask = fault_hook(start_cycle + b, group)
-                    np.bitwise_xor(
-                        out, mask if sl is None else mask[sl], out=out
-                    )
+            if flips is not None:
+                hit = flips[b]
+            for kernel, flat, gather, in_buf, out, rows, op, sl in entries:
+                vals.take(flat, 0, gather, "clip")
+                kernel(in_buf, out)
+                if op in hit:
+                    # However the group is chunked, each chunk takes its
+                    # rows of the group's mask.
+                    mask = hit[op]
+                    out[:, half:] ^= mask if sl is None else mask[sl]
                 vals[rows] = out
             if history is not None:
                 history[b] = vals
@@ -489,12 +482,10 @@ class Simulator:
         counter: "ActivityCounter | None" = None,
         *,
         warmup: int = 0,
-        fault_hook: FaultHook | None = None,
         plan: SimPlan | None = None,
         block_cycles: int | None = None,
         budget: MemoryBudget | None = None,
         observers: "list | None" = None,
-        start_cycle: int = 0,
     ) -> "ActivityCounter | None":
         """Block-stepped execution of ``warmup + cycles`` clock cycles.
 
@@ -544,13 +535,7 @@ class Simulator:
             has_sinks = counter is not None or observers
             observing = has_sinks and lo < b
             hist = plan.history[:b] if observing else None
-            self.run_block(
-                block,
-                plan,
-                history=hist,
-                fault_hook=fault_hook,
-                start_cycle=start_cycle + done,
-            )
+            self.run_block(block, plan, history=hist)
             if observing:
                 if counter is not None:
                     counter.observe_block(hist[lo:])

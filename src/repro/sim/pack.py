@@ -16,8 +16,8 @@ at once, and the block engine's history/:meth:`ActivityCounter
 buffers.  Packed plans live in a bounded LRU keyed by the tuple of member
 content hashes, exactly like the runtime's pack cache.
 
-This module also *is* the block executor's driver: the run and lockstep
-loops below are the only ones, and :func:`~repro.sim.logicsim.simulate` /
+This module also *is* the block executor's driver: the run loop and the
+lockstep pass below are the only ones, and :func:`~repro.sim.logicsim.simulate` /
 :func:`~repro.sim.faults.simulate_with_faults` call them with a
 one-member pack (built uncached, so the pack LRU never sees it).
 
@@ -29,11 +29,13 @@ per-cycle reference runs (``engine="cycle"``):
   exactly the per-circuit order;
 * random DFF initialization draws per member from a fresh generator,
   exactly as each member's own reset would;
-* fault injection runs golden/faulty lockstep *per member* inside the
-  shared sweep: each member has its own fault generator whose masks
-  equal those a reference :class:`~repro.sim.faults._FaultInjector`
-  draws per (cycle, member-group) in the member's own compiled-op
-  order, scattered into a union-wide flip buffer the sweep XORs in;
+* fault injection is one lockstep pass: golden and faulty machine share
+  the sweep over a doubled word axis (``values`` is ``(N, 2W)``, low
+  words golden, high words faulty).  Each member has its own fault
+  generator whose masks equal those a reference
+  :class:`~repro.sim.faults._FaultInjector` draws per (cycle,
+  member-group) in the member's own compiled-op order, scattered into a
+  union-wide flip buffer; the sweep XORs only the non-zero ones in;
 * all statistics accumulators are integers, so reducing them over the
   union and slicing per member cannot change a single count.
 
@@ -45,6 +47,7 @@ never enters :func:`~repro.data.cache.label_key`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +57,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.lru import FingerprintLRU
 from repro.memory import MemoryBudget
-from repro.sim.bitvec import popcount_int64
+from repro.sim.bitvec import WORD_BITS, popcount_int64, words_for
 from repro.sim.faults import (
     FaultConfig,
     FaultSimResult,
@@ -289,7 +292,7 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class _PackedInjector:
-    """Per-member fault streams drawn in bulk behind one union flip hook.
+    """Per-member fault streams drawn in bulk, served as sparse flips.
 
     Bitwise contract: each member's masks equal those a standalone
     :class:`_FaultInjector` would draw per (cycle, group) in the member's
@@ -303,19 +306,23 @@ class _PackedInjector:
       64-bit PCG64 outputs, one per element, in stream order, and
       consecutive calls split the stream exactly like one larger call;
     * scalar ``Generator.random()`` consumes one raw output ``u`` and
-      returns ``(u >> 11) * 2**-53``.
+      returns ``(u >> 11) * 2**-53`` — so ``random() < w_lo`` is exactly
+      the integer test ``(u >> 11) < ceil(w_lo * 2**53)``.
 
     The injector's whole draw sequence is therefore one contiguous
     raw-word stream per member, pulled here in multi-cycle chunks (one
-    worst-case-sized ``integers`` call each) and carved by slicing: per
+    worst-case-sized ``integers`` call each) and carved by indexing: per
     group, one choice word selects ``k``; the next ``k*m*words`` raw
     words AND-reduce into the group's mask.  After parsing, the
     generator is rewound (``advance`` by the negative unused tail) to
     the exact state the standalone injector would hold, so the next
-    chunk stays stream-aligned.  Hook cycles arrive in nondecreasing
-    order (the block loop never skips a cycle), so chunks are contiguous
-    and every member's stream is consumed in exactly the standalone
-    order.
+    chunk stays stream-aligned.  Cycles are requested in nondecreasing
+    order (the block loop never skips one), so chunks are contiguous and
+    every member's stream is consumed in exactly the standalone order.
+
+    At the paper's rates almost every mask is all-zero, so beside the
+    dense ``flips`` chunk each prepared cycle gets a mapping *union group
+    index -> mask* of its non-zero masks only (:meth:`block`).
     """
 
     def __init__(
@@ -326,7 +333,6 @@ class _PackedInjector:
         total_cycles: int,
         budget: MemoryBudget | None = None,
     ) -> None:
-        self.packed = packed
         self.words = words
         self.total_cycles = total_cycles
         proto = _FaultInjector(
@@ -335,88 +341,92 @@ class _PackedInjector:
             np.random.default_rng(fault_config.seed),
         )
         self.k_lo = proto.k_lo
-        if self.k_lo is not None:
+        drawing = self.k_lo is not None
+        if drawing:
             self.k_hi = proto.k_hi
-            self.w_lo = proto.w_lo
+            #: ``rng.random() < w_lo`` on the raw word, in integers.
+            self.lo_threshold = math.ceil(proto.w_lo * 2.0**53)
         self.rngs = [
             np.random.default_rng(fault_config.seed) for _ in packed.members
         ]
-        # Per member: (union scatter rows, group size) in compiled-op
-        # order, plus the worst-case raw words one cycle can consume.
-        self.member_groups = [
-            [
-                (rows, op.nodes.size)
-                for op, rows in zip(member.ops, targets)
-            ]
-            for member, targets in zip(packed.members, packed.shifted_ops)
-        ]
-        if self.k_lo is None:
-            self.max_per_cycle = [0] * packed.num_members
-        else:
-            self.max_per_cycle = [
-                len(groups) + self.k_hi * sum(m for _, m in groups) * words
-                for groups in self.member_groups
-            ]
+        #: Per member: the worst-case raw words one cycle can consume.
+        self.max_per_cycle: list[int] = []
+        # Per member, over its groups in compiled-op order: the raw words
+        # of one mask draw per group, the union scatter rows, and per mask
+        # *word* its group (``expand``), its offset past the group's
+        # choice word (``within``) and the stride to the same word of the
+        # next of the group's ``k`` draws.
+        self.member_index = []
+        peak_words = 0  # largest member's raw draw + assembly rows, per cycle
+        for member, targets in zip(packed.members, packed.shifted_ops):
+            sizes = np.array(
+                [op.nodes.size * words for op in member.ops], dtype=np.int64
+            )
+            rows = np.concatenate(targets + (np.empty(0, dtype=np.int64),))
+            expand = np.repeat(np.arange(sizes.size), sizes)
+            within = np.arange(expand.size) - (np.cumsum(sizes) - sizes)[expand]
+            self.member_index.append(
+                (sizes.tolist(), rows, expand, within + 1, sizes[expand])
+            )
+            raw = sizes.size + self.k_hi * expand.size if drawing else 0
+            self.max_per_cycle.append(raw)
+            peak_words = max(peak_words, raw + 3 * expand.size)
+        self.group_nodes = [op.nodes for op in packed.compiled.ops]
+        self.group_of = np.zeros(packed.num_nodes, dtype=np.int64)
+        for g, nodes in enumerate(self.group_nodes):
+            self.group_of[nodes] = g
         # One prepared cycle keeps alive its row of the union flip buffer
         # and, while _prepare parses a member, that member's raw draw —
         # ``k_hi`` (18 at the paper's rate) times the member's flip rows,
-        # so on a large member it, not the flip buffer, sets the chunk.
-        # (The per-group mask gather is bounded by the raw draw too.)
+        # so on a large member it, not the flip buffer, sets the chunk —
+        # plus the index, accumulator and gather rows of the assembly.
         cap = _CHUNK_BYTES_CAP
         if budget is not None and budget.history_bytes is not None:
             cap = min(cap, budget.history_bytes)
-        per_cycle_bytes = 8 * (
-            packed.num_nodes * words + max(self.max_per_cycle)
-        )
-        self.chunk_cycles = max(1, min(128, cap // max(per_cycle_bytes, 1)))
-        alloc = np.zeros if self.k_lo is None else np.empty
-        self.flips = alloc(
+        per_cycle_bytes = 8 * (packed.num_nodes * words + peak_words)
+        self.chunk_cycles = max(1, min(128, cap // per_cycle_bytes))
+        # Zeroed once: rows of PIs and DFFs are never written, so "any
+        # bit set" over a cycle's rows is exactly its non-zero masks.
+        self.flips = np.zeros(
             (self.chunk_cycles, packed.num_nodes, words), dtype=np.uint64
         )
+        self.hits: list[dict[int, np.ndarray]] = []
         self.base = 0
         self.end = 0
 
     def _prepare(self, start: int) -> None:
         """Draw and parse flip masks for the next chunk of cycles.
 
-        Two passes per member: a scalar walk over the raw buffer records
-        each (cycle, group) mask's ``k`` choice and start offset — the
-        only sequentially-dependent part — then one gather + AND-reduce +
-        scatter per group builds every cycle's mask of that group at
-        once.  The walk consumes raw words in exactly the standalone
-        draw order; the vectorized pass only rearranges already-drawn
-        words, so it cannot move a bit.
+        Per member, a scalar walk over the raw buffer (Python ints through
+        a ``memoryview``) records where each (cycle, group) mask's choice
+        word sits — the only sequentially-dependent part — then ``k_hi``
+        gathers AND-accumulate every mask of the chunk at once.  The walk
+        consumes raw words in exactly the standalone draw order; the
+        vectorized pass only rearranges already-drawn words, so it cannot
+        move a bit.
         """
         ncyc = min(self.chunk_cycles, max(self.total_cycles - start, 1))
         self.base = start
         self.end = start + ncyc
+        self.hits = [{} for _ in range(ncyc)]
         if self.k_lo is None:
             return  # flips stay all-zero; nothing is ever drawn
         flips = self.flips
-        words = self.words
-        k_lo, k_hi, w_lo = self.k_lo, self.k_hi, self.w_lo
-        scale = 2.0**-53
-        and_reduce = np.bitwise_and.reduce
-        for rng, groups, max_pc in zip(
-            self.rngs, self.member_groups, self.max_per_cycle
+        k_lo, k_hi, threshold = self.k_lo, self.k_hi, self.lo_threshold
+        for rng, (sizes, rows, expand, within, stride), max_pc in zip(
+            self.rngs, self.member_index, self.max_per_cycle
         ):
-            buf = rng.integers(
-                0, 2**64, size=ncyc * max_pc, dtype=np.uint64
-            )
-            ngroups = len(groups)
-            lo = np.empty((ncyc, ngroups), dtype=bool)
-            starts = np.empty((ncyc, ngroups), dtype=np.int64)
-            sizes = [m * words for _, m in groups]
+            if not sizes:
+                continue  # a member without gates draws nothing
+            buf = rng.integers(0, 2**64, size=ncyc * max_pc, dtype=np.uint64)
+            raw = memoryview(buf)
+            steps = [(1 + k_lo * mw, 1 + k_hi * mw) for mw in sizes]
+            choice: list[int] = []
             pos = 0
-            for ci in range(ncyc):
-                for g, mw in enumerate(sizes):
-                    # Same double a scalar rng.random() would surface
-                    # from this raw word, same threshold, same k mix.
-                    is_lo = (int(buf[pos]) >> 11) * scale < w_lo
-                    lo[ci, g] = is_lo
-                    pos += 1
-                    starts[ci, g] = pos
-                    pos += (k_lo if is_lo else k_hi) * mw
+            for _ in range(ncyc):
+                for lo_step, hi_step in steps:
+                    choice.append(pos)
+                    pos += lo_step if (raw[pos] >> 11) < threshold else hi_step
             # Rewind the generator past the unused tail: the next chunk
             # must draw from exactly the state the standalone injector
             # would have reached.  PCG64 steps once per 64-bit output and
@@ -425,22 +435,41 @@ class _PackedInjector:
             # but harmless.)
             if pos != buf.size:
                 rng.bit_generator.advance(pos - buf.size)
-            span = np.arange(k_hi * max(sizes, default=1))
-            for g, (rows, m) in enumerate(groups):
-                # Every cycle's mask of this group at once: gather k_hi
-                # words per mask, and where the walk chose k_lo — so the
-                # last word already belongs to the next draw — replace it
-                # by the AND identity.  The worst-case-sized buffer always
-                # holds k_hi words past any mask's start.
-                segs = buf[starts[:, g, None] + span[: k_hi * m * words]]
-                segs = segs.reshape(ncyc, k_hi, m, words)
-                segs[lo[:, g], k_lo] = _ALL_ONES
-                flips[:ncyc, rows] = and_reduce(segs, axis=1)
+            at = np.asarray(choice, dtype=np.int64).reshape(ncyc, len(sizes))
+            chose_lo = (buf[at] >> np.uint64(11)) < np.uint64(threshold)
+            idx = at[:, expand]
+            idx += within
+            acc = buf.take(idx)
+            word = np.empty_like(acc)
+            for _ in range(k_lo - 1):
+                idx += stride
+                buf.take(idx, out=word, mode="clip")
+                acc &= word
+            # The k_hi-th word: where the walk chose k_lo it already
+            # belongs to the next draw, so it becomes the AND identity.
+            # (The worst-case-sized buffer always holds k_hi words past
+            # any mask's choice word.)
+            idx += stride
+            buf.take(idx, out=word, mode="clip")
+            word[chose_lo[:, expand]] = _ALL_ONES
+            acc &= word
+            flips[:ncyc, rows] = acc.reshape(ncyc, rows.size, self.words)
+        cyc, node = np.nonzero(flips[:ncyc].any(axis=2))
+        ngroups = len(self.group_nodes)
+        for key in np.unique(cyc * ngroups + self.group_of[node]).tolist():
+            c, g = divmod(key, ngroups)
+            self.hits[c][g] = flips[c, self.group_nodes[g]]
 
-    def hook(self, cycle: int, nodes: np.ndarray) -> np.ndarray:
-        while cycle >= self.end:
-            self._prepare(self.end if self.end else cycle)
-        return self.flips[cycle - self.base][nodes]
+    def block(self, start: int, cycles: int) -> list[dict[int, np.ndarray]]:
+        """Sparse flips of cycles ``[start, start + cycles)``: per cycle,
+        union group index -> the group's ``(m, words)`` mask, non-zero
+        masks only (copies, so they outlive the chunk they came from)."""
+        out = []
+        for cycle in range(start, start + cycles):
+            while cycle >= self.end:
+                self._prepare(self.end)
+            out.append(self.hits[cycle - self.base])
+        return out
 
 
 def _check_pack_inputs(
@@ -480,24 +509,29 @@ def _make_sources(
 
 
 def _reset_members(
-    sim: Simulator, packed: PackedSimPlan, init_state: str, seed: int
+    sim: Simulator,
+    packed: PackedSimPlan,
+    init_state: str,
+    seed: int,
+    machines: int = 1,
 ) -> None:
     """Per-member reset: each member draws from its own fresh generator.
 
     Bitwise-equivalent to each member's own :meth:`Simulator.reset` —
     members share the config seed, so every member's generator starts
     from the same state, but its draw covers only that member's DFFs.
+    When the word axis holds ``machines`` machines side by side (the
+    lockstep fault run), every machine starts from the same draw.
     """
-    sim.values[:] = 0
-    sim._pending_state = None
+    sim.reset()
     if init_state == "random":
         for member, off in zip(packed.members, packed.offsets):
             dffs = member.dff_ids
             if dffs.size:
                 rng = np.random.default_rng(seed)
-                sim.values[dffs + np.int64(off)] = rng.integers(
-                    0, 2**64, size=(dffs.size, sim.words), dtype=np.uint64
-                )
+                shape = (dffs.size, sim.words // machines)
+                state = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+                sim.values[dffs + np.int64(off)] = np.tile(state, machines)
     elif init_state != "zero":
         raise ValueError(f"unknown init_state {init_state!r}")
 
@@ -563,66 +597,57 @@ def _run_packed_faults(
     block_cycles: int | None,
     budget: MemoryBudget | None = None,
 ) -> list[FaultSimResult]:
-    """The block executor's golden/faulty lockstep loop over >= 1 members.
+    """The block executor's golden/faulty lockstep pass over >= 1 members.
 
-    Per episode both machines reset (per member), then per block the
-    golden machine runs hook-free and the faulty machine replays the same
-    stacked stimulus with per-member injector masks XOR-ed in — the
-    injector draws per (cycle, group) in exactly the per-cycle engine's
-    order because golden steps never draw.  Per-node error counts reduce
-    over the union history; PO-mismatch reliability reduces per member
-    over that member's PO rows.  All accumulators are integers, so block
-    summation is arithmetically identical to per-cycle summation.
+    One simulator, one plan: ``values`` is ``(N, 2W)``, low ``W`` words
+    the golden machine and high ``W`` the faulty one, so every gather,
+    kernel and scatter serves both (and a ``budget`` bounds both once).
+    Per episode both halves reset to the same per-member state, per block
+    both get the same stacked stimulus, and the injector's masks — drawn
+    per (cycle, group) in exactly the per-cycle engine's order — are
+    XOR-ed into the faulty half where non-zero.  Per-node error counts
+    reduce over the two halves of the union history; PO-mismatch
+    reliability reduces per member over that member's PO rows.  All
+    accumulators are integers, so block summation is arithmetically
+    identical to per-cycle summation.
     """
     _check_pack_inputs(packed, workloads)
-    golden = Simulator(packed.compiled, streams=sim_config.streams)
-    faulty = Simulator(packed.compiled, streams=sim_config.streams)
+    words = words_for(sim_config.streams)
+    streams = words * WORD_BITS
+    sim = Simulator(packed.compiled, streams=2 * streams)
+    plan = SimPlan(packed.compiled, sim.words, block_cycles, budget=budget)
     schedule = _episode_schedule(sim_config, fault_config)
     total_cycles = sum(sim_config.warmup + observe for observe in schedule)
-    injector = _PackedInjector(
-        packed, fault_config, golden.words, total_cycles, budget
-    )
-    source = _make_sources(
-        packed, workloads, sim_config.streams, replay_seeds
-    )
-    plan_g = SimPlan(packed.compiled, golden.words, block_cycles, budget=budget)
-    plan_f = SimPlan(packed.compiled, golden.words, block_cycles, budget=budget)
+    injector = _PackedInjector(packed, fault_config, words, total_cycles, budget)
+    source = _make_sources(packed, workloads, sim_config.streams, replay_seeds)
     counts = np.zeros((4, packed.num_nodes), dtype=np.int64)
     obs0, obs1, e01, e10 = counts
     stats = [
         _FaultStats(member.netlist, pos, counts[:, packed.member_slice(k)])
         for k, (member, pos) in enumerate(zip(packed.members, packed.po_ids))
     ]
-    streams = golden.streams
     cycle = 0
     for episode, observe in enumerate(schedule):
         # Pattern boundary: both machines restart from the reset state,
         # every member from its own fresh generator.
         _reset_members(
-            golden, packed, sim_config.init_state, sim_config.seed + episode
-        )
-        _reset_members(
-            faulty, packed, sim_config.init_state, sim_config.seed + episode
+            sim, packed, sim_config.init_state, sim_config.seed + episode, 2
         )
         total = sim_config.warmup + observe
         done = 0
         while done < total:
-            b = min(plan_g.block_cycles, total - done)
-            block = source.next_block(b)
-            gh = plan_g.history[:b]
-            fh = plan_f.history[:b]
-            golden.run_block(block, plan_g, history=gh, start_cycle=cycle)
-            faulty.run_block(
-                block,
-                plan_f,
-                history=fh,
-                fault_hook=injector.hook,
-                start_cycle=cycle,
+            b = min(plan.block_cycles, total - done)
+            history = plan.history[:b]
+            sim.run_block(
+                np.tile(source.next_block(b), 2),
+                plan,
+                history=history,
+                flips=injector.block(cycle, b),
             )
             lo = max(sim_config.warmup - done, 0)
             if lo < b:
-                g = gh[lo:]
-                f = fh[lo:]
+                g = history[lo:, :, :words]
+                f = history[lo:, :, words:]
                 samples = g.shape[0] * streams
                 ones = popcount_int64(g, axis=2).sum(axis=0)
                 obs1 += ones

@@ -7,6 +7,8 @@ rates, constants under injection.  Hypothesis drives the sweeps so new
 engine work keeps being fuzzed against the pinned reference.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,19 +18,29 @@ from repro.circuit.gates import (
     GateType,
     eval_gate,
     eval_gate_into,
+    gate_kernel,
 )
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
+from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
-from repro.sim.faults import FaultConfig, _FaultInjector, simulate_with_faults
+from repro.sim.bitvec import words_for
+from repro.sim.faults import (
+    FaultConfig,
+    _episode_schedule,
+    _FaultInjector,
+    simulate_with_faults,
+)
 from repro.sim.logicsim import (
     ActivityCounter,
+    CompiledCircuit,
     SimConfig,
     SimPlan,
     Simulator,
+    _LevelOp,
     compile_netlist,
     simulate,
 )
-from repro.sim.pack import _PackedInjector, pack_circuits
+from repro.sim.pack import _PackedInjector, _run_packed_faults, pack_circuits
 from repro.sim.workload import PatternSource, Workload, random_workload
 
 from tests.sim._engines import gate_zoo_netlist, zoo_workload
@@ -104,6 +116,56 @@ class TestGateKernels:
             eval_gate_into(GateType.AND, one, out)
         with pytest.raises(ValueError):
             eval_gate_into(GateType.PI, one, out)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gate_type", list(GateType))
+    def test_kernel_table_every_kind_and_arity(self, gate_type, arity):
+        """One table behind both entry points: a valid (kind, arity) gives
+        ``eval_gate``'s bits, an invalid one the same ``ValueError`` text
+        from ``gate_kernel`` and ``eval_gate_into`` (and from ``eval_gate``
+        wherever it knows the gate)."""
+        rng = np.random.default_rng(arity)
+        inputs = rng.integers(0, 2**64, size=(arity, 5, 2), dtype=np.uint64)
+        out = np.empty((5, 2), dtype=np.uint64)
+        expected = FANIN_ARITY[gate_type]
+        evaluable = gate_type not in (GateType.PI, GateType.DFF)
+        valid = evaluable and (arity >= 2 if expected is None else arity == expected)
+        if valid:
+            gate_kernel(gate_type, arity)(inputs.copy(), out)
+            assert np.array_equal(out, eval_gate(gate_type, list(inputs)))
+            return
+        with pytest.raises(ValueError) as via_table:
+            gate_kernel(gate_type, arity)
+        with pytest.raises(ValueError) as via_into:
+            eval_gate_into(gate_type, inputs, out)
+        assert str(via_table.value) == str(via_into.value)
+        if not evaluable:
+            assert "not combinationally evaluable" in str(via_table.value)
+        elif expected != 0:  # eval_gate rejects constants outright
+            with pytest.raises(ValueError) as via_eval:
+                eval_gate(gate_type, list(inputs))
+            assert str(via_table.value) == str(via_eval.value)
+
+    def test_bad_arity_fails_at_plan_construction(self):
+        """The cycle loop never validates: a group whose fanin count its
+        gate does not allow is refused when the plan binds its kernel."""
+        nodes = np.array([1], dtype=np.int64)
+        compiled = CompiledCircuit(
+            netlist=None,
+            num_nodes=2,
+            ops=[_LevelOp(GateType.AND, nodes, np.zeros((1, 1), dtype=np.int64))],
+            pi_ids=np.array([0], dtype=np.int64),
+            dff_ids=np.empty(0, dtype=np.int64),
+            dff_src=np.empty(0, dtype=np.int64),
+            comb_ids=nodes,
+        )
+        out = np.empty((1, 1), dtype=np.uint64)
+        with pytest.raises(ValueError) as via_into:
+            eval_gate_into(GateType.AND, np.zeros((1, 1, 1), dtype=np.uint64), out)
+        with pytest.raises(ValueError) as via_plan:
+            SimPlan(compiled, 1)
+        assert str(via_plan.value) == str(via_into.value)
+        assert "requires >= 2 fanins, got 1" in str(via_plan.value)
 
 
 class TestFaultFreeDifferential:
@@ -213,10 +275,196 @@ class TestFaultDifferential:
         assert not one_cycle_chunks or bulk.chunk_cycles == 1
         ref = _FaultInjector(rate, words, np.random.default_rng(seed))
         for cycle in range(12):
-            for op in packed.compiled.ops:
+            (hits,) = bulk.block(cycle, 1)
+            for g, op in enumerate(packed.compiled.ops):
+                want = ref.mask(cycle, op.nodes)
+                # The sparse index holds exactly the non-zero masks.
+                assert (g in hits) == bool(want.any())
+                if g in hits:
+                    assert np.array_equal(want, hits[g])
+
+
+def latch_only_netlist() -> Netlist:
+    """A member without a single combinational gate: PI -> DFF -> PO."""
+    nl = Netlist("latch")
+    a = nl.add_pi("a")
+    d = nl.add_dff(a, "d")
+    nl.add_po(d)
+    nl.validate()
+    return nl
+
+
+def lockstep_members(k: int, seed: int):
+    """``k`` heterogeneous (netlist, workload) members: a random one, then
+    the gate zoo (both constants drive logic), then the latch-only one."""
+    nl = random_sequential_netlist(
+        GeneratorConfig(n_pis=4, n_dffs=3, n_gates=25), seed=seed
+    )
+    members = [
+        (nl, random_workload(nl, seed=seed + 7)),
+        (gate_zoo_netlist(), zoo_workload(seed=seed + 1)),
+        (latch_only_netlist(), Workload(np.array([0.4]), seed=seed + 2)),
+    ]
+    return members[:k]
+
+
+def golden_reference_trace(nl, wl, cfg, fc):
+    """Fault-free settled values of every lockstep cycle, from the
+    per-cycle reference: per episode a reset, one continuing stimulus."""
+    sim = Simulator(nl, streams=cfg.streams)
+    source = PatternSource(wl, streams=cfg.streams)
+    trace = []
+    cycle = 0
+    for episode, observe in enumerate(_episode_schedule(cfg, fc)):
+        sim.reset(cfg.init_state, np.random.default_rng(cfg.seed + episode))
+        for _ in range(cfg.warmup + observe):
+            trace.append(sim.step(source.next_cycle(), cycle).copy())
+            sim.latch()
+            cycle += 1
+    return np.stack(trace)
+
+
+#: Per-cycle flip rates of the lockstep sweeps: none, the paper's
+#: effective rate, a dense one, and the injector's k = 1 ceiling.
+LOCKSTEP_RATES = [0.0, 5e-6, 1e-3, 0.5]
+
+
+class TestLockstepExecutor:
+    """The fault path as one pass over a doubled word axis: bitwise equal
+    to the per-cycle two-machine oracle, golden half equal to a fault-free
+    run, flips applied exactly where the injector's index says."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        streams=st.sampled_from([64, 128, 200]),
+        init_state=st.sampled_from(["zero", "random"]),
+        rate=st.sampled_from(LOCKSTEP_RATES),
+        cycles=st.integers(2, 40),
+        episode_cycles=st.sampled_from([2, 7, 16]),
+        warmup=st.integers(0, 4),
+        block_cycles=st.sampled_from([1, 3, None]),
+        one_byte_budget=st.booleans(),
+        members=st.sampled_from([1, 3]),
+    )
+    def test_property_lockstep_equals_cycle_oracle(
+        self, seed, streams, init_state, rate, cycles, episode_cycles,
+        warmup, block_cycles, one_byte_budget, members,
+    ):
+        picked = lockstep_members(members, seed)
+        cfg = SimConfig(
+            cycles=cycles, streams=streams, warmup=warmup, seed=seed,
+            init_state=init_state,
+        )
+        fc = FaultConfig(
+            fault_rate=rate, per_pattern=False,
+            episode_cycles=episode_cycles, seed=seed + 2,
+        )
+        # One byte: a one-cycle window and gate-by-gate chunks, so every
+        # chunk must pick its own rows of its group's mask.
+        budget = (
+            MemoryBudget(plan_bytes=1, history_bytes=1)
+            if one_byte_budget
+            else None
+        )
+        packed = pack_circuits([nl for nl, _ in picked], cache=False)
+        words = words_for(streams)
+        blocks = []
+        run_block = Simulator.run_block
+
+        def spy(sim, pi_block, plan, *, history=None, flips=None):
+            assert sim.words == plan.words == 2 * words
+            assert len(flips) == len(pi_block)
+            values = run_block(sim, pi_block, plan, history=history, flips=flips)
+            blocks.append(history.copy())
+            return values
+
+        with mock.patch.object(Simulator, "run_block", spy):
+            got = _run_packed_faults(
+                packed, [wl for _, wl in picked], cfg, fc, None,
+                block_cycles, budget,
+            )
+        history = np.concatenate(blocks)
+        for k, (nl, wl) in enumerate(picked):
+            ref = simulate_with_faults(nl, wl, cfg, fc, engine="cycle")
+            assert_fault_results_equal(ref, got[k])
+            rows = packed.member_slice(k)
+            assert np.array_equal(
+                history[:, rows, :words], golden_reference_trace(nl, wl, cfg, fc)
+            )
+            if rate == 0.0:
                 assert np.array_equal(
-                    ref.mask(cycle, op.nodes), bulk.hook(cycle, op.nodes)
+                    history[:, rows, :words], history[:, rows, words:]
                 )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        rate=st.sampled_from(LOCKSTEP_RATES),
+        words=st.sampled_from([1, 2, 4]),
+        one_cycle_chunks=st.booleans(),
+        members=st.sampled_from([1, 3]),
+    )
+    def test_property_sparse_index_is_exactly_the_nonzero_masks(
+        self, seed, rate, words, one_cycle_chunks, members
+    ):
+        packed = pack_circuits(
+            [nl for nl, _ in lockstep_members(members, seed)], cache=False
+        )
+        config = FaultConfig(fault_rate=rate, per_pattern=False, seed=seed)
+        budget = MemoryBudget(history_bytes=1) if one_cycle_chunks else None
+        cycles = 9
+        bulk = _PackedInjector(packed, config, words, cycles, budget)
+        ops = packed.compiled.ops
+        for cycle, hits in enumerate(bulk.block(0, cycles)):
+            if not bulk.base <= cycle < bulk.end:
+                continue  # an earlier chunk: its dense buffer is reused
+            dense = bulk.flips[cycle - bulk.base]
+            assert set(hits) == {
+                g for g, op in enumerate(ops) if dense[op.nodes].any()
+            }
+            for g, mask in hits.items():
+                assert np.array_equal(mask, dense[ops[g].nodes])
+        # Nothing but gate outputs is ever flipped.
+        gates = np.zeros(packed.num_nodes, dtype=bool)
+        gates[packed.compiled.comb_ids] = True
+        assert not bulk.flips[:, ~gates].any()
+
+    def test_rate_zero_draws_nothing(self):
+        packed = pack_circuits(
+            [nl for nl, _ in lockstep_members(3, 0)], cache=False
+        )
+        config = FaultConfig(fault_rate=0.0, seed=9)
+        bulk = _PackedInjector(packed, config, 2, 12)
+        assert bulk.block(0, 12) == [{}] * 12
+        assert not bulk.flips.any()
+        fresh = np.random.default_rng(config.seed).bit_generator.state
+        assert all(rng.bit_generator.state == fresh for rng in bulk.rngs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rate=st.sampled_from(
+            [r for r in LOCKSTEP_RATES if r] + [5e-4, 0.02, 0.3, 6.25e-5]
+        ),
+        offset=st.sampled_from([-1, 0, 1]),
+        low_bits=st.integers(0, 2**11 - 1),
+        anywhere=st.integers(0, 2**64 - 1),
+    )
+    def test_property_integer_threshold_is_the_float_comparison(
+        self, rate, offset, low_bits, anywhere
+    ):
+        """``rng.random() < w_lo`` on the double a raw word surfaces as
+        (``(u >> 11) * 2**-53``, pinned in ``test_packed_engine``) equals
+        the injector's integer test — checked on the words straddling the
+        threshold and on arbitrary ones."""
+        packed = pack_circuits([gate_zoo_netlist()], cache=False)
+        config = FaultConfig(fault_rate=rate, per_pattern=False)
+        bulk = _PackedInjector(packed, config, 1, 1)
+        w_lo = _FaultInjector(rate, 1, np.random.default_rng(0)).w_lo
+        top = min(max(bulk.lo_threshold + offset, 0), 2**53 - 1)
+        for u in ((top << 11) | low_bits, anywhere):
+            as_float = (u >> 11) * 2.0**-53 < w_lo
+            assert ((u >> 11) < bulk.lo_threshold) == as_float
 
 
 class TestActivityCounterBlocks:

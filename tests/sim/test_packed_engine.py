@@ -256,9 +256,9 @@ class TestInjectorStreamAlignment:
         got = np.zeros((cycles, packed.num_nodes, 1), dtype=np.uint64)
         tracemalloc.start()
         bulk = _PackedInjector(packed, config, 1, cycles)
-        for c in range(cycles):
-            for op in ops:
-                got[c, op.nodes] = bulk.hook(c, op.nodes)
+        for c, hits in enumerate(bulk.block(0, cycles)):
+            for g, mask in hits.items():
+                got[c, ops[g].nodes] = mask
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert bulk.k_hi == 18

@@ -16,6 +16,7 @@ import pytest
 
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.memory import MemoryBudget
+from repro.sim.bitvec import words_for
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, SimPlan, compile_netlist, simulate
 from repro.sim.workload import Workload
@@ -70,8 +71,8 @@ class TestStreamedSimPlan:
         assert tight.streamed and not full.streamed
         assert tight.resident_bytes() < full.resident_bytes()
         # Resident: one chunk per group, each on its own buffers.
-        assert len(full.entries) == len(compiled.ops)
-        assert all(e.group is not None for e in full.entries)
+        assert [e.op for e in full.entries] == list(range(len(compiled.ops)))
+        assert all(e.sl is None for e in full.entries)
 
     def test_one_byte_budget_means_one_gate_chunks(self, circuit):
         """The arena never drops below one gate of the widest group, so a
@@ -87,12 +88,15 @@ class TestStreamedSimPlan:
             tight.history.nbytes + tight.state_buf.nbytes + (widest + 1) * 2 * 8
         )
         entries = iter(tight.entries)
-        for op in compiled.ops:
+        for g, op in enumerate(compiled.ops):
             per_chunk = (widest + 1) // (op.fanins.shape[0] + 1)
             chunks = [next(entries) for _ in range(-(-op.nodes.size // per_chunk))]
-            # The group's node list rides on its first chunk only.
-            assert chunks[0].group is op.nodes
-            assert all(c.group is None for c in chunks[1:])
+            # Every chunk names its group and its rows of the group's mask.
+            assert all(c.op == g for c in chunks)
+            assert all(
+                np.array_equal(op.nodes[c.sl or slice(None)], c.rows)
+                for c in chunks
+            )
             assert all(c.rows.size == per_chunk for c in chunks[:-1])
             assert np.array_equal(np.concatenate([c.rows for c in chunks]), op.nodes)
         assert next(entries, None) is None
@@ -149,6 +153,52 @@ class TestPartitionedEngine:
             assert np.array_equal(ref.observed0, got.observed0)
             assert np.array_equal(ref.observed1, got.observed1)
             assert ref.reliability == got.reliability
+
+    def test_fault_run_bounds_one_doubled_plan(self, circuit, workload):
+        """Fault labelling under a budget builds one simulator and one plan
+        over the doubled word axis, so the budget bounds both machines'
+        window and arena once — plus the injector's mask chunk, which the
+        history bound caps separately.  (The budget is roomy enough that
+        the one-gate / one-cycle floors stay out of the sum; DFF staging
+        is per-state-bit storage no budget cuts.)"""
+        import repro.sim.pack as pack_mod
+
+        budget = MemoryBudget(plan_bytes=2048, history_bytes=200_000)
+        fcfg = FaultConfig(fault_rate=0.01, episode_cycles=20, seed=5)
+        built = {"sim": [], "plan": [], "injector": []}
+
+        def recording(cls, kind):
+            class Recorded(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    built[kind].append(self)
+
+            return Recorded
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pack_mod, "Simulator", recording(pack_mod.Simulator, "sim"))
+            patch.setattr(pack_mod, "SimPlan", recording(pack_mod.SimPlan, "plan"))
+            patch.setattr(
+                pack_mod,
+                "_PackedInjector",
+                recording(pack_mod._PackedInjector, "injector"),
+            )
+            got = simulate_with_faults(circuit, workload, CFG, fcfg, budget=budget)
+        (sim,), (plan,), (injector,) = built["sim"], built["plan"], built["injector"]
+        words = words_for(CFG.streams)
+        assert sim.words == plan.words == 2 * words
+        assert injector.words == words
+        assert plan.streamed and plan.block_cycles > 1 and injector.chunk_cycles > 1
+        assert plan.history.nbytes <= budget.history_bytes
+        assert injector.flips.nbytes <= budget.history_bytes
+        assert (
+            plan.resident_bytes() + injector.flips.nbytes
+            <= budget.plan_bytes + 2 * budget.history_bytes + plan.state_buf.nbytes
+        )
+        ref = simulate_with_faults(circuit, workload, CFG, fcfg, engine="cycle")
+        assert np.array_equal(ref.err01, got.err01)
+        assert np.array_equal(ref.err10, got.err10)
+        assert ref.reliability == got.reliability
 
     def test_replay_seed_honoured(self, circuit, workload):
         a = simulate(circuit, workload, CFG, engine="partitioned", replay_seed=99)
