@@ -62,24 +62,36 @@ __all__ = ["FactoryConfig", "DataFactory", "get_factory", "set_factory"]
 # worker entry points (module-level: picklable by ProcessPoolExecutor)
 # ----------------------------------------------------------------------
 
-def _sim_labels(res: SimResult) -> dict[str, np.ndarray]:
-    return {
-        "logic_prob": res.logic_prob,
-        "tr01_prob": res.tr01_prob,
-        "tr10_prob": res.tr10_prob,
-        "cycles": np.asarray(res.cycles, dtype=np.int64),
-        "streams": np.asarray(res.streams, dtype=np.int64),
-    }
+#: Per job kind, the result type and its label fields in cached-entry
+#: order (``np.savez`` writes them in dict order, so the order is part of
+#: the on-disk bytes).
+_LABEL_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "sim": (SimResult, ("logic_prob", "tr01_prob", "tr10_prob", "cycles", "streams")),
+    "fault": (
+        FaultSimResult,
+        ("err01", "err10", "reliability", "observed0", "observed1"),
+    ),
+}
+#: Scalar fields, cached as 0-d arrays of this dtype; every other field
+#: is an array cached as is.
+_SCALAR_DTYPE = {"cycles": np.int64, "streams": np.int64, "reliability": np.float64}
 
 
-def _fault_labels(res: FaultSimResult) -> dict[str, np.ndarray]:
-    return {
-        "err01": res.err01,
-        "err10": res.err10,
-        "reliability": np.asarray(res.reliability, dtype=np.float64),
-        "observed0": res.observed0,
-        "observed1": res.observed1,
-    }
+def _to_labels(kind: str, res: SimResult | FaultSimResult) -> dict[str, np.ndarray]:
+    """The cacheable label dict of one result."""
+    labels = {name: getattr(res, name) for name in _LABEL_FIELDS[kind][1]}
+    for name in labels.keys() & _SCALAR_DTYPE.keys():
+        labels[name] = np.asarray(labels[name], dtype=_SCALAR_DTYPE[name])
+    return labels
+
+
+def _from_labels(kind: str, labels: dict[str, np.ndarray], nl: Netlist):
+    """The result object a label dict was made from, bound to ``nl``."""
+    cls, names = _LABEL_FIELDS[kind]
+    fields = {name: labels[name] for name in names}
+    for name in fields.keys() & _SCALAR_DTYPE.keys():
+        fields[name] = fields[name].item()
+    return cls(netlist=nl, **fields)
 
 
 #: Worker-side netlist registry, filled by the pool initializer before any
@@ -123,35 +135,11 @@ def _label_job(
     cache = len(nls) > 1
     if kind == "sim":
         results = simulate_packed(nls, workloads, sim_config, cache=cache)
-        return [_sim_labels(r) for r in results]
-    results = simulate_with_faults_packed(
-        nls, workloads, sim_config, fault_config, cache=cache
-    )
-    return [_fault_labels(r) for r in results]
-
-
-def _labels_to_sim_result(labels: dict[str, np.ndarray], nl: Netlist) -> SimResult:
-    return SimResult(
-        logic_prob=labels["logic_prob"],
-        tr01_prob=labels["tr01_prob"],
-        tr10_prob=labels["tr10_prob"],
-        cycles=int(labels["cycles"]),
-        streams=int(labels["streams"]),
-        netlist=nl,
-    )
-
-
-def _labels_to_fault_result(
-    labels: dict[str, np.ndarray], nl: Netlist
-) -> FaultSimResult:
-    return FaultSimResult(
-        err01=labels["err01"],
-        err10=labels["err10"],
-        reliability=float(labels["reliability"]),
-        observed0=labels["observed0"],
-        observed1=labels["observed1"],
-        netlist=nl,
-    )
+    else:
+        results = simulate_with_faults_packed(
+            nls, workloads, sim_config, fault_config, cache=cache
+        )
+    return [_to_labels(kind, r) for r in results]
 
 
 @dataclass(frozen=True)
@@ -246,10 +234,7 @@ class DataFactory:
         results = self._run_many(
             "sim", circuits, workloads, sim_config or SimConfig(), None
         )
-        return [
-            _labels_to_sim_result(labels, nl)
-            for labels, nl in zip(results, circuits)
-        ]
+        return [_from_labels("sim", lb, nl) for lb, nl in zip(results, circuits)]
 
     def simulate_faults_many(
         self,
@@ -266,10 +251,7 @@ class DataFactory:
             sim_config or SimConfig(),
             fault_config or FaultConfig(),
         )
-        return [
-            _labels_to_fault_result(labels, nl)
-            for labels, nl in zip(results, circuits)
-        ]
+        return [_from_labels("fault", lb, nl) for lb, nl in zip(results, circuits)]
 
     # ------------------------------------------------------------------
     # dataset builders (drop-in for repro.train.dataset)

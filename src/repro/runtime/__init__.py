@@ -13,11 +13,14 @@ serving-oriented callers (tasks, experiments, examples, benchmarks):
 * :mod:`repro.runtime.trainstep` — packed training minibatches
   (:func:`pack_samples` / :func:`train_step`) sharing the same plan and
   pack caches as serving;
+* :mod:`repro.runtime.workers` — :class:`WorkerPool`, the one
+  worker-process runtime (spawn, ready handshake, shm ownership,
+  shutdown; :mod:`repro.runtime.mp` contexts, :mod:`repro.runtime.shm`
+  arenas) under the serving gateway and data-parallel training;
 * :mod:`repro.runtime.ddp` — deterministic data-parallel training:
-  gradient-accumulation groups sharded over worker processes
-  (:mod:`repro.runtime.mp` contexts, :mod:`repro.runtime.shm` arenas)
-  with a fixed-order pairwise-tree all-reduce, bitwise-identical at any
-  worker count.
+  gradient-accumulation groups sharded over a worker pool with a
+  fixed-order pairwise-tree all-reduce, bitwise-identical at any worker
+  count.
 
 Submodules are imported lazily so low-level modules (``repro.models``)
 can import :mod:`repro.runtime.plan` without dragging in the predictor

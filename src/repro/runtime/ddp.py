@@ -24,30 +24,27 @@ associative, so this only holds because every worker count sums the same
 numbers in the same tree; that pinned order is the whole point of this
 module.
 
-Process discipline follows the serving gateway: workers spawn through
-:func:`repro.runtime.mp.resolve_mp_context` (forkserver preferred, spawn
-fallback, never default fork), parameters broadcast through one
-coordinator-owned float64 shared-memory block rewritten once per
-optimizer step (the protocol is lock-step — workers only read between the
-coordinator's ``step`` message and their ``grads`` reply, so the rewrite
-can never race a reader), and gradient arenas are coordinator-owned so a
-dying worker cannot leak a ``/dev/shm`` entry.  A worker death aborts the
-run with a typed :class:`DdpError` — training resumes from the last
-checkpoint rather than limping on with a silently shrunken group.
+The processes are a :class:`repro.runtime.workers.WorkerPool` (spawn,
+handshake, pool-owned segments, shutdown — shared with the serving
+gateway); this module adds the ``step`` message handler and the
+coordinator's side of it.  Parameters broadcast through the pool's
+float64 parameter block, rewritten once per optimizer step (the protocol
+is lock-step — workers only read between the coordinator's ``step``
+message and their ``grads`` reply, so the rewrite can never race a
+reader).  A worker death aborts the run with a typed :class:`DdpError` —
+training resumes from the last checkpoint rather than limping on with a
+silently shrunken group.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.nn.serialize import dumps_state, loads_state
-from repro.runtime.mp import resolve_mp_context
-from repro.runtime.shm import ShmBlock, write_arrays
+from repro.runtime.shm import arena_nbytes, collect_arrays, stage_arrays
+from repro.runtime.workers import WorkerPool
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.train
     from repro.train.dataset import CircuitSample
@@ -59,10 +56,10 @@ __all__ = [
     "BatchGrads",
     "LocalGradExecutor",
     "DdpGradExecutor",
-    "ddp_worker_main",
 ]
 
-_ALIGN = 64
+#: Arena tag of a rank's gradient arena.
+GRADS = "grad"
 
 
 class DdpError(RuntimeError):
@@ -202,108 +199,58 @@ class LocalGradExecutor:
         self.close()
 
 
-@dataclass
-class DdpWorkerInit:
-    """Everything a DDP worker process needs, in picklable form.
+def make_handler(replica, param_views, arenas, payload):
+    """The ``step`` handler of one DDP rank.
 
-    Attributes:
-        model_pickle: pickled model object (structure + config).
-        state_npz: npz byte round-trip of the coordinator's parameters.
-        batch_members: per minibatch, the member samples in packing
-            order; the worker packs them locally, landing on the same
-            union plan (same member order ⇒ same structure ⇒ same cached
-            fingerprint) the coordinator would build.
-        param_block: ``(shm_name, layout)`` of the coordinator-owned
-            float64 parameter block, rewritten once per optimizer step.
-        grad_arena: shm name of this worker's gradient arena.
-        tr_weight / lg_weight: the loss weights of the run.
+    ``payload`` is ``(batch_members, tr_weight, lg_weight)``:
+    ``batch_members`` holds, per minibatch, the member samples in packing
+    order; the worker packs them locally, landing on the same union plan
+    (same member order ⇒ same structure ⇒ same cached fingerprint) the
+    coordinator would build.
     """
-
-    model_pickle: bytes
-    state_npz: bytes
-    batch_members: list
-    param_block: tuple[str, list]
-    grad_arena: str
-    tr_weight: float
-    lg_weight: float
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def ddp_worker_main(conn, init: DdpWorkerInit) -> None:
-    """Blocking worker loop; returns on ``stop`` or when the pipe closes."""
     from repro.nn.module import bump_parameter_version
     from repro.runtime.trainstep import pack_samples, train_step
 
-    replica = pickle.loads(init.model_pickle)
-    replica.load_state_dict(loads_state(init.state_npz))
+    batch_members, tr_weight, lg_weight = payload
     params = replica.parameters()
+    grad_arena = arenas[GRADS]
+    batches = [pack_samples(members) for members in batch_members]
 
-    param_block = ShmBlock.attach(init.param_block[0])
-    param_views = [
-        param_block.ndarray(off, shape, np.float64, writeable=False)
-        for off, shape in init.param_block[1]
-    ]
-    grad_arena = ShmBlock.attach(init.grad_arena)
-    batches = [pack_samples(members) for members in init.batch_members]
+    def handle(msg: tuple) -> tuple:
+        if msg[0] != "step":  # pragma: no cover - protocol bug
+            return ("err", None, f"bad op {msg[0]!r}")
+        _, step_id, items = msg
+        try:
+            # Lock-step parameter sync: the coordinator rewrote the
+            # block before sending this message and will not touch it
+            # again until our ``grads`` reply arrives.
+            for p, view in zip(params, param_views):
+                p.data[...] = view
+            bump_parameter_version()
+            replies = []
+            cursor = 0
+            for position, batch_index, loss_scale in items:
+                replica.zero_grad()
+                result = train_step(
+                    replica,
+                    batches[batch_index],
+                    tr_weight=tr_weight,
+                    lg_weight=lg_weight,
+                    loss_scale=loss_scale,
+                )
+                grads = [p.grad for p in params]
+                mask = [g is not None for g in grads]
+                meta, cursor = stage_arrays(
+                    grad_arena, [g for g in grads if g is not None], cursor
+                )
+                replies.append(
+                    (position, mask, meta, result.member_tr, result.member_lg)
+                )
+            return ("grads", step_id, replies)
+        except Exception as exc:
+            return ("err", step_id, f"{type(exc).__name__}: {exc}")
 
-    conn.send(("ready", os.getpid()))
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return
-            op = msg[0]
-            if op == "stop":
-                return
-            if op != "step":  # pragma: no cover - protocol bug
-                conn.send(("err", None, f"bad op {op!r}"))
-                continue
-            _, step_id, items = msg
-            try:
-                # Lock-step parameter sync: the coordinator rewrote the
-                # block before sending this message and will not touch it
-                # again until our ``grads`` reply arrives.
-                for p, view in zip(params, param_views):
-                    p.data[...] = view
-                bump_parameter_version()
-                replies = []
-                cursor = 0
-                for position, batch_index, loss_scale in items:
-                    replica.zero_grad()
-                    result = train_step(
-                        replica,
-                        batches[batch_index],
-                        tr_weight=init.tr_weight,
-                        lg_weight=init.lg_weight,
-                        loss_scale=loss_scale,
-                    )
-                    grads = [p.grad for p in params]
-                    mask = [g is not None for g in grads]
-                    present = [g for g in grads if g is not None]
-                    layout = write_arrays(grad_arena, present, offset=cursor)
-                    if layout is None:
-                        meta = ("inline", present)
-                    else:
-                        meta = ("shm", layout)
-                        if layout:
-                            off, shape = layout[-1]
-                            cursor = _aligned(
-                                off + int(np.prod(shape, dtype=np.int64)) * 8
-                            )
-                    replies.append(
-                        (position, mask, meta, result.member_tr, result.member_lg)
-                    )
-                conn.send(("grads", step_id, replies))
-            except Exception as exc:
-                conn.send(("err", step_id, f"{type(exc).__name__}: {exc}"))
-    finally:
-        param_block.close()
-        grad_arena.close()
-        conn.close()
+    return handle
 
 
 class DdpGradExecutor:
@@ -334,73 +281,37 @@ class DdpGradExecutor:
         self._params = model.parameters()
         self._step_id = 0
         self._closed = False
-        ctx = resolve_mp_context(mp_start_method)
-
-        # Coordinator-owned float64 parameter block: the broadcast path
-        # for post-step parameters.  Workers start from the npz bytes
-        # (bitwise-equal already) and re-sync from this block every step.
-        nbytes = _ALIGN
-        for p in self._params:
-            nbytes = _aligned(nbytes + p.data.nbytes)
-        self._param_block = ShmBlock.create(max(nbytes, _ALIGN), tag="ddp-params")
-        layout = write_arrays(self._param_block, [p.data for p in self._params])
-        assert layout is not None  # sized above
-        self._param_layout = layout
-        self._param_views = [
-            self._param_block.ndarray(off, shape, np.float64)
-            for off, shape in layout
-        ]
-
         # Per-worker gradient arenas, sized for the worst-case share of a
         # group (ceil(grad_accum / W) batches, one full gradient set each).
-        per_batch = sum(_aligned(p.data.nbytes) for p in self._params)
         share = -(-max(1, grad_accum) // workers)
-        arena_bytes = max(share * per_batch + _ALIGN, _ALIGN)
-
-        model_pickle = pickle.dumps(model)
-        state_npz = dumps_state(model.state_dict())
+        per_batch = arena_nbytes([p.data for p in self._params])
         # Lean member copies: ``extras`` can hold whole SimResults, which
         # the workers never need and would otherwise ride every spawn.
-        lean = [
-            [_lean_sample(s) for s in members] for members in batch_members
+        lean = [[replace(s, extras={}) for s in members] for members in batch_members]
+        # The pool's float64 parameter block is the broadcast path for
+        # post-step parameters.  Workers start from the npz bytes
+        # (bitwise-equal already) and re-sync from this block every step.
+        self._pool = WorkerPool(
+            model,
+            make_handler,
+            workers=workers,
+            arena_bytes={GRADS: max(1, share * per_batch)},
+            error=DdpError,
+            payload=(lean, tr_weight, lg_weight),
+            param_dtype=np.float64,
+            mp_start_method=mp_start_method,
+            name="train-ddp-worker",
+            spawn_timeout=spawn_timeout,
+        )
+        self._param_views = [
+            self._pool.param_block.ndarray(off, shape, np.float64)
+            for off, shape in self._pool.param_layout
         ]
-        self._arenas: list[ShmBlock] = []
-        self._procs = []
-        self._conns = []
-        try:
-            for rank in range(workers):
-                arena = ShmBlock.create(arena_bytes, tag=f"ddp-g{rank}")
-                self._arenas.append(arena)
-                init = DdpWorkerInit(
-                    model_pickle=model_pickle,
-                    state_npz=state_npz,
-                    batch_members=lean,
-                    param_block=(self._param_block.name, self._param_layout),
-                    grad_arena=arena.name,
-                    tr_weight=tr_weight,
-                    lg_weight=lg_weight,
-                )
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=ddp_worker_main,
-                    args=(child_conn, init),
-                    name=f"train-ddp-worker-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                if not parent_conn.poll(spawn_timeout):
-                    proc.kill()
-                    raise DdpError(f"ddp worker {rank} never sent ready")
-                msg = parent_conn.recv()
-                if msg[0] != "ready":  # pragma: no cover - protocol bug
-                    proc.kill()
-                    raise DdpError(f"ddp worker {rank} bad handshake: {msg!r}")
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-        except BaseException:
-            self.close()
-            raise
+
+    @property
+    def _procs(self) -> list:
+        """The rank processes, in rank order."""
+        return [handle.proc for handle in self._pool.handles]
 
     # ------------------------------------------------------------------
     def run_group(
@@ -426,15 +337,16 @@ class DdpGradExecutor:
             assignments.setdefault(rank, []).append(
                 (position, batch_index, loss_scale)
             )
+        handles = self._pool.handles
         for rank, assigned in assignments.items():
             try:
-                self._conns[rank].send(("step", step_id, assigned))
-            except (OSError, BrokenPipeError) as exc:
+                handles[rank].conn.send(("step", step_id, assigned))
+            except OSError as exc:
                 raise DdpError(f"ddp worker {rank} is gone: {exc}") from None
         results: list[BatchGrads | None] = [None] * len(items)
         for rank in assignments:
             try:
-                msg = self._conns[rank].recv()
+                msg = handles[rank].conn.recv()
             except (EOFError, OSError):
                 raise DdpError(
                     f"ddp worker {rank} died with step {step_id} in flight"
@@ -444,19 +356,11 @@ class DdpGradExecutor:
             if msg[0] != "grads" or msg[1] != step_id:  # pragma: no cover
                 raise DdpError(f"ddp worker {rank} bad reply: {msg[0]!r}")
             for position, mask, meta, member_tr, member_lg in msg[2]:
-                # Copy shm gradients out of the arena immediately: the
-                # region is rewritten next step and the mapping dies with
-                # close(); the reduction must own its inputs.
-                if meta[0] == "shm":
-                    present = [
-                        self._arenas[rank]
-                        .ndarray(off, shape, np.float64)
-                        .copy()
-                        for off, shape in meta[1]
-                    ]
-                else:
-                    present = list(meta[1])
-                it = iter(present)
+                # Owned copies: the reduction must not read an arena the
+                # next step rewrites.
+                it = iter(
+                    collect_arrays(handles[rank].arenas[GRADS], meta, np.float64)
+                )
                 grads = [next(it) if m else None for m in mask]
                 results[position] = BatchGrads(
                     grads=grads, member_tr=member_tr, member_lg=member_lg
@@ -470,45 +374,11 @@ class DdpGradExecutor:
         if self._closed:
             return
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (OSError, BrokenPipeError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.kill()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._param_views = []
-        for arena in self._arenas:
-            arena.close()
-            arena.unlink()
-        self._param_block.close()
-        self._param_block.unlink()
+        self._param_views = []  # views over the block stop() unmaps
+        self._pool.stop(timeout=10.0)
 
     def __enter__(self) -> "DdpGradExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _lean_sample(sample: "CircuitSample") -> "CircuitSample":
-    """A shallow copy of ``sample`` without its ``extras`` payload."""
-    from repro.train.dataset import CircuitSample
-
-    if not sample.extras:
-        return sample
-    return CircuitSample(
-        graph=sample.graph,
-        workload=sample.workload,
-        target_tr=sample.target_tr,
-        target_lg=sample.target_lg,
-        name=sample.name,
-    )

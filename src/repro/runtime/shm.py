@@ -1,13 +1,14 @@
-"""Shared-memory blocks for zero-copy transfer between serving processes.
+"""Shared-memory blocks for zero-copy transfer between processes.
 
-The multi-process gateway (:mod:`repro.serve.gateway`) moves two kinds of
-bulk numeric payload between processes:
+The worker processes of :mod:`repro.runtime.workers` (the serving
+gateway's model workers, the data-parallel trainer's ranks) exchange two
+kinds of bulk numeric payload with their coordinator:
 
-* **feature buffers** — per-request PI-probability vectors assembled by
-  the gateway and read by the worker that executes the batch;
-* **float32 parameter shadows** — the serving fast-path's cast of the
-  model parameters, identical in every worker, published once by the
-  supervisor and mapped read-only by all of them.
+* **arena traffic** — per-request PI-probability vectors in, prediction
+  arrays or float64 gradients out;
+* **parameter blocks** — the model parameters in one dtype (the float32
+  serving shadow, the float64 training broadcast), identical in every
+  worker, published once by the pool and mapped read-only by all of them.
 
 Both ride named :class:`multiprocessing.shared_memory.SharedMemory`
 segments wrapped in :class:`ShmBlock`, so the arrays cross the process
@@ -21,9 +22,9 @@ confirmed it is done with it — which keeps the steady state free of both
 copies and segment churn.
 
 Ownership rule: whoever *creates* a block unlinks it; attachers only
-close.  The gateway owns every segment, so a SIGKILLed worker can never
+close.  The coordinator owns every segment, so a SIGKILLed worker can never
 leak a ``/dev/shm`` entry — the kernel drops the dead worker's mapping
-and the gateway's close still unlinks the name.  As defense in depth,
+and the coordinator's close still unlinks the name.  As defense in depth,
 :meth:`ShmBlock.create` registers every owner block with an atexit net
 that best-effort unlinks whatever an explicit close path missed; this is
 the sanctioned creation pattern reprolint's REP004 rule points at.
@@ -42,7 +43,10 @@ import numpy as np
 __all__ = [
     "SHM_PREFIX",
     "ShmBlock",
+    "arena_nbytes",
     "write_arrays",
+    "stage_arrays",
+    "collect_arrays",
     "publish_param_block",
     "attach_param_block",
 ]
@@ -163,6 +167,11 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
+def arena_nbytes(arrays: list[np.ndarray]) -> int:
+    """Bytes :func:`write_arrays` lays ``arrays`` out in, from offset 0."""
+    return sum(_aligned(arr.nbytes) for arr in arrays)
+
+
 def write_arrays(
     block: ShmBlock, arrays: list[np.ndarray], offset: int = 0
 ) -> list[tuple[int, tuple[int, ...]]] | None:
@@ -187,6 +196,31 @@ def write_arrays(
     return layout
 
 
+def stage_arrays(
+    block: ShmBlock, arrays: list[np.ndarray], offset: int = 0
+) -> tuple[tuple, int]:
+    """Producer half of a transfer: ``(meta, next_offset)`` for ``arrays``.
+
+    ``meta`` is ``("shm", layout)`` when they fit into ``block`` at
+    ``offset``, else ``("inline", arrays)`` — a pickled copy riding the
+    control pipe; ``next_offset`` is the first free byte after them.
+    """
+    layout = write_arrays(block, arrays, offset)
+    if layout is None:
+        return ("inline", arrays), offset
+    end = layout[-1][0] + arrays[-1].nbytes if layout else offset
+    return ("shm", layout), end
+
+
+def collect_arrays(block: ShmBlock, meta: tuple, dtype) -> list[np.ndarray]:
+    """Consumer half: owned copies of the arrays a :func:`stage_arrays`
+    ``meta`` names — the producer rewrites the region with its next
+    message and the mapping dies with ``close()``."""
+    if meta[0] == "inline":
+        return list(meta[1])
+    return [block.ndarray(off, shape, dtype).copy() for off, shape in meta[1]]
+
+
 # ----------------------------------------------------------------------
 # shared parameter shadows
 # ----------------------------------------------------------------------
@@ -201,13 +235,9 @@ def publish_param_block(
     physical pages read-only via :func:`attach_param_block`, so N workers
     share one copy of the serving-dtype weights instead of holding N.
     """
-    dt = np.dtype(dtype)
-    params = [p.data for p in module.parameters()]
-    total = _ALIGN
-    for p in params:
-        total = _aligned(total + int(np.prod(p.shape, dtype=np.int64)) * dt.itemsize)
-    block = ShmBlock.create(max(total, _ALIGN), tag="params")
-    layout = write_arrays(block, [p.astype(dt) for p in params])
+    params = [p.data.astype(dtype) for p in module.parameters()]
+    block = ShmBlock.create(max(arena_nbytes(params), _ALIGN), tag="params")
+    layout = write_arrays(block, params)
     assert layout is not None  # sized above
     return block, layout
 

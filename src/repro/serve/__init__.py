@@ -10,7 +10,7 @@
   lock; graceful drain/shutdown;
 * :mod:`repro.serve.gateway` — :class:`Gateway` / :class:`GatewayClient`,
   the multi-*process* tier: an asyncio socket front door driving the same
-  batcher over N supervised worker processes, with shared-memory
+  batcher over a pool of N worker processes, with shared-memory
   feature/result arenas and crash-restart (typed :class:`WorkerDied`
   failures, never hung clients);
 * :mod:`repro.serve.metrics` — thread-safe request / latency / throughput
@@ -28,12 +28,12 @@ from repro.serve.batching import (
     QueueFull,
     ServeError,
     ServerClosed,
+    WorkerDied,
     quantize_chunk,
 )
 from repro.serve.gateway import Gateway, GatewayClient
 from repro.serve.metrics import LatencyRecorder, ServerMetrics
 from repro.serve.server import ServeFuture, Server
-from repro.serve.supervisor import WorkerDied
 
 __all__ = [
     "ServeConfig",

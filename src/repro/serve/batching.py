@@ -34,6 +34,7 @@ __all__ = [
     "ServerClosed",
     "QueueFull",
     "DeadlineExceeded",
+    "WorkerDied",
     "Request",
     "MicroBatcher",
     "quantize_chunk",
@@ -57,6 +58,15 @@ class QueueFull(ServeError):
 
 class DeadlineExceeded(ServeError):
     """The request's deadline expired before execution started."""
+
+
+class WorkerDied(ServeError):
+    """A worker process died with this request in flight.
+
+    The request may or may not have executed — the caller must treat it
+    as failed and retry idempotently if desired.  The gateway restarts
+    the worker slot in the background.
+    """
 
 
 def quantize_chunk(batch_size: int, pending: int) -> int:

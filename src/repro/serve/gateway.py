@@ -11,11 +11,12 @@ promotes the same architecture to processes:
   simply stops reading a connection until space frees), per-request
   deadlines, and deadline micro-batching, all by driving the same
   :class:`~repro.serve.batching.MicroBatcher` the threaded server drives;
-* **worker processes** (:mod:`repro.serve.worker`), spawned through an
-  explicit forkserver/spawn context and supervised with bounded-backoff
-  restarts (:mod:`repro.serve.supervisor`), each hold a model replica
-  restored from the :func:`~repro.nn.serialize.dumps_state` byte
-  round-trip;
+* **worker processes** — a :class:`repro.runtime.workers.WorkerPool`
+  running the :mod:`repro.serve.worker` message handler — each hold a
+  model replica restored from the
+  :func:`~repro.nn.serialize.dumps_state` byte round-trip; the pool owns
+  spawn, handshake, segments and shutdown, the gateway owns what happens
+  when a worker dies (fail typed, back off, respawn);
 * **shared-memory arenas** carry per-request feature buffers in and
   prediction arrays out, so the request hot path crosses the process
   boundary without pickling bulk data; circuit structures ship to each
@@ -30,7 +31,7 @@ bitwise-equal by construction.
 
 Failure semantics: a worker death (including SIGKILL) surfaces as EOF on
 its control pipe; every request in flight on it fails with the typed
-:class:`~repro.serve.supervisor.WorkerDied` — clients never hang — and
+:class:`~repro.serve.batching.WorkerDied` — clients never hang — and
 the slot respawns in the background while the other workers keep
 serving.
 """
@@ -51,19 +52,21 @@ from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
 from repro.experiments.config import ServeConfig
 from repro.models.base import Prediction, RecurrentDagGnn
-from repro.runtime.shm import write_arrays
+from repro.runtime.shm import collect_arrays, stage_arrays
+from repro.runtime.workers import WorkerHandle, WorkerPool
 from repro.serve import transport
 from repro.serve.batching import (
     MicroBatcher,
     Request,
     ServeError,
     ServerClosed,
+    WorkerDied,
     ladder_sizes,
     validate_request,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.server import ServeFuture
-from repro.serve.supervisor import Supervisor, WorkerDied, WorkerHandle
+from repro.serve.worker import FEATURES, RESULTS, make_handler
 
 __all__ = ["Gateway", "GatewayClient"]
 
@@ -87,6 +90,22 @@ class _Batch:
         self.batch_id = batch_id
         self.requests = requests
         self.t0 = t0
+
+
+class _Slot(WorkerHandle):
+    """A worker slot plus the gateway's request-flow state for it."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
+        #: circuit fingerprints already shipped to the live process.
+        self.shipped: set[str] = set()
+        #: consecutive deaths without an intervening completed batch.
+        self.restarts = 0
+        #: bumped on every death so stale idle-queue entries can be dropped.
+        self.generation = 0
+        #: the one batch currently executing on this worker, or ``None``.
+        self.inflight: _Batch | None = None
+        self.warm_future: asyncio.Future | None = None
 
 
 class Gateway:
@@ -122,7 +141,20 @@ class Gateway:
         self.config = cfg
         self.dtype = np.dtype(cfg.dtype)
         self.metrics = ServerMetrics()
-        self.supervisor = Supervisor(model, cfg)
+        arena_bytes = max(1, int(cfg.shm_arena_mb * (1 << 20)))
+        #: the worker pool; float32 serving shares one cast of the weights.
+        self.supervisor = WorkerPool(
+            model,
+            make_handler,
+            workers=cfg.workers,
+            arena_bytes={FEATURES: arena_bytes, RESULTS: arena_bytes},
+            error=ServeError,
+            payload=cfg.dtype,
+            param_dtype=np.float32 if self.dtype == np.float32 else None,
+            mp_start_method=cfg.mp_start_method,
+            name="serve-gw-worker",
+            handle_cls=_Slot,
+        )
         self.address: tuple[str, int] | None = None
         self._netlists: dict[str, Netlist] = {}
         #: the batching policy; touched on the loop thread only.
@@ -133,11 +165,6 @@ class Gateway:
         self._batch_ids = itertools.count()
         self._startup_error: BaseException | None = None
         self._started = threading.Event()
-        try:
-            self.supervisor.start()
-        except BaseException:
-            self.supervisor.stop(timeout=5.0)
-            raise
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop_main, name="serve-gateway", daemon=True
@@ -320,7 +347,7 @@ class Gateway:
             self._space.set()
             await self._dispatch(handle, live)
 
-    async def _claim_idle_worker(self) -> WorkerHandle | None:
+    async def _claim_idle_worker(self) -> _Slot | None:
         """Next live idle worker; skips entries gone stale after a death."""
         while True:
             generation, handle = await self._idle.get()
@@ -335,7 +362,7 @@ class Gateway:
             ):
                 return None
 
-    async def _dispatch(self, handle: WorkerHandle, live: list[Request]) -> None:
+    async def _dispatch(self, handle: _Slot, live: list[Request]) -> None:
         if not live:
             self._idle.put_nowait((handle.generation, handle))
             self._maybe_drained()
@@ -349,20 +376,15 @@ class Gateway:
                     handle.shipped.add(req.payload)
             # Feature buffers ride the shared-memory arena (fall back to
             # inline copies only if a giant batch overflows it).
-            layout = write_arrays(
-                handle.feat_arena, [req.workload.pi_probs for req in live]
+            features, _ = stage_arrays(
+                handle.arenas[FEATURES], [req.workload.pi_probs for req in live]
             )
-            members = []
-            for i, req in enumerate(live):
-                wl = req.workload
-                if layout is None:
-                    spec = ("inline", np.asarray(wl.pi_probs), wl.name, wl.seed)
-                else:
-                    spec = ("shm", layout[i][0], wl.num_pis, wl.name, wl.seed)
-                members.append((req.payload, spec))
+            members = [
+                (req.payload, req.workload.name, req.workload.seed) for req in live
+            ]
             batch_id = next(self._batch_ids)
             handle.inflight = _Batch(batch_id, live, self._batcher.clock())
-            handle.conn.send(("batch", batch_id, members))
+            handle.conn.send(("batch", batch_id, features, members))
         except (OSError, BrokenPipeError, ValueError):
             # The pipe died under us; the EOF watcher runs the restart
             # path — here we only fail this batch's requests typed.
@@ -373,19 +395,19 @@ class Gateway:
     # ------------------------------------------------------------------
     # worker I/O (loop thread)
     # ------------------------------------------------------------------
-    def _watch_worker(self, handle: WorkerHandle) -> None:
+    def _watch_worker(self, handle: _Slot) -> None:
         self._loop.add_reader(
             handle.conn.fileno(), self._on_worker_readable, handle
         )
 
-    def _unwatch_worker(self, handle: WorkerHandle) -> None:
+    def _unwatch_worker(self, handle: _Slot) -> None:
         if handle.conn is not None:
             try:
                 self._loop.remove_reader(handle.conn.fileno())
             except (OSError, ValueError):  # pragma: no cover
                 pass
 
-    def _on_worker_readable(self, handle: WorkerHandle) -> None:
+    def _on_worker_readable(self, handle: _Slot) -> None:
         try:
             if not handle.conn.poll():
                 return
@@ -397,11 +419,11 @@ class Gateway:
         if msg[0] == "done":
             self._finish_batch(handle, msg[1], msg[2])
         elif msg[0] == "warmed":
-            future = getattr(handle, "warm_future", None)
+            future = handle.warm_future
             if future is not None and not future.done():
                 future.set_result(None)
 
-    def _finish_batch(self, handle: WorkerHandle, batch_id, metas) -> None:
+    def _finish_batch(self, handle: _Slot, batch_id, metas) -> None:
         batch = handle.inflight
         if batch is None or batch.batch_id != batch_id:  # pragma: no cover
             return
@@ -410,20 +432,24 @@ class Gateway:
         for meta in metas:
             if meta[0] == "err":
                 outcomes.append(meta[1])
-            elif meta[0] == "inline":
-                outcomes.append(Prediction(tr=meta[1], lg=meta[2]))
             else:
-                _, tr_off, tr_shape, lg_off, lg_shape = meta
-                # Copy out before the arena region can be reused.
-                tr = handle.res_arena.ndarray(tr_off, tr_shape, self.dtype).copy()
-                lg = handle.res_arena.ndarray(lg_off, lg_shape, self.dtype).copy()
+                tr, lg = collect_arrays(handle.arenas[RESULTS], meta, self.dtype)
                 outcomes.append(Prediction(tr=tr, lg=lg))
         self._batcher.finish(batch.requests, outcomes, batch.t0)
-        self.supervisor.note_success(handle)
+        handle.restarts = 0  # a completed batch ends a crash loop
         self._idle.put_nowait((handle.generation, handle))
         self._maybe_drained()
 
-    async def _worker_died(self, handle: WorkerHandle) -> None:
+    async def _worker_died(self, handle: _Slot) -> None:
+        """Crash policy, run on EOF from the control pipe (a SIGKILL closes
+        the worker's end at once — no polling loop needed): in-flight
+        requests fail fast with the typed :class:`WorkerDied` instead of
+        hanging their clients, and the slot respawns after a **bounded
+        exponential backoff** (``restart_backoff_ms`` doubling up to
+        ``restart_backoff_max_ms`` per consecutive death or failed spawn):
+        a worker that dies once restarts almost immediately, a crash-
+        looping worker cannot consume the host.
+        """
         self.metrics.incr("worker_deaths")
         batch = handle.inflight
         handle.inflight = None
@@ -433,10 +459,14 @@ class Gateway:
                 WorkerDied("worker process died while executing this request"),
             )
         handle.generation += 1
-        delay = self.supervisor.note_death(handle)
+        self.supervisor.reap(handle)
         self._maybe_drained()
+        base = self.config.restart_backoff_ms / 1000.0
+        cap = self.config.restart_backoff_max_ms / 1000.0
         while not self._batcher.closing:
-            await asyncio.sleep(delay)
+            handle.restarts += 1
+            # Exponent bounded: 2.0 ** 1024 is an OverflowError, not inf.
+            await asyncio.sleep(min(base * 2.0 ** min(handle.restarts - 1, 32), cap))
             if self._batcher.closing:
                 return
             try:
@@ -444,8 +474,8 @@ class Gateway:
                     None, self.supervisor.spawn, handle
                 )
             except ServeError:
-                delay = self.supervisor.note_death(handle)
                 continue
+            handle.shipped = set()
             self.metrics.incr("restarts")
             self._watch_worker(handle)
             self._idle.put_nowait((handle.generation, handle))

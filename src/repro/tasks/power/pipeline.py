@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.netlist import Netlist
+from repro.data.factory import DataFactory
 from repro.models.base import RecurrentDagGnn
 from repro.models.grannite import Grannite, SourceActivity
 from repro.runtime import plan_for, predict_one
-from repro.sim.logicsim import SimConfig, SimResult, simulate
+from repro.sim.logicsim import SimConfig, SimResult
 from repro.sim.saif import activity_from_probs, parse_saif
 from repro.sim.workload import Workload
 from repro.tasks.power.analysis import PowerAnalyzer, PowerReport
@@ -93,7 +94,8 @@ def run_power_pipeline(
     probabilistic baseline); pass ``gt_result`` to reuse an existing
     simulation, or ``factory`` (a :class:`repro.data.DataFactory`) to
     source ground truth from the content-addressed label cache — repeated
-    sweeps over one (design, workload) then skip simulation entirely.
+    sweeps over one (design, workload) then skip simulation entirely
+    (``None`` = a fresh in-process, memory-cached factory).
     """
     analyzer = analyzer or PowerAnalyzer()
     sim_config = sim_config or SimConfig()
@@ -102,15 +104,9 @@ def run_power_pipeline(
     plan = plan_for(nl)
     graph = plan.graph
 
-    # Power GT runs on the block-stepped engine (the simulate default) —
-    # bitwise-equal to the per-cycle reference, so SAIF files and cached
-    # labels are unchanged.
-    if gt_result is not None:
-        gt = gt_result
-    elif factory is not None:
-        gt = factory.simulate(nl, workload, sim_config)
-    else:
-        gt = simulate(nl, workload, sim_config)
+    gt = gt_result
+    if gt is None:
+        gt = (factory or DataFactory(workers=0)).simulate(nl, workload, sim_config)
     gt_report = _through_saif(
         nl, gt.logic_prob, gt.tr01_prob, gt.tr10_prob, analyzer, saif_duration
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuit.netlist import Netlist
+from repro.data.factory import DataFactory
 from repro.models.base import RecurrentDagGnn
 from repro.runtime import plan_for, predict_one
-from repro.sim.faults import FaultConfig, simulate_with_faults
+from repro.sim.faults import FaultConfig
 from repro.sim.logicsim import SimConfig
 from repro.sim.workload import Workload
 from repro.tasks.reliability.analytical import (
@@ -60,17 +61,14 @@ def run_reliability_pipeline(
     value used there (predictions are divided by it before the
     PO-reliability reduction).  ``factory`` (a
     :class:`repro.data.DataFactory`) sources the Monte-Carlo ground truth
-    from the label cache when available.
+    from the label cache when available (``None`` = a fresh in-process,
+    memory-cached factory).
     """
     sim_config = sim_config or SimConfig()
     fault_config = fault_config or FaultConfig()
-    # Monte-Carlo GT runs on the block-stepped lockstep engine (the
-    # simulate_with_faults default) — bitwise-equal to the per-cycle
-    # reference, so cached reliability labels keep their digests.
-    if factory is not None:
-        gt = factory.simulate_faults(nl, workload, sim_config, fault_config)
-    else:
-        gt = simulate_with_faults(nl, workload, sim_config, fault_config)
+    gt = (factory or DataFactory(workers=0)).simulate_faults(
+        nl, workload, sim_config, fault_config
+    )
 
     analytical_config = analytical_config or AnalyticalConfig(
         eps=fault_config.effective_cycle_rate

@@ -88,12 +88,10 @@ def workload_suite(
 
 def _label_factory(factory):
     """``factory=None`` means a fresh in-process, memory-cached factory."""
-    if factory is not None:
-        return factory
     # Deferred: repro.data.factory builds on repro.train.dataset.
     from repro.data.factory import DataFactory
 
-    return DataFactory(workers=0)
+    return factory or DataFactory(workers=0)
 
 
 def finetune_on_workloads(

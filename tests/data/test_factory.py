@@ -114,6 +114,49 @@ class TestExtras:
         assert res.reliability == direct.reliability
 
 
+class TestCachedEntryLayout:
+    """Results <-> label dicts go through one field table; the order and
+    dtypes it yields are the on-disk format (``np.savez`` order = bytes)."""
+
+    def test_disk_entries_keep_their_fields_and_results_their_types(
+        self, circuits, tmp_path
+    ):
+        nl = circuits[0]
+        wl = random_workload(nl, seed=8)
+        cold = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
+        sim, faults = cold.simulate(nl, wl, SIM), cold.simulate_faults(nl, wl, SIM, FAULT)
+        layouts = set()
+        for path in tmp_path.glob("*/*.npz"):
+            with np.load(path) as npz:
+                layouts.add(tuple((k, npz[k].dtype.str, npz[k].ndim) for k in npz.files))
+        assert layouts == {
+            (
+                ("logic_prob", "<f8", 1),
+                ("tr01_prob", "<f8", 1),
+                ("tr10_prob", "<f8", 1),
+                ("cycles", "<i8", 0),
+                ("streams", "<i8", 0),
+            ),
+            (
+                ("err01", "<f8", 1),
+                ("err10", "<f8", 1),
+                ("reliability", "<f8", 0),
+                ("observed0", "<i8", 1),
+                ("observed1", "<i8", 1),
+            ),
+        }
+        warm = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
+        sim2, faults2 = warm.simulate(nl, wl, SIM), warm.simulate_faults(nl, wl, SIM, FAULT)
+        assert warm.stats.misses == 0
+        for a, b in ((sim, sim2), (faults, faults2)):
+            assert type(a) is type(b) and a.netlist is b.netlist is nl
+        assert type(sim2.cycles) is type(sim2.streams) is int
+        assert (sim2.cycles, sim2.streams) == (sim.cycles, sim.streams)
+        assert type(faults2.reliability) is float
+        assert faults2.reliability == faults.reliability
+        assert np.array_equal(faults2.observed1, faults.observed1)
+
+
 class TestScheduling:
     def test_duplicate_jobs_simulated_once(self, circuits):
         factory = DataFactory(FactoryConfig(workers=0))

@@ -19,8 +19,11 @@ from repro.runtime.mp import SAFE_METHODS, resolve_mp_context
 from repro.runtime.shm import (
     SHM_PREFIX,
     ShmBlock,
+    arena_nbytes,
     attach_param_block,
+    collect_arrays,
     publish_param_block,
+    stage_arrays,
     write_arrays,
 )
 
@@ -174,7 +177,61 @@ class TestWriteArrays:
             block.unlink()
 
 
+class TestStageCollect:
+    """The reply shape both worker protocols use."""
+
+    def test_staged_groups_chain_and_come_back_as_owned_copies(self):
+        first = [np.arange(5.0), np.arange(12.0).reshape(3, 4)]
+        second = [np.full(7, 2.5)]
+        block = ShmBlock.create(arena_nbytes(first + second))
+        try:
+            meta1, cursor = stage_arrays(block, first)
+            meta2, end = stage_arrays(block, second, cursor)
+            assert meta1[0] == meta2[0] == "shm"
+            assert cursor == meta1[1][-1][0] + first[-1].nbytes
+            assert end <= block.size  # arena_nbytes sized it exactly
+            back = collect_arrays(block, meta1, np.float64)
+            back += collect_arrays(block, meta2, np.float64)
+            for src, got in zip(first + second, back):
+                np.testing.assert_array_equal(src, got)
+                assert got.flags.owndata  # survives the arena's next write
+            empty, same = stage_arrays(block, [], cursor)
+            assert empty == ("shm", []) and same == cursor
+        finally:
+            block.close()
+            block.unlink()
+
+    def test_overflow_goes_inline_and_keeps_the_cursor(self):
+        block = ShmBlock.create(256)
+        try:
+            arrays = [np.zeros(1000)]
+            meta, cursor = stage_arrays(block, arrays, 64)
+            assert meta[0] == "inline" and cursor == 64
+            (got,) = collect_arrays(block, meta, np.float64)
+            np.testing.assert_array_equal(arrays[0], got)
+        finally:
+            block.close()
+            block.unlink()
+
+
 class TestParamBlock:
+    def test_float64_block_is_bitwise_and_rewritable_by_its_owner(self):
+        """The DDP broadcast: owner-side views write, attached views read."""
+        model = DeepSeq(ModelConfig(hidden=6, iterations=2, seed=3))
+        block, layout = publish_param_block(model, np.float64)
+        try:
+            attached, views = attach_param_block(block.name, layout, np.float64)
+            for view, p in zip(views, model.parameters()):
+                assert np.array_equal(view, p.data)
+            off, shape = layout[0]
+            block.ndarray(off, shape, np.float64)[...] = 4.25
+            assert np.all(views[0] == 4.25)
+            del view, views
+            attached.close()
+        finally:
+            block.close()
+            block.unlink()
+
     def test_publish_attach_matches_astype(self):
         model = DeepSeq(ModelConfig(hidden=6, iterations=2, seed=3))
         block, layout = publish_param_block(model, np.float32)

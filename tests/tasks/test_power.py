@@ -175,6 +175,27 @@ class TestPipeline:
         cmp = run_power_pipeline(nl, wl, sim_config=SimConfig(cycles=40, seed=4))
         assert nl.name in cmp.row()
 
+    def test_default_ground_truth_is_the_in_process_factory(self):
+        """``factory=None`` labels through a fresh ``DataFactory(workers=0)``;
+        the report is bit-identical to a direct simulation's, and the
+        pipeline module no longer holds a simulator entry point."""
+        from repro.data import DataFactory
+        from repro.tasks.power import pipeline
+
+        nl = family_subcircuits("opencores", 1, seed=12)[0]
+        wl = random_workload(nl, 4)
+        sim_cfg = SimConfig(cycles=60, seed=4)
+        default = run_power_pipeline(nl, wl, sim_config=sim_cfg)
+        factory = DataFactory(workers=0)
+        assert default == run_power_pipeline(
+            nl, wl, sim_config=sim_cfg, factory=factory
+        )
+        assert factory.stats.misses == 1
+        assert default == run_power_pipeline(
+            nl, wl, sim_config=sim_cfg, gt_result=simulate(nl, wl, sim_cfg)
+        )
+        assert not hasattr(pipeline, "simulate")
+
     def test_gt_result_reuse(self):
         nl = family_subcircuits("opencores", 1, seed=12)[0]
         wl = random_workload(nl, 4)

@@ -135,3 +135,22 @@ class TestPipeline:
 
     def test_row_renders(self, comparison):
         assert "opencores" in comparison.row()
+
+    def test_default_ground_truth_is_the_in_process_factory(self, comparison):
+        """``factory=None`` labels through a fresh ``DataFactory(workers=0)``:
+        same report as an explicit factory, GT bit-identical to the direct
+        Monte-Carlo run, no simulator entry point left in the module."""
+        from repro.data import DataFactory
+        from repro.sim.faults import simulate_with_faults
+        from repro.tasks.reliability import pipeline
+
+        nl = family_subcircuits("opencores", 1, seed=33)[0]
+        wl = random_workload(nl, 5)
+        sim, fault = SimConfig(cycles=150, seed=5), FaultConfig(seed=6)
+        factory = DataFactory(workers=0)
+        assert comparison == run_reliability_pipeline(
+            nl, wl, sim_config=sim, fault_config=fault, factory=factory
+        )
+        assert factory.stats.misses == 1
+        assert comparison.gt == simulate_with_faults(nl, wl, sim, fault).reliability
+        assert not hasattr(pipeline, "simulate_with_faults")
