@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.circuit.gates import GateType
+from repro.circuit.levelize import cut_topo_order
 from repro.circuit.netlist import Netlist, NetlistError
 
 __all__ = ["AigMapping", "to_aig", "strash"]
@@ -62,17 +63,15 @@ def to_aig(nl: Netlist, name: str | None = None) -> AigMapping:
     # Pass 1: create PIs and DFF shells (loops may reference later nodes).
     for node in nl.nodes():
         gt = nl.gate_type(node)
-        if gt is GateType.PI:
-            mapping[node] = aig.add_pi(nl.node_name(node))
-        elif gt is GateType.DFF:
-            mapping[node] = aig.add_dff(None, nl.node_name(node))
+        if gt in (GateType.PI, GateType.DFF):
+            mapping[node] = aig.add_gate(gt, (), nl.node_name(node))
 
     state = _Builder(aig)
 
     # Pass 2: lower combinational gates in an order where fanins are ready.
     # DFF outputs count as ready (their shells exist); only combinational
     # fanin edges impose ordering, and validate() guarantees acyclicity.
-    order = _combinational_topo_order(nl)
+    order = cut_topo_order(nl, smallest_first=False)
     for node in order:
         gt = nl.gate_type(node)
         if gt in (GateType.PI, GateType.DFF):
@@ -205,12 +204,10 @@ def strash(nl: Netlist, name: str | None = None) -> AigMapping:
     # Shells first (PIs and DFFs are never merged: they carry state/input).
     for node in nl.nodes():
         gt = nl.gate_type(node)
-        if gt is GateType.PI:
-            mapping[node] = out.add_pi(nl.node_name(node))
-        elif gt is GateType.DFF:
-            mapping[node] = out.add_dff(None, nl.node_name(node))
+        if gt in (GateType.PI, GateType.DFF):
+            mapping[node] = out.add_gate(gt, (), nl.node_name(node))
 
-    for node in _combinational_topo_order(nl):
+    for node in cut_topo_order(nl, smallest_first=False):
         gt = nl.gate_type(node)
         if gt in (GateType.PI, GateType.DFF):
             continue
@@ -236,28 +233,3 @@ def strash(nl: Netlist, name: str | None = None) -> AigMapping:
         out.add_po(mapping[po])
     out.validate()
     return AigMapping(aig=out, fanout_of=mapping)
-
-
-def _combinational_topo_order(nl: Netlist) -> list[int]:
-    """Topological order treating DFF outputs as sources (fan-in edges cut)."""
-    n = len(nl)
-    indeg = [0] * n
-    fanout: list[list[int]] = [[] for _ in range(n)]
-    for i in nl.nodes():
-        if nl.gate_type(i) is GateType.DFF:
-            continue
-        for f in nl.fanins(i):
-            indeg[i] += 1
-            fanout[f].append(i)
-    queue = [i for i in range(n) if indeg[i] == 0]
-    order: list[int] = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in fanout[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != n:
-        raise NetlistError("combinational cycle detected during lowering")
-    return order

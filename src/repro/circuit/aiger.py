@@ -29,6 +29,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.circuit.gates import GateType
+from repro.circuit.levelize import cut_topo_order
 from repro.circuit.netlist import Netlist, NetlistError
 
 __all__ = [
@@ -447,7 +448,7 @@ def write_aiger(nl: Netlist, *, binary: bool = False) -> str | bytes:
     lit_of: dict[int, int] = {}
     and_nodes: list[int] = []
     next_var = len(pis) + len(dffs) + 1
-    for node in _stable_comb_topo_order(nl):
+    for node in cut_topo_order(nl, smallest_first=True):
         gt = nl.gate_type(node)
         if gt in (GateType.PI, GateType.DFF):
             lit_of[node] = 2 * var_of[node]
@@ -518,34 +519,6 @@ def write_aiger(nl: Netlist, *, binary: bool = False) -> str | bytes:
         out += (sym + "\n").encode()
     out += f"c\n{nl.name}\n".encode()
     return bytes(out)
-
-
-def _stable_comb_topo_order(nl: Netlist) -> list[int]:
-    """Kahn's over the cut graph, always popping the smallest ready id."""
-    import heapq
-
-    n = len(nl)
-    indeg = [0] * n
-    fanout: list[list[int]] = [[] for _ in range(n)]
-    for i in nl.nodes():
-        if nl.gate_type(i) is GateType.DFF:
-            continue
-        for f in nl.fanins(i):
-            indeg[i] += 1
-            fanout[f].append(i)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in fanout[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != n:
-        raise NetlistError("combinational cycle detected while writing AIGER")
-    return order
 
 
 def _encode_delta(delta: int) -> bytes:

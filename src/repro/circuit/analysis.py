@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.gates import GateType
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
 
@@ -50,11 +49,7 @@ def reconvergent_nodes(nl: Netlist, max_sources: int | None = None) -> list[int]
             ignored); None tracks everything.
     """
     lv = levelize(nl)
-    sources = [
-        i
-        for i in nl.nodes()
-        if nl.gate_type(i) in (GateType.PI, GateType.DFF)
-    ]
+    sources = np.setdiff1d(np.arange(len(nl)), nl.structure().comb_ids).tolist()
     if max_sources is not None:
         sources = sources[:max_sources]
     index = {s: k for k, s in enumerate(sources)}
@@ -147,19 +142,15 @@ def feedback_register_count(nl: Netlist) -> int:
 
 def logic_depth_histogram(nl: Netlist) -> dict[int, int]:
     """Node count per logic level of the cut graph."""
-    lv = levelize(nl)
-    hist: dict[int, int] = {}
-    for level in lv.level.tolist():
-        hist[level] = hist.get(level, 0) + 1
-    return hist
+    counts = np.bincount(levelize(nl).level)
+    return {level: int(c) for level, c in enumerate(counts) if c}
 
 
 def fanout_histogram(nl: Netlist) -> dict[int, int]:
     """Node count per fanout degree."""
-    hist: dict[int, int] = {}
-    for outs in nl.fanouts():
-        hist[len(outs)] = hist.get(len(outs), 0) + 1
-    return hist
+    fanout_ptr = nl.structure().adjacency(cut=False)[1][0]
+    counts = np.bincount(np.diff(fanout_ptr))
+    return {degree: int(c) for degree, c in enumerate(counts) if c}
 
 
 @dataclass(frozen=True)
@@ -190,12 +181,8 @@ def structural_profile(nl: Netlist) -> StructuralProfile:
     lv = levelize(nl)
     reconv = reconvergent_nodes(nl)
     sccs = sequential_sccs(nl)
-    gates = [
-        i
-        for i in nl.nodes()
-        if nl.gate_type(i) not in (GateType.PI, GateType.DFF)
-    ]
-    fanouts = nl.fanouts()
+    structure = nl.structure()
+    fanout_ptr = structure.adjacency(cut=False)[1][0]
     return StructuralProfile(
         nodes=len(nl),
         pis=len(nl.pis),
@@ -203,8 +190,8 @@ def structural_profile(nl: Netlist) -> StructuralProfile:
         pos=len(nl.pos),
         max_depth=int(lv.level.max()) if len(nl) else 0,
         reconvergent_count=len(reconv),
-        reconvergent_fraction=len(reconv) / max(1, len(gates)),
+        reconvergent_fraction=len(reconv) / max(1, structure.comb_ids.size),
         sequential_loops=len(sccs),
         feedback_dffs=feedback_register_count(nl),
-        max_fanout=max((len(f) for f in fanouts), default=0),
+        max_fanout=int(np.diff(fanout_ptr).max()),
     )

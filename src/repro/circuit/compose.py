@@ -49,34 +49,7 @@ def disjoint_union(netlists: list[Netlist], name: str = "union") -> UnionMapping
     directly.  PIs keep PI type (the union has the concatenation of all
     member PIs, in member order — workload vectors concatenate likewise).
     """
-    if not netlists:
-        raise ValueError("empty union")
-    union = Netlist(name)
-    offsets: list[int] = []
-    sizes: list[int] = []
-    for k, nl in enumerate(netlists):
-        offset = len(union)
-        offsets.append(offset)
-        sizes.append(len(nl))
-        for node in nl.nodes():
-            gt = nl.gate_type(node)
-            node_name = f"c{k}_{nl.node_name(node)}"
-            if gt is GateType.PI:
-                union.add_pi(node_name)
-            elif gt is GateType.DFF:
-                union.add_dff(None, node_name)
-            else:
-                union.add_gate(gt, (), node_name)
-        for node in nl.nodes():
-            fanins = nl.fanins(node)
-            if fanins:
-                union.set_fanins(
-                    offset + node, [offset + f for f in fanins]
-                )
-        for po in nl.pos:
-            union.add_po(offset + po)
-    union.validate()
-    return UnionMapping(union=union, offsets=tuple(offsets), sizes=tuple(sizes))
+    return stitched_union(netlists, [], name)
 
 
 @dataclass(frozen=True)
@@ -137,16 +110,8 @@ def stitched_union(
         offsets.append(offset)
         sizes.append(len(nl))
         for node in nl.nodes():
-            gt = nl.gate_type(node)
-            node_name = f"c{k}_{nl.node_name(node)}"
-            if gt is GateType.PI and (k, node) in stitched_pis:
-                union.add_gate(GateType.BUF, (), node_name)
-            elif gt is GateType.PI:
-                union.add_pi(node_name)
-            elif gt is GateType.DFF:
-                union.add_dff(None, node_name)
-            else:
-                union.add_gate(gt, (), node_name)
+            gt = GateType.BUF if (k, node) in stitched_pis else nl.gate_type(node)
+            union.add_gate(gt, (), f"c{k}_{nl.node_name(node)}")
         for node in nl.nodes():
             fanins = nl.fanins(node)
             if fanins:

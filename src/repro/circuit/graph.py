@@ -19,11 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.gates import AIG_TYPES, ONE_HOT_INDEX, GateType
-from repro.circuit.levelize import Levelization, levelize
-from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.gates import AIG_TYPES, GateType
+from repro.circuit.levelize import levelize
+from repro.circuit.netlist import (
+    Netlist,
+    NetlistError,
+    Structure,
+    split_rows,
+    structure_of,
+)
 
-__all__ = ["EdgeBatch", "CircuitGraph"]
+__all__ = ["EdgeBatch", "CircuitGraph", "edge_batches", "check_learnable"]
 
 
 @dataclass
@@ -68,14 +74,54 @@ class EdgeBatch:
         return cached
 
 
+def check_learnable(structure: Structure) -> None:
+    """Raise :class:`NetlistError` unless a :class:`CircuitGraph` can be
+    built: a sequential AIG with an acyclic cut graph."""
+    if not structure.is_aig():
+        raise NetlistError(
+            "CircuitGraph requires an AIG netlist; lower with "
+            "repro.circuit.aig.to_aig first"
+        )
+    structure.levels()
+
+
+def edge_batches(
+    groups: list[np.ndarray], ptr: np.ndarray, idx: np.ndarray
+) -> list[EdgeBatch]:
+    """One :class:`EdgeBatch` per node group: every node's CSR row
+    ``(ptr, idx)`` as its messages, nodes and rows in the given order."""
+    if not groups:
+        return []
+    sizes = np.array([g.size for g in groups])
+    nodes = np.concatenate(groups)
+    first = ptr[nodes]
+    counts = ptr[nodes + 1] - first
+    owner = np.repeat(np.arange(nodes.size), counts)  # edge -> position in nodes
+    pin = np.arange(owner.size) - (counts.cumsum() - counts)[owner]
+    src = idx[first[owner] + pin]
+    group = np.repeat(np.arange(sizes.size), sizes)[owner]
+    dst_local = owner - (sizes.cumsum() - sizes)[group]
+    edges = np.bincount(group, minlength=sizes.size)
+    return [
+        EdgeBatch(members, s, d)
+        for members, s, d in zip(
+            groups, split_rows(src, edges), split_rows(dst_local, edges)
+        )
+    ]
+
+
 class CircuitGraph:
     """Immutable array view of a sequential AIG used by models & simulator.
 
     Args:
-        netlist: a validated sequential AIG (``netlist.is_aig()`` true).
+        netlist: a sequential AIG (``is_aig()`` true) — a netlist, or the
+            bare :class:`~repro.circuit.netlist.Structure` of one (a
+            pack's union has no netlist).
 
     Attributes:
-        netlist: the source netlist (kept for names/POs).
+        netlist: the source netlist (kept for names/POs); ``None`` when
+            built from a bare structure.
+        structure: the lowering every array here is derived from.
         num_nodes: node count.
         type_index: (N,) int8 — index into ``AIG_TYPES`` (0 PI, 1 AND,
             2 NOT, 3 DFF).
@@ -93,47 +139,44 @@ class CircuitGraph:
         dff_src: (num_dffs,) data predecessor per DFF (step-4 copy map).
     """
 
-    def __init__(self, netlist: Netlist) -> None:
-        if not netlist.is_aig():
-            raise NetlistError(
-                "CircuitGraph requires an AIG netlist; lower with "
-                "repro.circuit.aig.to_aig first"
-            )
-        netlist.validate()
-        self.netlist = netlist
-        n = len(netlist)
+    def __init__(self, netlist: Netlist | Structure) -> None:
+        structure = structure_of(netlist)
+        check_learnable(structure)
+        lv = levelize(structure)
+        self.netlist = None if netlist is structure else netlist
+        self.structure = structure
+        n = structure.num_nodes
         self.num_nodes = n
 
-        self.type_index = np.empty(n, dtype=np.int8)
-        for i in netlist.nodes():
-            self.type_index[i] = ONE_HOT_INDEX[netlist.gate_type(i)]
+        self.type_index = structure.type_code
         self.features = np.zeros((n, len(AIG_TYPES)), dtype=np.float64)
         self.features[np.arange(n), self.type_index] = 1.0
 
+        first = structure.fanin_ptr[:-1]
+        arity = structure.arity
         self.fanin0 = np.full(n, -1, dtype=np.int32)
         self.fanin1 = np.full(n, -1, dtype=np.int32)
-        for i in netlist.nodes():
-            fs = netlist.fanins(i)
-            if len(fs) >= 1:
-                self.fanin0[i] = fs[0]
-            if len(fs) == 2:
-                self.fanin1[i] = fs[1]
+        self.fanin0[arity >= 1] = structure.fanin_idx[first[arity >= 1]]
+        self.fanin1[arity == 2] = structure.fanin_idx[first[arity == 2] + 1]
 
-        self.pi_ids = np.array(netlist.pis, dtype=np.int64)
-        self.dff_ids = np.array(netlist.dffs, dtype=np.int64)
-        self.and_ids = np.array(netlist.nodes_of_type(GateType.AND), dtype=np.int64)
-        self.not_ids = np.array(netlist.nodes_of_type(GateType.NOT), dtype=np.int64)
-        self.po_ids = np.array(netlist.pos, dtype=np.int64)
+        self.pi_ids = structure.ids(GateType.PI)
+        self.dff_ids = structure.ids(GateType.DFF)
+        self.and_ids = structure.ids(GateType.AND)
+        self.not_ids = structure.ids(GateType.NOT)
+        self.po_ids = structure.pos
         self.dff_src = self.fanin0[self.dff_ids].astype(np.int64)
 
-        lv: Levelization = levelize(netlist)
         self.level = lv.level
         self.reverse_level = lv.reverse_level
         self.num_levels = lv.num_levels
 
-        fanouts = netlist.fanouts()
-        self.forward_batches = self._build_forward_batches(lv)
-        self.reverse_batches = self._build_reverse_batches(lv, fanouts)
+        # In the cut graph a DFF's fan-in edge is removed, so its data
+        # predecessor must not receive a reverse message from the DFF.
+        _, cut_fanouts = structure.adjacency(cut=True)
+        self.forward_batches = edge_batches(
+            lv.comb_forward, structure.fanin_ptr, structure.fanin_idx
+        )
+        self.reverse_batches = edge_batches(lv.comb_reverse, *cut_fanouts)
 
     # ------------------------------------------------------------------
     @property
@@ -150,56 +193,10 @@ class CircuitGraph:
         (the DFFs) — the circuit's state vector."""
         return self.dff_ids
 
-    def _build_forward_batches(self, lv: Levelization) -> list[EdgeBatch]:
-        batches: list[EdgeBatch] = []
-        for nodes in lv.comb_forward:
-            src: list[int] = []
-            dst_local: list[int] = []
-            for pos, node in enumerate(nodes):
-                f0 = self.fanin0[node]
-                f1 = self.fanin1[node]
-                src.append(int(f0))
-                dst_local.append(pos)
-                if f1 >= 0:
-                    src.append(int(f1))
-                    dst_local.append(pos)
-            batches.append(
-                EdgeBatch(
-                    nodes=nodes.astype(np.int64),
-                    src=np.asarray(src, dtype=np.int64),
-                    dst_local=np.asarray(dst_local, dtype=np.int64),
-                )
-            )
-        return batches
-
-    def _build_reverse_batches(
-        self, lv: Levelization, fanouts: list[list[int]]
-    ) -> list[EdgeBatch]:
-        # In the cut graph a DFF's fan-in edge is removed, so its data
-        # predecessor must not receive a reverse message from the DFF.
-        dff_set = set(int(d) for d in self.dff_ids)
-        batches: list[EdgeBatch] = []
-        for nodes in lv.comb_reverse:
-            src: list[int] = []
-            dst_local: list[int] = []
-            for pos, node in enumerate(nodes):
-                for succ in fanouts[int(node)]:
-                    if succ in dff_set:
-                        continue
-                    src.append(int(succ))
-                    dst_local.append(pos)
-            batches.append(
-                EdgeBatch(
-                    nodes=nodes.astype(np.int64),
-                    src=np.asarray(src, dtype=np.int64),
-                    dst_local=np.asarray(dst_local, dtype=np.int64),
-                )
-            )
-        return batches
-
     def __repr__(self) -> str:
         return (
-            f"CircuitGraph({self.netlist.name!r}, nodes={self.num_nodes}, "
+            f"CircuitGraph({getattr(self.netlist, 'name', 'union')!r}, "
+            f"nodes={self.num_nodes}, "
             f"pis={self.num_pis}, dffs={self.num_dffs}, "
             f"levels={self.num_levels})"
         )

@@ -22,21 +22,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.gates import GateType
-from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.netlist import Netlist, Structure, kahn, split_rows, structure_of
 
-__all__ = ["cut_fanins", "Levelization", "levelize"]
+__all__ = ["cut_fanins", "cut_topo_order", "Levelization", "levelize"]
 
 
 def cut_fanins(nl: Netlist) -> list[tuple[int, ...]]:
     """Fanin lists of the cut graph (DFF incoming edges removed)."""
-    out: list[tuple[int, ...]] = []
-    for node in nl.nodes():
-        if nl.gate_type(node) is GateType.DFF:
-            out.append(())
-        else:
-            out.append(nl.fanins(node))
-    return out
+    (ptr, idx), _ = nl.structure().adjacency(cut=True)
+    return [tuple(row.tolist()) for row in split_rows(idx, np.diff(ptr))]
+
+
+def cut_topo_order(nl: Netlist, smallest_first: bool) -> list[int]:
+    """Kahn's order over the cut graph for the passes that renumber nodes,
+    which also fix *which* ready node goes next: the one readied last
+    (``to_aig``, ``strash``) or always the smallest id (the AIGER writer)."""
+    structure = nl.structure()
+    structure.levels()  # acyclic, or NetlistError
+    fanins, fanouts = structure.adjacency(cut=True)
+    pending = np.diff(fanins[0]).tolist()
+    return kahn(pending, fanouts, [0] * len(pending), smallest_first)
 
 
 @dataclass
@@ -72,105 +77,37 @@ class Levelization:
         return int(self.level.max()) if self.level.size else 0
 
 
-def levelize(nl: Netlist) -> Levelization:
-    """Compute the full forward/reverse levelization of ``nl``'s cut graph."""
-    n = len(nl)
-    fanins = cut_fanins(nl)
-    level = _forward_levels(nl, fanins)
-    reverse_level = _reverse_levels(nl, fanins, n)
+def levelize(nl: Netlist | Structure) -> Levelization:
+    """The full forward/reverse levelization of ``nl``'s cut graph, computed
+    once per lowering and shared read-only by every consumer.  Raises
+    :class:`~repro.circuit.netlist.NetlistError` on a combinational cycle."""
+    return structure_of(nl).memo("levelization", _levelization)
 
-    is_comb = np.fromiter(
-        (
-            nl.gate_type(i) not in (GateType.PI, GateType.DFF)
-            for i in range(n)
-        ),
-        dtype=bool,
-        count=n,
-    )
-    forward_order = _group_by_level(level)
-    reverse_order = _group_by_level(reverse_level)
-    comb_forward = [lvl[is_comb[lvl]] for lvl in forward_order]
-    comb_forward = [lvl for lvl in comb_forward if lvl.size]
-    comb_reverse = [lvl[is_comb[lvl]] for lvl in reverse_order]
-    comb_reverse = [lvl for lvl in comb_reverse if lvl.size]
+
+def _levelization(structure: Structure) -> Levelization:
+    level, reverse_level = structure.levels()
+    everything = np.arange(structure.num_nodes, dtype=np.int64)
+    comb = structure.comb_ids
     return Levelization(
         level=level,
         reverse_level=reverse_level,
-        forward_order=forward_order,
-        reverse_order=reverse_order,
-        comb_forward=comb_forward,
-        comb_reverse=comb_reverse,
+        forward_order=_group_by_level(everything, level, dense=True),
+        reverse_order=_group_by_level(everything, reverse_level, dense=True),
+        comb_forward=_group_by_level(comb, level, dense=False),
+        comb_reverse=_group_by_level(comb, reverse_level, dense=False),
     )
 
 
-def _forward_levels(nl: Netlist, fanins: list[tuple[int, ...]]) -> np.ndarray:
-    n = len(nl)
-    level = np.full(n, -1, dtype=np.int32)
-    indeg = np.zeros(n, dtype=np.int64)
-    fanout: list[list[int]] = [[] for _ in range(n)]
-    for i, fs in enumerate(fanins):
-        indeg[i] = len(fs)
-        for f in fs:
-            fanout[f].append(i)
-    queue: list[int] = []
-    for i in range(n):
-        if indeg[i] == 0:
-            # PIs sit at level 0; DFFs are "moved to logic level 1".
-            level[i] = 1 if nl.gate_type(i) is GateType.DFF else 0
-            queue.append(i)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in fanout[v]:
-            level[w] = max(level[w], level[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if (level < 0).any():
-        raise NetlistError("cut graph is cyclic — netlist invalid")
-    return level
-
-
-def _reverse_levels(
-    nl: Netlist, fanins: list[tuple[int, ...]], n: int
-) -> np.ndarray:
-    rlevel = np.zeros(n, dtype=np.int32)
-    outdeg = np.zeros(n, dtype=np.int64)
-    for fs in fanins:
-        for f in fs:
-            outdeg[f] += 1
-    queue = [i for i in range(n) if outdeg[i] == 0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for f in fanins[v]:
-            rlevel[f] = max(rlevel[f], rlevel[v] + 1)
-            outdeg[f] -= 1
-            if outdeg[f] == 0:
-                queue.append(f)
-    return rlevel
-
-
-def _group_by_level(level: np.ndarray) -> list[np.ndarray]:
-    order = np.argsort(level, kind="stable").astype(np.int64)
-    sorted_levels = level[order]
-    groups: list[np.ndarray] = []
-    start = 0
-    for pos in range(1, len(order) + 1):
-        if pos == len(order) or sorted_levels[pos] != sorted_levels[start]:
-            groups.append(np.sort(order[start:pos]))
-            start = pos
-    # Guarantee density: fill in empty levels (possible when DFDs occupy
-    # level 1 exclusively and level 0 has no PIs, etc.).
-    dense: list[np.ndarray] = []
-    next_expected = 0
-    for grp in groups:
-        lvl = int(level[grp[0]])
-        while next_expected < lvl:
-            dense.append(np.empty(0, dtype=np.int64))
-            next_expected += 1
-        dense.append(grp)
-        next_expected = lvl + 1
-    return dense
+def _group_by_level(
+    ids: np.ndarray, level: np.ndarray, dense: bool
+) -> list[np.ndarray]:
+    """``ids`` split by level, ascending within a level.  ``dense`` keeps
+    the empty levels (possible when DFFs occupy level 1 exclusively and
+    level 0 has no PIs, etc.) so the list index is the level."""
+    if not ids.size:
+        return []
+    keys = level[ids]
+    order = ids[np.argsort(keys, kind="stable")]
+    order.setflags(write=False)
+    counts = np.bincount(keys)
+    return split_rows(order, counts if dense else counts[counts > 0])

@@ -10,19 +10,47 @@ structural ``.bench`` view of a circuit:
 * edges are stored as per-node fanin tuples (ordered — MUX cares);
 * primary outputs are an explicit subset of nodes;
 * DFF fan-in edges are the only legal way to close a cycle.
+
+Every array the rest of the system derives from a netlist — validity, the
+content hash, levels, the GNN graph, the simulator's groups, packs — starts
+from its one :class:`Structure` (:meth:`Netlist.structure`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from heapq import heappop, heappush
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import FANIN_ARITY, AIG_TYPES, GateType
+from repro.circuit.gates import AIG_TYPES, FANIN_ARITY, GateType
 
-__all__ = ["Netlist", "NetlistError"]
+__all__ = [
+    "GATE_TYPES",
+    "Netlist",
+    "NetlistError",
+    "Structure",
+    "kahn",
+    "split_rows",
+    "structure_of",
+]
+
+#: ``Structure.type_code`` indexes this tuple.  The AIG alphabet comes
+#: first, so an AIG's codes are its one-hot feature indices.
+GATE_TYPES: tuple[GateType, ...] = AIG_TYPES + tuple(
+    t for t in GateType if t not in AIG_TYPES
+)
+_CODE = {t: i for i, t in enumerate(GATE_TYPES)}
+_DFF, _AND = _CODE[GateType.DFF], _CODE[GateType.AND]
+#: Required arity per type code; -1 stands for "any count >= 2".
+_ARITY = np.array(
+    [-1 if FANIN_ARITY[t] is None else FANIN_ARITY[t] for t in GATE_TYPES],
+    dtype=np.int64,
+)
+_VALUES = np.array([t.value for t in GATE_TYPES], dtype=object)
 
 
 class NetlistError(ValueError):
@@ -36,6 +64,256 @@ class _Node:
     name: str
 
 
+def _check_arity(node: _Node, node_id: int | None = None, strict: bool = False) -> None:
+    # Non-strict mode (add_gate / set_fanins) accepts an empty fanin
+    # tuple as "not wired yet" so two-pass construction — required for
+    # sequential loops and forward references in .bench files — works;
+    # the lowering re-checks everything strictly.
+    expected, count = FANIN_ARITY[node.gate_type], len(node.fanins)
+    where = f"node {node_id} " if node_id is not None else ""
+    if node.gate_type is GateType.DFF:
+        if count > 1:
+            raise NetlistError(f"{where}DFF takes exactly one fanin")
+    elif (count or strict) and (count < 2 if expected is None else count != expected):
+        raise NetlistError(
+            f"{where}{node.gate_type.value} requires "
+            f"{'>= 2' if expected is None else expected} fanins, got {count}"
+        )
+
+
+def _check_node(node_id: int, node: _Node, n: int) -> None:
+    """Every per-node invariant, in the order a bad node is reported."""
+    for f in node.fanins:
+        if not 0 <= f < n:
+            raise NetlistError(
+                f"node {node_id} ({node.name}) has out-of-range fanin {f}"
+            )
+    if node.gate_type is GateType.DFF and len(node.fanins) != 1:
+        raise NetlistError(
+            f"DFF {node_id} ({node.name}) has dangling/extra data input"
+        )
+    _check_arity(node, node_id=node_id, strict=True)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(ptr, idx)`` of the ``rows[e] -> cols[e]`` relation over ``n``
+    rows; entries of one row keep their input order."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return _frozen(ptr), _frozen(cols[np.argsort(rows, kind="stable")])
+
+
+def split_rows(arr: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices of ``arr`` with the given lengths (``np.split``
+    without its per-piece overhead)."""
+    ends = counts.cumsum().tolist()
+    return [arr[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def kahn(
+    pending: list[int],
+    succs: tuple[np.ndarray, np.ndarray],
+    level: list[int],
+    smallest_first: bool = False,
+) -> list[int]:
+    """Kahn's topological sort of a DAG in CSR form — the only one in the
+    repo; levels, validation and the renumbering passes all run it.
+
+    ``pending`` (consumed) counts each node's unvisited predecessors and
+    ``level`` holds the sources' levels; on return it holds every visited
+    node's longest-path level and the visit order is returned.  Ready
+    nodes are visited last-readied first, or smallest id first.  Nodes on
+    or behind a cycle are never visited and keep ``pending > 0``.
+    """
+    bounds, flat = succs[0].tolist(), succs[1].tolist()
+    ready = [v for v, count in enumerate(pending) if count == 0]  # sorted: a heap
+    pop, push = (heappop, heappush) if smallest_first else (list.pop, list.append)
+    order: list[int] = []
+    while ready:
+        v = pop(ready)
+        order.append(v)
+        above = level[v] + 1
+        for w in flat[bounds[v] : bounds[v + 1]]:
+            if level[w] < above:
+                level[w] = above
+            pending[w] -= 1
+            if pending[w] == 0:
+                push(ready, w)
+    return order
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """The flat-array lowering of a netlist's structure (names excluded).
+
+    Attributes (all read-only):
+        type_code: (N,) int8 index into :data:`GATE_TYPES`.
+        fanin_ptr / fanin_idx: CSR fanin lists — node ``i`` reads
+            ``fanin_idx[fanin_ptr[i]:fanin_ptr[i + 1]]``, in pin order.
+        pos: primary-output node ids in declaration order.
+
+    :meth:`lower` runs every per-node check, :meth:`levels` the global one
+    (an acyclic cut graph); derived facts are kept through :meth:`memo`.
+    """
+
+    type_code: np.ndarray
+    fanin_ptr: np.ndarray
+    fanin_idx: np.ndarray
+    pos: np.ndarray
+    _memo: dict[str, object] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        for arr in (self.type_code, self.fanin_ptr, self.fanin_idx, self.pos):
+            arr.setflags(write=False)
+
+    @classmethod
+    def lower(cls, nodes: Sequence[_Node], pos: Sequence[int]) -> "Structure":
+        """Lower a node list to arrays, checking it strictly."""
+        n = len(nodes)
+        if n == 0:
+            raise NetlistError("empty netlist")
+        type_code = np.array([_CODE[nd.gate_type] for nd in nodes], dtype=np.int8)
+        fanins = [nd.fanins for nd in nodes]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, fanins), np.int64, n), out=ptr[1:])
+        try:
+            idx = np.fromiter(chain.from_iterable(fanins), np.int64, ptr[-1])
+        except OverflowError:  # an id no int64 holds: report it as stray
+            idx = np.full(int(ptr[-1]), -1, dtype=np.int64)
+        arity = np.diff(ptr)
+        expected = _ARITY[type_code]
+        bad = np.where(expected < 0, arity < 2, arity != expected)
+        stray = np.flatnonzero((idx < 0) | (idx >= n))
+        bad[np.searchsorted(ptr, stray, side="right") - 1] = True
+        for node_id in np.flatnonzero(bad).tolist():
+            _check_node(node_id, nodes[node_id], n)
+        structure = cls(type_code, ptr, idx, np.array(pos, dtype=np.int64))
+        stray = structure.pos[(structure.pos < 0) | (structure.pos >= n)]
+        if stray.size:
+            raise NetlistError(f"PO references unknown node {stray[0]}")
+        return structure
+
+    @classmethod
+    def concat(cls, parts: Sequence["Structure"]) -> "Structure":
+        """The disjoint union, members renumbered by node offset; its levels
+        are the members' levels, concatenated without a sweep."""
+        node_off = np.cumsum([0] + [p.num_nodes for p in parts])
+        edge_off = np.cumsum([0] + [p.fanin_idx.size for p in parts])
+        union = cls(
+            np.concatenate([p.type_code for p in parts]),
+            np.concatenate(
+                [p.fanin_ptr[:-1] + off for p, off in zip(parts, edge_off)]
+                + [edge_off[-1:]]
+            ),
+            np.concatenate([p.fanin_idx + off for p, off in zip(parts, node_off)]),
+            np.concatenate([p.pos + off for p, off in zip(parts, node_off)]),
+        )
+        union._memo["levels"] = tuple(
+            _frozen(np.concatenate(arrs))
+            for arrs in zip(*[p.levels() for p in parts])
+        )
+        return union
+
+    def memo(self, key: str, build: Callable[["Structure"], object]):
+        """``build(self)``, computed on first request and kept."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
+
+    # ------------------------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        return int(self.type_code.size)
+
+    @property
+    def arity(self) -> np.ndarray:
+        return np.diff(self.fanin_ptr)
+
+    @property
+    def num_pis(self) -> int:
+        return int((self.type_code == _CODE[GateType.PI]).sum())
+
+    def ids(self, gate_type: GateType) -> np.ndarray:
+        """Ascending int64 ids of the nodes of one type."""
+        return np.flatnonzero(self.type_code == _CODE[gate_type])
+
+    @property
+    def comb_ids(self) -> np.ndarray:
+        """Ids of everything that computes: not a PI, not a DFF."""
+        return np.flatnonzero(~np.isin(self.type_code, (_CODE[GateType.PI], _DFF)))
+
+    def is_aig(self) -> bool:
+        """See :meth:`Netlist.is_aig`."""
+        return bool(
+            (self.type_code < len(AIG_TYPES)).all()
+            and (self.arity[self.type_code == _AND] == 2).all()
+        )
+
+    def fingerprint(self) -> str:
+        """See :meth:`Netlist.fingerprint`."""
+        return self.memo("fingerprint", Structure._fingerprint)
+
+    def _fingerprint(self) -> str:
+        h = hashlib.sha256()
+        h.update(self.num_nodes.to_bytes(8, "little"))
+        h.update(",".join(_VALUES[self.type_code]).encode())
+        h.update(self.arity.tobytes())
+        h.update(self.fanin_idx.tobytes())
+        h.update(self.pos.tobytes())
+        return h.hexdigest()
+
+    def adjacency(self, cut: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(fanins, fanouts)`` as CSR ``(ptr, idx)`` pairs: fanin rows in
+        pin order, fanout rows in (consumer id, pin) order.  ``cut`` drops
+        the edges into DFFs, the learning graph's cut."""
+
+        def build(s: "Structure"):
+            n = s.num_nodes
+            dst = np.repeat(np.arange(n, dtype=np.int64), s.arity)
+            src = s.fanin_idx
+            if not cut:
+                return (s.fanin_ptr, src), _csr(src, dst, n)
+            keep = s.type_code[dst] != _DFF
+            src, dst = src[keep], dst[keep]
+            return _csr(dst, src, n), _csr(src, dst, n)
+
+        return self.memo(f"adjacency[{cut}]", build)
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(forward, reverse) int32 logic levels of the cut graph: PIs and
+        constants at 0, DFFs "moved to logic level 1", gates one above
+        their deepest fanin; reverse likewise from the sinks.  Raises
+        :class:`NetlistError` when a cycle avoids every DFF."""
+        return self.memo("levels", Structure._levels)
+
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        fanins, fanouts = self.adjacency(cut=True)
+        pending = np.diff(fanins[0]).tolist()
+        level = (self.type_code == _DFF).astype(np.int32).tolist()
+        kahn(pending, fanouts, level)
+        bad = [v for v, count in enumerate(pending) if count]
+        if bad:
+            raise NetlistError(
+                f"combinational cycle through nodes {bad[:8]}"
+                f"{'...' if len(bad) > 8 else ''}"
+            )
+        reverse = [0] * self.num_nodes
+        kahn(np.diff(fanouts[0]).tolist(), fanins, reverse)
+        return tuple(_frozen(np.array(lv, dtype=np.int32)) for lv in (level, reverse))
+
+
+def structure_of(circuit: "Netlist | Structure") -> Structure:
+    """The lowering of a netlist, or the structure itself."""
+    return circuit if isinstance(circuit, Structure) else circuit.structure()
+
+
 class Netlist:
     """A gate-level sequential netlist.
 
@@ -43,6 +321,9 @@ class Netlist:
     :meth:`add_dff` conveniences) and referred to by their integer id.
     Fanins may reference not-yet-added ids only for DFFs (sequential loops);
     :meth:`validate` checks every structural invariant at once.
+
+    :meth:`structure` lowers the netlist to arrays and keeps the result
+    until the next structural edit; it is neither copied nor pickled.
 
     Example:
         >>> nl = Netlist(name="toggle")
@@ -61,6 +342,14 @@ class Netlist:
         self._pos: list[int] = []
         self._names: dict[str, int] = {}
 
+    #: The kept lowering; ``None`` until asked for and after every edit.
+    _structure: Structure | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_structure", None)
+        return state
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -76,9 +365,10 @@ class Netlist:
         if resolved in self._names:
             raise NetlistError(f"duplicate node name {resolved!r}")
         node = _Node(gate_type, tuple(int(f) for f in fanins), resolved)
-        self._check_arity(node)
+        _check_arity(node)
         self._nodes.append(node)
         self._names[resolved] = idx
+        self._structure = None
         return idx
 
     def add_pi(self, name: str | None = None) -> int:
@@ -91,21 +381,15 @@ class Netlist:
         ``fanin=None`` leaves the data input dangling so forward references
         in sequential loops can be patched later via :meth:`set_fanins`.
         """
-        fanins: tuple[int, ...] = () if fanin is None else (int(fanin),)
-        idx = len(self._nodes)
-        resolved = name if name is not None else f"n{idx}"
-        if resolved in self._names:
-            raise NetlistError(f"duplicate node name {resolved!r}")
-        self._nodes.append(_Node(GateType.DFF, fanins, resolved))
-        self._names[resolved] = idx
-        return idx
+        return self.add_gate(GateType.DFF, () if fanin is None else (fanin,), name)
 
     def set_fanins(self, node: int, fanins: Sequence[int]) -> None:
         """Replace a node's fanin tuple (used to close sequential loops)."""
         entry = self._nodes[node]
         updated = _Node(entry.gate_type, tuple(int(f) for f in fanins), entry.name)
-        self._check_arity(updated)
+        _check_arity(updated)
         self._nodes[node] = updated
+        self._structure = None
 
     def add_po(self, node: int) -> None:
         """Mark an existing node as a primary output."""
@@ -113,6 +397,7 @@ class Netlist:
             raise NetlistError(f"PO references unknown node {node}")
         if node not in self._pos:
             self._pos.append(node)
+            self._structure = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -179,36 +464,25 @@ class Netlist:
         :mod:`repro.runtime` to key compiled graph plans; reflects the
         content at call time, so hash after mutation, not before.
         """
-        n = len(self._nodes)
-        h = hashlib.sha256()
-        h.update(n.to_bytes(8, "little"))
-        h.update(",".join(node.gate_type.value for node in self._nodes).encode())
-        arity = np.fromiter(
-            (len(node.fanins) for node in self._nodes), dtype=np.int64, count=n
-        )
-        flat = np.fromiter(
-            (f for node in self._nodes for f in node.fanins),
-            dtype=np.int64,
-            count=int(arity.sum()),
-        )
-        h.update(arity.tobytes())
-        h.update(flat.tobytes())
-        h.update(np.asarray(self._pos, dtype=np.int64).tobytes())
-        return h.hexdigest()
+        return self.structure().fingerprint()
 
     def is_aig(self) -> bool:
         """True when every node belongs to the sequential-AIG alphabet with
         strict 2-input ANDs."""
-        for node in self._nodes:
-            if node.gate_type not in AIG_TYPES:
-                return False
-            if node.gate_type is GateType.AND and len(node.fanins) != 2:
-                return False
-        return True
+        return self.structure().is_aig()
 
     # ------------------------------------------------------------------
-    # validation
+    # lowering / validation
     # ------------------------------------------------------------------
+    def structure(self) -> Structure:
+        """The array lowering of the current content, built on the first
+        call after a structural edit.  Raises :class:`NetlistError` for an
+        empty netlist, an out-of-range fanin or PO, a wrong gate arity or a
+        dangling DFF input."""
+        if self._structure is None:
+            self._structure = Structure.lower(self._nodes, self._pos)
+        return self._structure
+
     def validate(self) -> None:
         """Check all structural invariants; raise :class:`NetlistError`.
 
@@ -217,79 +491,7 @@ class Netlist:
         least one DFF (i.e. the graph with DFF fan-in edges removed is
         acyclic); at least one PI or constant source exists.
         """
-        n = len(self._nodes)
-        if n == 0:
-            raise NetlistError("empty netlist")
-        for i, node in enumerate(self._nodes):
-            for f in node.fanins:
-                if not 0 <= f < n:
-                    raise NetlistError(
-                        f"node {i} ({node.name}) has out-of-range fanin {f}"
-                    )
-            if node.gate_type is GateType.DFF and len(node.fanins) != 1:
-                raise NetlistError(
-                    f"DFF {i} ({node.name}) has dangling/extra data input"
-                )
-            self._check_arity(node, node_id=i, strict=True)
-        for po in self._pos:
-            if not 0 <= po < n:
-                raise NetlistError(f"PO references unknown node {po}")
-        self._check_combinational_acyclic()
-
-    def _check_arity(
-        self, node: _Node, node_id: int | None = None, strict: bool = False
-    ) -> None:
-        # Non-strict mode (add_gate / set_fanins) accepts an empty fanin
-        # tuple as "not wired yet" so two-pass construction — required for
-        # sequential loops and forward references in .bench files — works;
-        # validate() re-checks everything strictly.
-        expected = FANIN_ARITY[node.gate_type]
-        where = f"node {node_id} " if node_id is not None else ""
-        if node.gate_type is GateType.DFF:
-            if len(node.fanins) > 1:
-                raise NetlistError(f"{where}DFF takes exactly one fanin")
-            return
-        if not node.fanins and not strict:
-            return
-        if expected is None:
-            if len(node.fanins) < 2:
-                raise NetlistError(
-                    f"{where}{node.gate_type.value} requires >= 2 fanins, "
-                    f"got {len(node.fanins)}"
-                )
-        elif len(node.fanins) != expected:
-            raise NetlistError(
-                f"{where}{node.gate_type.value} requires {expected} fanins, "
-                f"got {len(node.fanins)}"
-            )
-
-    def _check_combinational_acyclic(self) -> None:
-        # Kahn's algorithm over the graph with DFF fan-in edges cut.  Any
-        # node never reaching in-degree zero sits on a combinational cycle.
-        n = len(self._nodes)
-        indeg = [0] * n
-        fanout: list[list[int]] = [[] for _ in range(n)]
-        for i, node in enumerate(self._nodes):
-            if node.gate_type is GateType.DFF:
-                continue  # cut: DFF consumes its fanin at the clock edge
-            for f in node.fanins:
-                indeg[i] += 1
-                fanout[f].append(i)
-        queue = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in fanout[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != n:
-            bad = [i for i in range(n) if indeg[i] > 0]
-            raise NetlistError(
-                f"combinational cycle through nodes {bad[:8]}"
-                f"{'...' if len(bad) > 8 else ''}"
-            )
+        self.structure().levels()
 
     # ------------------------------------------------------------------
     # transforms
@@ -316,12 +518,7 @@ class Netlist:
         # may reference kept nodes appearing later because of DFF loops).
         for old in keep_list:
             node = self._nodes[old]
-            if node.gate_type is GateType.PI:
-                mapping[old] = sub.add_pi(node.name)
-            elif node.gate_type is GateType.DFF:
-                mapping[old] = sub.add_dff(None, node.name)
-            else:
-                mapping[old] = sub.add_gate(node.gate_type, (), node.name)
+            mapping[old] = sub.add_gate(node.gate_type, (), node.name)
         # Second pass: wire fanins, synthesizing boundary PIs on demand.
         boundary: dict[int, int] = {}
 
@@ -336,8 +533,6 @@ class Netlist:
 
         for old in keep_list:
             node = self._nodes[old]
-            if node.gate_type is GateType.PI:
-                continue
             sub.set_fanins(mapping[old], [resolve(f) for f in node.fanins])
         # POs: original POs plus nodes whose fanout was cut away.
         fanout = self.fanouts()

@@ -77,17 +77,10 @@ def levels_to_dot(nl: Netlist, graph_name: str | None = None) -> str:
     lines = [f'digraph "{name}" {{', "  rankdir=LR;"]
     for node in nl.nodes():
         lines.append(f"  n{node} [{_node_attrs(nl, node)}];")
-    max_level = int(lv.level.max()) if len(nl) else 0
-    for level in range(max_level + 1):
-        members = [
-            f"n{node}"
-            for node in nl.nodes()
-            if int(lv.level[node]) == level
-        ]
-        if members:
-            lines.append(
-                "  { rank=same; " + "; ".join(members) + "; }"
-            )
+    for members in lv.forward_order:
+        if members.size:
+            ranked = "; ".join(f"n{node}" for node in members)
+            lines.append("  { rank=same; " + ranked + "; }")
     for node in nl.nodes():
         is_dff = nl.gate_type(node) is GateType.DFF
         for f in nl.fanins(node):

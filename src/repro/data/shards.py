@@ -27,9 +27,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType
 from repro.circuit.graph import CircuitGraph
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GATE_TYPES, Netlist
 from repro.sim.workload import Workload
 from repro.train.dataset import CircuitSample
 
@@ -37,29 +36,15 @@ __all__ = ["MANIFEST_NAME", "write_shards", "load_manifest", "ShardReader"]
 
 MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 1
-#: Stable gate-type alphabet for the int16 codes stored in shards.
-_TYPE_VALUES = [t.value for t in GateType]
-_TYPE_CODE = {value: code for code, value in enumerate(_TYPE_VALUES)}
-
-
 def _encode_netlist(nl: Netlist) -> dict[str, np.ndarray]:
-    n = len(nl)
-    types = np.fromiter(
-        (_TYPE_CODE[nl.gate_type(i).value] for i in range(n)),
-        dtype=np.int16,
-        count=n,
-    )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    flat: list[int] = []
-    for i in range(n):
-        fanins = nl.fanins(i)
-        flat.extend(fanins)
-        offsets[i + 1] = offsets[i] + len(fanins)
+    # The shard layout is the netlist's lowering; the int16 type codes
+    # index GATE_TYPES, whose order is therefore frozen by existing shards.
+    structure = nl.structure()
     return {
-        "types": types,
-        "offsets": offsets,
-        "fanins": np.asarray(flat, dtype=np.int64),
-        "pos": np.asarray(nl.pos, dtype=np.int64),
+        "types": structure.type_code.astype(np.int16),
+        "offsets": structure.fanin_ptr,
+        "fanins": structure.fanin_idx,
+        "pos": structure.pos,
     }
 
 
@@ -69,14 +54,8 @@ def _decode_netlist(
 ) -> Netlist:
     nl = Netlist(name=name)
     for i in range(types.size):
-        gt = GateType(_TYPE_VALUES[int(types[i])])
         members = fanins[int(offsets[i]) : int(offsets[i + 1])]
-        if gt is GateType.DFF:
-            idx = nl.add_dff(None)
-            if members.size:
-                nl.set_fanins(idx, [int(f) for f in members])
-        else:
-            nl.add_gate(gt, [int(f) for f in members])
+        nl.add_gate(GATE_TYPES[int(types[i])], members.tolist())
     for p in pos:
         nl.add_po(int(p))
     nl.validate()

@@ -1,10 +1,12 @@
 """Multi-circuit packing: one super-graph plan for K circuits.
 
-Packing builds the disjoint union of K member circuits
-(:func:`repro.circuit.compose.disjoint_union`) and compiles a single
-:class:`~repro.runtime.plan.GraphPlan` for it, so one levelized sweep
-amortizes the per-level Python loop across the whole batch — level ``k``
-of every member lands in the same vectorized edge batch.  Because the
+Packing builds the disjoint union of K member circuits — the members'
+lowered arrays and levels concatenated with node offsets
+(:meth:`repro.circuit.netlist.Structure.concat`), no union netlist — and
+compiles a single :class:`~repro.runtime.plan.GraphPlan` for it, so one
+levelized sweep amortizes the per-level Python loop across the whole
+batch — level ``k`` of every member lands in the same vectorized edge
+batch.  Because the
 union has no cross-member edges, each member's node updates are identical
 to a standalone run, and per-member predictions are recovered by slicing.
 
@@ -17,10 +19,11 @@ construction and the plan compilation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-from repro.circuit.compose import disjoint_union
 from repro.circuit.graph import CircuitGraph
+from repro.circuit.netlist import Structure
 from repro.lru import FingerprintLRU
 from repro.runtime.plan import GraphPlan, fingerprint_of, plan_for
 
@@ -110,13 +113,12 @@ def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPla
             member_keys=keys,
         )
     else:
-        mapping = disjoint_union(
-            [g.netlist for g in graphs], name=f"pack{len(graphs)}"
-        )
+        union = CircuitGraph(Structure.concat([g.structure for g in graphs]))
+        sizes = [g.num_nodes for g in graphs]
         packed = PackedPlan(
-            plan=plan_for(CircuitGraph(mapping.union), cache=cache),
-            offsets=mapping.offsets,
-            sizes=mapping.sizes,
+            plan=plan_for(union, cache=cache),
+            offsets=tuple(accumulate([0] + sizes[:-1])),
+            sizes=tuple(sizes),
             member_keys=keys,
         )
     return _CACHE.insert(keys, packed) if cache else packed

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.graph import CircuitGraph, EdgeBatch
+from repro.circuit.graph import CircuitGraph, EdgeBatch, edge_batches
 from repro.circuit.netlist import Netlist
 from repro.lru import FingerprintLRU
 from repro.memory import MemoryBudget
@@ -44,16 +44,12 @@ __all__ = [
 
 
 def fingerprint_of(graph: CircuitGraph) -> str:
-    """Content hash of a circuit graph, memoized on the graph instance.
+    """Content hash of a circuit graph, memoized on its structure.
 
-    ``CircuitGraph`` is an immutable view, so caching the hash on the
-    object is safe even though the underlying netlist type is mutable.
+    ``CircuitGraph`` is an immutable view of the lowering it was built
+    from, so the hash stays right even if the netlist is edited later.
     """
-    fp = getattr(graph, "_plan_fingerprint", None)
-    if fp is None:
-        fp = graph.netlist.fingerprint()
-        graph._plan_fingerprint = fp
-    return fp
+    return graph.structure.fingerprint()
 
 
 def _normalize_batches(batches: list[EdgeBatch]) -> list[EdgeBatch]:
@@ -85,8 +81,6 @@ def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBat
     still broken by levelization — a DFF sits at level 1 and simply reads
     its predecessor's state from the previous sweep.)
     """
-    nl = graph.netlist
-    fanouts = nl.fanouts()
     forward: list[EdgeBatch] = list(graph.forward_batches)
     # Insert DFF updates as a dedicated level-1 batch (they are pseudo-PIs
     # in the cut levelization, so no comb batch contains them).
@@ -97,22 +91,9 @@ def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBat
             dst_local=np.arange(graph.dff_ids.size, dtype=np.int64),
         )
         forward = [dff_batch] + forward
-    reverse: list[EdgeBatch] = []
-    for batch in graph.reverse_batches:
-        # Re-derive successor edges *including* DFF consumers.
-        src: list[int] = []
-        dst_local: list[int] = []
-        for pos, node in enumerate(batch.nodes):
-            for succ in fanouts[int(node)]:
-                src.append(int(succ))
-                dst_local.append(pos)
-        reverse.append(
-            EdgeBatch(
-                nodes=batch.nodes,
-                src=np.asarray(src, dtype=np.int64),
-                dst_local=np.asarray(dst_local, dtype=np.int64),
-            )
-        )
+    # Re-derive successor edges *including* DFF consumers.
+    _, fanouts = graph.structure.adjacency(cut=False)
+    reverse = edge_batches([b.nodes for b in graph.reverse_batches], *fanouts)
     return forward, reverse
 
 
@@ -172,7 +153,7 @@ class GraphPlan:
         """Normalized (forward, reverse) EdgeBatch schedules.
 
         ``custom=True`` gives DeepSeq's cut-graph schedule; ``False`` the
-        baseline schedule with DFF updates and DFD reverse messages.
+        baseline schedule with DFF updates and DFF reverse messages.
         """
         entry = self._schedules.get(custom)
         if entry is None:
@@ -245,7 +226,7 @@ class GraphPlan:
         return cached
 
     def __repr__(self) -> str:
-        return f"GraphPlan({self.graph.netlist.name!r}, nodes={self.num_nodes}, key={self.key[:12]})"
+        return f"GraphPlan({self.graph!r}, key={self.key[:12]})"
 
 
 # ----------------------------------------------------------------------

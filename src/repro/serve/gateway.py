@@ -48,7 +48,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.circuit.graph import CircuitGraph
+from repro.circuit.graph import CircuitGraph, check_learnable
 from repro.circuit.netlist import Netlist
 from repro.experiments.config import ServeConfig
 from repro.models.base import Prediction, RecurrentDagGnn
@@ -287,8 +287,9 @@ class Gateway:
             return
         netlist, workload, deadline_ms, block = args
         try:
-            validate_request(len(netlist.pis), workload, deadline_ms)
-        except ValueError as exc:
+            fingerprint = self._admit_structure(netlist)
+            validate_request(netlist.structure().num_pis, workload, deadline_ms)
+        except ValueError as exc:  # NetlistError included
             respond(None, exc)
             return
         # Admission: blocking submitters get TCP backpressure (this
@@ -297,14 +298,26 @@ class Gateway:
         while block and self._batcher.full:
             self._space.clear()
             await self._space.wait()
-        fingerprint = netlist.fingerprint()
         try:
             self._batcher.admit(fingerprint, workload, deadline_ms, respond)
         except ServeError as exc:  # QueueFull, or ServerClosed once closing
             respond(None, exc)
             return
-        self._netlists.setdefault(fingerprint, netlist)
         self._wake.set()
+
+    def _admit_structure(self, netlist: Netlist) -> str:
+        """Fingerprint of ``netlist``, registered for shipping to workers.
+
+        Raises the :class:`NetlistError` :meth:`Server.submit` raises for a
+        netlist no worker could compile.  Equal fingerprints are equal
+        structures, so only a structure's first netlist is checked.
+        """
+        structure = netlist.structure()
+        fingerprint = structure.fingerprint()
+        if fingerprint not in self._netlists:
+            check_learnable(structure)
+            self._netlists[fingerprint] = netlist
+        return fingerprint
 
     # ------------------------------------------------------------------
     # batching + dispatch
@@ -498,8 +511,7 @@ class Gateway:
         future.result()
 
     async def _warm(self, netlist: Netlist, sizes: list[int]) -> None:
-        fingerprint = netlist.fingerprint()
-        self._netlists.setdefault(fingerprint, netlist)
+        fingerprint = self._admit_structure(netlist)
         # Claim every worker so warms don't interleave with batches.
         claimed = []
         for _ in self.supervisor.handles:
@@ -715,7 +727,7 @@ class GatewayClient:
         is at capacity.
         """
         netlist = circuit.netlist if isinstance(circuit, CircuitGraph) else circuit
-        validate_request(len(netlist.pis), workload, deadline_ms)
+        validate_request(netlist.structure().num_pis, workload, deadline_ms)
         req_id = next(self._ids)
         return self._request(
             ("predict", req_id, netlist, workload, deadline_ms, block), req_id

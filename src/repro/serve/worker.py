@@ -93,6 +93,8 @@ def make_handler(replica, param_views, arenas, dtype):
     if param_views is not None:
         _install_shared_shadow(replica, param_views, dtype)
     features, results = arenas[FEATURES], arenas[RESULTS]
+    #: fingerprint -> compiled graph, or the exception compiling it raised
+    #: (admission rejects those; one that slips through fails its requests).
     graphs: dict[str, object] = {}
 
     def handle(msg: tuple) -> tuple | None:
@@ -101,12 +103,16 @@ def make_handler(replica, param_views, arenas, dtype):
             _, fingerprint, netlist = msg
             # plan_for also warms the process-wide plan cache, so the
             # first batch over this structure skips compilation.
-            graphs[fingerprint] = plan_for(netlist).graph
+            try:
+                graphs[fingerprint] = plan_for(netlist).graph
+            except Exception as exc:
+                graphs[fingerprint] = exc
             return None
         if op == "warm":
             # The process-local mirror of Server.warm.
             _, fingerprint, sizes = msg
-            warm_ladder(replica, graphs[fingerprint], sizes, dtype)
+            if not isinstance(graphs[fingerprint], Exception):
+                warm_ladder(replica, graphs[fingerprint], sizes, dtype)
             return ("warmed", fingerprint)
         if op != "batch":  # pragma: no cover - protocol bug
             return ("done", None, [("err", ServeError(f"bad op {op!r}"))])
@@ -116,15 +122,21 @@ def make_handler(replica, param_views, arenas, dtype):
             # over an arena outlives this line, so the gateway may rewrite
             # the region and our mmap may close at any time.
             probs = collect_arrays(features, feature_meta, np.float64)
-            outcomes = run_packed_isolated(
+            outcomes = [graphs[fingerprint] for fingerprint, _, _ in members]
+            live = [
+                i for i, g in enumerate(outcomes) if not isinstance(g, Exception)
+            ]
+            ran = run_packed_isolated(
                 replica,
-                [graphs[fingerprint] for fingerprint, _, _ in members],
+                [outcomes[i] for i in live],
                 [
-                    Workload(p, name=name, seed=seed)
-                    for p, (_, name, seed) in zip(probs, members)
+                    Workload(probs[i], name=members[i][1], seed=members[i][2])
+                    for i in live
                 ],
                 dtype=dtype,
             )
+            for i, outcome in zip(live, ran):
+                outcomes[i] = outcome
         except Exception as exc:  # pragma: no cover - defensive
             return ("done", batch_id, [("err", _picklable(exc))] * len(members))
         metas, cursor = [], 0

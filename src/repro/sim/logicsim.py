@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.circuit.gates import GateKernel, GateType, eval_gate, gate_kernel
 from repro.circuit.levelize import levelize
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GATE_TYPES, Netlist, split_rows
 from repro.memory import MemoryBudget
 from repro.sim.bitvec import popcount, popcount_int64, words_for
 from repro.sim.workload import PatternSource, Workload
@@ -73,6 +73,10 @@ __all__ = [
 #: ``engine=`` values that run the block executor.  ``"partitioned"`` is
 #: a deprecated alias kept for callers of the removed partition engine.
 _BLOCK_ENGINES = ("block", "partitioned")
+
+#: Rank of each :data:`GATE_TYPES` code in gate-name order — the order
+#: evaluation groups of one level are emitted in.
+_VALUE_RANK = np.argsort(np.argsort([t.value for t in GATE_TYPES]))
 
 #: Injection hook signature: (cycle_index, node_ids) -> uint64 flip mask
 #: of shape (len(node_ids), words), xor-ed into freshly computed outputs.
@@ -115,46 +119,34 @@ class CompiledCircuit:
 
 def compile_netlist(nl: Netlist) -> CompiledCircuit:
     """Group combinational gates by (level, type, arity) for vector eval."""
-    nl.validate()
-    lv = levelize(nl)
+    structure = nl.structure()
+    comb_levels = levelize(nl).comb_forward
+    ptr, idx = structure.fanin_ptr, structure.fanin_idx
     ops: list[_LevelOp] = []
-    for level, level_nodes in enumerate(lv.comb_forward):
-        groups: dict[tuple[GateType, int], list[int]] = {}
-        for node in level_nodes:
-            gt = nl.gate_type(int(node))
-            key = (gt, len(nl.fanins(int(node))))
-            groups.setdefault(key, []).append(int(node))
-        for (gt, arity), members in sorted(
-            groups.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
+    if comb_levels:
+        nodes = np.concatenate(comb_levels)
+        # Group label: position among the levels that hold gates.
+        label = np.repeat(np.arange(len(comb_levels)), [g.size for g in comb_levels])
+        code, arity = structure.type_code[nodes], structure.arity[nodes]
+        # Stable, so a group keeps its level's ascending node order.
+        order = np.lexsort((arity, _VALUE_RANK[code], label))
+        keys = np.stack([label, code, arity])[:, order]
+        starts = np.flatnonzero((np.diff(keys, prepend=-1) != 0).any(axis=0))
+        sizes = np.diff(starts, append=nodes.size)
+        for members, (level, gt, k) in zip(
+            split_rows(nodes[order], sizes), keys[:, starts].T.tolist()
         ):
-            nodes = np.asarray(members, dtype=np.int64)
-            if arity:
-                fanins = np.asarray(
-                    [nl.fanins(m) for m in members], dtype=np.int64
-                ).T.copy()
-            else:  # constants
-                fanins = np.empty((0, len(members)), dtype=np.int64)
-            ops.append(_LevelOp(gt, nodes, fanins, level))
-    dff_ids = np.asarray(nl.dffs, dtype=np.int64)
-    dff_src = np.asarray(
-        [nl.fanins(int(d))[0] for d in dff_ids], dtype=np.int64
-    )
-    comb_ids = np.asarray(
-        [
-            i
-            for i in nl.nodes()
-            if nl.gate_type(i) not in (GateType.PI, GateType.DFF)
-        ],
-        dtype=np.int64,
-    )
+            fanins = idx[ptr[members] + np.arange(k, dtype=np.int64)[:, None]]
+            ops.append(_LevelOp(GATE_TYPES[gt], members, fanins, level))
+    dff_ids = structure.ids(GateType.DFF)
     return CompiledCircuit(
         netlist=nl,
-        num_nodes=len(nl),
+        num_nodes=structure.num_nodes,
         ops=ops,
-        pi_ids=np.asarray(nl.pis, dtype=np.int64),
+        pi_ids=structure.ids(GateType.PI),
         dff_ids=dff_ids,
-        dff_src=dff_src,
-        comb_ids=comb_ids,
+        dff_src=idx[ptr[dff_ids]],
+        comb_ids=structure.comb_ids,
     )
 
 

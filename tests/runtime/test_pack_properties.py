@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit.compose import disjoint_union
 from repro.circuit.graph import CircuitGraph
 from repro.runtime.pack import clear_pack_cache, pack_graphs
 from repro.runtime.plan import clear_plan_cache, fingerprint_of, plan_for
 
-from tests.conftest import build_graph
+from tests.conftest import build_graph, dff_chain_pair, shallow_pair
 
 
 @pytest.fixture(autouse=True)
@@ -32,8 +33,25 @@ def random_graph(seed: int, n_dffs: int = 3, n_gates: int = 30) -> CircuitGraph:
 
 
 def graph_num_edges(graph: CircuitGraph) -> int:
-    nl = graph.netlist
-    return sum(len(nl.fanins(node)) for node in nl.nodes())
+    # A pack's union graph has no netlist; count from its fanin arrays.
+    return int((graph.fanin0 >= 0).sum() + (graph.fanin1 >= 0).sum())
+
+
+GRAPH_ARRAYS = (
+    "type_index", "features", "fanin0", "fanin1", "pi_ids", "and_ids",
+    "not_ids", "dff_ids", "po_ids", "dff_src", "level", "reverse_level",
+)
+
+
+def assert_same_array(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_same_batches(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("nodes", "src", "dst_local"):
+            assert_same_array(getattr(a, field), getattr(b, field))
 
 
 class TestPackRoundTrip:
@@ -68,6 +86,33 @@ class TestPackRoundTrip:
                 packed.plan.graph.features[sl], graph.features
             )
         assert covered.all()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 10_000), min_size=2, max_size=8),
+        n_gates=st.integers(5, 60),
+        with_edge_cases=st.booleans(),
+    )
+    def test_array_union_equals_union_netlist_graph(
+        self, seeds, n_gates, with_edge_cases
+    ):
+        """The pack's union graph is concatenated arrays; the reference is
+        the graph of the union *netlist* built node by node."""
+        graphs = [random_graph(seed, n_gates=n_gates) for seed in seeds]
+        if with_edge_cases:
+            graphs[1:1] = [shallow_pair()[0], dff_chain_pair()[0]]
+        plan = pack_graphs(graphs, cache=False).plan
+        union = disjoint_union([g.netlist for g in graphs]).union
+        want = plan_for(CircuitGraph(union), cache=False)
+        assert plan.graph.netlist is None
+        assert plan.key == want.key == union.fingerprint()
+        for name in GRAPH_ARRAYS:
+            assert_same_array(getattr(plan.graph, name), getattr(want.graph, name))
+        assert_same_batches(plan.graph.forward_batches, want.graph.forward_batches)
+        assert_same_batches(plan.graph.reverse_batches, want.graph.reverse_batches)
+        for custom in (True, False):
+            for got, ref in zip(plan.schedule(custom), want.schedule(custom)):
+                assert_same_batches(got, ref)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(2, 5))

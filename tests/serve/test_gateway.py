@@ -31,9 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import Netlist, NetlistError
 from repro.models.base import ModelConfig
 from repro.models.deepseq import DeepSeq
-from repro.runtime.shm import SHM_PREFIX
+from repro.runtime.shm import SHM_PREFIX, ShmBlock, stage_arrays
 from repro.serve import (
     DeadlineExceeded,
     Gateway,
@@ -41,8 +43,11 @@ from repro.serve import (
     ServeError,
     ServerClosed,
     WorkerDied,
+    Server,
     transport,
 )
+from repro.serve.worker import FEATURES, RESULTS, make_handler
+from repro.sim.workload import Workload
 
 from tests.conftest import build_pair
 
@@ -171,6 +176,105 @@ class TestProtocolSurface:
             fut = client.submit(*pairs[0], deadline_ms=0.0001)
             exc = fut.exception(timeout=60)
         assert exc is None or isinstance(exc, DeadlineExceeded)
+
+
+def _non_aig() -> Netlist:
+    nl = Netlist("one_or")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    nl.add_po(nl.add_gate(GateType.OR, [a, b], "g"))
+    return nl
+
+
+def _combinational_cycle() -> Netlist:
+    nl = Netlist("loop")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    g = nl.add_gate(GateType.AND, [], "g")
+    n = nl.add_gate(GateType.NOT, [g], "n")
+    nl.set_fanins(g, [a, n])
+    nl.add_po(nl.add_gate(GateType.AND, [n, b], "out"))
+    return nl
+
+
+def _stray_fanin() -> Netlist:
+    nl = Netlist("stray")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    nl.add_po(nl.add_gate(GateType.AND, [a, b], "g"))
+    nl.set_fanins(nl.add_gate(GateType.NOT, [], "n"), [99])
+    return nl
+
+
+BAD_NETLISTS = {
+    "non_aig": (_non_aig, "AIG"),
+    "cycle": (_combinational_cycle, "combinational cycle through nodes"),
+    "stray_fanin": (_stray_fanin, "out-of-range fanin 99"),
+}
+TWO_PIS = Workload(np.array([0.5, 0.25]), "w")
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_NETLISTS))
+class TestUncompilableNetlists:
+    """A netlist no worker could compile is refused at admission with the
+    exception the threaded server raises — it never reaches a worker."""
+
+    def test_rejected_over_the_socket_worker_untouched(
+        self, gateway, problem_set, kind
+    ):
+        pairs, expected = problem_set
+        build, message = BAD_NETLISTS[kind]
+        with gateway.connect() as client:
+            client.predict(*pairs[0])  # every slot is up before we look
+            before = gateway.metrics.count("worker_deaths")
+            pids = [h.proc.pid for h in gateway.supervisor.handles]
+            # A raw frame: what a client without local checks would send.
+            future = client._request(
+                ("predict", 10**9, build(), TWO_PIS, None, True), 10**9
+            )
+            with pytest.raises(NetlistError, match=message):
+                future.result(timeout=60)
+            with pytest.raises(NetlistError, match=message):
+                client.predict(build(), TWO_PIS, timeout=60)
+            res = client.predict(*pairs[3], timeout=120)
+            snap = client.metrics()
+        np.testing.assert_array_equal(expected[3].tr, res.tr)
+        assert snap["worker_deaths"] == before
+        assert [h.proc.pid for h in gateway.supervisor.handles] == pids
+
+    def test_warm_refuses_it(self, gateway, kind):
+        build, message = BAD_NETLISTS[kind]
+        with pytest.raises(NetlistError, match=message):
+            gateway.warm(build())
+
+    def test_threaded_server_raises_the_same(self, kind):
+        build, message = BAD_NETLISTS[kind]
+        with Server(MODEL, workers=1, dtype="float64") as server:
+            with pytest.raises(NetlistError, match=message):
+                server.submit(build(), TWO_PIS)
+
+    def test_worker_answers_a_structure_it_cannot_compile(self, problem_set, kind):
+        """Behind admission, the handler still fails only the requests
+        that name the bad structure."""
+        pairs, expected = problem_set
+        build, message = BAD_NETLISTS[kind]
+        good, workload = pairs[0]
+        arenas = {tag: ShmBlock.create(1 << 16) for tag in (FEATURES, RESULTS)}
+        try:
+            handle = make_handler(MODEL, None, arenas, "float64")
+            assert handle(("structure", "bad", build())) is None
+            assert handle(("structure", "good", good)) is None
+            assert handle(("warm", "bad", [1, 2])) == ("warmed", "bad")
+            features, _ = stage_arrays(
+                arenas[FEATURES], [TWO_PIS.pi_probs, workload.pi_probs]
+            )
+            members = [("bad", "w", 0), ("good", workload.name, workload.seed)]
+            _, batch_id, metas = handle(("batch", 7, features, members))
+        finally:
+            for block in arenas.values():
+                block.close()
+                block.unlink()
+        assert batch_id == 7
+        assert metas[0][0] == "err" and isinstance(metas[0][1], NetlistError)
+        assert message in str(metas[0][1])
+        assert metas[1][0] == "shm"
 
 
 def _frame(payload: bytes) -> bytes:
