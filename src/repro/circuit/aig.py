@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.circuit.gates import GateType
 from repro.circuit.levelize import cut_topo_order
-from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.netlist import Netlist, NetlistError, Structure
 
 __all__ = ["AigMapping", "to_aig", "strash"]
 
@@ -57,60 +57,72 @@ def to_aig(nl: Netlist, name: str | None = None) -> AigMapping:
     n-ary AND/OR/XOR/... first become balanced 2-input trees.  Existing AIG
     nodes pass through untouched, so lowering is idempotent.
     """
-    aig = Netlist(name or f"{nl.name}_aig")
-    mapping: dict[int, int] = {}
-
-    # Pass 1: create PIs and DFF shells (loops may reference later nodes).
-    for node in nl.nodes():
+    b = _Builder(nl)
+    # Lower combinational gates in an order where fanins are ready.  DFF
+    # outputs count as ready (their shells exist); only combinational
+    # fanin edges impose ordering.
+    for node in cut_topo_order(nl, smallest_first=False):
         gt = nl.gate_type(node)
-        if gt in (GateType.PI, GateType.DFF):
-            mapping[node] = aig.add_gate(gt, (), nl.node_name(node))
-
-    state = _Builder(aig)
-
-    # Pass 2: lower combinational gates in an order where fanins are ready.
-    # DFF outputs count as ready (their shells exist); only combinational
-    # fanin edges impose ordering, and validate() guarantees acyclicity.
-    order = cut_topo_order(nl, smallest_first=False)
-    for node in order:
-        gt = nl.gate_type(node)
-        if gt in (GateType.PI, GateType.DFF):
-            continue
-        fanins = [mapping[f] for f in nl.fanins(node)]
-        mapping[node] = _lower_gate(state, gt, fanins, nl.node_name(node))
-
-    # Pass 3: wire DFF data inputs.
-    for node in nl.nodes():
-        if nl.gate_type(node) is GateType.DFF:
-            (src,) = nl.fanins(node)
-            aig.set_fanins(mapping[node], [mapping[src]])
-
-    for po in nl.pos:
-        aig.add_po(mapping[po])
-    aig.validate()
-    if not aig.is_aig():
+        if gt not in _SHELLS:
+            fanins = [b.mapping[f] for f in nl.fanins(node)]
+            b.mapping[node] = _lower_gate(b, gt, fanins, nl.node_name(node))
+    lowered = b.finish(nl, name or f"{nl.name}_aig")
+    if not lowered.aig.is_aig():
         raise NetlistError("internal error: lowering left non-AIG nodes")
-    return AigMapping(aig=aig, fanout_of=mapping)
+    return lowered
 
 
-class _Builder:
-    """Small helper creating named intermediate AIG nodes."""
+_SHELLS = (GateType.PI, GateType.DFF)
 
-    def __init__(self, aig: Netlist) -> None:
-        self.aig = aig
-        self._tie_pi: int | None = None
-        self._const0: int | None = None
-        self._counter = 0
+
+class _Rows:
+    """An output netlist as one ``(type, fanins, name)`` row per node, made
+    a :class:`Netlist` in one step by :meth:`finish`."""
+
+    def __init__(self, nl: Netlist) -> None:
+        self.types: list[GateType] = []
+        self.fanins: list[tuple[int, ...]] = []
+        self.names: list[str] = []
+        #: Original node -> output node.  PIs and DFFs come first and are
+        #: never merged; DFF rows are wired last (loops reference later nodes).
+        self.mapping = {
+            node: self.add(nl.gate_type(node), (), nl.node_name(node))
+            for node in nl.nodes()
+            if nl.gate_type(node) in _SHELLS
+        }
+
+    def add(self, gt: GateType, fanins: tuple[int, ...], name: str) -> int:
+        self.types.append(gt)
+        self.fanins.append(fanins)
+        self.names.append(name)
+        return len(self.types) - 1
+
+    def finish(self, nl: Netlist, name: str) -> AigMapping:
+        for node in nl.dffs:
+            self.fanins[self.mapping[node]] = (self.mapping[nl.fanins(node)[0]],)
+        pos = dict.fromkeys(self.mapping[po] for po in nl.pos)
+        out = Netlist.from_structure(
+            Structure.from_rows(self.types, self.fanins, list(pos)), self.names, name
+        )
+        out.validate()
+        return AigMapping(aig=out, fanout_of=self.mapping)
+
+
+class _Builder(_Rows):
+    """Named intermediate AIG nodes."""
+
+    _const0: int | None = None
+    _counter = 0
 
     def fresh(self, stem: str) -> str:
         self._counter += 1
         return f"{stem}__aig{self._counter}"
 
     def not_(self, a: int, name: str | None = None) -> int:
-        return self.aig.add_gate(GateType.NOT, [a], name or self.fresh("inv"))
+        return self.add(GateType.NOT, (a,), name or self.fresh("inv"))
 
     def and_(self, a: int, b: int, name: str | None = None) -> int:
-        return self.aig.add_gate(GateType.AND, [a, b], name or self.fresh("and"))
+        return self.add(GateType.AND, (a, b), name or self.fresh("and"))
 
     def or_(self, a: int, b: int, name: str | None = None) -> int:
         # OR(a,b) = NOT(AND(a', b'))
@@ -124,20 +136,16 @@ class _Builder:
 
     def const0(self, name: str | None = None) -> int:
         if self._const0 is None:
-            src = self._any_source()
+            src = next(
+                (i for i, gt in enumerate(self.types) if gt is GateType.PI), None
+            )
+            if src is None:
+                src = self.add(GateType.PI, (), self.fresh("tie"))
             self._const0 = self.and_(src, self.not_(src), self.fresh("const0"))
         if name is None:
             return self._const0
         # Callers wanting a named constant get a buffer-free alias via NOT-NOT.
         return self.not_(self.not_(self._const0), name)
-
-    def _any_source(self) -> int:
-        pis = self.aig.pis
-        if pis:
-            return pis[0]
-        if self._tie_pi is None:
-            self._tie_pi = self.aig.add_pi(self.fresh("tie"))
-        return self._tie_pi
 
 
 def _lower_gate(b: _Builder, gt: GateType, fanins: list[int], name: str) -> int:
@@ -146,17 +154,17 @@ def _lower_gate(b: _Builder, gt: GateType, fanins: list[int], name: str) -> int:
     if gt is GateType.BUF:
         return b.not_(b.not_(fanins[0]), name)
     if gt is GateType.AND:
-        return _tree(b, b.and_, fanins, name)
+        return _tree(b.and_, fanins, name)
     if gt is GateType.OR:
-        return _tree(b, b.or_, fanins, name)
+        return _tree(b.or_, fanins, name)
     if gt is GateType.NAND:
-        return b.not_(_tree(b, b.and_, fanins, None), name)
+        return b.not_(_tree(b.and_, fanins, None), name)
     if gt is GateType.NOR:
-        return b.not_(_tree(b, b.or_, fanins, None), name)
+        return b.not_(_tree(b.or_, fanins, None), name)
     if gt is GateType.XOR:
-        return _tree(b, b.xor_, fanins, name)
+        return _tree(b.xor_, fanins, name)
     if gt is GateType.XNOR:
-        return b.not_(_tree(b, b.xor_, fanins, None), name)
+        return b.not_(_tree(b.xor_, fanins, None), name)
     if gt is GateType.MUX:
         sel, a, f1 = fanins
         return b.or_(b.and_(a, b.not_(sel)), b.and_(f1, sel), name)
@@ -167,18 +175,15 @@ def _lower_gate(b: _Builder, gt: GateType, fanins: list[int], name: str) -> int:
     raise NetlistError(f"cannot lower gate type {gt}")
 
 
-def _tree(b: _Builder, op, fanins: list[int], name: str | None) -> int:
-    """Reduce an n-ary gate into a balanced tree of 2-input ops."""
+def _tree(op, fanins: list[int], name: str | None) -> int:
+    """Reduce an n-ary gate (two or more fanins: the lowering checked) into
+    a balanced tree of 2-input ops."""
     layer = list(fanins)
     while len(layer) > 2:
-        nxt = [
+        layer = [
             op(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
             for i in range(0, len(layer), 2)
         ]
-        layer = nxt
-    if len(layer) == 1:
-        # Single input n-ary gate degenerates to a buffer; keep signal name.
-        return b.not_(b.not_(layer[0]), name)
     return op(layer[0], layer[1], name)
 
 
@@ -197,39 +202,16 @@ def strash(nl: Netlist, name: str | None = None) -> AigMapping:
     """
     if not nl.is_aig():
         raise NetlistError("strash operates on AIG netlists; run to_aig first")
-    out = Netlist(name or f"{nl.name}_strash")
-    mapping: dict[int, int] = {}
+    rows = _Rows(nl)
+    mapping = rows.mapping
     table: dict[tuple, int] = {}
-
-    # Shells first (PIs and DFFs are never merged: they carry state/input).
-    for node in nl.nodes():
-        gt = nl.gate_type(node)
-        if gt in (GateType.PI, GateType.DFF):
-            mapping[node] = out.add_gate(gt, (), nl.node_name(node))
-
     for node in cut_topo_order(nl, smallest_first=False):
         gt = nl.gate_type(node)
-        if gt in (GateType.PI, GateType.DFF):
+        if gt in _SHELLS:
             continue
         fanins = tuple(mapping[f] for f in nl.fanins(node))
-        key = (
-            (gt, tuple(sorted(fanins)))
-            if gt is GateType.AND
-            else (gt, fanins)
-        )
-        existing = table.get(key)
-        if existing is not None:
-            mapping[node] = existing
-        else:
-            new = out.add_gate(gt, list(fanins), nl.node_name(node))
-            table[key] = new
-            mapping[node] = new
-
-    for node in nl.nodes():
-        if nl.gate_type(node) is GateType.DFF:
-            (src,) = nl.fanins(node)
-            out.set_fanins(mapping[node], [mapping[src]])
-    for po in nl.pos:
-        out.add_po(mapping[po])
-    out.validate()
-    return AigMapping(aig=out, fanout_of=mapping)
+        key = (gt, tuple(sorted(fanins))) if gt is GateType.AND else (gt, fanins)
+        if key not in table:
+            table[key] = rows.add(gt, fanins, nl.node_name(node))
+        mapping[node] = table[key]
+    return rows.finish(nl, name or f"{nl.name}_strash")

@@ -16,21 +16,28 @@ The dialect implemented here is AIGER 1.9's core circuit subset:
   ``c``.  Property sections (``B``/``C``/``J``/``F`` counts) are not
   supported.
 
-Mapping into the IR: each AIGER variable becomes one node (PI, DFF or
-2-input AND); negated literals materialize one shared NOT node per
-variable; constant literals materialize CONST0/CONST1 nodes.  On write,
-NOT and BUF nodes fold back into complemented/aliased literals, so
-``read ∘ write`` is structurally stable and ``write ∘ read ∘ write`` is
-textually idempotent.
+Both formats are front ends of one literal table (:class:`_Table`): the
+readers only tokenise into it and the writer only formats it.  Mapping
+into the IR: each AIGER variable becomes one node (PI, DFF or 2-input
+AND, in that order); negated literals materialize one shared NOT node per
+variable and constant literals CONST0/CONST1 nodes, numbered by first use
+over latch next-states, AND operands and outputs.  On write, NOT and BUF
+nodes fold back into complemented/aliased literals, so ``read ∘ write``
+is structurally stable and ``write ∘ read ∘ write`` is textually
+idempotent.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from repro.circuit.gates import GateType
 from repro.circuit.levelize import cut_topo_order
-from repro.circuit.netlist import Netlist, NetlistError
+from repro.circuit.netlist import GATE_TYPES, Netlist, NetlistError, Structure
 
 __all__ = [
     "read_aiger",
@@ -39,20 +46,36 @@ __all__ = [
     "write_aiger_file",
 ]
 
-#: Gate kinds representable in AIGER output.  NOT/BUF fold into literals;
-#: CONST0/CONST1 map to literals 0/1; everything else must be lowered
-#: through :func:`repro.circuit.aig.to_aig` first.
-_WRITABLE = frozenset(
-    {
-        GateType.PI,
-        GateType.AND,
-        GateType.NOT,
-        GateType.BUF,
-        GateType.DFF,
-        GateType.CONST0,
-        GateType.CONST1,
-    }
-)
+#: Type codes of the gate kinds representable in AIGER.  NOT/BUF fold into
+#: literals; CONST0/CONST1 map to literals 0/1; everything else must be
+#: lowered through :func:`repro.circuit.aig.to_aig` first.
+_PI, _DFF, _AND, _NOT, _BUF, _CONST0, _CONST1 = _WRITABLE = [
+    GATE_TYPES.index(t)
+    for t in (
+        GateType.PI, GateType.DFF, GateType.AND, GateType.NOT,
+        GateType.BUF, GateType.CONST0, GateType.CONST1,
+    )
+]
+
+
+@dataclass
+class _Table:
+    """An AIGER document as int64 literal arrays.
+
+    ``inputs`` (I,) and ``latches`` (L,) are the defining literals,
+    ``next`` / ``init`` (L,) the latch rows, ``outputs`` (O,) and ``ands``
+    (A, 3) rows of ``lhs rhs0 rhs1``; ``trailer`` is every line after the
+    circuit (symbol table, then ``c`` and comments).
+    """
+
+    max_var: int
+    inputs: np.ndarray
+    latches: np.ndarray
+    next: np.ndarray
+    init: np.ndarray
+    outputs: np.ndarray
+    ands: np.ndarray
+    trailer: list[bytes]
 
 
 # ----------------------------------------------------------------------
@@ -67,11 +90,17 @@ def read_aiger(data: str | bytes, name: str | None = None) -> Netlist:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if data.startswith(b"aag"):
-        return _read_ascii(data, name)
-    if data.startswith(b"aig"):
-        return _read_binary(data, name)
-    raise NetlistError("not an AIGER document (expected 'aag' or 'aig' header)")
+    header, _, body = data.partition(b"\n")
+    binary, counts = _parse_header(header)
+    if binary:
+        table = _tokenise_binary(counts, body, len(data))
+    else:
+        table = _tokenise_ascii(counts, body)
+    structure, extra = _lower(table)
+    names, comment = _node_names(table, extra, rename=binary)
+    nl = Netlist.from_structure(structure, names, name or comment or "aiger")
+    nl.validate()
+    return nl
 
 
 def read_aiger_file(path: str | Path) -> Netlist:
@@ -83,38 +112,140 @@ def read_aiger_file(path: str | Path) -> Netlist:
     return nl
 
 
-def _parse_header(line: bytes) -> tuple[str, list[int]]:
+def _parse_header(line: bytes) -> tuple[bool, list[int]]:
+    """``(is binary, [M, I, L, O, A])`` of a header line."""
     parts = line.split()
-    if len(parts) < 6:
-        raise NetlistError(f"malformed AIGER header {line!r}")
-    fmt = parts[0].decode("ascii", "replace")
+    if not parts or parts[0] not in (b"aag", b"aig"):
+        raise NetlistError("not an AIGER document (expected 'aag' or 'aig' header)")
     try:
-        counts = [int(p) for p in parts[1:6]]
+        counts = [int(p) for p in parts[1:]]
     except ValueError:
-        raise NetlistError(f"malformed AIGER header {line!r}") from None
-    if any(c < 0 for c in counts):
+        counts = []
+    if len(counts) < 5:
+        raise NetlistError(f"malformed AIGER header {line!r}")
+    if min(counts) < 0:
         raise NetlistError("negative count in AIGER header")
-    if len(parts) > 6:
-        extra = [int(p) for p in parts[6:]]
-        if any(extra):
-            raise NetlistError(
-                "AIGER property sections (B/C/J/F) are not supported"
-            )
-    return fmt, counts
+    if any(counts[5:]):
+        raise NetlistError("AIGER property sections (B/C/J/F) are not supported")
+    if 2 * counts[0] + 1 > np.iinfo(np.int64).max:
+        raise NetlistError(f"AIGER header M={counts[0]} overflows 64-bit literals")
+    return parts[0] == b"aig", counts[:5]
+
+
+def _int_rows(lines: list[bytes], widths: tuple[int, ...]) -> np.ndarray:
+    """One int64 row per line, each with one of ``widths`` fields; a row
+    short of the widest is zero-filled."""
+    rows = []
+    for line in lines:
+        try:
+            row = [int(p) for p in line.split()]
+        except ValueError:
+            row = []
+        if len(row) not in widths:
+            raise NetlistError(f"malformed AIGER line {line!r} (fields: {widths})")
+        rows.append(row + [0] * (max(widths) - len(row)))
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), max(widths))
+    except OverflowError:
+        raise NetlistError("AIGER literal overflows 64 bits") from None
+
+
+def _tokenise_ascii(counts: list[int], body: bytes) -> _Table:
+    max_var, n_in, n_latch, n_out, n_and = counts
+    lines = body.splitlines()
+    cuts = list(accumulate([n_in, n_latch, n_out, n_and]))
+    if len(lines) < cuts[-1]:
+        raise NetlistError(
+            f"AIGER body truncated: {len(lines)} lines, need {cuts[-1]}"
+        )
+    inputs = _int_rows(lines[: cuts[0]], (1,))[:, 0]
+    latches = _int_rows(lines[cuts[0] : cuts[1]], (2, 3))
+    outputs = _int_rows(lines[cuts[1] : cuts[2]], (1,))[:, 0]
+    ands = _int_rows(lines[cuts[2] : cuts[3]], (3,))
+    for what, lits in (
+        ("input", inputs), ("latch", latches[:, 0]), ("AND", ands[:, 0])
+    ):
+        odd = lits[(lits & 1 == 1) | (lits == 0)]
+        if odd.size:
+            raise NetlistError(f"{what} literal {odd[0]} must be even and nonzero")
+    return _Table(
+        max_var, inputs, latches[:, 0], latches[:, 1], latches[:, 2],
+        outputs, ands, lines[cuts[3] :],
+    )
+
+
+def _tokenise_binary(counts: list[int], body: bytes, doc_bytes: int) -> _Table:
+    max_var, n_in, n_latch, n_out, n_and = counts
+    if n_in + n_latch + n_and != max_var:
+        raise NetlistError(
+            "binary AIGER requires M = I + L + A "
+            f"(got M={max_var}, I+L+A={n_in + n_latch + n_and})"
+        )
+    # Header counts size the arrays below, so each is held against the
+    # document before anything is built from it: latch and output rows
+    # are counted as they are split off, ANDs as their deltas are decoded.
+    # Inputs are implicit — nothing else bounds what a 30-byte document can
+    # make the reader build — so a document may not declare more of them
+    # than it has bits.
+    if n_in > 8 * doc_bytes:
+        raise NetlistError(
+            f"binary AIGER input section: {n_in} inputs declared by a "
+            f"{doc_bytes}-byte document"
+        )
+    # Latch and output rows are ASCII lines even in the binary format.
+    *rows, rest = body.split(b"\n", min(n_latch + n_out, len(body)))
+    if len(rows) < n_latch + n_out:
+        section = "latch" if len(rows) < n_latch else "output"
+        raise NetlistError(f"binary AIGER truncated in {section} section")
+    latches = _int_rows(rows[:n_latch], (1, 2))
+    outputs = _int_rows(rows[n_latch:], (1,))[:, 0]
+    deltas, end = _decode_deltas(rest, 2 * n_and)
+    variables = 2 * np.arange(1, max_var + 1, dtype=np.int64)
+    lhs = variables[n_in + n_latch :]
+    rhs0 = lhs - deltas[0::2]  # negative ones are out of range for _lower
+    return _Table(
+        max_var, variables[:n_in], variables[n_in : n_in + n_latch],
+        latches[:, 0], latches[:, 1], outputs,
+        np.stack([lhs, rhs0, rhs0 - deltas[1::2]], axis=1), rest[end:].splitlines(),
+    )
+
+
+def _decode_deltas(block: bytes, count: int) -> tuple[np.ndarray, int]:
+    """The first ``count`` LEB128 (7-bit little-endian) numbers of ``block``
+    and the offset just past them."""
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw < 0x80)[:count]
+    if ends.size < count:
+        raise NetlistError("binary AIGER truncated in AND section")
+    starts = np.append(0, ends[:-1] + 1)[:count]
+    if (ends - starts >= 9).any():
+        raise NetlistError("binary AIGER delta overflows 64 bits")
+    stop = int(ends[-1]) + 1 if count else 0
+    shift = 7 * (np.arange(stop) - np.repeat(starts, ends - starts + 1))
+    groups = (raw[:stop] & 0x7F).astype(np.int64) << shift
+    return np.add.reduceat(groups, starts) if count else groups, stop
+
+
+def _encode_deltas(values: np.ndarray) -> bytes:
+    """Non-negative int64 numbers as LEB128."""
+    groups = (values[:, None] >> np.arange(0, 63, 7)) & 0x7F
+    used = np.maximum(1, ((groups != 0) * np.arange(1, 10)).max(axis=1))[:, None]
+    groups |= (np.arange(9) < used - 1) << 7  # continuation bits
+    return groups[np.arange(9) < used].astype(np.uint8).tobytes()
 
 
 def _read_symbols(
-    lines: list[bytes],
+    trailer: list[bytes], n_in: int, n_latch: int
 ) -> tuple[dict[int, str], dict[int, str], str | None]:
-    """Collect input/latch symbol names and the first comment line."""
+    """Input and latch symbols by position (symbols past their section are
+    ignored) and the first comment line."""
     input_names: dict[int, str] = {}
     latch_names: dict[int, str] = {}
     comment: str | None = None
-    for pos, raw in enumerate(lines):
+    for pos, raw in enumerate(trailer):
         if raw.rstrip() == b"c":
-            if pos + 1 < len(lines):
-                text = lines[pos + 1].decode("utf-8", "replace").strip()
-                comment = text or None
+            if pos + 1 < len(trailer):
+                comment = trailer[pos + 1].decode("utf-8", "replace").strip() or None
             break
         try:
             head, sym = raw.split(None, 1)
@@ -125,277 +256,116 @@ def _read_symbols(
             continue
         idx = int(idx_text)
         text = sym.decode("utf-8", "replace").strip()
-        if kind == b"i":
+        if kind == b"i" and idx < n_in:
             input_names[idx] = text
-        elif kind == b"l":
+        elif kind == b"l" and idx < n_latch:
             latch_names[idx] = text
     return input_names, latch_names, comment
 
 
-class _AigerBuilder:
-    """Shared literal-resolution machinery of the two readers."""
+def _lower(t: _Table) -> tuple[Structure, np.ndarray]:
+    """A literal table as a structure: variables become nodes in table
+    order (inputs, latches, ANDs), then one NOT or constant node per
+    distinct negated or constant literal in first-use order over latch
+    next-states, AND operands and outputs.  Also returns those literals."""
+    n_in, n_latch, n_and = t.inputs.size, t.latches.size, len(t.ands)
+    defined = np.concatenate([t.inputs, t.latches, t.ands[:, 0]]) >> 1
+    stray = defined[(defined < 1) | (defined > t.max_var)]
+    if stray.size:
+        raise NetlistError(f"AIGER variable {stray[0]} outside 1..{t.max_var}")
+    by_var = np.argsort(defined, kind="stable")
+    ranked = np.append(defined[by_var], -1)  # the sentinel matches no variable
+    twice = ranked[1:][ranked[1:] == ranked[:-1]]
+    if twice.size:
+        raise NetlistError(f"AIGER variable {twice[0]} defined twice")
+    live = np.flatnonzero(t.init)
+    if live.size:
+        raise NetlistError(
+            f"latch var {t.latches[live[0]] >> 1} has init {t.init[live[0]]}; "
+            "only reset-to-0 latches are supported (the simulator resets all "
+            "state to zero)"
+        )
 
-    def __init__(
-        self,
-        name: str,
-        counts: list[int],
-        input_names: dict[int, str],
-        latch_names: dict[int, str],
-    ) -> None:
-        self.max_var, self.n_in, self.n_latch, self.n_out, self.n_and = counts
-        if self.n_in + self.n_latch + self.n_and > self.max_var:
+    def variable_nodes(lits: np.ndarray) -> np.ndarray:
+        slot = np.searchsorted(ranked[:-1], lits >> 1)
+        missing = lits[ranked[slot] != lits >> 1]
+        if missing.size:
             raise NetlistError(
-                f"AIGER header claims M={self.max_var} but needs "
-                f"{self.n_in + self.n_latch + self.n_and} variables"
+                f"AIGER literal {missing[0]} references undefined var {missing[0] >> 1}"
             )
-        self.nl = Netlist(name)
-        #: variable index -> netlist node id (the *un-negated* signal).
-        self.var_node: dict[int, int] = {}
-        self._not_memo: dict[int, int] = {}
-        self._const: dict[bool, int] = {}
-        used = set(input_names.values()) | set(latch_names.values())
+        return by_var[slot]
 
-        def fresh(base: str) -> str:
-            if base not in used and base not in self.nl._names:
-                return base
-            k = 0
-            while f"{base}_{k}" in used or f"{base}_{k}" in self.nl._names:
+    uses = np.concatenate([t.next, t.ands[:, 1:].ravel(), t.outputs])
+    stray = uses[(uses < 0) | (uses > 2 * t.max_var + 1)]
+    if stray.size:
+        raise NetlistError(f"AIGER literal {stray[0]} out of range")
+    own = (uses & 1 == 1) | (uses == 0)  # a NOT or constant node of its own
+    extra, first, inverse = np.unique(
+        uses[own], return_index=True, return_inverse=True
+    )
+    by_use = np.argsort(first)
+    extra = extra[by_use]
+    node = np.empty(uses.size, dtype=np.int64)
+    node[own] = defined.size + np.argsort(by_use)[inverse]
+    node[~own] = variable_nodes(uses[~own])
+    inverted = extra > 1
+
+    arity = np.concatenate([np.repeat([0, 1, 2], [n_in, n_latch, n_and]), inverted])
+    outputs = node[n_latch + 2 * n_and :]
+    return Structure(
+        np.concatenate(
+            [
+                np.repeat([_PI, _DFF, _AND], [n_in, n_latch, n_and]),
+                np.select([extra == 0, extra == 1], [_CONST0, _CONST1], _NOT),
+            ]
+        ).astype(np.int8),
+        np.append(0, np.cumsum(arity)),
+        np.concatenate(
+            [node[: n_latch + 2 * n_and], variable_nodes(extra[inverted])]
+        ),
+        outputs[np.sort(np.unique(outputs, return_index=True)[1])],
+    ), extra
+
+
+def _node_names(
+    t: _Table, extra: np.ndarray, rename: bool
+) -> tuple[list[str], str | None]:
+    """A name per node of :func:`_lower`'s structure, and the comment line:
+    symbols or ``i<k>`` / ``l<k>``, then ``a<var>``, ``n<var>``, ``const0/1``."""
+    n_in, n_latch = t.inputs.size, t.latches.size
+    input_names, latch_names, comment = _read_symbols(t.trailer, n_in, n_latch)
+    generated = [f"a{v}" for v in (t.ands[:, 0] >> 1).tolist()] + [
+        f"n{lit >> 1}" if lit > 1 else f"const{lit}" for lit in extra.tolist()
+    ]
+    # The ASCII symbol table names inputs and latches as they are made; a
+    # binary one follows the AND block and renames them afterwards, which
+    # drops a colliding symbol where the ASCII reader suffixes it.
+    early = ({}, {}) if rename else (input_names, latch_names)
+    reserved = {sym for table in early for sym in table.values()}
+    names: list[str] = []
+    taken: set[str] = set()
+
+    def claim(base: str, always_fresh: bool = True) -> None:
+        picked, k = base, 0
+        if base in taken or (always_fresh and base in reserved):
+            while (picked := f"{base}_{k}") in taken or picked in reserved:
                 k += 1
-            return f"{base}_{k}"
+        names.append(picked)
+        taken.add(picked)
 
-        self._fresh = fresh
-        self._input_names = input_names
-        self._latch_names = latch_names
-
-    def add_input(self, pos: int, var: int) -> None:
-        self._claim(var)
-        name = self._input_names.get(pos) or f"i{pos}"
-        if name in self.nl._names:
-            name = self._fresh(name)
-        self.var_node[var] = self.nl.add_pi(name)
-
-    def add_latch(self, pos: int, var: int) -> None:
-        self._claim(var)
-        name = self._latch_names.get(pos) or f"l{pos}"
-        if name in self.nl._names:
-            name = self._fresh(name)
-        self.var_node[var] = self.nl.add_dff(None, name)
-
-    def add_and_shell(self, var: int) -> None:
-        self._claim(var)
-        self.var_node[var] = self.nl.add_gate(
-            GateType.AND, (), self._fresh(f"a{var}")
-        )
-
-    def _claim(self, var: int) -> None:
-        if not 1 <= var <= self.max_var:
-            raise NetlistError(f"AIGER variable {var} outside 1..{self.max_var}")
-        if var in self.var_node:
-            raise NetlistError(f"AIGER variable {var} defined twice")
-
-    def lit_node(self, lit: int) -> int:
-        """Resolve a literal to a node, materializing NOT/CONST on demand."""
-        if lit < 0 or lit > 2 * self.max_var + 1:
-            raise NetlistError(f"AIGER literal {lit} out of range")
-        var, neg = lit >> 1, bool(lit & 1)
-        if var == 0:
-            node = self._const.get(neg)
-            if node is None:
-                gt = GateType.CONST1 if neg else GateType.CONST0
-                node = self.nl.add_gate(gt, (), self._fresh(gt.value.lower()))
-                self._const[neg] = node
-            return node
-        base = self.var_node.get(var)
-        if base is None:
-            raise NetlistError(f"AIGER literal {lit} references undefined var {var}")
-        if not neg:
-            return base
-        inv = self._not_memo.get(var)
-        if inv is None:
-            inv = self.nl.add_gate(
-                GateType.NOT, (base,), self._fresh(f"n{var}")
-            )
-            self._not_memo[var] = inv
-        return inv
-
-    def wire_latch(self, var: int, next_lit: int, init: int | None) -> None:
-        if init not in (None, 0):
-            raise NetlistError(
-                f"latch var {var} has init {init}; only reset-to-0 latches "
-                "are supported (the simulator resets all state to zero)"
-            )
-        self.nl.set_fanins(self.var_node[var], [self.lit_node(next_lit)])
-
-    def wire_and(self, var: int, rhs0: int, rhs1: int) -> None:
-        self.nl.set_fanins(
-            self.var_node[var], [self.lit_node(rhs0), self.lit_node(rhs1)]
-        )
-
-    def finish(self, output_lits: list[int]) -> Netlist:
-        for lit in output_lits:
-            self.nl.add_po(self.lit_node(lit))
-        self.nl.validate()
-        return self.nl
-
-
-def _read_ascii(data: bytes, name: str | None) -> Netlist:
-    lines = data.splitlines()
-    if not lines:
-        raise NetlistError("empty AIGER document")
-    fmt, counts = _parse_header(lines[0])
-    if fmt != "aag":
-        raise NetlistError(f"expected ASCII 'aag' header, got {fmt!r}")
-    n_in, n_latch, n_out, n_and = counts[1:]
-    body = lines[1:]
-    needed = n_in + n_latch + n_out + n_and
-    if len(body) < needed:
-        raise NetlistError(
-            f"AIGER body truncated: {len(body)} lines, need {needed}"
-        )
-    input_names, latch_names, comment = _read_symbols(body[needed:])
-    b = _AigerBuilder(name or comment or "aiger", counts, input_names, latch_names)
-
-    pos = 0
-    input_lits: list[int] = []
-    for k in range(n_in):
-        lit = _ascii_ints(body[pos], 1)[0]
-        if lit & 1 or lit == 0:
-            raise NetlistError(f"input literal {lit} must be even and nonzero")
-        input_lits.append(lit)
-        b.add_input(k, lit >> 1)
-        pos += 1
-    latch_rows: list[list[int]] = []
-    for k in range(n_latch):
-        row = _ascii_ints(body[pos], None)
-        if len(row) not in (2, 3):
-            raise NetlistError(f"malformed latch line {body[pos]!r}")
-        lit = row[0]
-        if lit & 1 or lit == 0:
-            raise NetlistError(f"latch literal {lit} must be even and nonzero")
-        b.add_latch(k, lit >> 1)
-        latch_rows.append(row)
-        pos += 1
-    output_lits = [_ascii_ints(body[pos + k], 1)[0] for k in range(n_out)]
-    pos += n_out
-    and_rows: list[list[int]] = []
-    for _ in range(n_and):
-        row = _ascii_ints(body[pos], 3)
-        lhs = row[0]
-        if lhs & 1 or lhs == 0:
-            raise NetlistError(f"AND literal {lhs} must be even and nonzero")
-        b.add_and_shell(lhs >> 1)
-        and_rows.append(row)
-        pos += 1
-
-    for row in latch_rows:
-        init = row[2] if len(row) == 3 else None
-        b.wire_latch(row[0] >> 1, row[1], init)
-    for lhs, rhs0, rhs1 in and_rows:
-        b.wire_and(lhs >> 1, rhs0, rhs1)
-    return b.finish(output_lits)
-
-
-def _ascii_ints(line: bytes, expected: int | None) -> list[int]:
-    parts = line.split()
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise NetlistError(f"malformed AIGER line {line!r}") from None
-    if expected is not None and len(values) != expected:
-        raise NetlistError(
-            f"malformed AIGER line {line!r}: expected {expected} fields"
-        )
-    return values
-
-
-def _read_binary(data: bytes, name: str | None) -> Netlist:
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise NetlistError("binary AIGER has no header line")
-    fmt, counts = _parse_header(data[:newline])
-    if fmt != "aig":
-        raise NetlistError(f"expected binary 'aig' header, got {fmt!r}")
-    max_var, n_in, n_latch, n_out, n_and = counts
-    if n_in + n_latch + n_and != max_var:
-        raise NetlistError(
-            "binary AIGER requires M = I + L + A "
-            f"(got M={max_var}, I+L+A={n_in + n_latch + n_and})"
-        )
-    pos = newline + 1
-    # Latch and output rows are ASCII lines even in the binary format.
-    latch_rows: list[list[int]] = []
-    for _ in range(n_latch):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise NetlistError("binary AIGER truncated in latch section")
-        row = _ascii_ints(data[pos:end], None)
-        if len(row) not in (1, 2):
-            raise NetlistError(f"malformed binary latch line {data[pos:end]!r}")
-        latch_rows.append(row)
-        pos = end + 1
-    output_lits: list[int] = []
-    for _ in range(n_out):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise NetlistError("binary AIGER truncated in output section")
-        output_lits.append(_ascii_ints(data[pos:end], 1)[0])
-        pos = end + 1
-
-    b = _AigerBuilder(name or "aiger", counts, {}, {})
-    for k in range(n_in):
-        b.add_input(k, k + 1)
-    for k in range(n_latch):
-        b.add_latch(k, n_in + k + 1)
-    for k in range(n_and):
-        b.add_and_shell(n_in + n_latch + k + 1)
-
-    for k, row in enumerate(latch_rows):
-        init = row[1] if len(row) == 2 else None
-        b.wire_latch(n_in + k + 1, row[0], init)
-    for k in range(n_and):
-        lhs = 2 * (n_in + n_latch + k + 1)
-        delta0, pos = _decode_delta(data, pos)
-        delta1, pos = _decode_delta(data, pos)
-        rhs0 = lhs - delta0
-        rhs1 = rhs0 - delta1
-        if rhs0 < 0 or rhs1 < 0:
-            raise NetlistError(f"binary AND {lhs} decodes to negative literal")
-        b.wire_and(lhs >> 1, rhs0, rhs1)
-    # Symbols/comments may follow the binary block.
-    input_names, latch_names, comment = _read_symbols(data[pos:].splitlines())
-    for idx, sym in input_names.items():
-        _try_rename(b.nl, b.var_node.get(idx + 1), sym)
-    for idx, sym in latch_names.items():
-        _try_rename(b.nl, b.var_node.get(n_in + idx + 1), sym)
-    b.nl.name = name or comment or "aiger"
-    return b.finish(output_lits)
-
-
-def _try_rename(nl: Netlist, node: int | None, name: str) -> None:
-    """Apply a symbol-table name when it does not collide."""
-    if node is None or not name or name in nl._names:
-        return
-    old = nl._nodes[node].name
-    nl._nodes[node].name = name
-    del nl._names[old]
-    nl._names[name] = node
-
-
-def _decode_delta(data: bytes, pos: int) -> tuple[int, int]:
-    """LEB128-style 7-bit little-endian delta used by binary AIGER."""
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise NetlistError("binary AIGER truncated in AND section")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise NetlistError("binary AIGER delta overflows 64 bits")
+    for prefix, table, count in (("i", early[0], n_in), ("l", early[1], n_latch)):
+        for k in range(count):
+            claim(table.get(k) or f"{prefix}{k}", always_fresh=False)
+    for base in generated:
+        claim(base)
+    if rename:
+        for offset, table in ((0, input_names), (n_in, latch_names)):
+            for k, sym in table.items():
+                if sym not in taken:
+                    taken.discard(names[offset + k])
+                    taken.add(sym)
+                    names[offset + k] = sym
+    return names, comment
 
 
 # ----------------------------------------------------------------------
@@ -417,120 +387,81 @@ def write_aiger(nl: Netlist, *, binary: bool = False) -> str | bytes:
     ASCII writer shares so both formats name variables identically.
     """
     nl.validate()
-    bad = sorted(
-        {nl.gate_type(i).value for i in nl.nodes() if nl.gate_type(i) not in _WRITABLE}
-    )
+    s = nl.structure()
+    code = s.type_code
+    bad = sorted({GATE_TYPES[c].value for c in code[~np.isin(code, _WRITABLE)]})
     if bad:
         raise NetlistError(
             f"cannot express gate types {bad} in AIGER; lower with "
             "repro.circuit.aig.to_aig first"
         )
-    for i in nl.nodes():
-        if nl.gate_type(i) is GateType.AND and len(nl.fanins(i)) != 2:
-            raise NetlistError(
-                f"AIGER requires 2-input ANDs; node {i} has "
-                f"{len(nl.fanins(i))} fanins (lower with to_aig)"
-            )
+    wide = np.flatnonzero((code == _AND) & (s.arity != 2))
+    if wide.size:
+        raise NetlistError(
+            f"AIGER requires 2-input ANDs; node {wide[0]} has "
+            f"{s.arity[wide[0]]} fanins (lower with to_aig)"
+        )
 
-    pis = nl.pis
-    dffs = nl.dffs
-    var_of: dict[int, int] = {}
-    for k, pi in enumerate(pis):
-        var_of[pi] = k + 1
-    for k, ff in enumerate(dffs):
-        var_of[ff] = len(pis) + k + 1
+    # ANDs take fresh variables in the *smallest-id-first* topological
+    # order: a netlist read back from AIGER numbers its ANDs in file order,
+    # so this choice makes ``write ∘ read`` idempotent (and
+    # fingerprint-stable) after one trip.
+    order = np.array(cut_topo_order(nl, smallest_first=True), dtype=np.int64)
+    pis, dffs = s.ids(GateType.PI), s.ids(GateType.DFF)
+    ands = order[code[order] == _AND]
+    variables = np.concatenate([pis, dffs, ands])
+    lit = np.zeros(s.num_nodes, dtype=np.int64)
+    lit[code == _CONST1] = 1
+    lit[variables] = 2 * np.arange(1, variables.size + 1)
+    # NOT and BUF fold into their fanin's literal, sources first.
+    folded = order[np.isin(code[order], (_NOT, _BUF))]
+    lits = lit.tolist()
+    for v, u, flip in zip(
+        folded.tolist(),
+        s.fanin_idx[s.fanin_ptr[folded]].tolist(),
+        (code[folded] == _NOT).tolist(),
+    ):
+        lits[v] = lits[u] ^ flip
+    lit = np.array(lits, dtype=np.int64)
+    rhs = lit[s.fanin_idx[s.fanin_ptr[ands][:, None] + np.arange(2)]]
 
-    # Literal per node, resolved in combinational topo order so NOT/BUF
-    # chains and AND fanins always see their sources first.  The order must
-    # be the *smallest-id-first* topological order: a netlist read back from
-    # AIGER numbers its ANDs in file order, so this choice makes
-    # ``write ∘ read`` idempotent (and fingerprint-stable) after one trip.
-    lit_of: dict[int, int] = {}
-    and_nodes: list[int] = []
-    next_var = len(pis) + len(dffs) + 1
-    for node in cut_topo_order(nl, smallest_first=True):
-        gt = nl.gate_type(node)
-        if gt in (GateType.PI, GateType.DFF):
-            lit_of[node] = 2 * var_of[node]
-        elif gt is GateType.CONST0:
-            lit_of[node] = 0
-        elif gt is GateType.CONST1:
-            lit_of[node] = 1
-        elif gt is GateType.NOT:
-            lit_of[node] = lit_of[nl.fanins(node)[0]] ^ 1
-        elif gt is GateType.BUF:
-            lit_of[node] = lit_of[nl.fanins(node)[0]]
-        else:  # AND
-            var_of[node] = next_var
-            lit_of[node] = 2 * next_var
-            next_var += 1
-            and_nodes.append(node)
-
-    max_var = next_var - 1
-    latch_next = [lit_of[nl.fanins(ff)[0]] for ff in dffs]
-    output_lits = [lit_of[po] for po in nl.pos]
-
-    symbols: list[str] = []
-    for k, pi in enumerate(pis):
-        sym = nl.node_name(pi)
-        if sym and "\n" not in sym:
-            symbols.append(f"i{k} {sym}")
-    for k, ff in enumerate(dffs):
-        sym = nl.node_name(ff)
-        if sym and "\n" not in sym:
-            symbols.append(f"l{k} {sym}")
-
-    header_counts = (max_var, len(pis), len(dffs), len(output_lits), len(and_nodes))
-    if not binary:
-        lines = ["aag " + " ".join(str(c) for c in header_counts)]
-        lines += [str(2 * var_of[pi]) for pi in pis]
-        lines += [f"{2 * var_of[ff]} {nxt}" for ff, nxt in zip(dffs, latch_next)]
-        lines += [str(lit) for lit in output_lits]
-        for node in and_nodes:
-            f0, f1 = nl.fanins(node)
-            a, bl = lit_of[f0], lit_of[f1]
-            if a < bl:
-                a, bl = bl, a
-            lines.append(f"{lit_of[node]} {a} {bl}")
-        lines += symbols
-        lines.append(f"c\n{nl.name}")
-        return "\n".join(lines) + "\n"
-
-    out = bytearray()
-    out += ("aig " + " ".join(str(c) for c in header_counts) + "\n").encode()
-    for nxt in latch_next:
-        out += f"{nxt}\n".encode()
-    for lit in output_lits:
-        out += f"{lit}\n".encode()
-    for node in and_nodes:
-        lhs = lit_of[node]
-        f0, f1 = nl.fanins(node)
-        a, bl = lit_of[f0], lit_of[f1]
-        if a < bl:
-            a, bl = bl, a
-        if lhs <= a:
-            raise NetlistError(
-                f"binary AIGER ordering violated at node {node} "
-                f"(lhs {lhs} <= rhs {a})"
-            )
-        out += _encode_delta(lhs - a)
-        out += _encode_delta(a - bl)
-    for sym in symbols:
-        out += (sym + "\n").encode()
-    out += f"c\n{nl.name}\n".encode()
-    return bytes(out)
+    symbols = [
+        f"{kind}{k} {sym}"
+        for kind, ids in (("i", pis), ("l", dffs))
+        for k, sym in enumerate(map(nl.node_name, ids.tolist()))
+        if sym and "\n" not in sym
+    ]
+    table = _Table(
+        variables.size, lit[pis], lit[dffs], lit[s.fanin_idx[s.fanin_ptr[dffs]]],
+        np.zeros(dffs.size, dtype=np.int64), lit[s.pos],
+        np.stack([lit[ands], rhs.max(axis=1), rhs.min(axis=1)], axis=1),
+        [line.encode() for line in symbols + ["c", nl.name]],
+    )
+    return _format_binary(table) if binary else _format_ascii(table)
 
 
-def _encode_delta(delta: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = delta & 0x7F
-        delta >>= 7
-        if delta:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+def _header(fmt: str, t: _Table) -> str:
+    sizes = (t.max_var, t.inputs.size, t.latches.size, t.outputs.size, len(t.ands))
+    return f"{fmt} " + " ".join(map(str, sizes))
+
+
+def _format_ascii(t: _Table) -> str:
+    lines = [_header("aag", t)]
+    lines += map(str, t.inputs.tolist())
+    lines += [f"{lit} {nxt}" for lit, nxt in zip(t.latches.tolist(), t.next.tolist())]
+    lines += map(str, t.outputs.tolist())
+    lines += ["%d %d %d" % tuple(row) for row in t.ands.tolist()]
+    lines += [line.decode() for line in t.trailer]
+    return "\n".join(lines) + "\n"
+
+
+def _format_binary(t: _Table) -> bytes:
+    """Inputs and AND left-hand sides are implicit; each AND stores the
+    LEB128 deltas ``lhs - rhs0`` and ``rhs0 - rhs1`` (``rhs0 >= rhs1``)."""
+    rows = [_header("aig", t), *map(str, t.next.tolist() + t.outputs.tolist())]
+    head = "".join(f"{row}\n" for row in rows).encode()
+    deltas = _encode_deltas((t.ands[:, :2] - t.ands[:, 1:]).ravel())
+    return head + deltas + b"".join(line + b"\n" for line in t.trailer)
 
 
 def write_aiger_file(nl: Netlist, path: str | Path) -> None:

@@ -157,7 +157,7 @@ class Structure:
             ``fanin_idx[fanin_ptr[i]:fanin_ptr[i + 1]]``, in pin order.
         pos: primary-output node ids in declaration order.
 
-    :meth:`lower` runs every per-node check, :meth:`levels` the global one
+    :meth:`check` runs every per-node check, :meth:`levels` the global one
     (an acyclic cut graph); derived facts are kept through :meth:`memo`.
     """
 
@@ -172,31 +172,47 @@ class Structure:
             arr.setflags(write=False)
 
     @classmethod
-    def lower(cls, nodes: Sequence[_Node], pos: Sequence[int]) -> "Structure":
-        """Lower a node list to arrays, checking it strictly."""
-        n = len(nodes)
-        if n == 0:
-            raise NetlistError("empty netlist")
-        type_code = np.array([_CODE[nd.gate_type] for nd in nodes], dtype=np.int8)
-        fanins = [nd.fanins for nd in nodes]
+    def from_rows(
+        cls,
+        types: Sequence[GateType],
+        fanins: Sequence[Sequence[int]],
+        pos: Sequence[int],
+    ) -> "Structure":
+        """Arrays from one gate type and one fanin row per node, unchecked."""
+        n = len(types)
+        type_code = np.array([_CODE[t] for t in types], dtype=np.int8)
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, fanins), np.int64, n), out=ptr[1:])
         try:
             idx = np.fromiter(chain.from_iterable(fanins), np.int64, ptr[-1])
         except OverflowError:  # an id no int64 holds: report it as stray
             idx = np.full(int(ptr[-1]), -1, dtype=np.int64)
-        arity = np.diff(ptr)
-        expected = _ARITY[type_code]
+        return cls(type_code, ptr, idx, np.array(pos, dtype=np.int64))
+
+    @classmethod
+    def lower(cls, nodes: Sequence[_Node], pos: Sequence[int]) -> "Structure":
+        """Lower a node list to arrays, checking it strictly."""
+        structure = cls.from_rows(
+            [nd.gate_type for nd in nodes], [nd.fanins for nd in nodes], pos
+        )
+        structure.check(nodes.__getitem__)
+        return structure
+
+    def check(self, node_at: Callable[[int], _Node]) -> None:
+        """Every per-node invariant and the PO range, as vector tests;
+        ``node_at`` supplies the first offender for the error text."""
+        n = self.num_nodes
+        if n == 0:
+            raise NetlistError("empty netlist")
+        arity, expected = self.arity, _ARITY[self.type_code]
         bad = np.where(expected < 0, arity < 2, arity != expected)
-        stray = np.flatnonzero((idx < 0) | (idx >= n))
-        bad[np.searchsorted(ptr, stray, side="right") - 1] = True
+        stray = np.flatnonzero((self.fanin_idx < 0) | (self.fanin_idx >= n))
+        bad[np.searchsorted(self.fanin_ptr, stray, side="right") - 1] = True
         for node_id in np.flatnonzero(bad).tolist():
-            _check_node(node_id, nodes[node_id], n)
-        structure = cls(type_code, ptr, idx, np.array(pos, dtype=np.int64))
-        stray = structure.pos[(structure.pos < 0) | (structure.pos >= n)]
+            _check_node(node_id, node_at(node_id), n)
+        stray = self.pos[(self.pos < 0) | (self.pos >= n)]
         if stray.size:
             raise NetlistError(f"PO references unknown node {stray[0]}")
-        return structure
 
     @classmethod
     def concat(cls, parts: Sequence["Structure"]) -> "Structure":
@@ -318,7 +334,8 @@ class Netlist:
     """A gate-level sequential netlist.
 
     Gates are added through :meth:`add_gate` (or the :meth:`add_pi` /
-    :meth:`add_dff` conveniences) and referred to by their integer id.
+    :meth:`add_dff` conveniences) and referred to by their integer id; a
+    netlist that already exists as arrays is made by :meth:`from_structure`.
     Fanins may reference not-yet-added ids only for DFFs (sequential loops);
     :meth:`validate` checks every structural invariant at once.
 
@@ -349,6 +366,48 @@ class Netlist:
         state = self.__dict__.copy()
         state.pop("_structure", None)
         return state
+
+    @classmethod
+    def from_structure(
+        cls,
+        structure: Structure,
+        names: Sequence[str] | None = None,
+        name: str = "netlist",
+    ) -> "Netlist":
+        """The netlist whose lowering is ``structure`` — the one way arrays
+        become a netlist.  Runs the checks of :meth:`structure` (plus: the
+        arrays describe a CSR, names and POs are distinct) and keeps
+        ``structure`` as the lowering, so the result is never re-lowered.
+        ``names`` default to ``n<i>``."""
+        code, ptr, idx = structure.type_code, structure.fanin_ptr, structure.fanin_idx
+        n = code.size
+        if (
+            ptr.size != n + 1 or ptr[0] != 0 or ptr[-1] != idx.size
+            or (np.diff(ptr) < 0).any() or (code < 0).any()
+            or (code >= len(GATE_TYPES)).any()
+        ):
+            raise NetlistError("structure arrays do not describe a netlist")
+        names = [f"n{i}" for i in range(n)] if names is None else list(names)
+        if len(names) != n:
+            raise NetlistError(f"{len(names)} names for {n} nodes")
+        index = dict(zip(names, range(n)))
+        if len(index) != n:
+            seen: set[str] = set()
+            clash = next(nm for nm in names if nm in seen or seen.add(nm))
+            raise NetlistError(f"duplicate node name {clash!r}")
+        pos = structure.pos.tolist()
+        if len(set(pos)) != len(pos):
+            raise NetlistError("a PO is listed twice")
+        bounds, flat = ptr.tolist(), idx.tolist()
+        nodes = [
+            _Node(GATE_TYPES[c], tuple(flat[lo:hi]), nm)
+            for c, lo, hi, nm in zip(code.tolist(), bounds, bounds[1:], names)
+        ]
+        structure.check(nodes.__getitem__)
+        nl = cls(name)
+        nl._nodes, nl._names, nl._pos = nodes, index, pos
+        nl._structure = structure
+        return nl
 
     # ------------------------------------------------------------------
     # construction

@@ -14,7 +14,13 @@ this package turns that serial bottleneck into a subsystem:
 
 from repro.data.cache import CACHE_VERSION, CacheStats, LabelCache, label_key
 from repro.data.factory import DataFactory, FactoryConfig, get_factory, set_factory
-from repro.data.shards import MANIFEST_NAME, ShardReader, load_manifest, write_shards
+from repro.data.shards import (
+    MANIFEST_NAME,
+    ShardError,
+    ShardReader,
+    load_manifest,
+    write_shards,
+)
 from repro.data.sweep import SweepConfig, SweepResult, sweep_workloads
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "get_factory",
     "set_factory",
     "MANIFEST_NAME",
+    "ShardError",
     "ShardReader",
     "load_manifest",
     "write_shards",

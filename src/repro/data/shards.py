@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -28,14 +29,26 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.circuit.graph import CircuitGraph
-from repro.circuit.netlist import GATE_TYPES, Netlist
+from repro.circuit.netlist import Netlist, Structure
 from repro.sim.workload import Workload
 from repro.train.dataset import CircuitSample
 
-__all__ = ["MANIFEST_NAME", "write_shards", "load_manifest", "ShardReader"]
+__all__ = [
+    "MANIFEST_NAME", "ShardError", "write_shards", "load_manifest", "ShardReader",
+]
 
 MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 1
+
+
+class ShardError(ValueError):
+    """A dataset file is missing, truncated or corrupt; names the file."""
+
+
+#: What reading a damaged manifest, shard or shard member raises.
+_UNREADABLE = (OSError, ValueError, EOFError, LookupError, zipfile.BadZipFile)
+
+
 def _encode_netlist(nl: Netlist) -> dict[str, np.ndarray]:
     # The shard layout is the netlist's lowering; the int16 type codes
     # index GATE_TYPES, whose order is therefore frozen by existing shards.
@@ -46,20 +59,6 @@ def _encode_netlist(nl: Netlist) -> dict[str, np.ndarray]:
         "fanins": structure.fanin_idx,
         "pos": structure.pos,
     }
-
-
-def _decode_netlist(
-    types: np.ndarray, offsets: np.ndarray, fanins: np.ndarray,
-    pos: np.ndarray, name: str,
-) -> Netlist:
-    nl = Netlist(name=name)
-    for i in range(types.size):
-        members = fanins[int(offsets[i]) : int(offsets[i + 1])]
-        nl.add_gate(GATE_TYPES[int(types[i])], members.tolist())
-    for p in pos:
-        nl.add_po(int(p))
-    nl.validate()
-    return nl
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -137,7 +136,10 @@ def write_shards(
 def load_manifest(dataset_dir: str | Path) -> dict:
     """Parse and sanity-check a dataset directory's manifest."""
     path = Path(dataset_dir) / MANIFEST_NAME
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except _UNREADABLE as exc:
+        raise ShardError(f"unreadable dataset manifest {path}: {exc}") from exc
     if manifest.get("version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported dataset format version {manifest.get('version')!r}"
@@ -181,13 +183,19 @@ class ShardReader(Sequence):
             _, npz = self._handles.popitem(last=False)
             npz.close()
 
+    def _path(self, shard_no: int) -> Path:
+        return self.dir / self.manifest["shards"][shard_no]["file"]
+
     def _npz(self, shard_no: int):
         npz = self._handles.get(shard_no)
         if npz is not None:
             self._handles.move_to_end(shard_no)
             return npz
-        info = self.manifest["shards"][shard_no]
-        npz = np.load(self.dir / info["file"])
+        path = self._path(shard_no)
+        try:
+            npz = np.load(path)
+        except _UNREADABLE as exc:
+            raise ShardError(f"unreadable shard {path}: {exc}") from exc
         self._handles[shard_no] = npz
         while len(self._handles) > self.cached_shards:
             _, old = self._handles.popitem(last=False)
@@ -196,24 +204,31 @@ class ShardReader(Sequence):
 
     def _decode_sample(self, shard_no: int, j: int) -> CircuitSample:
         npz = self._npz(shard_no)
-        entry = self.manifest["shards"][shard_no]["samples"][j]
-        nl = _decode_netlist(
-            npz[f"s{j}_types"],
-            npz[f"s{j}_offsets"],
-            npz[f"s{j}_fanins"],
-            npz[f"s{j}_pos"],
-            name=entry["name"],
-        )
+        try:
+            entry = self.manifest["shards"][shard_no]["samples"][j]
+            # The shard layout is the netlist's lowering (``_encode_netlist``).
+            structure = Structure(
+                npz[f"s{j}_types"].astype(np.int8), npz[f"s{j}_offsets"],
+                npz[f"s{j}_fanins"], npz[f"s{j}_pos"],
+            )
+            probs, target_tr, target_lg = (
+                npz[f"s{j}_{key}"] for key in ("probs", "tr", "lg")
+            )
+        except _UNREADABLE as exc:
+            raise ShardError(
+                f"sample {j} of shard {self._path(shard_no)} is missing or "
+                f"corrupt: {exc}"
+            ) from exc
+        nl = Netlist.from_structure(structure, name=entry["name"])
+        nl.validate()
         workload = Workload(
-            npz[f"s{j}_probs"].copy(),
-            name=entry["workload_name"],
-            seed=int(entry["workload_seed"]),
+            probs, name=entry["workload_name"], seed=int(entry["workload_seed"])
         )
         return CircuitSample(
             graph=CircuitGraph(nl),
             workload=workload,
-            target_tr=npz[f"s{j}_tr"].copy(),
-            target_lg=npz[f"s{j}_lg"].copy(),
+            target_tr=target_tr,
+            target_lg=target_lg,
             name=entry["name"],
         )
 

@@ -9,8 +9,11 @@ trip — write(read(write(x))) == write(read(x)) — which is the invariant
 external tools rely on.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.aig import to_aig
 from repro.circuit.aiger import (
@@ -97,6 +100,44 @@ class TestReadAscii:
         with pytest.raises(NetlistError):
             read_aiger("aag 1 1\n2\n")
 
+    def test_non_numeric_header_field_rejected(self):
+        with pytest.raises(NetlistError, match="header"):
+            read_aiger("aag 1 1 0 1 0 x\n2\n2\n")
+
+
+class TestReadBinary:
+    @pytest.mark.parametrize(
+        "counts, section",
+        [
+            ("300000000 300000000 0 0 0", "input"),
+            ("300000000 0 300000000 0 0", "latch"),
+            ("0 0 0 300000000 0", "output"),
+            ("300000000 0 0 0 300000000", "AND"),
+        ],
+    )
+    def test_counts_are_checked_against_the_document(self, counts, section):
+        """A header alone must not make the reader build anything."""
+        start = time.perf_counter()
+        with pytest.raises(NetlistError, match=f"{section} section"):
+            read_aiger(f"aig {counts}\n".encode())
+        assert time.perf_counter() - start < 1.0
+
+    def test_symbols_past_their_section_are_ignored(self):
+        doc = b"aig 3 1 1 1 1\n2\n6\n\x02\x02i1 latch\nl1 gate\ni0 en\n"
+        nl = read_aiger(doc)
+        assert [nl.node_name(i) for i in nl.nodes()] == ["en", "l0", "a3"]
+        assert read_aiger("aag 1 1 0 1 0\n2\n2\ni1 oops\nl0 oops\n").node_name(0) == "i0"
+
+    def test_wide_deltas_round_trip(self):
+        """Multi-byte LEB128 deltas: an AND of the first and last of 300 inputs."""
+        nl = Netlist("wide")
+        pis = [nl.add_pi(f"p{k}") for k in range(300)]
+        nl.add_po(nl.add_gate(GateType.AND, [pis[0], pis[-1]], "g"))
+        data = write_aiger(nl, binary=True)
+        back = read_aiger(data)
+        assert sorted(back.fanins(back.pos[0])) == [pis[0], pis[-1]]
+        assert write_aiger(back, binary=True) == data
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -181,3 +222,54 @@ class TestFiles:
         p = tmp_path / "mydesign.aag"
         write_aiger_file(nl, p)
         assert read_aiger_file(p).name == "mydesign"
+
+
+# ----------------------------------------------------------------------
+# hostile input
+# ----------------------------------------------------------------------
+def _fuzz_seeds() -> list[bytes]:
+    docs: list[bytes] = [TOGGLE.encode()]
+    for nl in (read_aiger(TOGGLE), random_aig(0, n_gates=25), random_aig(3, n_gates=12)):
+        docs += [write_aiger(nl).encode(), write_aiger(nl, binary=True)]
+    return docs
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 8)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("digit"), st.integers(0, 40), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(
+    seed=st.sampled_from(FUZZ_SEEDS),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+)
+def test_mutated_documents_parse_or_raise_netlist_error(seed, mutations):
+    """Bit rot, truncation and edited headers: the reader answers with a
+    valid netlist or a ``NetlistError`` — never another exception, a hang
+    or an allocation sized by a lie in the header."""
+    doc = bytearray(seed)
+    for kind, where, value in mutations:
+        at = where % (len(doc) + 1)
+        if kind == "set" and at < len(doc):
+            doc[at] = value
+        elif kind == "insert":
+            doc.insert(at, value)
+        elif kind == "delete":
+            del doc[at : at + value]
+        elif kind == "truncate":
+            del doc[at:]
+        elif kind == "digit" and where < len(doc) and chr(doc[where]).isdigit():
+            doc[where] = ord(str(value))  # header counts live in the first bytes
+    try:
+        nl = read_aiger(bytes(doc))
+    except NetlistError:
+        return
+    nl.validate()
+    assert len(nl) >= 1

@@ -1,5 +1,6 @@
-"""The one structural lowering (``Netlist.structure()``): memo hygiene,
-the single cut-graph sort, and the errors every entry point shares."""
+"""The one structural lowering (``Netlist.structure()``) and its inverse
+(``Netlist.from_structure``): memo hygiene, the single cut-graph sort, and
+the errors every entry point shares."""
 
 import ast
 import pickle
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 import repro
-from repro.circuit import aiger
 from repro.circuit.aiger import write_aiger_file
 from repro.circuit.benchmarks import family_subcircuits, load_design
 from repro.circuit.gates import GateType
@@ -141,13 +143,6 @@ class TestMemoHygiene:
         assert pickle.dumps(nl) == before
         assert pickle.loads(before)._structure is None
 
-    def test_renaming_keeps_the_memo(self):
-        nl = toggle()
-        kept, fp = nl.structure(), nl.fingerprint()
-        aiger._try_rename(nl, 3, "renamed")
-        assert nl.node_by_name("renamed") == 3
-        assert nl.structure() is kept and nl.fingerprint() == fp
-
     def test_shared_arrays_are_read_only(self):
         graph = build_graph(3)
         structure = graph.structure
@@ -228,6 +223,21 @@ def test_array_consumers_never_walk_a_netlist():
     }
 
 
+def test_ingest_builds_netlists_from_arrays_only():
+    """Everything that turns other data into a netlist hands arrays to
+    ``Netlist.from_structure``: no node-by-node replay, no reach into the
+    netlist's private containers."""
+    edits = {"add_gate", "add_pi", "add_dff", "set_fanins", "add_po"}
+    for name in ("circuit/aiger.py", "circuit/aig.py", "data/shards.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        private = sorted(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_nodes", "_names")
+        )
+        assert (_calls(SRC / name, edits), private) == ([], []), name
+
+
 def test_runtime_builds_no_union_netlist():
     importers = [
         str(path.relative_to(SRC))
@@ -262,11 +272,14 @@ def test_large_design_path_lowers_and_sorts_once(tmp_path, monkeypatch):
     path = tmp_path / "design.aig"
     write_aiger_file(family_subcircuits("itc99", 1, seed=1)[0], path)
     spy = _Spy(monkeypatch)
-    design = load_design(path)
+    design = load_design(path)  # read_aiger_file, then to_aig
     design.fingerprint()
     compile_netlist(design)
     plan_for(design, cache=False).schedule(True)
-    assert [x is design._nodes for x in spy.lowered].count(True) == 1
+    # Both netlists were built from arrays: neither is ever lowered, and
+    # each one's levels are computed once (the raw one's by the reader).
+    assert spy.lowered == []
+    assert len(spy.swept) == 2
     assert [x is design.structure() for x in spy.swept].count(True) == 1
 
 
@@ -276,3 +289,93 @@ def test_build_dataset_lowers_and_sorts_once_per_circuit(monkeypatch):
     build_dataset(circuits, SimConfig(cycles=8, streams=64, seed=0))
     assert sorted(map(id, spy.lowered)) == sorted(id(nl._nodes) for nl in circuits)
     assert sorted(map(id, spy.swept)) == sorted(id(nl.structure()) for nl in circuits)
+
+
+# ----------------------------------------------------------------------
+# arrays -> netlist
+# ----------------------------------------------------------------------
+class TestFromStructure:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n_dffs=st.integers(0, 4),
+        n_gates=st.integers(1, 30),
+        named=st.booleans(),
+    )
+    def test_equals_the_node_by_node_rebuild(self, seed, n_dffs, n_gates, named):
+        nl = random_sequential_netlist(
+            GeneratorConfig(n_pis=3, n_dffs=n_dffs, n_gates=n_gates), seed=seed
+        )
+        names = [nl.node_name(i) for i in nl.nodes()] if named else None
+        built = Netlist.from_structure(nl.structure(), names, name=nl.name)
+        assert built._structure is nl.structure()  # kept, never re-lowered
+        assert [built.node_name(i) for i in built.nodes()] == (
+            names or [f"n{i}" for i in nl.nodes()]
+        )
+        assert [(built.gate_type(i), built.fanins(i)) for i in built.nodes()] == [
+            (nl.gate_type(i), nl.fanins(i)) for i in nl.nodes()
+        ]
+        reference = rebuilt(built)
+        assert built._nodes == reference._nodes
+        assert built._names == reference._names and built.pos == reference.pos == nl.pos
+        assert pickle.dumps(built) == pickle.dumps(reference)
+        assert built.fingerprint() == nl.fingerprint()
+        assert observed(built) == observed(nl)
+        built.add_po(0)  # still an ordinary, editable netlist
+        assert built._structure is None and observed(built) == observed(rebuilt(built))
+
+    def _arrays(self, nl: Netlist):
+        s = nl.structure()
+        return [s.type_code.copy(), s.fanin_ptr.copy(), s.fanin_idx.copy(), s.pos.copy()]
+
+    def test_errors_are_the_lowering_errors(self):
+        nl = toggle()
+        names = [nl.node_name(i) for i in nl.nodes()]
+        with pytest.raises(NetlistError, match="duplicate node name 'a'"):
+            Netlist.from_structure(nl.structure(), ["a", "state", "a", "g"])
+        with pytest.raises(NetlistError, match="3 names for 4 nodes"):
+            Netlist.from_structure(nl.structure(), names[:3])
+
+        code, ptr, idx, pos = self._arrays(nl)
+        idx[0] = 9
+        with pytest.raises(NetlistError) as err:
+            Netlist.from_structure(Structure(code, ptr, idx, pos), names)
+        assert str(err.value) == "node 1 (state) has out-of-range fanin 9"
+
+        code, ptr, idx, pos = self._arrays(nl)
+        with pytest.raises(NetlistError) as err:
+            Netlist.from_structure(Structure(code, ptr, idx, np.array([3, 4])), names)
+        assert str(err.value) == "PO references unknown node 4"
+        with pytest.raises(NetlistError, match="listed twice"):
+            Netlist.from_structure(Structure(code, ptr, idx, np.array([3, 3])), names)
+
+        code, ptr, idx, pos = self._arrays(nl)
+        code[3] = GATE_TYPES.index(GateType.NOT)  # a NOT with two fanins
+        with pytest.raises(NetlistError) as err:
+            Netlist.from_structure(Structure(code, ptr, idx, pos), names)
+        assert str(err.value) == "node 3 NOT requires 1 fanins, got 2"
+
+        code, ptr, idx, pos = self._arrays(nl)
+        ptr[2:] -= 1  # the DFF loses its data input
+        with pytest.raises(NetlistError) as err:
+            Netlist.from_structure(Structure(code, ptr, idx[1:], pos), names)
+        assert str(err.value) == "DFF 1 (state) has dangling/extra data input"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda code, ptr, idx, pos: (code, ptr[:-1], idx, pos),
+            lambda code, ptr, idx, pos: (code, ptr, idx[:-1], pos),
+            lambda code, ptr, idx, pos: (code, ptr[::-1].copy(), idx, pos),
+            lambda code, ptr, idx, pos: (code + 100, ptr, idx, pos),
+            lambda code, ptr, idx, pos: (code - 100, ptr, idx, pos),
+        ],
+    )
+    def test_arrays_that_are_no_csr_are_refused(self, damage):
+        with pytest.raises(NetlistError, match="do not describe a netlist"):
+            Netlist.from_structure(Structure(*damage(*self._arrays(toggle()))))
+        with pytest.raises(NetlistError, match="empty netlist"):
+            empty = np.zeros(0, dtype=np.int64)
+            Netlist.from_structure(
+                Structure(empty.astype(np.int8), np.zeros(1, dtype=np.int64), empty, empty)
+            )

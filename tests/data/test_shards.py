@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.benchmarks import family_subcircuits
-from repro.data import ShardReader, load_manifest, write_shards
+from repro.data import ShardError, ShardReader, load_manifest, write_shards
 from repro.sim.logicsim import SimConfig
 from repro.train.dataset import build_dataset
 
@@ -120,3 +120,68 @@ class TestIndexing:
             reader[len(reader)]
         with pytest.raises(IndexError):
             reader[-len(reader) - 1]
+
+
+class TestDamagedDataset:
+    """Every way a dataset directory rots surfaces as one ``ShardError``
+    that names the file — the matrix ``LabelCache`` has for its entries."""
+
+    SHARD = "shard-00001.npz"  # samples 2 and 3
+
+    def _damage_shard(self, written, edit):
+        path = written / self.SHARD
+        path.write_bytes(edit(path.read_bytes()))
+        return ShardReader(written)
+
+    def test_intact_shards_still_load(self, written):
+        reader = self._damage_shard(written, lambda data: data[: len(data) // 2])
+        assert reader[0].name and reader[4].name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(lambda data: b"not a zip archive at all", id="garbage"),
+        ],
+    )
+    def test_unreadable_shard(self, written, edit):
+        reader = self._damage_shard(written, edit)
+        with pytest.raises(ShardError, match=self.SHARD):
+            reader[2]
+
+    def test_bit_flip_in_a_member(self, written):
+        def flip(data: bytes) -> bytes:
+            at = data.index(b"s1_fanins.npy") + 200  # inside the stored array
+            return data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1 :]
+
+        reader = self._damage_shard(written, flip)
+        assert reader[2].name  # sample 0 of the shard is intact
+        with pytest.raises(ShardError, match=rf"sample 1 of shard .*{self.SHARD}"):
+            reader[3]
+
+    def test_missing_shard(self, written):
+        (written / self.SHARD).unlink()
+        with pytest.raises(ShardError, match=self.SHARD):
+            ShardReader(written)[3]
+
+    def test_manifest_counts_past_the_members(self, written):
+        path = written / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shards"][1]["count"] += 1
+        path.write_text(json.dumps(manifest))
+        reader = ShardReader(written)
+        with pytest.raises(ShardError, match=rf"sample 2 of shard .*{self.SHARD}"):
+            reader[4]
+
+    @pytest.mark.parametrize("keep", [0, 0.5], ids=["empty", "truncated"])
+    def test_truncated_manifest(self, written, keep):
+        path = written / "manifest.json"
+        text = path.read_text()
+        path.write_text(text[: int(len(text) * keep)])
+        with pytest.raises(ShardError, match="manifest.json"):
+            ShardReader(written)
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(ShardError, match="manifest.json"):
+            load_manifest(tmp_path)
