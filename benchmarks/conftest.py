@@ -3,7 +3,7 @@
 Every benchmark regenerates one paper table at the *quick* experiment
 scale (see ``repro.experiments.config``) and prints it, so running
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_table*.py --benchmark-only -s
 
 reproduces the shape of Tables I–VII end to end on a laptop CPU.  Each
 experiment runs exactly once (``pedantic`` with one round) — these are

@@ -27,7 +27,6 @@ from repro.circuit.benchmarks import (
     LARGE_DESIGN_SPECS,
     family_subcircuits,
     large_design,
-    large_design_suite,
     load_design,
     training_corpus,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "LARGE_DESIGN_SPECS",
     "family_subcircuits",
     "large_design",
-    "large_design_suite",
     "load_design",
     "training_corpus",
     "Stitch",

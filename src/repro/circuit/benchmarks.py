@@ -39,7 +39,6 @@ __all__ = [
     "family_subcircuits",
     "training_corpus",
     "large_design",
-    "large_design_suite",
     "load_design",
 ]
 
@@ -395,16 +394,6 @@ def large_design(
         ) from None
     nl = _IpCoreBuilder(spec, seed, scale=scale).build()
     return to_aig(nl).aig if as_aig else nl
-
-
-def large_design_suite(
-    seed: int = 7, as_aig: bool = True, scale: float = 1.0
-) -> dict[str, Netlist]:
-    """Build all six Table IV designs."""
-    return {
-        name: large_design(name, seed=seed, as_aig=as_aig, scale=scale)
-        for name in LARGE_DESIGN_SPECS
-    }
 
 
 def load_design(

@@ -8,7 +8,6 @@ from repro.data import DataFactory, FactoryConfig
 from repro.experiments.config import ExperimentScale
 from repro.models.base import ModelConfig, RecurrentDagGnn
 from repro.models.registry import make_model
-from repro.runtime import BatchedPredictor
 from repro.sim.logicsim import SimConfig
 from repro.train.dataset import CircuitSample
 from repro.train.trainer import TrainConfig, Trainer
@@ -20,7 +19,6 @@ __all__ = [
     "training_circuits",
     "training_dataset",
     "pretrain",
-    "inference_predictor",
 ]
 
 
@@ -84,21 +82,6 @@ def training_dataset(
     circuits = [nl for fam in sorted(corpus) for nl in corpus[fam]]
     factory = factory or data_factory(scale)
     return factory.build(circuits, sim_config(scale), seed=scale.seed)
-
-
-def inference_predictor(
-    model: RecurrentDagGnn, scale: ExperimentScale, dtype="float64"
-) -> BatchedPredictor:
-    """The experiment drivers' inference path: a batched-runtime predictor.
-
-    Packs the scale's batch size worth of circuits per levelized sweep.
-    float64 (default) reproduces sequential ``predict`` bitwise, so table
-    regenerations are unaffected by batching; float32 is the fast path
-    for throughput-oriented sweeps.
-    """
-    return BatchedPredictor(
-        model, batch_size=max(1, scale.batch_size), dtype=dtype
-    )
 
 
 def pretrain(

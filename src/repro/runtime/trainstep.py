@@ -9,11 +9,12 @@ level ``k`` of every member lands in the same vectorized edge batch, so the
 per-level Python overhead is amortized across the whole minibatch.
 
 Equivalence guarantee: a packed step computes bitwise-identical float64
-gradients to the legacy *merged* path (``merge_samples`` + forward +
-backward on the concatenated sample), because packing and merging build the
+gradients to a forward + backward on one sample built over the members'
+union netlist (the ``merge_samples`` oracle of
+``tests/runtime/test_differential.py``), because packing concatenates the
 same disjoint union (same member order ⇒ same structure ⇒ same cached
 plan), the packed batch keeps union-level initial hidden states, and the
-loss is taken over the whole union exactly as before.  Per-member losses
+loss is taken over the whole union.  Per-member losses
 are *unpacked* after the fact for reporting only — they never perturb the
 optimization objective.
 """

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import numbers
 import socket
 import threading
 import time
@@ -67,6 +68,7 @@ from repro.serve.batching import (
 from repro.serve.metrics import ServerMetrics
 from repro.serve.server import ServeFuture
 from repro.serve.worker import FEATURES, RESULTS, make_handler
+from repro.sim.workload import Workload
 
 __all__ = ["Gateway", "GatewayClient"]
 
@@ -242,10 +244,19 @@ class Gateway:
             writer.close()
 
     async def _handle_http(self, reader, writer) -> None:
-        """``GET /metrics`` -> JSON snapshot; anything else -> 404."""
-        line = await reader.readline()  # rest of "GET <path> HTTP/1.x"
-        path = (b"GET " + line).split()[1].decode("ascii", "replace")
-        if path in ("/metrics", "/metrics/"):
+        """``GET /metrics`` -> JSON snapshot; a request line with no path,
+        or one past the reader's line limit -> 400; any other path -> 404."""
+        try:
+            words = (await reader.readline()).split()  # "<path> HTTP/1.x"
+        except ValueError:  # longer than the StreamReader limit
+            words = []
+        if not words:
+            writer.write(
+                transport.http_response(
+                    "400 Bad Request", b"bad request\n", "text/plain"
+                )
+            )
+        elif words[0] in (b"/metrics", b"/metrics/"):
             body = json.dumps(self.metrics.snapshot(), default=float).encode()
             writer.write(transport.http_response("200 OK", body, "application/json"))
         else:
@@ -282,7 +293,13 @@ class Gateway:
         if op != "predict":
             respond(None, ServeError(f"unknown op {op!r}"))
             return
-        if len(args) != 4 or not isinstance(args[0], Netlist):
+        if not (
+            len(args) == 4
+            and isinstance(args[0], Netlist)
+            and isinstance(args[1], Workload)
+            and (args[2] is None or isinstance(args[2], numbers.Real))
+            and isinstance(args[3], bool)
+        ):
             respond(None, ServeError("malformed predict request"))
             return
         netlist, workload, deadline_ms, block = args
@@ -403,6 +420,13 @@ class Gateway:
             # path — here we only fail this batch's requests typed.
             handle.inflight = None
             self._batcher.fail(live, WorkerDied("worker died before executing batch"))
+            self._maybe_drained()
+        except Exception as exc:
+            # Nothing reached the worker as a batch: the failure costs these
+            # requests, never the dispatcher, and the worker stays in service.
+            handle.inflight = None
+            self._batcher.fail(live, ServeError(f"batch dispatch failed: {exc!r}"))
+            self._idle.put_nowait((handle.generation, handle))
             self._maybe_drained()
 
     # ------------------------------------------------------------------

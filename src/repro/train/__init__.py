@@ -12,7 +12,6 @@ from repro.train.dataset import (
     build_dataset,
     build_reliability_dataset,
     dataset_workloads,
-    merge_samples,
 )
 from repro.train.finetune import (
     FinetuneConfig,
@@ -34,7 +33,6 @@ __all__ = [
     "build_dataset",
     "build_reliability_dataset",
     "dataset_workloads",
-    "merge_samples",
     "FinetuneConfig",
     "finetune_for_reliability",
     "finetune_grannite",

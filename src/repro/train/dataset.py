@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.compose import disjoint_union
 from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
 from repro.sim.faults import FaultConfig, FaultSimResult, simulate_with_faults
@@ -29,7 +28,6 @@ __all__ = [
     "dataset_workloads",
     "build_dataset",
     "build_reliability_dataset",
-    "merge_samples",
 ]
 
 
@@ -154,35 +152,3 @@ def build_reliability_dataset(
         )
         for nl, wl in zip(circuits, dataset_workloads(circuits, seed, workloads))
     ]
-
-
-def merge_samples(samples: list[CircuitSample], name: str = "batch") -> CircuitSample:
-    """Topological batching: merge samples into one disjoint-union sample.
-
-    Levels of different member circuits align, so one levelized sweep
-    processes the whole batch — the speedup of [16] the paper adopts.
-
-    The training hot loop no longer calls this: the trainer packs
-    minibatches through :func:`repro.runtime.trainstep.pack_samples`,
-    which reuses cached union plans and unpacks per-member losses.  This
-    stays as the reference construction the packed path is verified
-    bitwise against (``tests/runtime/test_differential.py``) and for
-    one-off merged samples outside the trainer.
-    """
-    if len(samples) == 1:
-        return samples[0]
-    mapping = disjoint_union([s.graph.netlist for s in samples], name=name)
-    graph = CircuitGraph(mapping.union)
-    workload = Workload(
-        np.concatenate([s.workload.pi_probs for s in samples]),
-        name=name,
-        seed=samples[0].workload.seed,
-    )
-    return CircuitSample(
-        graph=graph,
-        workload=workload,
-        target_tr=np.concatenate([s.target_tr for s in samples], axis=0),
-        target_lg=np.concatenate([s.target_lg for s in samples]),
-        name=name,
-        extras={"members": [s.name for s in samples]},
-    )

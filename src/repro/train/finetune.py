@@ -135,8 +135,6 @@ def finetune_grannite(
     simulation" inputs — and the L1 loss covers only the combinational
     gates it actually predicts.
     """
-    import numpy as np
-
     from repro.models.grannite import SourceActivity
     from repro.nn.functional import l1_loss
     from repro.nn.optim import Adam
@@ -181,8 +179,6 @@ def finetune_for_reliability(
     LG head keeps predicting fault-free logic probability as the auxiliary
     task (the paper keeps the same hyper-parameters and L1 loss).
     """
-    import numpy as np
-
     config = config or FinetuneConfig()
     dataset = _label_factory(factory).build_reliability(
         circuits, config.sim, fault_config, seed=config.seed

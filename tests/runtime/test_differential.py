@@ -11,7 +11,8 @@ these tests pin the fast path to it:
 * packed K-circuit execution vs sequential per-circuit ``predict`` —
   float64 bitwise, across all three model families, DFF-heavy circuits
   and single-node edge cases;
-* packed training gradients vs the legacy ``merge_samples`` path —
+* packed training gradients vs :func:`merge_samples` — one sample built
+  on the union netlist, forward and backward with no runtime involved —
   float64 bitwise.
 """
 
@@ -20,6 +21,8 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.circuit.compose import disjoint_union
+from repro.circuit.graph import CircuitGraph
 from repro.models.aggregators import DualAttentionAggregator
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
@@ -30,8 +33,8 @@ from repro.runtime.pack import clear_pack_cache, pack_graphs
 from repro.runtime.plan import clear_plan_cache, plan_for
 from repro.runtime.predictor import ParameterShadow, predict_one, predict_packed
 from repro.runtime.trainstep import pack_samples, train_step
-from repro.sim.workload import random_workload
-from repro.train.dataset import CircuitSample, merge_samples
+from repro.sim.workload import Workload, random_workload
+from repro.train.dataset import CircuitSample
 
 CFG = ModelConfig(hidden=10, iterations=2, seed=0)
 
@@ -62,6 +65,28 @@ def make_pair(seed=0, n_pis=4, n_dffs=3, n_gates=30):
 def dff_heavy_pair(seed=7):
     """More flip-flops than gates: exercises DFF copy + baseline batches."""
     return make_pair(seed=seed, n_dffs=12, n_gates=14)
+
+
+def merge_samples(samples: list[CircuitSample], name: str = "batch") -> CircuitSample:
+    """Topological batching by construction: one sample on the members'
+    disjoint-union netlist, labels and PI statistics concatenated in member
+    order.  The oracle :func:`pack_samples` + :func:`train_step` are held
+    to; nothing in ``src/`` builds a minibatch this way."""
+    if len(samples) == 1:
+        return samples[0]
+    mapping = disjoint_union([s.graph.netlist for s in samples], name=name)
+    return CircuitSample(
+        graph=CircuitGraph(mapping.union),
+        workload=Workload(
+            np.concatenate([s.workload.pi_probs for s in samples]),
+            name=name,
+            seed=samples[0].workload.seed,
+        ),
+        target_tr=np.concatenate([s.target_tr for s in samples], axis=0),
+        target_lg=np.concatenate([s.target_lg for s in samples]),
+        name=name,
+        extras={"members": [s.name for s in samples]},
+    )
 
 
 def grads_of(model):
@@ -307,7 +332,7 @@ class TestPackedVsMergedTraining:
         packed_grads = grads_of(model)
 
         model.zero_grad()
-        merged = merge_samples(list(samples), name="legacy_merge")
+        merged = merge_samples(list(samples), name="merged")
         pred_tr, pred_lg = model(merged.graph, merged.workload)
         loss_tr = l1_loss(pred_tr, merged.target_tr)
         loss_lg = l1_loss(pred_lg, merged.target_lg[:, None])

@@ -378,14 +378,21 @@ class TestMemoryBudget:
             np.testing.assert_array_equal(a.lg, b.lg)
 
     def test_budgeted_pack_always_admits_one_member(self):
+        """A member whose plan alone is over the budget is still served,
+        under the budget, bit for bit the resident prediction."""
         from repro.memory import MemoryBudget
+        from repro.runtime.plan import plan_for
 
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
         graph, wl = make_pair(seed=61)
+        budget = MemoryBudget(plan_bytes=1)
+        assert budget.plan_bytes < plan_for(graph).resident_bytes(
+            model.use_custom_batches, np.float64
+        )
+        ref = predict_one(model, graph, wl, dtype=np.float64)
         with BatchedPredictor(
-            model,
-            batch_size=2,
-            dtype=np.float64,
-            memory_budget=MemoryBudget(plan_bytes=1),
+            model, batch_size=2, dtype=np.float64, memory_budget=budget
         ) as predictor:
-            assert predictor.predict(graph, wl).tr.shape[0] == graph.num_nodes
+            got = predictor.predict(graph, wl)
+        np.testing.assert_array_equal(ref.tr, got.tr)
+        np.testing.assert_array_equal(ref.lg, got.lg)

@@ -281,6 +281,11 @@ def _frame(payload: bytes) -> bytes:
     return struct.pack("!Q", len(payload)) + payload
 
 
+#: A servable request, for frames that are malformed in one field only.
+_GRAPH, _WORKLOAD = build_pair(seed=0, n_dffs=0, n_gates=16)
+_NETLIST = _GRAPH.netlist
+
+
 class TestMalformedFrames:
     """Bytes no GatewayClient would send must cost one connection at most:
     never an unhandled exception in the gateway's handler task."""
@@ -297,9 +302,21 @@ class TestMalformedFrames:
             # a *later* frame of the connection.
             (_frame(pickle.dumps(("ping", 3))) + struct.pack("!Q", 1 << 60),
              ("pong", 3)),
+            # Right shape, wrong field types: admitted, these would reach
+            # the dispatcher (``workload.pi_probs``) and ``validate_request``.
+            (_frame(pickle.dumps(
+                ("predict", 6, _NETLIST, "not a workload", None, True))),
+             ("error", 6)),
+            (_frame(pickle.dumps(("predict", 5, _NETLIST, _WORKLOAD, "soon", True))),
+             ("error", 5)),
+            # The HTTP responder: no path, and a request line past the
+            # StreamReader's 64 KiB limit.
+            (b"GET \r\n", b"HTTP/1.1 400 Bad Request\r\n"),
+            (b"GET /" + b"a" * (1 << 16) + b"\r\n", b"HTTP/1.1 400 Bad Request\r\n"),
         ],
         ids=["not-a-pickle", "non-tuple", "predict-arity", "predict-no-netlist",
-             "oversized-later-frame"],
+             "oversized-later-frame", "predict-workload-type",
+             "predict-deadline-type", "http-no-path", "http-long-request-line"],
     )
     def test_malformed_input_never_reaches_the_loop_handler(
         self, gateway, raw, reply
@@ -312,14 +329,26 @@ class TestMalformedFrames:
         try:
             with socket.create_connection(gateway.address, timeout=30) as sock:
                 sock.sendall(raw)
-                if reply is not None:
+                if isinstance(reply, bytes):  # HTTP: the status line, then EOF
+                    answer = b"".join(iter(lambda: sock.recv(4096), b""))
+                    assert answer.startswith(reply)
+                    reply = None
+                elif reply is not None:
                     msg = transport.decode(transport.recv_frame(sock))
                     assert msg[:2] == reply
                 if reply is not None and reply[0] == "error":
-                    # A request the gateway could answer keeps its connection.
+                    # A request the gateway could answer keeps its connection,
+                    # and the dispatcher behind it keeps serving.
                     assert isinstance(msg[2], ServeError)
                     sock.sendall(_frame(pickle.dumps(("ping", 9))))
                     assert transport.decode(transport.recv_frame(sock)) == ("pong", 9)
+                    sock.sendall(_frame(pickle.dumps(
+                        ("predict", 10, _NETLIST, _WORKLOAD, None, True))))
+                    op, req_id, tr, lg = transport.decode(transport.recv_frame(sock))
+                    assert (op, req_id) == ("result", 10)
+                    expected = MODEL.predict(_GRAPH, _WORKLOAD)
+                    np.testing.assert_array_equal(expected.tr, tr)
+                    np.testing.assert_array_equal(expected.lg, lg)
                 else:
                     assert sock.recv(1) == b""  # hung up without a word
             with gateway.connect() as client:
@@ -327,6 +356,27 @@ class TestMalformedFrames:
         finally:
             loop.call_soon_threadsafe(loop.set_exception_handler, None)
         assert seen == []
+
+    def test_failed_dispatch_costs_its_batch_not_the_dispatcher(
+        self, gateway, problem_set, monkeypatch
+    ):
+        """Anything raised while a batch is handed to a worker fails that
+        batch typed and leaves both the worker and the dispatcher serving."""
+        import repro.serve.gateway as gateway_mod
+
+        pairs, expected = problem_set
+
+        def staging_fails(block, arrays):
+            monkeypatch.undo()  # the first batch only
+            raise RuntimeError("staging failed")
+
+        monkeypatch.setattr(gateway_mod, "stage_arrays", staging_fails)
+        with gateway.connect() as client:
+            with pytest.raises(ServeError, match="staging failed"):
+                client.predict(*pairs[0], timeout=60)
+            for idx in range(2 * len(gateway.supervisor.handles)):
+                pred = client.predict(*pairs[idx], timeout=60)
+                np.testing.assert_array_equal(expected[idx].tr, pred.tr)
 
 
 class TestWorkerFaults:

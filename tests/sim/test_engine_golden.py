@@ -16,10 +16,12 @@ supported platform; the CI runners included).
 import numpy as np
 import pytest
 
+from repro.circuit.benchmarks import large_design
 from repro.data.cache import label_key
 from repro.memory import MemoryBudget
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, simulate
+from repro.sim.workload import testbench_workload as make_tb_workload
 
 from tests.sim._engines import (
     block_trace_hash,
@@ -160,6 +162,34 @@ class TestCacheDigests:
         nl, wl = zoo
         key = label_key("fault", nl.fingerprint(), wl, CFG, FAULT_CFG)
         assert key == KEY_FAULT
+
+    @pytest.mark.parametrize(
+        "scale, kind, digest",
+        [
+            (0.125, "sim",
+             "bbe210e53ae9dd4d57f99e0f9800cce66b571b08774456415dd4138b2f58360f"),
+            (0.125, "fault",
+             "82bba0a2cd50c5ca5bfa793bede2ec65084b6280aa4275b3bf92c4ee8bddbfc4"),
+            (0.5, "sim",
+             "e9449bd63b07fb938e5c94632c49957bdde36506859ff7bbc5a2f76c0b899712"),
+            (0.5, "fault",
+             "acb88945ca854f026d8903276c09782752a47e7e27038e44cc530c80558f2e91"),
+        ],
+        ids=["small-sim", "small-fault", "medium-sim", "medium-fault"],
+    )
+    def test_test_design_label_keys_pinned(self, scale, kind, digest):
+        """The keys of a generated test design under ``testbench_workload``
+        and the default ``FaultConfig`` fields: they also move when the
+        design generator, the workload synthesis or a config default does."""
+        nl = large_design("ptc", scale=scale)
+        key = label_key(
+            kind,
+            nl.fingerprint(),
+            make_tb_workload(nl, seed=1),
+            SimConfig(cycles=128, streams=64, seed=0),
+            FaultConfig(seed=2) if kind == "fault" else None,
+        )
+        assert key == digest
 
     def test_cached_legacy_labels_valid_for_block_engine(self, zoo):
         """A cache entry written by the old engine must satisfy a block-

@@ -102,14 +102,11 @@ class TestStreamedSimPlan:
         assert next(entries, None) is None
 
     def test_block_budget_bitwise(self, circuit, workload):
+        budget = MemoryBudget(plan_bytes=4096, history_bytes=20_000)
+        resident = SimPlan(compile_netlist(circuit), words_for(CFG.streams))
+        assert budget.plan_bytes < resident.resident_bytes()  # a real bound
         ref = simulate(circuit, workload, CFG, engine="block")
-        got = simulate(
-            circuit,
-            workload,
-            CFG,
-            engine="block",
-            budget=MemoryBudget(plan_bytes=4096, history_bytes=20_000),
-        )
+        got = simulate(circuit, workload, CFG, engine="block", budget=budget)
         assert_same_sim(ref, got)
 
     def test_history_only_budget_bitwise(self, circuit, workload):

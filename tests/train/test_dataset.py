@@ -7,11 +7,9 @@ from repro.circuit.benchmarks import family_subcircuits
 from repro.sim.faults import FaultConfig
 from repro.sim.logicsim import SimConfig, simulate
 from repro.sim.workload import Workload
-from repro.train.dataset import (
-    build_dataset,
-    build_reliability_dataset,
-    merge_samples,
-)
+from repro.train.dataset import build_dataset, build_reliability_dataset
+
+from tests.runtime.test_differential import merge_samples
 
 SIM = SimConfig(cycles=40, streams=64, seed=1)
 
