@@ -1,10 +1,14 @@
 """Aggregation functions: conv-sum, additive attention, and dual attention.
 
 These instantiate the ``Aggregate`` of Eq. (4).  All three share one calling
-convention: given the current hidden states ``h_cur`` (already updated for
-lower levels of this pass), the pass-start states ``h_prev`` (the paper's
-``h^{t-1}_v``) and an :class:`~repro.circuit.graph.EdgeBatch`, they return
-one aggregated message row per batch node.
+convention over *rows*, never the whole ``(N, d)`` state: given
+``h_src`` — the ``(E, d)`` current states of the batch's edge sources
+(already updated for lower levels of this pass) — ``h_prev`` — the
+``(m, d)`` pass-start states of the batch's own nodes (the paper's
+``h^{t-1}_v``) — and the :class:`~repro.circuit.graph.EdgeBatch`, they
+return one aggregated message row per batch node.  The sweep
+(:func:`repro.models.base.propagate`) gathers the rows and scatters their
+gradients back into its one state buffer.
 
 * :class:`ConvSumAggregator` — GCN-style linear + sum over predecessors
   ([12] in the paper); message width = hidden.
@@ -42,7 +46,7 @@ __all__ = [
 
 
 class Aggregator(Module):
-    """Interface: aggregators map (h_cur, h_prev, batch) -> messages."""
+    """Interface: aggregators map (h_src, h_prev, batch) -> messages."""
 
     #: width of the produced message, as a multiple of the hidden size.
     out_multiplier: int = 1
@@ -55,7 +59,7 @@ class Aggregator(Module):
     def out_features(self) -> int:
         return self.hidden * self.out_multiplier
 
-    def forward(self, h_cur: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
+    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
         raise NotImplementedError
 
 
@@ -66,9 +70,8 @@ class ConvSumAggregator(Aggregator):
         super().__init__(hidden)
         self.proj = Linear(hidden, hidden, seed=seed)
 
-    def forward(self, h_cur: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        msgs = self.proj(h_cur.gather_rows(batch.src))
-        return msgs.segment_sum(
+    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
+        return self.proj(h_src).segment_sum(
             batch.dst_local, batch.num_nodes, layout=batch.dst_layout()
         )
 
@@ -84,10 +87,9 @@ class AttentionAggregator(Aggregator):
         self.w1 = Linear(hidden, 1, bias=False, seed=seed)
         self.w2 = Linear(hidden, 1, bias=False, seed=seed + 1)
 
-    def forward(self, h_cur: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
+    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
         layout = batch.dst_layout()
-        h_src = h_cur.gather_rows(batch.src)
-        dst_scores = self.w1(h_prev.gather_rows(batch.nodes))  # (m, 1)
+        dst_scores = self.w1(h_prev)  # (m, 1)
         scores = dst_scores.gather_rows(batch.dst_local) + self.w2(h_src)
         alpha = segment_softmax(
             scores, batch.dst_local, batch.num_nodes, layout=layout
@@ -113,33 +115,31 @@ class DualAttentionAggregator(Aggregator):
         self.w3 = Linear(hidden, 1, bias=False, seed=seed + 2)
         self.w4 = Linear(hidden, 1, bias=False, seed=seed + 3)
 
-    def forward(self, h_cur: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
+    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
         """Fused Eqs. (5)-(7): the only executed kernel for sorted batches,
         for every dtype and both grad modes.
 
         One graph node that replays the arithmetic of
         :meth:`_forward_composed` on raw arrays (values bitwise equal) and
-        pushes analytic gradients to ``h_cur``, ``h_prev`` and the four
-        attention weight vectors in one backward step.  Under ``no_grad``
-        :meth:`Tensor._make` drops the closure, so inference is this same
-        forward without the tape.  Every step is per-row or per-segment
+        pushes analytic gradients to the ``h_src`` and ``h_prev`` rows and
+        the four attention weight vectors in one backward step.  Under
+        ``no_grad`` :meth:`Tensor._make` drops the closure, so inference is
+        this same forward without the tape.  Every step is per-row or per-segment
         (einsum scores, ``reduceat`` reductions), so packed multi-circuit
         sweeps reproduce sequential results bitwise.
         """
         layout = batch.dst_layout()
         if layout is None:
-            return self._forward_composed(h_cur, h_prev, batch, layout)
-        src, dst, nodes = batch.src, batch.dst_local, batch.nodes
+            return self._forward_composed(h_src, h_prev, batch, layout)
+        dst = batch.dst_local
         nonempty, starts = layout
         num_nodes = batch.num_nodes
-        hc, hp = h_cur.data, h_prev.data
+        hs, h_dst_prev = h_src.data, h_prev.data  # (E, d), (m, d)
         w1, w2 = self.w1.weight, self.w2.weight
         w3, w4 = self.w3.weight, self.w4.weight
-        h_src = hc[src]  # (E, d)
-        h_dst_prev = hp[nodes]  # (m, d)
         # Eq. (5): additive attention scores, softmax within dst segments
         # (scores -> exp -> alpha share one buffer).
-        scores = np.einsum("ij,jc->ic", h_src, w2.data.T)[:, 0]
+        scores = np.einsum("ij,jc->ic", hs, w2.data.T)[:, 0]
         scores += np.einsum("ij,jc->ic", h_dst_prev, w1.data.T)[dst, 0]
         seg_max = np.full(num_nodes, -np.inf, dtype=scores.dtype)
         seg_max[nonempty] = np.maximum.reduceat(scores, starts)
@@ -149,8 +149,8 @@ class DualAttentionAggregator(Aggregator):
         denom = np.zeros(num_nodes, dtype=alpha.dtype)
         denom[nonempty] = np.add.reduceat(alpha, starts)
         alpha /= denom[dst]  # (E,)
-        m_lg = np.zeros((num_nodes,) + h_src.shape[1:], dtype=h_src.dtype)
-        m_lg[nonempty] = np.add.reduceat(h_src * alpha[:, None], starts, axis=0)
+        m_lg = np.zeros((num_nodes,) + hs.shape[1:], dtype=hs.dtype)
+        m_lg[nonempty] = np.add.reduceat(hs * alpha[:, None], starts, axis=0)
         # Eq. (6): sigmoid gate of the previous state against m_LG.
         gate = np.einsum("ij,jc->ic", h_dst_prev, w3.data.T)
         gate += np.einsum("ij,jc->ic", m_lg, w4.data.T)
@@ -162,7 +162,7 @@ class DualAttentionAggregator(Aggregator):
         out_data = np.concatenate([m_lg * gate, m_lg], axis=1)
 
         def backward(g: np.ndarray) -> None:
-            d = hc.shape[1]
+            d = hs.shape[1]
             g_tr = g[:, :d]
             d_gate = np.einsum("ij,ij->i", g_tr, m_lg)[:, None]  # (m, 1)
             d_s = d_gate * gate * (1.0 - gate)  # through the sigmoid
@@ -171,7 +171,7 @@ class DualAttentionAggregator(Aggregator):
             # m_lg = segment_sum(h_src * alpha)
             d_scaled = d_mlg[dst]  # (E, d)
             d_hsrc = d_scaled * alpha[:, None]
-            d_alpha = np.einsum("ij,ij->i", d_scaled, h_src)  # (E,)
+            d_alpha = np.einsum("ij,ij->i", d_scaled, hs)  # (E,)
             # softmax backward (seg_max shift is constant w.r.t. grads)
             tmp = alpha * d_alpha
             seg_dot = np.zeros(num_nodes, dtype=tmp.dtype)
@@ -185,26 +185,22 @@ class DualAttentionAggregator(Aggregator):
             if w1.requires_grad:
                 out._push(w1, d_w1out[None, :] @ h_dst_prev)
             if w2.requires_grad:
-                out._push(w2, d_scores[None, :] @ h_src)
+                out._push(w2, d_scores[None, :] @ hs)
             if w3.requires_grad:
                 out._push(w3, d_s.T @ h_dst_prev)
             if w4.requires_grad:
                 out._push(w4, d_s.T @ m_lg)
-            if h_cur.requires_grad:
-                d_hc = np.zeros_like(hc)
-                np.add.at(d_hc, src, d_hsrc)
-                out._push(h_cur, d_hc)
+            if h_src.requires_grad:
+                out._push(h_src, d_hsrc)
             if h_prev.requires_grad:
-                d_hp = np.zeros_like(hp)
-                d_hp[nodes] = d_hdp  # batch nodes are unique
-                out._push(h_prev, d_hp)
+                out._push(h_prev, d_hdp)
 
-        out = Tensor._make(out_data, (h_cur, h_prev, w1, w2, w3, w4), backward)
+        out = Tensor._make(out_data, (h_src, h_prev, w1, w2, w3, w4), backward)
         return out
 
     def _forward_composed(
         self,
-        h_cur: Tensor,
+        h_src: Tensor,
         h_prev: Tensor,
         batch: EdgeBatch,
         layout: tuple[np.ndarray, np.ndarray] | None,
@@ -216,10 +212,8 @@ class DualAttentionAggregator(Aggregator):
         values, gradients to rounding error) and as the fallback for
         unsorted edge batches, which have no ``reduceat`` layout.
         """
-        h_src = h_cur.gather_rows(batch.src)
-        h_dst_prev = h_prev.gather_rows(batch.nodes)  # (m, d)
         # Eq. (5): logic message.
-        scores = self.w1(h_dst_prev).gather_rows(batch.dst_local) + self.w2(h_src)
+        scores = self.w1(h_prev).gather_rows(batch.dst_local) + self.w2(h_src)
         alpha = segment_softmax(
             scores, batch.dst_local, batch.num_nodes, layout=layout
         )
@@ -228,7 +222,7 @@ class DualAttentionAggregator(Aggregator):
         )
         # Eq. (6): transition message — gate m_LG against the previous state
         # (transition probability depends on current vs previous state).
-        gate = (self.w3(h_dst_prev) + self.w4(m_lg)).sigmoid()
+        gate = (self.w3(h_prev) + self.w4(m_lg)).sigmoid()
         m_tr = m_lg * gate
         # Eq. (7): concatenate.
         return Tensor.concat([m_tr, m_lg], axis=1)

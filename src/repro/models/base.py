@@ -17,6 +17,7 @@ during propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,12 +27,20 @@ from repro.lru import FingerprintLRU
 from repro.nn.layers import MLP
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.models.aggregators import Aggregator, make_aggregator
 from repro.runtime.plan import GraphPlan, baseline_batches, plan_for
 from repro.sim.workload import Workload
 
-__all__ = ["ModelConfig", "Prediction", "RecurrentDagGnn", "baseline_batches"]
+__all__ = [
+    "LevelPass",
+    "ModelConfig",
+    "Prediction",
+    "RecurrentDagGnn",
+    "RowCopy",
+    "baseline_batches",
+    "propagate",
+]
 
 
 #: Cached random base matrices for :meth:`RecurrentDagGnn.initial_hidden`,
@@ -75,6 +84,96 @@ class Prediction:
     @property
     def toggle_rate(self) -> np.ndarray:
         return self.tr.sum(axis=1)
+
+
+@dataclass(frozen=True)
+class LevelPass:
+    """One levelized pass: per batch, aggregate the sources' current rows
+    against the nodes' own rows, GRU-combine with the nodes' feature rows
+    (:meth:`GraphPlan.feature_rows`, aligned with ``batches``) and write
+    the new rows."""
+
+    batches: Sequence[EdgeBatch]
+    feature_rows: Sequence[np.ndarray]
+    agg: Aggregator
+    gru: GRUCell
+
+
+@dataclass(frozen=True)
+class RowCopy:
+    """``H[dst] = H[src]`` in one step: DeepSeq's DFF copy."""
+
+    dst: np.ndarray
+    src: np.ndarray
+
+
+def propagate(
+    h0: Tensor, steps: Sequence[LevelPass | RowCopy], iterations: int = 1
+) -> Tensor:
+    """Run ``steps`` ``iterations`` times on one ``(N, d)`` state buffer.
+
+    Every level writes its rows into one buffer ``H`` — ``h0``'s own array,
+    or a copy of it when ``h0`` is itself on a tape — in both grad modes.
+    The cells only ever see rows: ``H[batch.src]`` for the aggregator and
+    ``H[batch.nodes]`` as both the aggregator's and the GRU's previous
+    state.  No node is written twice in one pass (checked per schedule by
+    :meth:`GraphPlan.schedule`), so when a level runs its nodes still hold
+    their pass-start rows and no snapshot of the pass start is needed.
+
+    The whole propagation is one tape node.  A level that built a tape
+    logs its two row tensors and its output; the backward walks that log
+    in reverse on one ``(N, d)`` gradient buffer ``G``: take and clear
+    ``G[nodes]``, backpropagate it through the level's own small tape,
+    scatter-add the source-row gradients into ``G[src]`` and add the
+    previous-row gradients into ``G[nodes]``.  What the tape keeps is
+    O(sum of (E + m) * d) values per pass, never a copy of the state per
+    level.  The final ``G`` goes to ``h0`` when it requires grad.
+    """
+    params = [
+        p
+        for step in steps
+        if isinstance(step, LevelPass)
+        for p in (*step.agg.parameters(), *step.gru.parameters())
+    ]
+    track = h0.requires_grad or any(p.requires_grad for p in params)
+    state = h0.data.copy() if h0.requires_grad else h0.data
+    log: list = []
+    for _ in range(iterations):
+        for step in steps:
+            if isinstance(step, RowCopy):
+                state[step.dst] = state[step.src]
+                log.append(step)
+                continue
+            for batch, x_rows in zip(step.batches, step.feature_rows):
+                if batch.num_nodes == 0 or batch.num_edges == 0:
+                    continue
+                h_src = Tensor(state[batch.src], requires_grad=track)
+                h_prev = Tensor(state[batch.nodes], requires_grad=track)
+                m = step.agg(h_src, h_prev, batch)
+                h_rows = step.gru(Tensor.concat([m, Tensor(x_rows)], axis=1), h_prev)
+                state[batch.nodes] = h_rows.data
+                if h_rows.requires_grad:
+                    log.append((batch, h_src, h_prev, h_rows))
+
+    def backward(g: np.ndarray) -> None:
+        grad = g.copy()
+        while log:
+            entry = log.pop()
+            if isinstance(entry, RowCopy):
+                rows = grad[entry.dst]
+                grad[entry.dst] = 0.0
+                np.add.at(grad, entry.src, rows)
+                continue
+            batch, h_src, h_prev, h_rows = entry
+            rows = grad[batch.nodes]
+            grad[batch.nodes] = 0.0
+            h_rows.backward(rows)
+            np.add.at(grad, batch.src, h_src.grad)
+            grad[batch.nodes] += h_prev.grad
+        out._push(h0, grad)
+
+    out = Tensor._make(state, (h0, *params), backward)
+    return out
 
 
 class RecurrentDagGnn(Module):
@@ -162,34 +261,6 @@ class RecurrentDagGnn(Module):
         out[...] = _h0_base(graph.num_nodes, self.config.hidden)
         out[graph.pi_ids] = workload.pi_probs[:, None]
 
-    def _run_pass(
-        self,
-        h: Tensor,
-        feature_rows: tuple[np.ndarray, ...],
-        batches: list[EdgeBatch],
-        agg: Aggregator,
-        gru: GRUCell,
-    ) -> Tensor:
-        """One levelized sweep; returns the updated hidden-state tensor.
-
-        ``feature_rows`` holds the pre-gathered one-hot feature rows per
-        batch (:meth:`GraphPlan.feature_rows`) — constant across levels,
-        iterations and steps, so they never re-enter the autograd graph.
-        """
-        h_start = h
-        inplace = not is_grad_enabled()
-        for batch, x_rows in zip(batches, feature_rows):
-            if batch.num_nodes == 0 or batch.num_edges == 0:
-                continue
-            m = agg(h, h_start, batch)
-            gru_in = Tensor.concat([m, Tensor(x_rows)], axis=1)
-            h_rows = gru(gru_in, h_start.gather_rows(batch.nodes))
-            if inplace:
-                h.data[batch.nodes] = h_rows.data
-            else:
-                h = h.row_update(batch.nodes, h_rows)
-        return h
-
     def embed(
         self,
         graph: CircuitGraph,
@@ -207,7 +278,9 @@ class RecurrentDagGnn(Module):
             plan: pre-compiled plan override (defaults to the shared cache).
             h0: initial hidden-state override — the batched runtime passes
                 the concatenation of per-member initial states here, and
-                the sweep runs in ``h0``'s dtype (features follow).
+                the sweep runs in ``h0``'s dtype (features follow).  Its
+                buffer becomes the sweep's state and is overwritten in
+                place unless ``h0`` requires grad (:func:`propagate`).
             budget: optional :class:`~repro.memory.MemoryBudget`; when the
                 materialized per-level feature rows exceed its plan bytes
                 the sweep streams them lazily (bitwise-identical values).
@@ -224,17 +297,13 @@ class RecurrentDagGnn(Module):
         fwd_rows, rev_rows = plan.feature_rows(
             self.use_custom_batches, h.data.dtype, budget=budget
         )
-        inplace = not is_grad_enabled()
-        for _ in range(self.config.iterations):
-            h = self._run_pass(h, fwd_rows, fwd_batches, self.forward_agg, self.forward_gru)
-            h = self._run_pass(h, rev_rows, rev_batches, self.reverse_agg, self.reverse_gru)
-            if self.dff_copy_step and graph.dff_ids.size:
-                rows = h.gather_rows(graph.dff_src)
-                if inplace:
-                    h.data[graph.dff_ids] = rows.data
-                else:
-                    h = h.row_update(graph.dff_ids, rows)
-        return h
+        steps: list[LevelPass | RowCopy] = [
+            LevelPass(fwd_batches, fwd_rows, self.forward_agg, self.forward_gru),
+            LevelPass(rev_batches, rev_rows, self.reverse_agg, self.reverse_gru),
+        ]
+        if self.dff_copy_step and graph.dff_ids.size:
+            steps.append(RowCopy(graph.dff_ids, graph.dff_src))
+        return propagate(h, steps, self.config.iterations)
 
     def forward(
         self,

@@ -27,11 +27,12 @@ import numpy as np
 from repro.circuit.gates import ONE_HOT_DIM, AIG_TYPES, GateType, gate_truth_table
 from repro.circuit.graph import CircuitGraph
 from repro.models.aggregators import Aggregator, make_aggregator
-from repro.models.base import ModelConfig, Prediction
+from repro.models.base import LevelPass, ModelConfig, Prediction, propagate
 from repro.nn.layers import MLP, Linear
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor, no_grad
+from repro.runtime.plan import plan_for
 
 __all__ = ["SourceActivity", "Grannite"]
 
@@ -130,18 +131,13 @@ class Grannite(Module):
         embeddings and are *not used*; :meth:`predict_full` overwrites them
         with the simulated source activity as the Grannite flow prescribes.
         """
-        h = self.initial_hidden(graph, sources)
-        features = Tensor(self.node_features(graph))
-        for batch in graph.forward_batches:
-            if batch.num_nodes == 0 or batch.num_edges == 0:
-                continue
-            m = self.agg(h, h, batch)
-            x = features.gather_rows(batch.nodes)
-            h_rows = self.gru(Tensor.concat([m, x], axis=1), h.gather_rows(batch.nodes))
-            if is_grad_enabled():
-                h = h.row_update(batch.nodes, h_rows)
-            else:
-                h.data[batch.nodes] = h_rows.data
+        batches, _ = plan_for(graph).schedule(custom=True)
+        features = self.node_features(graph)
+        rows = [features[b.nodes] for b in batches]
+        h = propagate(
+            self.initial_hidden(graph, sources),
+            [LevelPass(batches, rows, self.agg, self.gru)],
+        )
         return self.head_tr(h)
 
     def predict_full(

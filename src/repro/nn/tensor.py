@@ -18,8 +18,12 @@ Design choices:
   the process default (see :func:`set_default_dtype` /
   :class:`default_dtype`).
 * Graphs are built eagerly; :meth:`Tensor.backward` runs a topological
-  sweep.  No tape reuse, no in-place ops (functional ``row_update`` instead)
-  — simplicity and correctness over micro-optimization.
+  sweep and frees the tape as it goes: each node drops its closure and
+  parent links right after pushing its gradient (PyTorch's
+  ``retain_graph=False``), so saved arrays are released during backward
+  rather than by a later cycle collection, and a graph is differentiated
+  at most once — a second walk through a freed node raises
+  ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -151,6 +155,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """Backward closure of a node whose graph a ``backward()`` already freed."""
+    raise RuntimeError(
+        "backward through a graph that was already differentiated: "
+        "backward() frees the tape as it walks it, so run the forward again"
+    )
+
+
 class Tensor:
     """A numpy array plus an optional autograd node.
 
@@ -260,16 +272,23 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (defaults to d(self)/d(self)=1)."""
+        """Backpropagate from this tensor (defaults to d(self)/d(self)=1).
+
+        Consumes the graph: every non-leaf node reached is released once
+        its gradient has been pushed, so the tape is freed while the walk
+        runs and backpropagating through it again raises ``RuntimeError``.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward on a tensor without grad")
         if grad is None:
             if self.size != 1:
                 raise RuntimeError("backward() without grad needs a scalar")
             grad = np.ones_like(self.data)
-        # The id()-keyed structures below are transient to this one call
-        # and every keyed Tensor is pinned by `stack`/`order`/the graph
-        # for its whole duration, so ids cannot be recycled mid-walk.
+        # The id()-keyed structures below are transient to this one call.
+        # A node leaves `order` (and may be freed) only after its own key
+        # is popped; every key still in `grads` belongs to a parent of a
+        # processed node, which sits earlier in `order` and stays pinned,
+        # so ids cannot be recycled mid-walk.
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -286,16 +305,21 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:  # reprolint: disable=REP006 -- transient, nodes pinned
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=self.data.dtype)}  # reprolint: disable=REP006 -- transient, nodes pinned
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)  # reprolint: disable=REP006 -- transient, nodes pinned
-            if g is None:
-                continue
             if node._backward is None:
-                node._accumulate(g)
+                if g is not None:
+                    node._accumulate(g)
                 continue
-            node._saved_grads = grads  # type: ignore[attr-defined]
-            node._backward(g)
-            del node._saved_grads  # type: ignore[attr-defined]
+            if g is not None:
+                node._saved_grads = grads  # type: ignore[attr-defined]
+                node._backward(g)
+                del node._saved_grads  # type: ignore[attr-defined]
+            # Each closure captures its own output, so until this line the
+            # node sits in a reference cycle only the cyclic GC would free.
+            node._backward = _consumed
+            node._parents = ()
 
     # Helper used inside backward closures to push gradient to a parent.
     def _push(self, parent: "Tensor", grad: np.ndarray) -> None:
@@ -553,41 +577,25 @@ class Tensor:
     def row_update(self, index: np.ndarray, rows: "Tensor") -> "Tensor":
         """Functional scatter: copy of self with ``out[index] = rows``.
 
-        Rows listed multiple times in ``index`` keep the *last* write, like
-        numpy assignment; gradients flow to ``rows`` for the surviving write
-        and to ``self`` everywhere untouched.
+        ``index`` may not repeat a row (``ValueError``); gradients flow to
+        ``rows`` for every written row and to ``self`` everywhere untouched.
         """
         index = np.asarray(index, dtype=np.int64)
         rows = Tensor._lift(rows)
+        written, counts = np.unique(index, return_counts=True)
+        if written.size != index.size:
+            raise ValueError(
+                f"row_update writes row {int(written[counts > 1][0])} more "
+                "than once; indices must be unique"
+            )
         out_data = self.data.copy()
         out_data[index] = rows.data
-        overwritten = np.zeros(self.data.shape[0], dtype=bool)
-        overwritten[index] = True
-
-        if int(overwritten.sum()) == index.size:
-            # Unique indices (the levelized-sweep hot path): every written
-            # row survives, so both gradient routes are plain fancy indexing
-            # — no per-row Python bookkeeping.
-            def backward(g: np.ndarray) -> None:
-                g_self = g.copy()
-                g_self[index] = 0.0
-                out._push(self, g_self)
-                out._push(rows, g[index])
-
-            out = Tensor._make(out_data, (self, rows), backward)
-            return out
-
-        # Winner of duplicate writes: numpy keeps the last occurrence.
-        last_write = {int(ix): pos for pos, ix in enumerate(index)}
 
         def backward(g: np.ndarray) -> None:
             g_self = g.copy()
-            g_self[overwritten] = 0.0
+            g_self[index] = 0.0
             out._push(self, g_self)
-            g_rows = np.zeros_like(rows.data)
-            for ix, pos in last_write.items():
-                g_rows[pos] = g[ix]
-            out._push(rows, g_rows)
+            out._push(rows, g[index])
 
         out = Tensor._make(out_data, (self, rows), backward)
         return out

@@ -32,6 +32,7 @@ from repro.memory import MemoryBudget
 
 __all__ = [
     "GraphPlan",
+    "ScheduleError",
     "StreamedFeatureRows",
     "baseline_batches",
     "plan_for",
@@ -70,6 +71,34 @@ def _normalize_batches(batches: list[EdgeBatch]) -> list[EdgeBatch]:
             )
         )
     return out
+
+
+class ScheduleError(ValueError):
+    """A pass schedule writes one node at two levels.
+
+    The one-buffer sweep (:func:`repro.models.base.propagate`) relies on
+    every node being written at most once per pass: a level reads its own
+    nodes' rows as their pass-start state, and its backward hands the
+    state gradient back by rows.
+    """
+
+
+def _check_single_write(batches: list[EdgeBatch], direction: str) -> None:
+    """Raise :class:`ScheduleError` naming the first node that appears in
+    two batches (or twice in one batch) of ``batches``."""
+    if not batches:
+        return
+    nodes = np.concatenate([b.nodes for b in batches])
+    levels = np.repeat(np.arange(len(batches)), [b.num_nodes for b in batches])
+    order = np.argsort(nodes, kind="stable")
+    repeats = np.flatnonzero(nodes[order][1:] == nodes[order][:-1])
+    if repeats.size:
+        first, second = order[repeats[0]], order[repeats[0] + 1]
+        raise ScheduleError(
+            f"{direction} schedule writes node {nodes[first]} at levels "
+            f"{levels[first]} and {levels[second]}; a pass may update each "
+            "node once"
+        )
 
 
 def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBatch]]:
@@ -153,7 +182,9 @@ class GraphPlan:
         """Normalized (forward, reverse) EdgeBatch schedules.
 
         ``custom=True`` gives DeepSeq's cut-graph schedule; ``False`` the
-        baseline schedule with DFF updates and DFF reverse messages.
+        baseline schedule with DFF updates and DFF reverse messages.  Each
+        pass is checked once, when first built, to write every node at most
+        once (:class:`ScheduleError` otherwise).
         """
         entry = self._schedules.get(custom)
         if entry is None:
@@ -162,6 +193,8 @@ class GraphPlan:
             else:
                 raw = baseline_batches(self.graph)
             entry = (_normalize_batches(raw[0]), _normalize_batches(raw[1]))
+            _check_single_write(entry[0], "forward")
+            _check_single_write(entry[1], "reverse")
             self._schedules[custom] = entry
         return entry
 

@@ -171,15 +171,11 @@ class TestGatherScatter:
             lambda a, r: (a.row_update(idx, r) ** 2).sum(), [(4, 3), (2, 3)]
         )
 
-    def test_row_update_duplicate_index_last_wins(self):
-        base = Tensor(np.zeros((3, 2)), requires_grad=True)
-        rows = Tensor(np.array([[1.0, 1.0], [2.0, 2.0]]), requires_grad=True)
-        out = base.row_update(np.array([1, 1]), rows)
-        assert (out.numpy()[1] == 2.0).all()
-        out.sum().backward()
-        # Gradient reaches only the surviving (last) write.
-        assert (rows.grad[0] == 0.0).all()
-        assert (rows.grad[1] == 1.0).all()
+    def test_row_update_duplicate_index_rejected(self):
+        base = Tensor(np.zeros((4, 2)), requires_grad=True)
+        rows = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="row 2 more than once"):
+            base.row_update(np.array([0, 2, 2]), rows)
 
     def test_row_update_grad_partition(self):
         base = Tensor(np.ones((4, 2)), requires_grad=True)
@@ -210,6 +206,30 @@ class TestGraphMechanics:
         (t * 2.0).backward()
         (t * 2.0).backward()
         assert t.grad[0] == pytest.approx(4.0)
+
+    def test_second_backward_through_freed_graph_raises(self):
+        """backward() consumes the graph: going through it again fails
+        loudly instead of accumulating into an intermediate as a leaf."""
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        mid = t * 3.0
+        mid.sum().backward()
+        assert t.grad.tolist() == [3.0, 3.0]
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            mid.sum().backward()
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            mid.backward(np.ones(2))
+        assert mid.grad is None
+        assert t.grad.tolist() == [3.0, 3.0]
+
+    def test_backward_releases_every_node(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        a = t * 2.0
+        b = a.exp()
+        loss = (a + b).sum()
+        loss.backward()
+        for node in (a, b, loss):
+            assert node._parents == ()
+        assert t._backward is None  # leaves stay leaves
 
     def test_zero_grad(self):
         t = Tensor(np.array([1.0]), requires_grad=True)

@@ -4,9 +4,9 @@ Every fast path in the runtime has a slow, obviously-correct counterpart;
 these tests pin the fast path to it:
 
 * the fused cell kernels (GRU, dual attention) — the only executed
-  forward of each cell — vs the composed autograd operator graph: forward
-  bitwise in both grad modes, gradients to rounding error; row-
-  deterministic at float64 and float32;
+  forward of each cell — vs the composed autograd operator graph, on the
+  row inputs the sweep hands them: forward bitwise in both grad modes,
+  gradients to rounding error; row-deterministic at float64 and float32;
 * float32 parameter-shadow inference vs float64 — within tolerance;
 * packed K-circuit execution vs sequential per-circuit ``predict`` —
   float64 bitwise, across all three model families, DFF-heavy circuits
@@ -89,6 +89,15 @@ def merge_samples(samples: list[CircuitSample], name: str = "batch") -> CircuitS
     )
 
 
+def level_rows(h_cur, h_prev, batch, requires_grad=False):
+    """A level's aggregator inputs, gathered as the sweep gathers them:
+    ``(h_cur[src], h_prev[nodes])`` from whole-state arrays."""
+    return (
+        Tensor(h_cur[batch.src], requires_grad=requires_grad),
+        Tensor(h_prev[batch.nodes], requires_grad=requires_grad),
+    )
+
+
 def grads_of(model):
     return [
         None if p.grad is None else p.grad.copy() for p in model.parameters()
@@ -121,28 +130,25 @@ class TestFusedDualAttentionVsComposed:
         rng = np.random.default_rng(4)
         graph, _ = make_pair(seed=5)
         agg = DualAttentionAggregator(6, seed=2)
-        h_cur = Tensor(
-            rng.normal(size=(graph.num_nodes, 6)), requires_grad=True
-        )
-        h_prev = Tensor(
-            rng.normal(size=(graph.num_nodes, 6)), requires_grad=True
-        )
+        h_cur = rng.normal(size=(graph.num_nodes, 6))
+        h_prev = rng.normal(size=(graph.num_nodes, 6))
         for batch in graph.forward_batches[:3]:
             layout = batch.dst_layout()
             assert layout is not None
-            fused = agg(h_cur, h_prev, batch)
-            composed = agg._forward_composed(h_cur, h_prev, batch, layout)
+            h_src, h_dst = level_rows(h_cur, h_prev, batch, requires_grad=True)
+            fused = agg(h_src, h_dst, batch)
+            composed = agg._forward_composed(h_src, h_dst, batch, layout)
             assert np.array_equal(fused.data, composed.data)
             seed_grad = rng.normal(size=fused.data.shape)
             fused.backward(seed_grad.copy())
-            got = [p.grad.copy() for p in [h_cur, h_prev] + agg.parameters()]
-            for p in [h_cur, h_prev] + agg.parameters():
+            got = [p.grad.copy() for p in [h_src, h_dst] + agg.parameters()]
+            for p in [h_src, h_dst] + agg.parameters():
                 p.zero_grad()
             composed.backward(seed_grad.copy())
-            want = [p.grad.copy() for p in [h_cur, h_prev] + agg.parameters()]
+            want = [p.grad.copy() for p in [h_src, h_dst] + agg.parameters()]
             for g1, g2 in zip(got, want):
                 np.testing.assert_allclose(g1, g2, rtol=1e-11, atol=1e-13)
-            for p in [h_cur, h_prev] + agg.parameters():
+            for p in agg.parameters():
                 p.zero_grad()
 
 
@@ -186,7 +192,7 @@ class TestOneKernelPerCell:
     def test_dual_attention_equals_composed_bitwise(self, grad):
         graph, _ = make_pair(seed=5)
         agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
-        h_cur, h_prev = (Tensor(a) for a in self.agg_inputs(graph))
+        h_cur, h_prev = self.agg_inputs(graph)
         checked = 0
         with nullcontext() if grad else no_grad():
             for batch in graph.forward_batches + graph.reverse_batches:
@@ -194,8 +200,9 @@ class TestOneKernelPerCell:
                     continue
                 layout = batch.dst_layout()
                 assert layout is not None
-                fused = agg(h_cur, h_prev, batch)
-                composed = agg._forward_composed(h_cur, h_prev, batch, layout)
+                h_src, h_dst = level_rows(h_cur, h_prev, batch)
+                fused = agg(h_src, h_dst, batch)
+                composed = agg._forward_composed(h_src, h_dst, batch, layout)
                 assert fused.requires_grad == grad
                 assert np.array_equal(fused.data, composed.data)
                 checked += 1
@@ -228,8 +235,8 @@ class TestOneKernelPerCell:
         packed = pack_graphs(graphs)
         agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
         states = [self.agg_inputs(g, dtype) for g in graphs]
-        union_cur = Tensor(np.concatenate([s[0] for s in states]))
-        union_prev = Tensor(np.concatenate([s[1] for s in states]))
+        union_cur = np.concatenate([s[0] for s in states])
+        union_prev = np.concatenate([s[1] for s in states])
         union_batches, _ = packed.plan.schedule(custom=True)
         batch_of = np.full(packed.plan.num_nodes, -1)
         for k, union_batch in enumerate(union_batches):
@@ -237,11 +244,13 @@ class TestOneKernelPerCell:
         checked = 0
         with no_grad(), ParameterShadow(agg, dtype).active():
             union_out = [
-                agg(union_cur, union_prev, b).data if b.num_edges else None
+                agg(*level_rows(union_cur, union_prev, b), b).data
+                if b.num_edges
+                else None
                 for b in union_batches
             ]
             for member, graph in enumerate(graphs):
-                h_cur, h_prev = (Tensor(a) for a in states[member])
+                h_cur, h_prev = states[member]
                 for batch in plan_for(graph).schedule(custom=True)[0]:
                     if batch.num_edges == 0:
                         continue
@@ -249,7 +258,7 @@ class TestOneKernelPerCell:
                     k = batch_of[nodes[0]]
                     rows = np.searchsorted(union_batches[k].nodes, nodes)
                     assert np.array_equal(union_batches[k].nodes[rows], nodes)
-                    solo = agg(h_cur, h_prev, batch).data
+                    solo = agg(*level_rows(h_cur, h_prev, batch), batch).data
                     assert solo.dtype == dtype
                     assert np.array_equal(union_out[k][rows], solo)
                     checked += 1
@@ -264,15 +273,16 @@ class TestOneKernelPerCell:
         batch = max(graph.forward_batches, key=lambda b: b.num_edges)
         with no_grad():
             gru64 = gru(Tensor(x), Tensor(h)).data
-            agg64 = agg(Tensor(h_cur), Tensor(h_prev), batch).data
+            agg64 = agg(*level_rows(h_cur, h_prev, batch), batch).data
             with ParameterShadow(gru, np.float32).active():
                 gru32 = gru(
                     Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32))
                 ).data
             with ParameterShadow(agg, np.float32).active():
                 agg32 = agg(
-                    Tensor(h_cur.astype(np.float32)),
-                    Tensor(h_prev.astype(np.float32)),
+                    *level_rows(
+                        h_cur.astype(np.float32), h_prev.astype(np.float32), batch
+                    ),
                     batch,
                 ).data
         assert gru32.dtype == np.float32 and agg32.dtype == np.float32

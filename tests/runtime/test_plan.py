@@ -1,12 +1,16 @@
 """Plan compilation, fingerprints, and the shared LRU cache."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.circuit.gates import GateType
-from repro.circuit.graph import CircuitGraph
+from repro.circuit.graph import CircuitGraph, EdgeBatch
 from repro.circuit.netlist import Netlist
 from repro.runtime.plan import (
+    GraphPlan,
+    ScheduleError,
     baseline_batches,
     clear_plan_cache,
     configure_plan_cache,
@@ -25,7 +29,13 @@ def fresh_cache():
     configure_plan_cache(128)
 
 
-from tests.conftest import build_graph
+from tests.conftest import (
+    build_graph,
+    build_pair,
+    dff_chain_pair,
+    shallow_pair,
+    single_node_pair,
+)
 
 
 def make_aig(seed=0, n_pis=5, n_dffs=3, n_gates=40):
@@ -137,6 +147,65 @@ class TestSchedules:
         plan = plan_for(make_aig(seed=9))
         assert plan.schedule(True) is plan.schedule(True)
         assert plan.schedule(False) is plan.schedule(False)
+
+
+def level(nodes, src, dst_local):
+    return EdgeBatch(
+        nodes=np.array(nodes), src=np.array(src), dst_local=np.array(dst_local)
+    )
+
+
+class TestSingleWriteCheck:
+    """The one-buffer sweep needs every node written at most once per
+    pass; ``schedule`` checks it once per plan and schedule kind."""
+
+    def hand_built(self, forward, reverse=()):
+        graph = SimpleNamespace(
+            forward_batches=list(forward), reverse_batches=list(reverse)
+        )
+        return GraphPlan(graph, "hand-built")
+
+    def test_node_in_two_levels_rejected(self):
+        plan = self.hand_built([
+            level([2, 3], [0, 1], [0, 1]),
+            level([4], [2], [0]),
+            level([5, 3], [4, 4], [0, 1]),
+        ])
+        with pytest.raises(ScheduleError, match="writes node 3 at levels 0 and 2"):
+            plan.schedule(custom=True)
+        assert issubclass(ScheduleError, ValueError)
+
+    def test_node_twice_in_one_level_rejected(self):
+        plan = self.hand_built(
+            [], [level([1], [0], [0]), level([2, 2], [0, 1], [0, 1])]
+        )
+        with pytest.raises(ScheduleError, match="reverse schedule writes node 2 at levels 1 and 1"):
+            plan.schedule(custom=True)
+
+    def test_disjoint_hand_built_schedule_accepted(self):
+        plan = self.hand_built(
+            [level([2, 3], [0, 1], [0, 1]), level([4], [2, 3], [0, 0])]
+        )
+        fwd, rev = plan.schedule(custom=True)
+        assert [b.nodes.tolist() for b in fwd] == [[2, 3], [4]] and rev == []
+
+    @pytest.mark.parametrize("custom", [True, False])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: build_pair(0, 5, 4, 60),
+            lambda: build_pair(7, 4, 12, 14),
+            lambda: build_pair(1, 5, 0, 45),
+            dff_chain_pair,
+            shallow_pair,
+            single_node_pair,
+        ],
+    )
+    def test_compiled_schedules_write_each_node_once(self, pair, custom):
+        graph, _ = pair()
+        for batches in plan_for(graph, cache=False).schedule(custom=custom):
+            nodes = np.concatenate([b.nodes for b in batches]) if batches else np.array([])
+            assert np.unique(nodes).size == nodes.size
 
 
 class TestFeatures:
