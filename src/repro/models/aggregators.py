@@ -7,8 +7,9 @@ convention over *rows*, never the whole ``(N, d)`` state: given
 ``(m, d)`` pass-start states of the batch's own nodes (the paper's
 ``h^{t-1}_v``) — and the :class:`~repro.circuit.graph.EdgeBatch`, they
 return one aggregated message row per batch node.  The sweep
-(:func:`repro.models.base.propagate`) gathers the rows and scatters their
-gradients back into its one state buffer.
+(:func:`repro.models.base.propagate`) gathers the rows, calls the
+aggregator's array kernels and scatters their gradients back into its one
+state buffer.
 
 * :class:`ConvSumAggregator` — GCN-style linear + sum over predecessors
   ([12] in the paper); message width = hidden.
@@ -34,7 +35,7 @@ from repro.circuit.graph import EdgeBatch
 from repro.nn.functional import segment_softmax
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, rowstable_matmul
 
 __all__ = [
     "Aggregator",
@@ -46,7 +47,18 @@ __all__ = [
 
 
 class Aggregator(Module):
-    """Interface: aggregators map (h_src, h_prev, batch) -> messages."""
+    """Interface: aggregators map (h_src, h_prev, batch) -> messages.
+
+    Each aggregator is a kernel pair on raw arrays, which the sweep calls
+    directly: ``kernel_forward(h_src, h_prev, batch) -> (msg, ctx)`` and
+    ``kernel_backward(ctx, g, acc) -> (d_src, d_prev)``, adding parameter
+    gradients into ``acc`` (one array per :meth:`parameters` entry);
+    ``d_prev`` is ``None`` when the message ignores the previous state.
+    :meth:`forward` runs the same pair as one graph node.  Every step is
+    per-row or per-segment (einsum scores, ``reduceat`` reductions over
+    the batch's sorted segment layout), so packed multi-circuit sweeps
+    reproduce sequential results bitwise.
+    """
 
     #: width of the produced message, as a multiple of the hidden size.
     out_multiplier: int = 1
@@ -60,7 +72,80 @@ class Aggregator(Module):
         return self.hidden * self.out_multiplier
 
     def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        raise NotImplementedError
+        return self.apply_kernel((h_src, h_prev), batch)
+
+
+def _layout(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray]:
+    layout = batch.dst_layout()
+    if layout is None:
+        raise ValueError(
+            "edge batch destinations are unsorted; aggregator kernels need "
+            "sorted dst_local (GraphPlan.schedule checks every schedule)"
+        )
+    return layout
+
+
+def _segment_reduce(
+    op: np.ufunc,
+    values: np.ndarray,
+    layout: tuple[np.ndarray, np.ndarray],
+    num_segments: int,
+    empty: float = 0.0,
+) -> np.ndarray:
+    """``op`` over each destination's contiguous run of rows; ``empty``
+    for a destination without messages."""
+    nonempty, starts = layout
+    if nonempty.size == num_segments:  # every scheduled node has a message
+        return op.reduceat(values, starts, axis=0)
+    out = np.full((num_segments,) + values.shape[1:], empty, dtype=values.dtype)
+    out[nonempty] = op.reduceat(values, starts, axis=0)
+    return out
+
+
+def _attend(
+    hs: np.ndarray, hp: np.ndarray, w1: np.ndarray, w2: np.ndarray, batch: EdgeBatch
+) -> tuple[np.ndarray, tuple]:
+    """Eq. (5) on rows: the message ``sum_u alpha_uv h_u`` with additive
+    attention scores softmaxed within each destination segment, and the
+    ``ctx`` :func:`_attend_backward` needs (scores -> exp -> alpha share
+    one buffer)."""
+    layout = _layout(batch)
+    dst, m = batch.dst_local, batch.num_nodes
+    scores = np.einsum("ij,jc->ic", hs, w2.T)[:, 0]
+    scores += np.einsum("ij,jc->ic", hp, w1.T)[dst, 0]
+    seg_max = _segment_reduce(np.maximum, scores, layout, m, -np.inf)
+    seg_max[~np.isfinite(seg_max)] = 0.0
+    scores -= seg_max[dst]
+    alpha = np.exp(scores, out=scores)
+    alpha /= _segment_reduce(np.add, alpha, layout, m)[dst]  # (E,)
+    msg = _segment_reduce(np.add, hs * alpha[:, None], layout, m)
+    return msg, (batch, layout, hs, hp, alpha)
+
+
+def _attend_backward(
+    ctx: tuple,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    d_msg: np.ndarray,
+    d_w1: np.ndarray,
+    d_w2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of :func:`_attend` for message gradient ``d_msg``: adds
+    into ``d_w1``/``d_w2`` and returns ``(d_src, d_prev)``."""
+    batch, layout, hs, hp, alpha = ctx
+    dst, m = batch.dst_local, batch.num_nodes
+    d_scaled = d_msg[dst]  # (E, d)
+    d_src = d_scaled * alpha[:, None]
+    d_alpha = np.einsum("ij,ij->i", d_scaled, hs)  # (E,)
+    # softmax backward (the seg_max shift is constant w.r.t. grads)
+    seg_dot = _segment_reduce(np.add, alpha * d_alpha, layout, m)
+    d_scores = alpha * (d_alpha - seg_dot[dst])  # (E,)
+    # scores = w1(h_prev)[dst] + w2(h_src)
+    d_w1out = _segment_reduce(np.add, d_scores, layout, m)
+    d_src += d_scores[:, None] * w2
+    d_w1 += d_w1out[None, :] @ hp
+    d_w2 += d_scores[None, :] @ hs
+    return d_src, d_w1out[:, None] @ w1
 
 
 class ConvSumAggregator(Aggregator):
@@ -70,10 +155,23 @@ class ConvSumAggregator(Aggregator):
         super().__init__(hidden)
         self.proj = Linear(hidden, hidden, seed=seed)
 
-    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        return self.proj(h_src).segment_sum(
-            batch.dst_local, batch.num_nodes, layout=batch.dst_layout()
-        )
+    def kernel_forward(
+        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
+    ) -> tuple[np.ndarray, tuple]:
+        layout = _layout(batch)
+        proj = rowstable_matmul(h_src, np.ascontiguousarray(self.proj.weight.data.T))
+        proj += self.proj.bias.data
+        return _segment_reduce(np.add, proj, layout, batch.num_nodes), (batch, h_src)
+
+    def kernel_backward(
+        self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
+    ) -> tuple[np.ndarray, None]:
+        batch, h_src = ctx
+        d_proj = g[batch.dst_local]  # (E, d)
+        d_weight, d_bias = acc
+        d_weight += d_proj.T @ h_src
+        d_bias += d_proj.sum(axis=0)
+        return d_proj @ self.proj.weight.data, None
 
 
 class AttentionAggregator(Aggregator):
@@ -87,15 +185,16 @@ class AttentionAggregator(Aggregator):
         self.w1 = Linear(hidden, 1, bias=False, seed=seed)
         self.w2 = Linear(hidden, 1, bias=False, seed=seed + 1)
 
-    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        layout = batch.dst_layout()
-        dst_scores = self.w1(h_prev)  # (m, 1)
-        scores = dst_scores.gather_rows(batch.dst_local) + self.w2(h_src)
-        alpha = segment_softmax(
-            scores, batch.dst_local, batch.num_nodes, layout=layout
-        )
-        return (h_src * alpha).segment_sum(
-            batch.dst_local, batch.num_nodes, layout=layout
+    def kernel_forward(
+        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
+    ) -> tuple[np.ndarray, tuple]:
+        return _attend(h_src, h_prev, self.w1.weight.data, self.w2.weight.data, batch)
+
+    def kernel_backward(
+        self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return _attend_backward(
+            ctx, self.w1.weight.data, self.w2.weight.data, g, *acc
         )
 
 
@@ -115,88 +214,44 @@ class DualAttentionAggregator(Aggregator):
         self.w3 = Linear(hidden, 1, bias=False, seed=seed + 2)
         self.w4 = Linear(hidden, 1, bias=False, seed=seed + 3)
 
-    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        """Fused Eqs. (5)-(7): the only executed kernel for sorted batches,
-        for every dtype and both grad modes.
-
-        One graph node that replays the arithmetic of
-        :meth:`_forward_composed` on raw arrays (values bitwise equal) and
-        pushes analytic gradients to the ``h_src`` and ``h_prev`` rows and
-        the four attention weight vectors in one backward step.  Under
-        ``no_grad`` :meth:`Tensor._make` drops the closure, so inference is
-        this same forward without the tape.  Every step is per-row or per-segment
-        (einsum scores, ``reduceat`` reductions), so packed multi-circuit
-        sweeps reproduce sequential results bitwise.
-        """
-        layout = batch.dst_layout()
-        if layout is None:
-            return self._forward_composed(h_src, h_prev, batch, layout)
-        dst = batch.dst_local
-        nonempty, starts = layout
-        num_nodes = batch.num_nodes
-        hs, h_dst_prev = h_src.data, h_prev.data  # (E, d), (m, d)
-        w1, w2 = self.w1.weight, self.w2.weight
-        w3, w4 = self.w3.weight, self.w4.weight
-        # Eq. (5): additive attention scores, softmax within dst segments
-        # (scores -> exp -> alpha share one buffer).
-        scores = np.einsum("ij,jc->ic", hs, w2.data.T)[:, 0]
-        scores += np.einsum("ij,jc->ic", h_dst_prev, w1.data.T)[dst, 0]
-        seg_max = np.full(num_nodes, -np.inf, dtype=scores.dtype)
-        seg_max[nonempty] = np.maximum.reduceat(scores, starts)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        scores -= seg_max[dst]
-        alpha = np.exp(scores, out=scores)
-        denom = np.zeros(num_nodes, dtype=alpha.dtype)
-        denom[nonempty] = np.add.reduceat(alpha, starts)
-        alpha /= denom[dst]  # (E,)
-        m_lg = np.zeros((num_nodes,) + hs.shape[1:], dtype=hs.dtype)
-        m_lg[nonempty] = np.add.reduceat(hs * alpha[:, None], starts, axis=0)
+    def kernel_forward(
+        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
+    ) -> tuple[np.ndarray, tuple]:
+        """Fused Eqs. (5)-(7); replays the arithmetic of
+        :meth:`_forward_composed` (values bitwise equal)."""
+        # Eq. (5): the logic message.
+        m_lg, attn = _attend(
+            h_src, h_prev, self.w1.weight.data, self.w2.weight.data, batch
+        )
         # Eq. (6): sigmoid gate of the previous state against m_LG.
-        gate = np.einsum("ij,jc->ic", h_dst_prev, w3.data.T)
-        gate += np.einsum("ij,jc->ic", m_lg, w4.data.T)
+        gate = np.einsum("ij,jc->ic", h_prev, self.w3.weight.data.T)
+        gate += np.einsum("ij,jc->ic", m_lg, self.w4.weight.data.T)
         np.negative(gate, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
         np.reciprocal(gate, out=gate)  # (m, 1)
         # Eq. (7): m_TR || m_LG.
-        out_data = np.concatenate([m_lg * gate, m_lg], axis=1)
+        return np.concatenate([m_lg * gate, m_lg], axis=1), (attn, m_lg, gate)
 
-        def backward(g: np.ndarray) -> None:
-            d = hs.shape[1]
-            g_tr = g[:, :d]
-            d_gate = np.einsum("ij,ij->i", g_tr, m_lg)[:, None]  # (m, 1)
-            d_s = d_gate * gate * (1.0 - gate)  # through the sigmoid
-            d_mlg = g[:, d:] + g_tr * gate + d_s @ w4.data
-            d_hdp = d_s @ w3.data  # (m, d)
-            # m_lg = segment_sum(h_src * alpha)
-            d_scaled = d_mlg[dst]  # (E, d)
-            d_hsrc = d_scaled * alpha[:, None]
-            d_alpha = np.einsum("ij,ij->i", d_scaled, hs)  # (E,)
-            # softmax backward (seg_max shift is constant w.r.t. grads)
-            tmp = alpha * d_alpha
-            seg_dot = np.zeros(num_nodes, dtype=tmp.dtype)
-            seg_dot[nonempty] = np.add.reduceat(tmp, starts)
-            d_scores = alpha * (d_alpha - seg_dot[dst])  # (E,)
-            # scores = w1(h_dst_prev)[dst] + w2(h_src)
-            d_w1out = np.zeros(num_nodes, dtype=d_scores.dtype)
-            d_w1out[nonempty] = np.add.reduceat(d_scores, starts)
-            d_hdp = d_hdp + d_w1out[:, None] @ w1.data
-            d_hsrc += d_scores[:, None] * w2.data
-            if w1.requires_grad:
-                out._push(w1, d_w1out[None, :] @ h_dst_prev)
-            if w2.requires_grad:
-                out._push(w2, d_scores[None, :] @ hs)
-            if w3.requires_grad:
-                out._push(w3, d_s.T @ h_dst_prev)
-            if w4.requires_grad:
-                out._push(w4, d_s.T @ m_lg)
-            if h_src.requires_grad:
-                out._push(h_src, d_hsrc)
-            if h_prev.requires_grad:
-                out._push(h_prev, d_hdp)
-
-        out = Tensor._make(out_data, (h_src, h_prev, w1, w2, w3, w4), backward)
-        return out
+    def kernel_backward(
+        self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        attn, m_lg, gate = ctx
+        h_prev = attn[3]
+        w3, w4 = self.w3.weight.data, self.w4.weight.data
+        d_w1, d_w2, d_w3, d_w4 = acc
+        d = m_lg.shape[1]
+        g_tr = g[:, :d]
+        d_gate = np.einsum("ij,ij->i", g_tr, m_lg)[:, None]  # (m, 1)
+        d_s = d_gate * gate * (1.0 - gate)  # through the sigmoid
+        d_w3 += d_s.T @ h_prev
+        d_w4 += d_s.T @ m_lg
+        d_mlg = g[:, d:] + g_tr * gate + d_s @ w4
+        d_src, d_prev = _attend_backward(
+            attn, self.w1.weight.data, self.w2.weight.data, d_mlg, d_w1, d_w2
+        )
+        d_prev += d_s @ w3
+        return d_src, d_prev
 
     def _forward_composed(
         self,
@@ -207,10 +262,9 @@ class DualAttentionAggregator(Aggregator):
     ) -> Tensor:
         """Reference implementation from individual autograd operators.
 
-        Never dispatched by dtype or grad mode — kept as the
-        differential-test oracle for :meth:`forward` (bitwise forward
-        values, gradients to rounding error) and as the fallback for
-        unsorted edge batches, which have no ``reduceat`` layout.
+        Never dispatched — kept as the differential-test oracle for
+        :meth:`forward` (bitwise forward values, gradients to rounding
+        error).
         """
         # Eq. (5): logic message.
         scores = self.w1(h_prev).gather_rows(batch.dst_local) + self.w2(h_src)

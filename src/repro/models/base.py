@@ -114,20 +114,24 @@ def propagate(
 
     Every level writes its rows into one buffer ``H`` — ``h0``'s own array,
     or a copy of it when ``h0`` is itself on a tape — in both grad modes.
-    The cells only ever see rows: ``H[batch.src]`` for the aggregator and
-    ``H[batch.nodes]`` as both the aggregator's and the GRU's previous
-    state.  No node is written twice in one pass (checked per schedule by
+    Each level calls its cells' array kernels and nothing else:
+    ``agg.kernel_forward(H[src], H[nodes], batch)`` for the message and
+    ``gru.kernel_forward(msg || feature rows, H[nodes])`` for the new rows.
+    No node is written twice in one pass (checked per schedule by
     :meth:`GraphPlan.schedule`), so when a level runs its nodes still hold
     their pass-start rows and no snapshot of the pass start is needed.
 
-    The whole propagation is one tape node.  A level that built a tape
-    logs its two row tensors and its output; the backward walks that log
-    in reverse on one ``(N, d)`` gradient buffer ``G``: take and clear
-    ``G[nodes]``, backpropagate it through the level's own small tape,
-    scatter-add the source-row gradients into ``G[src]`` and add the
-    previous-row gradients into ``G[nodes]``.  What the tape keeps is
-    O(sum of (E + m) * d) values per pass, never a copy of the state per
-    level.  The final ``G`` goes to ``h0`` when it requires grad.
+    The whole propagation is one tape node, created before the sweep; when
+    it is tracked (grad mode, :meth:`Tensor._make`) each level logs its two
+    kernel contexts.  The backward walks that log in reverse on one
+    ``(N, d)`` gradient buffer ``G``: take and clear ``G[nodes]``, run the
+    GRU's and the aggregator's ``kernel_backward``, scatter-add the
+    source-row gradients into ``G[src]`` and add the previous-row gradients
+    into ``G[nodes]``.  Parameter gradients add into one accumulator per
+    parameter of each :class:`LevelPass` and are pushed once at the end;
+    the final ``G`` goes to ``h0`` when it requires grad.  What the log
+    keeps is O(sum of (E + m) * d) values per pass, never a copy of the
+    state per level.
     """
     params = [
         p
@@ -135,28 +139,11 @@ def propagate(
         if isinstance(step, LevelPass)
         for p in (*step.agg.parameters(), *step.gru.parameters())
     ]
-    track = h0.requires_grad or any(p.requires_grad for p in params)
     state = h0.data.copy() if h0.requires_grad else h0.data
-    log: list = []
-    for _ in range(iterations):
-        for step in steps:
-            if isinstance(step, RowCopy):
-                state[step.dst] = state[step.src]
-                log.append(step)
-                continue
-            for batch, x_rows in zip(step.batches, step.feature_rows):
-                if batch.num_nodes == 0 or batch.num_edges == 0:
-                    continue
-                h_src = Tensor(state[batch.src], requires_grad=track)
-                h_prev = Tensor(state[batch.nodes], requires_grad=track)
-                m = step.agg(h_src, h_prev, batch)
-                h_rows = step.gru(Tensor.concat([m, Tensor(x_rows)], axis=1), h_prev)
-                state[batch.nodes] = h_rows.data
-                if h_rows.requires_grad:
-                    log.append((batch, h_src, h_prev, h_rows))
 
     def backward(g: np.ndarray) -> None:
         grad = g.copy()
+        accs: dict = {}  # LevelPass index -> (aggregator, GRU) accumulators
         while log:
             entry = log.pop()
             if isinstance(entry, RowCopy):
@@ -164,15 +151,51 @@ def propagate(
                 grad[entry.dst] = 0.0
                 np.add.at(grad, entry.src, rows)
                 continue
-            batch, h_src, h_prev, h_rows = entry
+            k, batch, agg_ctx, gru_ctx = entry
+            agg, gru = steps[k].agg, steps[k].gru
+            if k not in accs:
+                accs[k] = tuple(
+                    [np.zeros_like(p.data) for p in cell.parameters()]
+                    for cell in (agg, gru)
+                )
+            agg_acc, gru_acc = accs[k]
             rows = grad[batch.nodes]
             grad[batch.nodes] = 0.0
-            h_rows.backward(rows)
-            np.add.at(grad, batch.src, h_src.grad)
-            grad[batch.nodes] += h_prev.grad
+            d_x, d_prev = gru.kernel_backward(gru_ctx, rows, gru_acc)
+            d_src, d_agg_prev = agg.kernel_backward(
+                agg_ctx, d_x[:, : agg.out_features], agg_acc
+            )
+            np.add.at(grad, batch.src, d_src)
+            if d_agg_prev is not None:
+                d_prev += d_agg_prev
+            grad[batch.nodes] += d_prev
+        for k, acc in accs.items():
+            for cell, cell_acc in zip((steps[k].agg, steps[k].gru), acc):
+                for p, p_grad in zip(cell.parameters(), cell_acc):
+                    out._push(p, p_grad)
         out._push(h0, grad)
 
     out = Tensor._make(state, (h0, *params), backward)
+    log: list | None = [] if out.requires_grad else None
+    for _ in range(iterations):
+        for k, step in enumerate(steps):
+            if isinstance(step, RowCopy):
+                state[step.dst] = state[step.src]
+                if log is not None:
+                    log.append(step)
+                continue
+            agg, gru = step.agg, step.gru
+            for batch, x_rows in zip(step.batches, step.feature_rows):
+                if batch.num_nodes == 0 or batch.num_edges == 0:
+                    continue
+                h_prev = state[batch.nodes]
+                msg, agg_ctx = agg.kernel_forward(state[batch.src], h_prev, batch)
+                rows, gru_ctx = gru.kernel_forward(
+                    np.concatenate([msg, x_rows], axis=1), h_prev
+                )
+                state[batch.nodes] = rows
+                if log is not None:
+                    log.append((k, batch, agg_ctx, gru_ctx))
     return out
 
 

@@ -104,3 +104,27 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+    def apply_kernel(self, inputs: tuple[Tensor, ...], *args) -> Tensor:
+        """Run this module's array kernel pair as one graph node.
+
+        For cells with ``kernel_forward(*arrays, *args) -> (out, ctx)`` and
+        ``kernel_backward(ctx, g, acc) -> input gradients`` (``None`` for an
+        input the output does not depend on), where ``acc`` holds one
+        accumulator per :meth:`parameters` entry.  The Tensor-level
+        ``forward`` of such a cell is this call; the GNN sweep calls the
+        kernels directly.
+        """
+        out_data, ctx = self.kernel_forward(*(t.data for t in inputs), *args)
+        params = self.parameters()
+
+        def backward(g: np.ndarray) -> None:
+            acc = [np.zeros_like(p.data) for p in params]
+            for t, grad in zip(inputs, self.kernel_backward(ctx, g, acc)):
+                if grad is not None:
+                    out._push(t, grad)
+            for p, grad in zip(params, acc):
+                out._push(p, grad)
+
+        out = Tensor._make(out_data, (*inputs, *params), backward)
+        return out

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.init import orthogonal, xavier_uniform
 from repro.nn.module import Module, Parameter, parameter_version
-from repro.nn.tensor import Tensor, is_grad_enabled, rowstable_matmul
+from repro.nn.tensor import Tensor, rowstable_matmul
 
 __all__ = ["GRUCell"]
 
@@ -45,78 +45,77 @@ class GRUCell(Module):
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         """One step: ``x`` is (B, input_size), ``h`` is (B, hidden_size).
 
-        The only executed kernel, for every dtype and both grad modes: one
-        graph node that replays the arithmetic of :meth:`_forward_composed`
-        on raw arrays (same kernels, same operation order, so the values
-        are bitwise equal) and pushes analytic gradients to all six
-        parents in one backward step.  Under ``no_grad``
-        :meth:`Tensor._make` drops the closure, so inference is this same
-        forward without the tape.
-
-        Buffer discipline is part of the contract (large float32 packs are
-        memory-bound): two gemms, biases added in place, both sigmoids on
-        one ``(B, 2*hs)`` buffer, the candidate built in place; ``r``,
-        ``z``, ``n`` and ``h_n`` stay alive for the backward.
+        One graph node over :meth:`kernel_forward` / :meth:`kernel_backward`
+        (:meth:`Module.apply_kernel`); under ``no_grad`` the tape is
+        dropped, so inference runs the same arithmetic.
         """
-        w_ih, w_hh, b_ih, b_hh = self.w_ih, self.w_hh, self.b_ih, self.b_hh
-        xd, hd = x.data, h.data
+        return self.apply_kernel((x, h))
+
+    def kernel_forward(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The cell on raw arrays: ``(h', ctx)`` for ``kernel_backward``.
+
+        The only executed arithmetic, for every dtype and both grad modes;
+        it replays :meth:`_forward_composed` (same kernels, same operation
+        order, so the values are bitwise equal).  Buffer discipline is
+        part of the contract (large float32 packs are memory-bound): two
+        gemms, biases added in place, both sigmoids on one ``(B, 2*hs)``
+        buffer, the candidate built in place; ``ctx`` keeps ``x``, ``h``,
+        the gate buffer, ``n`` and ``h_n`` for the backward.
+        """
         hs = self.hidden_size
         wi_t, wh_t = self._transposed_weights()
-        gi = rowstable_matmul(xd, wi_t)
-        gi += b_ih.data
-        gh = rowstable_matmul(hd, wh_t)
-        gh += b_hh.data
+        gi = rowstable_matmul(x, wi_t)
+        gi += self.b_ih.data
+        gh = rowstable_matmul(h, wh_t)
+        gh += self.b_hh.data
         rz = gi[:, : 2 * hs] + gh[:, : 2 * hs]
         np.negative(rz, out=rz)
         np.exp(rz, out=rz)
         rz += 1.0
         np.reciprocal(rz, out=rz)  # sigmoid = 1 / (1 + exp(-.))
-        r, z = rz[:, :hs], rz[:, hs:]
+        z = rz[:, hs:]
         h_n = gh[:, 2 * hs :]
-        n = r * h_n
+        n = rz[:, :hs] * h_n
         n += gi[:, 2 * hs :]
         np.tanh(n, out=n)
-        out_data = 1.0 - z
-        out_data *= n
-        out_data += z * hd  # (1 - z) * n + z * h
+        out = 1.0 - z
+        out *= n
+        out += z * h  # (1 - z) * n + z * h
+        return out, (x, h, rz, n, h_n)
 
-        def backward(g: np.ndarray) -> None:
-            dn_pre = (g * (1.0 - z)) * (1.0 - n * n)  # through tanh
-            dz_pre = (g * (hd - n)) * z * (1.0 - z)  # through sigmoid
-            dr_pre = (dn_pre * h_n) * r * (1.0 - r)
-            dgi = np.concatenate([dr_pre, dz_pre, dn_pre], axis=1)
-            dgh = np.concatenate([dr_pre, dz_pre, dn_pre * r], axis=1)
-            if x.requires_grad:
-                out._push(x, dgi @ w_ih.data)
-            if h.requires_grad:
-                out._push(h, g * z + dgh @ w_hh.data)
-            if w_ih.requires_grad:
-                out._push(w_ih, dgi.T @ xd)
-            if w_hh.requires_grad:
-                out._push(w_hh, dgh.T @ hd)
-            if b_ih.requires_grad:
-                out._push(b_ih, dgi.sum(axis=0))
-            if b_hh.requires_grad:
-                out._push(b_hh, dgh.sum(axis=0))
-
-        out = Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
-        return out
+    def kernel_backward(
+        self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic backward of :meth:`kernel_forward` for output gradient
+        ``g``: adds the four parameter gradients into ``acc`` (in
+        :meth:`parameters` order) and returns ``(dx, dh)``."""
+        x, h, rz, n, h_n = ctx
+        hs = self.hidden_size
+        r, z = rz[:, :hs], rz[:, hs:]
+        dn_pre = (g * (1.0 - z)) * (1.0 - n * n)  # through tanh
+        dz_pre = (g * (h - n)) * z * (1.0 - z)  # through sigmoid
+        dr_pre = (dn_pre * h_n) * r * (1.0 - r)
+        dgi = np.concatenate([dr_pre, dz_pre, dn_pre], axis=1)
+        dgh = np.concatenate([dr_pre, dz_pre, dn_pre * r], axis=1)
+        d_w_ih, d_w_hh, d_b_ih, d_b_hh = acc
+        d_w_ih += dgi.T @ x
+        d_w_hh += dgh.T @ h
+        d_b_ih += dgi.sum(axis=0)
+        d_b_hh += dgh.sum(axis=0)
+        return dgi @ self.w_ih.data, g * z + dgh @ self.w_hh.data
 
     def _transposed_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(w_ih.T, w_hh.T)`` as the right operands of the two gemms.
 
         BLAS picks M-dependent kernels for a transposed-view right operand
         (see :attr:`Tensor.T`), which would break the runtime's bitwise
-        packed-equals-sequential guarantee — so under ``no_grad`` the
-        transposes are contiguous copies, cached until the parameter
+        packed-equals-sequential guarantee — so the transposes are
+        contiguous copies in both grad modes, cached until the parameter
         arrays are swapped (the runtime's dtype shadow replaces ``data``
         wholesale) or mutated in place (optimizer steps bump the global
-        parameter version).  Grad mode keeps the free views: gradients
-        don't need batch-height determinism.
+        parameter version).
         """
         wi, wh = self.w_ih.data, self.w_hh.data
-        if is_grad_enabled():
-            return wi.T, wh.T
         version = parameter_version()
         cached = self._t_cache
         if (

@@ -496,14 +496,12 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        # Under no_grad the transpose is materialized: feeding BLAS a
+        # The transpose is materialized in both grad modes: feeding BLAS a
         # transposed view selects M-dependent kernels, breaking the
         # row-determinism the batched runtime's bitwise packed-equals-
-        # sequential guarantee relies on.  Training keeps the free view —
-        # gradients don't need batch-height determinism.
-        out_data = self.data.T
-        if not is_grad_enabled():
-            out_data = np.ascontiguousarray(out_data)
+        # sequential guarantee relies on, and training forward computes
+        # bitwise what serving computes.
+        out_data = np.ascontiguousarray(self.data.T)
 
         def backward(g: np.ndarray) -> None:
             out._push(self, g.T)

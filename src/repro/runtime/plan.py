@@ -74,12 +74,15 @@ def _normalize_batches(batches: list[EdgeBatch]) -> list[EdgeBatch]:
 
 
 class ScheduleError(ValueError):
-    """A pass schedule writes one node at two levels.
+    """A pass schedule the sweep cannot run: it writes one node at two
+    levels, or a level's message destinations are unsorted.
 
     The one-buffer sweep (:func:`repro.models.base.propagate`) relies on
     every node being written at most once per pass: a level reads its own
     nodes' rows as their pass-start state, and its backward hands the
-    state gradient back by rows.
+    state gradient back by rows.  The aggregator kernels reduce each
+    node's messages as one contiguous ``reduceat`` segment, which needs
+    ``dst_local`` in nondecreasing order (:meth:`EdgeBatch.dst_layout`).
     """
 
 
@@ -99,6 +102,23 @@ def _check_single_write(batches: list[EdgeBatch], direction: str) -> None:
             f"{levels[first]} and {levels[second]}; a pass may update each "
             "node once"
         )
+
+
+def _check_sorted(batches: list[EdgeBatch], direction: str) -> None:
+    """Raise :class:`ScheduleError` naming the first level whose message
+    destinations are unsorted (no ``reduceat`` segment layout).
+
+    Tests the order only: building every layout here would pin them on
+    warmed packs that are never swept.
+    """
+    for k, batch in enumerate(batches):
+        dst = batch.dst_local
+        if np.any(dst[1:] < dst[:-1]):
+            raise ScheduleError(
+                f"{direction} schedule level {k} has unsorted message "
+                "destinations; aggregator kernels need dst_local in "
+                "nondecreasing order"
+            )
 
 
 def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBatch]]:
@@ -184,7 +204,8 @@ class GraphPlan:
         ``custom=True`` gives DeepSeq's cut-graph schedule; ``False`` the
         baseline schedule with DFF updates and DFF reverse messages.  Each
         pass is checked once, when first built, to write every node at most
-        once (:class:`ScheduleError` otherwise).
+        once and to emit every level's destinations sorted
+        (:class:`ScheduleError` otherwise).
         """
         entry = self._schedules.get(custom)
         if entry is None:
@@ -193,8 +214,9 @@ class GraphPlan:
             else:
                 raw = baseline_batches(self.graph)
             entry = (_normalize_batches(raw[0]), _normalize_batches(raw[1]))
-            _check_single_write(entry[0], "forward")
-            _check_single_write(entry[1], "reverse")
+            for batches, direction in zip(entry, ("forward", "reverse")):
+                _check_single_write(batches, direction)
+                _check_sorted(batches, direction)
             self._schedules[custom] = entry
         return entry
 

@@ -65,6 +65,19 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_aggregator("mean_pool", HID)
 
+    @pytest.mark.parametrize("kind", ["conv_sum", "attention", "dual_attention"])
+    def test_unsorted_batch_rejected(self, kind, states):
+        """No fallback for unsorted destinations: ``GraphPlan.schedule``
+        refuses such schedules, and a hand-built one fails here."""
+        unsorted = EdgeBatch(
+            nodes=np.array([10, 11]),
+            src=np.array([2, 0, 1]),
+            dst_local=np.array([1, 0, 0]),
+        )
+        agg = make_aggregator(kind, HID)
+        with pytest.raises(ValueError, match="unsorted"):
+            agg(*rows(*states, unsorted), unsorted)
+
 
 class TestConvSum:
     def test_output_shape(self, batch, states):

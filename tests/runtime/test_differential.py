@@ -153,10 +153,10 @@ class TestFusedDualAttentionVsComposed:
 
 
 class TestOneKernelPerCell:
-    """``forward`` is each cell's only executed kernel: pinned to the
-    composed oracle at float64 in both grad modes (``no_grad`` feeds BLAS
-    the contiguous transpose on both sides, grad mode the view), row-
-    deterministic, and float32 within tolerance of float64.  The GRU has
+    """``forward`` runs each cell's only kernel pair: pinned to the
+    composed oracle at float64 in both grad modes (both feed BLAS the
+    contiguous transpose on both sides), row-deterministic, and float32
+    within tolerance of float64.  The GRU has
     the paper's shape (hidden 64, dual-attention message + one-hot input):
     at that width BLAS does pick M-dependent kernels for a transposed
     view, so the determinism test is live."""
@@ -212,7 +212,7 @@ class TestOneKernelPerCell:
     def test_gru_rows_do_not_depend_on_batch_height(self, dtype):
         """Rows 1 and 7 alone equal their rows in the stacked batch of 8:
         what the packed-equals-sequential guarantee needs from the cell,
-        and what breaks if ``no_grad`` feeds BLAS the transposed view."""
+        and what breaks if the cell feeds BLAS the transposed view."""
         gru = perturb_parameters(GRUCell(132, 64, seed=1))
         (x1, h1), (x7, h7) = self.gru_inputs(1, dtype), self.gru_inputs(7, dtype)
         x7, h7 = x7[::-1].copy(), h7[::-1].copy()  # distinct from row 1

@@ -182,6 +182,16 @@ class TestSingleWriteCheck:
         with pytest.raises(ScheduleError, match="reverse schedule writes node 2 at levels 1 and 1"):
             plan.schedule(custom=True)
 
+    def test_unsorted_destinations_rejected(self):
+        """The aggregator kernels reduce each node's messages as one
+        contiguous segment; a level with unsorted ``dst_local`` has none."""
+        plan = self.hand_built(
+            [level([2, 3], [0, 1], [0, 1])],
+            [level([1], [2], [0]), level([0, 4], [1, 2, 3], [1, 0, 1])],
+        )
+        with pytest.raises(ScheduleError, match="reverse schedule level 1 has unsorted"):
+            plan.schedule(custom=True)
+
     def test_disjoint_hand_built_schedule_accepted(self):
         plan = self.hand_built(
             [level([2, 3], [0, 1], [0, 1]), level([4], [2, 3], [0, 0])]
