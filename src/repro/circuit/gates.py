@@ -162,14 +162,15 @@ def gate_kernel(gate_type: GateType, arity: int) -> GateKernel:
 
     Returns ``kernel(inputs, out)``: ``inputs`` is the stacked fanin array
     ``(arity, m, words)`` (a plan's gather buffer), ``out`` a preallocated
-    ``(m, words)`` buffer the result is written into.  ``inputs`` may be
-    clobbered (MUX reuses a fanin row as scratch), which is safe because
-    gather buffers are refilled before every evaluation.  Results are
+    ``(m, words)`` buffer the result is written into (a plan passes the
+    group's slice of its value buffer).  ``inputs`` may be clobbered
+    (MUX reuses a fanin row as scratch), which is safe because gather
+    buffers are refilled before every evaluation.  Results are
     bitwise-identical to :func:`eval_gate`; unlike it, the constant gates
     are served too, so the fault path can re-materialize and flip them.
 
     The arity is checked here, once: a :class:`repro.sim.logicsim.SimPlan`
-    binds the kernel per chunk at build time, so the cycle loop neither
+    binds the kernel per group at build time, so the cycle loop neither
     dispatches nor validates.
     """
     if gate_type not in _KERNELS:

@@ -38,7 +38,7 @@ class MemoryBudget:
 
     Attributes:
         plan_bytes: bound on a plan's resident evaluation buffers — the
-            gather/output arena of a :class:`repro.sim.logicsim.SimPlan`
+            gather arena of a :class:`repro.sim.logicsim.SimPlan`
             or the cached per-level feature rows of a
             :class:`repro.runtime.plan.GraphPlan`.  ``None`` = unlimited.
         history_bytes: bound on per-cycle windows — the block executor's

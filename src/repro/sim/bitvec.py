@@ -27,13 +27,6 @@ _BYTE_POPCOUNT = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint64
 )
 
-# SWAR (SIMD-within-a-register) popcount constants.
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S56 = np.uint64(56)
-
 
 def words_for(streams: int) -> int:
     """Number of uint64 words needed to hold ``streams`` bits."""
@@ -63,18 +56,14 @@ def popcount_int64(words: np.ndarray, axis=None) -> np.ndarray:
     """Population count summed over ``axis``, returned as int64.
 
     Count-identical to :func:`popcount` but built for the block engine's
-    whole-history reductions: the classic SWAR bit-parallel popcount runs
-    a handful of vectorized uint64 ops over the input instead of blowing
-    each word up into eight LUT lookups, so popcounting a
-    ``(block, nodes, words)`` history is one cheap pass, and the result
-    arrives as the int64 the activity accumulators hold.
+    whole-history reductions: ``np.bitwise_count`` counts each word in one
+    vectorized pass instead of blowing it up into eight LUT lookups, so
+    popcounting a ``(block, nodes, words)`` history is cheap, and the
+    result arrives as the int64 the activity accumulators hold.
     """
     if words.dtype != np.uint64:
         raise TypeError(f"expected uint64 words, got {words.dtype}")
-    x = words - ((words >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    counts = (x * _H01) >> _S56  # per-word popcount, 0..64
+    counts = np.bitwise_count(words)  # per-word popcount, 0..64
     if axis is None:
         return counts.sum(dtype=np.int64)
     return counts.sum(axis=axis, dtype=np.int64)

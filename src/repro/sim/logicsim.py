@@ -23,12 +23,13 @@ One executor and one reference share these semantics:
 
 * the **block executor** (:class:`SimPlan` + :meth:`Simulator.run_block`,
   driven by :meth:`Simulator.run`) — the only gate-evaluation loop that
-  produces labels.  Stimulus is pregenerated in blocks, every evaluation
-  group runs through precomputed chunks of gather/output views and a gate
-  kernel bound at plan time, and statistics reduce once per block over a
-  value-history buffer.  A :class:`~repro.memory.MemoryBudget` only
-  changes how the plan is cut (chunks carved from one shared arena, a
-  shallower history); :func:`simulate` is the one-member case of
+  produces labels.  Stimulus is pregenerated in blocks, each level runs
+  as one gather of its fanins and gate kernels bound at plan time that
+  write straight into their groups' slices of a plan-order value buffer,
+  and statistics reduce once per block over a value-history buffer.  A
+  :class:`~repro.memory.MemoryBudget` only changes how the plan is cut
+  (levels cut to a smaller gather arena, a shallower history);
+  :func:`simulate` is the one-member case of
   :func:`repro.sim.pack.simulate_packed`, so single circuits, packs and
   budgeted large designs all run the same loop — fault labelling once
   over a doubled word axis, golden machine in the low words, faulty in
@@ -159,37 +160,45 @@ DEFAULT_BLOCK_CYCLES = 64
 MAX_BLOCK_BYTES = 8 << 20
 
 
-class _Chunk(NamedTuple):
-    """One precomputed evaluation step of a :class:`SimPlan`: a run of
-    gates of one group, with the views it gathers into and evaluates
-    through."""
+class _Gates(NamedTuple):
+    """A run of one group's gates inside a :class:`_Step`."""
 
     kernel: GateKernel  # gate_kernel(type, arity): checked at plan time
-    flat: np.ndarray  # (arity * m,) fanin ids, row-major over fanin rows
-    gather: np.ndarray  # (arity * m, words): one np.take fills all rows
-    in_buf: np.ndarray  # the same memory viewed (arity, m, words)
-    out: np.ndarray  # (m, words)
-    rows: np.ndarray  # (m,) node ids the outputs are scattered to
-    op: int  # index of the chunk's group in ``compiled.ops``
-    #: This chunk's gates within the group — its rows of the group's flip
-    #: mask; ``None`` when the chunk is the whole group.
+    in_buf: np.ndarray  # (arity, m, words) view of the step's gather rows
+    out: np.ndarray  # (m, words) slice of the plan-order value buffer
+    op: int  # index of the gates' group in ``compiled.ops``
+    #: These gates within the group — their rows of the group's flip
+    #: mask; ``None`` when the run is the whole group.
     sl: slice | None
+
+
+class _Step(NamedTuple):
+    """One gather and the kernels it feeds: a level, or a chunk of one."""
+
+    flat: np.ndarray  # (rows,) plan positions of every gate's fanins
+    gather: np.ndarray  # (rows, words) view of the arena
+    gates: tuple[_Gates, ...]
 
 
 class SimPlan:
     """Preallocated block-execution state for one compiled circuit.
 
     The per-cycle reference pays, every cycle and for every evaluation
-    group, a fresh fanin gather list, a fresh output array and a byte-LUT
-    popcount.  A plan hoists all of that out of the loop: per
-    :class:`_LevelOp` a list of *chunks*, each a stacked ``(arity, m,
-    words)`` gather view and an ``(m, words)`` output view with their
-    flat fanin ids precomputed and gate kernel bound (a bad arity fails
-    here, not in the cycle loop); a ``(block_cycles, nodes, words)``
-    value-history buffer that statistics are reduced over once per
-    *block*; and the DFF next-state staging buffer.  Building a plan
-    never touches values — execution through a plan is bitwise-identical
-    to per-cycle stepping.
+    group, a fresh fanin gather list, a fresh output array, a scatter and
+    a byte-LUT popcount.  A plan hoists all of that out of the loop.  It
+    gives every node a *plan position* — PIs in ``pi_ids`` order, DFFs in
+    ``dff_ids`` order, each group of ``compiled.ops`` in op order, then any
+    node in none of these — so the PIs, the DFFs and every group occupy a
+    contiguous slice of the plan-order ``(nodes, words)`` value buffer
+    :attr:`values`.  A cycle is then a list of :class:`_Step`\\ s, one per
+    level: one ``np.take`` of the level's flat fanin positions into a
+    gather buffer, then each group's plan-bound kernel (a bad arity fails
+    here, not in the cycle loop) reading its ``(arity, m, words)`` view of
+    those rows and writing straight into the group's value slice.  The
+    plan also holds a ``(block_cycles, nodes, words)`` value-history
+    buffer that statistics are reduced over once per *block*, and the DFF
+    next-state staging buffer.  Building a plan never touches values —
+    execution through a plan is bitwise-identical to per-cycle stepping.
 
     ``block_cycles`` is clamped so the history stays under
     ``max_block_bytes`` regardless of netlist size.
@@ -197,14 +206,14 @@ class SimPlan:
     A :class:`~repro.memory.MemoryBudget` tightens both bounds further:
     ``history_bytes`` caps the history window's depth (windows are flushed
     to observers every block, so statistics and tracing survive any depth
-    down to one cycle).  Without a budget — or while the per-group buffers
-    fit ``plan_bytes`` — every group is one chunk on its own buffers; past
-    it the plan is **streamed**: groups are cut into chunks of gates whose
-    views are carved from one shared arena of ``plan_bytes`` (never less
-    than one gate of the widest group).  Within a level no gate reads
-    another's output, so chunking cannot change a bit.  (The lockstep
-    fault run builds one plan over ``2 * W`` words, so one budget bounds
-    both machines together.)
+    down to one cycle).  Every step gathers into one shared arena, sized
+    to the widest level; when that does not fit ``plan_bytes`` the plan is
+    **streamed**: the arena holds ``plan_bytes`` of gather rows (never
+    less than one gate of the widest group) and wider levels are cut into
+    steps of whole gates.  Within a level no gate reads another's output,
+    so chunking cannot change a bit.  (The lockstep fault run builds one
+    plan over ``2 * W`` words, so one budget bounds both machines
+    together.)
     """
 
     def __init__(
@@ -227,83 +236,114 @@ class SimPlan:
             self.block_cycles = budget.cap_count(
                 bytes_per_cycle, self.block_cycles
             )
-        self.history = np.empty(
-            (self.block_cycles, compiled.num_nodes, words), dtype=np.uint64
+        n = compiled.num_nodes
+        self.history = np.empty((self.block_cycles, n, words), dtype=np.uint64)
+        self.state_buf = np.empty((compiled.dff_ids.size, words), dtype=np.uint64)
+        ops = compiled.ops
+        placed = np.concatenate(
+            [compiled.pi_ids, compiled.dff_ids] + [op.nodes for op in ops]
         )
-        self.state_buf = np.empty(
-            (compiled.dff_ids.size, words), dtype=np.uint64
-        )
-        # Rows of ``words`` uint64 one gate of a group occupies: its
-        # ``arity`` gathered fanins plus its output.
-        rows = [op.fanins.shape[0] + 1 for op in compiled.ops]
-        full_bytes = sum(
-            r * op.nodes.size * words * 8 for r, op in zip(rows, compiled.ops)
-        )
-        self.streamed = budget is not None and not budget.allows_plan(full_bytes)
-        #: Distinct evaluation buffers this plan owns (one shared arena
-        #: when streamed, one per group otherwise).
-        self._buffers: list[np.ndarray] = []
-        if self.streamed:
-            arena_rows = max(budget.plan_bytes // (words * 8), max(rows))
-            self._buffers.append(np.empty(arena_rows * words, dtype=np.uint64))
-        #: One :class:`_Chunk` per step of a cycle, in evaluation order.
-        self.entries: list[_Chunk] = []
-        for index, (r, op) in enumerate(zip(rows, compiled.ops)):
+        uses = np.bincount(placed, minlength=n)
+        if uses.max(initial=0) > 1:
+            raise ValueError("PIs, DFFs and evaluation groups must be disjoint")
+        #: Plan position -> node id, and node id -> plan position.
+        self.order = np.concatenate([placed, np.flatnonzero(uses == 0)])
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = np.arange(n)
+        #: The plan-order ``(nodes, words)`` value buffer a block runs on.
+        self.values = np.empty((n, words), dtype=np.uint64)
+        num_pis = compiled.pi_ids.size
+        self.pis = slice(0, num_pis)
+        self.dffs = slice(num_pis, num_pis + compiled.dff_ids.size)
+        self.dff_src = self.position[compiled.dff_src]
+        # Bind every group to its kernel, fanin positions and value slice.
+        # A level ends at the first group that reads a position at or past
+        # the level's own first one, i.e. a node the level writes.
+        consts: list[_Gates] = []
+        levels: list[list[tuple[GateKernel, np.ndarray, int, int]]] = []
+        level_lo = lo = self.dffs.stop
+        for index, op in enumerate(ops):
             arity, m = op.fanins.shape
             kernel = gate_kernel(op.gate_type, arity)
-            if self.streamed:
-                buf = self._buffers[0]
-                step = min(m, arena_rows // r)
+            if arity == 0:
+                no_inputs = np.empty((0, m, words), dtype=np.uint64)
+                out = self.values[lo : lo + m]
+                consts.append(_Gates(kernel, no_inputs, out, index, None))
             else:
-                buf = np.empty(r * m * words, dtype=np.uint64)
-                self._buffers.append(buf)
-                step = m
-            for lo in range(0, m, step):
-                sl = slice(lo, min(m, lo + step))
-                mm = sl.stop - lo
-                gather = buf[: arity * mm * words].reshape(arity * mm, words)
-                self.entries.append(
-                    _Chunk(
-                        kernel=kernel,
-                        flat=np.ascontiguousarray(op.fanins[:, sl]).reshape(-1),
-                        gather=gather,
-                        in_buf=gather.reshape(arity, mm, words),
-                        out=buf[gather.size : r * mm * words].reshape(mm, words),
-                        rows=op.nodes[sl],
-                        op=index,
-                        sl=None if mm == m else sl,
-                    )
-                )
-        # Constants never change: the fault-free path scatters them once
-        # per run and skips their entries in the cycle loop entirely.
-        self.dyn_entries = [e for e in self.entries if e.flat.size]
-        consts = [op for op in compiled.ops if op.fanins.shape[0] == 0]
-        self._const_nodes = np.concatenate(
-            [op.nodes for op in consts] + [np.empty(0, dtype=np.int64)]
+                fanins = self.position[op.fanins]
+                if not levels or fanins.max() >= level_lo:
+                    levels.append([])
+                    level_lo = lo
+                levels[-1].append((kernel, fanins, lo, index))
+            lo += m
+        rows_cap = max(
+            (sum(f.size for _, f, _, _ in level) for level in levels), default=0
         )
-        self._const_vals = np.empty((self._const_nodes.size, words), np.uint64)
-        done = 0
-        for op in consts:
-            fill = self._const_vals[done : done + op.nodes.size]
-            gate_kernel(op.gate_type, 0)(None, fill)
-            done += op.nodes.size
+        self.streamed = budget is not None and not budget.allows_plan(
+            rows_cap * words * 8
+        )
+        if self.streamed:
+            widest = max(f.shape[0] for level in levels for _, f, _, _ in level)
+            rows_cap = max(budget.plan_bytes // (words * 8), widest)
+        #: The gather rows every step is carved from.
+        self.arena = np.empty((rows_cap, words), dtype=np.uint64)
+        #: Per cycle, in order: the constant groups (when there are any) as
+        #: one gather-free step, then one step per level — or, streamed,
+        #: per chunk of whole gates that fits the arena.
+        self.steps: list[_Step] = []
+        if consts:
+            self.steps.append(
+                _Step(np.empty(0, dtype=np.int64), self.arena[:0], tuple(consts))
+            )
+        #: Leading steps that hold constants only (0 or 1): a fault-free
+        #: block writes them once instead of once per cycle.
+        self.const_steps = len(self.steps)
+        for level in levels:
+            flats: list[np.ndarray] = []
+            gates: list[_Gates] = []
+            used = 0
+            for kernel, fanins, lo, index in level:
+                arity, m = fanins.shape
+                done = 0
+                while done < m:
+                    take = min(m - done, (rows_cap - used) // arity)
+                    if take == 0:
+                        self._add_step(flats, gates, used)
+                        flats, gates, used = [], [], 0
+                        continue
+                    sl = slice(done, done + take)
+                    flats.append(fanins[:, sl].reshape(-1))
+                    in_buf = self.arena[used : used + arity * take]
+                    gates.append(
+                        _Gates(
+                            kernel,
+                            in_buf.reshape(arity, take, words),
+                            self.values[lo + done : lo + done + take],
+                            index,
+                            None if take == m else sl,
+                        )
+                    )
+                    used += arity * take
+                    done += take
+            self._add_step(flats, gates, used)
 
-    def scatter_consts(self, values: np.ndarray) -> None:
-        """Write the constant gates' fixed outputs into a value array."""
-        if self._const_nodes.size:
-            values[self._const_nodes] = self._const_vals
+    def _add_step(self, flats: list, gates: list, rows: int) -> None:
+        self.steps.append(
+            _Step(np.concatenate(flats), self.arena[:rows], tuple(gates))
+        )
 
     def resident_bytes(self) -> int:
-        """Bytes of bookkeeping buffers this plan keeps resident.
+        """Bytes of the buffers this plan keeps resident.
 
-        History window + DFF staging + the evaluation buffers (per group,
-        or the one shared arena when streamed).  Excludes the irreducible
-        ``(num_nodes, words)`` value array the simulator owns.
+        History window + DFF staging + the plan-order value buffer + the
+        gather arena.  Excludes the ``(num_nodes, words)`` node-order value
+        array the simulator owns.
         """
         return (
             self.history.nbytes
             + self.state_buf.nbytes
-            + sum(buf.nbytes for buf in self._buffers)
+            + self.values.nbytes
+            + self.arena.nbytes
         )
 
 
@@ -412,12 +452,15 @@ class Simulator:
 
         ``pi_block`` is ``(cycles, num_pis, words)`` uint64 stimulus.  The
         settled (pre-latch) values of block cycle ``b`` are copied into
-        ``history[b]`` when a history array is given; latching happens
-        internally, so do not interleave with :meth:`step`/:meth:`latch`.
+        ``history[b]`` (node order) when a history array is given; latching
+        happens internally, so do not interleave with
+        :meth:`step`/:meth:`latch`.  The block runs on the plan's
+        plan-order value buffer: one take from :attr:`values` in, one back
+        out, so :attr:`values` is in node order before and after the call.
         Value sequences are bitwise-identical to per-cycle stepping: the
-        only differences are preallocated buffers (``np.take`` + the
-        chunk's plan-bound in-place kernel) and the constant gates being
-        scattered once instead of re-evaluated.
+        only differences are preallocated buffers (one ``np.take`` per
+        level, each group's plan-bound kernel writing its value slice) and
+        the constant gates being written once instead of re-evaluated.
 
         ``flips`` makes the pass the golden/faulty lockstep: the word axis
         is two machines side by side (the caller writes stimulus and reset
@@ -426,46 +469,73 @@ class Simulator:
         ``(m, words // 2)`` mask, XOR-ed into the high (faulty) half of the
         group's fresh outputs; other groups cost nothing.  Constants are
         then re-materialized every cycle, so a flipped one lasts a cycle.
+
+        Raises ``ValueError`` when ``pi_block`` is not ``(cycles, num_pis,
+        words)``, ``history`` has fewer than ``cycles`` rows of ``(nodes,
+        words)``, or ``flips`` is shorter than the block.
         """
         if plan.compiled is not self.compiled or plan.words != self.words:
             raise ValueError("plan was built for a different simulator")
+        cycles = len(pi_block)
+        row = (self.compiled.num_nodes, self.words)
+        stim = (self.compiled.pi_ids.size, self.words)
+        if np.shape(pi_block)[1:] != stim:
+            raise ValueError(
+                f"pi_block has shape {np.shape(pi_block)}, expected "
+                f"(cycles, {stim[0]}, {stim[1]})"
+            )
+        if history is not None and (
+            len(history) < cycles or history.shape[1:] != row
+        ):
+            raise ValueError(
+                f"history has shape {history.shape}, expected at least "
+                f"({cycles}, {row[0]}, {row[1]})"
+            )
+        if flips is not None and len(flips) < cycles:
+            raise ValueError(
+                f"flips covers {len(flips)} cycles of a {cycles}-cycle block"
+            )
         # Block execution latches inline; a stale pending state from an
         # earlier step() must not be committable over the block's values.
         self._pending_state = None
-        vals = self.values
-        pi_ids = self.compiled.pi_ids
-        dff_ids = self.compiled.dff_ids
-        dff_src = self.compiled.dff_src
+        vals = plan.values
+        position = plan.position
+        self.values.take(plan.order, 0, vals, "clip")
+        pis, dffs = plan.pis, plan.dffs
+        dff_src = plan.dff_src
         state_buf = plan.state_buf
-        has_pis = pi_ids.size > 0
-        has_dffs = dff_ids.size > 0
+        has_pis = pis.stop > 0
+        has_dffs = dffs.stop > dffs.start
+        steps = plan.steps
         if flips is None:
-            plan.scatter_consts(vals)
-            entries = plan.dyn_entries
-        else:
-            entries = plan.entries
+            # Constants never change: write them once, skip them per cycle.
+            for step in steps[: plan.const_steps]:
+                for gates in step.gates:
+                    gates.kernel(gates.in_buf, gates.out)
+            steps = steps[plan.const_steps :]
         half = self.words // 2
         hit: Mapping[int, np.ndarray] = {}
-        for b in range(len(pi_block)):
+        for b in range(cycles):
             if has_pis:
-                vals[pi_ids] = pi_block[b]
+                vals[pis] = pi_block[b]
             if flips is not None:
                 hit = flips[b]
-            for kernel, flat, gather, in_buf, out, rows, op, sl in entries:
+            for flat, gather, gates in steps:
                 vals.take(flat, 0, gather, "clip")
-                kernel(in_buf, out)
-                if op in hit:
-                    # However the group is chunked, each chunk takes its
-                    # rows of the group's mask.
-                    mask = hit[op]
-                    out[:, half:] ^= mask if sl is None else mask[sl]
-                vals[rows] = out
+                for kernel, in_buf, out, op, sl in gates:
+                    kernel(in_buf, out)
+                    if op in hit:
+                        # However the group is chunked, each run of its
+                        # gates takes its rows of the group's mask.
+                        mask = hit[op]
+                        out[:, half:] ^= mask if sl is None else mask[sl]
             if history is not None:
-                history[b] = vals
+                vals.take(position, 0, history[b], "clip")
             if has_dffs:
                 vals.take(dff_src, 0, state_buf, "clip")
-                vals[dff_ids] = state_buf
-        return vals
+                vals[dffs] = state_buf
+        vals.take(position, 0, self.values, "clip")
+        return self.values
 
     def run(
         self,

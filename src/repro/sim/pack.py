@@ -10,7 +10,7 @@ A :class:`PackedSimPlan` is compiled over the disjoint union of K member
 :class:`~repro.sim.logicsim.CompiledCircuit`\\ s — no union *netlist* is
 ever built; member evaluation groups of equal ``(level, gate type,
 arity)`` are concatenated directly with offset node ids, so one
-``np.take`` + in-place ufunc pass per level-group evaluates every member
+``np.take`` per level plus one in-place kernel per group evaluate every member
 at once, and the block engine's history/:meth:`ActivityCounter
 .observe_block` reductions run on the stacked ``(block, N_total, words)``
 buffers.  Packed plans live in a bounded LRU keyed by the tuple of member
@@ -600,8 +600,8 @@ def _run_packed_faults(
     """The block executor's golden/faulty lockstep pass over >= 1 members.
 
     One simulator, one plan: ``values`` is ``(N, 2W)``, low ``W`` words
-    the golden machine and high ``W`` the faulty one, so every gather,
-    kernel and scatter serves both (and a ``budget`` bounds both once).
+    the golden machine and high ``W`` the faulty one, so every gather
+    and kernel serves both (and a ``budget`` bounds both once).
     Per episode both halves reset to the same per-member state, per block
     both get the same stacked stimulus, and the injector's masks — drawn
     per (cycle, group) in exactly the per-cycle engine's order — are

@@ -52,7 +52,8 @@ class TestPopcount:
 
 
 class TestPopcountInt64:
-    """The SWAR popcount must agree with the byte-LUT reference exactly."""
+    """The ``np.bitwise_count`` popcount must agree with the byte-LUT
+    reference exactly."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -68,6 +69,18 @@ class TestPopcountInt64:
     def test_extremes(self):
         words = np.array([0, 1, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         assert popcount_int64(words) == 65
+
+    @pytest.mark.parametrize("fill", [0, 0xFFFFFFFFFFFFFFFF])
+    def test_all_zero_and_all_one_words_match_lut(self, fill):
+        words = np.full((24, 37, 2), fill, dtype=np.uint64)
+        total = popcount_int64(words)
+        assert total.dtype == np.int64
+        assert int(total) == int(popcount(words)) == (64 * words.size if fill else 0)
+        for axis in (0, 1, 2):
+            assert np.array_equal(
+                popcount_int64(words, axis=axis),
+                popcount(words, axis=axis).astype(np.int64),
+            )
 
     def test_rejects_wrong_dtype(self):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ rates, constants under injection.  Hypothesis drives the sweeps so new
 engine work keeps being fuzzed against the pinned reference.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,22 @@ class TestGateKernels:
             SimPlan(compiled, 1)
         assert str(via_plan.value) == str(via_into.value)
         assert "requires >= 2 fanins, got 1" in str(via_plan.value)
+
+    def test_node_in_two_places_fails_at_plan_construction(self):
+        """Plan positions are a permutation: a node that is a PI and a
+        gate output at once has no single value slice."""
+        both = np.array([0], dtype=np.int64)
+        compiled = CompiledCircuit(
+            netlist=None,
+            num_nodes=1,
+            ops=[_LevelOp(GateType.NOT, both, both[None, :])],
+            pi_ids=both,
+            dff_ids=np.empty(0, dtype=np.int64),
+            dff_src=np.empty(0, dtype=np.int64),
+            comb_ids=both,
+        )
+        with pytest.raises(ValueError, match="must be disjoint"):
+            SimPlan(compiled, 1)
 
 
 class TestFaultFreeDifferential:
@@ -467,6 +484,119 @@ class TestLockstepExecutor:
             assert ((u >> 11) < bulk.lo_threshold) == as_float
 
 
+def every_kind_circuit() -> CompiledCircuit:
+    """The gate zoo (every evaluable kind, the n-ary ones at arity 3, both
+    constants driving logic) plus an arity-4 OR and a DFF fed by a DFF,
+    compiled with one trailing node that no PI, DFF or group holds."""
+    nl = gate_zoo_netlist()
+    pis = [nl.node_by_name(name) for name in ("a", "b", "c")]
+    d2 = nl.add_dff(nl.node_by_name("d0"), "d2")
+    nl.add_po(nl.add_gate(GateType.OR, pis + [d2], "or4"))
+    nl.validate()
+    compiled = compile_netlist(nl)
+    return dataclasses.replace(compiled, num_nodes=compiled.num_nodes + 1)
+
+
+class _Recorder:
+    def __init__(self) -> None:
+        self.blocks: list[np.ndarray] = []
+
+    def observe_block(self, history: np.ndarray) -> None:
+        self.blocks.append(history.copy())
+
+
+def assert_kernels_write_values(plan: SimPlan) -> None:
+    """No scatter is left: every kernel output is a view of the plan's
+    value buffer."""
+    for step in plan.steps:
+        for gates in step.gates:
+            assert np.shares_memory(gates.out, plan.values)
+
+
+class TestEveryGateKind:
+    """The executor's value history equals the per-cycle reference on
+    every gate kind, a DFF chain and a node outside every group."""
+
+    ONE_BYTE = MemoryBudget(plan_bytes=1, history_bytes=1)
+
+    @pytest.mark.parametrize("one_byte_budget", [False, True])
+    def test_fault_free_history_equals_cycle(self, one_byte_budget):
+        compiled = every_kind_circuit()
+        assert {op.gate_type for op in compiled.ops} == {
+            gt for gt in GateType if gt not in (GateType.PI, GateType.DFF)
+        }
+        rng = np.random.default_rng(5)
+        init = rng.integers(0, 2**64, size=(compiled.num_nodes, 2), dtype=np.uint64)
+        stim = rng.integers(0, 2**64, size=(24, 3, 2), dtype=np.uint64)
+        ref = Simulator(compiled, streams=128)
+        ref.values[:] = init
+        trace = []
+        for cycle, pi_words in enumerate(stim):
+            trace.append(ref.step(pi_words, cycle).copy())
+            ref.latch()
+        budget = self.ONE_BYTE if one_byte_budget else None
+        plan = SimPlan(compiled, 2, budget=budget)
+        assert plan.streamed == one_byte_budget
+        sim = Simulator(compiled, streams=128)
+        sim.values[:] = init
+        recorder = _Recorder()
+        sim.run(len(stim), stim, observers=[recorder], plan=plan)
+        assert np.array_equal(np.concatenate(recorder.blocks), np.stack(trace))
+        assert np.array_equal(sim.values, ref.values)
+        # The node in no group keeps whatever it held.
+        assert np.array_equal(sim.values[-1], init[-1])
+        assert_kernels_write_values(plan)
+
+    @pytest.mark.parametrize("one_byte_budget", [False, True])
+    def test_lockstep_history_equals_cycle(self, one_byte_budget):
+        compiled = every_kind_circuit()
+        wl = Workload(np.array([0.35, 0.6, 0.5]), seed=4)
+        cfg = SimConfig(cycles=20, streams=128, warmup=2, seed=1, init_state="random")
+        fc = FaultConfig(fault_rate=0.05, per_pattern=False, episode_cycles=8, seed=6)
+        golden = Simulator(compiled, streams=cfg.streams)
+        faulty = Simulator(compiled, streams=cfg.streams)
+        injector = _FaultInjector(
+            fc.effective_cycle_rate, golden.words, np.random.default_rng(fc.seed)
+        )
+        source = PatternSource(wl, streams=cfg.streams)
+        trace = []
+        cycle = 0
+        for episode, observe in enumerate(_episode_schedule(cfg, fc)):
+            for machine in (golden, faulty):
+                machine.reset(cfg.init_state, np.random.default_rng(cfg.seed + episode))
+            for _ in range(cfg.warmup + observe):
+                pi_words = source.next_cycle()
+                g = golden.step(pi_words, cycle)
+                f = faulty.step(pi_words, cycle, fault_hook=injector.mask)
+                trace.append(np.concatenate([g, f], axis=1))
+                golden.latch()
+                faulty.latch()
+                cycle += 1
+        blocks, plans = [], []
+        run_block = Simulator.run_block
+
+        def spy(sim, pi_block, plan, *, history=None, flips=None):
+            values = run_block(sim, pi_block, plan, history=history, flips=flips)
+            blocks.append(history.copy())
+            plans.append(plan)
+            return values
+
+        budget = self.ONE_BYTE if one_byte_budget else None
+        with mock.patch.object(Simulator, "run_block", spy):
+            _run_packed_faults(
+                pack_circuits([compiled], cache=False), [wl], cfg, fc, None, None,
+                budget,
+            )
+        history = np.concatenate(blocks)
+        # Faults landed in the faulty half, constants included.
+        consts = np.concatenate([op.nodes for op in compiled.ops if not op.fanins.size])
+        assert (history[:, consts, :2] != history[:, consts, 2:]).any()
+        assert np.array_equal(history, np.stack(trace))
+        (plan,) = set(plans)
+        assert plan.streamed == one_byte_budget
+        assert_kernels_write_values(plan)
+
+
 class TestActivityCounterBlocks:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -553,6 +683,40 @@ class TestRunApi:
         sim.reset()
         with pytest.raises(ValueError, match="stimulus array"):
             sim.run(4, np.zeros((4, 99, 1), dtype=np.uint64))
+
+    def test_run_block_short_stimulus_rejected(self):
+        """One PI row for a 3-PI circuit must not broadcast to every PI."""
+        compiled = compile_netlist(gate_zoo_netlist())
+        plan = SimPlan(compiled, 1)
+        sim = Simulator(compiled, streams=64)
+        sim.reset()
+        before = sim.values.copy()
+        for bad in ((2, 1, 1), (2, 3, 2), (3, 1)):
+            with pytest.raises(ValueError, match="pi_block has shape"):
+                sim.run_block(np.full(bad, 0xFFFF, dtype=np.uint64), plan)
+        assert np.array_equal(sim.values, before)
+
+    def test_run_block_short_history_rejected(self):
+        compiled = compile_netlist(gate_zoo_netlist())
+        plan = SimPlan(compiled, 1)
+        sim = Simulator(compiled, streams=64)
+        sim.reset()
+        stim = np.zeros((3, 3, 1), dtype=np.uint64)
+        n = compiled.num_nodes
+        for bad in ((2, n, 1), (3, n + 1, 1), (3, n, 2)):
+            with pytest.raises(ValueError, match="history has shape"):
+                sim.run_block(stim, plan, history=np.empty(bad, dtype=np.uint64))
+        sim.run_block(stim, plan, history=np.empty((4, n, 1), dtype=np.uint64))
+
+    def test_run_block_short_flips_rejected(self):
+        compiled = compile_netlist(gate_zoo_netlist())
+        plan = SimPlan(compiled, 2)
+        sim = Simulator(compiled, streams=128)
+        sim.reset()
+        stim = np.zeros((3, 3, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="flips covers 2 cycles"):
+            sim.run_block(stim, plan, flips=[{}, {}])
+        sim.run_block(stim, plan, flips=[{}, {}, {}])
 
     def test_bad_engine_rejected(self):
         nl = gate_zoo_netlist()

@@ -58,6 +58,28 @@ class TestMemoryBudget:
         assert MemoryBudget().cap_count(10, want=64) == 64
 
 
+def assert_runs_cover_groups(plan):
+    """Every group's runs partition its gates in order, and each run's
+    kernel output is exactly its gates' rows of the plan-order value
+    buffer: writing row ``i`` of the output writes gate ``i``'s row."""
+    runs = {}
+    for step in plan.steps:
+        for gates in step.gates:
+            runs.setdefault(gates.op, []).append(gates)
+    assert sorted(runs) == list(range(len(plan.compiled.ops)))
+    for g, op in enumerate(plan.compiled.ops):
+        covered = []
+        for run in runs[g]:
+            nodes = op.nodes[run.sl or slice(None)]
+            marks = np.arange(1, nodes.size + 1, dtype=np.uint64)
+            plan.values[:] = 0
+            run.out[:] = marks[:, None]
+            assert np.array_equal(plan.values[plan.position[nodes], 0], marks)
+            assert np.count_nonzero(plan.values[:, 0]) == nodes.size
+            covered.append(nodes)
+        assert np.array_equal(np.concatenate(covered), op.nodes)
+
+
 class TestStreamedSimPlan:
     def test_streamed_plan_shrinks_resident_bytes(self, circuit):
         compiled = compile_netlist(circuit)
@@ -66,13 +88,23 @@ class TestStreamedSimPlan:
         tight = SimPlan(
             compiled,
             words,
-            budget=MemoryBudget(plan_bytes=4096, history_bytes=20_000),
+            budget=MemoryBudget(plan_bytes=256, history_bytes=20_000),
         )
         assert tight.streamed and not full.streamed
         assert tight.resident_bytes() < full.resident_bytes()
-        # Resident: one chunk per group, each on its own buffers.
-        assert [e.op for e in full.entries] == list(range(len(compiled.ops)))
-        assert all(e.sl is None for e in full.entries)
+        assert tight.arena.nbytes <= 256 < full.arena.nbytes
+        # Resident: one step per level, whole groups, the arena sized to
+        # the widest level.
+        levels = {op.level for op in compiled.ops if op.fanins.size}
+        assert len(full.steps) - full.const_steps == len(levels)
+        for step in full.steps[full.const_steps :]:
+            assert len({compiled.ops[g.op].level for g in step.gates}) == 1
+            gathered = sum(g.in_buf.size for g in step.gates) // words
+            assert step.flat.size == step.gather.shape[0] == gathered
+        assert full.arena.shape[0] == max(s.flat.size for s in full.steps)
+        assert all(g.sl is None for s in full.steps for g in s.gates)
+        for plan in (full, tight):
+            assert_runs_cover_groups(plan)
 
     def test_one_byte_budget_means_one_gate_chunks(self, circuit):
         """The arena never drops below one gate of the widest group, so a
@@ -85,26 +117,26 @@ class TestStreamedSimPlan:
         assert tight.streamed and tight.block_cycles == 1
         widest = max(op.fanins.shape[0] for op in compiled.ops)
         assert tight.resident_bytes() == (
-            tight.history.nbytes + tight.state_buf.nbytes + (widest + 1) * 2 * 8
+            tight.history.nbytes
+            + tight.state_buf.nbytes
+            + tight.values.nbytes
+            + widest * 2 * 8
         )
-        entries = iter(tight.entries)
-        for g, op in enumerate(compiled.ops):
-            per_chunk = (widest + 1) // (op.fanins.shape[0] + 1)
-            chunks = [next(entries) for _ in range(-(-op.nodes.size // per_chunk))]
-            # Every chunk names its group and its rows of the group's mask.
-            assert all(c.op == g for c in chunks)
-            assert all(
-                np.array_equal(op.nodes[c.sl or slice(None)], c.rows)
-                for c in chunks
-            )
-            assert all(c.rows.size == per_chunk for c in chunks[:-1])
-            assert np.array_equal(np.concatenate([c.rows for c in chunks]), op.nodes)
-        assert next(entries, None) is None
+        gathering = tight.steps[tight.const_steps :]
+        assert all(0 < s.flat.size <= widest for s in gathering)
+        for step in gathering:
+            # A step is whole gates of one level.
+            assert len({compiled.ops[g.op].level for g in step.gates}) == 1
+            for g in step.gates:
+                arity = compiled.ops[g.op].fanins.shape[0]
+                if arity == widest:
+                    assert g.out.shape[0] == 1
+        assert_runs_cover_groups(tight)
 
     def test_block_budget_bitwise(self, circuit, workload):
-        budget = MemoryBudget(plan_bytes=4096, history_bytes=20_000)
+        budget = MemoryBudget(plan_bytes=256, history_bytes=20_000)
         resident = SimPlan(compile_netlist(circuit), words_for(CFG.streams))
-        assert budget.plan_bytes < resident.resident_bytes()  # a real bound
+        assert budget.plan_bytes < resident.arena.nbytes  # a real bound
         ref = simulate(circuit, workload, CFG, engine="block")
         got = simulate(circuit, workload, CFG, engine="block", budget=budget)
         assert_same_sim(ref, got)
@@ -157,10 +189,11 @@ class TestPartitionedEngine:
         window and arena once — plus the injector's mask chunk, which the
         history bound caps separately.  (The budget is roomy enough that
         the one-gate / one-cycle floors stay out of the sum; DFF staging
-        is per-state-bit storage no budget cuts.)"""
+        and the plan-order value buffer are per-node storage no budget
+        cuts.)"""
         import repro.sim.pack as pack_mod
 
-        budget = MemoryBudget(plan_bytes=2048, history_bytes=200_000)
+        budget = MemoryBudget(plan_bytes=512, history_bytes=200_000)
         fcfg = FaultConfig(fault_rate=0.01, episode_cycles=20, seed=5)
         built = {"sim": [], "plan": [], "injector": []}
 
@@ -188,9 +221,13 @@ class TestPartitionedEngine:
         assert plan.streamed and plan.block_cycles > 1 and injector.chunk_cycles > 1
         assert plan.history.nbytes <= budget.history_bytes
         assert injector.flips.nbytes <= budget.history_bytes
+        assert plan.arena.nbytes <= budget.plan_bytes
         assert (
             plan.resident_bytes() + injector.flips.nbytes
-            <= budget.plan_bytes + 2 * budget.history_bytes + plan.state_buf.nbytes
+            <= budget.plan_bytes
+            + 2 * budget.history_bytes
+            + plan.state_buf.nbytes
+            + plan.values.nbytes
         )
         ref = simulate_with_faults(circuit, workload, CFG, fcfg, engine="cycle")
         assert np.array_equal(ref.err01, got.err01)
