@@ -4,7 +4,7 @@ Demonstrates the three pieces of :mod:`repro.runtime`:
 
 1. **Compiled plans** — each circuit structure is levelized once and the
    plan is cached process-wide under its content hash;
-2. **Multi-circuit packing** — a :class:`BatchedPredictor` packs K queued
+2. **Multi-circuit packing** — a :class:`BatchedPredictor` packs K
    circuits into one disjoint super-graph, so a single levelized sweep
    serves the whole batch;
 3. **The float32 fast path** — inference runs on a cached float32 shadow
@@ -48,12 +48,10 @@ def main() -> None:
     baseline = [model.predict(g, w) for g, w in zip(graphs, workloads)]
     t_seq = time.perf_counter() - t0
 
-    # Batched float32 fast path: submit/flush like a serving loop.
+    # Batched float32 fast path: packs of 8 circuits, one sweep each.
     predictor = BatchedPredictor(model, batch_size=8, dtype="float32")
     t0 = time.perf_counter()
-    handles = [predictor.submit(g, w) for g, w in zip(graphs, workloads)]
-    predictor.flush()
-    batched = [h.result() for h in handles]
+    batched = predictor.predict_many(graphs, workloads)
     t_batch = time.perf_counter() - t0
 
     worst = max(
@@ -63,8 +61,7 @@ def main() -> None:
     print(f"batched   float32: {len(graphs) / t_batch:8.2f} circuits/sec")
     print(f"max |fp32 - fp64| over all nodes: {worst:.2e}")
     print(
-        f"processed {predictor.circuits_processed} circuits in "
-        f"{predictor.batches_flushed} packed sweeps"
+        f"processed {len(batched)} circuits in packs of {predictor.batch_size}"
     )
 
 

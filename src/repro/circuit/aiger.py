@@ -97,7 +97,7 @@ def read_aiger(data: str | bytes, name: str | None = None) -> Netlist:
     else:
         table = _tokenise_ascii(counts, body)
     structure, extra = _lower(table)
-    names, comment = _node_names(table, extra, rename=binary)
+    names, comment = _node_names(table, extra)
     nl = Netlist.from_structure(structure, names, name or comment or "aiger")
     nl.validate()
     return nl
@@ -327,21 +327,19 @@ def _lower(t: _Table) -> tuple[Structure, np.ndarray]:
     ), extra
 
 
-def _node_names(
-    t: _Table, extra: np.ndarray, rename: bool
-) -> tuple[list[str], str | None]:
+def _node_names(t: _Table, extra: np.ndarray) -> tuple[list[str], str | None]:
     """A name per node of :func:`_lower`'s structure, and the comment line:
-    symbols or ``i<k>`` / ``l<k>``, then ``a<var>``, ``n<var>``, ``const0/1``."""
+    symbols or ``i<k>`` / ``l<k>``, then ``a<var>``, ``n<var>``, ``const0/1``.
+
+    Both formats resolve collisions alike: a symbol already taken by an
+    earlier input or latch gets a ``_<k>`` suffix, and a generated name
+    never takes a symbol."""
     n_in, n_latch = t.inputs.size, t.latches.size
     input_names, latch_names, comment = _read_symbols(t.trailer, n_in, n_latch)
     generated = [f"a{v}" for v in (t.ands[:, 0] >> 1).tolist()] + [
         f"n{lit >> 1}" if lit > 1 else f"const{lit}" for lit in extra.tolist()
     ]
-    # The ASCII symbol table names inputs and latches as they are made; a
-    # binary one follows the AND block and renames them afterwards, which
-    # drops a colliding symbol where the ASCII reader suffixes it.
-    early = ({}, {}) if rename else (input_names, latch_names)
-    reserved = {sym for table in early for sym in table.values()}
+    reserved = {*input_names.values(), *latch_names.values()}
     names: list[str] = []
     taken: set[str] = set()
 
@@ -353,18 +351,13 @@ def _node_names(
         names.append(picked)
         taken.add(picked)
 
-    for prefix, table, count in (("i", early[0], n_in), ("l", early[1], n_latch)):
+    for prefix, table, count in (
+        ("i", input_names, n_in), ("l", latch_names, n_latch)
+    ):
         for k in range(count):
             claim(table.get(k) or f"{prefix}{k}", always_fresh=False)
     for base in generated:
         claim(base)
-    if rename:
-        for offset, table in ((0, input_names), (n_in, latch_names)):
-            for k, sym in table.items():
-                if sym not in taken:
-                    taken.discard(names[offset + k])
-                    taken.add(sym)
-                    names[offset + k] = sym
     return names, comment
 
 

@@ -7,9 +7,10 @@ serving-oriented callers (tasks, experiments, examples, benchmarks):
   process-wide content-hash-keyed LRU plan cache;
 * :mod:`repro.runtime.pack` — multi-circuit packing into disjoint
   super-graph plans;
-* :mod:`repro.runtime.predictor` — :class:`BatchedPredictor` (bounded,
-  synchronous request queue over packed sweeps; deadline-flushed serving
-  is :mod:`repro.serve`) and the float32 parameter-shadow fast path;
+* :mod:`repro.runtime.predictor` — :class:`BatchedPredictor` (many
+  circuits cut into packed sweeps on the calling thread; queued,
+  deadline-flushed serving is :mod:`repro.serve`, which builds on this
+  layer) and the float32 parameter-shadow fast path;
 * :mod:`repro.runtime.trainstep` — packed training minibatches
   (:func:`pack_samples` / :func:`train_step`) sharing the same plan and
   pack caches as serving;
@@ -65,7 +66,6 @@ _EXPORTS = {
     "run_packed_isolated": "repro.runtime.predictor",
     "refresh_shadows": "repro.runtime.predictor",
     "BatchedPredictor": "repro.runtime.predictor",
-    "PendingPrediction": "repro.runtime.predictor",
 }
 
 __all__ = sorted(_EXPORTS)

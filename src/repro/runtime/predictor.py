@@ -1,4 +1,4 @@
-"""Batched inference: dtype fast path, packed execution, request queue.
+"""Batched inference: dtype fast path, packed execution, many-circuit calls.
 
 Three layers, lowest first:
 
@@ -9,15 +9,14 @@ Three layers, lowest first:
 * :func:`predict_one` / :func:`predict_packed` — functional entry points
   running one circuit (or one packed batch of K circuits) through a model
   at a chosen dtype, reusing compiled plans from the shared cache.
-* :class:`BatchedPredictor` — a bounded request queue over
-  :func:`predict_packed`: callers stream ``submit(circuit, workload)``
-  calls and receive handles; the predictor packs pending requests into
-  super-graphs of ``batch_size`` circuits and resolves the handles on
-  flush (automatic when the queue fills, explicit via :meth:`flush`, or
-  lazy via ``handle.result()``).  Submission is thread-safe, and every
-  flush runs on a calling thread — the predictor owns none.  For a
-  latency bound on queued requests use :class:`repro.serve.Server`
-  (``workers=1`` is this predictor behind a deadline flush).
+* :class:`BatchedPredictor` — a stateless packer over
+  :func:`predict_packed`: ``predict_many(circuits, workloads)`` cuts the
+  circuits in order into super-graphs of at most ``batch_size`` members
+  (fewer under a memory budget) and runs each pack on the calling
+  thread.  For queued, deadline-bound requests use
+  :class:`repro.serve.Server` (``workers=1`` is this packed sweep behind
+  a deadline flush); this module never imports :mod:`repro.serve`, which
+  builds on it.
 
 Equivalence guarantee: packed execution computes bit-identical float64
 results to sequential :meth:`RecurrentDagGnn.predict` calls, because each
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Iterator, Sequence
 
@@ -52,7 +50,6 @@ __all__ = [
     "predict_packed",
     "run_packed_isolated",
     "BatchedPredictor",
-    "PendingPrediction",
 ]
 
 
@@ -233,8 +230,8 @@ def run_packed_isolated(
     Runs the whole batch as one packed sweep; if that fails, falls back to
     running members individually so one poison circuit yields an
     :class:`Exception` in its own slot while its batch-mates still get
-    predictions.  Both :class:`BatchedPredictor` and the serving workers
-    (:mod:`repro.serve.server`) resolve their handles through this.
+    predictions.  The serving front ends (:mod:`repro.serve.server` and
+    the gateway's workers) resolve their requests through this.
     """
     try:
         return list(
@@ -252,55 +249,17 @@ def run_packed_isolated(
         return out
 
 
-class PendingPrediction:
-    """Handle for a submitted request; resolves when its batch flushes."""
-
-    __slots__ = ("_predictor", "_value", "_error")
-
-    def __init__(self, predictor: "BatchedPredictor") -> None:
-        self._predictor = predictor
-        self._value: Prediction | None = None
-        self._error: Exception | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None or self._error is not None
-
-    def result(self) -> Prediction:
-        """The prediction, flushing the owning queue if still pending.
-
-        If another thread's flush already claimed this request, waits for
-        that in-flight batch to resolve it.  Raises the request's own
-        failure (if any); other requests in the same packed batch are
-        unaffected.
-        """
-        while not self.done:
-            self._predictor.flush()
-            if not self.done:
-                cv = self._predictor._resolved
-                with cv:
-                    if not self.done:
-                        cv.wait(timeout=0.1)
-        if self._error is not None:
-            raise self._error
-        assert self._value is not None
-        return self._value
-
-
 class BatchedPredictor:
-    """Stream circuits through packed batched inference.
+    """Run many circuits through packed batched inference.
 
     Args:
         model: any :class:`RecurrentDagGnn` (DeepSeq or baseline).
         batch_size: circuits packed per super-graph sweep (K).
         dtype: execution dtype — float32 (default) is the inference fast
             path; float64 reproduces sequential ``predict`` bitwise.
-        max_pending: bound of the request queue; submitting beyond it
-            triggers an automatic flush, so memory stays bounded no matter
-            how fast callers stream.
         memory_budget: optional :class:`~repro.memory.MemoryBudget`.  Its
-            ``plan_bytes`` bounds each flushed pack: members are admitted
-            while the sum of their plans' materialized feature-row bytes
+            ``plan_bytes`` bounds each pack: members are admitted while
+            the sum of their plans' materialized feature-row bytes
             (:meth:`GraphPlan.resident_bytes`) stays within the budget
             (always at least one member — per-circuit state is
             irreducible), and the packed sweep itself streams its feature
@@ -310,14 +269,14 @@ class BatchedPredictor:
     Example::
 
         predictor = BatchedPredictor(model, batch_size=8)
-        handles = [predictor.submit(g, wl) for g, wl in requests]
-        predictor.flush()
-        results = [h.result() for h in handles]
+        results = predictor.predict_many(graphs, workloads)
 
-    Submission and flushing are thread-safe.  :meth:`close` (or leaving
-    the ``with`` block) resolves whatever is still queued.  After
-    fine-tuning the model, call :meth:`refresh_parameters` so the cached
-    low-precision parameter shadow picks up the new weights.
+    Every call runs on the calling thread and holds no state between
+    calls; for queued requests with a latency bound use
+    :class:`repro.serve.Server` (``workers=1`` is this packed sweep
+    behind a deadline flush).  After fine-tuning the model, call
+    :meth:`refresh_parameters` so the cached low-precision parameter
+    shadow picks up the new weights.
     """
 
     def __init__(
@@ -325,157 +284,72 @@ class BatchedPredictor:
         model: RecurrentDagGnn,
         batch_size: int = 8,
         dtype=np.float32,
-        max_pending: int = 64,
         memory_budget: MemoryBudget | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if max_pending < batch_size:
-            raise ValueError("max_pending must be >= batch_size")
         self.model = model
         self.batch_size = int(batch_size)
         self.dtype = np.dtype(dtype)
-        self.max_pending = int(max_pending)
         self.memory_budget = memory_budget
-        #: ``(graph, workload, handle)`` per pending request, oldest first.
-        self._queue: deque[tuple] = deque()
-        self._lock = threading.Lock()
-        self._resolved = threading.Condition(self._lock)
-        self._closed = False
-        self.circuits_processed = 0
-        self.batches_flushed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    @property
-    def closed(self) -> bool:
-        # Monotonic False->True flag; a stale read only delays the caller
-        # one submit(), which re-checks under the lock.
-        return self._closed  # reprolint: disable=REP003 -- lock-free read of monotonic flag
-
-    def submit(self, circuit: CircuitGraph | Netlist, workload) -> PendingPrediction:
-        """Enqueue one request; flushes automatically when the queue fills.
-
-        Raises :class:`ValueError` immediately on a workload/circuit PI
-        mismatch, so an invalid request cannot reach a packed batch, and
-        :class:`RuntimeError` once the predictor is closed.
-        """
-        # Deferred: repro.serve builds on this module.
-        from repro.serve.batching import validate_request
-
-        graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
-        validate_request(graph.num_pis, workload, None)
-        handle = PendingPrediction(self)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("predictor is closed")
-            self._queue.append((graph, workload, handle))
-            overflow = len(self._queue) >= self.max_pending
-        if overflow:
-            self.flush()
-        return handle
-
-    def _member_bytes(self, graph: CircuitGraph) -> int:
-        """One member's feature-row footprint inside a packed sweep."""
-        return plan_for(graph).resident_bytes(
-            self.model.use_custom_batches, self.dtype
-        )
-
-    def flush(self) -> int:
-        """Drain the queue in packs of ``batch_size``; returns circuits run.
-
-        With a ``memory_budget``, packs close early once the next member
-        would push the summed feature-row bytes past ``plan_bytes`` — but
-        never below one member.
-        """
-        budget = self.memory_budget
-        cap = budget.plan_bytes if budget is not None else None
-        flushed = 0
-        while True:
-            with self._lock:
-                if not self._queue:
-                    break
-                chunk: list[tuple] = []
-                total = 0
-                while self._queue and len(chunk) < self.batch_size:
-                    if cap is not None:
-                        need = self._member_bytes(self._queue[0][0])
-                        if chunk and total + need > cap:
-                            break
-                        total += need
-                    chunk.append(self._queue.popleft())
-            results = run_packed_isolated(
-                self.model,
-                [entry[0] for entry in chunk],
-                [entry[1] for entry in chunk],
-                dtype=self.dtype,
-                budget=budget,
-            )
-            for entry, res in zip(chunk, results):
-                handle = entry[2]
-                if isinstance(res, Exception):
-                    handle._error = res
-                else:
-                    handle._value = res
-            with self._resolved:
-                self._resolved.notify_all()
-                self.batches_flushed += 1
-                self.circuits_processed += len(chunk)
-            flushed += len(chunk)
-        return flushed
-
-    def close(self, flush: bool = True) -> None:
-        """Stop accepting requests.
-
-        With ``flush=True`` (default) pending requests are drained first —
-        every outstanding handle resolves.  With ``flush=False`` pending
-        handles fail with :class:`RuntimeError`.  Idempotent.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not flush:
-                abandoned = list(self._queue)
-                self._queue.clear()
-            else:
-                abandoned = []
-        if flush:
-            self.flush()
-        else:
-            for entry in abandoned:
-                entry[2]._error = RuntimeError(
-                    "predictor closed with the request still pending"
-                )
-            with self._resolved:
-                self._resolved.notify_all()
 
     def __enter__(self) -> "BatchedPredictor":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release; kept so ``with`` blocks still work."""
 
-    def predict(self, circuit: CircuitGraph | Netlist, workload) -> Prediction:
-        """Submit one request and resolve it immediately (drains the queue)."""
-        return self.submit(circuit, workload).result()
+    def _packs(self, graphs: Sequence[CircuitGraph]) -> Iterator[slice]:
+        """Cut ``graphs`` in order into packs of at most ``batch_size``.
+
+        With a ``memory_budget``, a pack closes early once the next member
+        would push the summed feature-row bytes past ``plan_bytes`` — but
+        never below one member.
+        """
+        cap = None if self.memory_budget is None else self.memory_budget.plan_bytes
+        lo = 0
+        while lo < len(graphs):
+            hi, total = lo, 0
+            while hi < len(graphs) and hi - lo < self.batch_size:
+                if cap is not None:
+                    total += plan_for(graphs[hi]).resident_bytes(
+                        self.model.use_custom_batches, self.dtype
+                    )
+                    if hi > lo and total > cap:
+                        break
+                hi += 1
+            yield slice(lo, hi)
+            lo = hi
 
     def predict_many(
         self, circuits: Sequence[CircuitGraph | Netlist], workloads: Sequence
     ) -> list[Prediction]:
-        """Run many circuits through packed batches, preserving order."""
+        """Predictions for many circuits, in order, one packed sweep per pack.
+
+        A failing pack raises its exception (a workload/circuit PI mismatch
+        is a :class:`ValueError` raised before that pack's sweep).
+        """
         if len(circuits) != len(workloads):
             raise ValueError(
                 f"{len(circuits)} circuits vs {len(workloads)} workloads"
             )
-        handles = [
-            self.submit(circuit, wl) for circuit, wl in zip(circuits, workloads)
+        graphs = [
+            c if isinstance(c, CircuitGraph) else plan_for(c).graph for c in circuits
         ]
-        self.flush()
-        return [h.result() for h in handles]
+        out: list[Prediction] = []
+        for pack in self._packs(graphs):
+            out += predict_packed(
+                self.model,
+                graphs[pack],
+                workloads[pack],
+                dtype=self.dtype,
+                budget=self.memory_budget,
+            )
+        return out
+
+    def predict(self, circuit: CircuitGraph | Netlist, workload) -> Prediction:
+        """One circuit as a pack of one."""
+        return self.predict_many([circuit], [workload])[0]
 
     def refresh_parameters(self) -> None:
         """Re-sync dtype shadows after the model's parameters changed."""

@@ -346,14 +346,10 @@ def evaluate(
     """
     from repro.runtime import BatchedPredictor
 
-    # Context-managed so the predictor's queue is closed (and anything
-    # still pending resolved) however the evaluation exits.
-    with BatchedPredictor(
-        model, batch_size=max(1, batch_size), dtype=dtype
-    ) as predictor:
-        preds = predictor.predict_many(
-            [s.graph for s in dataset], [s.workload for s in dataset]
-        )
+    predictor = BatchedPredictor(model, batch_size=max(1, batch_size), dtype=dtype)
+    preds = predictor.predict_many(
+        [s.graph for s in dataset], [s.workload for s in dataset]
+    )
     errs_tr: list[float] = []
     errs_lg: list[float] = []
     nodes = 0

@@ -115,8 +115,8 @@ def aig_sources() -> dict[str, Netlist]:
 
 #: Hand-written documents: constants in every position, explicit init 0,
 #: gaps and forward references in the variable numbering, and symbol
-#: tables that collide with each other and with generated names (the two
-#: formats resolve collisions differently; both are pinned).
+#: tables that collide with each other and with generated names (both
+#: formats resolve collisions alike: ``collide_bin`` reads as ``collide``).
 _COLLIDE_BODY = "i0 x\ni1 x\nl0 a5\nl1 n2\nc\ncollide\n"
 DOCUMENTS: dict[str, str | bytes] = {
     "toggle": TOGGLE,
@@ -251,7 +251,7 @@ GOLDEN: dict[str, str] = {
     "document/init_zero_bin": "a8e6c3231625ebd4c6db9b55560a4bdea6243dbec5d8fe020cdd7925340e7f22",
     "document/gaps_forward": "1b140fc890bd8d3d22838f2edc2f1d375d8d7b306c57ae1c682e93051ed19951",
     "document/collide": "8dd90c0a25295d37971f8872d701310ec1a431446263751232b8bb04fe12db91",
-    "document/collide_bin": "b16c4cdb9d16e96c2f8bb7e6a54d8478fd2c819307df008a5225626eba9ea8f9",
+    "document/collide_bin": "8dd90c0a25295d37971f8872d701310ec1a431446263751232b8bb04fe12db91",
     "document/collide_suffix": "a8c7a4b5c128172c1c25f4c62bcd071aa5e567404977b3a200838b1ddf53bb87",
     "document/collide_swap_bin": "cb4c4aabb0ac9ee782e7bcdb399a0ffc3d208a822ce996f26312fa8831287b4b",
     "document/wide_delta_bin": "0d983fbb1a415cff08c4004e778a439800269d2010b131c51b279553e3c16a15",
@@ -285,6 +285,17 @@ def test_corpus_fully_pinned():
     expected += [f"document/{k}" for k in DOCUMENTS]
     expected += [f"lower/{k}" for k in lowering_sources()]
     assert sorted(GOLDEN) == sorted(expected)
+
+
+def test_binary_symbol_collisions_resolve_as_ascii():
+    """A colliding input or latch symbol is suffixed in both formats; the
+    binary reader used to drop it and keep the generated name."""
+    ascii_nl = read_aiger(DOCUMENTS["collide"])
+    binary_nl = read_aiger(DOCUMENTS["collide_bin"])
+    names = [binary_nl.node_name(i) for i in binary_nl.nodes()]
+    assert names == [ascii_nl.node_name(i) for i in ascii_nl.nodes()]
+    assert names[:5] == ["x", "x_0", "a5", "n2", "a5_0"]
+    assert "n2_0" in names
 
 
 def test_shard_round_trip_pinned(tmp_path):

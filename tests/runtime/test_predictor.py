@@ -1,6 +1,10 @@
-"""Batched inference equivalence and the BatchedPredictor queue."""
+"""Batched inference equivalence and BatchedPredictor's pack cutting."""
 
-import time
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,12 @@ import pytest
 from repro.models.base import ModelConfig
 from repro.models.baselines import DagConvGnn, DagRecGnn
 from repro.models.deepseq import DeepSeq
+from repro.runtime import predictor as predictor_mod
 from repro.runtime.pack import clear_pack_cache
 from repro.runtime.plan import clear_plan_cache
 from repro.runtime.predictor import (
     BatchedPredictor,
     ParameterShadow,
-    PendingPrediction,
     predict_one,
     predict_packed,
     run_packed_isolated,
@@ -29,6 +33,20 @@ def fresh_caches():
     yield
     clear_plan_cache()
     clear_pack_cache()
+
+
+@pytest.fixture
+def pack_sizes(monkeypatch):
+    """Member count of every ``predict_packed`` call BatchedPredictor makes."""
+    sizes = []
+    real = predictor_mod.predict_packed
+
+    def counting(model, graphs, workloads, **kw):
+        sizes.append(len(graphs))
+        return real(model, graphs, workloads, **kw)
+
+    monkeypatch.setattr(predictor_mod, "predict_packed", counting)
+    return sizes
 
 
 MODELS = [
@@ -203,66 +221,37 @@ class TestBatchedPredictor:
             np.testing.assert_array_equal(seq.tr, res.tr)
             np.testing.assert_array_equal(seq.lg, res.lg)
 
-    def test_result_triggers_flush(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
-        graph, wl = make_pair(seed=9)
-        predictor = BatchedPredictor(model, batch_size=4, dtype=np.float64)
-        handle = predictor.submit(graph, wl)
-        assert not handle.done
-        pred = handle.result()
-        assert handle.done
-        np.testing.assert_array_equal(pred.tr, model.predict(graph, wl).tr)
-
-    def test_bounded_queue_autoflushes(self):
+    def test_packs_of_batch_size(self, pack_sizes):
+        """Circuits are cut in order into packs of at most ``batch_size``,
+        one ``predict_packed`` call each."""
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
         graph, wl = make_pair(seed=10)
-        predictor = BatchedPredictor(
-            model, batch_size=2, dtype=np.float64, max_pending=4
-        )
-        handles = [predictor.submit(graph, wl) for _ in range(4)]
-        # Hitting max_pending drained the queue without an explicit flush.
-        assert predictor.pending == 0
-        assert all(h.done for h in handles)
-        assert predictor.circuits_processed == 4
-        assert predictor.batches_flushed == 2
+        predictor = BatchedPredictor(model, batch_size=2, dtype=np.float64)
+        results = predictor.predict_many([graph] * 5, [wl] * 5)
+        assert pack_sizes == [2, 2, 1]
+        expected = model.predict(graph, wl)
+        for pred in results:
+            np.testing.assert_array_equal(pred.tr, expected.tr)
 
-    def test_submit_accepts_netlists(self):
+    def test_accepts_netlists(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
         graph, wl = make_pair(seed=11)
         predictor = BatchedPredictor(model, batch_size=2, dtype=np.float64)
         pred = predictor.predict(graph.netlist, wl)
         np.testing.assert_array_equal(pred.tr, model.predict(graph, wl).tr)
 
-    def test_submit_rejects_pi_mismatch_eagerly(self):
+    def test_rejects_pi_mismatch(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, _ = make_pair(seed=13, n_pis=5)
+        graph, wl = make_pair(seed=13, n_pis=5)
         _, other_wl = make_pair(seed=14, n_pis=8)
         predictor = BatchedPredictor(model, batch_size=4)
         with pytest.raises(ValueError, match="PIs"):
-            predictor.submit(graph, other_wl)
-        assert predictor.pending == 0
-
-    def test_failed_request_does_not_poison_chunk(self):
-        """A request that fails at flush resolves only its own handle with
-        the error; chunk siblings still get their predictions."""
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=15)
-        predictor = BatchedPredictor(model, batch_size=3, dtype=np.float64)
-        good_before = predictor.submit(graph, wl)
-        # Sneak an invalid request past submit's eager check.
-        bad_wl = type(wl)(wl.pi_probs[:-1], name="bad", seed=0)
-        bad = PendingPrediction(predictor)
-        predictor._queue.append((graph, bad_wl, bad, time.monotonic()))
-        good_after = predictor.submit(graph, wl)
-        predictor.flush()
-        expected = model.predict(graph, wl)
-        np.testing.assert_array_equal(good_before.result().tr, expected.tr)
-        np.testing.assert_array_equal(good_after.result().tr, expected.tr)
-        with pytest.raises(ValueError):
-            bad.result()
+            predictor.predict(graph, other_wl)
+        with pytest.raises(ValueError, match="PIs"):
+            predictor.predict_many([graph, graph], [wl, other_wl])
 
     def test_run_packed_isolated_slots_errors_in_place(self):
-        """The shared chunk runner: sibling results around a poison slot."""
+        """The serving chunk runner: sibling results around a poison slot."""
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
         graph, wl = make_pair(seed=15)
         bad_wl = type(wl)(wl.pi_probs[:-1], name="bad", seed=0)
@@ -278,8 +267,6 @@ class TestBatchedPredictor:
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
         with pytest.raises(ValueError):
             BatchedPredictor(model, batch_size=0)
-        with pytest.raises(ValueError):
-            BatchedPredictor(model, batch_size=8, max_pending=4)
 
     def test_predict_many_length_mismatch(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
@@ -288,39 +275,55 @@ class TestBatchedPredictor:
         with pytest.raises(ValueError):
             predictor.predict_many([graph], [wl, wl])
 
+    def test_inference_does_not_import_serve(self):
+        """The runtime layer sits below ``repro.serve``: batched prediction
+        and evaluation load no ``repro.serve`` module."""
+        script = textwrap.dedent(
+            """
+            import sys
 
-class TestDeadlineFlushAndShutdown:
-    """The serving-oriented extensions: close semantics."""
+            import numpy as np
 
-    def test_close_flushes_pending_requests(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=22)
-        predictor = BatchedPredictor(model, batch_size=8, dtype=np.float64)
-        handles = [predictor.submit(graph, wl) for _ in range(3)]
-        predictor.close()
-        assert all(h.done for h in handles)
-        expected = model.predict(graph, wl)
-        for h in handles:
-            np.testing.assert_array_equal(h.result().tr, expected.tr)
+            from repro.circuit import GeneratorConfig, random_sequential_netlist, to_aig
+            from repro.circuit.graph import CircuitGraph
+            from repro.models import DeepSeq, ModelConfig
+            from repro.runtime import BatchedPredictor
+            from repro.sim import random_workload
+            from repro.train.dataset import CircuitSample
+            from repro.train.trainer import evaluate
 
-    def test_close_without_flush_fails_pending_requests(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=23)
-        predictor = BatchedPredictor(model, batch_size=8, dtype=np.float64)
-        handle = predictor.submit(graph, wl)
-        predictor.close(flush=False)
-        with pytest.raises(RuntimeError, match="closed"):
-            handle.result()
-
-    def test_submit_after_close_rejected(self):
-        model = DeepSeq(ModelConfig(hidden=16, iterations=1, seed=0))
-        graph, wl = make_pair(seed=24)
-        predictor = BatchedPredictor(model, batch_size=2, dtype=np.float64)
-        predictor.close()
-        assert predictor.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            predictor.submit(graph, wl)
-        predictor.close()  # idempotent
+            samples = []
+            for seed in (1, 2):
+                nl = to_aig(random_sequential_netlist(
+                    GeneratorConfig(n_pis=4, n_dffs=2, n_gates=25), seed=seed
+                )).aig
+                graph = CircuitGraph(nl)
+                samples.append(CircuitSample(
+                    graph=graph,
+                    workload=random_workload(nl, seed=seed),
+                    target_tr=np.full((graph.num_nodes, 2), 0.5),
+                    target_lg=np.full(graph.num_nodes, 0.5),
+                    name=f"s{seed}",
+                ))
+            model = DeepSeq(ModelConfig(hidden=8, iterations=1, seed=0))
+            BatchedPredictor(model, batch_size=2).predict_many(
+                [s.graph for s in samples], [s.workload for s in samples]
+            )
+            evaluate(model, samples)
+            loaded = sorted(m for m in sys.modules if m.startswith("repro.serve"))
+            assert not loaded, loaded
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestMemoryBudget:
@@ -351,7 +354,7 @@ class TestMemoryBudget:
             np.testing.assert_array_equal(a.tr, b.tr)
             np.testing.assert_array_equal(a.lg, b.lg)
 
-    def test_batched_predictor_budget_splits_packs_bitwise(self):
+    def test_batched_predictor_budget_splits_packs_bitwise(self, pack_sizes):
         from repro.memory import MemoryBudget
         from repro.runtime.plan import plan_for
 
@@ -364,6 +367,7 @@ class TestMemoryBudget:
         one = plan_for(graphs[0]).resident_bytes(
             model.use_custom_batches, np.float64
         )
+        pack_sizes.clear()  # drop the resident reference's one pack
         tight = BatchedPredictor(
             model,
             batch_size=4,
@@ -372,7 +376,8 @@ class TestMemoryBudget:
         )
         with tight:
             got = tight.predict_many(graphs, wls)
-        assert tight.batches_flushed > 1  # the budget split the pack
+        assert len(pack_sizes) > 1  # the budget split the pack
+        assert sum(pack_sizes) == len(graphs)
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a.tr, b.tr)
             np.testing.assert_array_equal(a.lg, b.lg)

@@ -1,0 +1,44 @@
+"""``bench-history.jsonl``: one benchmark point per commit.
+
+Each line is ``{"pr", "commit", "host", "cells"}``: the git PR number
+and short hash of a commit, the machine it was measured on, and the
+median of every end-to-end metric on every workload ``BENCHMARK.json``
+declares, keyed ``"<workload>/<metric>"``.  A PR appends its parent
+commit's line, taken from the parent side of the benchmark pairs it
+runs, so every line names code that exists.
+"""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+CELLS = {
+    f"{w['name']}/{m['name']}" for w in SPEC["workloads"] for m in SPEC["end_to_end"]
+}
+LINES = (ROOT / "bench-history.jsonl").read_text().splitlines()
+
+
+def test_every_workload_metric_pair_is_a_cell():
+    assert len(CELLS) == 24
+
+
+@pytest.mark.parametrize("number", range(1, len(LINES) + 1))
+def test_line_is_a_full_point(number):
+    point = json.loads(LINES[number - 1])
+    assert set(point) == {"pr", "commit", "host", "cells"}
+    assert isinstance(point["pr"], int)
+    assert re.fullmatch(r"[0-9a-f]{7,40}", point["commit"])
+    assert isinstance(point["host"], str) and point["host"].strip()
+    assert set(point["cells"]) == CELLS
+    bad = {k: v for k, v in point["cells"].items() if not math.isfinite(v)}
+    assert not bad
+
+
+def test_commits_are_unique():
+    commits = [json.loads(line)["commit"] for line in LINES]
+    assert commits and len(commits) == len(set(commits))

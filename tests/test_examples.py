@@ -1,8 +1,8 @@
 """Smoke tests for the example scripts.
 
-``quickstart`` runs end to end (it is small); the heavier examples are
-compile-checked and their mains imported — the full runs live in the
-benchmark suite's territory.
+``quickstart`` and ``batched_inference`` run end to end (they are
+small); the heavier examples are compile-checked and their mains
+imported — the full runs live in the benchmark suite's territory.
 """
 
 import py_compile
@@ -42,6 +42,20 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "avg prediction error" in result.stdout
         assert "circuit:" in result.stdout
+
+    def test_batched_inference_runs(self):
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES / "batched_inference.py")],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        line = next(
+            row for row in result.stdout.splitlines()
+            if row.startswith("max |fp32 - fp64| over all nodes:")
+        )
+        assert 0 < float(line.rsplit(":", 1)[1]) <= 1e-4
 
     @pytest.mark.parametrize(
         "name",

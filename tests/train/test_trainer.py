@@ -97,9 +97,8 @@ class TestEvaluate:
         assert 0 <= ev.pe_tr <= 1 and 0 <= ev.pe_lg <= 1
 
     def test_does_not_leak_predictor_threads(self, dataset):
-        # evaluate() builds a BatchedPredictor per call; left unclosed it
-        # leaks the predictor's deadline-timer daemon thread, one per
-        # validation epoch, for the life of the process.
+        # evaluate() builds a BatchedPredictor per call, once per
+        # validation epoch; it must start no thread that outlives the call.
         import threading
 
         model = make_model("deepseq", CFG)
