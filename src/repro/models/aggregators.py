@@ -25,6 +25,11 @@ identically 1; following the additive-attention reading we implement the
 gate as a sigmoid of the same score — the standard single-query attention
 degeneration.  This is a deliberate deviation from the equation as
 printed.
+
+Note on Eq. (5): its ``w1ᵀh_v`` term is one constant per destination's
+softmax segment, so it cancels — ``w1`` moves no prediction and receives
+no gradient beyond rounding (``tests/models/test_models.py`` pins both).
+The parameter stays, so checkpoints and forward bits are unchanged.
 """
 
 from __future__ import annotations

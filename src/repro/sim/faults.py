@@ -133,8 +133,9 @@ class _FaultInjector:
 
     This is the reference oracle, used by the per-cycle engine only: one
     scalar choice draw, then ``k`` sequential ``(m, words)`` draws, per
-    (cycle, group).  The block executor draws the same stream in bulk
-    and applies only the non-zero masks
+    (cycle, group).  The block executor reads the same raw stream in bulk
+    — one generator for a whole pack, since every member's injector
+    starts from the same seed — and keeps only the non-zero masks
     (:class:`repro.sim.pack._PackedInjector`), pinned bitwise to this.
     """
 

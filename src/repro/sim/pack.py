@@ -31,11 +31,13 @@ per-cycle reference runs (``engine="cycle"``):
   exactly as each member's own reset would;
 * fault injection is one lockstep pass: golden and faulty machine share
   the sweep over a doubled word axis (``values`` is ``(N, 2W)``, low
-  words golden, high words faulty).  Each member has its own fault
-  generator whose masks equal those a reference
+  words golden, high words faulty).  Members share the fault seed, so
+  one generator's raw stream serves them all, each read from its own
+  position; every member's masks equal those a reference
   :class:`~repro.sim.faults._FaultInjector` draws per (cycle,
-  member-group) in the member's own compiled-op order, scattered into a
-  union-wide flip buffer; the sweep XORs only the non-zero ones in;
+  member-group) in the member's own compiled-op order.  Only the
+  non-zero masks are kept, per (cycle, union group), and the sweep XORs
+  them in;
 * all statistics accumulators are integers, so reducing them over the
   union and slicing per member cannot change a single count.
 
@@ -47,6 +49,7 @@ never enters :func:`~repro.data.cache.label_key`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -282,17 +285,27 @@ class _PackedSource:
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-#: Cap on one prepared chunk of fault masks — the union flip buffer plus
-#: the largest member's raw draw — mirroring ``SimPlan``'s history cap:
-#: chunks shrink on very large unions and members rather than ballooning
+#: Cap on what one prepared chunk of fault masks keeps alive — the raw
+#: words of its stream windows plus the choice walk's rows — mirroring
+#: ``SimPlan``'s history cap: chunks shrink on very large members, and on
+#: packs whose members sit far apart in the stream, rather than ballooning
 #: memory.
 _CHUNK_BYTES_CAP = 8 << 20
+
+#: AND rounds after which the chain drops the mask words already zero.  A
+#: word survives ``r`` rounds with probability ``1 - (1 - 2**-r)**64``
+#: (0.39 at r = 7, 0.06 at r = 10), and a zero word stays zero.
+_COMPACT_AFTER = frozenset((7, 10, 13))
+
+#: Mask words per piece of the AND chain (128 KiB of indices), so its
+#: rows stay cache-resident.
+_PIECE_WORDS = 16384
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class _PackedInjector:
-    """Per-member fault streams drawn in bulk, served as sparse flips.
+    """Every member's fault masks, drawn in bulk from one raw stream.
 
     Bitwise contract: each member's masks equal those a standalone
     :class:`_FaultInjector` would draw per (cycle, group) in the member's
@@ -309,20 +322,25 @@ class _PackedInjector:
       returns ``(u >> 11) * 2**-53`` — so ``random() < w_lo`` is exactly
       the integer test ``(u >> 11) < ceil(w_lo * 2**53)``.
 
-    The injector's whole draw sequence is therefore one contiguous
-    raw-word stream per member, pulled here in multi-cycle chunks (one
-    worst-case-sized ``integers`` call each) and carved by indexing: per
-    group, one choice word selects ``k``; the next ``k*m*words`` raw
-    words AND-reduce into the group's mask.  After parsing, the
-    generator is rewound (``advance`` by the negative unused tail) to
-    the exact state the standalone injector would hold, so the next
-    chunk stays stream-aligned.  Cycles are requested in nondecreasing
+    A standalone injector's whole draw sequence is therefore one raw-word
+    stream, carved by indexing: per group, one choice word selects ``k``;
+    the next ``k*m*words`` raw words AND-reduce into the group's mask.
+    Members share the fault seed, so every member reads the *same* stream
+    and only its position in it differs.  One generator serves the pack:
+    per chunk of cycles, each member's worst-case window ``[pos, pos +
+    ncyc * max_per_cycle)`` merges with the others into disjoint
+    intervals, each interval is drawn once (``advance`` positions the
+    generator, backwards too), and each member walks its own offset of
+    the drawn words, advancing its position by exactly what its
+    standalone injector consumes.  Cycles are requested in nondecreasing
     order (the block loop never skips one), so chunks are contiguous and
-    every member's stream is consumed in exactly the standalone order.
+    every member's stream is read in exactly the standalone order.
 
-    At the paper's rates almost every mask is all-zero, so beside the
-    dense ``flips`` chunk each prepared cycle gets a mapping *union group
-    index -> mask* of its non-zero masks only (:meth:`block`).
+    At the paper's rates almost every mask is all-zero: one AND chain
+    reduces all members' mask words of a chunk, dropping words that turned
+    zero after the early rounds, and the survivors — exactly the non-zero
+    masks — become, per prepared cycle, a mapping *union group index ->
+    mask* of its non-zero masks only (:meth:`block`).
     """
 
     def __init__(
@@ -335,130 +353,224 @@ class _PackedInjector:
     ) -> None:
         self.words = words
         self.total_cycles = total_cycles
-        proto = _FaultInjector(
-            fault_config.effective_cycle_rate,
-            words,
-            np.random.default_rng(fault_config.seed),
-        )
+        self.rng = np.random.default_rng(fault_config.seed)
+        proto = _FaultInjector(fault_config.effective_cycle_rate, words, self.rng)
         self.k_lo = proto.k_lo
         drawing = self.k_lo is not None
         if drawing:
             self.k_hi = proto.k_hi
             #: ``rng.random() < w_lo`` on the raw word, in integers.
             self.lo_threshold = math.ceil(proto.w_lo * 2.0**53)
-        self.rngs = [
-            np.random.default_rng(fault_config.seed) for _ in packed.members
-        ]
+        #: Stream position of the generator, and per member the position
+        #: of the member's next unread raw word.
+        self.stream_at = 0
+        self.pos = [0] * packed.num_members
         #: Per member: the worst-case raw words one cycle can consume.
         self.max_per_cycle: list[int] = []
-        # Per member, over its groups in compiled-op order: the raw words
-        # of one mask draw per group, the union scatter rows, and per mask
-        # *word* its group (``expand``), its offset past the group's
-        # choice word (``within``) and the stride to the same word of the
-        # next of the group's ``k`` draws.
-        self.member_index = []
-        peak_words = 0  # largest member's raw draw + assembly rows, per cycle
-        for member, targets in zip(packed.members, packed.shifted_ops):
+        #: Per member with gates, per group: the walk's step past a draw of
+        #: ``k_lo`` and of ``k_hi`` masks.
+        self.steps: list[list[tuple[int, int]]] = []
+        #: The members with gates (the ones that draw), in pack order.
+        self.walkers: list[int] = []
+        ops = packed.compiled.ops
+        group_of = np.zeros(packed.num_nodes, dtype=np.int64)
+        row_of = np.zeros(packed.num_nodes, dtype=np.int64)
+        for g, op in enumerate(ops):
+            group_of[op.nodes] = g
+            row_of[op.nodes] = np.arange(op.nodes.size)
+        self.group_words = np.array(
+            [op.nodes.size * words for op in ops], dtype=np.int64
+        )
+        # Per mask *word* of every member, in member then compiled-op
+        # order: its group's column in a chunk's choice matrix
+        # (``expand``), its offset past the group's choice word
+        # (``within``), the stride to the same word of the group's next
+        # draw, and where it lands: union group and offset in that
+        # group's flattened ``(m, words)`` mask.
+        tables = []
+        columns = 0
+        for k, (member, targets) in enumerate(
+            zip(packed.members, packed.shifted_ops)
+        ):
             sizes = np.array(
                 [op.nodes.size * words for op in member.ops], dtype=np.int64
             )
-            rows = np.concatenate(targets + (np.empty(0, dtype=np.int64),))
+            raw = sizes.size + self.k_hi * int(sizes.sum()) if drawing else 0
+            self.max_per_cycle.append(raw)
+            if not raw:
+                continue  # a member without gates draws nothing
+            self.walkers.append(k)
+            self.steps.append(
+                [(1 + self.k_lo * mw, 1 + self.k_hi * mw) for mw in sizes.tolist()]
+            )
+            rows = np.concatenate(targets).repeat(words)
             expand = np.repeat(np.arange(sizes.size), sizes)
             within = np.arange(expand.size) - (np.cumsum(sizes) - sizes)[expand]
-            self.member_index.append(
-                (sizes.tolist(), rows, expand, within + 1, sizes[expand])
+            word = np.arange(expand.size) % words
+            tables.append(
+                (expand + columns, within + 1, sizes[expand], group_of[rows],
+                 row_of[rows] * words + word)
             )
-            raw = sizes.size + self.k_hi * expand.size if drawing else 0
-            self.max_per_cycle.append(raw)
-            peak_words = max(peak_words, raw + 3 * expand.size)
-        self.group_nodes = [op.nodes for op in packed.compiled.ops]
-        self.group_of = np.zeros(packed.num_nodes, dtype=np.int64)
-        for g, nodes in enumerate(self.group_nodes):
-            self.group_of[nodes] = g
-        # One prepared cycle keeps alive its row of the union flip buffer
-        # and, while _prepare parses a member, that member's raw draw —
-        # ``k_hi`` (18 at the paper's rate) times the member's flip rows,
-        # so on a large member it, not the flip buffer, sets the chunk —
-        # plus the index, accumulator and gather rows of the assembly.
+            columns += sizes.size
+        if tables:
+            (self.expand, self.within, self.stride, self.dest_group,
+             self.dest_pos) = (np.concatenate(t) for t in zip(*tables))
+            # The AND chain runs over pieces of whole cycles.
+            self.piece_cycles = max(1, _PIECE_WORDS // self.expand.size)
+            self.piece_stride = np.tile(self.stride, self.piece_cycles)
+        # A chunk keeps alive its raw windows (8 bytes per word, plus one
+        # for the walk's lookup) and, per cycle and group, the choice
+        # walk's position (a list entry, its int, a matrix cell: ~6
+        # words).  The static length fits the largest member alone;
+        # _prepare shortens a chunk whose merged windows do not fit.
         cap = _CHUNK_BYTES_CAP
         if budget is not None and budget.history_bytes is not None:
             cap = min(cap, budget.history_bytes)
-        per_cycle_bytes = 8 * (packed.num_nodes * words + peak_words)
-        self.chunk_cycles = max(1, min(128, cap // per_cycle_bytes))
-        # Zeroed once: rows of PIs and DFFs are never written, so "any
-        # bit set" over a cycle's rows is exactly its non-zero masks.
-        self.flips = np.zeros(
-            (self.chunk_cycles, packed.num_nodes, words), dtype=np.uint64
-        )
+        self.cap_words = cap // 8
+        self.walk_words = 6 * columns
+        per_cycle = max(self.max_per_cycle) * 9 // 8 + self.walk_words
+        self.chunk_cycles = max(1, min(128, self.cap_words // max(per_cycle, 1)))
+        #: Raw words the current chunk drew.
+        self.raw_words = 0
         self.hits: list[dict[int, np.ndarray]] = []
         self.base = 0
         self.end = 0
 
+    def _windows(self, ncyc: int) -> list[list[int]]:
+        """The members' worst-case windows of ``ncyc`` cycles, merged into
+        sorted disjoint ``[lo, hi)`` stream intervals."""
+        merged: list[list[int]] = []
+        spans = sorted(
+            (self.pos[k], self.pos[k] + ncyc * self.max_per_cycle[k])
+            for k in self.walkers
+        )
+        for lo, hi in spans:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        return merged
+
+    def _draw(self, lo: int, hi: int) -> np.ndarray:
+        """Raw words ``[lo, hi)`` of the stream.  PCG64 steps once per
+        output and ``advance`` walks its state mod 2**128, so a negative
+        delta steps back."""
+        self.rng.bit_generator.advance(lo - self.stream_at)
+        self.stream_at = hi
+        return self.rng.integers(0, 2**64, size=hi - lo, dtype=np.uint64)
+
     def _prepare(self, start: int) -> None:
         """Draw and parse flip masks for the next chunk of cycles.
 
-        Per member, a scalar walk over the raw buffer (Python ints through
-        a ``memoryview``) records where each (cycle, group) mask's choice
-        word sits — the only sequentially-dependent part — then ``k_hi``
-        gathers AND-accumulate every mask of the chunk at once.  The walk
-        consumes raw words in exactly the standalone draw order; the
+        Per member, a scalar walk over the raw buffer (one byte per raw
+        word: does it pick ``k_lo``) records where each (cycle, group)
+        mask's choice word sits — the only sequentially-dependent part —
+        then :meth:`_and_chain` reduces every mask word of the chunk.  The
+        walk consumes raw words in exactly the standalone draw order; the
         vectorized pass only rearranges already-drawn words, so it cannot
         move a bit.
         """
         ncyc = min(self.chunk_cycles, max(self.total_cycles - start, 1))
+        windows = self._windows(ncyc) if self.k_lo is not None else []
+        while ncyc > 1:
+            spans = [hi - lo for lo, hi in windows]
+            # A multi-window chunk also holds one window while it copies.
+            raw = sum(spans) + (max(spans) if len(spans) > 1 else 0)
+            need = raw * 9 // 8 + ncyc * self.walk_words
+            if need <= self.cap_words:
+                break
+            ncyc = max(1, ncyc * self.cap_words // need)
+            windows = self._windows(ncyc)
         self.base = start
         self.end = start + ncyc
         self.hits = [{} for _ in range(ncyc)]
-        if self.k_lo is None:
-            return  # flips stay all-zero; nothing is ever drawn
-        flips = self.flips
-        k_lo, k_hi, threshold = self.k_lo, self.k_hi, self.lo_threshold
-        for rng, (sizes, rows, expand, within, stride), max_pc in zip(
-            self.rngs, self.member_index, self.max_per_cycle
-        ):
-            if not sizes:
-                continue  # a member without gates draws nothing
-            buf = rng.integers(0, 2**64, size=ncyc * max_pc, dtype=np.uint64)
-            raw = memoryview(buf)
-            steps = [(1 + k_lo * mw, 1 + k_hi * mw) for mw in sizes]
-            choice: list[int] = []
-            pos = 0
-            for _ in range(ncyc):
+        self.raw_words = sum(hi - lo for lo, hi in windows)
+        if not windows:
+            return  # rate zero or no gates: nothing is ever drawn
+        starts = np.cumsum([0] + [hi - lo for lo, hi in windows]).tolist()
+        if len(windows) == 1:
+            buf = self._draw(*windows[0])
+        else:
+            buf = np.empty(starts[-1], dtype=np.uint64)
+            for (lo, hi), off in zip(windows, starts):
+                buf[off : off + hi - lo] = self._draw(lo, hi)
+        lows = [lo for lo, _ in windows]
+        cursor = []
+        for k in self.walkers:
+            j = bisect.bisect_right(lows, self.pos[k]) - 1
+            cursor.append(starts[j] + self.pos[k] - lows[j])
+        begin = list(cursor)
+        # Per raw word: would a choice word there pick k_lo?  ``(u >> 11)
+        # < t`` is ``u < t << 11`` on integers.
+        picks_lo = buf < (self.lo_threshold << 11)
+        flags = picks_lo.tobytes()
+        choice: list[int] = []
+        append = choice.append
+        for _ in range(ncyc):
+            for w, steps in enumerate(self.steps):
+                pos = cursor[w]
                 for lo_step, hi_step in steps:
-                    choice.append(pos)
-                    pos += lo_step if (raw[pos] >> 11) < threshold else hi_step
-            # Rewind the generator past the unused tail: the next chunk
-            # must draw from exactly the state the standalone injector
-            # would have reached.  PCG64 steps once per 64-bit output and
-            # advance() walks the state mod 2**128, so a negative delta
-            # steps back.  (After the final chunk this is unobservable
-            # but harmless.)
-            if pos != buf.size:
-                rng.bit_generator.advance(pos - buf.size)
-            at = np.asarray(choice, dtype=np.int64).reshape(ncyc, len(sizes))
-            chose_lo = (buf[at] >> np.uint64(11)) < np.uint64(threshold)
-            idx = at[:, expand]
-            idx += within
-            acc = buf.take(idx)
-            word = np.empty_like(acc)
-            for _ in range(k_lo - 1):
+                    append(pos)
+                    pos += lo_step if flags[pos] else hi_step
+                cursor[w] = pos
+        for w, k in enumerate(self.walkers):
+            self.pos[k] += cursor[w] - begin[w]
+        at = np.asarray(choice, dtype=np.int64).reshape(ncyc, -1)
+        cyc, col, val = self._and_chain(buf, at, picks_lo[at])
+        if not val.size:
+            return
+        # Index the non-zero mask words by (cycle, union group): one
+        # zeroed block holds every hit mask, each dict value is its slice.
+        ngroups = self.group_words.size
+        key = cyc * ngroups + self.dest_group[col]
+        order = np.argsort(key)
+        key, dest, val = key[order], self.dest_pos[col[order]], val[order]
+        first = np.r_[True, key[1:] != key[:-1]]
+        cyc, group = np.divmod(key[first], ngroups)
+        size = self.group_words[group]
+        off = np.cumsum(size) - size
+        masks = np.zeros(int(size.sum()), dtype=np.uint64)
+        masks[off[np.cumsum(first) - 1] + dest] = val
+        for c, g, o, n in zip(
+            cyc.tolist(), group.tolist(), off.tolist(), size.tolist()
+        ):
+            self.hits[c][g] = masks[o : o + n].reshape(-1, self.words)
+
+    def _and_chain(
+        self, buf: np.ndarray, at: np.ndarray, chose_lo: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """AND-reduce every mask word of the chunk whose choice words sit
+        at ``at`` (``(ncyc, groups)``), a piece of cycles at a time.
+
+        Returns the non-zero mask words as ``(cycle, column, value)``
+        arrays.  Zero words leave the chain at the rounds in
+        :data:`_COMPACT_AFTER`; the ``k_hi``-th word is ANDed in only where
+        the walk chose ``k_hi`` (elsewhere it already belongs to the next
+        draw).
+        """
+        cols = self.expand.size
+        found = []
+        for c0 in range(0, at.shape[0], self.piece_cycles):
+            idx = at[c0 : c0 + self.piece_cycles, self.expand]
+            idx += self.within
+            idx = idx.ravel()
+            stride = self.piece_stride[: idx.size]
+            acc = np.full(idx.size, _ALL_ONES)
+            flat = None
+            for r in range(1, self.k_lo + 1):
+                acc &= buf.take(idx)
                 idx += stride
-                buf.take(idx, out=word, mode="clip")
-                acc &= word
-            # The k_hi-th word: where the walk chose k_lo it already
-            # belongs to the next draw, so it becomes the AND identity.
-            # (The worst-case-sized buffer always holds k_hi words past
-            # any mask's choice word.)
-            idx += stride
-            buf.take(idx, out=word, mode="clip")
-            word[chose_lo[:, expand]] = _ALL_ONES
-            acc &= word
-            flips[:ncyc, rows] = acc.reshape(ncyc, rows.size, self.words)
-        cyc, node = np.nonzero(flips[:ncyc].any(axis=2))
-        ngroups = len(self.group_nodes)
-        for key in np.unique(cyc * ngroups + self.group_of[node]).tolist():
-            c, g = divmod(key, ngroups)
-            self.hits[c][g] = flips[c, self.group_nodes[g]]
+                if r in _COMPACT_AFTER or r == self.k_lo:
+                    keep = np.flatnonzero(acc != 0)
+                    flat = keep if flat is None else flat[keep]
+                    idx, acc, stride = idx[keep], acc[keep], stride[keep]
+            cyc, col = np.divmod(flat, cols)
+            cyc += c0
+            chose_hi = np.flatnonzero(~chose_lo[cyc, self.expand[col]])
+            acc[chose_hi] &= buf.take(idx[chose_hi])
+            live = np.flatnonzero(acc != 0)
+            found.append((cyc[live], col[live], acc[live]))
+        return tuple(np.concatenate(parts) for parts in zip(*found))
 
     def block(self, start: int, cycles: int) -> list[dict[int, np.ndarray]]:
         """Sparse flips of cycles ``[start, start + cycles)``: per cycle,

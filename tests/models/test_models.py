@@ -94,6 +94,31 @@ class TestLearning:
             last = loss.item()
         assert last < first * 0.7, (name, first, last)
 
+    def test_eq5_previous_state_term_cancels(self, problem):
+        """Eq. (5)'s ``w1ᵀh_v`` is one constant per destination's softmax
+        segment, so it cancels: overwriting ``w1`` in both aggregators
+        moves no prediction beyond rounding, and ``w1`` receives no
+        gradient beyond rounding."""
+        graph, wl, labels = problem
+        model = DeepSeq(CFG)
+        aggs = (model.forward_agg, model.reverse_agg)
+        pred_tr, pred_lg = model(graph, wl)
+        loss = l1_loss(pred_tr, labels.transition_prob) + l1_loss(
+            pred_lg, labels.logic_prob[:, None]
+        )
+        loss.backward()
+        for agg in aggs:
+            w1_grad = np.abs(agg.w1.weight.grad).max()
+            assert w1_grad <= 1e-12 * np.abs(agg.w2.weight.grad).max()
+        before = model.predict(graph, wl)
+        rng = np.random.default_rng(3)
+        for agg in aggs:
+            w1 = agg.w1.weight.data
+            w1[...] = 10 * rng.standard_normal(w1.shape)
+        after = model.predict(graph, wl)
+        assert np.abs(after.tr - before.tr).max() <= 1e-12
+        assert np.abs(after.lg - before.lg).max() <= 1e-12
+
     def test_state_dict_roundtrip_preserves_predictions(self, problem):
         graph, wl, _ = problem
         a = DeepSeq(CFG)

@@ -13,10 +13,10 @@ This layer pins the promise four ways:
 * **differentials** — hypothesis-driven packed-vs-sequential comparison
   across member counts, block sizes, fault rates and heterogeneous
   netlists (gate-zoo + random sequential members);
-* **stream alignment** — the packed fault injector bulk-draws each
-  member's PCG64 raw stream in chunks; tests force many tiny chunks to
-  pin the rewind-to-consumed-position contract, plus direct property
-  tests of the raw-stream facts the bulk parse relies on;
+* **stream alignment** — the packed fault injector bulk-draws the
+  members' shared PCG64 raw stream in chunks of merged windows; tests
+  force many tiny chunks to pin each member's consumed position, plus
+  direct property tests of the raw-stream facts the bulk parse relies on;
 * **cache behaviour** — the fingerprint-keyed pack-plan LRU and the
   label cache (packed runs must fully hit a serially-populated cache).
 """
@@ -28,6 +28,7 @@ from numpy.random import PCG64, Generator
 
 import repro.sim.pack as pack_mod
 from repro.circuit.aig import to_aig
+from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, compile_netlist, simulate
@@ -212,10 +213,11 @@ class TestSingleRunIsPackOfOne:
 
 
 class TestInjectorStreamAlignment:
-    """The bulk raw-stream parse must leave each member's generator at
-    exactly the position the standalone injector would have reached —
-    chunk boundaries included (a mid-run over-draw that is not rewound
-    desynchronizes every later chunk)."""
+    """The bulk raw-stream parse must leave each member's stream position
+    exactly where the standalone injector would have reached — chunk
+    boundaries included (a position that counts a window's unused tail
+    desynchronizes every later chunk).  All members read the one shared
+    stream, so each chunk re-positions the generator per merged window."""
 
     @pytest.mark.parametrize("fault_rate", [0.02, 5e-6])
     def test_many_tiny_chunks_stay_bitwise(self, monkeypatch, fault_rate):
@@ -281,6 +283,58 @@ class TestInjectorStreamAlignment:
             for op in ops:
                 want[c, op.nodes] = ref.mask(c, op.nodes)
         assert got.any() and np.array_equal(want, got)
+
+    @pytest.mark.parametrize("fault_rate", [5e-6, 2e-3])
+    def test_mixed_size_pack_draws_merged_windows(self, monkeypatch, fault_rate):
+        """A ~20-node member packed with a ~2 000-node one over 20+ chunks.
+        The small member falls ever further behind in the shared stream,
+        so one contiguous span from it to the large member's window would
+        outgrow both windows; merging the windows keeps every chunk's raw
+        draw within their sum, and each member's masks stay
+        bitwise-equal to its standalone injector's."""
+        from repro.sim.faults import _FaultInjector
+        from repro.sim.pack import _PackedInjector
+
+        monkeypatch.setattr(pack_mod, "_CHUNK_BYTES_CAP", 1 << 20)
+        # Shallow and AND-only: few groups, so the reference draws stay cheap.
+        shallow = GeneratorConfig(
+            n_pis=64, n_dffs=32, n_gates=2000, n_pos=8, locality=0.05,
+            gate_mix={GateType.AND: 1.0},
+        )
+        big = random_sequential_netlist(shallow, seed=9)
+        packed = pack_circuits([gate_zoo_netlist(), big], cache=False)
+        config = FaultConfig(fault_rate=fault_rate, per_pattern=False, seed=6)
+        cycles = 120
+        bulk = _PackedInjector(packed, config, 1, cycles)
+        chunks = []
+        prepare = bulk._prepare
+
+        def spy(start):
+            before = list(bulk.pos)
+            prepare(start)
+            ncyc = bulk.end - bulk.base
+            ends = [p + ncyc * m for p, m in zip(before, bulk.max_per_cycle)]
+            chunks.append((ncyc, bulk.raw_words, max(ends) - min(before)))
+
+        bulk._prepare = spy
+        ops = packed.compiled.ops
+        got = np.zeros((cycles, packed.num_nodes, 1), dtype=np.uint64)
+        for c, hits in enumerate(bulk.block(0, cycles)):
+            for g, mask in hits.items():
+                got[c, ops[g].nodes] = mask
+        want = np.zeros_like(got)
+        for member, targets in zip(packed.members, packed.shifted_ops):
+            ref = _FaultInjector(fault_rate, 1, np.random.default_rng(config.seed))
+            for c in range(cycles):
+                for op, rows in zip(member.ops, targets):
+                    want[c, rows] = ref.mask(c, op.nodes)
+        assert got.any() and np.array_equal(want, got)
+        per_cycle = sum(bulk.max_per_cycle)
+        assert len(chunks) >= 20 and max(n for n, _, _ in chunks) > 1
+        for ncyc, raw, _ in chunks:
+            assert raw <= ncyc * per_cycle
+            assert 8 * raw <= pack_mod._CHUNK_BYTES_CAP
+        assert any(span > ncyc * per_cycle for ncyc, _, span in chunks)
 
     def test_full_range_integers_split_like_one_call(self):
         bulk = Generator(PCG64(42)).integers(0, 2**64, size=16, dtype=np.uint64)

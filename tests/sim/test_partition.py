@@ -186,11 +186,11 @@ class TestPartitionedEngine:
     def test_fault_run_bounds_one_doubled_plan(self, circuit, workload):
         """Fault labelling under a budget builds one simulator and one plan
         over the doubled word axis, so the budget bounds both machines'
-        window and arena once — plus the injector's mask chunk, which the
-        history bound caps separately.  (The budget is roomy enough that
-        the one-gate / one-cycle floors stay out of the sum; DFF staging
-        and the plan-order value buffer are per-node storage no budget
-        cuts.)"""
+        window and arena once — plus the injector's raw stream windows,
+        which the history bound caps separately.  (The budget is roomy
+        enough that the one-gate / one-cycle floors stay out of the sum;
+        DFF staging and the plan-order value buffer are per-node storage
+        no budget cuts.)"""
         import repro.sim.pack as pack_mod
 
         budget = MemoryBudget(plan_bytes=512, history_bytes=200_000)
@@ -205,25 +205,31 @@ class TestPartitionedEngine:
 
             return Recorded
 
+        class PeakInjector(pack_mod._PackedInjector):
+            raw_peak = 0
+
+            def _prepare(self, start):
+                super()._prepare(start)
+                self.raw_peak = max(self.raw_peak, self.raw_words)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pack_mod, "Simulator", recording(pack_mod.Simulator, "sim"))
             patch.setattr(pack_mod, "SimPlan", recording(pack_mod.SimPlan, "plan"))
             patch.setattr(
-                pack_mod,
-                "_PackedInjector",
-                recording(pack_mod._PackedInjector, "injector"),
+                pack_mod, "_PackedInjector", recording(PeakInjector, "injector")
             )
             got = simulate_with_faults(circuit, workload, CFG, fcfg, budget=budget)
         (sim,), (plan,), (injector,) = built["sim"], built["plan"], built["injector"]
         words = words_for(CFG.streams)
+        raw_bytes = 8 * injector.raw_peak
         assert sim.words == plan.words == 2 * words
         assert injector.words == words
         assert plan.streamed and plan.block_cycles > 1 and injector.chunk_cycles > 1
         assert plan.history.nbytes <= budget.history_bytes
-        assert injector.flips.nbytes <= budget.history_bytes
+        assert 0 < raw_bytes <= budget.history_bytes
         assert plan.arena.nbytes <= budget.plan_bytes
         assert (
-            plan.resident_bytes() + injector.flips.nbytes
+            plan.resident_bytes() + raw_bytes
             <= budget.plan_bytes
             + 2 * budget.history_bytes
             + plan.state_buf.nbytes

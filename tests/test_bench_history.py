@@ -42,3 +42,8 @@ def test_line_is_a_full_point(number):
 def test_commits_are_unique():
     commits = [json.loads(line)["commit"] for line in LINES]
     assert commits and len(commits) == len(set(commits))
+
+
+def test_prs_strictly_increase():
+    prs = [json.loads(line)["pr"] for line in LINES]
+    assert all(a < b for a, b in zip(prs, prs[1:]))
