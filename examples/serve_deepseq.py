@@ -1,11 +1,12 @@
-"""Extension: multi-worker serving with deadline-based micro-batching.
+"""Extension: multi-worker serving with work-conserving micro-batching.
 
 Spins up a :class:`repro.serve.Server` — K worker threads, each holding a
 serialized-equal replica of one DeepSeq model — and drives it with a
 handful of concurrent closed-loop clients, the shape of traffic a
 multi-user deployment sees.  The server packs whatever requests are
-pending when a flush fires (queue reached ``batch_size``, or the oldest
-request is ``max_latency_ms`` old) into one super-graph sweep.
+pending when a flush fires (nothing in flight, queue reached
+``batch_size``, or the oldest request is ``max_latency_ms`` old) into one
+super-graph sweep.
 
 Shows: the latency/throughput trade-off of ``max_latency_ms``, the
 metrics surface, and the float64 equivalence guarantee (every served

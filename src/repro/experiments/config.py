@@ -94,9 +94,11 @@ class ServeConfig:
             so packed sweeps run without cross-worker parameter locking.
         batch_size: micro-batch size — a worker flushes as soon as this
             many requests are pending.
-        max_latency_ms: deadline-based flush — a worker also flushes once
-            the *oldest* pending request has queued this long, so a trickle
-            of traffic never waits for a full batch.  The knob trades
+        max_latency_ms: how long a partial batch waits for companions
+            while another batch is in flight — a worker flushes once the
+            *oldest* pending request has queued this long.  With nothing in
+            flight a request is dispatched at once, so with ``workers=1``
+            the knob never delays a dispatch; with more workers it trades
             latency (small values) against packing efficiency (large).
         dtype: execution dtype; ``"float64"`` serves results bitwise-equal
             to sequential ``RecurrentDagGnn.predict``, ``"float32"`` is the

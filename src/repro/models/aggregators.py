@@ -37,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.graph import EdgeBatch
-from repro.nn.functional import segment_softmax
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, rowstable_matmul
@@ -222,8 +221,9 @@ class DualAttentionAggregator(Aggregator):
     def kernel_forward(
         self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
     ) -> tuple[np.ndarray, tuple]:
-        """Fused Eqs. (5)-(7); replays the arithmetic of
-        :meth:`_forward_composed` (values bitwise equal)."""
+        """Fused Eqs. (5)-(7); replays the arithmetic of the same equations
+        composed from autograd operators (values bitwise equal; the tests
+        hold that composition as the oracle)."""
         # Eq. (5): the logic message.
         m_lg, attn = _attend(
             h_src, h_prev, self.w1.weight.data, self.w2.weight.data, batch
@@ -257,34 +257,6 @@ class DualAttentionAggregator(Aggregator):
         )
         d_prev += d_s @ w3
         return d_src, d_prev
-
-    def _forward_composed(
-        self,
-        h_src: Tensor,
-        h_prev: Tensor,
-        batch: EdgeBatch,
-        layout: tuple[np.ndarray, np.ndarray] | None,
-    ) -> Tensor:
-        """Reference implementation from individual autograd operators.
-
-        Never dispatched — kept as the differential-test oracle for
-        :meth:`forward` (bitwise forward values, gradients to rounding
-        error).
-        """
-        # Eq. (5): logic message.
-        scores = self.w1(h_prev).gather_rows(batch.dst_local) + self.w2(h_src)
-        alpha = segment_softmax(
-            scores, batch.dst_local, batch.num_nodes, layout=layout
-        )
-        m_lg = (h_src * alpha).segment_sum(
-            batch.dst_local, batch.num_nodes, layout=layout
-        )
-        # Eq. (6): transition message — gate m_LG against the previous state
-        # (transition probability depends on current vs previous state).
-        gate = (self.w3(h_prev) + self.w4(m_lg)).sigmoid()
-        m_tr = m_lg * gate
-        # Eq. (7): concatenate.
-        return Tensor.concat([m_tr, m_lg], axis=1)
 
 
 _AGGREGATORS = {

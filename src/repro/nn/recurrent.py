@@ -55,8 +55,9 @@ class GRUCell(Module):
         """The cell on raw arrays: ``(h', ctx)`` for ``kernel_backward``.
 
         The only executed arithmetic, for every dtype and both grad modes;
-        it replays :meth:`_forward_composed` (same kernels, same operation
-        order, so the values are bitwise equal).  Buffer discipline is
+        it replays the GRU composed from autograd operators (same kernels,
+        same operation order, so the values are bitwise equal; the tests
+        hold that composition as the oracle).  Buffer discipline is
         part of the contract (large float32 packs are memory-bound): two
         gemms, biases added in place, both sigmoids on one ``(B, 2*hs)``
         buffer, the candidate built in place; ``ctx`` keeps ``x``, ``h``,
@@ -138,21 +139,3 @@ class GRUCell(Module):
         # shadow arrays; it must not ride the structure pickles shipped to
         # worker processes.
         return {**self.__dict__, "_t_cache": None}
-
-    def _forward_composed(self, x: Tensor, h: Tensor) -> Tensor:
-        """Reference implementation from individual autograd operators.
-
-        Never dispatched — kept as the differential-test oracle for
-        :meth:`forward`, which must match it bitwise in the forward values
-        (both grad modes) and to rounding error in the gradients.
-        """
-        gi = x @ self.w_ih.T + self.b_ih
-        gh = h @ self.w_hh.T + self.b_hh
-        hs = self.hidden_size
-        i_r, i_z, i_n = (gi.narrow(1, k * hs, hs) for k in range(3))
-        h_r, h_z, h_n = (gh.narrow(1, k * hs, hs) for k in range(3))
-        r = (i_r + h_r).sigmoid()
-        z = (i_z + h_z).sigmoid()
-        n = (i_n + r * h_n).tanh()
-        one = Tensor(np.ones_like(z.data))
-        return (one - z) * n + z * h

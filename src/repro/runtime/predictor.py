@@ -15,7 +15,7 @@ Three layers, lowest first:
   (fewer under a memory budget) and runs each pack on the calling
   thread.  For queued, deadline-bound requests use
   :class:`repro.serve.Server` (``workers=1`` is this packed sweep behind
-  a deadline flush); this module never imports :mod:`repro.serve`, which
+  the serving batcher); this module never imports :mod:`repro.serve`, which
   builds on it.
 
 Equivalence guarantee: packed execution computes bit-identical float64
@@ -274,7 +274,7 @@ class BatchedPredictor:
     Every call runs on the calling thread and holds no state between
     calls; for queued requests with a latency bound use
     :class:`repro.serve.Server` (``workers=1`` is this packed sweep
-    behind a deadline flush).  After fine-tuning the model, call
+    behind the serving batcher).  After fine-tuning the model, call
     :meth:`refresh_parameters` so the cached low-precision parameter
     shadow picks up the new weights.
     """

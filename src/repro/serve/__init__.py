@@ -2,7 +2,7 @@
 
 * :mod:`repro.serve.batching` — the front half both tiers share:
   :class:`~repro.serve.batching.MicroBatcher` (bounded admission,
-  per-request deadlines, deadline-based micro-batch flush, ladder claim —
+  per-request deadlines, work-conserving micro-batch flush, ladder claim —
   a synchronous, clock-injected policy object), request validation, the
   warm ladder and the typed :class:`ServeError` family;
 * :mod:`repro.serve.server` — :class:`Server`: K worker threads, each

@@ -1,10 +1,12 @@
-"""The serving front half, once: admission, deadline flush, ladder claim, expiry.
+"""The serving front half, once: admission, flush, ladder claim, expiry.
 
 The threaded :class:`repro.serve.Server` and the asyncio
 :class:`repro.serve.Gateway` batch requests by one rule, and it lives here
 only: **admit** into a FIFO bounded by ``max_pending``; a **flush** is due
-when ``batch_size`` requests are pending, the oldest has waited
-``max_latency_ms``, or the front end is closing; **claim** a ladder chunk
+when nothing is in flight, ``batch_size`` requests are pending, the oldest
+has waited ``max_latency_ms``, or the front end is closing — so
+``max_latency_ms`` only ever holds a partial batch while another batch
+runs; **claim** a ladder chunk
 (:func:`quantize_chunk`) off the head, expiring members whose deadline
 passed; **finish** / **fail** what was claimed and **fail_pending** what
 never ran.  Every request resolves exactly once and every
@@ -199,13 +201,21 @@ class MicroBatcher:
         """Seconds until the next flush is due.
 
         ``None`` with nothing pending (sleep until an admission), ``0.0``
-        when a flush is due now — ``batch_size`` pending, closing, or the
-        oldest request aged ``max_latency_ms`` — else the time left until
-        the oldest request reaches that age.
+        when a flush is due now — nothing in flight, ``batch_size``
+        pending, closing, or the oldest request aged ``max_latency_ms`` —
+        else the time left until the oldest request reaches that age.
+
+        The rule is work-conserving: waiting for companions only pays
+        while a claimed batch is still running (the backlog forms behind
+        it by itself), so an idle front end dispatches at once.
         """
         if not self._queue:
             return None
-        if len(self._queue) >= self.config.batch_size or self.closing:
+        if (
+            not self.inflight
+            or len(self._queue) >= self.config.batch_size
+            or self.closing
+        ):
             return 0.0
         due = self._queue[0].t_submit + self.config.max_latency_ms / 1000.0
         return max(0.0, due - self.clock())

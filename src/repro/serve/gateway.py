@@ -475,6 +475,9 @@ class Gateway:
         self._batcher.finish(batch.requests, outcomes, batch.t0)
         handle.restarts = 0  # a completed batch ends a crash loop
         self._idle.put_nowait((handle.generation, handle))
+        # Nothing in flight may make the pending requests due at once:
+        # wake the dispatcher instead of letting it sleep out the timer.
+        self._wake.set()
         self._maybe_drained()
 
     async def _worker_died(self, handle: _Slot) -> None:
@@ -495,6 +498,7 @@ class Gateway:
                 batch.requests,
                 WorkerDied("worker process died while executing this request"),
             )
+            self._wake.set()
         handle.generation += 1
         self.supervisor.reap(handle)
         self._maybe_drained()

@@ -8,12 +8,13 @@ workers never contend on the per-model runtime lock.  All workers share
 the process-wide fingerprint-keyed plan and pack LRUs, so a circuit
 structure is compiled once no matter which worker serves it.
 
-In front of the workers sits a bounded admission queue with deadline-based
-micro-batching: a worker flushes a batch when ``batch_size`` requests are
-pending **or** the oldest pending request has waited ``max_latency_ms``,
-whichever comes first.  That bounds tail latency under a trickle of
-traffic while still packing under load.  Per-request deadlines
-(``deadline_ms``) fail requests that would start too stale; a poison
+In front of the workers sits a bounded admission queue with work-conserving
+micro-batching: a worker claims a batch at once when no batch is in
+flight, and otherwise when ``batch_size`` requests are pending **or** the
+oldest pending request has waited ``max_latency_ms``, whichever comes
+first.  A trickle of traffic never waits on a timer, and under load the
+backlog that forms behind a running sweep is what packs.  Per-request
+deadlines (``deadline_ms``) fail requests that would start too stale; a poison
 request inside a batch fails only its own handle
 (:func:`repro.runtime.predictor.run_packed_isolated`).
 

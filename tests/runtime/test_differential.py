@@ -26,7 +26,7 @@ from repro.circuit.graph import CircuitGraph
 from repro.models.aggregators import DualAttentionAggregator
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
-from repro.nn.functional import l1_loss
+from repro.nn.functional import l1_loss, segment_softmax
 from repro.nn.recurrent import GRUCell
 from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.pack import clear_pack_cache, pack_graphs
@@ -89,6 +89,37 @@ def merge_samples(samples: list[CircuitSample], name: str = "batch") -> CircuitS
     )
 
 
+def composed_gru(gru: GRUCell, x: Tensor, h: Tensor) -> Tensor:
+    """``GRUCell.forward`` from individual autograd operators: the oracle
+    its kernel pair must match bitwise in the forward values (both grad
+    modes) and to rounding error in the gradients."""
+    gi = x @ gru.w_ih.T + gru.b_ih
+    gh = h @ gru.w_hh.T + gru.b_hh
+    hs = gru.hidden_size
+    i_r, i_z, i_n = (gi.narrow(1, k * hs, hs) for k in range(3))
+    h_r, h_z, h_n = (gh.narrow(1, k * hs, hs) for k in range(3))
+    r = (i_r + h_r).sigmoid()
+    z = (i_z + h_z).sigmoid()
+    n = (i_n + r * h_n).tanh()
+    one = Tensor(np.ones_like(z.data))
+    return (one - z) * n + z * h
+
+
+def composed_dual_attention(
+    agg: DualAttentionAggregator, h_src: Tensor, h_prev: Tensor, batch, layout
+) -> Tensor:
+    """``DualAttentionAggregator.forward`` (Eqs. 5-7) from individual
+    autograd operators: the same oracle contract as :func:`composed_gru`."""
+    # Eq. (5): logic message.
+    scores = agg.w1(h_prev).gather_rows(batch.dst_local) + agg.w2(h_src)
+    alpha = segment_softmax(scores, batch.dst_local, batch.num_nodes, layout=layout)
+    m_lg = (h_src * alpha).segment_sum(batch.dst_local, batch.num_nodes, layout=layout)
+    # Eq. (6): transition message — gate m_LG against the previous state.
+    gate = (agg.w3(h_prev) + agg.w4(m_lg)).sigmoid()
+    # Eq. (7): m_TR || m_LG.
+    return Tensor.concat([m_lg * gate, m_lg], axis=1)
+
+
 def level_rows(h_cur, h_prev, batch, requires_grad=False):
     """A level's aggregator inputs, gathered as the sweep gathers them:
     ``(h_cur[src], h_prev[nodes])`` from whole-state arrays."""
@@ -112,7 +143,7 @@ class TestFusedGruVsComposed:
         x = Tensor(rng.normal(size=(rows, 12)), requires_grad=True)
         h = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
         fused = gru(x, h)
-        composed = gru._forward_composed(x, h)
+        composed = composed_gru(gru, x, h)
         assert np.array_equal(fused.data, composed.data)
         seed_grad = rng.normal(size=fused.data.shape)
         fused.backward(seed_grad.copy())
@@ -137,7 +168,7 @@ class TestFusedDualAttentionVsComposed:
             assert layout is not None
             h_src, h_dst = level_rows(h_cur, h_prev, batch, requires_grad=True)
             fused = agg(h_src, h_dst, batch)
-            composed = agg._forward_composed(h_src, h_dst, batch, layout)
+            composed = composed_dual_attention(agg, h_src, h_dst, batch, layout)
             assert np.array_equal(fused.data, composed.data)
             seed_grad = rng.normal(size=fused.data.shape)
             fused.backward(seed_grad.copy())
@@ -183,7 +214,7 @@ class TestOneKernelPerCell:
         x, h = (Tensor(a) for a in self.gru_inputs(rows))
         with nullcontext() if grad else no_grad():
             fused = gru(x, h)
-            composed = gru._forward_composed(x, h)
+            composed = composed_gru(gru, x, h)
         assert fused.requires_grad == grad
         assert fused.data.dtype == np.float64
         assert np.array_equal(fused.data, composed.data)
@@ -202,7 +233,7 @@ class TestOneKernelPerCell:
                 assert layout is not None
                 h_src, h_dst = level_rows(h_cur, h_prev, batch)
                 fused = agg(h_src, h_dst, batch)
-                composed = agg._forward_composed(h_src, h_dst, batch, layout)
+                composed = composed_dual_attention(agg, h_src, h_dst, batch, layout)
                 assert fused.requires_grad == grad
                 assert np.array_equal(fused.data, composed.data)
                 checked += 1

@@ -3,10 +3,13 @@
 :class:`repro.serve.batching.MicroBatcher` is the one place the serving
 flush / claim / expiry rule lives; both front ends only supply the waiting.
 These tests step a fake clock through it, so every timing statement is
-exact rather than "within a sleep's tolerance".  The threaded and asyncio
-drivers are covered by ``test_concurrency.py`` and ``test_gateway.py``.
+exact rather than "within a sleep's tolerance", and replay Poisson arrival
+traces against one modelled worker (:func:`replay`).  The threaded and
+asyncio front ends are covered by ``test_concurrency.py`` and
+``test_gateway.py``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +62,13 @@ class Harness:
         self.admitted += 1
         return request
 
+    def hold_in_flight(self) -> list:
+        """Admit and claim one request outside the numbered ones, so a
+        batch is running: only then does a partial batch wait for
+        companions."""
+        self.batcher.admit("held", "workload-held", None, lambda value, error: None)
+        return self.batcher.claim()
+
     def counts(self) -> dict:
         return {
             name: self.metrics.count(name)
@@ -70,8 +80,16 @@ class TestFlushTiming:
     def test_empty_batcher_has_nothing_to_wait_for(self):
         assert Harness().batcher.wait_s() is None
 
+    def test_lone_request_on_an_idle_batcher_is_due_at_once(self):
+        h = Harness(batch_size=4, max_latency_ms=10_000.0)
+        h.admit()
+        assert h.batcher.inflight == 0
+        assert h.batcher.wait_s() == 0.0
+        assert [r.payload for r in h.batcher.claim()] == [0]
+
     def test_flush_now_at_batch_size(self):
         h = Harness(batch_size=4, max_latency_ms=250.0)
+        h.hold_in_flight()
         for _ in range(3):
             h.admit()
             assert h.batcher.wait_s() > 0
@@ -80,6 +98,7 @@ class TestFlushTiming:
 
     def test_wait_counts_down_from_the_oldest_request(self):
         h = Harness(batch_size=4, max_latency_ms=250.0)
+        h.hold_in_flight()
         h.admit()
         assert h.batcher.wait_s() == 0.25
         h.clock.advance(0.125)
@@ -100,14 +119,142 @@ class TestFlushTiming:
         # Request 2 was admitted 0.0625 s ago: 0.1875 s of its bound remain.
         assert h.batcher.wait_s() == 0.1875
 
+    def test_deadline_counts_from_admission_while_a_batch_runs(self):
+        """The in-flight batch's start moves no deadline: a request that
+        arrives mid-sweep waits for companions from its own admission."""
+        h = Harness(batch_size=4, max_latency_ms=250.0)
+        h.hold_in_flight()
+        h.clock.advance(0.5)  # the held batch has been running for 0.5 s
+        h.admit()
+        assert h.batcher.wait_s() == 0.25
+        h.clock.advance(0.125)
+        h.admit()
+        assert h.batcher.wait_s() == 0.125
+        h.clock.advance(0.125)
+        assert h.batcher.wait_s() == 0.0  # due although the batch still runs
+        assert h.batcher.inflight == 1
+
+    @pytest.mark.parametrize("resolve", ["finish", "fail"])
+    def test_residual_is_due_at_once_when_the_batch_resolves(self, resolve):
+        h = Harness(batch_size=4, max_latency_ms=250.0)
+        for _ in range(3):
+            h.admit()
+        live = h.batcher.claim()
+        assert [r.payload for r in live] == [0, 1]
+        assert h.batcher.wait_s() == 0.25  # the residual waits behind them
+        if resolve == "finish":
+            h.batcher.finish(live, ["a", "b"], h.batcher.clock())
+        else:
+            h.batcher.fail(live, RuntimeError("worker died"))
+        assert h.batcher.inflight == 0
+        assert h.batcher.wait_s() == 0.0
+        assert [r.payload for r in h.batcher.claim()] == [2]
+
     def test_closing_flushes_regardless_of_age(self):
         h = Harness(batch_size=4, max_latency_ms=10_000.0)
+        h.hold_in_flight()
         h.admit()
         assert h.batcher.wait_s() == 10.0
         h.batcher.close()
         assert h.batcher.wait_s() == 0.0
         assert [r.payload for r in h.batcher.claim()] == [0]
         assert h.batcher.wait_s() is None
+
+
+def sweep_s(k: int) -> float:
+    """Modelled packed-sweep time of ``k`` requests: ``8.9 + 4.0·k`` ms,
+    fitted to the traced ``runtime.sweep_k1_s`` / ``sweep_k8_s`` of the
+    ``serve_mixed`` benchmark."""
+    return (8.9 + 4.0 * k) / 1000.0
+
+
+def replay(rate: float, n: int = 600, seed: int = 0) -> dict:
+    """Poisson arrivals at ``rate`` per second against one worker that
+    loops like ``Server``'s: claim when :meth:`MicroBatcher.wait_s` says
+    due, sweep for :func:`sweep_s`, finish, ask again.  Returns per-request
+    queue waits, the sweeps each one sat out, the batch sizes and the
+    largest backlog."""
+    h = Harness(batch_size=8, max_pending=n, max_latency_ms=25.0)
+    batcher, clock = h.batcher, h.clock
+    arrivals = clock.now + np.cumsum(
+        np.random.default_rng(seed).exponential(1.0 / rate, n)
+    )
+    running = None  # (live requests, start, end)
+    #: per request: time left on the sweep in progress at its arrival, and
+    #: the number and summed length of the sweeps claimed while it queued.
+    in_progress, sat_out, ahead = [], np.zeros(n, int), np.zeros(n)
+    waits, sizes, backlog = np.zeros(n), [], 0
+    i = 0
+    while i < n or running is not None or batcher.pending:
+        if running is None and batcher.wait_s() == 0.0:
+            live = batcher.claim()
+            for req in live:
+                waits[req.payload] = clock.now - req.t_submit
+            left = slice(live[-1].payload + 1, h.admitted)  # FIFO residual
+            sat_out[left] += 1
+            ahead[left] += sweep_s(len(live))
+            sizes.append(len(live))
+            running = (live, clock.now, clock.now + sweep_s(len(live)))
+            continue
+        arrival = arrivals[i] if i < n else np.inf
+        if running is not None and running[2] <= arrival:
+            live, started, clock.now = running
+            batcher.finish(live, [None] * len(live), started)
+            running = None
+            continue
+        wait = batcher.wait_s()
+        # One worker: a timer can only fire while nothing runs, and with
+        # nothing running every pending request is already due.
+        assert running is not None or wait is None
+        clock.now = arrival
+        in_progress.append(0.0 if running is None else running[2] - arrival)
+        h.admit()
+        backlog = max(backlog, batcher.pending)
+        i += 1
+    assert batcher.idle and h.counts()["completed"] == n
+    return {
+        "waits": waits,
+        "in_progress": np.array(in_progress),
+        "sat_out": sat_out,
+        "ahead": ahead,
+        "sizes": np.array(sizes),
+        "backlog": backlog,
+    }
+
+
+class TestReplayOneWorker:
+    """Open-loop arrival traces on the fake clock against one modelled
+    worker: the rule dispatches on idle, so a request waits only for
+    sweeps — the one running when it arrived and, as a ladder residual,
+    ones claimed ahead of it — never for ``max_latency_ms``."""
+
+    @pytest.mark.parametrize("rate", [20, 40, 80])
+    def test_requests_wait_only_for_sweeps(self, rate):
+        r = replay(rate)
+        np.testing.assert_allclose(
+            r["waits"], r["in_progress"] + r["ahead"], rtol=0, atol=1e-9
+        )
+        assert r["backlog"] <= 8  # never more than one full batch queued
+
+    def test_at_20_per_s_a_request_waits_out_at_most_the_sweep_in_progress(self):
+        r = replay(20)
+        # A request that found the worker idle never waited at all; one
+        # that arrived mid-sweep waited out that sweep and was claimed
+        # next — except a rare ladder residual (three pending, the ladder
+        # claims two), which sits out exactly one more sweep.
+        assert (r["waits"][r["in_progress"] == 0] == 0).all()
+        assert (r["sat_out"] <= 1).all()
+        assert (r["sat_out"] > 0).mean() < 0.01
+        assert r["waits"].mean() < 0.005  # the old timer alone held 25 ms
+        assert r["sizes"].mean() < 1.1
+
+    def test_at_80_per_s_the_backlog_batches(self):
+        r = replay(80)
+        # One request per sweep would need 80 x 12.9 ms = 103 % of the
+        # worker; the backlog that forms behind each sweep packs instead.
+        assert r["sizes"].mean() > 1.2
+        assert r["backlog"] <= 8
+        assert r["waits"].max() < 2 * sweep_s(8)
 
 
 class TestLadderClaim:

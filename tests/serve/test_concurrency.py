@@ -39,6 +39,63 @@ def problem_set():
     return pairs, expected
 
 
+class StuckSweeps:
+    """Every packed sweep blocks until :meth:`release`.
+
+    An idle server dispatches a request at once, so requests stay queued
+    only while a batch is in flight; tests that need a queue hold one
+    there on purpose with this.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        import repro.serve.server as server_mod
+
+        real = server_mod.run_packed_isolated
+        self._gate = threading.Event()
+        self._entered: list[int] = []
+        lock = threading.Lock()
+
+        def stuck(replica, graphs, workloads, dtype):
+            with lock:
+                self._entered.append(len(graphs))
+            self._gate.wait(timeout=120)
+            return real(replica, graphs, workloads, dtype=dtype)
+
+        monkeypatch.setattr(server_mod, "run_packed_isolated", stuck)
+
+    def wait_entered(self, sweeps: int) -> None:
+        """Block until ``sweeps`` batches are mid-sweep."""
+        deadline = time.monotonic() + 30
+        while len(self._entered) < sweeps and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(self._entered) >= sweeps
+
+    def release(self) -> None:
+        self._gate.set()
+
+
+@pytest.fixture
+def stuck_sweeps(monkeypatch):
+    sweeps = StuckSweeps(monkeypatch)
+    yield sweeps
+    sweeps.release()  # never leave a worker thread parked
+
+
+def close_while_stuck(srv, sweeps: StuckSweeps, drain: bool) -> None:
+    """Begin ``srv.close(drain)`` while its sweeps are held, then release
+    them: whatever close does to the queue happens with a batch still in
+    flight."""
+    closer = threading.Thread(target=srv.close, kwargs={"drain": drain})
+    closer.start()
+    deadline = time.monotonic() + 30
+    while not srv._closing and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert srv._closing
+    sweeps.release()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+
+
 def hammer(server, pairs, n_threads, per_thread):
     """Concurrent closed-loop clients; returns (pair_idx, result) lists."""
     outcomes: list[list] = [[] for _ in range(n_threads)]
@@ -112,9 +169,8 @@ class TestManySubmitters:
             srv.drain(timeout=60)
         assert max(observed) <= max_pending
 
-    def test_nonblocking_submit_rejects_when_full(self, problem_set):
+    def test_nonblocking_submit_rejects_when_full(self, problem_set, stuck_sweeps):
         pairs, _ = problem_set
-        # One worker, long flush deadline: the queue genuinely fills.
         srv = Server(
             MODEL,
             workers=1,
@@ -124,14 +180,17 @@ class TestManySubmitters:
             dtype="float64",
         )
         try:
-            futures = [srv.submit(*pairs[0], block=True) for _ in range(4)]
-            # Queue may momentarily dip as the worker claims a batch; keep
-            # pushing non-blocking submissions until one bounces.
+            futures = [srv.submit(*pairs[0])]
+            # The one worker is mid-sweep: nothing more is claimed, so the
+            # queue genuinely fills and the next non-blocking submit bounces.
+            stuck_sweeps.wait_entered(1)
+            futures += [srv.submit(*pairs[0], block=True) for _ in range(4)]
+            assert srv.pending == 4
             with pytest.raises(QueueFull):
-                for _ in range(200):
-                    futures.append(srv.submit(*pairs[0], block=False))
-            assert srv.metrics.count("rejected") >= 1
+                srv.submit(*pairs[0], block=False)
+            assert srv.metrics.count("rejected") == 1
         finally:
+            stuck_sweeps.release()
             srv.close()
         for f in futures:
             f.result(timeout=60)
@@ -170,33 +229,39 @@ class TestDeadlines:
 
 
 class TestShutdown:
-    def test_close_drains_pending(self, problem_set):
+    def test_close_drains_pending(self, problem_set, stuck_sweeps):
         pairs, expected = problem_set
         srv = Server(
-            MODEL, workers=2, batch_size=4, max_latency_ms=1_000, dtype="float64"
+            MODEL, workers=2, batch_size=4, max_latency_ms=1_000,
+            max_concurrent_sweeps=2, dtype="float64",
         )
-        futures = [srv.submit(*pairs[i % len(pairs)]) for i in range(10)]
-        srv.close(drain=True)  # flush deadline far away: close must flush
+        futures = [srv.submit(*pairs[0])]
+        stuck_sweeps.wait_entered(1)
+        # With a batch in flight the second worker claims full batches
+        # only; the rest queue behind a flush deadline far away.
+        futures += [srv.submit(*pairs[i % len(pairs)]) for i in range(1, 10)]
+        assert srv.pending > 0
+        close_while_stuck(srv, stuck_sweeps, drain=True)  # close must flush
         for i, f in enumerate(futures):
             np.testing.assert_array_equal(
                 expected[i % len(pairs)].tr, f.result(timeout=1).tr
             )
         assert srv.closed
 
-    def test_close_without_drain_fails_pending(self, problem_set):
-        pairs, _ = problem_set
+    def test_close_without_drain_fails_pending(self, problem_set, stuck_sweeps):
+        pairs, expected = problem_set
         srv = Server(
             MODEL, workers=1, batch_size=64, max_latency_ms=10_000,
             max_pending=64, dtype="float64",
         )
-        futures = [srv.submit(*pairs[i % len(pairs)]) for i in range(10)]
-        srv.close(drain=False)
-        resolved = [f.exception(timeout=5) for f in futures]
-        # Workers may have claimed a batch before close; the rest fail.
-        assert all(
-            exc is None or isinstance(exc, ServerClosed) for exc in resolved
-        )
-        assert any(isinstance(exc, ServerClosed) for exc in resolved)
+        futures = [srv.submit(*pairs[0])]
+        stuck_sweeps.wait_entered(1)
+        futures += [srv.submit(*pairs[i % len(pairs)]) for i in range(1, 10)]
+        close_while_stuck(srv, stuck_sweeps, drain=False)
+        # The claimed batch completes; everything still queued fails.
+        np.testing.assert_array_equal(expected[0].tr, futures[0].result(timeout=5).tr)
+        resolved = [f.exception(timeout=5) for f in futures[1:]]
+        assert all(isinstance(exc, ServerClosed) for exc in resolved), resolved
 
     def test_submit_after_close_raises(self, problem_set):
         pairs, _ = problem_set
@@ -251,42 +316,25 @@ class TestShutdownTimeouts:
     """The close-path bugfixes: one shared deadline across K worker joins,
     and a no-drain close winning over an in-progress draining close."""
 
-    def _stuck_server(self, monkeypatch, pairs, workers):
-        """A server whose sweeps block on an event we control; returns
-        (server, release_event, entered_list, futures)."""
-        import repro.serve.server as server_mod
-
-        real = server_mod.run_packed_isolated
-        release = threading.Event()
-        entered: list[int] = []
-        lock = threading.Lock()
-
-        def stuck(replica, graphs, workloads, dtype):
-            with lock:
-                entered.append(1)
-            release.wait(timeout=120)
-            return real(replica, graphs, workloads, dtype=dtype)
-
-        monkeypatch.setattr(server_mod, "run_packed_isolated", stuck)
+    def _stuck_server(self, stuck_sweeps, pairs, workers):
+        """A server with every worker mid-sweep on a held batch; returns
+        (server, futures)."""
         srv = Server(
             MODEL, workers=workers, batch_size=1, max_latency_ms=1,
             max_concurrent_sweeps=workers,  # let every worker get stuck
             dtype="float64",
         )
         futures = [srv.submit(*pairs[i]) for i in range(workers)]
-        deadline = time.monotonic() + 30
-        while len(entered) < workers and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert len(entered) == workers  # every worker is mid-sweep
-        return srv, release, futures
+        stuck_sweeps.wait_entered(workers)
+        return srv, futures
 
-    def test_close_timeout_shared_across_workers(self, monkeypatch, problem_set):
+    def test_close_timeout_shared_across_workers(self, stuck_sweeps, problem_set):
         """``close(timeout=t)`` with K stuck workers returns in ~t, not
         K*t: the joins share one deadline.  A timed-out close reports
         ``closed=False`` instead of pretending shutdown finished."""
         pairs, expected = problem_set
         workers = 3
-        srv, release, futures = self._stuck_server(monkeypatch, pairs, workers)
+        srv, futures = self._stuck_server(stuck_sweeps, pairs, workers)
         try:
             t0 = time.monotonic()
             srv.close(timeout=0.5)
@@ -295,7 +343,7 @@ class TestShutdownTimeouts:
             assert elapsed < 1.2, f"close took {elapsed:.2f}s for {workers} joins"
             assert srv.closed is False
         finally:
-            release.set()
+            stuck_sweeps.release()
         for i, fut in enumerate(futures):
             np.testing.assert_array_equal(
                 expected[i].tr, fut.result(timeout=60).tr
@@ -303,12 +351,12 @@ class TestShutdownTimeouts:
         srv.close()  # workers unblocked: now shutdown completes
         assert srv.closed
 
-    def test_nodrain_close_wins_over_inflight_drain(self, monkeypatch, problem_set):
+    def test_nodrain_close_wins_over_inflight_drain(self, stuck_sweeps, problem_set):
         """``close(drain=False)`` racing an in-progress ``close(drain=True)``
         fails what is still queued with ServerClosed instead of letting the
         drain keep serving it."""
         pairs, expected = problem_set
-        srv, release, inflight = self._stuck_server(monkeypatch, pairs, 1)
+        srv, inflight = self._stuck_server(stuck_sweeps, pairs, 1)
         queued = [srv.submit(*pairs[1 + i]) for i in range(4)]
         drainer = threading.Thread(target=srv.close, kwargs={"drain": True})
         drainer.start()
@@ -319,7 +367,7 @@ class TestShutdownTimeouts:
         srv.close(drain=False, timeout=0.2)
         outcomes = [f.exception(timeout=5) for f in queued]
         assert all(isinstance(exc, ServerClosed) for exc in outcomes), outcomes
-        release.set()
+        stuck_sweeps.release()
         drainer.join(timeout=60)
         assert not drainer.is_alive()
         # The batch the worker had already claimed still completes.

@@ -24,8 +24,10 @@ import pickle
 import signal
 import socket
 import struct
+import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +445,39 @@ class TestWorkerFaults:
         assert shm_entries() <= before
 
 
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+@contextmanager
+def stopped(gw):
+    """SIGSTOP every worker process of ``gw``; SIGCONT them on exit.
+
+    An idle gateway dispatches a request at once, so requests stay queued
+    only while a batch is in flight.  A batch sent to a stopped worker
+    stays in flight, which holds the queue behind it on purpose.
+    """
+    pids = [handle.proc.pid for handle in gw.supervisor.handles]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+
+
+def send_one_in_flight(gw, client, pair):
+    """Submit ``pair`` and wait until a (stopped) worker holds it."""
+    before = gw.metrics.count("submitted")
+    future = client.submit(*pair)
+    wait_until(lambda: gw.metrics.count("submitted") == before + 1 and gw.pending == 0)
+    return future
+
+
 class TestAdmission:
     def test_nonblocking_submit_rejects_when_full(self, problem_set):
         pairs, _ = problem_set
@@ -452,20 +487,18 @@ class TestAdmission:
         )
         try:
             with gw.connect() as client:
-                # 4 fill the queue, the 5th parks in admission; while the
-                # single worker chews the first flush, a burst of
-                # non-blocking submissions must bounce with QueueFull.
-                futures = [client.submit(*pairs[0]) for _ in range(5)]
-                futures += [
-                    client.submit(*pairs[0], block=False) for _ in range(20)
-                ]
+                with stopped(gw):
+                    # One request in flight on the stopped worker, 4 fill
+                    # the queue behind it: a non-blocking submission must
+                    # bounce with QueueFull.
+                    futures = [send_one_in_flight(gw, client, pairs[0])]
+                    futures += [client.submit(*pairs[0]) for _ in range(4)]
+                    wait_until(lambda: gw.pending == 4)
+                    bounced = client.submit(*pairs[0], block=False)
+                    assert isinstance(bounced.exception(timeout=60), QueueFull)
+                    assert gw.metrics.count("rejected") == 1
                 outcomes = [fut.exception(timeout=120) for fut in futures]
-                assert any(isinstance(exc, QueueFull) for exc in outcomes)
-                assert all(
-                    exc is None or isinstance(exc, QueueFull)
-                    for exc in outcomes
-                )
-                assert gw.metrics.count("rejected") >= 1
+                assert outcomes == [None] * 5
         finally:
             gw.close()
 
@@ -475,16 +508,22 @@ class TestGatewayShutdown:
         pairs, expected = problem_set
         gw = Gateway(MODEL, workers=2, batch_size=4, max_latency_ms=1_000.0)
         client = gw.connect()
-        futures = [
-            (i % len(pairs), client.submit(*pairs[i % len(pairs)]))
-            for i in range(6)
-        ]
-        # Drain covers *admitted* requests; wait until all six crossed the
-        # socket into the admission queue before closing.
-        deadline = time.monotonic() + 30
-        while gw.metrics.count("submitted") < 6 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        gw.close(drain=True)  # flush deadline far away: close must flush
+        closer = threading.Thread(target=gw.close, kwargs={"drain": True})
+        with stopped(gw):
+            futures = [(0, send_one_in_flight(gw, client, pairs[0]))]
+            futures += [
+                (i % len(pairs), client.submit(*pairs[i % len(pairs)]))
+                for i in range(1, 6)
+            ]
+            # A full batch goes to the second stopped worker; the one left
+            # queues behind a flush deadline far away.
+            wait_until(
+                lambda: gw.metrics.count("submitted") == 6 and gw.pending == 1
+            )
+            closer.start()
+            wait_until(lambda: gw._batcher.closing)
+        closer.join(timeout=120)  # close must flush the queued request
+        assert not closer.is_alive()
         for idx, fut in futures:
             np.testing.assert_array_equal(
                 expected[idx].tr, fut.result(timeout=60).tr
@@ -499,15 +538,22 @@ class TestGatewayShutdown:
             max_pending=64,
         )
         client = gw.connect()
-        futures = [client.submit(*pairs[i % len(pairs)]) for i in range(10)]
-        time.sleep(0.2)  # let the requests reach the admission queue
-        gw.close(drain=False)
+        closer = threading.Thread(target=gw.close, kwargs={"drain": False})
+        with stopped(gw):
+            futures = [send_one_in_flight(gw, client, pairs[0])]
+            futures += [client.submit(*pairs[i % len(pairs)]) for i in range(1, 10)]
+            wait_until(lambda: gw.pending == 9)
+            closer.start()
+            wait_until(lambda: gw._batcher.closing)
+        closer.join(timeout=120)
+        assert not closer.is_alive()
         resolved = [f.exception(timeout=60) for f in futures]
         assert all(
             exc is None or isinstance(exc, (ServerClosed, WorkerDied))
             for exc in resolved
         )
-        assert any(isinstance(exc, ServerClosed) for exc in resolved)
+        # Everything queued behind the in-flight batch failed.
+        assert all(isinstance(exc, ServerClosed) for exc in resolved[1:]), resolved
         client.close()
 
     def test_submit_after_close_fails_cleanly(self, problem_set):
