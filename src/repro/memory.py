@@ -38,9 +38,11 @@ class MemoryBudget:
 
     Attributes:
         plan_bytes: bound on a plan's resident evaluation buffers — the
-            gather arena of a :class:`repro.sim.logicsim.SimPlan`
-            or the cached per-level feature rows of a
-            :class:`repro.runtime.plan.GraphPlan`.  ``None`` = unlimited.
+            gather arena of a :class:`repro.sim.logicsim.SimPlan`, or the
+            summed per-level feature rows
+            (:meth:`repro.runtime.plan.GraphPlan.resident_bytes`) of the
+            members a ``BatchedPredictor`` packs into one sweep.
+            ``None`` = unlimited.
         history_bytes: bound on per-cycle windows — the block executor's
             ``(block_cycles, N, words)`` value history and the chunk of
             fault masks its lockstep loop prepares ahead.  A window never

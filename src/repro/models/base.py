@@ -291,7 +291,6 @@ class RecurrentDagGnn(Module):
         *,
         plan: GraphPlan | None = None,
         h0: Tensor | None = None,
-        budget=None,
     ) -> Tensor:
         """Run the full T-iteration propagation; returns final (N, d) states.
 
@@ -304,9 +303,6 @@ class RecurrentDagGnn(Module):
                 the sweep runs in ``h0``'s dtype (features follow).  Its
                 buffer becomes the sweep's state and is overwritten in
                 place unless ``h0`` requires grad (:func:`propagate`).
-            budget: optional :class:`~repro.memory.MemoryBudget`; when the
-                materialized per-level feature rows exceed its plan bytes
-                the sweep streams them lazily (bitwise-identical values).
         """
         if plan is None:
             plan = plan_for(graph)
@@ -317,9 +313,7 @@ class RecurrentDagGnn(Module):
         else:
             h = h0 if isinstance(h0, Tensor) else Tensor(h0)
         fwd_batches, rev_batches = plan.schedule(custom=self.use_custom_batches)
-        fwd_rows, rev_rows = plan.feature_rows(
-            self.use_custom_batches, h.data.dtype, budget=budget
-        )
+        fwd_rows, rev_rows = plan.feature_rows(self.use_custom_batches, h.data.dtype)
         steps: list[LevelPass | RowCopy] = [
             LevelPass(fwd_batches, fwd_rows, self.forward_agg, self.forward_gru),
             LevelPass(rev_batches, rev_rows, self.reverse_agg, self.reverse_gru),
@@ -335,10 +329,9 @@ class RecurrentDagGnn(Module):
         *,
         plan: GraphPlan | None = None,
         h0: Tensor | None = None,
-        budget=None,
     ) -> tuple[Tensor, Tensor]:
         """Differentiable forward: returns (pred_tr (N,2), pred_lg (N,1))."""
-        h = self.embed(graph, workload, plan=plan, h0=h0, budget=budget)
+        h = self.embed(graph, workload, plan=plan, h0=h0)
         return self.head_tr(h), self.head_lg(h)
 
     def predict(

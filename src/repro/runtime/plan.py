@@ -28,12 +28,10 @@ import numpy as np
 from repro.circuit.graph import CircuitGraph, EdgeBatch, edge_batches
 from repro.circuit.netlist import Netlist
 from repro.lru import FingerprintLRU
-from repro.memory import MemoryBudget
 
 __all__ = [
     "GraphPlan",
     "ScheduleError",
-    "StreamedFeatureRows",
     "baseline_batches",
     "plan_for",
     "fingerprint_of",
@@ -146,34 +144,6 @@ def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBat
     return forward, reverse
 
 
-class StreamedFeatureRows:
-    """Lazy per-batch feature gathers: one level resident at a time.
-
-    Drop-in for the materialized row tuples that :meth:`GraphPlan.feature_rows`
-    caches, but gathers ``feats[b.nodes]`` on demand instead of holding every
-    level's rows alive at once.  The values produced are bitwise identical —
-    ``np.ndarray.__getitem__`` with an index array is deterministic — so a
-    sweep zipping schedules with these rows reproduces the cached result
-    exactly while keeping only the level being consumed in memory.
-    """
-
-    __slots__ = ("_feats", "_batches")
-
-    def __init__(self, feats: np.ndarray, batches: list[EdgeBatch]) -> None:
-        self._feats = feats
-        self._batches = batches
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self._feats[self._batches[index].nodes]
-
-    def __iter__(self):
-        for batch in self._batches:
-            yield self._feats[batch.nodes]
-
-
 class GraphPlan:
     """Everything one levelized sweep needs, compiled once per structure.
 
@@ -235,39 +205,24 @@ class GraphPlan:
 
         Each scheduled batch gathers a ``(batch_nodes, 4)`` slice of the
         one-hot feature matrix; this sums those slices over both sweep
-        directions — the quantity a :class:`~repro.memory.MemoryBudget`
-        compares against when deciding whether to stream.
+        directions — what ``BatchedPredictor(memory_budget=...)`` sums
+        over a pack's members and holds within ``plan_bytes``.
         """
         itemsize = np.dtype(dtype).itemsize
         fwd, rev = self.schedule(custom)
         width = self.graph.features.shape[1]
         return sum(b.nodes.size * width * itemsize for b in fwd + rev)
 
-    def feature_rows(
-        self, custom: bool = True, dtype=np.float64, budget: MemoryBudget | None = None
-    ):
+    def feature_rows(self, custom: bool = True, dtype=np.float64):
         """Per-batch gathers of the feature matrix, aligned with
         :meth:`schedule`'s (forward, reverse) batches (cached).
 
         The one-hot features are constant, so gathering them per level on
         every iteration of every training step is pure waste — the sweep
-        reads these precomputed rows instead.
-
-        When ``budget.plan_bytes`` is smaller than the materialized rows
-        (:meth:`resident_bytes`), returns a pair of
-        :class:`StreamedFeatureRows` instead: lazily gathered, never
-        cached, bitwise identical values with only one level resident at
-        a time.  The underlying (N, 4) feature matrix itself is per-node
-        state and is never spilled.
+        reads these precomputed rows instead.  They hold at most eight
+        columns per scheduled node, against the sweep's ``(N, hidden)``
+        state.
         """
-        if (
-            budget is not None
-            and budget.plan_bytes is not None
-            and not budget.allows_plan(self.resident_bytes(custom, dtype))
-        ):
-            feats = self.features(dtype)
-            fwd, rev = self.schedule(custom)
-            return (StreamedFeatureRows(feats, fwd), StreamedFeatureRows(feats, rev))
         key = (bool(custom), np.dtype(dtype))
         cached = self._feature_rows.get(key)
         if cached is None:

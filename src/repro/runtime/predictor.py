@@ -153,14 +153,8 @@ def predict_one(
     workload,
     dtype=np.float64,
     plan: GraphPlan | None = None,
-    budget: MemoryBudget | None = None,
 ) -> Prediction:
-    """Inference on one circuit at ``dtype`` through the compiled plan.
-
-    ``budget`` bounds the sweep's bookkeeping memory: when the plan's
-    materialized per-level feature rows exceed ``budget.plan_bytes`` the
-    propagation streams them lazily instead (bitwise-identical outputs).
-    """
+    """Inference on one circuit at ``dtype`` through the compiled plan."""
     graph, plan = _resolve(circuit, plan)
     dt = np.dtype(dtype)
     with _model_lock(model), no_grad():
@@ -168,7 +162,7 @@ def predict_one(
         if h0.data.dtype != dt:
             h0 = Tensor(h0.data.astype(dt))
         with _shadow_context(model, dt):
-            pred_tr, pred_lg = model.forward(graph, plan=plan, h0=h0, budget=budget)
+            pred_tr, pred_lg = model.forward(graph, plan=plan, h0=h0)
     return Prediction(tr=pred_tr.data.copy(), lg=pred_lg.data[:, 0].copy())
 
 
@@ -178,14 +172,11 @@ def predict_packed(
     workloads: Sequence,
     dtype=np.float64,
     packed: PackedPlan | None = None,
-    budget: MemoryBudget | None = None,
 ) -> list[Prediction]:
     """Run K circuits as one packed sweep; returns per-member predictions.
 
     Each member keeps the initial hidden state it would get standalone, so
     float64 results are bit-identical to sequential ``predict`` calls.
-    ``budget`` streams the union plan's feature rows when they exceed its
-    plan bytes (values unchanged).
     """
     if len(graphs) != len(workloads):
         raise ValueError(
@@ -204,10 +195,7 @@ def predict_packed(
             model.initial_hidden_into(g, wl, h0[packed.member_slice(member)])
         with _shadow_context(model, dt):
             pred_tr, pred_lg = model.forward(
-                packed.plan.graph,
-                plan=packed.plan,
-                h0=Tensor(h0),
-                budget=budget,
+                packed.plan.graph, plan=packed.plan, h0=Tensor(h0)
             )
     out: list[Prediction] = []
     for member in range(packed.num_members):
@@ -223,7 +211,6 @@ def run_packed_isolated(
     graphs: Sequence[CircuitGraph],
     workloads: Sequence,
     dtype=np.float64,
-    budget: MemoryBudget | None = None,
 ) -> list[Prediction | Exception]:
     """Packed inference with per-member failure isolation.
 
@@ -234,16 +221,12 @@ def run_packed_isolated(
     the gateway's workers) resolve their requests through this.
     """
     try:
-        return list(
-            predict_packed(model, graphs, workloads, dtype=dtype, budget=budget)
-        )
+        return list(predict_packed(model, graphs, workloads, dtype=dtype))
     except Exception:
         out: list[Prediction | Exception] = []
         for graph, wl in zip(graphs, workloads):
             try:
-                out.append(
-                    predict_packed(model, [graph], [wl], dtype=dtype, budget=budget)[0]
-                )
+                out.append(predict_packed(model, [graph], [wl], dtype=dtype)[0])
             except Exception as exc:
                 out.append(exc)
         return out
@@ -262,9 +245,8 @@ class BatchedPredictor:
             the sum of their plans' materialized feature-row bytes
             (:meth:`GraphPlan.resident_bytes`) stays within the budget
             (always at least one member — per-circuit state is
-            irreducible), and the packed sweep itself streams its feature
-            rows under the same budget.  Results are unchanged; only pack
-            shape and resident memory move.
+            irreducible).  Results are unchanged; only pack shape and
+            resident memory move.
 
     Example::
 
@@ -339,11 +321,7 @@ class BatchedPredictor:
         out: list[Prediction] = []
         for pack in self._packs(graphs):
             out += predict_packed(
-                self.model,
-                graphs[pack],
-                workloads[pack],
-                dtype=self.dtype,
-                budget=self.memory_budget,
+                self.model, graphs[pack], workloads[pack], dtype=self.dtype
             )
         return out
 

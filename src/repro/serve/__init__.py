@@ -2,9 +2,9 @@
 
 * :mod:`repro.serve.batching` — the front half both tiers share:
   :class:`~repro.serve.batching.MicroBatcher` (bounded admission,
-  per-request deadlines, work-conserving micro-batch flush, ladder claim —
-  a synchronous, clock-injected policy object), request validation, the
-  warm ladder and the typed :class:`ServeError` family;
+  per-request deadlines, work-conserving micro-batch flush, backlog claim
+  — a synchronous, clock-injected policy object), request validation, the
+  one-plan warm-up and the typed :class:`ServeError` family;
 * :mod:`repro.serve.server` — :class:`Server`: K worker threads, each
   holding a serialized-equal model replica, driving one batcher under a
   lock; graceful drain/shutdown;
@@ -29,7 +29,6 @@ from repro.serve.batching import (
     ServeError,
     ServerClosed,
     WorkerDied,
-    quantize_chunk,
 )
 from repro.serve.gateway import Gateway, GatewayClient
 from repro.serve.metrics import LatencyRecorder, ServerMetrics
@@ -48,5 +47,4 @@ __all__ = [
     "WorkerDied",
     "ServerMetrics",
     "LatencyRecorder",
-    "quantize_chunk",
 ]

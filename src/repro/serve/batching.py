@@ -1,4 +1,4 @@
-"""The serving front half, once: admission, flush, ladder claim, expiry.
+"""The serving front half, once: admission, flush, claim, expiry.
 
 The threaded :class:`repro.serve.Server` and the asyncio
 :class:`repro.serve.Gateway` batch requests by one rule, and it lives here
@@ -6,10 +6,10 @@ only: **admit** into a FIFO bounded by ``max_pending``; a **flush** is due
 when nothing is in flight, ``batch_size`` requests are pending, the oldest
 has waited ``max_latency_ms``, or the front end is closing — so
 ``max_latency_ms`` only ever holds a partial batch while another batch
-runs; **claim** a ladder chunk
-(:func:`quantize_chunk`) off the head, expiring members whose deadline
-passed; **finish** / **fail** what was claimed and **fail_pending** what
-never ran.  Every request resolves exactly once and every
+runs; **claim** the backlog off the head as one pack of up to
+``batch_size`` requests, expiring members whose deadline passed;
+**finish** / **fail** what was claimed and **fail_pending** what never
+ran.  Every request resolves exactly once and every
 :class:`~repro.serve.metrics.ServerMetrics` update rides those transitions.
 
 :class:`MicroBatcher` is synchronous: it takes its clock as an argument,
@@ -39,9 +39,7 @@ __all__ = [
     "WorkerDied",
     "Request",
     "MicroBatcher",
-    "quantize_chunk",
-    "ladder_sizes",
-    "warm_ladder",
+    "warm_plan",
     "validate_request",
 ]
 
@@ -71,40 +69,17 @@ class WorkerDied(ServeError):
     """
 
 
-def quantize_chunk(batch_size: int, pending: int) -> int:
-    """Quantize a batch claim to the ladder ``batch_size >> k``.
+def warm_plan(model, graph, dtype) -> None:
+    """Compile ``graph``'s own plan for ``model``: schedule and feature rows.
 
-    Compiling a union plan costs more than the sweep it serves, and the
-    pack LRU is keyed by the member-fingerprint tuple — so claiming
-    whatever happens to be pending (24, 31, 17, ...) would compile a
-    fresh super-graph plan per batch-size encountered.  Rounding down to
-    a power-of-two ladder bounds the distinct compositions per traffic
-    mix at ``log2(batch_size)+1``, after which every flush is a
-    pack-cache hit.
-    """
-    size = batch_size
-    while size > pending:
-        size >>= 1
-    return max(size, 1)
-
-
-def ladder_sizes(batch_size: int) -> list[int]:
-    """Every chunk size :func:`quantize_chunk` can return, largest first."""
-    return [batch_size >> k for k in range(batch_size.bit_length())]
-
-
-def warm_ladder(model, graph, sizes: Sequence[int], dtype) -> None:
-    """Precompile the packs of ``sizes`` copies of ``graph`` for ``model``.
-
-    A cold union-plan compile costs more than the sweep it serves; after
-    this every ladder flush over ``graph`` alone is a pack-cache hit with
-    its schedule and feature rows built.
+    A lone request over ``graph`` then runs straight from the caches.  A
+    pack of several requests compiles its union plan once, on first use,
+    at a few percent of the sweep it serves.
     """
     custom = getattr(model, "use_custom_batches", True)
-    for size in sizes:
-        plan = pack_graphs([graph] * size).plan
-        plan.schedule(custom)
-        plan.feature_rows(custom, dtype)
+    plan = pack_graphs([graph]).plan
+    plan.schedule(custom)
+    plan.feature_rows(custom, dtype)
 
 
 def validate_request(num_pis: int, workload, deadline_ms: float | None) -> None:
@@ -221,19 +196,17 @@ class MicroBatcher:
         return max(0.0, due - self.clock())
 
     def claim(self) -> list[Request]:
-        """Pop the next ladder chunk; returns its still-live members.
+        """Pop the backlog off the head as one pack of up to ``batch_size``
+        requests; returns its still-live members.
 
         Members whose deadline passed while queued are resolved here with
         :class:`DeadlineExceeded`; the rest are in flight until handed to
-        :meth:`finish` or :meth:`fail`.  Requests beyond the ladder size
+        :meth:`finish` or :meth:`fail`.  Requests beyond ``batch_size``
         stay queued in order (and keep their own flush clock).
         """
-        if not self._queue:
-            return []
-        size = quantize_chunk(self.config.batch_size, len(self._queue))
         now = self.clock()
         live: list[Request] = []
-        for _ in range(size):
+        for _ in range(min(len(self._queue), self.config.batch_size)):
             req = self._queue.popleft()
             waited_ms = (now - req.t_submit) * 1000.0
             if req.t_deadline is not None and now > req.t_deadline:

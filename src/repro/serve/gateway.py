@@ -62,7 +62,6 @@ from repro.serve.batching import (
     ServeError,
     ServerClosed,
     WorkerDied,
-    ladder_sizes,
     validate_request,
 )
 from repro.serve.metrics import ServerMetrics
@@ -499,6 +498,10 @@ class Gateway:
                 WorkerDied("worker process died while executing this request"),
             )
             self._wake.set()
+        if handle.warm_future is not None and not handle.warm_future.done():
+            handle.warm_future.set_exception(
+                WorkerDied("worker process died before it finished warming")
+            )
         handle.generation += 1
         self.supervisor.reap(handle)
         self._maybe_drained()
@@ -526,19 +529,17 @@ class Gateway:
     # warm-up
     # ------------------------------------------------------------------
     def warm(self, circuit: CircuitGraph | Netlist) -> None:
-        """Ship ``circuit`` to every worker and precompile its ladder packs.
+        """Ship ``circuit`` to every worker and compile its own plan there.
 
         The multi-process analogue of :meth:`Server.warm`: after this, the
-        first wave of real traffic over this structure pays neither the
-        structure transfer nor a cold union-plan compile in any worker.
+        first request over this structure pays neither the structure
+        transfer nor a plan compile in any worker.  Raises
+        :class:`WorkerDied` if a worker dies before it has warmed.
         """
         netlist = circuit.netlist if isinstance(circuit, CircuitGraph) else circuit
-        future = asyncio.run_coroutine_threadsafe(
-            self._warm(netlist, ladder_sizes(self.config.batch_size)), self._loop
-        )
-        future.result()
+        asyncio.run_coroutine_threadsafe(self._warm(netlist), self._loop).result()
 
-    async def _warm(self, netlist: Netlist, sizes: list[int]) -> None:
+    async def _warm(self, netlist: Netlist) -> None:
         fingerprint = self._admit_structure(netlist)
         # Claim every worker so warms don't interleave with batches.
         claimed = []
@@ -546,22 +547,28 @@ class Gateway:
             handle = await self._claim_idle_worker()
             if handle is None:
                 break
-            claimed.append(handle)
+            claimed.append((handle.generation, handle))
         try:
             acks = []
-            for handle in claimed:
+            for _, handle in claimed:
                 if fingerprint not in handle.shipped:
                     handle.conn.send(("structure", fingerprint, netlist))
                     handle.shipped.add(fingerprint)
                 handle.warm_future = self._loop.create_future()
                 acks.append(handle.warm_future)
-                handle.conn.send(("warm", fingerprint, sizes))
+                handle.conn.send(("warm", fingerprint))
             if acks:
-                await asyncio.wait(acks, timeout=300.0)
+                done, _ = await asyncio.wait(acks, timeout=300.0)
+                died = [ack.exception() for ack in done if ack.exception()]
+                if died:
+                    raise died[0]
         finally:
-            for handle in claimed:
+            for generation, handle in claimed:
                 handle.warm_future = None
-                self._idle.put_nowait((handle.generation, handle))
+                # Back under the generation it was claimed at: a slot that
+                # died meanwhile is re-queued by its respawn, and this
+                # stale entry is skipped.
+                self._idle.put_nowait((generation, handle))
 
     # ------------------------------------------------------------------
     # shutdown

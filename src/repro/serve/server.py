@@ -48,9 +48,8 @@ from repro.serve.batching import (
     Request,
     ServeError,
     ServerClosed,
-    ladder_sizes,
     validate_request,
-    warm_ladder,
+    warm_plan,
 )
 from repro.serve.metrics import ServerMetrics
 
@@ -226,8 +225,8 @@ class Server:
                 self._not_empty.wait(timeout=wait)
             live = self._batcher.claim()
             if self._batcher.pending:
-                # A quantized claim can leave residual requests behind;
-                # hand the deadline watch to another worker before we go
+                # A claim leaves the requests past batch_size behind; hand
+                # the deadline watch to another worker before we go
                 # compute, or the leftovers would wait out our whole sweep.
                 self._not_empty.notify(1)
             self._not_full.notify_all()
@@ -267,16 +266,14 @@ class Server:
 
     # ------------------------------------------------------------------
     def warm(self, circuit: CircuitGraph | Netlist) -> None:
-        """Precompile every ladder pack of ``circuit`` before traffic hits.
+        """Compile ``circuit``'s own plan (schedule and feature rows) before
+        traffic hits.
 
-        A cold union-plan compile costs more than the sweep it serves;
-        deployments that know their circuit structures call this at
-        startup so the first wave of real requests never pays it.
+        Deployments that know their circuit structures call this at
+        startup so the first request over each one pays no compile.
         """
         graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
-        warm_ladder(
-            self.model, graph, ladder_sizes(self.config.batch_size), self.dtype
-        )
+        warm_plan(self.model, graph, self.dtype)
 
     def refresh_parameters(self) -> None:
         """Re-sync every worker replica from the source model.

@@ -19,12 +19,12 @@ share one physical copy of the cast weights.
 Message protocol (gateway -> worker)::
 
     ("structure", fingerprint, netlist)   # ship a circuit structure once
-    ("warm", fingerprint, [sizes...])     # precompile ladder packs
+    ("warm", fingerprint)                 # compile the structure's own plan
     ("batch", batch_id, features, [(fingerprint, wl_name, wl_seed), ...])
 
 and back (worker -> gateway)::
 
-    ("warmed", fingerprint)               # ladder packs compiled
+    ("warmed", fingerprint)               # plan compiled
     ("done", batch_id, [meta, ...])       # meta per member, input order:
                                           #   ("shm", [(tr_off, tr_shape), (lg_off, lg_shape)])
                                           #   ("inline", [tr, lg])   # arena overflow
@@ -51,7 +51,7 @@ from repro.runtime.predictor import (
     run_packed_isolated,
 )
 from repro.runtime.shm import collect_arrays, stage_arrays
-from repro.serve.batching import ServeError, warm_ladder
+from repro.serve.batching import ServeError, warm_plan
 from repro.sim.workload import Workload
 
 __all__ = ["FEATURES", "RESULTS", "make_handler"]
@@ -110,9 +110,9 @@ def make_handler(replica, param_views, arenas, dtype):
             return None
         if op == "warm":
             # The process-local mirror of Server.warm.
-            _, fingerprint, sizes = msg
+            _, fingerprint = msg
             if not isinstance(graphs[fingerprint], Exception):
-                warm_ladder(replica, graphs[fingerprint], sizes, dtype)
+                warm_plan(replica, graphs[fingerprint], dtype)
             return ("warmed", fingerprint)
         if op != "batch":  # pragma: no cover - protocol bug
             return ("done", None, [("err", ServeError(f"bad op {op!r}"))])

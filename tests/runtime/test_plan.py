@@ -239,33 +239,3 @@ class TestStreamedFeatureRows:
         assert plan.resident_bytes(dtype=np.float32) * 2 == plan.resident_bytes(
             dtype=np.float64
         )
-
-    def test_streams_only_under_tight_budget(self):
-        from repro.memory import MemoryBudget
-        from repro.runtime.plan import StreamedFeatureRows
-
-        plan = plan_for(make_aig(seed=4))
-        loose = plan.feature_rows(budget=MemoryBudget(plan_bytes=1 << 30))
-        assert isinstance(loose[0], tuple)
-        tight = plan.feature_rows(budget=MemoryBudget(plan_bytes=8))
-        assert isinstance(tight[0], StreamedFeatureRows)
-        assert isinstance(tight[1], StreamedFeatureRows)
-
-    def test_streamed_rows_bitwise_match_cached(self):
-        from repro.memory import MemoryBudget
-
-        plan = plan_for(make_aig(seed=5))
-        cached = plan.feature_rows()
-        streamed = plan.feature_rows(budget=MemoryBudget(plan_bytes=8))
-        for direction in (0, 1):
-            assert len(streamed[direction]) == len(cached[direction])
-            for s, c in zip(streamed[direction], cached[direction]):
-                assert np.array_equal(s, c)
-
-    def test_streamed_rows_not_cached(self):
-        from repro.memory import MemoryBudget
-
-        plan = plan_for(make_aig(seed=6))
-        a = plan.feature_rows(budget=MemoryBudget(plan_bytes=8))
-        b = plan.feature_rows(budget=MemoryBudget(plan_bytes=8))
-        assert a[0] is not b[0]

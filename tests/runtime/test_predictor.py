@@ -327,32 +327,7 @@ class TestBatchedPredictor:
 
 
 class TestMemoryBudget:
-    """Budgets move pack shape and resident rows, never output bits."""
-
-    def test_predict_one_budget_bitwise(self):
-        from repro.memory import MemoryBudget
-
-        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
-        graph, wl = make_pair(seed=31)
-        ref = predict_one(model, graph, wl)
-        got = predict_one(model, graph, wl, budget=MemoryBudget(plan_bytes=64))
-        np.testing.assert_array_equal(ref.tr, got.tr)
-        np.testing.assert_array_equal(ref.lg, got.lg)
-
-    def test_predict_packed_budget_bitwise(self):
-        from repro.memory import MemoryBudget
-
-        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
-        pairs = [make_pair(seed=s) for s in (41, 42, 43)]
-        graphs = [g for g, _ in pairs]
-        wls = [w for _, w in pairs]
-        ref = predict_packed(model, graphs, wls)
-        got = predict_packed(
-            model, graphs, wls, budget=MemoryBudget(plan_bytes=64)
-        )
-        for a, b in zip(ref, got):
-            np.testing.assert_array_equal(a.tr, b.tr)
-            np.testing.assert_array_equal(a.lg, b.lg)
+    """Budgets move pack shape, never output bits."""
 
     def test_batched_predictor_budget_splits_packs_bitwise(self, pack_sizes):
         from repro.memory import MemoryBudget

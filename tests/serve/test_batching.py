@@ -19,8 +19,6 @@ from repro.serve.batching import (
     MicroBatcher,
     QueueFull,
     ServerClosed,
-    ladder_sizes,
-    quantize_chunk,
     validate_request,
 )
 from repro.serve.metrics import ServerMetrics
@@ -112,11 +110,11 @@ class TestFlushTiming:
 
     def test_residual_keeps_its_own_flush_clock(self):
         h = Harness(batch_size=4, max_latency_ms=250.0)
-        for _ in range(3):
+        for _ in range(5):
             h.admit()
             h.clock.advance(0.0625)
-        assert [r.payload for r in h.batcher.claim()] == [0, 1]
-        # Request 2 was admitted 0.0625 s ago: 0.1875 s of its bound remain.
+        assert [r.payload for r in h.batcher.claim()] == [0, 1, 2, 3]
+        # Request 4 was admitted 0.0625 s ago: 0.1875 s of its bound remain.
         assert h.batcher.wait_s() == 0.1875
 
     def test_deadline_counts_from_admission_while_a_batch_runs(self):
@@ -137,18 +135,18 @@ class TestFlushTiming:
     @pytest.mark.parametrize("resolve", ["finish", "fail"])
     def test_residual_is_due_at_once_when_the_batch_resolves(self, resolve):
         h = Harness(batch_size=4, max_latency_ms=250.0)
-        for _ in range(3):
+        for _ in range(5):
             h.admit()
         live = h.batcher.claim()
-        assert [r.payload for r in live] == [0, 1]
+        assert [r.payload for r in live] == [0, 1, 2, 3]
         assert h.batcher.wait_s() == 0.25  # the residual waits behind them
         if resolve == "finish":
-            h.batcher.finish(live, ["a", "b"], h.batcher.clock())
+            h.batcher.finish(live, ["a", "b", "c", "d"], h.batcher.clock())
         else:
             h.batcher.fail(live, RuntimeError("worker died"))
         assert h.batcher.inflight == 0
         assert h.batcher.wait_s() == 0.0
-        assert [r.payload for r in h.batcher.claim()] == [2]
+        assert [r.payload for r in h.batcher.claim()] == [4]
 
     def test_closing_flushes_regardless_of_age(self):
         h = Harness(batch_size=4, max_latency_ms=10_000.0)
@@ -225,8 +223,8 @@ def replay(rate: float, n: int = 600, seed: int = 0) -> dict:
 class TestReplayOneWorker:
     """Open-loop arrival traces on the fake clock against one modelled
     worker: the rule dispatches on idle, so a request waits only for
-    sweeps — the one running when it arrived and, as a ladder residual,
-    ones claimed ahead of it — never for ``max_latency_ms``."""
+    sweeps — the one running when it arrived and any claimed ahead of it —
+    never for ``max_latency_ms``."""
 
     @pytest.mark.parametrize("rate", [20, 40, 80])
     def test_requests_wait_only_for_sweeps(self, rate):
@@ -240,11 +238,9 @@ class TestReplayOneWorker:
         r = replay(20)
         # A request that found the worker idle never waited at all; one
         # that arrived mid-sweep waited out that sweep and was claimed
-        # next — except a rare ladder residual (three pending, the ladder
-        # claims two), which sits out exactly one more sweep.
+        # next, with the whole backlog, in one pack.
         assert (r["waits"][r["in_progress"] == 0] == 0).all()
-        assert (r["sat_out"] <= 1).all()
-        assert (r["sat_out"] > 0).mean() < 0.01
+        assert (r["sat_out"] == 0).all()
         assert r["waits"].mean() < 0.005  # the old timer alone held 25 ms
         assert r["sizes"].mean() < 1.1
 
@@ -255,12 +251,14 @@ class TestReplayOneWorker:
         assert r["sizes"].mean() > 1.2
         assert r["backlog"] <= 8
         assert r["waits"].max() < 2 * sweep_s(8)
+        # The claim ladder (batch_size >> k chunks) modelled 21 ms here.
+        assert np.percentile(r["waits"], 95) < 0.021
 
 
 class TestLadderClaim:
     @pytest.mark.parametrize("batch_size", [1, 4, 6, 8])
     def test_claim_sizes_follow_the_ladder_in_fifo_order(self, batch_size):
-        ladder = ladder_sizes(batch_size)
+        """Each claim takes ``min(pending, batch_size)`` off the head."""
         for pending in range(1, 2 * batch_size + 1):
             h = Harness(batch_size=batch_size, max_pending=2 * batch_size)
             for _ in range(pending):
@@ -269,23 +267,27 @@ class TestLadderClaim:
             while h.batcher.pending:
                 before = h.batcher.pending
                 chunk = [r.payload for r in h.batcher.claim()]
-                assert len(chunk) == quantize_chunk(batch_size, before)
-                assert len(chunk) in ladder and len(chunk) <= before
+                assert len(chunk) == min(before, batch_size)
                 assert h.batcher.pending == before - len(chunk)
                 taken.append(chunk)
-            assert len(taken[0]) == max(s for s in ladder if s <= pending)
             assert [rid for chunk in taken for rid in chunk] == list(range(pending))
             assert h.batcher.inflight == pending
+
+    @pytest.mark.parametrize("backlog", [3, 5, 7])
+    def test_backlog_behind_a_running_batch_is_one_pack(self, backlog):
+        h = Harness(batch_size=8, max_latency_ms=25.0)
+        h.hold_in_flight()
+        for _ in range(backlog):
+            h.admit()
+        h.clock.advance(0.025)
+        assert h.batcher.wait_s() == 0.0
+        assert [r.payload for r in h.batcher.claim()] == list(range(backlog))
+        assert h.batcher.pending == 0
 
     def test_claim_on_an_empty_queue_is_empty(self):
         h = Harness()
         assert h.batcher.claim() == []
         assert h.batcher.idle
-
-    def test_ladder_sizes(self):
-        assert ladder_sizes(8) == [8, 4, 2, 1]
-        assert ladder_sizes(6) == [6, 3, 1]
-        assert ladder_sizes(1) == [1]
 
 
 class TestAdmission:
@@ -456,9 +458,7 @@ def test_property_every_request_resolves_once_and_counters_balance(batch_size, o
         elif op == "claim":
             before = h.batcher.pending
             live = h.batcher.claim()
-            assert h.batcher.pending == before - (
-                quantize_chunk(batch_size, before) if before else 0
-            )
+            assert h.batcher.pending == before - min(batch_size, before)
             if live:
                 claimed.append(live)
         elif op == "finish" and claimed:

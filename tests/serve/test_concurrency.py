@@ -16,6 +16,8 @@ import pytest
 
 from repro.models.base import ModelConfig
 from repro.models.deepseq import DeepSeq
+from repro.runtime.pack import clear_pack_cache, pack_cache_info, pack_graphs
+from repro.runtime.plan import clear_plan_cache
 from repro.serve import (
     DeadlineExceeded,
     QueueFull,
@@ -425,6 +427,41 @@ class TestGatewayConcurrency:
                 c.close()
         finally:
             gw.close()
+
+
+class TestWarm:
+    """``Server.warm`` compiles each circuit's own plan once, so the first
+    lone request over it runs straight from the caches."""
+
+    def test_warm_compiles_one_plan_per_circuit(self, problem_set):
+        pairs, expected = problem_set
+        clear_pack_cache()
+        with Server(
+            MODEL, workers=1, batch_size=4, max_latency_ms=5, dtype="float64"
+        ) as srv:
+            for graph, _ in pairs[:3]:
+                srv.warm(graph)
+            warmed = pack_cache_info()
+            assert (warmed.size, warmed.misses) == (3, 3)
+            for idx in range(3):
+                res = srv.predict(*pairs[idx])
+                np.testing.assert_array_equal(expected[idx].tr, res.tr)
+            served = pack_cache_info()
+        assert served.misses == warmed.misses
+        assert served.hits == warmed.hits + 3
+
+    def test_warm_from_a_netlist_caches_rows_at_the_serving_dtype(
+        self, problem_set
+    ):
+        pairs, _ = problem_set
+        graph = pairs[4][0]
+        clear_pack_cache()
+        clear_plan_cache()  # drop rows an earlier sweep cached at float64
+        with Server(MODEL, workers=1, dtype="float32") as srv:
+            srv.warm(graph.netlist)
+            rows = pack_graphs([graph]).plan._feature_rows
+        assert set(rows) == {(MODEL.use_custom_batches, np.dtype(np.float32))}
+        assert pack_cache_info().size == 1
 
 
 class TestReplicaIsolation:

@@ -263,7 +263,7 @@ class TestUncompilableNetlists:
             handle = make_handler(MODEL, None, arenas, "float64")
             assert handle(("structure", "bad", build())) is None
             assert handle(("structure", "good", good)) is None
-            assert handle(("warm", "bad", [1, 2])) == ("warmed", "bad")
+            assert handle(("warm", "bad")) == ("warmed", "bad")
             features, _ = stage_arrays(
                 arenas[FEATURES], [TWO_PIS.pi_probs, workload.pi_probs]
             )
@@ -417,6 +417,34 @@ class TestWorkerFaults:
                 idx = i % len(pairs)
                 res = client.predict(*pairs[idx], timeout=120)
                 np.testing.assert_array_equal(expected[idx].tr, res.tr)
+
+    def test_warm_fails_typed_when_the_worker_dies(self, problem_set):
+        """A worker killed before it acknowledges a warm fails ``warm``
+        with WorkerDied at once, not after the 300 s ack timeout."""
+        pairs, _ = problem_set
+        gw = Gateway(MODEL, workers=1, restart_backoff_ms=10.0)
+        errors: list = []
+
+        def warm():
+            try:
+                gw.warm(pairs[5][0])
+            except Exception as exc:
+                errors.append(exc)
+
+        try:
+            slot = gw.supervisor.handles[0]
+            pid = slot.proc.pid
+            os.kill(pid, signal.SIGSTOP)
+            warmer = threading.Thread(target=warm)
+            warmer.start()
+            wait_until(lambda: slot.warm_future is not None)
+            time.sleep(0.2)  # the warm message is in the stopped worker's pipe
+            os.kill(pid, signal.SIGKILL)
+            warmer.join(timeout=10)
+            assert not warmer.is_alive()
+            assert len(errors) == 1 and isinstance(errors[0], WorkerDied), errors
+        finally:
+            gw.close()
 
     def test_no_shm_leak_across_kills(self, problem_set):
         """Worker kills never leak /dev/shm entries: arenas are

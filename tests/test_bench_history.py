@@ -6,6 +6,11 @@ median of every end-to-end metric on every workload ``BENCHMARK.json``
 declares, keyed ``"<workload>/<metric>"``.  A PR appends its parent
 commit's line, taken from the parent side of the benchmark pairs it
 runs, so every line names code that exists.
+
+A line may also carry ``layers`` (per-layer metrics of one traced run,
+keyed ``"<workload>/<metric>"``) and ``quality`` (``train.val_pe`` and
+each workload's ``output_digest``), so a move in a cell can be pinned
+to a layer and a commit that stops learning shows.
 """
 
 import json
@@ -17,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 CELLS = {
     f"{w['name']}/{m['name']}" for w in SPEC["workloads"] for m in SPEC["end_to_end"]
 }
@@ -30,13 +36,23 @@ def test_every_workload_metric_pair_is_a_cell():
 @pytest.mark.parametrize("number", range(1, len(LINES) + 1))
 def test_line_is_a_full_point(number):
     point = json.loads(LINES[number - 1])
-    assert set(point) == {"pr", "commit", "host", "cells"}
+    assert {"pr", "commit", "host", "cells"} <= set(point)
+    assert set(point) <= {"pr", "commit", "host", "cells", "layers", "quality"}
     assert isinstance(point["pr"], int)
     assert re.fullmatch(r"[0-9a-f]{7,40}", point["commit"])
     assert isinstance(point["host"], str) and point["host"].strip()
     assert set(point["cells"]) == CELLS
     bad = {k: v for k, v in point["cells"].items() if not math.isfinite(v)}
     assert not bad
+    layers = point.get("layers", {})
+    assert all(key.split("/", 1)[0] in WORKLOADS for key in layers)
+    assert all(math.isfinite(v) for v in layers.values())
+    for key, value in point.get("quality", {}).items():
+        assert key.split("/", 1)[0] in WORKLOADS
+        if key.endswith("/output_digest"):
+            assert re.fullmatch(r"[0-9a-f]{16,128}", value), key
+        else:
+            assert math.isfinite(value), key
 
 
 def test_commits_are_unique():
