@@ -66,8 +66,8 @@ class ExperimentScale:
     grad_accum: int = 1
     #: Data-parallel pre-training worker processes (0 = in-process).  The
     #: fixed-order all-reduce makes the trained parameters bitwise
-    #: identical at any value; set ``grad_accum >= train_workers`` for the
-    #: parallelism to pay off.
+    #: identical at any value; the coordinator trains a share too, so set
+    #: ``grad_accum >= train_workers + 1`` for every rank to get work.
     train_workers: int = 0
     #: Directory for resumable pre-training checkpoints (None = off).
     checkpoint_dir: str | None = None

@@ -1,15 +1,18 @@
 """Deterministic data-parallel training: sharded steps, fixed-order reduce.
 
 Data parallelism here means sharding each *gradient-accumulation group*
-over W worker processes: the sequential trainer turns every group of
-``grad_accum`` packed minibatches into one optimizer step, so the group is
-the unit of work that can fan out without changing what the step computes.
-Each worker holds a model replica (restored through the
-:func:`repro.nn.serialize.dumps_state` npz byte round-trip, so replica
-float64 parameters are bitwise-identical to the coordinator's), runs the
-fused :func:`repro.runtime.trainstep.train_step` on its assigned batches,
-and ships the resulting float64 gradients back through a
-:mod:`repro.runtime.shm` arena.
+over W worker processes plus the coordinator: the sequential trainer
+turns every group of ``grad_accum`` packed minibatches into one optimizer
+step, so the group is the unit of work that can fan out without changing
+what the step computes.  Each worker holds a model replica (restored
+through the :func:`repro.nn.serialize.dumps_state` npz byte round-trip,
+so replica float64 parameters are bitwise-identical to the
+coordinator's), runs the fused :func:`repro.runtime.trainstep.train_step`
+on its assigned batches, and ships the resulting float64 gradients back
+through a :mod:`repro.runtime.shm` arena.  The coordinator is the last
+rank: once the step message is out it trains its own batches in-process
+on the live model, then collects the workers' replies — so with W = 1 a
+two-batch group runs on two cores, not one after the other on one.
 
 **The bitwise guarantee.**  The coordinator reduces per-batch gradients
 with :func:`tree_reduce` — pairwise summation in a tree pinned to the
@@ -19,10 +22,11 @@ count.  Because each batch's gradient is itself bitwise-deterministic
 of the same member order), the reduced update is bitwise-identical at any
 worker count — including W=1 and the in-process
 :class:`LocalGradExecutor`, which runs the *same* per-batch
-compute-then-tree-reduce discipline.  Floating-point addition is not
-associative, so this only holds because every worker count sums the same
-numbers in the same tree; that pinned order is the whole point of this
-module.
+compute-then-tree-reduce discipline (and is what every rank, the
+coordinator included, runs its share through).  Floating-point addition
+is not associative, so this only holds because every worker count sums
+the same numbers in the same tree; that pinned order is the whole point
+of this module.
 
 The processes are a :class:`repro.runtime.workers.WorkerPool` (spawn,
 handshake, pool-owned segments, shutdown — shared with the serving
@@ -30,10 +34,12 @@ gateway); this module adds the ``step`` message handler and the
 coordinator's side of it.  Parameters broadcast through the pool's
 float64 parameter block, rewritten once per optimizer step (the protocol
 is lock-step — workers only read between the coordinator's ``step``
-message and their ``grads`` reply, so the rewrite can never race a
-reader).  A worker death aborts the run with a typed :class:`DdpError` —
-training resumes from the last checkpoint rather than limping on with a
-silently shrunken group.
+message and their ``grads`` reply, and the coordinator's own share only
+reads its parameters, so the rewrite can never race a reader).  A failed
+step — a worker death or error, or the coordinator's own share raising —
+stops the pool and raises a typed :class:`DdpError`; training resumes
+from the last checkpoint rather than limping on with a silently shrunken
+group.
 """
 
 from __future__ import annotations
@@ -141,25 +147,28 @@ class BatchGrads:
 class LocalGradExecutor:
     """In-process executor: the W=0 reference for the sharded step.
 
-    Runs each group batch through ``train_step`` with a fresh gradient
-    buffer (``zero_grad`` per batch) and hands the per-batch gradients to
-    the caller's :func:`reduce_gradients` — exactly the discipline the
+    Packs each minibatch's member samples with
+    :func:`~repro.runtime.trainstep.pack_samples`, then runs each group
+    batch through ``train_step`` with a fresh gradient buffer
+    (``zero_grad`` per batch) and hands the per-batch gradients to the
+    caller's :func:`reduce_gradients` — exactly the discipline the
     multi-process executor distributes, so sequential training is the
-    W-independent reduction's own W=1 case.
+    W-independent reduction's own W=1 case.  Every DDP rank, the
+    coordinator included, computes its share through one of these.
     """
 
     def __init__(
         self,
         model,
-        batches: Sequence,
+        batch_members: Sequence[Sequence["CircuitSample"]],
         tr_weight: float = 1.0,
         lg_weight: float = 1.0,
     ) -> None:
-        from repro.runtime.trainstep import train_step  # cycle guard
+        from repro.runtime.trainstep import pack_samples, train_step  # cycle guard
 
         self._train_step = train_step
         self.model = model
-        self.batches = batches
+        self.batches = [pack_samples(members) for members in batch_members]
         self.tr_weight = tr_weight
         self.lg_weight = lg_weight
         self._params = model.parameters()
@@ -200,21 +209,20 @@ class LocalGradExecutor:
 
 
 def make_handler(replica, param_views, arenas, payload):
-    """The ``step`` handler of one DDP rank.
+    """The ``step`` handler of one DDP worker rank.
 
     ``payload`` is ``(batch_members, tr_weight, lg_weight)``:
     ``batch_members`` holds, per minibatch, the member samples in packing
     order; the worker packs them locally, landing on the same union plan
     (same member order ⇒ same structure ⇒ same cached fingerprint) the
-    coordinator would build.
+    coordinator builds.
     """
     from repro.nn.module import bump_parameter_version
-    from repro.runtime.trainstep import pack_samples, train_step
 
     batch_members, tr_weight, lg_weight = payload
     params = replica.parameters()
     grad_arena = arenas[GRADS]
-    batches = [pack_samples(members) for members in batch_members]
+    local = LocalGradExecutor(replica, batch_members, tr_weight, lg_weight)
 
     def handle(msg: tuple) -> tuple:
         if msg[0] != "step":  # pragma: no cover - protocol bug
@@ -227,25 +235,15 @@ def make_handler(replica, param_views, arenas, payload):
             for p, view in zip(params, param_views):
                 p.data[...] = view
             bump_parameter_version()
+            results = local.run_group([(bi, scale) for _, bi, scale in items])
             replies = []
             cursor = 0
-            for position, batch_index, loss_scale in items:
-                replica.zero_grad()
-                result = train_step(
-                    replica,
-                    batches[batch_index],
-                    tr_weight=tr_weight,
-                    lg_weight=lg_weight,
-                    loss_scale=loss_scale,
-                )
-                grads = [p.grad for p in params]
-                mask = [g is not None for g in grads]
+            for (position, _, _), r in zip(items, results):
+                mask = [g is not None for g in r.grads]
                 meta, cursor = stage_arrays(
-                    grad_arena, [g for g in grads if g is not None], cursor
+                    grad_arena, [g for g in r.grads if g is not None], cursor
                 )
-                replies.append(
-                    (position, mask, meta, result.member_tr, result.member_lg)
-                )
+                replies.append((position, mask, meta, r.member_tr, r.member_lg))
             return ("grads", step_id, replies)
         except Exception as exc:
             return ("err", step_id, f"{type(exc).__name__}: {exc}")
@@ -254,14 +252,16 @@ def make_handler(replica, param_views, arenas, payload):
 
 
 class DdpGradExecutor:
-    """Coordinator for W data-parallel training workers.
+    """Coordinator for W data-parallel training workers, itself rank W.
 
     Spawned once per :meth:`repro.train.trainer.Trainer.train` call with
     the run's full minibatch list; :meth:`run_group` shards a group's
-    batches round-robin over the ranks, collects each batch's gradients
-    (shm arena, inline fallback), and returns them in batch-position
-    order — ready for the caller's :func:`reduce_gradients`, whose pinned
-    tree makes the update identical to the in-process executor's.
+    batches round-robin over the W + 1 ranks — the workers first, the
+    coordinator last — computes the coordinator's share while the workers
+    compute theirs, collects each worker batch's gradients (shm arena,
+    inline fallback), and returns them all in batch-position order —
+    ready for the caller's :func:`reduce_gradients`, whose pinned tree
+    makes the update identical to the in-process executor's.
     """
 
     def __init__(
@@ -282,11 +282,12 @@ class DdpGradExecutor:
         self._step_id = 0
         self._closed = False
         # Per-worker gradient arenas, sized for the worst-case share of a
-        # group (ceil(grad_accum / W) batches, one full gradient set each).
-        share = -(-max(1, grad_accum) // workers)
+        # group (ceil(grad_accum / (W + 1)) batches, one full gradient set
+        # each) — rank 0 takes the most positions of any rank.
+        share = -(-max(1, grad_accum) // (workers + 1))
         per_batch = arena_nbytes([p.data for p in self._params])
         # Lean member copies: ``extras`` can hold whole SimResults, which
-        # the workers never need and would otherwise ride every spawn.
+        # no rank needs and would otherwise ride every spawn.
         lean = [[replace(s, extras={}) for s in members] for members in batch_members]
         # The pool's float64 parameter block is the broadcast path for
         # post-step parameters.  Workers start from the npz bytes
@@ -307,36 +308,62 @@ class DdpGradExecutor:
             self._pool.param_block.ndarray(off, shape, np.float64)
             for off, shape in self._pool.param_layout
         ]
+        try:
+            self._local = LocalGradExecutor(model, lean, tr_weight, lg_weight)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def _procs(self) -> list:
-        """The rank processes, in rank order."""
+        """The worker processes, in rank order."""
         return [handle.proc for handle in self._pool.handles]
 
     # ------------------------------------------------------------------
     def run_group(
         self, items: Sequence[tuple[int, float]]
     ) -> list[BatchGrads]:
-        """Shard one accumulation group's batches over the worker ranks.
+        """Shard one accumulation group's batches over the W + 1 ranks.
 
         ``items`` is the group's ``(batch_index, loss_scale)`` sequence in
-        batch-position order; position ``p`` goes to rank ``p % W``.  The
-        returned list is re-assembled in position order regardless of
-        which worker computed what — the reduction consuming it must not
-        see worker topology.
+        batch-position order; position ``p`` goes to rank ``p % (W + 1)``,
+        where ranks ``0..W-1`` are the workers and rank ``W`` is this
+        coordinator.  The returned list is re-assembled in position order
+        regardless of which rank computed what — the reduction consuming
+        it must not see worker topology.  Any failure stops the pool and
+        raises :class:`DdpError`; the executor is closed afterwards.
         """
         if self._closed:
             raise DdpError("executor is closed")
         self._step_id += 1
-        step_id = self._step_id
+        try:
+            return self._run_step(self._step_id, items)
+        except Exception as exc:
+            self.close()
+            if isinstance(exc, DdpError):
+                raise
+            raise DdpError(
+                f"ddp coordinator failed in step {self._step_id}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    def _publish_params(self) -> None:
+        # Its own frame, so no block view outlives the loop: a failed
+        # step's traceback must not pin the mapping close() releases.
         for view, p in zip(self._param_views, self._params):
             view[...] = p.data
+
+    def _run_step(
+        self, step_id: int, items: Sequence[tuple[int, float]]
+    ) -> list[BatchGrads]:
+        self._publish_params()
         assignments: dict[int, list[tuple[int, int, float]]] = {}
         for position, (batch_index, loss_scale) in enumerate(items):
-            rank = position % self.workers
+            rank = position % (self.workers + 1)
             assignments.setdefault(rank, []).append(
                 (position, batch_index, loss_scale)
             )
+        own = assignments.pop(self.workers, [])
         handles = self._pool.handles
         for rank, assigned in assignments.items():
             try:
@@ -344,6 +371,10 @@ class DdpGradExecutor:
             except OSError as exc:
                 raise DdpError(f"ddp worker {rank} is gone: {exc}") from None
         results: list[BatchGrads | None] = [None] * len(items)
+        # The coordinator's share, while the workers compute theirs.
+        mine = self._local.run_group([(bi, scale) for _, bi, scale in own])
+        for (position, _, _), result in zip(own, mine):
+            results[position] = result
         for rank in assignments:
             try:
                 msg = handles[rank].conn.recv()

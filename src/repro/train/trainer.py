@@ -11,12 +11,14 @@ plan/pack caches.  On top of the paper's schedule the trainer supports
 gradient accumulation, cosine/step LR decay, early stopping on validation
 error, resumable checkpointing, and **deterministic data-parallel
 execution**: with ``train_workers=W`` each gradient-accumulation group is
-sharded over W worker processes (:mod:`repro.runtime.ddp`), and because
-per-batch gradients are all-reduced in a reduction tree pinned to batch
-position — never to worker layout — the final parameters are
-bitwise-identical at any worker count, including the in-process
-sequential path.  An interrupted run resumed from its checkpoint lands on
-bitwise-identical final parameters either way.
+sharded over W worker processes plus the coordinator, which trains its
+own share in-process while the workers train theirs
+(:mod:`repro.runtime.ddp`), and because per-batch gradients are
+all-reduced in a reduction tree pinned to batch position — never to
+worker layout — the final parameters are bitwise-identical at any worker
+count, including the in-process sequential path.  An interrupted run
+resumed from its checkpoint lands on bitwise-identical final parameters
+either way.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.runtime.ddp import (
     LocalGradExecutor,
     reduce_gradients,
 )
-from repro.runtime.trainstep import minibatch_membership, pack_samples
+from repro.runtime.trainstep import minibatch_membership
 from repro.sim.workload import spawn_seeds
 from repro.train.dataset import CircuitSample
 from repro.train.metrics import EvalMetrics, avg_prediction_error
@@ -55,11 +57,13 @@ class TrainConfig:
       group size, so the step descends the group-mean gradient).
     * ``train_workers`` — data-parallel worker processes.  ``0`` (default)
       trains in-process; ``W >= 1`` shards every gradient-accumulation
-      group over W replica processes.  The sharding unit is the group, so
-      parallelism needs ``grad_accum >= train_workers`` to bite (the
-      typical setting is ``grad_accum = train_workers`` or a multiple);
-      either way the parameter trajectory is bitwise-identical to the
-      sequential run with the same config and seed.
+      group over W + 1 ranks: W replica processes, then the coordinator
+      itself (batch position ``p`` goes to rank ``p % (W + 1)``).  The
+      sharding unit is the group, so parallelism needs
+      ``grad_accum >= train_workers + 1`` to use every rank (the typical
+      setting is ``grad_accum = train_workers + 1`` or a multiple); either
+      way the parameter trajectory is bitwise-identical to the sequential
+      run with the same config and seed.
     * ``mp_start_method`` — start method for the worker processes
       (``None`` picks forkserver, else spawn; default fork is never used
       implicitly — see :mod:`repro.runtime.mp`).
@@ -230,13 +234,11 @@ class Trainer:
                 },
             )
 
+        batch_members = [[dataset[i] for i in members] for members in membership]
         if cfg.train_workers > 0:
-            # Workers pack their own batches from the member samples; the
-            # coordinator never runs train_step, so it skips packing (and
-            # the union-plan compiles) entirely.
             executor = DdpGradExecutor(
                 model,
-                [[dataset[i] for i in members] for members in membership],
+                batch_members,
                 workers=cfg.train_workers,
                 tr_weight=cfg.tr_weight,
                 lg_weight=cfg.lg_weight,
@@ -244,12 +246,8 @@ class Trainer:
                 mp_start_method=cfg.mp_start_method,
             )
         else:
-            batches = [
-                pack_samples([dataset[i] for i in members])
-                for members in membership
-            ]
             executor = LocalGradExecutor(
-                model, batches,
+                model, batch_members,
                 tr_weight=cfg.tr_weight, lg_weight=cfg.lg_weight,
             )
 

@@ -6,6 +6,9 @@ W-worker run resumed from its checkpoint matches the uninterrupted run
 bitwise — including resuming on a *different* worker count.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.runtime.ddp import (
 from repro.train.trainer import TrainConfig, Trainer
 
 from tests.conftest import build_dataset_cached
+from tests.runtime.test_workers import live_children, shm_entries
 
 CFG = ModelConfig(hidden=10, iterations=2, seed=0)
 
@@ -245,3 +249,101 @@ class TestExecutorLifecycle:
             Trainer(TrainConfig(train_workers=-1)).train(
                 fresh_model(), dataset
             )
+
+
+class TestCoordinatorRank:
+    """The coordinator is rank W: position ``p`` of a group goes to rank
+    ``p % (W + 1)``, and rank W trains in-process while the workers train
+    their share."""
+
+    @staticmethod
+    def count_train_steps(monkeypatch, before=None):
+        """Wrap the coordinator's ``train_step`` (workers import their own
+        copy); ``before(calls)`` runs ahead of each wrapped call."""
+        import repro.runtime.trainstep as trainstep
+
+        real = trainstep.train_step
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if before is not None:
+                before(len(calls))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainstep, "train_step", counted)
+        return calls
+
+    def test_coordinator_computes_one_of_two(self, dataset, monkeypatch):
+        calls = self.count_train_steps(monkeypatch)
+        ex = DdpGradExecutor(
+            fresh_model(), [[dataset[0]], [dataset[1]]], workers=1, grad_accum=2
+        )
+        try:
+            results = ex.run_group([(0, 0.5), (1, 0.5)])
+        finally:
+            ex.close()
+        assert len(calls) == 1
+        assert len(results) == 2
+        assert all(r.grads for r in results)
+
+    @pytest.mark.parametrize(
+        "workers, grad_accum", [(1, 1), (1, 2), (1, 3), (2, 3)]
+    )
+    def test_every_layout_matches_sequential_bitwise(
+        self, dataset, workers, grad_accum
+    ):
+        # (1,1): the worker alone; (1,2)/(2,3): workers then coordinator;
+        # (1,3): the positions wrap back to the worker after rank W.
+        sequential, seq_hist = TestDdpDifferential.run(
+            dataset, 0, grad_accum=grad_accum
+        )
+        sharded, ddp_hist = TestDdpDifferential.run(
+            dataset, workers, grad_accum=grad_accum
+        )
+        assert_states_equal(sequential, sharded, f"W={workers},accum={grad_accum}")
+        assert [(h.loss, h.loss_tr, h.loss_lg) for h in seq_hist] == [
+            (h.loss, h.loss_tr, h.loss_lg) for h in ddp_hist
+        ]
+
+    def test_coordinator_failure_stops_the_pool(self, dataset, monkeypatch):
+        def boom(_):
+            raise RuntimeError("coordinator share failed")
+
+        self.count_train_steps(monkeypatch, before=boom)
+        before = shm_entries()
+        ex = DdpGradExecutor(
+            fresh_model(), [[dataset[0]], [dataset[1]]], workers=1, grad_accum=2
+        )
+        try:
+            # Position 0 is in flight on the worker when position 1 raises.
+            with pytest.raises(DdpError, match="coordinator") as err:
+                ex.run_group([(0, 0.5), (1, 0.5)])
+            assert isinstance(err.value.__cause__, RuntimeError)
+            with pytest.raises(DdpError, match="executor is closed"):
+                ex.run_group([(0, 1.0)])
+            assert not live_children("train-ddp-worker")
+            assert shm_entries() == before
+        finally:
+            ex.close()
+
+    def test_worker_killed_during_coordinator_share(self, dataset, monkeypatch):
+        def kill_worker(_):
+            for proc in live_children("train-ddp-worker"):
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=10.0)
+
+        self.count_train_steps(monkeypatch, before=kill_worker)
+        before = shm_entries()
+        model = fresh_model()
+        initial = state_of(model)
+        cfg = TrainConfig(
+            epochs=1, lr=5e-3, batch_size=1, grad_accum=2, seed=3,
+            train_workers=1,
+        )
+        with pytest.raises(DdpError, match="died"):
+            Trainer(cfg).train(model, dataset)
+        # The failed group is the run's first: no update was applied.
+        assert_states_equal(initial, state_of(model), "after worker death")
+        assert not live_children("train-ddp-worker")
+        assert shm_entries() == before
