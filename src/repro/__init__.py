@@ -7,7 +7,7 @@ Reproduces Khan, Shi, Li & Xu, *DeepSeq: Deep Sequential Circuit Learning*
   levelized circuit graphs, synthetic benchmark suites;
 * :mod:`repro.sim` — bit-parallel sequential logic simulation, workloads,
   fault injection, SAIF;
-* :mod:`repro.nn` — reverse-mode autograd tensors, layers, optimizers;
+* :mod:`repro.nn` — parameters, layers as forward/backward kernel pairs, optimizers;
 * :mod:`repro.models` — DeepSeq, DAG-ConvGNN/DAG-RecGNN baselines,
   Grannite;
 * :mod:`repro.runtime` — batched inference runtime: compiled graph plans,

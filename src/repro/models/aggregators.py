@@ -39,7 +39,7 @@ import numpy as np
 from repro.circuit.graph import EdgeBatch
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, rowstable_matmul
+from repro.nn.tensor import rowstable_matmul
 
 __all__ = [
     "Aggregator",
@@ -58,7 +58,7 @@ class Aggregator(Module):
     ``kernel_backward(ctx, g, acc) -> (d_src, d_prev)``, adding parameter
     gradients into ``acc`` (one array per :meth:`parameters` entry);
     ``d_prev`` is ``None`` when the message ignores the previous state.
-    :meth:`forward` runs the same pair as one graph node.  Every step is
+    Calling the module returns the message alone.  Every step is
     per-row or per-segment (einsum scores, ``reduceat`` reductions over
     the batch's sorted segment layout), so packed multi-circuit sweeps
     reproduce sequential results bitwise.
@@ -74,9 +74,6 @@ class Aggregator(Module):
     @property
     def out_features(self) -> int:
         return self.hidden * self.out_multiplier
-
-    def forward(self, h_src: Tensor, h_prev: Tensor, batch: EdgeBatch) -> Tensor:
-        return self.apply_kernel((h_src, h_prev), batch)
 
 
 def _layout(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray]:

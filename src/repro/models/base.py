@@ -27,7 +27,6 @@ from repro.lru import FingerprintLRU
 from repro.nn.layers import MLP
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor
 from repro.models.aggregators import Aggregator, make_aggregator
 from repro.runtime.plan import GraphPlan, baseline_batches, plan_for
 from repro.sim.workload import Workload
@@ -40,6 +39,7 @@ __all__ = [
     "RowCopy",
     "baseline_batches",
     "propagate",
+    "propagate_backward",
 ]
 
 
@@ -108,12 +108,14 @@ class RowCopy:
 
 
 def propagate(
-    h0: Tensor, steps: Sequence[LevelPass | RowCopy], iterations: int = 1
-) -> Tensor:
-    """Run ``steps`` ``iterations`` times on one ``(N, d)`` state buffer.
+    state: np.ndarray,
+    steps: Sequence[LevelPass | RowCopy],
+    iterations: int = 1,
+    log: list | None = None,
+) -> np.ndarray:
+    """Run ``steps`` ``iterations`` times on the ``(N, d)`` buffer ``state``,
+    in place; returns ``state``.
 
-    Every level writes its rows into one buffer ``H`` — ``h0``'s own array,
-    or a copy of it when ``h0`` is itself on a tape — in both grad modes.
     Each level calls its cells' array kernels and nothing else:
     ``agg.kernel_forward(H[src], H[nodes], batch)`` for the message and
     ``gru.kernel_forward(msg || feature rows, H[nodes])`` for the new rows.
@@ -121,64 +123,14 @@ def propagate(
     :meth:`GraphPlan.schedule`), so when a level runs its nodes still hold
     their pass-start rows and no snapshot of the pass start is needed.
 
-    The whole propagation is one tape node, created before the sweep; when
-    it is tracked (grad mode, :meth:`Tensor._make`) each level logs its two
-    kernel contexts.  The backward walks that log in reverse on one
-    ``(N, d)`` gradient buffer ``G``: take and clear ``G[nodes]``, run the
-    GRU's and the aggregator's ``kernel_backward``, scatter-add the
-    source-row gradients into ``G[src]`` and add the previous-row gradients
-    into ``G[nodes]``.  Parameter gradients add into one accumulator per
-    parameter of each :class:`LevelPass` and are pushed once at the end;
-    the final ``G`` goes to ``h0`` when it requires grad.  What the log
-    keeps is O(sum of (E + m) * d) values per pass, never a copy of the
-    state per level.
+    With a ``log`` (training), each level appends its two kernel contexts
+    and each DFF copy its :class:`RowCopy`, for :func:`propagate_backward`.
+    What the log keeps is O(sum of (E + m) * d) values per pass, never a
+    copy of the state per level.  Inference passes no log and keeps
+    nothing.
     """
-    params = [
-        p
-        for step in steps
-        if isinstance(step, LevelPass)
-        for p in (*step.agg.parameters(), *step.gru.parameters())
-    ]
-    state = h0.data.copy() if h0.requires_grad else h0.data
-
-    def backward(g: np.ndarray) -> None:
-        grad = g.copy()
-        accs: dict = {}  # LevelPass index -> (aggregator, GRU) accumulators
-        while log:
-            entry = log.pop()
-            if isinstance(entry, RowCopy):
-                rows = grad[entry.dst]
-                grad[entry.dst] = 0.0
-                np.add.at(grad, entry.src, rows)
-                continue
-            k, batch, agg_ctx, gru_ctx = entry
-            agg, gru = steps[k].agg, steps[k].gru
-            if k not in accs:
-                accs[k] = tuple(
-                    [np.zeros_like(p.data) for p in cell.parameters()]
-                    for cell in (agg, gru)
-                )
-            agg_acc, gru_acc = accs[k]
-            rows = grad[batch.nodes]
-            grad[batch.nodes] = 0.0
-            d_x, d_prev = gru.kernel_backward(gru_ctx, rows, gru_acc)
-            d_src, d_agg_prev = agg.kernel_backward(
-                agg_ctx, d_x[:, : agg.out_features], agg_acc
-            )
-            np.add.at(grad, batch.src, d_src)
-            if d_agg_prev is not None:
-                d_prev += d_agg_prev
-            grad[batch.nodes] += d_prev
-        for k, acc in accs.items():
-            for cell, cell_acc in zip((steps[k].agg, steps[k].gru), acc):
-                for p, p_grad in zip(cell.parameters(), cell_acc):
-                    out._push(p, p_grad)
-        out._push(h0, grad)
-
-    out = Tensor._make(state, (h0, *params), backward)
-    log: list | None = [] if out.requires_grad else None
     for _ in range(iterations):
-        for k, step in enumerate(steps):
+        for step in steps:
             if isinstance(step, RowCopy):
                 state[step.dst] = state[step.src]
                 if log is not None:
@@ -195,8 +147,47 @@ def propagate(
                 )
                 state[batch.nodes] = rows
                 if log is not None:
-                    log.append((k, batch, agg_ctx, gru_ctx))
-    return out
+                    log.append((agg, gru, batch, agg_ctx, gru_ctx))
+    return state
+
+
+def propagate_backward(log: list, grad: np.ndarray) -> np.ndarray:
+    """Backward of :func:`propagate` for the gradient ``grad`` of its final
+    state; returns the gradient of the initial state (``grad``'s buffer).
+
+    Pops ``log`` to empty, so each level's saved arrays are freed as soon
+    as its backward has run.  Per level: take and clear ``G[nodes]``, run
+    the GRU's and the aggregator's ``kernel_backward``, scatter-add the
+    source-row gradients into ``G[src]`` and add the previous-row gradients
+    into ``G[nodes]``.  Parameter gradients add into one accumulator per
+    cell and reach ``p.grad`` once at the end; a cell no level ran leaves
+    its ``p.grad`` untouched.
+    """
+    accs: dict[Module, list[np.ndarray]] = {}
+    while log:
+        entry = log.pop()
+        if isinstance(entry, RowCopy):
+            rows = grad[entry.dst]
+            grad[entry.dst] = 0.0
+            np.add.at(grad, entry.src, rows)
+            continue
+        agg, gru, batch, agg_ctx, gru_ctx = entry
+        for cell in (agg, gru):
+            if cell not in accs:
+                accs[cell] = cell.grad_buffers()
+        rows = grad[batch.nodes]
+        grad[batch.nodes] = 0.0
+        d_x, d_prev = gru.kernel_backward(gru_ctx, rows, accs[gru])
+        d_src, d_agg_prev = agg.kernel_backward(
+            agg_ctx, d_x[:, : agg.out_features], accs[agg]
+        )
+        np.add.at(grad, batch.src, d_src)
+        if d_agg_prev is not None:
+            d_prev += d_agg_prev
+        grad[batch.nodes] += d_prev
+    for cell, acc in accs.items():
+        cell.accumulate_grads(acc)
+    return grad
 
 
 class RecurrentDagGnn(Module):
@@ -254,7 +245,7 @@ class RecurrentDagGnn(Module):
         """
         return plan_for(graph).schedule(custom=self.use_custom_batches)
 
-    def initial_hidden(self, graph: CircuitGraph, workload: Workload) -> Tensor:
+    def initial_hidden(self, graph: CircuitGraph, workload: Workload) -> np.ndarray:
         """Paper init: PI rows = workload prob broadcast; rest random.
 
         The random part is drawn from a *fixed* seed (mixed with the graph
@@ -264,7 +255,7 @@ class RecurrentDagGnn(Module):
         """
         h0 = np.empty((graph.num_nodes, self.config.hidden))
         self.initial_hidden_into(graph, workload, h0)
-        return Tensor(h0)
+        return h0
 
     def initial_hidden_into(
         self, graph: CircuitGraph, workload: Workload, out: np.ndarray
@@ -290,8 +281,9 @@ class RecurrentDagGnn(Module):
         workload: Workload | None = None,
         *,
         plan: GraphPlan | None = None,
-        h0: Tensor | None = None,
-    ) -> Tensor:
+        h0: np.ndarray | None = None,
+        log: list | None = None,
+    ) -> np.ndarray:
         """Run the full T-iteration propagation; returns final (N, d) states.
 
         Args:
@@ -302,25 +294,25 @@ class RecurrentDagGnn(Module):
                 the concatenation of per-member initial states here, and
                 the sweep runs in ``h0``'s dtype (features follow).  Its
                 buffer becomes the sweep's state and is overwritten in
-                place unless ``h0`` requires grad (:func:`propagate`).
+                place.
+            log: training only — the list :func:`propagate` appends its
+                level contexts to.
         """
         if plan is None:
             plan = plan_for(graph)
         if h0 is None:
             if workload is None:
                 raise ValueError("embed needs a workload when h0 is not given")
-            h = self.initial_hidden(graph, workload)
-        else:
-            h = h0 if isinstance(h0, Tensor) else Tensor(h0)
+            h0 = self.initial_hidden(graph, workload)
         fwd_batches, rev_batches = plan.schedule(custom=self.use_custom_batches)
-        fwd_rows, rev_rows = plan.feature_rows(self.use_custom_batches, h.data.dtype)
+        fwd_rows, rev_rows = plan.feature_rows(self.use_custom_batches, h0.dtype)
         steps: list[LevelPass | RowCopy] = [
             LevelPass(fwd_batches, fwd_rows, self.forward_agg, self.forward_gru),
             LevelPass(rev_batches, rev_rows, self.reverse_agg, self.reverse_gru),
         ]
         if self.dff_copy_step and graph.dff_ids.size:
             steps.append(RowCopy(graph.dff_ids, graph.dff_src))
-        return propagate(h, steps, self.config.iterations)
+        return propagate(h0, steps, self.config.iterations, log)
 
     def forward(
         self,
@@ -328,11 +320,30 @@ class RecurrentDagGnn(Module):
         workload: Workload | None = None,
         *,
         plan: GraphPlan | None = None,
-        h0: Tensor | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Differentiable forward: returns (pred_tr (N,2), pred_lg (N,1))."""
-        h = self.embed(graph, workload, plan=plan, h0=h0)
-        return self.head_tr(h), self.head_lg(h)
+        h0: np.ndarray | None = None,
+        log: list | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (pred_tr (N,2), pred_lg (N,1)); arguments as :meth:`embed`.
+
+        Training and inference run the same kernels; with a ``log`` the
+        sweep's and the heads' contexts are kept for :meth:`backward`.
+        """
+        h = self.embed(graph, workload, plan=plan, h0=h0, log=log)
+        if log is None:
+            return self.head_tr(h), self.head_lg(h)
+        pred_tr, tr_ctx = self.head_tr.kernel_forward(h)
+        pred_lg, lg_ctx = self.head_lg.kernel_forward(h)
+        log.append((tr_ctx, lg_ctx))
+        return pred_tr, pred_lg
+
+    def backward(self, log: list, d_tr: np.ndarray, d_lg: np.ndarray) -> None:
+        """Backward of :meth:`forward` for the prediction gradients: adds
+        every parameter gradient into ``p.grad`` and pops ``log`` to empty."""
+        tr_ctx, lg_ctx = log.pop()
+        d_h = self.head_tr.backward_to_grads(tr_ctx, d_tr)
+        d_h += self.head_lg.backward_to_grads(lg_ctx, d_lg)
+        del tr_ctx, lg_ctx  # freed before the sweep's backward runs
+        propagate_backward(log, d_h)
 
     def predict(
         self,
@@ -342,7 +353,7 @@ class RecurrentDagGnn(Module):
         plan: GraphPlan | None = None,
         dtype=None,
     ) -> Prediction:
-        """Inference helper (no autograd, in-place propagation).
+        """Inference helper (no context log, in-place propagation).
 
         Every dtype goes through :func:`repro.runtime.predictor.predict_one`
         — one code path, serialized per model against concurrent runtime
@@ -366,10 +377,7 @@ class RecurrentDagGnn(Module):
         retrieval use-cases (see ``examples/family_classification.py``).
         ``mode``: ``mean`` | ``max`` | ``meanmax`` (concatenation).
         """
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            h = self.embed(graph, workload).data
+        h = self.embed(graph, workload)
         if mode == "mean":
             return h.mean(axis=0)
         if mode == "max":

@@ -27,11 +27,17 @@ import numpy as np
 from repro.circuit.gates import ONE_HOT_DIM, AIG_TYPES, GateType, gate_truth_table
 from repro.circuit.graph import CircuitGraph
 from repro.models.aggregators import Aggregator, make_aggregator
-from repro.models.base import LevelPass, ModelConfig, Prediction, propagate
+from repro.models.base import (
+    LevelPass,
+    ModelConfig,
+    Prediction,
+    _h0_base,
+    propagate,
+    propagate_backward,
+)
 from repro.nn.layers import MLP, Linear
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.plan import plan_for
 
 __all__ = ["SourceActivity", "Grannite"]
@@ -97,55 +103,67 @@ class Grannite(Module):
             d, self.config.mlp_hidden, 2, num_layers=self.config.mlp_layers,
             sigmoid_out=True, seed=seed + 3,
         )
-        self._tt_cache = {
-            t: _tt_prob1(t) for t in AIG_TYPES
-        }
+        # Truth-table feature per type index (``graph.type_index``).
+        self._tt = np.array([_tt_prob1(t) for t in AIG_TYPES])
 
     # ------------------------------------------------------------------
     def node_features(self, graph: CircuitGraph) -> np.ndarray:
         """One-hot gate type plus the truth-table output-1 probability."""
-        tt = np.array(
-            [self._tt_cache[AIG_TYPES[t]] for t in graph.type_index],
-            dtype=np.float64,
-        )
+        tt = self._tt[graph.type_index]
         return np.concatenate([graph.features, tt[:, None]], axis=1)
 
     def initial_hidden(
-        self, graph: CircuitGraph, sources: SourceActivity
-    ) -> Tensor:
-        d = self.config.hidden
-        rng = np.random.default_rng(0xD5EC + graph.num_nodes)
-        h0 = Tensor(
-            rng.uniform(-1.0, 1.0, size=(graph.num_nodes, d)) / np.sqrt(d)
-        )
-        src_embed = self.source_proj(Tensor(sources.stacked()))
-        # Source rows are inputs, not predictions: fixed during propagation.
-        return h0.row_update(sources.source_ids, src_embed)
+        self,
+        graph: CircuitGraph,
+        sources: SourceActivity,
+        log: list | None = None,
+    ) -> np.ndarray:
+        """The shared random base with the source rows replaced by the
+        projected source activity (fixed during propagation)."""
+        h0 = _h0_base(graph.num_nodes, self.config.hidden).copy()
+        src_embed, ctx = self.source_proj.kernel_forward(sources.stacked())
+        h0[sources.source_ids] = src_embed
+        if log is not None:
+            log.append((sources.source_ids, ctx))
+        return h0
 
     def forward(
-        self, graph: CircuitGraph, sources: SourceActivity
-    ) -> Tensor:
+        self, graph: CircuitGraph, sources: SourceActivity, log: list | None = None
+    ) -> np.ndarray:
         """Predict (N, 2) transition probabilities for combinational gates.
 
         Rows of PIs/DFFs are whatever the head emits for their (fixed)
         embeddings and are *not used*; :meth:`predict_full` overwrites them
         with the simulated source activity as the Grannite flow prescribes.
+        With a ``log``, keeps the contexts :meth:`backward` needs.
         """
         batches, _ = plan_for(graph).schedule(custom=True)
         features = self.node_features(graph)
         rows = [features[b.nodes] for b in batches]
         h = propagate(
-            self.initial_hidden(graph, sources),
+            self.initial_hidden(graph, sources, log),
             [LevelPass(batches, rows, self.agg, self.gru)],
+            log=log,
         )
-        return self.head_tr(h)
+        if log is None:
+            return self.head_tr(h)
+        pred, head_ctx = self.head_tr.kernel_forward(h)
+        log.append(head_ctx)
+        return pred
+
+    def backward(self, log: list, d_tr: np.ndarray) -> None:
+        """Backward of :meth:`forward`: adds every parameter gradient into
+        ``p.grad`` and pops ``log`` to empty."""
+        d_h = self.head_tr.backward_to_grads(log.pop(), d_tr)
+        source_ids, proj_ctx = log.pop(0)
+        d_h0 = propagate_backward(log, d_h)
+        self.source_proj.backward_to_grads(proj_ctx, d_h0[source_ids])
 
     def predict_full(
         self, graph: CircuitGraph, sources: SourceActivity
     ) -> Prediction:
         """Complete netlist activity: predicted comb gates + given sources."""
-        with no_grad():
-            pred_tr = self.forward(graph, sources).data.copy()
+        pred_tr = self.forward(graph, sources)
         pred_tr[sources.source_ids, 0] = sources.tr01
         pred_tr[sources.source_ids, 1] = sources.tr10
         lg = np.full(graph.num_nodes, 0.5)

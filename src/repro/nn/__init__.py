@@ -1,15 +1,15 @@
-"""Neural-network substrate: autograd tensors, layers, optimizers."""
+"""Neural-network substrate: parameters, layers, optimizers, checkpoints.
 
-from repro.nn.functional import (
-    clip01,
-    l1_loss,
-    mse_loss,
-    segment_mean,
-    segment_softmax,
-    softmax,
-)
+Every layer and model cell is a kernel pair on raw numpy arrays:
+``kernel_forward(...) -> (out, ctx)`` and ``kernel_backward(ctx, g, acc)``,
+which returns the input gradients and adds the parameter gradients into
+``acc``.  Training runs the forward kernels, the closed-form loss gradient
+(:func:`l1_loss_grad`) and the backward kernels in order; inference runs
+the same forward kernels and keeps no contexts.
+"""
+
 from repro.nn.init import orthogonal, uniform, xavier_uniform
-from repro.nn.layers import MLP, Linear, ReLU, Sequential, Sigmoid
+from repro.nn.layers import MLP, Linear, ReLU, Sequential, Sigmoid, l1_loss_grad
 from repro.nn.module import (
     Module,
     Parameter,
@@ -39,22 +39,8 @@ from repro.nn.serialize import (
     save_module,
     save_state,
 )
-from repro.nn.tensor import (
-    Tensor,
-    default_dtype,
-    get_default_dtype,
-    is_grad_enabled,
-    no_grad,
-    set_default_dtype,
-)
 
 __all__ = [
-    "clip01",
-    "l1_loss",
-    "mse_loss",
-    "segment_mean",
-    "segment_softmax",
-    "softmax",
     "orthogonal",
     "uniform",
     "xavier_uniform",
@@ -63,6 +49,7 @@ __all__ = [
     "ReLU",
     "Sequential",
     "Sigmoid",
+    "l1_loss_grad",
     "Module",
     "Parameter",
     "bump_parameter_version",
@@ -86,10 +73,4 @@ __all__ = [
     "save_checkpoint",
     "save_module",
     "save_state",
-    "Tensor",
-    "default_dtype",
-    "get_default_dtype",
-    "is_grad_enabled",
-    "no_grad",
-    "set_default_dtype",
 ]

@@ -1,11 +1,15 @@
-"""Feed-forward layers: Linear, Sequential, ReLU and the 3-layer MLP heads.
+"""Feed-forward layers: Linear, Sequential, ReLU and the 3-layer MLP heads,
+plus the closed-form L1 loss gradient that trains them.
 
 The paper's regressor is "2 independent sets of 3-MLPs" with ReLU between
 layers (Section IV-A3); :class:`MLP` reproduces that shape.
 
-No layer here branches on dtype or grad mode: inference runs the same
-operators under ``no_grad`` (:meth:`Tensor._make` skips the tape), and
-float32 differs only by the parameter arrays the runtime swaps in.
+Every layer is a kernel pair on raw arrays, like the GNN cells:
+``kernel_forward(x) -> (y, ctx)`` and ``kernel_backward(ctx, g, acc) ->
+dx``, which adds the parameter gradients into ``acc`` (one array per
+:meth:`~repro.nn.module.Module.parameters` entry).  Inference calls the
+same forward kernels and drops the contexts, and no layer branches on
+dtype: float32 differs only by the parameter arrays the runtime swaps in.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import numpy as np
 
 from repro.nn.init import xavier_uniform
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import rowstable_matmul
 
-__all__ = ["Linear", "ReLU", "Sigmoid", "Sequential", "MLP"]
+__all__ = ["Linear", "ReLU", "Sigmoid", "Sequential", "MLP", "l1_loss_grad"]
 
 
 class Linear(Module):
@@ -39,28 +43,52 @@ class Linear(Module):
         self.weight = Parameter(xavier_uniform(rng, (out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
+    def kernel_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        # The transpose is a contiguous copy: a transposed-view right
+        # operand makes BLAS pick batch-height-dependent kernels, which
+        # would break the packed-equals-sequential guarantee.
+        wt = np.ascontiguousarray(self.weight.data.T)
+        y = rowstable_matmul(x, wt)
         if self.bias is not None:
-            out = out + self.bias
-        return out
+            y += self.bias.data
+        return y, (x, wt)
+
+    def kernel_backward(
+        self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
+    ) -> np.ndarray:
+        x, wt = ctx
+        acc[0] += (x.T @ g).T
+        if self.bias is not None:
+            acc[1] += g.sum(axis=0)
+        return g @ wt.T
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    def kernel_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Bitwise np.where(x > 0, x, 0.0) for every input (fmax drops NaN
+        # to 0.0, the += turns -0.0 into +0.0) at a fraction of its cost.
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        return y, y
+
+    def kernel_backward(self, y: np.ndarray, g: np.ndarray, acc) -> np.ndarray:
+        return g * (y > 0)
 
 
 class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
+    def kernel_forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = 1.0 / (1.0 + np.exp(-x))
+        return y, y
+
+    def kernel_backward(self, y: np.ndarray, g: np.ndarray, acc) -> np.ndarray:
+        return g * y * (1.0 - y)
 
 
 class Sequential(Module):
-    """Apply child modules in order."""
+    """Apply child modules in order; ``acc`` splits by child."""
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -68,10 +96,29 @@ class Sequential(Module):
         for i, layer in enumerate(layers):
             setattr(self, f"layer{i}", layer)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        # Inference: each child's context is dropped as soon as it returns,
+        # so no intermediate activation outlives the next layer.
         for layer in self.layers:
             x = layer(x)
         return x
+
+    def kernel_forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        ctxs = []
+        for layer in self.layers:
+            x, ctx = layer.kernel_forward(x)
+            ctxs.append(ctx)
+        return x, ctxs
+
+    def kernel_backward(
+        self, ctx: list, g: np.ndarray, acc: list[np.ndarray]
+    ) -> np.ndarray:
+        end = len(acc)
+        for layer, layer_ctx in zip(reversed(self.layers), reversed(ctx)):
+            start = end - len(layer.parameters())
+            g = layer.kernel_backward(layer_ctx, g, acc[start:end])
+            end = start
+        return g
 
 
 class MLP(Module):
@@ -110,5 +157,26 @@ class MLP(Module):
             layers.append(Sigmoid())
         self.net = Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
+
+    def kernel_forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        return self.net.kernel_forward(x)
+
+    def kernel_backward(
+        self, ctx: list, g: np.ndarray, acc: list[np.ndarray]
+    ) -> np.ndarray:
+        return self.net.kernel_backward(ctx, g, acc)
+
+
+def l1_loss_grad(
+    pred: np.ndarray, target: np.ndarray, scale: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """The mean absolute error (the summands of the paper's Eq. 3) and the
+    gradient of ``scale`` times it with respect to ``pred``:
+    ``scale / n * sign(pred - target)``, with ``n = pred.size``."""
+    diff = pred - target
+    inv_n = 1.0 / diff.size
+    grad = np.sign(diff)
+    grad *= scale * inv_n
+    return float(np.abs(diff).sum() * inv_n), grad

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
-
-from repro.nn.tensor import Tensor
 
 __all__ = ["Parameter", "Module", "bump_parameter_version", "parameter_version"]
 
@@ -30,11 +28,38 @@ def parameter_version() -> int:
     return _PARAM_VERSION[0]
 
 
-class Parameter(Tensor):
-    """A tensor registered as a trainable leaf."""
+class Parameter:
+    """A trainable array and its gradient.
+
+    ``data`` is float32 or float64 (anything else becomes float64).
+    ``grad`` is ``None`` until a backward adds into it through
+    :meth:`accumulate`; the optimizers skip a parameter whose ``grad`` is
+    still ``None``.
+    """
+
+    __slots__ = ("data", "grad")
 
     def __init__(self, data) -> None:
-        super().__init__(data, requires_grad=True)
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
+        self.data = arr
+        self.grad: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad``: into a fresh array when ``grad`` is ``None`` (the
+        caller may keep it past the next step), in place otherwise."""
+        if self.grad is None:
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
 
 class Module:
@@ -99,32 +124,30 @@ class Module:
         bump_parameter_version()
 
     # ------------------------------------------------------------------
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
+    def forward(self, *args):
+        """The output of the module's forward kernel, ``kernel_forward``,
+        without its backward context."""
+        if not hasattr(self, "kernel_forward"):
+            raise NotImplementedError
+        return self.kernel_forward(*args)[0]
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def apply_kernel(self, inputs: tuple[Tensor, ...], *args) -> Tensor:
-        """Run this module's array kernel pair as one graph node.
+    def grad_buffers(self) -> list[np.ndarray]:
+        """One zero array per :meth:`parameters` entry: the ``acc`` a
+        ``kernel_backward`` adds its parameter gradients into."""
+        return [np.zeros_like(p.data) for p in self.parameters()]
 
-        For cells with ``kernel_forward(*arrays, *args) -> (out, ctx)`` and
-        ``kernel_backward(ctx, g, acc) -> input gradients`` (``None`` for an
-        input the output does not depend on), where ``acc`` holds one
-        accumulator per :meth:`parameters` entry.  The Tensor-level
-        ``forward`` of such a cell is this call; the GNN sweep calls the
-        kernels directly.
-        """
-        out_data, ctx = self.kernel_forward(*(t.data for t in inputs), *args)
-        params = self.parameters()
+    def accumulate_grads(self, acc: Sequence[np.ndarray]) -> None:
+        """Add ``acc`` (aligned with :meth:`parameters`) into ``p.grad``."""
+        for p, grad in zip(self.parameters(), acc):
+            p.accumulate(grad)
 
-        def backward(g: np.ndarray) -> None:
-            acc = [np.zeros_like(p.data) for p in params]
-            for t, grad in zip(inputs, self.kernel_backward(ctx, g, acc)):
-                if grad is not None:
-                    out._push(t, grad)
-            for p, grad in zip(params, acc):
-                out._push(p, grad)
-
-        out = Tensor._make(out_data, (*inputs, *params), backward)
-        return out
+    def backward_to_grads(self, ctx, g: np.ndarray):
+        """``kernel_backward`` for one call: returns the input gradients and
+        adds the parameter gradients into ``p.grad``."""
+        acc = self.grad_buffers()
+        d_in = self.kernel_backward(ctx, g, acc)
+        self.accumulate_grads(acc)
+        return d_in

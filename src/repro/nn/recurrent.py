@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.init import orthogonal, xavier_uniform
 from repro.nn.module import Module, Parameter, parameter_version
-from repro.nn.tensor import Tensor, rowstable_matmul
+from repro.nn.tensor import rowstable_matmul
 
 __all__ = ["GRUCell"]
 
@@ -42,23 +42,16 @@ class GRUCell(Module):
         self.b_hh = Parameter(np.zeros(3 * hidden_size))
         self._t_cache: tuple | None = None
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        """One step: ``x`` is (B, input_size), ``h`` is (B, hidden_size).
-
-        One graph node over :meth:`kernel_forward` / :meth:`kernel_backward`
-        (:meth:`Module.apply_kernel`); under ``no_grad`` the tape is
-        dropped, so inference runs the same arithmetic.
-        """
-        return self.apply_kernel((x, h))
-
     def kernel_forward(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The cell on raw arrays: ``(h', ctx)`` for ``kernel_backward``.
+        """One step on raw arrays, ``x`` (B, input_size) and ``h``
+        (B, hidden_size): ``(h', ctx)`` for ``kernel_backward``.
 
-        The only executed arithmetic, for every dtype and both grad modes;
-        it replays the GRU composed from autograd operators (same kernels,
-        same operation order, so the values are bitwise equal; the tests
-        hold that composition as the oracle).  Buffer discipline is
-        part of the contract (large float32 packs are memory-bound): two
+        The only executed arithmetic, for every dtype, in training and
+        inference; it replays the GRU composed from autograd operators
+        (same kernels, same operation order, so the values are bitwise
+        equal; the tests hold that composition as the oracle).  Buffer
+        discipline is part of the contract (large float32 packs are
+        memory-bound): two
         gemms, biases added in place, both sigmoids on one ``(B, 2*hs)``
         buffer, the candidate built in place; ``ctx`` keeps ``x``, ``h``,
         the gate buffer, ``n`` and ``h_n`` for the backward.
@@ -108,13 +101,12 @@ class GRUCell(Module):
     def _transposed_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(w_ih.T, w_hh.T)`` as the right operands of the two gemms.
 
-        BLAS picks M-dependent kernels for a transposed-view right operand
-        (see :attr:`Tensor.T`), which would break the runtime's bitwise
-        packed-equals-sequential guarantee — so the transposes are
-        contiguous copies in both grad modes, cached until the parameter
-        arrays are swapped (the runtime's dtype shadow replaces ``data``
-        wholesale) or mutated in place (optimizer steps bump the global
-        parameter version).
+        BLAS picks M-dependent kernels for a transposed-view right operand,
+        which would break the runtime's bitwise packed-equals-sequential
+        guarantee — so the transposes are contiguous copies, cached until
+        the parameter arrays are swapped (the runtime's dtype shadow
+        replaces ``data`` wholesale) or mutated in place (optimizer steps
+        bump the global parameter version).
         """
         wi, wh = self.w_ih.data, self.w_hh.data
         version = parameter_version()

@@ -3,7 +3,7 @@
 Three layers, lowest first:
 
 * :class:`ParameterShadow` — cached dtype casts of a module's parameters,
-  swapped in around no-grad forward passes.  This is how the float32 fast
+  swapped in around inference forward passes.  This is how the float32 fast
   path avoids touching the float64 master weights that training and
   gradient checking rely on.
 * :func:`predict_one` / :func:`predict_packed` — functional entry points
@@ -40,7 +40,6 @@ from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
 from repro.models.base import Prediction, RecurrentDagGnn
 from repro.nn.module import Module, parameter_version
-from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.pack import PackedPlan, pack_graphs
 from repro.runtime.plan import GraphPlan, plan_for
 
@@ -157,13 +156,13 @@ def predict_one(
     """Inference on one circuit at ``dtype`` through the compiled plan."""
     graph, plan = _resolve(circuit, plan)
     dt = np.dtype(dtype)
-    with _model_lock(model), no_grad():
+    with _model_lock(model):
         h0 = model.initial_hidden(graph, workload)
-        if h0.data.dtype != dt:
-            h0 = Tensor(h0.data.astype(dt))
+        if h0.dtype != dt:
+            h0 = h0.astype(dt)
         with _shadow_context(model, dt):
             pred_tr, pred_lg = model.forward(graph, plan=plan, h0=h0)
-    return Prediction(tr=pred_tr.data.copy(), lg=pred_lg.data[:, 0].copy())
+    return Prediction(tr=pred_tr, lg=pred_lg[:, 0].copy())
 
 
 def predict_packed(
@@ -189,19 +188,19 @@ def predict_packed(
             f"packed plan holds {packed.num_members} members, got {len(graphs)} circuits"
         )
     dt = np.dtype(dtype)
-    with _model_lock(model), no_grad():
+    with _model_lock(model):
         h0 = np.empty((packed.num_nodes, model.config.hidden), dtype=dt)
         for member, (g, wl) in enumerate(zip(graphs, workloads)):
             model.initial_hidden_into(g, wl, h0[packed.member_slice(member)])
         with _shadow_context(model, dt):
             pred_tr, pred_lg = model.forward(
-                packed.plan.graph, plan=packed.plan, h0=Tensor(h0)
+                packed.plan.graph, plan=packed.plan, h0=h0
             )
     out: list[Prediction] = []
     for member in range(packed.num_members):
         sl = packed.member_slice(member)
         out.append(
-            Prediction(tr=pred_tr.data[sl].copy(), lg=pred_lg.data[sl, 0].copy())
+            Prediction(tr=pred_tr[sl].copy(), lg=pred_lg[sl, 0].copy())
         )
     return out
 

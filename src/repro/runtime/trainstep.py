@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.models.base import RecurrentDagGnn
-from repro.nn.functional import l1_loss
+from repro.nn.layers import l1_loss_grad
 from repro.runtime.pack import pack_graphs
 from repro.runtime.plan import GraphPlan
 from repro.sim.workload import Workload
@@ -174,27 +174,25 @@ def train_step(
     (not the reported losses); accumulation over a group of G batches
     passes ``1/G`` so the accumulated gradient is the group mean.
     """
+    log: list = []
     pred_tr, pred_lg = model.forward(
-        batch.graph, batch.workload, plan=batch.plan
+        batch.graph, batch.workload, plan=batch.plan, log=log
     )
-    loss_tr = l1_loss(pred_tr, batch.target_tr)
-    loss_lg = l1_loss(pred_lg, batch.target_lg[:, None])
-    loss = tr_weight * loss_tr + lg_weight * loss_lg
-    if loss_scale == 1.0:
-        loss.backward()
-    else:
-        loss.backward(np.asarray(loss_scale, dtype=loss.data.dtype))
+    loss_tr, d_tr = l1_loss_grad(pred_tr, batch.target_tr, loss_scale * tr_weight)
+    loss_lg, d_lg = l1_loss_grad(
+        pred_lg, batch.target_lg[:, None], loss_scale * lg_weight
+    )
+    model.backward(log, d_tr, d_lg)
     member_tr = np.empty(batch.num_members)
     member_lg = np.empty(batch.num_members)
-    tr_data, lg_data = pred_tr.data, pred_lg.data[:, 0]
     for k in range(batch.num_members):
         sl = batch.member_slice(k)
-        member_tr[k] = np.abs(tr_data[sl] - batch.target_tr[sl]).mean()
-        member_lg[k] = np.abs(lg_data[sl] - batch.target_lg[sl]).mean()
+        member_tr[k] = np.abs(pred_tr[sl] - batch.target_tr[sl]).mean()
+        member_lg[k] = np.abs(pred_lg[sl, 0] - batch.target_lg[sl]).mean()
     return StepResult(
-        loss=loss.item(),
-        loss_tr=loss_tr.item(),
-        loss_lg=loss_lg.item(),
+        loss=tr_weight * loss_tr + lg_weight * loss_lg,
+        loss_tr=loss_tr,
+        loss_lg=loss_lg,
         member_tr=member_tr,
         member_lg=member_lg,
         names=batch.names,

@@ -136,7 +136,7 @@ def finetune_grannite(
     gates it actually predicts.
     """
     from repro.models.grannite import SourceActivity
-    from repro.nn.functional import l1_loss
+    from repro.nn.layers import l1_loss_grad
     from repro.nn.optim import Adam
 
     config = config or FinetuneConfig()
@@ -159,9 +159,12 @@ def finetune_grannite(
             sources = SourceActivity.from_sim(graph, sample.extras["sim"])
             comb = np.concatenate([graph.and_ids, graph.not_ids])
             opt.zero_grad()
-            pred = model(graph, sources)
-            loss = l1_loss(pred.gather_rows(comb), sample.target_tr[comb])
-            loss.backward()
+            log: list = []
+            pred = model.forward(graph, sources, log=log)
+            _, d_comb = l1_loss_grad(pred[comb], sample.target_tr[comb])
+            d_pred = np.zeros_like(pred)
+            np.add.at(d_pred, comb, d_comb)
+            model.backward(log, d_pred)
             opt.step()
     return dataset
 

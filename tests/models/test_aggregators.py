@@ -3,7 +3,8 @@
 Aggregators take rows, not the whole state: ``h_src`` holds the current
 states of the batch's edge sources and ``h_prev`` the previous states of
 its nodes.  The tests keep whole ``(12, d)`` states and gather with
-:func:`rows` the way the sweep does.
+:func:`rows` the way the sweep does; :func:`call` runs an aggregator's
+kernel pair as one tape node (:func:`tests.nn.tape.apply_kernel`).
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.models.aggregators import (
     DualAttentionAggregator,
     make_aggregator,
 )
-from repro.nn.tensor import Tensor
+
+from tests.nn.tape import Tensor, apply_kernel
 
 HID = 8
 
@@ -45,6 +47,10 @@ def rows(h_cur, h_prev, batch):
         Tensor(h_cur.numpy()[batch.src], requires_grad=h_cur.requires_grad),
         Tensor(h_prev.numpy()[batch.nodes], requires_grad=h_prev.requires_grad),
     )
+
+
+def call(agg, h_src, h_prev, batch):
+    return apply_kernel(agg, (h_src, h_prev), batch)
 
 
 class TestFactory:
@@ -76,19 +82,19 @@ class TestFactory:
         )
         agg = make_aggregator(kind, HID)
         with pytest.raises(ValueError, match="unsorted"):
-            agg(*rows(*states, unsorted), unsorted)
+            call(agg, *rows(*states, unsorted), unsorted)
 
 
 class TestConvSum:
     def test_output_shape(self, batch, states):
         agg = ConvSumAggregator(HID)
-        out = agg(*rows(*states, batch), batch)
+        out = call(agg, *rows(*states, batch), batch)
         assert out.shape == (2, HID)
 
     def test_is_sum_of_projections(self, batch, states):
         agg = ConvSumAggregator(HID, seed=3)
         h_cur, h_prev = states
-        out = agg(*rows(h_cur, h_prev, batch), batch).numpy()
+        out = call(agg, *rows(h_cur, h_prev, batch), batch).numpy()
         proj = h_cur.numpy() @ agg.proj.weight.data.T + agg.proj.bias.data
         assert np.allclose(out[0], proj[0] + proj[1])
         assert np.allclose(out[1], proj[2])
@@ -96,28 +102,28 @@ class TestConvSum:
     def test_ignores_prev_state(self, batch, states):
         agg = ConvSumAggregator(HID, seed=3)
         h_cur, h_prev = states
-        a = agg(*rows(h_cur, h_prev, batch), batch).numpy()
-        b = agg(*rows(h_cur, Tensor(np.zeros((12, HID))), batch), batch).numpy()
+        a = call(agg, *rows(h_cur, h_prev, batch), batch).numpy()
+        b = call(agg, *rows(h_cur, Tensor(np.zeros((12, HID))), batch), batch).numpy()
         assert np.allclose(a, b)
 
 
 class TestAttention:
     def test_output_shape(self, batch, states):
         agg = AttentionAggregator(HID)
-        assert agg(*rows(*states, batch), batch).shape == (2, HID)
+        assert call(agg, *rows(*states, batch), batch).shape == (2, HID)
 
     def test_single_pred_weight_is_identity(self, batch, states):
         """A node with one predecessor gets exactly that embedding
         (softmax over one element = 1)."""
         agg = AttentionAggregator(HID, seed=1)
         h_cur, h_prev = states
-        out = agg(*rows(h_cur, h_prev, batch), batch).numpy()
+        out = call(agg, *rows(h_cur, h_prev, batch), batch).numpy()
         assert np.allclose(out[1], h_cur.numpy()[2])
 
     def test_message_is_convex_combination(self, batch, states):
         agg = AttentionAggregator(HID, seed=2)
         h_cur, h_prev = states
-        out = agg(*rows(h_cur, h_prev, batch), batch).numpy()
+        out = call(agg, *rows(h_cur, h_prev, batch), batch).numpy()
         h0, h1 = h_cur.numpy()[0], h_cur.numpy()[1]
         # out[0] = a*h0 + (1-a)*h1 for some a in (0,1): solve per dim, all equal.
         denom = h0 - h1
@@ -129,25 +135,25 @@ class TestAttention:
     def test_depends_on_prev_state(self, batch, states):
         agg = AttentionAggregator(HID, seed=2)
         h_cur, h_prev = states
-        a = agg(*rows(h_cur, h_prev, batch), batch).numpy()
-        b = agg(*rows(h_cur, Tensor(h_prev.numpy() + 1.0), batch), batch).numpy()
+        a = call(agg, *rows(h_cur, h_prev, batch), batch).numpy()
+        b = call(agg, *rows(h_cur, Tensor(h_prev.numpy() + 1.0), batch), batch).numpy()
         # dst score shifts cancel in softmax only if shift is uniform per
         # segment - a constant shift IS uniform, so craft a non-uniform one.
         shifted = h_prev.numpy().copy()
         shifted[10] += np.linspace(0, 3, HID)
-        c = agg(*rows(h_cur, Tensor(shifted), batch), batch).numpy()
+        c = call(agg, *rows(h_cur, Tensor(shifted), batch), batch).numpy()
         assert not np.allclose(a[0], c[0]) or np.allclose(a, b)
 
 
 class TestDualAttention:
     def test_output_width_doubles(self, batch, states):
         agg = DualAttentionAggregator(HID)
-        assert agg(*rows(*states, batch), batch).shape == (2, 2 * HID)
+        assert call(agg, *rows(*states, batch), batch).shape == (2, 2 * HID)
 
     def test_concat_order_tr_then_lg(self, batch, states):
         """m = m_TR || m_LG with m_TR = gate * m_LG (Eqs. 6-7)."""
         agg = DualAttentionAggregator(HID, seed=4)
-        out = agg(*rows(*states, batch), batch).numpy()
+        out = call(agg, *rows(*states, batch), batch).numpy()
         m_tr, m_lg = out[:, :HID], out[:, HID:]
         # gate in (0,1): each m_TR component has |m_TR| <= |m_LG| and the
         # ratio is constant across dimensions for a given node.
@@ -159,7 +165,7 @@ class TestDualAttention:
 
     def test_gradients_reach_all_params(self, batch, states):
         agg = DualAttentionAggregator(HID, seed=5)
-        out = agg(*rows(*states, batch), batch).sum()
+        out = call(agg, *rows(*states, batch), batch).sum()
         out.backward()
         for name, p in agg.named_parameters():
             assert p.grad is not None, name
@@ -172,6 +178,6 @@ class TestDualAttention:
         single.w1.weight.data[...] = dual.w1.weight.data
         single.w2.weight.data[...] = dual.w2.weight.data
         h_cur, h_prev = states
-        m_lg = dual(*rows(h_cur, h_prev, batch), batch).numpy()[:, HID:]
-        m_single = single(*rows(h_cur, h_prev, batch), batch).numpy()
+        m_lg = call(dual, *rows(h_cur, h_prev, batch), batch).numpy()[:, HID:]
+        m_single = call(single, *rows(h_cur, h_prev, batch), batch).numpy()
         assert np.allclose(m_lg, m_single)

@@ -30,7 +30,7 @@ class TestInitialHidden:
         model = DeepSeq(CFG)
         h0 = model.initial_hidden(graph, wl)
         for k, pi in enumerate(graph.pi_ids):
-            assert np.allclose(h0.numpy()[pi], wl.pi_probs[k])
+            assert np.allclose(h0[pi], wl.pi_probs[k])
 
     def test_workload_size_mismatch_rejected(self, setup):
         graph, _ = setup
@@ -43,7 +43,7 @@ class TestInitialHidden:
     def test_non_pi_rows_random(self, setup):
         graph, wl = setup
         model = DeepSeq(CFG)
-        h0 = model.initial_hidden(graph, wl).numpy()
+        h0 = model.initial_hidden(graph, wl)
         gate_rows = h0[graph.and_ids]
         assert gate_rows.std() > 0.01
 
@@ -51,7 +51,7 @@ class TestInitialHidden:
     def test_into_buffer_matches_and_casts(self, setup):
         graph, wl = setup
         model = DeepSeq(CFG)
-        h0 = model.initial_hidden(graph, wl).numpy()
+        h0 = model.initial_hidden(graph, wl)
         assert h0.dtype == np.float64
         out = np.empty(h0.shape, dtype=np.float32)
         model.initial_hidden_into(graph, wl, out)
@@ -138,7 +138,7 @@ class TestPropagation:
         model = DeepSeq(CFG)
         h = model.embed(graph, wl)
         for k, pi in enumerate(graph.pi_ids):
-            assert np.allclose(h.numpy()[pi], wl.pi_probs[k]), (
+            assert np.allclose(h[pi], wl.pi_probs[k]), (
                 "PI embeddings must stay fixed at workload probabilities"
             )
 
@@ -147,14 +147,14 @@ class TestPropagation:
         predecessors' rows."""
         graph, wl = setup
         model = DeepSeq(CFG)
-        h = model.embed(graph, wl).numpy()
+        h = model.embed(graph, wl)
         for d, s in zip(graph.dff_ids, graph.dff_src):
             assert np.allclose(h[d], h[s])
 
     def test_baseline_keeps_dffs_distinct(self, setup):
         graph, wl = setup
         model = DagRecGnn(CFG)
-        h = model.embed(graph, wl).numpy()
+        h = model.embed(graph, wl)
         diffs = [
             np.abs(h[d] - h[s]).max()
             for d, s in zip(graph.dff_ids, graph.dff_src)
@@ -162,14 +162,14 @@ class TestPropagation:
         assert max(diffs) > 1e-6, "baseline has no clock-edge copy step"
 
     def test_inference_matches_training_forward(self, setup):
-        """The in-place (no_grad) path must agree with the functional
-        (autograd) path bit for bit."""
+        """Inference (no context log) must agree with the training forward
+        (which logs its contexts) bit for bit."""
         graph, wl = setup
         model = DeepSeq(CFG)
         pred = model.predict(graph, wl)
-        pred_tr, pred_lg = model(graph, wl)
-        assert np.allclose(pred.tr, pred_tr.numpy(), atol=1e-12)
-        assert np.allclose(pred.lg, pred_lg.numpy()[:, 0], atol=1e-12)
+        pred_tr, pred_lg = model.forward(graph, wl, log=[])
+        assert np.allclose(pred.tr, pred_tr, atol=1e-12)
+        assert np.allclose(pred.lg, pred_lg[:, 0], atol=1e-12)
 
     def test_deterministic_predictions(self, setup):
         graph, wl = setup
@@ -227,8 +227,9 @@ class TestGradientFlow:
     def test_all_parameters_receive_gradient(self, setup):
         graph, wl = setup
         model = DeepSeq(CFG)
-        pred_tr, pred_lg = model(graph, wl)
-        (pred_tr.sum() + pred_lg.sum()).backward()
+        log: list = []
+        pred_tr, pred_lg = model.forward(graph, wl, log=log)
+        model.backward(log, np.ones_like(pred_tr), np.ones_like(pred_lg))
         missing = [
             name for name, p in model.named_parameters() if p.grad is None
         ]
@@ -237,7 +238,8 @@ class TestGradientFlow:
     def test_gradients_finite(self, setup):
         graph, wl = setup
         model = DeepSeq(CFG)
-        pred_tr, pred_lg = model(graph, wl)
-        (pred_tr.sum() + pred_lg.sum()).backward()
+        log: list = []
+        pred_tr, pred_lg = model.forward(graph, wl, log=log)
+        model.backward(log, np.ones_like(pred_tr), np.ones_like(pred_lg))
         for name, p in model.named_parameters():
             assert np.isfinite(p.grad).all(), name

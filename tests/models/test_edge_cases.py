@@ -100,8 +100,9 @@ class TestWorkloadExtremes:
 class TestTrainingEdges:
     def test_single_node_supervision(self):
         """Training on the tiniest circuit neither crashes nor NaNs."""
-        from repro.nn.functional import l1_loss
         from repro.nn.optim import Adam
+
+        from tests.nn.tape import l1_loss, model_forward
 
         nl = tiny_and()
         graph = CircuitGraph(nl)
@@ -112,7 +113,7 @@ class TestTrainingEdges:
         target_lg = np.full((3, 1), 0.5)
         for _ in range(3):
             opt.zero_grad()
-            pred_tr, pred_lg = model(graph, wl)
+            pred_tr, pred_lg = model_forward(model, graph, wl)
             (l1_loss(pred_tr, target_tr) + l1_loss(pred_lg, target_lg)).backward()
             opt.step()
         for _, p in model.named_parameters():

@@ -5,10 +5,10 @@ import pytest
 
 from repro.models.base import ModelConfig
 from repro.models.grannite import Grannite, SourceActivity
-from repro.nn.functional import l1_loss
 from repro.nn.optim import Adam
 
 from tests.conftest import build_labels
+from tests.nn.tape import grannite_forward, l1_loss
 
 CFG = ModelConfig(hidden=12, aggregator="attention", seed=0)
 
@@ -76,7 +76,7 @@ class TestGrannite:
         losses = []
         for _ in range(25):
             opt.zero_grad()
-            pred = model(graph, sources)
+            pred = grannite_forward(model, graph, sources)
             loss = l1_loss(pred.gather_rows(comb), target)
             loss.backward()
             opt.step()

@@ -1,29 +1,26 @@
-"""The cells' array kernel pairs as the sweep runs them.
+"""The kernel pairs as training and serving run them.
 
-``propagate`` calls ``kernel_forward``/``kernel_backward`` of the
-aggregator and the GRU directly, in both grad modes, so training runs the
-serving arithmetic: its forward values are bitwise those of the same call
-under ``no_grad``, and the sweep builds no ``Tensor`` per level.
+Training runs the forward kernels with a context log, the closed-form L1
+gradient and the backward kernels; serving runs the same forward kernels
+without a log.  So the training forward is bitwise the serving forward,
+``src/`` holds no autograd tape, and ``p.grad`` keeps the contract the
+optimizers and the data-parallel executor rely on.
 """
 
 import ast
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.circuit.gates import GateType
 from repro.circuit.graph import CircuitGraph
-from repro.circuit.netlist import Netlist
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
-from repro.nn.tensor import Tensor, no_grad
-from repro.runtime.trainstep import pack_samples
+from repro.runtime.trainstep import pack_samples, train_step
 from repro.sim.workload import random_workload
 from repro.train.dataset import CircuitSample
 
-from tests.conftest import build_subcircuits, perturb_parameters, shallow_pair
+from tests.conftest import build_subcircuits, perturb_parameters, single_node_pair
 
 FAMILIES = [
     ("deepseq", "dual_attention"),
@@ -54,17 +51,6 @@ def pretrain_batch():
     return pack_samples(samples)
 
 
-def inverter_chain(depth: int = 40):
-    """A PI driving ``depth`` inverters: one forward level per inverter."""
-    nl = Netlist(name=f"chain{depth}")
-    node = nl.add_pi("a")
-    for k in range(depth):
-        node = nl.add_gate(GateType.NOT, [node], f"n{k}")
-    nl.add_po(node)
-    nl.validate()
-    return CircuitGraph(nl), random_workload(nl, seed=depth)
-
-
 class TestTrainingForwardEqualsServing:
     @pytest.mark.parametrize("name,agg", FAMILIES)
     def test_predictions_bitwise(self, name, agg):
@@ -72,59 +58,81 @@ class TestTrainingForwardEqualsServing:
             make_model(name, ModelConfig(hidden=32, iterations=4), agg)
         )
         batch = pretrain_batch()
-        pred_tr, pred_lg = model(batch.graph, batch.workload, plan=batch.plan)
-        assert pred_tr.requires_grad
-        with no_grad():
-            serve_tr, serve_lg = model(batch.graph, batch.workload, plan=batch.plan)
-        assert not serve_tr.requires_grad
-        assert np.array_equal(pred_tr.data, serve_tr.data)
-        assert np.array_equal(pred_lg.data, serve_lg.data)
+        log: list = []
+        pred_tr, pred_lg = model.forward(
+            batch.graph, batch.workload, plan=batch.plan, log=log
+        )
+        assert log
+        serve_tr, serve_lg = model.forward(batch.graph, batch.workload, plan=batch.plan)
+        assert np.array_equal(pred_tr, serve_tr)
+        assert np.array_equal(pred_lg, serve_lg)
 
 
-class TestNoTensorPerLevel:
-    @pytest.mark.parametrize("grad", [True, False])
-    @pytest.mark.parametrize("name,agg", FAMILIES)
-    def test_embed_tensor_count_independent_of_depth(
-        self, monkeypatch, name, agg, grad
-    ):
-        model = make_model(name, ModelConfig(hidden=8, iterations=2), agg)
-        deep, shallow = inverter_chain(), shallow_pair()
-        assert deep[0].num_levels > 10 * shallow[0].num_levels
-        for graph, wl in (deep, shallow):
-            model.embed(graph, wl)  # compile plans outside the count
-        built = [0]
-        init = Tensor.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Tensor, "__init__", counting_init)
-        counts = []
-        for graph, wl in (deep, shallow):
-            built[0] = 0
-            with nullcontext() if grad else no_grad():
-                model.embed(graph, wl)
-            counts.append(built[0])
-        assert counts[0] == counts[1]
+#: What only the autograd tape defines; it lives in ``tests/nn/tape.py``.
+TAPE_NAMES = {"Tensor", "no_grad", "is_grad_enabled", "apply_kernel"}
 
 
-def test_grad_mode_is_read_only_by_the_tape_gate():
-    """No kernel branches on grad mode: in ``nn/`` and ``models/`` only
-    ``Tensor._make`` (whether to record a node) and ``no_grad`` itself
-    call ``is_grad_enabled``."""
-    callers = set()
-    for package in ("nn", "models"):
-        for path in sorted((SRC / package).glob("*.py")):
-            tree = ast.parse(path.read_text())
-            for func in ast.walk(tree):
-                if not isinstance(func, ast.FunctionDef):
-                    continue
-                for node in ast.walk(func):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "is_grad_enabled"
-                    ):
-                        callers.add((path.name, func.name))
-    assert callers == {("tensor.py", "_make"), ("tensor.py", "__enter__")}
+def test_src_defines_and_imports_no_tape():
+    """``src/`` trains through kernel pairs alone: no module defines or
+    imports a tape name, imports ``repro.nn.functional`` (the composed
+    operators) or imports from ``tests``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(SRC)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                if node.name in TAPE_NAMES:
+                    found.append(f"{where}: defines {node.name}")
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = {a.name for a in node.names}
+                if module.startswith("tests") or module == "repro.nn.functional":
+                    found.append(f"{where}: imports from {module}")
+                elif names & TAPE_NAMES:
+                    found.append(f"{where}: imports {sorted(names & TAPE_NAMES)}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("tests") or alias.name == "repro.nn.functional":
+                        found.append(f"{where}: imports {alias.name}")
+    assert not (SRC / "nn" / "functional.py").exists()
+    assert not found, found
+
+
+class TestGradContract:
+    """``p.grad`` as the trainer and the data-parallel executor use it."""
+
+    def test_fresh_after_zero_grad_in_place_without(self):
+        model = make_model("deepseq", ModelConfig(hidden=8, iterations=2), "dual_attention")
+        batch = pretrain_batch()
+        params = model.parameters()
+        model.zero_grad()
+        train_step(model, batch)
+        first = [p.grad for p in params]
+        model.zero_grad()
+        train_step(model, batch)
+        second = [p.grad for p in params]
+        for a, b in zip(first, second):
+            assert a is not b and np.array_equal(a, b)
+        assert not any(a is b for k, a in enumerate(second) for b in second[k + 1 :])
+        once = [g.copy() for g in second]
+        train_step(model, batch)
+        for p, g, g1 in zip(params, second, once):
+            assert p.grad is g
+            assert np.array_equal(g, g1 + g1)
+
+    def test_parameters_without_gradient_stay_none(self):
+        model = make_model("deepseq", ModelConfig(hidden=8, iterations=2), "dual_attention")
+        graph, wl = single_node_pair()
+        sample = CircuitSample(
+            graph=graph,
+            workload=wl,
+            target_tr=np.full((1, 2), 0.5),
+            target_lg=np.full(1, 0.5),
+            name="one",
+        )
+        model.zero_grad()
+        train_step(model, pack_samples([sample]))
+        heads = {p for m in (model.head_tr, model.head_lg) for p in m.parameters()}
+        for name, p in model.named_parameters():
+            assert (p.grad is not None) == (p in heads), name

@@ -7,10 +7,10 @@ from repro.models.base import ModelConfig
 from repro.models.baselines import DagConvGnn, DagRecGnn
 from repro.models.deepseq import DeepSeq
 from repro.models.registry import MODEL_NAMES, make_model
-from repro.nn.functional import l1_loss
 from repro.nn.optim import Adam
 
 from tests.conftest import build_labels
+from tests.nn.tape import l1_loss, model_forward
 
 CFG = ModelConfig(hidden=12, iterations=3, seed=0)
 
@@ -83,7 +83,7 @@ class TestLearning:
         first = last = None
         for step in range(30):
             opt.zero_grad()
-            pred_tr, pred_lg = model(graph, wl)
+            pred_tr, pred_lg = model_forward(model, graph, wl)
             loss = l1_loss(pred_tr, labels.transition_prob) + l1_loss(
                 pred_lg, labels.logic_prob[:, None]
             )
@@ -102,7 +102,7 @@ class TestLearning:
         graph, wl, labels = problem
         model = DeepSeq(CFG)
         aggs = (model.forward_agg, model.reverse_agg)
-        pred_tr, pred_lg = model(graph, wl)
+        pred_tr, pred_lg = model_forward(model, graph, wl)
         loss = l1_loss(pred_tr, labels.transition_prob) + l1_loss(
             pred_lg, labels.logic_prob[:, None]
         )

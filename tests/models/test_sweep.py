@@ -1,17 +1,17 @@
-"""The one-buffer sweep (``repro.models.base.propagate``) against the
-composed sweep it replaced, and the lifetime of a training step's tape.
+"""The one-buffer sweep (``repro.models.base.propagate`` and
+``propagate_backward``) against the composed sweep it replaced.
 
 :func:`composed_embed` and :func:`composed_grannite` are the oracle: the
 propagation written from individual autograd operators — ``gather_rows``
 from the current and the pass-start state, aggregator, feature concat,
 GRU, and a functional ``row_update`` that copies the whole state per
-level.  Nothing in ``src/`` runs it.  The sweep must reproduce its forward
-values bitwise in both grad modes and its parameter gradients to rounding
+level.  Nothing in ``src/`` runs it.  The sweep, wrapped as one tape node
+(:func:`tests.nn.tape.sweep`), must reproduce its forward values bitwise
+with and without a context log and its parameter gradients to rounding
 error (the shared state-gradient buffer adds each row's contributions in
 a different order).
 """
 
-import gc
 from contextlib import nullcontext
 
 import numpy as np
@@ -20,18 +20,24 @@ import pytest
 from repro.models.base import ModelConfig
 from repro.models.grannite import Grannite, SourceActivity
 from repro.models.registry import make_model
-from repro.nn.functional import l1_loss
-from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.plan import plan_for
-from repro.runtime.trainstep import pack_samples, train_step
 
 from tests.conftest import (
     build_labels,
     build_pair,
-    build_sample,
     dff_chain_pair,
     perturb_parameters,
     single_node_pair,
+)
+from tests.nn.tape import (
+    Tensor,
+    apply_kernel,
+    embed,
+    grannite_forward,
+    grannite_initial_hidden,
+    l1_loss,
+    mlp,
+    no_grad,
 )
 
 CFG = ModelConfig(hidden=10, iterations=3, seed=0)
@@ -55,9 +61,13 @@ def composed_pass(h, feature_rows, batches, agg, gru):
     for batch, x_rows in zip(batches, feature_rows):
         if batch.num_nodes == 0 or batch.num_edges == 0:
             continue
-        m = agg(h.gather_rows(batch.src), h_start.gather_rows(batch.nodes), batch)
+        m = apply_kernel(
+            agg, (h.gather_rows(batch.src), h_start.gather_rows(batch.nodes)), batch
+        )
         gru_in = Tensor.concat([m, Tensor(x_rows)], axis=1)
-        h = h.row_update(batch.nodes, gru(gru_in, h_start.gather_rows(batch.nodes)))
+        h = h.row_update(
+            batch.nodes, apply_kernel(gru, (gru_in, h_start.gather_rows(batch.nodes)))
+        )
     return h
 
 
@@ -81,20 +91,20 @@ def composed_grannite(model, graph, sources):
     features = model.node_features(graph)
     batches = graph.forward_batches
     h = composed_pass(
-        model.initial_hidden(graph, sources),
+        grannite_initial_hidden(model, graph, sources),
         [features[b.nodes] for b in batches],
         batches,
         model.agg,
         model.gru,
     )
-    return model.head_tr(h)
+    return mlp(model.head_tr, h)
 
 
 def loss_of(model, h, graph):
     rng = np.random.default_rng(graph.num_nodes)
     return l1_loss(
-        model.head_tr(h), rng.uniform(size=(graph.num_nodes, 2))
-    ) + l1_loss(model.head_lg(h), rng.uniform(size=(graph.num_nodes, 1)))
+        mlp(model.head_tr, h), rng.uniform(size=(graph.num_nodes, 2))
+    ) + l1_loss(mlp(model.head_lg, h), rng.uniform(size=(graph.num_nodes, 1)))
 
 
 def param_grads(model, loss):
@@ -116,8 +126,8 @@ class TestSweepMatchesComposed:
         model = perturb_parameters(make_model(name, CFG, agg))
         graph, wl = PAIRS[pair]()
         with nullcontext() if grad else no_grad():
-            got = model.embed(graph, wl)
-            want = composed_embed(model, graph, model.initial_hidden(graph, wl))
+            got = embed(model, graph, wl)
+            want = composed_embed(model, graph, Tensor(model.initial_hidden(graph, wl)))
         assert got.requires_grad == grad
         assert np.array_equal(got.data, want.data)
 
@@ -126,8 +136,8 @@ class TestSweepMatchesComposed:
     def test_parameter_gradients_close(self, name, agg, pair):
         model = perturb_parameters(make_model(name, CFG, agg))
         graph, wl = PAIRS[pair]()
-        h0 = model.initial_hidden(graph, wl)
-        got = param_grads(model, loss_of(model, model.embed(graph, wl), graph))
+        h0 = Tensor(model.initial_hidden(graph, wl))
+        got = param_grads(model, loss_of(model, embed(model, graph, wl), graph))
         want = param_grads(model, loss_of(model, composed_embed(model, graph, h0), graph))
         assert_grads_close(got, want)
 
@@ -137,10 +147,10 @@ class TestSweepMatchesComposed:
         per-level ``row_update`` chain."""
         model = perturb_parameters(make_model("deepseq", CFG, "dual_attention"))
         graph, wl = PAIRS["dff_heavy"]()
-        h0_data = model.initial_hidden(graph, wl).data
+        h0_data = model.initial_hidden(graph, wl)
         weights = Tensor(np.random.default_rng(3).normal(size=h0_data.shape))
         h0 = Tensor(h0_data.copy(), requires_grad=True)
-        (model.embed(graph, h0=h0) * weights).sum().backward()
+        (embed(model, graph, h0=h0) * weights).sum().backward()
         assert np.array_equal(h0.data, h0_data)
         ref = Tensor(h0_data.copy(), requires_grad=True)
         (composed_embed(model, graph, ref) * weights).sum().backward()
@@ -162,7 +172,7 @@ class TestGranniteMatchesComposed:
         graph, sources = problem
         model = perturb_parameters(Grannite(ModelConfig(hidden=10, aggregator="attention")))
         with nullcontext() if grad else no_grad():
-            got = model(graph, sources)
+            got = grannite_forward(model, graph, sources)
             want = composed_grannite(model, graph, sources)
         assert got.requires_grad == grad
         assert np.array_equal(got.data, want.data)
@@ -171,34 +181,9 @@ class TestGranniteMatchesComposed:
         graph, sources = problem
         model = perturb_parameters(Grannite(ModelConfig(hidden=10, aggregator="attention")))
         target = np.random.default_rng(5).uniform(size=(graph.num_nodes, 2))
-        got = param_grads(model, l1_loss(model(graph, sources), target))
+        got = param_grads(model, l1_loss(grannite_forward(model, graph, sources), target))
         want = param_grads(model, l1_loss(composed_grannite(model, graph, sources), target))
         # source_proj is reached only through the differentiable h0.
         assert np.abs(got[0]).max() > 0
         assert_grads_close(got, want)
 
-
-def live_tensors() -> int:
-    return sum(isinstance(o, Tensor) for o in gc.get_objects())
-
-
-class TestTapeLifetime:
-    def test_train_step_leaves_no_tensor_behind(self):
-        """With the cyclic collector off, every Tensor a step creates is
-        gone once the step returns: the tape is freed by reference
-        counting during backward, not left to a generation-2 collection."""
-        model = make_model("deepseq", CFG, "dual_attention")
-        batch = pack_samples([build_sample(s) for s in (1, 2)])
-        train_step(model, batch)  # compile plans, fill caches
-        model.zero_grad()
-        gc.collect()
-        gc.disable()
-        try:
-            before = live_tensors()
-            result = train_step(model, batch)
-            del result
-            after = live_tensors()
-        finally:
-            gc.enable()
-        assert after == before
-        assert all(p.grad is not None for p in model.parameters())

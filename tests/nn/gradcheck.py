@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from tests.nn.tape import Tensor
 
 
 def gradcheck(fn, shapes, eps=1e-6, tol=1e-5, seed=0, positive=False):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.functional import segment_mean, segment_softmax
 from repro.nn.layers import Linear
-from repro.nn.tensor import (
+
+from tests.nn.tape import (
     Tensor,
     default_dtype,
     get_default_dtype,
+    segment_mean,
+    segment_softmax,
     set_default_dtype,
 )
 
@@ -104,7 +106,7 @@ class TestLinearUnderShadowDtype:
         layer = Linear(3, 2, seed=0)
         for p in layer.parameters():
             p.data = p.data.astype(np.float32)
-        out = layer(Tensor(np.ones((5, 3), dtype=np.float32)))
+        out = layer(np.ones((5, 3), dtype=np.float32))
         assert out.dtype == np.float32
 
 

@@ -1,10 +1,12 @@
-"""Tests for composite ops (repro.nn.functional)."""
+"""Tests for the tape's composite ops (tests.nn.tape)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.functional import (
+from tests.nn.gradcheck import gradcheck
+from tests.nn.tape import (
+    Tensor,
     clip01,
     l1_loss,
     mse_loss,
@@ -12,9 +14,6 @@ from repro.nn.functional import (
     segment_softmax,
     softmax,
 )
-from repro.nn.tensor import Tensor
-
-from tests.nn.gradcheck import gradcheck
 
 
 class TestSoftmax:

@@ -14,12 +14,13 @@ from repro.nn.optim import (
     make_schedule,
 )
 from repro.nn.serialize import load_module, load_state, save_module, save_state
-from repro.nn.tensor import Tensor
+
+from tests.nn.tape import param
 
 
 def quadratic_loss(p: Parameter):
     # f(p) = ||p - 3||^2, minimum at 3.
-    diff = p - 3.0
+    diff = param(p) - 3.0
     return (diff * diff).sum()
 
 
@@ -67,7 +68,7 @@ class TestAdam:
         p = Parameter(np.array([0.0]))
         opt = Adam([p], lr=0.01)
         opt.zero_grad()
-        (p * 1000.0).sum().backward()
+        (param(p) * 1000.0).sum().backward()
         opt.step()
         assert abs(p.data[0]) == pytest.approx(0.01, rel=1e-3)
 
@@ -76,7 +77,7 @@ class TestAdam:
         opt = Adam([p], lr=0.05, weight_decay=1.0)
         for _ in range(100):
             opt.zero_grad()
-            (p * 0.0).sum().backward()
+            (param(p) * 0.0).sum().backward()
             opt.step()
         assert abs(p.data[0]) < 5.0
 
@@ -87,7 +88,7 @@ class TestAdam:
     def test_zero_grad_helper(self):
         p = Parameter(np.ones(1))
         opt = Adam([p])
-        (p * 1.0).sum().backward()
+        (param(p) * 1.0).sum().backward()
         opt.zero_grad()
         assert p.grad is None
 
@@ -234,5 +235,5 @@ class TestSerialize:
         save_module(a, path)
         b = Linear(3, 2, seed=9)
         load_module(b, path)
-        x = Tensor(np.ones((1, 3)))
-        assert np.allclose(a(x).numpy(), b(x).numpy())
+        x = np.ones((1, 3))
+        assert np.allclose(a(x), b(x))

@@ -1,4 +1,4 @@
-"""Tests for the autograd engine (repro.nn.tensor).
+"""Tests for the autograd tape (tests.nn.tape), the oracle of the kernels.
 
 Every primitive op is gradient-checked against central finite differences;
 broadcasting, graph traversal and accumulation semantics get dedicated
@@ -8,9 +8,8 @@ cases.
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
-
 from tests.nn.gradcheck import gradcheck
+from tests.nn.tape import Tensor, is_grad_enabled, no_grad
 
 
 class TestBasicOps:

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.functional import l1_loss, softmax
-from repro.nn.tensor import Tensor
-
 from tests.nn.gradcheck import gradcheck
+from tests.nn.tape import Tensor, l1_loss, softmax
 
 dims = st.integers(min_value=1, max_value=5)
 

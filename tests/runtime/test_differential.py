@@ -4,9 +4,10 @@ Every fast path in the runtime has a slow, obviously-correct counterpart;
 these tests pin the fast path to it:
 
 * the fused cell kernels (GRU, dual attention) — the only executed
-  forward of each cell — vs the composed autograd operator graph, on the
-  row inputs the sweep hands them: forward bitwise in both grad modes,
-  gradients to rounding error; row-deterministic at float64 and float32;
+  forward of each cell — vs the composed operator graph of the autograd
+  tape (``tests/nn/tape.py``), on the row inputs the sweep hands them:
+  forward bitwise in both of the tape's grad modes, gradients to rounding
+  error; row-deterministic at float64 and float32;
 * float32 parameter-shadow inference vs float64 — within tolerance;
 * packed K-circuit execution vs sequential per-circuit ``predict`` —
   float64 bitwise, across all three model families, DFF-heavy circuits
@@ -26,9 +27,7 @@ from repro.circuit.graph import CircuitGraph
 from repro.models.aggregators import DualAttentionAggregator
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
-from repro.nn.functional import l1_loss, segment_softmax
 from repro.nn.recurrent import GRUCell
-from repro.nn.tensor import Tensor, no_grad
 from repro.runtime.pack import clear_pack_cache, pack_graphs
 from repro.runtime.plan import clear_plan_cache, plan_for
 from repro.runtime.predictor import ParameterShadow, predict_one, predict_packed
@@ -56,6 +55,16 @@ def fresh_caches():
 
 
 from tests.conftest import build_pair, perturb_parameters, single_node_pair
+from tests.nn.tape import (
+    Tensor,
+    apply_kernel,
+    l1_loss,
+    linear,
+    model_forward,
+    no_grad,
+    param,
+    segment_softmax,
+)
 
 
 def make_pair(seed=0, n_pis=4, n_dffs=3, n_gates=30):
@@ -93,8 +102,8 @@ def composed_gru(gru: GRUCell, x: Tensor, h: Tensor) -> Tensor:
     """``GRUCell.forward`` from individual autograd operators: the oracle
     its kernel pair must match bitwise in the forward values (both grad
     modes) and to rounding error in the gradients."""
-    gi = x @ gru.w_ih.T + gru.b_ih
-    gh = h @ gru.w_hh.T + gru.b_hh
+    gi = x @ param(gru.w_ih).T + param(gru.b_ih)
+    gh = h @ param(gru.w_hh).T + param(gru.b_hh)
     hs = gru.hidden_size
     i_r, i_z, i_n = (gi.narrow(1, k * hs, hs) for k in range(3))
     h_r, h_z, h_n = (gh.narrow(1, k * hs, hs) for k in range(3))
@@ -111,11 +120,11 @@ def composed_dual_attention(
     """``DualAttentionAggregator.forward`` (Eqs. 5-7) from individual
     autograd operators: the same oracle contract as :func:`composed_gru`."""
     # Eq. (5): logic message.
-    scores = agg.w1(h_prev).gather_rows(batch.dst_local) + agg.w2(h_src)
+    scores = linear(agg.w1, h_prev).gather_rows(batch.dst_local) + linear(agg.w2, h_src)
     alpha = segment_softmax(scores, batch.dst_local, batch.num_nodes, layout=layout)
     m_lg = (h_src * alpha).segment_sum(batch.dst_local, batch.num_nodes, layout=layout)
     # Eq. (6): transition message — gate m_LG against the previous state.
-    gate = (agg.w3(h_prev) + agg.w4(m_lg)).sigmoid()
+    gate = (linear(agg.w3, h_prev) + linear(agg.w4, m_lg)).sigmoid()
     # Eq. (7): m_TR || m_LG.
     return Tensor.concat([m_lg * gate, m_lg], axis=1)
 
@@ -142,7 +151,7 @@ class TestFusedGruVsComposed:
         gru = GRUCell(12, 6, seed=1)
         x = Tensor(rng.normal(size=(rows, 12)), requires_grad=True)
         h = Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
-        fused = gru(x, h)
+        fused = apply_kernel(gru, (x, h))
         composed = composed_gru(gru, x, h)
         assert np.array_equal(fused.data, composed.data)
         seed_grad = rng.normal(size=fused.data.shape)
@@ -167,7 +176,7 @@ class TestFusedDualAttentionVsComposed:
             layout = batch.dst_layout()
             assert layout is not None
             h_src, h_dst = level_rows(h_cur, h_prev, batch, requires_grad=True)
-            fused = agg(h_src, h_dst, batch)
+            fused = apply_kernel(agg, (h_src, h_dst), batch)
             composed = composed_dual_attention(agg, h_src, h_dst, batch, layout)
             assert np.array_equal(fused.data, composed.data)
             seed_grad = rng.normal(size=fused.data.shape)
@@ -184,7 +193,7 @@ class TestFusedDualAttentionVsComposed:
 
 
 class TestOneKernelPerCell:
-    """``forward`` runs each cell's only kernel pair: pinned to the
+    """Each cell's only kernel pair, run as one tape node: pinned to the
     composed oracle at float64 in both grad modes (both feed BLAS the
     contiguous transpose on both sides), row-deterministic, and float32
     within tolerance of float64.  The GRU has
@@ -213,7 +222,7 @@ class TestOneKernelPerCell:
         assert np.abs(gru.b_ih.data).min() > 0 and np.abs(gru.b_hh.data).min() > 0
         x, h = (Tensor(a) for a in self.gru_inputs(rows))
         with nullcontext() if grad else no_grad():
-            fused = gru(x, h)
+            fused = apply_kernel(gru, (x, h))
             composed = composed_gru(gru, x, h)
         assert fused.requires_grad == grad
         assert fused.data.dtype == np.float64
@@ -232,7 +241,7 @@ class TestOneKernelPerCell:
                 layout = batch.dst_layout()
                 assert layout is not None
                 h_src, h_dst = level_rows(h_cur, h_prev, batch)
-                fused = agg(h_src, h_dst, batch)
+                fused = apply_kernel(agg, (h_src, h_dst), batch)
                 composed = composed_dual_attention(agg, h_src, h_dst, batch, layout)
                 assert fused.requires_grad == grad
                 assert np.array_equal(fused.data, composed.data)
@@ -248,10 +257,10 @@ class TestOneKernelPerCell:
         (x1, h1), (x7, h7) = self.gru_inputs(1, dtype), self.gru_inputs(7, dtype)
         x7, h7 = x7[::-1].copy(), h7[::-1].copy()  # distinct from row 1
         with no_grad(), ParameterShadow(gru, dtype).active():
-            out1 = gru(Tensor(x1), Tensor(h1)).data
-            out7 = gru(Tensor(x7), Tensor(h7)).data
-            out8 = gru(
-                Tensor(np.concatenate([x1, x7])), Tensor(np.concatenate([h1, h7]))
+            out1 = apply_kernel(gru, (Tensor(x1), Tensor(h1))).data
+            out7 = apply_kernel(gru, (Tensor(x7), Tensor(h7))).data
+            out8 = apply_kernel(
+                gru, (Tensor(np.concatenate([x1, x7])), Tensor(np.concatenate([h1, h7])))
             ).data
         assert out8.dtype == dtype
         assert np.array_equal(out8[:1], out1)
@@ -275,7 +284,7 @@ class TestOneKernelPerCell:
         checked = 0
         with no_grad(), ParameterShadow(agg, dtype).active():
             union_out = [
-                agg(*level_rows(union_cur, union_prev, b), b).data
+                apply_kernel(agg, level_rows(union_cur, union_prev, b), b).data
                 if b.num_edges
                 else None
                 for b in union_batches
@@ -289,7 +298,7 @@ class TestOneKernelPerCell:
                     k = batch_of[nodes[0]]
                     rows = np.searchsorted(union_batches[k].nodes, nodes)
                     assert np.array_equal(union_batches[k].nodes[rows], nodes)
-                    solo = agg(*level_rows(h_cur, h_prev, batch), batch).data
+                    solo = apply_kernel(agg, level_rows(h_cur, h_prev, batch), batch).data
                     assert solo.dtype == dtype
                     assert np.array_equal(union_out[k][rows], solo)
                     checked += 1
@@ -303,15 +312,16 @@ class TestOneKernelPerCell:
         h_cur, h_prev = self.agg_inputs(graph)
         batch = max(graph.forward_batches, key=lambda b: b.num_edges)
         with no_grad():
-            gru64 = gru(Tensor(x), Tensor(h)).data
-            agg64 = agg(*level_rows(h_cur, h_prev, batch), batch).data
+            gru64 = apply_kernel(gru, (Tensor(x), Tensor(h))).data
+            agg64 = apply_kernel(agg, level_rows(h_cur, h_prev, batch), batch).data
             with ParameterShadow(gru, np.float32).active():
-                gru32 = gru(
-                    Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32))
+                gru32 = apply_kernel(
+                    gru, (Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32)))
                 ).data
             with ParameterShadow(agg, np.float32).active():
-                agg32 = agg(
-                    *level_rows(
+                agg32 = apply_kernel(
+                    agg,
+                    level_rows(
                         h_cur.astype(np.float32), h_prev.astype(np.float32), batch
                     ),
                     batch,
@@ -374,7 +384,7 @@ class TestPackedVsMergedTraining:
 
         model.zero_grad()
         merged = merge_samples(list(samples), name="merged")
-        pred_tr, pred_lg = model(merged.graph, merged.workload)
+        pred_tr, pred_lg = model_forward(model, merged.graph, merged.workload)
         loss_tr = l1_loss(pred_tr, merged.target_tr)
         loss_lg = l1_loss(pred_lg, merged.target_lg[:, None])
         (loss_tr + loss_lg).backward()
@@ -406,10 +416,8 @@ class TestPackedVsMergedTraining:
         result = train_step(model, batch)
         # Per-member losses must be the L1 means over each member's slice
         # of the packed forward (the same forward the gradients came from).
-        from repro.nn.tensor import no_grad
-
         with no_grad():
-            pred_tr, pred_lg = model(batch.graph, batch.workload)
+            pred_tr, pred_lg = model_forward(model, batch.graph, batch.workload)
         for k, sample in enumerate(samples):
             sl = batch.member_slice(k)
             assert result.member_tr[k] == pytest.approx(

@@ -170,12 +170,14 @@ class TestParameterShadow:
     def test_shadow_auto_refreshes_after_optimizer_step(self):
         from repro.nn.optim import SGD
 
+        from tests.nn.tape import model_forward
+
         model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
         graph, wl = make_pair(seed=16)
         predictor = BatchedPredictor(model, batch_size=2, dtype=np.float32)
         before = predictor.predict(graph, wl)
         opt = SGD(model.parameters(), lr=0.1)
-        pred_tr, pred_lg = model(graph, wl)
+        pred_tr, pred_lg = model_forward(model, graph, wl)
         (pred_tr.sum() + pred_lg.sum()).backward()
         opt.step()  # bumps the global parameter version
         after = predictor.predict(graph, wl)
