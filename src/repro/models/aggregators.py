@@ -8,8 +8,9 @@ convention over *rows*, never the whole ``(N, d)`` state: given
 ``h^{t-1}_v``) — and the :class:`~repro.circuit.graph.EdgeBatch`, they
 return one aggregated message row per batch node.  The sweep
 (:func:`repro.models.base.propagate`) gathers the rows, calls the
-aggregator's array kernels and scatters their gradients back into its one
-state buffer.
+aggregator's array kernels (the prologue once per window of levels, the
+level kernel writing straight into the GRU's input) and scatters their
+gradients back into its one state buffer.
 
 * :class:`ConvSumAggregator` — GCN-style linear + sum over predecessors
   ([12] in the paper); message width = hidden.
@@ -53,15 +54,21 @@ __all__ = [
 class Aggregator(Module):
     """Interface: aggregators map (h_src, h_prev, batch) -> messages.
 
-    Each aggregator is a kernel pair on raw arrays, which the sweep calls
-    directly: ``kernel_forward(h_src, h_prev, batch) -> (msg, ctx)`` and
+    Each aggregator is a kernel pair on raw arrays:
+    ``kernel_forward(h_src, h_prev, batch) -> (msg, ctx)`` and
     ``kernel_backward(ctx, g, acc) -> (d_src, d_prev)``, adding parameter
     gradients into ``acc`` (one array per :meth:`parameters` entry);
     ``d_prev`` is ``None`` when the message ignores the previous state.
-    Calling the module returns the message alone.  Every step is
-    per-row or per-segment (einsum scores, ``reduceat`` reductions over
-    the batch's sorted segment layout), so packed multi-circuit sweeps
-    reproduce sequential results bitwise.
+    Calling the module returns the message alone.
+
+    The forward is split the way the sweep runs it: :meth:`prologue`
+    computes, for a whole window of levels at once, every term that
+    depends only on the pass-start rows ``h_prev``; :meth:`level_forward`
+    then writes one level's message into a slice of the GRU's input
+    buffer.  ``kernel_forward`` is the two over one run of rows.  Every
+    step is per-row or per-segment (einsum scores, ``reduceat`` reductions
+    over the batch's sorted segment layout), so packed multi-circuit
+    sweeps and any window height reproduce sequential results bitwise.
     """
 
     #: width of the produced message, as a multiple of the hidden size.
@@ -75,52 +82,70 @@ class Aggregator(Module):
     def out_features(self) -> int:
         return self.hidden * self.out_multiplier
 
+    def kernel_forward(
+        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
+    ) -> tuple[np.ndarray, tuple]:
+        m = batch.num_nodes
+        level = (batch, batch.nodes, batch.src, batch.dst_local, _starts(batch), 0, m)
+        dtype = np.result_type(h_src, h_prev, *(p.data for p in self.parameters()))
+        msg = np.empty((m, self.out_features), dtype=dtype)
+        ctx = self.level_forward(h_src, h_prev, self.prologue(h_prev), level, msg)
+        return msg, ctx
 
-def _layout(batch: EdgeBatch) -> tuple[np.ndarray, np.ndarray]:
+    def prologue(self, h_prev: np.ndarray) -> tuple:
+        """The terms that depend only on the pass-start rows ``h_prev``
+        (and the parameters), for all of them at once."""
+        raise NotImplementedError
+
+    def level_forward(
+        self,
+        h_src: np.ndarray,
+        h_prev: np.ndarray,
+        terms: tuple,
+        level: tuple,
+        out: np.ndarray,
+    ) -> tuple:
+        """Write the messages of ``level`` — a
+        :class:`~repro.runtime.plan.SweepWindow` level, whose rows
+        ``lo:hi`` of the prologue's ``terms`` it reads — into ``out``'s
+        first :attr:`out_features` columns; returns the backward ``ctx``."""
+        raise NotImplementedError
+
+
+def _starts(batch: EdgeBatch) -> np.ndarray:
+    """Start offsets of the batch's message segments, one per node."""
     layout = batch.dst_layout()
     if layout is None:
         raise ValueError(
             "edge batch destinations are unsorted; aggregator kernels need "
             "sorted dst_local (GraphPlan.schedule checks every schedule)"
         )
-    return layout
-
-
-def _segment_reduce(
-    op: np.ufunc,
-    values: np.ndarray,
-    layout: tuple[np.ndarray, np.ndarray],
-    num_segments: int,
-    empty: float = 0.0,
-) -> np.ndarray:
-    """``op`` over each destination's contiguous run of rows; ``empty``
-    for a destination without messages."""
-    nonempty, starts = layout
-    if nonempty.size == num_segments:  # every scheduled node has a message
-        return op.reduceat(values, starts, axis=0)
-    out = np.full((num_segments,) + values.shape[1:], empty, dtype=values.dtype)
-    out[nonempty] = op.reduceat(values, starts, axis=0)
-    return out
+    if layout[0].size != batch.num_nodes:
+        raise ValueError(
+            "edge batch has a node without messages; aggregator kernels "
+            "need one per node (GraphPlan.schedule normalizes every schedule)"
+        )
+    return layout[1]
 
 
 def _attend(
-    hs: np.ndarray, hp: np.ndarray, w1: np.ndarray, w2: np.ndarray, batch: EdgeBatch
-) -> tuple[np.ndarray, tuple]:
-    """Eq. (5) on rows: the message ``sum_u alpha_uv h_u`` with additive
-    attention scores softmaxed within each destination segment, and the
-    ``ctx`` :func:`_attend_backward` needs (scores -> exp -> alpha share
-    one buffer)."""
-    layout = _layout(batch)
-    dst, m = batch.dst_local, batch.num_nodes
-    scores = np.einsum("ij,jc->ic", hs, w2.T)[:, 0]
-    scores += np.einsum("ij,jc->ic", hp, w1.T)[dst, 0]
-    seg_max = _segment_reduce(np.maximum, scores, layout, m, -np.inf)
+    hs: np.ndarray, s1: np.ndarray, w2t: np.ndarray, level: tuple, out: np.ndarray
+) -> np.ndarray:
+    """Eq. (5) for one level: writes the message ``sum_u alpha_uv h_u``
+    into ``out``, with additive attention scores softmaxed within each
+    destination segment, and returns ``alpha`` (scores -> exp -> alpha
+    share one buffer).  ``s1`` holds the prologue's ``w1 h_prev`` scores
+    of the window's rows."""
+    _, _, _, dst, starts, lo, hi = level
+    scores = np.einsum("ij,jc->ic", hs, w2t)[:, 0]
+    scores += s1[lo:hi][dst]
+    seg_max = np.maximum.reduceat(scores, starts)
     seg_max[~np.isfinite(seg_max)] = 0.0
     scores -= seg_max[dst]
     alpha = np.exp(scores, out=scores)
-    alpha /= _segment_reduce(np.add, alpha, layout, m)[dst]  # (E,)
-    msg = _segment_reduce(np.add, hs * alpha[:, None], layout, m)
-    return msg, (batch, layout, hs, hp, alpha)
+    alpha /= np.add.reduceat(alpha, starts)[dst]  # (E,)
+    np.add.reduceat(hs * alpha[:, None], starts, axis=0, out=out)
+    return alpha
 
 
 def _attend_backward(
@@ -133,16 +158,15 @@ def _attend_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward of :func:`_attend` for message gradient ``d_msg``: adds
     into ``d_w1``/``d_w2`` and returns ``(d_src, d_prev)``."""
-    batch, layout, hs, hp, alpha = ctx
-    dst, m = batch.dst_local, batch.num_nodes
+    dst, starts, hs, hp, alpha = ctx
     d_scaled = d_msg[dst]  # (E, d)
     d_src = d_scaled * alpha[:, None]
     d_alpha = np.einsum("ij,ij->i", d_scaled, hs)  # (E,)
     # softmax backward (the seg_max shift is constant w.r.t. grads)
-    seg_dot = _segment_reduce(np.add, alpha * d_alpha, layout, m)
+    seg_dot = np.add.reduceat(alpha * d_alpha, starts)
     d_scores = alpha * (d_alpha - seg_dot[dst])  # (E,)
     # scores = w1(h_prev)[dst] + w2(h_src)
-    d_w1out = _segment_reduce(np.add, d_scores, layout, m)
+    d_w1out = np.add.reduceat(d_scores, starts)
     d_src += d_scores[:, None] * w2
     d_w1 += d_w1out[None, :] @ hp
     d_w2 += d_scores[None, :] @ hs
@@ -156,19 +180,23 @@ class ConvSumAggregator(Aggregator):
         super().__init__(hidden)
         self.proj = Linear(hidden, hidden, seed=seed)
 
-    def kernel_forward(
-        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
-    ) -> tuple[np.ndarray, tuple]:
-        layout = _layout(batch)
-        proj = rowstable_matmul(h_src, np.ascontiguousarray(self.proj.weight.data.T))
-        proj += self.proj.bias.data
-        return _segment_reduce(np.add, proj, layout, batch.num_nodes), (batch, h_src)
+    def prologue(self, h_prev: np.ndarray) -> tuple:
+        # The contiguous transpose, once per window: BLAS picks
+        # M-dependent kernels for a transposed-view right operand.
+        return np.ascontiguousarray(self.proj.weight.data.T), self.proj.bias.data
+
+    def level_forward(self, h_src, h_prev, terms, level, out) -> tuple:
+        w_t, bias = terms
+        proj = rowstable_matmul(h_src, w_t)
+        proj += bias
+        np.add.reduceat(proj, level[4], axis=0, out=out[:, : self.hidden])
+        return level[3], h_src
 
     def kernel_backward(
         self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
     ) -> tuple[np.ndarray, None]:
-        batch, h_src = ctx
-        d_proj = g[batch.dst_local]  # (E, d)
+        dst, h_src = ctx
+        d_proj = g[dst]  # (E, d)
         d_weight, d_bias = acc
         d_weight += d_proj.T @ h_src
         d_bias += d_proj.sum(axis=0)
@@ -186,10 +214,14 @@ class AttentionAggregator(Aggregator):
         self.w1 = Linear(hidden, 1, bias=False, seed=seed)
         self.w2 = Linear(hidden, 1, bias=False, seed=seed + 1)
 
-    def kernel_forward(
-        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
-    ) -> tuple[np.ndarray, tuple]:
-        return _attend(h_src, h_prev, self.w1.weight.data, self.w2.weight.data, batch)
+    def prologue(self, h_prev: np.ndarray) -> tuple:
+        s1 = np.einsum("ij,jc->ic", h_prev, self.w1.weight.data.T)[:, 0]
+        return s1, self.w2.weight.data.T
+
+    def level_forward(self, h_src, h_prev, terms, level, out) -> tuple:
+        s1, w2t = terms
+        alpha = _attend(h_src, s1, w2t, level, out[:, : self.hidden])
+        return level[3], level[4], h_src, h_prev, alpha
 
     def kernel_backward(
         self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]
@@ -215,25 +247,33 @@ class DualAttentionAggregator(Aggregator):
         self.w3 = Linear(hidden, 1, bias=False, seed=seed + 2)
         self.w4 = Linear(hidden, 1, bias=False, seed=seed + 3)
 
-    def kernel_forward(
-        self, h_src: np.ndarray, h_prev: np.ndarray, batch: EdgeBatch
-    ) -> tuple[np.ndarray, tuple]:
+    def prologue(self, h_prev: np.ndarray) -> tuple:
+        """Eq. (5)'s ``w1 h_prev`` score and Eq. (6)'s ``w3 h_prev`` gate
+        term of every row."""
+        s1 = np.einsum("ij,jc->ic", h_prev, self.w1.weight.data.T)[:, 0]
+        g3 = np.einsum("ij,jc->ic", h_prev, self.w3.weight.data.T)
+        return s1, self.w2.weight.data.T, g3, self.w4.weight.data.T
+
+    def level_forward(self, h_src, h_prev, terms, level, out) -> tuple:
         """Fused Eqs. (5)-(7); replays the arithmetic of the same equations
         composed from autograd operators (values bitwise equal; the tests
         hold that composition as the oracle)."""
-        # Eq. (5): the logic message.
-        m_lg, attn = _attend(
-            h_src, h_prev, self.w1.weight.data, self.w2.weight.data, batch
-        )
-        # Eq. (6): sigmoid gate of the previous state against m_LG.
-        gate = np.einsum("ij,jc->ic", h_prev, self.w3.weight.data.T)
-        gate += np.einsum("ij,jc->ic", m_lg, self.w4.weight.data.T)
+        s1, w2t, g3, w4t = terms
+        d = self.hidden
+        # Eq. (5): the logic message, written as the second half.
+        m_lg = out[:, d : 2 * d]
+        alpha = _attend(h_src, s1, w2t, level, m_lg)
+        # Eq. (6): sigmoid gate of the previous state against m_LG, in
+        # place on the prologue's rows.
+        gate = g3[level[5] : level[6]]
+        gate += np.einsum("ij,jc->ic", m_lg, w4t)
         np.negative(gate, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
         np.reciprocal(gate, out=gate)  # (m, 1)
         # Eq. (7): m_TR || m_LG.
-        return np.concatenate([m_lg * gate, m_lg], axis=1), (attn, m_lg, gate)
+        np.multiply(m_lg, gate, out=out[:, :d])
+        return (level[3], level[4], h_src, h_prev, alpha), m_lg, gate
 
     def kernel_backward(
         self, ctx: tuple, g: np.ndarray, acc: list[np.ndarray]

@@ -28,7 +28,7 @@ from repro.nn.layers import MLP
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell
 from repro.models.aggregators import Aggregator, make_aggregator
-from repro.runtime.plan import GraphPlan, baseline_batches, plan_for
+from repro.runtime.plan import GraphPlan, SweepWindow, baseline_batches, plan_for
 from repro.sim.workload import Workload
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "baseline_batches",
     "propagate",
     "propagate_backward",
+    "window_rows",
 ]
 
 
@@ -86,15 +87,29 @@ class Prediction:
         return self.tr.sum(axis=1)
 
 
+#: Bytes of pass-start arrays one sweep window holds at most: the gather of
+#: its rows, the GRU's hidden gates, the attention scores and the GRU input
+#: buffer.  A few hundred rows at the benchmark's width, so a window spans
+#: many small levels and stays cache-resident.
+_WINDOW_BYTES = 1 << 18
+
+
+def window_rows(gru: GRUCell, dtype) -> int:
+    """Rows per sweep window for ``gru``'s pass at ``dtype``."""
+    row = (4 * gru.hidden_size + 2 + gru.input_size) * np.dtype(dtype).itemsize
+    return max(1, _WINDOW_BYTES // row)
+
+
 @dataclass(frozen=True)
 class LevelPass:
-    """One levelized pass: per batch, aggregate the sources' current rows
-    against the nodes' own rows, GRU-combine with the nodes' feature rows
-    (:meth:`GraphPlan.feature_rows`, aligned with ``batches``) and write
-    the new rows."""
+    """One levelized pass: per level, aggregate the sources' current rows
+    against the nodes' own rows, GRU-combine with the nodes' rows of the
+    ``(N, F)`` matrix ``features`` and write the new rows.  ``windows`` is
+    the pass's schedule cut into :class:`~repro.runtime.plan.SweepWindow`
+    runs (:meth:`GraphPlan.windows`)."""
 
-    batches: Sequence[EdgeBatch]
-    feature_rows: Sequence[np.ndarray]
+    windows: Sequence[SweepWindow]
+    features: np.ndarray
     agg: Aggregator
     gru: GRUCell
 
@@ -116,18 +131,22 @@ def propagate(
     """Run ``steps`` ``iterations`` times on the ``(N, d)`` buffer ``state``,
     in place; returns ``state``.
 
-    Each level calls its cells' array kernels and nothing else:
-    ``agg.kernel_forward(H[src], H[nodes], batch)`` for the message and
-    ``gru.kernel_forward(msg || feature rows, H[nodes])`` for the new rows.
     No node is written twice in one pass (checked per schedule by
     :meth:`GraphPlan.schedule`), so when a level runs its nodes still hold
     their pass-start rows and no snapshot of the pass start is needed.
+    That is what lets each window of levels start with one prologue over
+    all of its rows: ``H = state[nodes]``, the GRU's hidden gates and the
+    aggregator's previous-state terms (kernels whose row results do not
+    depend on the number of rows), and one GRU input buffer with the
+    feature columns gathered.  Each level then calls the two level kernels
+    on row slices: ``agg.level_forward`` writes the message straight into
+    the buffer and ``gru.level_forward`` reads it.
 
     With a ``log`` (training), each level appends its two kernel contexts
-    and each DFF copy its :class:`RowCopy`, for :func:`propagate_backward`.
-    What the log keeps is O(sum of (E + m) * d) values per pass, never a
-    copy of the state per level.  Inference passes no log and keeps
-    nothing.
+    (views into its window's arrays) and each DFF copy its
+    :class:`RowCopy`, for :func:`propagate_backward`.  What the log keeps
+    is O(sum of (E + m) * d) values per pass, never a copy of the state
+    per level.  Inference passes no log and keeps nothing.
     """
     for _ in range(iterations):
         for step in steps:
@@ -137,17 +156,26 @@ def propagate(
                     log.append(step)
                 continue
             agg, gru = step.agg, step.gru
-            for batch, x_rows in zip(step.batches, step.feature_rows):
-                if batch.num_nodes == 0 or batch.num_edges == 0:
-                    continue
-                h_prev = state[batch.nodes]
-                msg, agg_ctx = agg.kernel_forward(state[batch.src], h_prev, batch)
-                rows, gru_ctx = gru.kernel_forward(
-                    np.concatenate([msg, x_rows], axis=1), h_prev
-                )
-                state[batch.nodes] = rows
-                if log is not None:
-                    log.append((agg, gru, batch, agg_ctx, gru_ctx))
+            width = agg.out_features
+            for window in step.windows:
+                h_win = state[window.nodes]
+                agg_terms = agg.prologue(h_win)
+                gru_terms = gru.prologue(h_win)
+                x_win = np.empty((len(h_win), gru.input_size), dtype=state.dtype)
+                np.take(step.features, window.nodes, axis=0, out=x_win[:, width:])
+                msg_win = x_win[:, :width]
+                for level in window.levels:
+                    batch, nodes, src, _, _, lo, hi = level
+                    h_prev = h_win[lo:hi]
+                    agg_ctx = agg.level_forward(
+                        state[src], h_prev, agg_terms, level, msg_win[lo:hi]
+                    )
+                    rows, gru_ctx = gru.level_forward(
+                        x_win[lo:hi], h_prev, gru_terms, lo, hi
+                    )
+                    state[nodes] = rows
+                    if log is not None:
+                        log.append((agg, gru, batch, agg_ctx, gru_ctx))
     return state
 
 
@@ -304,11 +332,12 @@ class RecurrentDagGnn(Module):
             if workload is None:
                 raise ValueError("embed needs a workload when h0 is not given")
             h0 = self.initial_hidden(graph, workload)
-        fwd_batches, rev_batches = plan.schedule(custom=self.use_custom_batches)
-        fwd_rows, rev_rows = plan.feature_rows(self.use_custom_batches, h0.dtype)
+        rows = window_rows(self.forward_gru, h0.dtype)
+        fwd, rev = plan.windows(self.use_custom_batches, rows)
+        features = plan.features(h0.dtype)
         steps: list[LevelPass | RowCopy] = [
-            LevelPass(fwd_batches, fwd_rows, self.forward_agg, self.forward_gru),
-            LevelPass(rev_batches, rev_rows, self.reverse_agg, self.reverse_gru),
+            LevelPass(fwd, features, self.forward_agg, self.forward_gru),
+            LevelPass(rev, features, self.reverse_agg, self.reverse_gru),
         ]
         if self.dff_copy_step and graph.dff_ids.size:
             steps.append(RowCopy(graph.dff_ids, graph.dff_src))
@@ -376,8 +405,13 @@ class RecurrentDagGnn(Module):
         natural graph-level summary for downstream classification /
         retrieval use-cases (see ``examples/family_classification.py``).
         ``mode``: ``mean`` | ``max`` | ``meanmax`` (concatenation).
+        Runs on the float64 master weights, serialized per model against
+        runtime calls that swap in a parameter shadow, as :meth:`predict`.
         """
-        h = self.embed(graph, workload)
+        from repro.runtime.predictor import _model_lock, _shadow_context
+
+        with _model_lock(self), _shadow_context(self, np.dtype(np.float64)):
+            h = self.embed(graph, workload)
         if mode == "mean":
             return h.mean(axis=0)
         if mode == "max":

@@ -34,6 +34,7 @@ from repro.models.base import (
     _h0_base,
     propagate,
     propagate_backward,
+    window_rows,
 )
 from repro.nn.layers import MLP, Linear
 from repro.nn.module import Module
@@ -137,14 +138,10 @@ class Grannite(Module):
         with the simulated source activity as the Grannite flow prescribes.
         With a ``log``, keeps the contexts :meth:`backward` needs.
         """
-        batches, _ = plan_for(graph).schedule(custom=True)
-        features = self.node_features(graph)
-        rows = [features[b.nodes] for b in batches]
-        h = propagate(
-            self.initial_hidden(graph, sources, log),
-            [LevelPass(batches, rows, self.agg, self.gru)],
-            log=log,
-        )
+        h0 = self.initial_hidden(graph, sources, log)
+        windows, _ = plan_for(graph).windows(True, window_rows(self.gru, h0.dtype))
+        step = LevelPass(windows, self.node_features(graph), self.agg, self.gru)
+        h = propagate(h0, [step], log=log)
         if log is None:
             return self.head_tr(h)
         pred, head_ctx = self.head_tr.kernel_forward(h)

@@ -46,22 +46,46 @@ class GRUCell(Module):
         """One step on raw arrays, ``x`` (B, input_size) and ``h``
         (B, hidden_size): ``(h', ctx)`` for ``kernel_backward``.
 
-        The only executed arithmetic, for every dtype, in training and
-        inference; it replays the GRU composed from autograd operators
-        (same kernels, same operation order, so the values are bitwise
-        equal; the tests hold that composition as the oracle).  Buffer
-        discipline is part of the contract (large float32 packs are
-        memory-bound): two
-        gemms, biases added in place, both sigmoids on one ``(B, 2*hs)``
-        buffer, the candidate built in place; ``ctx`` keeps ``x``, ``h``,
-        the gate buffer, ``n`` and ``h_n`` for the backward.
+        The sweep's two halves over one run of rows: :meth:`prologue` on
+        ``h``, then :meth:`level_forward`.  It replays the GRU composed from
+        autograd operators (same kernels, same operation order, so the
+        values are bitwise equal; the tests hold that composition as the
+        oracle).
         """
-        hs = self.hidden_size
+        return self.level_forward(x, h, self.prologue(h), 0, h.shape[0])
+
+    def prologue(self, h: np.ndarray) -> tuple:
+        """The terms of a step that depend on the previous rows ``h``
+        alone, for all of them at once: ``(h W_hh^T + b_hh, W_ih^T, b_ih)``.
+
+        A row of the hidden gates does not depend on how many rows ``h``
+        has (:func:`rowstable_matmul`), so the sweep computes them once
+        per window of levels and each level reads its rows.
+        """
         wi_t, wh_t = self._transposed_weights()
-        gi = rowstable_matmul(x, wi_t)
-        gi += self.b_ih.data
         gh = rowstable_matmul(h, wh_t)
         gh += self.b_hh.data
+        return gh, wi_t, self.b_ih.data
+
+    def level_forward(
+        self, x: np.ndarray, h: np.ndarray, terms: tuple, lo: int, hi: int
+    ) -> tuple[np.ndarray, tuple]:
+        """The step for rows ``lo:hi`` of a :meth:`prologue`'s ``terms``,
+        whose previous rows are ``h`` and inputs ``x``: ``(h', ctx)``.
+
+        The only executed arithmetic, for every dtype, in training and
+        inference.  Buffer discipline is part of the contract (large
+        float32 packs are memory-bound): one gemm, its bias added in
+        place, both sigmoids on one ``(B, 2*hs)`` buffer, the candidate
+        built in place; ``ctx`` keeps ``x``, ``h``, the gate buffer, ``n``
+        and ``h_n`` (a view of the prologue's hidden gates) for the
+        backward.
+        """
+        gh_all, wi_t, b_ih = terms
+        hs = self.hidden_size
+        gh = gh_all[lo:hi]
+        gi = rowstable_matmul(x, wi_t)
+        gi += b_ih
         rz = gi[:, : 2 * hs] + gh[:, : 2 * hs]
         np.negative(rz, out=rz)
         np.exp(rz, out=rz)

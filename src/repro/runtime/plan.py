@@ -2,8 +2,9 @@
 
 A :class:`GraphPlan` freezes everything a levelized GNN sweep needs for one
 circuit *structure*: the forward/reverse :class:`EdgeBatch` schedules (both
-DeepSeq's custom cut-graph variant and the baseline variant), the one-hot
-feature matrix per dtype, and the DFF copy indices.  Plans are cached in a
+DeepSeq's custom cut-graph variant and the baseline variant), their
+:class:`SweepWindow` runs of levels, the one-hot feature matrix per dtype,
+and the DFF copy indices.  Plans are cached in a
 bounded process-wide LRU keyed by the netlist's stable content hash
 (:meth:`repro.circuit.netlist.Netlist.fingerprint`), so every model
 instance, pipeline and predictor in the process shares one compiled plan
@@ -32,6 +33,7 @@ from repro.lru import FingerprintLRU
 __all__ = [
     "GraphPlan",
     "ScheduleError",
+    "SweepWindow",
     "baseline_batches",
     "plan_for",
     "fingerprint_of",
@@ -119,6 +121,47 @@ def _check_sorted(batches: list[EdgeBatch], direction: str) -> None:
             )
 
 
+@dataclass(frozen=True)
+class SweepWindow:
+    """A run of consecutive levels of one pass, swept under one prologue.
+
+    The sweep computes every term that depends only on pass-start rows
+    (the gather of the rows, the GRU's hidden gates, the attention's
+    previous-state scores) once for all of ``nodes``, then runs the
+    levels on row slices of those arrays.  Each entry of ``levels`` is
+    ``(batch, nodes, src, dst_local, starts, lo, hi)``: the level's
+    :class:`EdgeBatch` and its arrays, the start offset of every node's
+    message segment (each node has at least one message) and the level's
+    rows ``lo:hi`` of the window.
+    """
+
+    nodes: np.ndarray
+    levels: tuple[tuple, ...]
+
+
+def _windows(batches: list[EdgeBatch], max_rows: int) -> tuple[SweepWindow, ...]:
+    """Cut a checked, normalized schedule into windows of consecutive
+    levels of at most ``max_rows`` rows (a larger level is a window of its
+    own).  Every level's destinations are sorted and every node has a
+    message, so each level has one segment start per node."""
+    windows = []
+    first = 0
+    while first < len(batches):
+        levels: list[tuple] = []
+        lo = 0
+        for batch in batches[first:]:
+            if lo and lo + batch.num_nodes > max_rows:
+                break
+            hi = lo + batch.num_nodes
+            starts = batch.dst_layout()[1]
+            levels.append((batch, batch.nodes, batch.src, batch.dst_local, starts, lo, hi))
+            lo = hi
+        nodes = np.concatenate([level[1] for level in levels])
+        windows.append(SweepWindow(nodes, tuple(levels)))
+        first += len(levels)
+    return tuple(windows)
+
+
 def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBatch]]:
     """Level batches for the *simple* propagation of the baseline models.
 
@@ -152,12 +195,18 @@ class GraphPlan:
         key: the netlist content hash this plan is cached under.
     """
 
-    __slots__ = ("graph", "key", "_schedules", "_features", "_feature_rows")
+    __slots__ = (
+        "graph", "key", "_schedules", "_windows", "_features", "_feature_rows"
+    )
 
     def __init__(self, graph: CircuitGraph, key: str) -> None:
         self.graph = graph
         self.key = key
         self._schedules: dict[bool, tuple[list[EdgeBatch], list[EdgeBatch]]] = {}
+        self._windows: dict[
+            tuple[bool, int],
+            tuple[tuple[SweepWindow, ...], tuple[SweepWindow, ...]],
+        ] = {}
         self._features: dict[np.dtype, np.ndarray] = {}
         self._feature_rows: dict[
             tuple[bool, np.dtype],
@@ -190,6 +239,18 @@ class GraphPlan:
             self._schedules[custom] = entry
         return entry
 
+    def windows(self, custom: bool, max_rows: int):
+        """:meth:`schedule`'s (forward, reverse) passes cut into
+        :class:`SweepWindow` runs of at most ``max_rows`` rows (cached per
+        ``max_rows``)."""
+        key = (bool(custom), int(max_rows))
+        cached = self._windows.get(key)
+        if cached is None:
+            fwd, rev = self.schedule(custom)
+            cached = (_windows(fwd, max_rows), _windows(rev, max_rows))
+            self._windows[key] = cached
+        return cached
+
     def features(self, dtype=np.float64) -> np.ndarray:
         """The (N, 4) one-hot feature matrix cast to ``dtype`` (cached)."""
         dt = np.dtype(dtype)
@@ -201,12 +262,13 @@ class GraphPlan:
         return feats
 
     def resident_bytes(self, custom: bool = True, dtype=np.float64) -> int:
-        """Bytes the materialized per-batch feature rows would keep alive.
+        """Bytes of the feature rows a sweep reads, per scheduled node.
 
-        Each scheduled batch gathers a ``(batch_nodes, 4)`` slice of the
+        Each scheduled level reads a ``(batch_nodes, 4)`` slice of the
         one-hot feature matrix; this sums those slices over both sweep
-        directions — what ``BatchedPredictor(memory_budget=...)`` sums
-        over a pack's members and holds within ``plan_bytes``.
+        directions (what :meth:`feature_rows` would keep alive) — the
+        size measure ``BatchedPredictor(memory_budget=...)`` sums over a
+        pack's members and holds within ``plan_bytes``.
         """
         itemsize = np.dtype(dtype).itemsize
         fwd, rev = self.schedule(custom)
@@ -215,13 +277,9 @@ class GraphPlan:
 
     def feature_rows(self, custom: bool = True, dtype=np.float64):
         """Per-batch gathers of the feature matrix, aligned with
-        :meth:`schedule`'s (forward, reverse) batches (cached).
-
-        The one-hot features are constant, so gathering them per level on
-        every iteration of every training step is pure waste — the sweep
-        reads these precomputed rows instead.  They hold at most eight
-        columns per scheduled node, against the sweep's ``(N, hidden)``
-        state.
+        :meth:`schedule`'s (forward, reverse) batches (cached), for callers
+        that walk a schedule level by level.  The sweep gathers a window's
+        rows straight from :meth:`features` instead, once per window.
         """
         key = (bool(custom), np.dtype(dtype))
         cached = self._feature_rows.get(key)

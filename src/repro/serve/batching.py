@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.experiments.config import ServeConfig
+from repro.models.base import window_rows
 from repro.runtime.pack import pack_graphs
 from repro.serve.metrics import ServerMetrics
 
@@ -70,7 +71,8 @@ class WorkerDied(ServeError):
 
 
 def warm_plan(model, graph, dtype) -> None:
-    """Compile ``graph``'s own plan for ``model``: schedule and feature rows.
+    """Compile ``graph``'s own plan for ``model``: schedule, sweep windows
+    and the feature matrix at ``dtype``.
 
     A lone request over ``graph`` then runs straight from the caches.  A
     pack of several requests compiles its union plan once, on first use,
@@ -78,8 +80,8 @@ def warm_plan(model, graph, dtype) -> None:
     """
     custom = getattr(model, "use_custom_batches", True)
     plan = pack_graphs([graph]).plan
-    plan.schedule(custom)
-    plan.feature_rows(custom, dtype)
+    plan.windows(custom, window_rows(model.forward_gru, dtype))
+    plan.features(dtype)
 
 
 def validate_request(num_pis: int, workload, deadline_ms: float | None) -> None:

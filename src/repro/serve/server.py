@@ -266,8 +266,8 @@ class Server:
 
     # ------------------------------------------------------------------
     def warm(self, circuit: CircuitGraph | Netlist) -> None:
-        """Compile ``circuit``'s own plan (schedule and feature rows) before
-        traffic hits.
+        """Compile ``circuit``'s own plan (schedule, sweep windows and
+        feature matrix) before traffic hits.
 
         Deployments that know their circuit structures call this at
         startup so the first request over each one pays no compile.

@@ -115,6 +115,27 @@ class TestPredictEntryPoint:
         assert np.array_equal(got[0].tr, reference.tr)
         assert np.array_equal(got[0].lg, reference.lg)
 
+    def test_readout_waits_for_the_model_lock(self, setup):
+        """``readout`` embeds on the float64 masters: while a float32
+        shadow is swapped in under the model lock it blocks, and after
+        release it returns the float64 readout bitwise."""
+        graph, wl = setup
+        model = perturb_parameters(DeepSeq(CFG))
+        reference = model.readout(graph, wl, mode="meanmax")
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.append(model.readout(graph, wl, mode="meanmax")),
+            daemon=True,
+        )
+        with _model_lock(model), _shadow_context(model, np.dtype(np.float32)):
+            worker.start()
+            worker.join(timeout=0.5)
+            assert worker.is_alive() and not got, "readout bypassed the model lock"
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert got[0].dtype == np.float64
+        assert np.array_equal(got[0], reference)
+
     def test_derived_caches_stay_out_of_the_pickle(self, setup):
         """The structure pickle shipped to workers must not grow once the
         model has served: no cached transposes, no float32 shadow arrays."""

@@ -32,7 +32,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.models.base import LevelPass, _h0_base, propagate, propagate_backward
+from repro.models.base import (
+    LevelPass,
+    _h0_base,
+    propagate,
+    propagate_backward,
+    window_rows,
+)
 from repro.nn.layers import Linear, ReLU, Sigmoid
 from repro.nn.tensor import rowstable_matmul, sorted_segment_layout
 from repro.runtime.plan import plan_for
@@ -815,9 +821,8 @@ def grannite_initial_hidden(model, graph, sources) -> Tensor:
 
 def grannite_forward(model, graph, sources) -> Tensor:
     """``Grannite.forward`` on the tape: (N, 2) transition predictions."""
-    batches, _ = plan_for(graph).schedule(custom=True)
-    features = model.node_features(graph)
-    steps = [LevelPass(batches, [features[b.nodes] for b in batches], model.agg, model.gru)]
+    windows, _ = plan_for(graph).windows(True, window_rows(model.gru, np.float64))
+    steps = [LevelPass(windows, model.node_features(graph), model.agg, model.gru)]
     h = sweep(
         grannite_initial_hidden(model, graph, sources),
         (model.agg, model.gru),

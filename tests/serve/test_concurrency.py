@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.models.base import ModelConfig
+from repro.models.base import ModelConfig, window_rows
 from repro.models.deepseq import DeepSeq
 from repro.runtime.pack import clear_pack_cache, pack_cache_info, pack_graphs
 from repro.runtime.plan import clear_plan_cache
@@ -456,11 +456,13 @@ class TestWarm:
         pairs, _ = problem_set
         graph = pairs[4][0]
         clear_pack_cache()
-        clear_plan_cache()  # drop rows an earlier sweep cached at float64
+        clear_plan_cache()  # drop what an earlier sweep cached at float64
         with Server(MODEL, workers=1, dtype="float32") as srv:
             srv.warm(graph.netlist)
-            rows = pack_graphs([graph]).plan._feature_rows
-        assert set(rows) == {(MODEL.use_custom_batches, np.dtype(np.float32))}
+            plan = pack_graphs([graph]).plan
+        height = window_rows(MODEL.forward_gru, np.float32)
+        assert set(plan._windows) == {(MODEL.use_custom_batches, height)}
+        assert set(plan._features) == {np.dtype(np.float32)}
         assert pack_cache_info().size == 1
 
 
