@@ -1,14 +1,23 @@
-"""Experiment drivers: one module per paper table."""
+"""Experiment drivers: the paper's seven tables, in :mod:`.tables`."""
 
 from repro.experiments.config import PAPER, QUICK, ExperimentScale, get_scale
 from repro.experiments.reporting import TextTable
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import PAPER_TABLE2, Table2Result, run_table2
-from repro.experiments.table3 import PAPER_TABLE3, Table3Result, run_table3
-from repro.experiments.table4 import Table4Result, run_table4
-from repro.experiments.table5 import PAPER_TABLE5, Table5Result, run_table5
-from repro.experiments.table6 import PAPER_TABLE6, Table6Result, run_table6
-from repro.experiments.table7 import PAPER_TABLE7, Table7Result, run_table7
+from repro.experiments.tables import (
+    ABLATION_ROWS,
+    PAPER_TABLE2,
+    PAPER_TABLE3,
+    PAPER_TABLE5,
+    PAPER_TABLE6,
+    PAPER_TABLE7,
+    TableResult,
+    run_table1,
+    run_table2,
+    run_table3,
+    run_table4,
+    run_table5,
+    run_table6,
+    run_table7,
+)
 
 __all__ = [
     "PAPER",
@@ -16,23 +25,18 @@ __all__ = [
     "ExperimentScale",
     "get_scale",
     "TextTable",
-    "Table1Result",
-    "run_table1",
+    "TableResult",
+    "ABLATION_ROWS",
     "PAPER_TABLE2",
-    "Table2Result",
-    "run_table2",
     "PAPER_TABLE3",
-    "Table3Result",
-    "run_table3",
-    "Table4Result",
-    "run_table4",
     "PAPER_TABLE5",
-    "Table5Result",
-    "run_table5",
     "PAPER_TABLE6",
-    "Table6Result",
-    "run_table6",
     "PAPER_TABLE7",
-    "Table7Result",
+    "run_table1",
+    "run_table2",
+    "run_table3",
+    "run_table4",
+    "run_table5",
+    "run_table6",
     "run_table7",
 ]

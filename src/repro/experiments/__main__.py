@@ -19,15 +19,24 @@ import time
 from pathlib import Path
 
 from repro.experiments.config import get_scale
+from repro.experiments.tables import (
+    run_table1,
+    run_table2,
+    run_table3,
+    run_table4,
+    run_table5,
+    run_table6,
+    run_table7,
+)
 
 _TABLES = {
-    "table1": ("repro.experiments.table1", "run_table1"),
-    "table2": ("repro.experiments.table2", "run_table2"),
-    "table3": ("repro.experiments.table3", "run_table3"),
-    "table4": ("repro.experiments.table4", "run_table4"),
-    "table5": ("repro.experiments.table5", "run_table5"),
-    "table6": ("repro.experiments.table6", "run_table6"),
-    "table7": ("repro.experiments.table7", "run_table7"),
+    "table1": run_table1,
+    "table2": run_table2,
+    "table3": run_table3,
+    "table4": run_table4,
+    "table5": run_table5,
+    "table6": run_table6,
+    "table7": run_table7,
 }
 
 _OVERRIDABLE_INT = (
@@ -80,11 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(_TABLES) if args.table == "all" else [args.table]
     outputs: list[str] = []
     for name in names:
-        module_name, fn_name = _TABLES[name]
-        module = __import__(module_name, fromlist=[fn_name])
-        runner = getattr(module, fn_name)
         start = time.time()
-        result = runner(scale)
+        result = _TABLES[name](scale)
         elapsed = time.time() - start
         text = result.text
         outputs.append(text)

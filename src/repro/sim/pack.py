@@ -213,15 +213,18 @@ def pack_circuits(
             f"cannot pack {len(circuits)} circuits: exceeds "
             f"MAX_PACK_MEMBERS={MAX_PACK_MEMBERS}; chunk the batch"
         )
+    if cache:
+        keys = tuple(
+            (c.netlist if isinstance(c, CompiledCircuit) else c).fingerprint()
+            for c in circuits
+        )
+        packed = _CACHE.get(keys)
+        if packed is not None:
+            return packed
     members = tuple(
         c if isinstance(c, CompiledCircuit) else compile_netlist(c)
         for c in circuits
     )
-    if cache:
-        keys = tuple(m.netlist.fingerprint() for m in members)
-        packed = _CACHE.get(keys)
-        if packed is not None:
-            return packed
     compiled = members[0] if len(members) == 1 else _merge_members(members)
     offsets: list[int] = []
     pi_slices: list[slice] = []

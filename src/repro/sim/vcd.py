@@ -141,30 +141,24 @@ def trace_simulation(
     cycles: int,
     nodes: list[int] | None = None,
     seed: int = 0,
-    engine: str = "cycle",
     budget=None,
 ) -> VcdTracer:
     """Convenience: simulate ``cycles`` cycles and return a filled tracer.
 
-    ``engine="cycle"`` (default) steps per cycle; ``"block"`` runs the
-    block engine with the tracer attached as a history observer — under a
-    :class:`~repro.memory.MemoryBudget` the window spills to the tracer
-    every flush, producing the identical waveform.
+    Runs the block executor with the tracer attached as a history
+    observer; under a :class:`~repro.memory.MemoryBudget` the window
+    spills to the tracer every flush, producing the identical waveform.
     """
     from repro.sim.logicsim import Simulator
     from repro.sim.workload import PatternSource
 
     sim = Simulator(netlist, streams=64)
     sim.reset()
-    source = PatternSource(workload, streams=64, seed=seed)
     tracer = VcdTracer(netlist, nodes=nodes)
-    if engine == "block":
-        sim.run(cycles, source, observers=[tracer], budget=budget)
-    elif engine == "cycle":
-        for cycle in range(cycles):
-            values = sim.step(source.next_cycle(), cycle)
-            tracer.observe(values)
-            sim.latch()
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    sim.run(
+        cycles,
+        PatternSource(workload, streams=64, seed=seed),
+        observers=[tracer],
+        budget=budget,
+    )
     return tracer

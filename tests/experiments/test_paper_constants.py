@@ -7,11 +7,13 @@ internally consistent with the averages the paper reports in its text.
 
 import pytest
 
-from repro.experiments.table2 import PAPER_TABLE2
-from repro.experiments.table3 import PAPER_TABLE3
-from repro.experiments.table5 import PAPER_TABLE5
-from repro.experiments.table6 import PAPER_TABLE6
-from repro.experiments.table7 import PAPER_TABLE7
+from repro.experiments import (
+    PAPER_TABLE2,
+    PAPER_TABLE3,
+    PAPER_TABLE5,
+    PAPER_TABLE6,
+    PAPER_TABLE7,
+)
 
 
 class TestTable2Constants:

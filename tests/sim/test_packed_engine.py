@@ -405,6 +405,27 @@ class TestPackPlanCache:
         info = sim_pack_cache_info()
         assert info.misses == 1 and info.hits == 1 and info.size == 1
 
+    def test_hit_compiles_nothing(self, monkeypatch):
+        zoo = gate_zoo_netlist()
+        other, wl = random_member(3)
+        compiles = []
+
+        def counting_compile(nl):
+            compiles.append(nl)
+            return compile_netlist(nl)
+
+        monkeypatch.setattr(pack_mod, "compile_netlist", counting_compile)
+        cfg = SimConfig(cycles=16, streams=64, seed=3)
+        workloads = [zoo_workload(3), wl]
+        miss = simulate_packed([zoo, other], workloads, cfg)
+        assert len(compiles) == 2
+        hit = simulate_packed([zoo, other], workloads, cfg)
+        assert len(compiles) == 2
+        info = sim_pack_cache_info()
+        assert info.misses == 1 and info.hits == 1
+        for a, b in zip(miss, hit):
+            assert_sim_equal(a, b)
+
     def test_distinct_compositions_miss_separately(self):
         zoo = gate_zoo_netlist()
         other, _ = random_member(3)

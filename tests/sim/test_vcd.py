@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.circuit.library import library_circuit
+from repro.memory import MemoryBudget
+from repro.sim.logicsim import Simulator
 from repro.sim.vcd import VcdTracer, _identifier, trace_simulation
-from repro.sim.workload import Workload, random_workload
+from repro.sim.workload import PatternSource, Workload, random_workload
 
 
 class TestIdentifier:
@@ -115,3 +117,28 @@ class TestTracer:
         path = tmp_path / "wave.vcd"
         tracer.dump(path)
         assert path.read_text().startswith("$date")
+
+
+class TestBlockTraceMatchesCycleReplay:
+    """``trace_simulation`` runs the block executor; its waveform equals a
+    per-cycle ``Simulator.step``/``latch`` replay of the same stimulus,
+    resident or flushed every cycle under a one-byte budget."""
+
+    @pytest.mark.parametrize("name", ["gray3", "s27"])
+    @pytest.mark.parametrize(
+        "budget",
+        [None, MemoryBudget(plan_bytes=1, history_bytes=1)],
+        ids=["resident", "one-byte-budget"],
+    )
+    def test_dumps_equal(self, name, budget):
+        nl = library_circuit(name)
+        workload = random_workload(nl, 3)
+        sim = Simulator(nl, streams=64)
+        sim.reset()
+        source = PatternSource(workload, streams=64, seed=5)
+        replay = VcdTracer(nl)
+        for cycle in range(40):
+            replay.observe(sim.step(source.next_cycle(), cycle))
+            sim.latch()
+        traced = trace_simulation(nl, workload, cycles=40, seed=5, budget=budget)
+        assert traced.dumps() == replay.dumps()
