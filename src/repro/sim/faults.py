@@ -11,11 +11,13 @@ each cycle, and record per node the conditional error probabilities
 Circuit *reliability* is summarized as the probability that all primary
 outputs are correct, estimated over all observed (cycle, stream) samples.
 
-Both machines run in lockstep sharing a single :class:`PatternSource`
-replay, so stimulus is identical bit-for-bit; only the injected flips (and
-their propagation through logic and flip-flop state) differ.  The block
-executor runs them as the two halves of one doubled word axis; the
-two-simulator loop at the bottom of this module is the reference.
+Both machines run in lockstep sharing a single
+:class:`~repro.sim.workload.PatternSource` replay, so stimulus is identical
+bit-for-bit; only the injected flips (and their propagation through logic
+and flip-flop state) differ.  The block executor runs them as the two
+halves of one doubled word axis
+(:func:`repro.sim.pack.simulate_with_faults_packed`); the two-simulator
+per-cycle loop in ``tests/sim/reference.py`` is the oracle it is held to.
 """
 
 from __future__ import annotations
@@ -26,15 +28,8 @@ import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
-from repro.sim.bitvec import popcount
-from repro.sim.logicsim import (
-    _BLOCK_ENGINES,
-    CompiledCircuit,
-    SimConfig,
-    Simulator,
-    compile_netlist,
-)
-from repro.sim.workload import PatternSource, Workload
+from repro.sim.logicsim import CompiledCircuit, SimConfig
+from repro.sim.workload import Workload
 
 __all__ = ["FaultConfig", "FaultSimResult", "simulate_with_faults"]
 
@@ -122,49 +117,27 @@ class FaultSimResult:
         return np.divide(self.observed1, np.maximum(total, 1), dtype=np.float64)
 
 
-class _FaultInjector:
-    """Generates per-group flip masks with ~fault_rate bit density.
+def _mask_mix(rate: float) -> tuple[int, int, float] | None:
+    """How fault masks reach ~``rate`` bit density: ``(k_lo, k_hi, w_lo)``.
 
     Exact per-bit Bernoulli masks would need 64 random floats per node per
-    cycle; instead we AND ``k`` uniform random words, giving density
-    ``2**-k``, and mix two adjacent ``k`` values so the *expected* density
-    equals ``fault_rate`` exactly (for rates up to 0.5, the ``k = 1``
-    ceiling :class:`FaultConfig` enforces).
-
-    This is the reference oracle, used by the per-cycle engine only: one
-    scalar choice draw, then ``k`` sequential ``(m, words)`` draws, per
-    (cycle, group).  The block executor reads the same raw stream in bulk
-    — one generator for a whole pack, since every member's injector
-    starts from the same seed — and keeps only the non-zero masks
-    (:class:`repro.sim.pack._PackedInjector`), pinned bitwise to this.
+    cycle; instead a mask ANDs ``k`` uniform random words, giving density
+    ``2**-k``, and each (cycle, group) draws ``k = k_lo`` with probability
+    ``w_lo``, else ``k_hi = k_lo + 1``, so the *expected* density equals
+    ``rate`` exactly (for rates up to 0.5, the ``k = 1`` ceiling
+    :class:`FaultConfig` enforces).  ``None`` when ``rate <= 0``: nothing
+    is drawn.
     """
-
-    def __init__(self, rate: float, words: int, rng: np.random.Generator):
-        self.words = words
-        self.rng = rng
-        if rate <= 0.0:
-            self.k_lo = None
-            return
-        k = max(1.0, -np.log2(rate))
-        self.k_lo = int(np.floor(k))
-        self.k_hi = self.k_lo + 1
-        p_lo, p_hi = 2.0**-self.k_lo, 2.0**-self.k_hi
-        # mix: w * p_lo + (1-w) * p_hi = rate
-        self.w_lo = (rate - p_hi) / (p_lo - p_hi)
-
-    def mask(self, cycle: int, nodes: np.ndarray) -> np.ndarray:
-        shape = (nodes.size, self.words)
-        if self.k_lo is None:
-            return np.zeros(shape, dtype=np.uint64)
-        k = self.k_lo if self.rng.random() < self.w_lo else self.k_hi
-        out = self.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        for _ in range(k - 1):
-            out &= self.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        return out
+    if rate <= 0.0:
+        return None
+    k_lo = int(np.floor(max(1.0, -np.log2(rate))))
+    p_lo, p_hi = 2.0**-k_lo, 2.0 ** -(k_lo + 1)
+    # mix: w * p_lo + (1-w) * p_hi = rate
+    return k_lo, k_lo + 1, (rate - p_hi) / (p_lo - p_hi)
 
 
 class _FaultStats:
-    """One circuit's lockstep accumulators, shared by both engines.
+    """One circuit's lockstep accumulators.
 
     All integers, so block-wise and per-cycle summation agree exactly.
     ``counts`` lets the block executor hand each pack member its
@@ -200,7 +173,7 @@ class _FaultStats:
 
 
 def _episode_schedule(sim_config: SimConfig, fault_config: FaultConfig):
-    """Observed-cycle count per episode (both engines share the split)."""
+    """Observed-cycle count per episode."""
     episodes = max(1, -(-sim_config.cycles // fault_config.episode_cycles))
     remaining = sim_config.cycles
     spans = []
@@ -218,101 +191,39 @@ def simulate_with_faults(
     fault_config: FaultConfig | None = None,
     *,
     replay_seed: int | None = None,
-    engine: str = "block",
     block_cycles: int | None = None,
     budget: "MemoryBudget | None" = None,
 ) -> FaultSimResult:
     """Run golden and faulty simulations in lockstep; collect error stats.
 
-    Golden and faulty machines always share one :class:`PatternSource`, so
+    Golden and faulty machines always share one
+    :class:`~repro.sim.workload.PatternSource`, so
     their stimulus is identical bit-for-bit regardless of seeding.  The
     stream itself defaults to the workload's own seed (matching
     :func:`repro.sim.logicsim.simulate`); ``replay_seed`` overrides it.
 
-    ``engine="block"`` (default; ``"partitioned"`` is a deprecated alias)
-    runs both machines in one block-executor pass over a doubled word
+    Both machines run in one block-executor pass over a doubled word
     axis, as the one-member case of
-    :func:`repro.sim.pack.simulate_with_faults_packed`; ``"cycle"`` is
-    the per-cycle reference loop.  Stimulus draws, episode resets and
-    fault draws consume their generators in identical order under both
-    (only the faulty machine draws, in unchanged cycle order), so
-    results are float64-bitwise-identical and cached fault labels keep
-    their digests.  ``budget`` bounds the doubled plan's buffers
+    :func:`repro.sim.pack.simulate_with_faults_packed`.  Stimulus draws,
+    episode resets and fault draws consume their generators in the
+    per-cycle reference's order (only the faulty machine draws, in
+    unchanged cycle order), so results are float64-bitwise-identical to
+    it and cached fault labels keep their digests.  ``block_cycles``
+    and ``budget`` bound the doubled plan's buffers
     (:class:`~repro.memory.MemoryBudget`) without affecting results.
     """
     sim_config = sim_config or SimConfig()
     fault_config = fault_config or FaultConfig()
-    if engine in _BLOCK_ENGINES:
-        # Deferred: repro.sim.pack builds on this module.
-        from repro.sim.pack import _run_packed_faults, pack_circuits
+    # Deferred: repro.sim.pack builds on this module.
+    from repro.sim.pack import _run_packed_faults, pack_circuits
 
-        packed = pack_circuits([circuit], cache=False)
-        return _run_packed_faults(
-            packed,
-            [workload],
-            sim_config,
-            fault_config,
-            [replay_seed],
-            block_cycles,
-            budget,
-        )[0]
-    if engine != "cycle":
-        raise ValueError(f"unknown engine {engine!r}")
-    compiled = (
-        circuit if isinstance(circuit, CompiledCircuit) else compile_netlist(circuit)
-    )
-    golden = Simulator(compiled, streams=sim_config.streams)
-    faulty = Simulator(compiled, streams=sim_config.streams)
-    injector = _FaultInjector(
-        fault_config.effective_cycle_rate,
-        golden.words,
-        np.random.default_rng(fault_config.seed),
-    )
-    source = PatternSource(workload, streams=sim_config.streams, seed=replay_seed)
-    stats = _FaultStats(
-        compiled.netlist, np.asarray(compiled.netlist.pos, dtype=np.int64)
-    )
-    _run_faults_cycle(
-        golden, faulty, injector, source, sim_config, fault_config, stats
-    )
-    return stats.result()
-
-
-def _run_faults_cycle(
-    golden: Simulator,
-    faulty: Simulator,
-    injector: _FaultInjector,
-    source: PatternSource,
-    sim_config: SimConfig,
-    fault_config: FaultConfig,
-    stats: _FaultStats,
-) -> None:
-    """The reference per-cycle lockstep loop (golden-hash pinned)."""
-    po_ids = stats.po_ids
-    cycle = 0
-    for episode, observe in enumerate(_episode_schedule(sim_config, fault_config)):
-        # Pattern boundary: both machines restart from the reset state.
-        init_rng = np.random.default_rng(sim_config.seed + episode)
-        golden.reset(sim_config.init_state, init_rng)
-        faulty.reset(
-            sim_config.init_state, np.random.default_rng(sim_config.seed + episode)
-        )
-        for k in range(sim_config.warmup + observe):
-            pi_words = source.next_cycle()
-            gv = golden.step(pi_words, cycle)
-            fv = faulty.step(pi_words, cycle, fault_hook=injector.mask)
-            cycle += 1
-            if k >= sim_config.warmup:
-                zeros = ~gv
-                stats.obs0 += popcount(zeros, axis=1).astype(np.int64)
-                stats.obs1 += popcount(gv, axis=1).astype(np.int64)
-                stats.e01 += popcount(zeros & fv, axis=1).astype(np.int64)
-                stats.e10 += popcount(gv & ~fv, axis=1).astype(np.int64)
-                if po_ids.size:
-                    mismatch = gv[po_ids] ^ fv[po_ids]
-                    any_bad = np.bitwise_or.reduce(mismatch, axis=0)
-                    stats.po_total += golden.streams
-                    stats.po_ok += golden.streams - int(popcount(any_bad))
-            golden.latch()
-            faulty.latch()
-
+    packed = pack_circuits([circuit], cache=False)
+    return _run_packed_faults(
+        packed,
+        [workload],
+        sim_config,
+        fault_config,
+        [replay_seed],
+        block_cycles,
+        budget,
+    )[0]

@@ -19,44 +19,39 @@ Bit-packing runs 64·``words`` independent streams of the same workload in
 parallel, so "10,000 cycles" can be realised as e.g. 64 × 157 cycles with
 identical statistics (stationary workloads) and ~64x less wall-clock.
 
-One executor and one reference share these semantics:
+One executor implements these semantics: the **block executor**
+(:class:`SimPlan` + :meth:`Simulator.run_block`, driven by
+:meth:`Simulator.run`), the only gate-evaluation loop in the library.
+Stimulus is pregenerated in blocks, each level runs as one gather of its
+fanins and gate kernels bound at plan time that write straight into their
+groups' slices of a plan-order value buffer, and statistics reduce once
+per block over a value-history buffer.  A
+:class:`~repro.memory.MemoryBudget` only changes how the plan is cut
+(levels cut to a smaller gather arena, a shallower history);
+:func:`simulate` is the one-member case of
+:func:`repro.sim.pack.simulate_packed`, so single circuits, packs and
+budgeted large designs all run the same loop — fault labelling once over
+a doubled word axis, golden machine in the low words, faulty in the high
+words (:func:`repro.sim.pack.simulate_with_faults_packed`).
 
-* the **block executor** (:class:`SimPlan` + :meth:`Simulator.run_block`,
-  driven by :meth:`Simulator.run`) — the only gate-evaluation loop that
-  produces labels.  Stimulus is pregenerated in blocks, each level runs
-  as one gather of its fanins and gate kernels bound at plan time that
-  write straight into their groups' slices of a plan-order value buffer,
-  and statistics reduce once per block over a value-history buffer.  A
-  :class:`~repro.memory.MemoryBudget` only changes how the plan is cut
-  (levels cut to a smaller gather arena, a shallower history);
-  :func:`simulate` is the one-member case of
-  :func:`repro.sim.pack.simulate_packed`, so single circuits, packs and
-  budgeted large designs all run the same loop — fault labelling once
-  over a doubled word axis, golden machine in the low words, faulty in
-  the high words (:func:`repro.sim.pack.simulate_with_faults_packed`);
-* the **per-cycle reference** (:meth:`Simulator.step` /
-  :meth:`Simulator.latch`, ``simulate(engine="cycle")``) — the original
-  loop, kept as the oracle whose value traces the golden-hash tests
-  freeze.
-
-The executor is float64-bitwise-identical to the reference (same RNG
-consumption order, same integer accumulators) at roughly half the
-wall-clock or better; the engine choice therefore never enters
-label-cache digests.
+The executor is float64-bitwise-identical to the per-cycle reference
+loop in ``tests/sim/reference.py`` (same RNG consumption order, same
+integer accumulators), the oracle whose value traces the golden-hash
+tests freeze.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateKernel, GateType, eval_gate, gate_kernel
+from repro.circuit.gates import GateKernel, GateType, gate_kernel
 from repro.circuit.levelize import levelize
 from repro.circuit.netlist import GATE_TYPES, Netlist, split_rows
 from repro.memory import MemoryBudget
-from repro.sim.bitvec import popcount, popcount_int64, words_for
+from repro.sim.bitvec import popcount_int64, words_for
 from repro.sim.workload import PatternSource, Workload
 
 __all__ = [
@@ -71,17 +66,9 @@ __all__ = [
     "simulate",
 ]
 
-#: ``engine=`` values that run the block executor.  ``"partitioned"`` is
-#: a deprecated alias kept for callers of the removed partition engine.
-_BLOCK_ENGINES = ("block", "partitioned")
-
 #: Rank of each :data:`GATE_TYPES` code in gate-name order — the order
 #: evaluation groups of one level are emitted in.
 _VALUE_RANK = np.argsort(np.argsort([t.value for t in GATE_TYPES]))
-
-#: Injection hook signature: (cycle_index, node_ids) -> uint64 flip mask
-#: of shape (len(node_ids), words), xor-ed into freshly computed outputs.
-FaultHook = Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -354,8 +341,8 @@ class Simulator:
         circuit: netlist or pre-compiled circuit.
         streams: number of parallel bit lanes (rounded up to words of 64).
 
-    ``values`` holds the current ``(num_nodes, words)`` uint64 node values;
-    :meth:`step` advances one clock cycle.
+    ``values`` holds the current ``(num_nodes, words)`` uint64 node values
+    in node order; :meth:`run` and :meth:`run_block` advance it.
     """
 
     def __init__(self, circuit: Netlist | CompiledCircuit, streams: int = 64):
@@ -371,7 +358,6 @@ class Simulator:
         self.values = np.zeros(
             (self.compiled.num_nodes, self.words), dtype=np.uint64
         )
-        self._pending_state: np.ndarray | None = None
 
     def reset(
         self,
@@ -380,7 +366,6 @@ class Simulator:
     ) -> None:
         """Reset node values; DFFs to zero or per-stream random bits."""
         self.values[:] = 0
-        self._pending_state = None  # pre-reset state must not latch
         if init_state == "random":
             rng = rng or np.random.default_rng(0)
             dffs = self.compiled.dff_ids
@@ -389,56 +374,6 @@ class Simulator:
             )
         elif init_state != "zero":
             raise ValueError(f"unknown init_state {init_state!r}")
-
-    def step(
-        self,
-        pi_words: np.ndarray,
-        cycle: int = 0,
-        fault_hook: FaultHook | None = None,
-    ) -> np.ndarray:
-        """Advance one clock cycle; returns the settled value array (view).
-
-        ``pi_words`` is ``(num_pis, words)`` uint64.  ``fault_hook``, when
-        given, supplies a flip mask per evaluation group (transient fault
-        injection on combinational outputs).
-        """
-        vals = self.values
-        pi_words = np.asarray(pi_words, dtype=np.uint64).reshape(
-            self.compiled.pi_ids.size, self.words
-        )
-        if self.compiled.pi_ids.size:
-            vals[self.compiled.pi_ids] = pi_words
-        for op in self.compiled.ops:
-            if op.fanins.size:
-                inputs = [vals[op.fanins[k]] for k in range(op.fanins.shape[0])]
-            else:
-                inputs = []
-            if op.gate_type is GateType.CONST0:
-                out = np.zeros((op.nodes.size, self.words), dtype=np.uint64)
-            elif op.gate_type is GateType.CONST1:
-                out = np.full(
-                    (op.nodes.size, self.words),
-                    np.uint64(0xFFFFFFFFFFFFFFFF),
-                    dtype=np.uint64,
-                )
-            else:
-                out = eval_gate(op.gate_type, inputs)
-            if fault_hook is not None:
-                out = out ^ fault_hook(cycle, op.nodes)
-            vals[op.nodes] = out
-        # Latch next state after combinational settle.
-        next_state = vals[self.compiled.dff_src].copy()
-        self._pending_state = next_state
-        return vals
-
-    def latch(self) -> None:
-        """Commit the pending DFF next-state (end of the clock cycle)."""
-        if self._pending_state is None:
-            raise RuntimeError(
-                "latch() without a preceding step(); run_block()/run() "
-                "latch internally and invalidate any pending state"
-            )
-        self.values[self.compiled.dff_ids] = self._pending_state
 
     def run_block(
         self,
@@ -452,9 +387,8 @@ class Simulator:
 
         ``pi_block`` is ``(cycles, num_pis, words)`` uint64 stimulus.  The
         settled (pre-latch) values of block cycle ``b`` are copied into
-        ``history[b]`` (node order) when a history array is given; latching
-        happens internally, so do not interleave with
-        :meth:`step`/:meth:`latch`.  The block runs on the plan's
+        ``history[b]`` (node order) when a history array is given; DFFs
+        latch at the end of every cycle.  The block runs on the plan's
         plan-order value buffer: one take from :attr:`values` in, one back
         out, so :attr:`values` is in node order before and after the call.
         Value sequences are bitwise-identical to per-cycle stepping: the
@@ -495,9 +429,6 @@ class Simulator:
             raise ValueError(
                 f"flips covers {len(flips)} cycles of a {cycles}-cycle block"
             )
-        # Block execution latches inline; a stale pending state from an
-        # earlier step() must not be committable over the block's values.
-        self._pending_state = None
         vals = plan.values
         position = plan.position
         self.values.take(plan.order, 0, vals, "clip")
@@ -618,24 +549,12 @@ class ActivityCounter:
         self.pairs = 0
         self._prev: np.ndarray | None = None
 
-    def observe(self, values: np.ndarray) -> None:
-        """Feed the settled node values of one cycle."""
-        self.ones += popcount(values, axis=1).astype(np.int64)
-        if self._prev is not None:
-            rising = ~self._prev & values
-            falling = self._prev & ~values
-            self.tr01 += popcount(rising, axis=1).astype(np.int64)
-            self.tr10 += popcount(falling, axis=1).astype(np.int64)
-            self.pairs += 1
-        self._prev = values.copy()
-        self.cycles += 1
-
     def observe_block(self, history: np.ndarray) -> None:
         """Feed a ``(block, num_nodes, words)`` run of consecutive cycles.
 
-        Count-identical to calling :meth:`observe` once per cycle (the
-        accumulators are integers, so summation order cannot change them):
-        ones and transitions are popcounted over the whole block in one
+        Count-identical to observing one cycle at a time (the accumulators
+        are integers, so summation order cannot change them): ones and
+        transitions are popcounted over the whole block in one
         pass, and the transition pair spanning a block boundary is formed
         against the previous block's last observed cycle.
         """
@@ -756,37 +675,21 @@ def simulate(
     stream instead — the lockstep-replay hook
     :func:`repro.sim.faults.simulate_with_faults` relies on.
 
-    ``engine`` selects the execution strategy, never the result:
-    ``"block"`` (default) is the block executor, run as the one-member
-    case of :func:`repro.sim.pack.simulate_packed`; ``"cycle"`` is the
-    per-cycle reference loop.  ``"partitioned"`` is a deprecated alias of
-    ``"block"`` (pass a ``budget`` to bound memory).  The two are
-    float64-bitwise-identical (golden-hash and differential tests enforce
-    it), so the engine choice is deliberately excluded from label-cache
-    digests.  ``block_cycles``
-    tunes the block executor's history depth (default
+    ``block_cycles`` tunes the block executor's history depth (default
     :data:`DEFAULT_BLOCK_CYCLES`, capped by a flat memory bound) and
     ``budget`` bounds the plan's resident buffers
     (:class:`~repro.memory.MemoryBudget`), neither affecting results.
+    ``engine`` accepts ``"block"`` (default) and ``"partitioned"``, a
+    deprecated alias of it; both run the block executor as the
+    one-member case of :func:`repro.sim.pack.simulate_packed`.
     """
-    config = config or SimConfig()
-    if engine in _BLOCK_ENGINES:
-        # Deferred: repro.sim.pack builds on this module.
-        from repro.sim.pack import _run_packed, pack_circuits
-
-        packed = pack_circuits([circuit], cache=False)
-        return _run_packed(
-            packed, [workload], config, [replay_seed], block_cycles, budget
-        )[0]
-    if engine != "cycle":
+    if engine not in ("block", "partitioned"):
         raise ValueError(f"unknown engine {engine!r}")
-    sim = Simulator(circuit, streams=config.streams)
-    sim.reset(config.init_state, np.random.default_rng(config.seed))
-    source = PatternSource(workload, streams=config.streams, seed=replay_seed)
-    counter = ActivityCounter(sim.compiled.num_nodes, sim.words)
-    for cycle in range(config.warmup + config.cycles):
-        values = sim.step(source.next_cycle(), cycle)
-        if cycle >= config.warmup:
-            counter.observe(values)
-        sim.latch()
-    return counter.result(sim.compiled.netlist, sim.streams)
+    config = config or SimConfig()
+    # Deferred: repro.sim.pack builds on this module.
+    from repro.sim.pack import _run_packed, pack_circuits
+
+    packed = pack_circuits([circuit], cache=False)
+    return _run_packed(
+        packed, [workload], config, [replay_seed], block_cycles, budget
+    )[0]

@@ -21,8 +21,8 @@ lockstep pass below are the only ones, and :func:`~repro.sim.logicsim.simulate` 
 :func:`~repro.sim.faults.simulate_with_faults` call them with a
 one-member pack (built uncached, so the pack LRU never sees it).
 
-Everything observable is **bitwise-identical** to K sequential
-per-cycle reference runs (``engine="cycle"``):
+Everything observable is **bitwise-identical** to K sequential runs of
+the per-cycle reference loop (``tests/sim/reference.py``):
 
 * stimulus stays per-member — each member draws blocks from its *own*
   PCG64 stream (:meth:`PatternSource.next_block`), consuming it in
@@ -33,9 +33,9 @@ per-cycle reference runs (``engine="cycle"``):
   the sweep over a doubled word axis (``values`` is ``(N, 2W)``, low
   words golden, high words faulty).  Members share the fault seed, so
   one generator's raw stream serves them all, each read from its own
-  position; every member's masks equal those a reference
-  :class:`~repro.sim.faults._FaultInjector` draws per (cycle,
-  member-group) in the member's own compiled-op order.  Only the
+  position; every member's masks equal those the reference's scalar
+  injector draws per (cycle, member-group) in the member's own
+  compiled-op order.  Only the
   non-zero masks are kept, per (cycle, union group), and the sweep XORs
   them in;
 * all statistics accumulators are integers, so reducing them over the
@@ -65,8 +65,8 @@ from repro.sim.faults import (
     FaultConfig,
     FaultSimResult,
     _episode_schedule,
-    _FaultInjector,
     _FaultStats,
+    _mask_mix,
 )
 from repro.sim.logicsim import (
     ActivityCounter,
@@ -310,10 +310,12 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 class _PackedInjector:
     """Every member's fault masks, drawn in bulk from one raw stream.
 
-    Bitwise contract: each member's masks equal those a standalone
-    :class:`_FaultInjector` would draw per (cycle, group) in the member's
-    compiled-op order (``k`` successive ``(m, words)`` draws fill like one
-    C-order ``(k, m, words)`` draw).  Drawing them that way costs
+    Bitwise contract: each member's masks equal those a standalone scalar
+    injector (the per-cycle reference's, one generator seeded with the
+    fault seed, mixing ``k`` by :func:`~repro.sim.faults._mask_mix`) would
+    draw per (cycle, group) in the member's compiled-op order (``k``
+    successive ``(m, words)`` draws fill like one C-order ``(k, m, words)``
+    draw).  Drawing them that way costs
     two generator calls per (cycle, member, group) — the dominant cost of
     packed fault sweeps — so this class collapses them using two PCG64
     facts (property-tested in ``tests/sim/test_packed_engine.py``):
@@ -357,13 +359,13 @@ class _PackedInjector:
         self.words = words
         self.total_cycles = total_cycles
         self.rng = np.random.default_rng(fault_config.seed)
-        proto = _FaultInjector(fault_config.effective_cycle_rate, words, self.rng)
-        self.k_lo = proto.k_lo
-        drawing = self.k_lo is not None
+        mix = _mask_mix(fault_config.effective_cycle_rate)
+        drawing = mix is not None
+        self.k_lo = None
         if drawing:
-            self.k_hi = proto.k_hi
+            self.k_lo, self.k_hi, w_lo = mix
             #: ``rng.random() < w_lo`` on the raw word, in integers.
-            self.lo_threshold = math.ceil(proto.w_lo * 2.0**53)
+            self.lo_threshold = math.ceil(w_lo * 2.0**53)
         #: Stream position of the generator, and per member the position
         #: of the member's next unread raw word.
         self.stream_at = 0

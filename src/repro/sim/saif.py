@@ -129,11 +129,24 @@ _NET_RE = re.compile(
     r"\s*\(TC\s+(?P<tc>\d+)\)\s*\)"
 )
 _DURATION_RE = re.compile(r"\(DURATION\s+(\d+)\)")
+_QUOTED_RE = re.compile(r'"[^"]*"')
 _DESIGN_RE = re.compile(r'\(DESIGN\s+"([^"]*)"\)')
 
 
 def parse_saif(text: str) -> SaifDocument:
-    """Parse SAIF text produced by :meth:`SaifDocument.dumps`."""
+    """Parse SAIF text produced by :meth:`SaifDocument.dumps`.
+
+    Raises ``ValueError`` when the parentheses outside quoted strings do
+    not balance: a truncated file would otherwise parse with its
+    remaining NET records silently dropped.
+    """
+    bare = _QUOTED_RE.sub("", text)
+    opened, closed = bare.count("("), bare.count(")")
+    if opened != closed:
+        raise ValueError(
+            f"SAIF file is truncated or malformed: {opened} '(' against "
+            f"{closed} ')'"
+        )
     duration_m = _DURATION_RE.search(text)
     if not duration_m:
         raise ValueError("SAIF file missing DURATION record")

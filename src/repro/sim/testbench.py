@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.netlist import Netlist
-from repro.sim.bitvec import WORD_BITS, biased_words, popcount, words_for
+from repro.sim.bitvec import WORD_BITS, biased_words, words_for
 from repro.sim.workload import Workload
 
 __all__ = ["Phase", "StimulusProgram", "workload_from_program"]
@@ -110,23 +110,14 @@ class StimulusProgram:
         shape the block-stepped engine consumes — :meth:`Simulator.run`
         slices it into blocks (bitwise-identical to per-cycle stepping).
         """
-        from repro.sim.logicsim import ActivityCounter, Simulator, SimResult
+        from repro.sim.logicsim import ActivityCounter, Simulator
 
         sim = Simulator(self.netlist, streams=streams)
         sim.reset()
         stimulus = self.compile(streams=streams, seed=sim_seed)
         counter = ActivityCounter(len(self.netlist), sim.words)
         sim.run(stimulus.shape[0], stimulus, counter)
-        samples = counter.cycles * sim.streams
-        pairs = max(counter.pairs, 1) * sim.streams
-        return SimResult(
-            logic_prob=counter.ones / samples,
-            tr01_prob=counter.tr01 / pairs,
-            tr10_prob=counter.tr10 / pairs,
-            cycles=counter.cycles,
-            streams=sim.streams,
-            netlist=self.netlist,
-        )
+        return counter.result(self.netlist, sim.streams)
 
 
 def workload_from_program(

@@ -52,6 +52,12 @@ class VcdTracer:
         if self.nodes is None:
             self.nodes = list(self.netlist.nodes())
         self.nodes = [int(n) for n in self.nodes]
+        size = len(self.netlist)
+        bad = [n for n in self.nodes if not 0 <= n < size]
+        if bad:
+            raise ValueError(
+                f"node ids {bad} out of range: netlist has {size} nodes"
+            )
         if self.stream < 0:
             raise ValueError("stream index must be >= 0")
 

@@ -14,8 +14,10 @@ from repro.circuit.aig import to_aig
 from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.circuit.netlist import Netlist
-from repro.sim.logicsim import SimConfig, Simulator, simulate
+from repro.sim.logicsim import SimConfig, simulate
 from repro.sim.workload import Workload
+
+from tests.sim.reference import CycleSimulator
 
 
 def exhaustive_outputs(nl: Netlist, nodes: list[int]) -> np.ndarray:
@@ -23,7 +25,7 @@ def exhaustive_outputs(nl: Netlist, nodes: list[int]) -> np.ndarray:
     pis = nl.pis
     n_patterns = 2 ** len(pis)
     assert n_patterns <= 64
-    sim = Simulator(nl, streams=64)
+    sim = CycleSimulator(nl, streams=64)
     rows = np.arange(n_patterns, dtype=np.uint64)
     pi_words = np.zeros((len(pis), 1), dtype=np.uint64)
     for k in range(len(pis)):

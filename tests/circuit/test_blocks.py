@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.circuit.blocks import BlockBuilder
-from repro.sim.logicsim import Simulator
+
+from tests.sim.reference import CycleSimulator
 
 ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 ZERO = np.uint64(0)
@@ -17,7 +18,7 @@ ZERO = np.uint64(0)
 
 def drive(nl, pi_bits: list[list[int]], cycles: int):
     """Simulate stream 0 with per-cycle PI bits; returns value history."""
-    sim = Simulator(nl, streams=64)
+    sim = CycleSimulator(nl, streams=64)
     sim.reset()
     history = []
     for c in range(cycles):

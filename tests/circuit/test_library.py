@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.circuit.library import library_circuit, library_names
-from repro.sim.logicsim import Simulator
+
+from tests.sim.reference import CycleSimulator
 
 ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -17,7 +18,7 @@ def drive(nl, stim_by_name, cycles):
     """Drive named PI bit sequences; return per-cycle node values (lane 0)."""
     pis = nl.pis
     names = [nl.node_name(p) for p in pis]
-    sim = Simulator(nl, streams=64)
+    sim = CycleSimulator(nl, streams=64)
     sim.reset()
     history = []
     for c in range(cycles):

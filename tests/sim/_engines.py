@@ -4,7 +4,8 @@ The differential and golden-hash tests both need (a) a netlist that
 exercises every combinational gate kind the simulator understands —
 including the extended-library gates the random generator emits rarely or
 never (XNOR, 3-input reductions, constants) — and (b) reference runners
-that execute the *pinned* per-cycle engine and hash its value traces.
+that execute the *pinned* per-cycle engine (:mod:`tests.sim.reference`)
+and hash its value traces.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.sim.logicsim import SimConfig, Simulator
 from repro.sim.workload import PatternSource, Workload
+from tests.sim.reference import CycleSimulator
 
 
 def gate_zoo_netlist() -> Netlist:
@@ -71,11 +73,11 @@ def zoo_workload(seed: int = 11) -> Workload:
 def cycle_trace_hash(circuit, workload, config: SimConfig) -> str:
     """SHA-256 over the pinned per-cycle engine's settled value trace.
 
-    Replays exactly what ``simulate(engine="cycle")`` executes — reset,
+    Replays exactly what :func:`tests.sim.reference.simulate` executes — reset,
     per-cycle stimulus draws, step/latch — hashing every settled
     ``(num_nodes, words)`` value array (warmup included) in order.
     """
-    sim = Simulator(circuit, streams=config.streams)
+    sim = CycleSimulator(circuit, streams=config.streams)
     sim.reset(config.init_state, np.random.default_rng(config.seed))
     source = PatternSource(workload, streams=config.streams)
     h = hashlib.sha256()

@@ -25,12 +25,7 @@ from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.circuit.netlist import Netlist
 from repro.memory import MemoryBudget
 from repro.sim.bitvec import words_for
-from repro.sim.faults import (
-    FaultConfig,
-    _episode_schedule,
-    _FaultInjector,
-    simulate_with_faults,
-)
+from repro.sim.faults import FaultConfig, _episode_schedule, simulate_with_faults
 from repro.sim.logicsim import (
     ActivityCounter,
     CompiledCircuit,
@@ -44,6 +39,7 @@ from repro.sim.logicsim import (
 from repro.sim.pack import _PackedInjector, _run_packed_faults, pack_circuits
 from repro.sim.workload import PatternSource, Workload, random_workload
 
+from tests.sim import reference
 from tests.sim._engines import gate_zoo_netlist, zoo_workload
 
 
@@ -190,10 +186,10 @@ class TestFaultFreeDifferential:
         nl = gate_zoo_netlist()
         wl = zoo_workload()
         cfg = SimConfig(cycles=40, streams=128, warmup=3, seed=2)
-        ref = simulate(nl, wl, cfg, engine="cycle")
+        ref = reference.simulate(nl, wl, cfg)
         for bc in (1, 4, 40, None):
             assert_results_equal(
-                ref, simulate(nl, wl, cfg, engine="block", block_cycles=bc)
+                ref, simulate(nl, wl, cfg, block_cycles=bc)
             )
 
     @settings(max_examples=12, deadline=None)
@@ -219,17 +215,15 @@ class TestFaultFreeDifferential:
             seed=seed,
             init_state=init_state,
         )
-        ref = simulate(nl, wl, cfg, engine="cycle")
-        got = simulate(nl, wl, cfg, engine="block", block_cycles=block_cycles)
+        ref = reference.simulate(nl, wl, cfg)
+        got = simulate(nl, wl, cfg, block_cycles=block_cycles)
         assert_results_equal(ref, got)
 
     def test_replay_seed_respected(self):
         nl = gate_zoo_netlist()
         cfg = SimConfig(cycles=30, streams=64, seed=0)
-        via_workload = simulate(nl, zoo_workload(seed=21), cfg, engine="block")
-        via_replay = simulate(
-            nl, zoo_workload(seed=4), cfg, replay_seed=21, engine="block"
-        )
+        via_workload = simulate(nl, zoo_workload(seed=21), cfg)
+        via_replay = simulate(nl, zoo_workload(seed=4), cfg, replay_seed=21)
         assert_results_equal(via_workload, via_replay)
 
 
@@ -254,10 +248,8 @@ class TestFaultDifferential:
         fc = FaultConfig(
             fault_rate=fault_rate, episode_cycles=episode_cycles, seed=seed + 2
         )
-        ref = simulate_with_faults(nl, wl, cfg, fc, engine="cycle")
-        got = simulate_with_faults(
-            nl, wl, cfg, fc, engine="block", block_cycles=block_cycles
-        )
+        ref = reference.simulate_with_faults(nl, wl, cfg, fc)
+        got = simulate_with_faults(nl, wl, cfg, fc, block_cycles=block_cycles)
         assert_fault_results_equal(ref, got)
 
     def test_zoo_constants_under_injection(self):
@@ -267,8 +259,8 @@ class TestFaultDifferential:
         wl = zoo_workload()
         cfg = SimConfig(cycles=50, streams=64, warmup=2, seed=1)
         fc = FaultConfig(fault_rate=0.2, episode_cycles=25, seed=3)
-        ref = simulate_with_faults(nl, wl, cfg, fc, engine="cycle")
-        got = simulate_with_faults(nl, wl, cfg, fc, engine="block")
+        ref = reference.simulate_with_faults(nl, wl, cfg, fc)
+        got = simulate_with_faults(nl, wl, cfg, fc)
         assert_fault_results_equal(ref, got)
 
     @settings(max_examples=10, deadline=None)
@@ -290,7 +282,7 @@ class TestFaultDifferential:
         budget = MemoryBudget(history_bytes=1) if one_cycle_chunks else None
         bulk = _PackedInjector(packed, config, words, 12, budget)
         assert not one_cycle_chunks or bulk.chunk_cycles == 1
-        ref = _FaultInjector(rate, words, np.random.default_rng(seed))
+        ref = reference.FaultInjector(rate, words, np.random.default_rng(seed))
         for cycle in range(12):
             (hits,) = bulk.block(cycle, 1)
             for g, op in enumerate(packed.compiled.ops):
@@ -328,7 +320,7 @@ def lockstep_members(k: int, seed: int):
 def golden_reference_trace(nl, wl, cfg, fc):
     """Fault-free settled values of every lockstep cycle, from the
     per-cycle reference: per episode a reset, one continuing stimulus."""
-    sim = Simulator(nl, streams=cfg.streams)
+    sim = reference.CycleSimulator(nl, streams=cfg.streams)
     source = PatternSource(wl, streams=cfg.streams)
     trace = []
     cycle = 0
@@ -403,7 +395,7 @@ class TestLockstepExecutor:
             )
         history = np.concatenate(blocks)
         for k, (nl, wl) in enumerate(picked):
-            ref = simulate_with_faults(nl, wl, cfg, fc, engine="cycle")
+            ref = reference.simulate_with_faults(nl, wl, cfg, fc)
             assert_fault_results_equal(ref, got[k])
             rows = packed.member_slice(k)
             assert np.array_equal(
@@ -437,7 +429,7 @@ class TestLockstepExecutor:
         bulk = _PackedInjector(packed, config, words, cycles, budget)
         want = np.zeros((cycles, packed.num_nodes, words), dtype=np.uint64)
         for member, targets in zip(packed.members, packed.shifted_ops):
-            ref = _FaultInjector(rate, words, np.random.default_rng(seed))
+            ref = reference.FaultInjector(rate, words, np.random.default_rng(seed))
             for cycle in range(cycles):
                 for op, rows in zip(member.ops, targets):
                     want[cycle, rows] = ref.mask(cycle, op.nodes)
@@ -478,7 +470,7 @@ class TestLockstepExecutor:
         packed = pack_circuits([gate_zoo_netlist()], cache=False)
         config = FaultConfig(fault_rate=rate, per_pattern=False)
         bulk = _PackedInjector(packed, config, 1, 1)
-        w_lo = _FaultInjector(rate, 1, np.random.default_rng(0)).w_lo
+        w_lo = reference.FaultInjector(rate, 1, np.random.default_rng(0)).w_lo
         top = min(max(bulk.lo_threshold + offset, 0), 2**53 - 1)
         for u in ((top << 11) | low_bits, anywhere):
             as_float = (u >> 11) * 2.0**-53 < w_lo
@@ -529,7 +521,7 @@ class TestEveryGateKind:
         rng = np.random.default_rng(5)
         init = rng.integers(0, 2**64, size=(compiled.num_nodes, 2), dtype=np.uint64)
         stim = rng.integers(0, 2**64, size=(24, 3, 2), dtype=np.uint64)
-        ref = Simulator(compiled, streams=128)
+        ref = reference.CycleSimulator(compiled, streams=128)
         ref.values[:] = init
         trace = []
         for cycle, pi_words in enumerate(stim):
@@ -554,9 +546,9 @@ class TestEveryGateKind:
         wl = Workload(np.array([0.35, 0.6, 0.5]), seed=4)
         cfg = SimConfig(cycles=20, streams=128, warmup=2, seed=1, init_state="random")
         fc = FaultConfig(fault_rate=0.05, per_pattern=False, episode_cycles=8, seed=6)
-        golden = Simulator(compiled, streams=cfg.streams)
-        faulty = Simulator(compiled, streams=cfg.streams)
-        injector = _FaultInjector(
+        golden = reference.CycleSimulator(compiled, streams=cfg.streams)
+        faulty = reference.CycleSimulator(compiled, streams=cfg.streams)
+        injector = reference.FaultInjector(
             fc.effective_cycle_rate, golden.words, np.random.default_rng(fc.seed)
         )
         source = PatternSource(wl, streams=cfg.streams)
@@ -608,7 +600,7 @@ class TestActivityCounterBlocks:
         rng = np.random.default_rng(seed)
         total = sum(splits)
         history = rng.integers(0, 2**64, size=(total, 9, 2), dtype=np.uint64)
-        per_cycle = ActivityCounter(9, 2)
+        per_cycle = reference.CycleCounter(9, 2)
         for values in history:
             per_cycle.observe(values)
         blocked = ActivityCounter(9, 2)
@@ -633,7 +625,7 @@ class TestRunApi:
         nl = gate_zoo_netlist()
         wl = zoo_workload()
         cfg = SimConfig(cycles=20, streams=64, warmup=2, seed=0)
-        ref = simulate(nl, wl, cfg, engine="cycle")
+        ref = reference.simulate(nl, wl, cfg)
         compiled = compile_netlist(nl)
         sim = Simulator(compiled, streams=cfg.streams)
         sim.reset(cfg.init_state, np.random.default_rng(cfg.seed))
@@ -723,24 +715,27 @@ class TestRunApi:
         nl = gate_zoo_netlist()
         with pytest.raises(ValueError, match="unknown engine"):
             simulate(nl, zoo_workload(), SimConfig(cycles=4), engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
+
+    def test_cycle_engine_left_the_library(self):
+        """The per-cycle loop is the test oracle only: ``simulate`` runs
+        the block executor under either of its names, and
+        ``simulate_with_faults`` takes no engine at all."""
+        nl = gate_zoo_netlist()
+        with pytest.raises(ValueError, match="unknown engine 'cycle'"):
+            simulate(nl, zoo_workload(), SimConfig(cycles=4), engine="cycle")
+        with pytest.raises(TypeError, match="engine"):
             simulate_with_faults(
-                nl, zoo_workload(), SimConfig(cycles=4), engine="warp"
+                nl, zoo_workload(), SimConfig(cycles=4), engine="block"
             )
 
-    def test_latch_after_run_block_rejected(self):
-        """run_block latches internally; committing a stale step() state
-        over its values must fail loudly, not corrupt silently."""
+    def test_latch_without_pending_step_rejected(self):
+        """The reference's latch commits only a pending step() state; a
+        missing or pre-reset one must fail loudly, not corrupt silently."""
         compiled = compile_netlist(gate_zoo_netlist())
-        plan = SimPlan(compiled, 1)
-        sim = Simulator(compiled, streams=64)
+        sim = reference.CycleSimulator(compiled, streams=64)
         sim.reset()
         with pytest.raises(RuntimeError, match="without a preceding step"):
             sim.latch()  # fresh simulator: nothing pending
-        sim.step(np.zeros((3, 1), dtype=np.uint64), 0)
-        sim.run_block(np.zeros((2, 3, 1), dtype=np.uint64), plan)
-        with pytest.raises(RuntimeError, match="without a preceding step"):
-            sim.latch()  # step()'s pending state was invalidated
         sim.step(np.zeros((3, 1), dtype=np.uint64), 0)
         sim.reset()
         with pytest.raises(RuntimeError, match="without a preceding step"):

@@ -1,6 +1,7 @@
 """Golden-hash regression tests freezing the simulation engine's bits.
 
-The per-cycle engine is the reproduction's ground truth: every training
+The per-cycle engine (:mod:`tests.sim.reference`) is the reproduction's
+ground truth: every training
 label, power number and reliability number flows from its value traces.
 These tests pin SHA-256 digests of (a) the full settled value trace, (b)
 the final statistics arrays, (c) the fault-sim label arrays and (d) the
@@ -23,6 +24,7 @@ from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, simulate
 from repro.sim.workload import testbench_workload as make_tb_workload
 
+from tests.sim import reference
 from tests.sim._engines import (
     block_trace_hash,
     cycle_trace_hash,
@@ -44,13 +46,13 @@ KEY_FAULT = "b80a949a8214db85769d42c5b44201bc82ca4a9a4b4ef781eb8d615961d53311"
 CFG = SimConfig(cycles=48, streams=96, warmup=4, seed=5, init_state="random")
 FAULT_CFG = FaultConfig(fault_rate=0.02, episode_cycles=20, seed=9)
 
-#: Extra kwargs per ``engine=`` value.  ``"partitioned"`` (an alias of
-#: the block executor since the partition engine's removal) runs under the
-#: tightest budget there is — the widest group evaluated gate by gate, a
-#: one-cycle history, one-cycle fault-mask chunks — so the digests are
-#: also hit through the chunked path, sim and fault.
+#: Extra kwargs per block-executor row (``"cycle"`` is the per-cycle
+#: reference).  ``"partitioned"`` (an alias of the block executor since
+#: the partition engine's removal) runs under the tightest budget there
+#: is — the widest group evaluated gate by gate, a one-cycle history,
+#: one-cycle fault-mask chunks — so the digests are also hit through the
+#: chunked path, sim and fault.
 ENGINE_KWARGS = {
-    "cycle": {},
     "block": {},
     "partitioned": {"budget": MemoryBudget(plan_bytes=1, history_bytes=1)},
 }
@@ -98,14 +100,17 @@ class TestFinalStats:
     @pytest.mark.parametrize("engine", ["cycle", "block", "partitioned"])
     def test_sim_stats_pinned(self, zoo, engine):
         nl, wl = zoo
-        r = simulate(nl, wl, CFG, engine=engine, **ENGINE_KWARGS[engine])
+        if engine == "cycle":
+            r = reference.simulate(nl, wl, CFG)
+        else:
+            r = simulate(nl, wl, CFG, engine=engine, **ENGINE_KWARGS[engine])
         digest = stats_hash([r.logic_prob, r.tr01_prob, r.tr10_prob])
         assert digest == STATS_SIM
 
     def test_budgeted_block_stats_pinned(self, zoo):
         nl, wl = zoo
         r = simulate(
-            nl, wl, CFG, engine="block",
+            nl, wl, CFG,
             budget=MemoryBudget(plan_bytes=2048, history_bytes=8192),
         )
         digest = stats_hash([r.logic_prob, r.tr01_prob, r.tr10_prob])
@@ -114,9 +119,12 @@ class TestFinalStats:
     @pytest.mark.parametrize("engine", ["cycle", "block", "partitioned"])
     def test_fault_stats_pinned(self, zoo, engine):
         nl, wl = zoo
-        fr = simulate_with_faults(
-            nl, wl, CFG, FAULT_CFG, engine=engine, **ENGINE_KWARGS[engine]
-        )
+        if engine == "cycle":
+            fr = reference.simulate_with_faults(nl, wl, CFG, FAULT_CFG)
+        else:
+            fr = simulate_with_faults(
+                nl, wl, CFG, FAULT_CFG, **ENGINE_KWARGS[engine]
+            )
         digest = stats_hash(
             [
                 fr.err01,
@@ -131,7 +139,7 @@ class TestFinalStats:
     def test_budgeted_block_fault_stats_pinned(self, zoo):
         nl, wl = zoo
         fr = simulate_with_faults(
-            nl, wl, CFG, FAULT_CFG, engine="block",
+            nl, wl, CFG, FAULT_CFG,
             budget=MemoryBudget(plan_bytes=2048, history_bytes=8192),
         )
         digest = stats_hash(
@@ -196,8 +204,8 @@ class TestCacheDigests:
         engine consumer bit-for-bit (that is what 'no CACHE_VERSION bump'
         means operationally)."""
         nl, wl = zoo
-        legacy = simulate(nl, wl, CFG, engine="cycle")
-        block = simulate(nl, wl, CFG, engine="block")
+        legacy = reference.simulate(nl, wl, CFG)
+        block = simulate(nl, wl, CFG)
         assert np.array_equal(legacy.logic_prob, block.logic_prob)
         assert np.array_equal(legacy.tr01_prob, block.tr01_prob)
         assert np.array_equal(legacy.tr10_prob, block.tr10_prob)

@@ -7,9 +7,11 @@ from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
 from repro.circuit.netlist import Netlist
 from repro.sim.bitvec import popcount
-from repro.sim.faults import FaultConfig, _FaultInjector, simulate_with_faults
+from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig
 from repro.sim.workload import Workload, random_workload
+
+from tests.sim.reference import FaultInjector
 
 
 @pytest.fixture()
@@ -45,7 +47,7 @@ class TestConfig:
 
     def test_densest_rate_is_injected_as_configured(self):
         fc = FaultConfig(fault_rate=0.5, per_pattern=False)
-        injector = _FaultInjector(
+        injector = FaultInjector(
             fc.effective_cycle_rate, 4, np.random.default_rng(0)
         )
         mask = injector.mask(0, np.arange(2500))

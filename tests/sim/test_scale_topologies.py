@@ -17,6 +17,8 @@ from repro.memory import MemoryBudget
 from repro.sim.logicsim import SimConfig, simulate
 from repro.sim.workload import Workload
 
+from tests.sim import reference
+
 CHAIN_DEPTH = 10_000
 
 
@@ -63,14 +65,14 @@ class TestSimulation:
 
     def test_chain_engines_agree(self, deep_chain):
         wl = Workload(np.array([0.5]), seed=1)
-        ref = simulate(deep_chain, wl, self.CFG, engine="cycle")
-        blk = simulate(deep_chain, wl, self.CFG, engine="block")
+        ref = reference.simulate(deep_chain, wl, self.CFG)
+        blk = simulate(deep_chain, wl, self.CFG)
         par = simulate(
             deep_chain, wl, self.CFG, engine="partitioned",
             budget=MemoryBudget(plan_bytes=1, history_bytes=1),
         )
         bud = simulate(
-            deep_chain, wl, self.CFG, engine="block",
+            deep_chain, wl, self.CFG,
             budget=MemoryBudget(plan_bytes=4096, history_bytes=8192),
         )
         for got in (blk, par, bud):
@@ -87,8 +89,8 @@ class TestSimulation:
 
     def test_all_dff_engines_agree(self, all_dff):
         wl = Workload(np.array([0.5]), seed=3)
-        ref = simulate(all_dff, wl, self.CFG, engine="cycle")
-        blk = simulate(all_dff, wl, self.CFG, engine="block")
+        ref = reference.simulate(all_dff, wl, self.CFG)
+        blk = simulate(all_dff, wl, self.CFG)
         par = simulate(
             all_dff, wl, self.CFG, engine="partitioned",
             budget=MemoryBudget(plan_bytes=1, history_bytes=1),

@@ -1,13 +1,17 @@
 """Tests for the VCD waveform writer (repro.sim.vcd)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.circuit.library import library_circuit
 from repro.memory import MemoryBudget
-from repro.sim.logicsim import Simulator
 from repro.sim.vcd import VcdTracer, _identifier, trace_simulation
 from repro.sim.workload import PatternSource, Workload, random_workload
+
+from tests.sim._engines import gate_zoo_netlist, zoo_workload
+from tests.sim.reference import CycleSimulator
 
 
 class TestIdentifier:
@@ -101,6 +105,18 @@ class TestTracer:
         with pytest.raises(ValueError, match=">= 0"):
             VcdTracer(library_circuit("gray3"), stream=-1)
 
+    @pytest.mark.parametrize("bad", [[-1], [999], [-1, 999]])
+    def test_out_of_range_nodes_rejected(self, bad):
+        """A negative id used to trace a node counted from the end (the
+        zoo's ``dead0`` for ``-1``) and one past the end to die with an
+        IndexError after the whole run; both now fail before it."""
+        nl = gate_zoo_netlist()
+        wl = zoo_workload()
+        with pytest.raises(ValueError, match=re.escape(f"node ids {bad}")):
+            trace_simulation(nl, wl, 4, nodes=[0] + bad)
+        with pytest.raises(ValueError, match="out of range"):
+            VcdTracer(nl, nodes=bad)
+
     def test_subset_of_nodes(self):
         nl = library_circuit("gray3")
         keep = [nl.node_by_name("g0")]
@@ -121,7 +137,7 @@ class TestTracer:
 
 class TestBlockTraceMatchesCycleReplay:
     """``trace_simulation`` runs the block executor; its waveform equals a
-    per-cycle ``Simulator.step``/``latch`` replay of the same stimulus,
+    per-cycle ``CycleSimulator.step``/``latch`` replay of the same stimulus,
     resident or flushed every cycle under a one-byte budget."""
 
     @pytest.mark.parametrize("name", ["gray3", "s27"])
@@ -133,7 +149,7 @@ class TestBlockTraceMatchesCycleReplay:
     def test_dumps_equal(self, name, budget):
         nl = library_circuit(name)
         workload = random_workload(nl, 3)
-        sim = Simulator(nl, streams=64)
+        sim = CycleSimulator(nl, streams=64)
         sim.reset()
         source = PatternSource(workload, streams=64, seed=5)
         replay = VcdTracer(nl)
