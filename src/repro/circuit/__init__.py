@@ -30,7 +30,13 @@ from repro.circuit.benchmarks import (
     load_design,
     training_corpus,
 )
-from repro.circuit.compose import Stitch, UnionMapping, disjoint_union, stitched_union
+from repro.circuit.compose import (
+    MemberLayout,
+    Stitch,
+    UnionMapping,
+    disjoint_union,
+    stitched_union,
+)
 from repro.circuit.library import LIBRARY, library_circuit, library_names
 from repro.circuit.extract import extract_dataset, extract_subcircuit
 from repro.circuit.gates import (
@@ -83,6 +89,7 @@ __all__ = [
     "training_corpus",
     "Stitch",
     "UnionMapping",
+    "MemberLayout",
     "disjoint_union",
     "stitched_union",
     "extract_dataset",

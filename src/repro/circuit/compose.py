@@ -6,39 +6,88 @@ levelized sweep processes all of them at once — level k of every member
 circuit lands in the same vectorized batch.  :func:`disjoint_union` builds
 that merged netlist and records the node-id offsets needed to map labels
 and per-circuit data in and out.
+
+:class:`MemberLayout` is that record on its own: the packed plans of the
+GNN runtime and of the simulator, and packed training batches, all
+derive from it, and :func:`check_pack_size` is the one ceiling on how
+many members a pack may hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 
-__all__ = ["UnionMapping", "disjoint_union", "Stitch", "stitched_union"]
+__all__ = [
+    "MAX_PACK_MEMBERS",
+    "MemberLayout",
+    "check_pack_size",
+    "UnionMapping",
+    "disjoint_union",
+    "Stitch",
+    "stitched_union",
+]
+
+#: Hard ceiling on members per pack.  A pack this large would compile a
+#: union far beyond any sane batch; requests above it are a caller bug
+#: (e.g. an unchunked corpus), not a workload.
+MAX_PACK_MEMBERS = 1024
+
+
+def check_pack_size(count: int) -> None:
+    """Raise a :class:`ValueError` for an empty pack and for one above
+    :data:`MAX_PACK_MEMBERS`."""
+    if not count:
+        raise ValueError("cannot pack zero circuits")
+    if count > MAX_PACK_MEMBERS:
+        raise ValueError(
+            f"cannot pack {count} circuits: exceeds "
+            f"MAX_PACK_MEMBERS={MAX_PACK_MEMBERS}; chunk the batch"
+        )
 
 
 @dataclass(frozen=True)
-class UnionMapping:
-    """Bookkeeping of a disjoint union.
+class MemberLayout:
+    """Where the members of a disjoint union sit in it.
 
     Attributes:
-        union: the merged netlist.
-        offsets: node-id offset of each member circuit (member node ``i`` of
-            circuit ``k`` becomes union node ``offsets[k] + i``).
-        sizes: node count per member.
+        sizes: node count per member, in member order.
+        offsets: node-id offset of each member (member node ``i`` of
+            circuit ``k`` is union node ``offsets[k] + i``), derived from
+            ``sizes``.
     """
 
-    union: Netlist
-    offsets: tuple[int, ...]
     sizes: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False)
 
-    def to_union(self, member: int, node: int) -> int:
-        return self.offsets[member] + node
+    def __post_init__(self) -> None:
+        offsets = tuple(accumulate(self.sizes[:-1], initial=0))
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def num_members(self) -> int:
+        return len(self.sizes)
 
     def member_slice(self, member: int) -> slice:
         lo = self.offsets[member]
         return slice(lo, lo + self.sizes[member])
+
+
+@dataclass(frozen=True)
+class UnionMapping(MemberLayout):
+    """Bookkeeping of a disjoint union netlist.
+
+    Attributes:
+        union: the merged netlist.
+    """
+
+    union: Netlist
+
+    def to_union(self, member: int, node: int) -> int:
+        return self.offsets[member] + node
 
 
 def disjoint_union(netlists: list[Netlist], name: str = "union") -> UnionMapping:
@@ -104,11 +153,9 @@ def stitched_union(
 
     union = Netlist(name)
     offsets: list[int] = []
-    sizes: list[int] = []
     for k, nl in enumerate(netlists):
         offset = len(union)
         offsets.append(offset)
-        sizes.append(len(nl))
         for node in nl.nodes():
             gt = GateType.BUF if (k, node) in stitched_pis else nl.gate_type(node)
             union.add_gate(gt, (), f"c{k}_{nl.node_name(node)}")
@@ -121,4 +168,4 @@ def stitched_union(
     for (dst, pi), (src, src_node) in stitched_pis.items():
         union.set_fanins(offsets[dst] + pi, [offsets[src] + src_node])
     union.validate()
-    return UnionMapping(union=union, offsets=tuple(offsets), sizes=tuple(sizes))
+    return UnionMapping(sizes=tuple(len(nl) for nl in netlists), union=union)

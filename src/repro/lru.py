@@ -6,7 +6,8 @@ structures under content-hash keys; ``models/base.py`` caches initial
 hidden-state bases under ``(num_nodes, hidden)``.  They all share this
 class: a bounded, thread-safe ``OrderedDict`` with hit/miss/eviction
 counters and a double-checked insert, so concurrent builders of the same
-key end up sharing the first entry that landed.
+key end up sharing the first entry that landed.  Every cache reports its
+statistics as one record type, :class:`CacheInfo`.
 
 Like :mod:`repro.memory`, this module sits above the layers that use it.
 """
@@ -15,31 +16,34 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from dataclasses import dataclass
+from typing import Any, Hashable
 
-__all__ = ["FingerprintLRU"]
+__all__ = ["CacheInfo", "FingerprintLRU"]
+
+
+@dataclass(frozen=True)
+class CacheInfo:
+    """A snapshot of one cache's counters and bound."""
+
+    hits: int
+    misses: int
+    evictions: int
+    size: int
+    maxsize: int
 
 
 class FingerprintLRU:
     """Bounded LRU of immutable compiled values keyed by content hashes.
 
-    ``info_type`` is the caller's public ``*CacheInfo`` record
-    (``hits, misses, evictions, size, maxsize``; a plain ``dict`` for
-    caches with no public statistics); ``name`` words the error raised
-    for a non-positive bound.
+    ``name`` words the error raised for a non-positive bound.
     """
 
-    def __init__(
-        self,
-        maxsize: int,
-        info_type: Callable[..., Any] = dict,
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, maxsize: int, name: str = "cache") -> None:
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._maxsize = maxsize
         self._hits = self._misses = self._evictions = 0
-        self._info_type = info_type
         self._name = name
 
     def get(self, key: Hashable) -> Any | None:
@@ -88,10 +92,10 @@ class FingerprintLRU:
             self._entries.clear()
             self._hits = self._misses = self._evictions = 0
 
-    def info(self) -> Any:
-        """Current statistics as the caller's ``*CacheInfo`` record."""
+    def info(self) -> CacheInfo:
+        """Current statistics (hits/misses/evictions/size/maxsize)."""
         with self._lock:
-            return self._info_type(
+            return CacheInfo(
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,

@@ -25,7 +25,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -50,10 +50,34 @@ def save_state(state: dict[str, np.ndarray], path: str | Path) -> None:
     np.savez(Path(path), **{k.replace(".", "__"): v for k, v in state.items()})
 
 
+R = TypeVar("R")
+
+
+def _read_npz(path: str | Path, read: Callable[[np.lib.npyio.NpzFile], R]) -> R:
+    """``read`` over the npz file at ``path``.  A missing file raises as
+    ``open`` does; a damaged one (truncated, bit-flipped, an array gone)
+    raises one :class:`ValueError` naming the path, chained to the cause.
+
+    Damage surfaces from zipfile, the npy header parser and ``read`` as
+    ``BadZipFile``, ``EOFError``, ``ValueError``, ``KeyError``,
+    ``NotImplementedError`` (a flipped compression method) and
+    ``tokenize.TokenError`` among others, so everything raised while
+    decoding the open file counts as damage.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                return read(data)
+        except Exception as exc:
+            raise ValueError(f"damaged checkpoint {path}: {exc!r}") from exc
+
+
 def load_state(path: str | Path) -> dict[str, np.ndarray]:
     """Read a state dict written by :func:`save_state`."""
-    with np.load(Path(path)) as data:
-        return {k.replace("__", "."): data[k].copy() for k in data.files}
+    return _read_npz(
+        path, lambda data: {k.replace("__", "."): data[k].copy() for k in data.files}
+    )
 
 
 def dumps_state(state: dict[str, np.ndarray]) -> bytes:
@@ -216,25 +240,33 @@ def save_checkpoint(
         tmp.unlink(missing_ok=True)
 
 
+def _parse_checkpoint(data: np.lib.npyio.NpzFile) -> Checkpoint:
+    ckpt = Checkpoint(epoch=int(data[_EPOCH_KEY]))
+    for key in data.files:
+        if key.startswith(_MODEL_PREFIX):
+            ckpt.model_state[key[len(_MODEL_PREFIX):]] = data[key].copy()
+        elif key.startswith(_OPTIM_PREFIX):
+            ckpt.optim_state[key[len(_OPTIM_PREFIX):]] = data[key].copy()
+        elif key.startswith(_EXTRA_PREFIX):
+            ckpt.extra[key[len(_EXTRA_PREFIX):]] = data[key].copy()
+        elif key == _RNG_KEY:
+            ckpt.rng_state = json.loads(str(data[key]))
+        elif key == _SHARD_RNG_KEY:
+            ckpt.shard_rng_states = json.loads(str(data[key]))
+    return ckpt
+
+
 def load_checkpoint(
     path: str | Path,
     model: Module | None = None,
     optimizer=None,
 ) -> Checkpoint:
-    """Read a checkpoint; apply state to ``model``/``optimizer`` if given."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        ckpt = Checkpoint(epoch=int(data[_EPOCH_KEY]))
-        for key in data.files:
-            if key.startswith(_MODEL_PREFIX):
-                ckpt.model_state[key[len(_MODEL_PREFIX):]] = data[key].copy()
-            elif key.startswith(_OPTIM_PREFIX):
-                ckpt.optim_state[key[len(_OPTIM_PREFIX):]] = data[key].copy()
-            elif key.startswith(_EXTRA_PREFIX):
-                ckpt.extra[key[len(_EXTRA_PREFIX):]] = data[key].copy()
-            elif key == _RNG_KEY:
-                ckpt.rng_state = json.loads(str(data[key]))
-            elif key == _SHARD_RNG_KEY:
-                ckpt.shard_rng_states = json.loads(str(data[key]))
+    """Read a checkpoint; apply state to ``model``/``optimizer`` if given.
+
+    A damaged file raises a :class:`ValueError` naming ``path``; applying
+    the state raises as ``load_state_dict`` does.
+    """
+    ckpt = _read_npz(path, _parse_checkpoint)
     if model is not None:
         model.load_state_dict(ckpt.model_state)
     if optimizer is not None:

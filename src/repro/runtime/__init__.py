@@ -39,14 +39,12 @@ _EXPORTS = {
     "clear_plan_cache": "repro.runtime.plan",
     "configure_plan_cache": "repro.runtime.plan",
     "plan_cache_info": "repro.runtime.plan",
-    "PlanCacheInfo": "repro.runtime.plan",
     # pack
     "PackedPlan": "repro.runtime.pack",
     "pack_graphs": "repro.runtime.pack",
     "clear_pack_cache": "repro.runtime.pack",
     "configure_pack_cache": "repro.runtime.pack",
     "pack_cache_info": "repro.runtime.pack",
-    "PackCacheInfo": "repro.runtime.pack",
     # trainstep
     "PackedBatch": "repro.runtime.trainstep",
     "StepResult": "repro.runtime.trainstep",

@@ -19,12 +19,12 @@ construction and the plan compilation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
+from repro.circuit.compose import MAX_PACK_MEMBERS, MemberLayout, check_pack_size
 from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Structure
-from repro.lru import FingerprintLRU
+from repro.lru import CacheInfo, FingerprintLRU
 from repro.runtime.plan import GraphPlan, fingerprint_of, plan_for
 
 __all__ = [
@@ -34,56 +34,28 @@ __all__ = [
     "clear_pack_cache",
     "configure_pack_cache",
     "pack_cache_info",
-    "PackCacheInfo",
 ]
-
-#: Hard ceiling on members per pack.  A pack this large would compile a
-#: union plan far beyond any sane serving batch; requests above it are a
-#: caller bug (e.g. an unchunked corpus), not a workload.  Shared with
-#: the sim-side packer (:data:`repro.sim.pack.MAX_PACK_MEMBERS`).
-MAX_PACK_MEMBERS = 1024
 
 
 @dataclass(frozen=True)
-class PackedPlan:
+class PackedPlan(MemberLayout):
     """A compiled union plan plus the bookkeeping to slice members out.
 
     Attributes:
         plan: plan of the union super-graph (for a single member, the
             member's own plan — no union is built).
-        offsets: node-id offset of each member inside the union.
-        sizes: node count per member.
         member_keys: content hash per member (the cache key).
     """
 
     plan: GraphPlan
-    offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
     member_keys: tuple[str, ...]
-
-    @property
-    def num_members(self) -> int:
-        return len(self.offsets)
 
     @property
     def num_nodes(self) -> int:
         return self.plan.num_nodes
 
-    def member_slice(self, member: int) -> slice:
-        lo = self.offsets[member]
-        return slice(lo, lo + self.sizes[member])
 
-
-@dataclass(frozen=True)
-class PackCacheInfo:
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-
-_CACHE = FingerprintLRU(32, PackCacheInfo, "pack cache")
+_CACHE = FingerprintLRU(32, "pack cache")
 
 
 def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPlan:
@@ -92,35 +64,21 @@ def pack_graphs(graphs: Sequence[CircuitGraph], cache: bool = True) -> PackedPla
     Raises a :class:`ValueError` for empty packs and for packs above
     :data:`MAX_PACK_MEMBERS`.
     """
-    if not graphs:
-        raise ValueError("cannot pack zero circuits")
-    if len(graphs) > MAX_PACK_MEMBERS:
-        raise ValueError(
-            f"cannot pack {len(graphs)} circuits: exceeds "
-            f"MAX_PACK_MEMBERS={MAX_PACK_MEMBERS}; chunk the batch"
-        )
+    check_pack_size(len(graphs))
     keys = tuple(fingerprint_of(g) for g in graphs)
     if cache:
         packed = _CACHE.get(keys)
         if packed is not None:
             return packed
     if len(graphs) == 1:
-        graph = graphs[0]
-        packed = PackedPlan(
-            plan=plan_for(graph, cache=cache),
-            offsets=(0,),
-            sizes=(graph.num_nodes,),
-            member_keys=keys,
-        )
+        union = graphs[0]
     else:
         union = CircuitGraph(Structure.concat([g.structure for g in graphs]))
-        sizes = [g.num_nodes for g in graphs]
-        packed = PackedPlan(
-            plan=plan_for(union, cache=cache),
-            offsets=tuple(accumulate([0] + sizes[:-1])),
-            sizes=tuple(sizes),
-            member_keys=keys,
-        )
+    packed = PackedPlan(
+        sizes=tuple(g.num_nodes for g in graphs),
+        plan=plan_for(union, cache=cache),
+        member_keys=keys,
+    )
     return _CACHE.insert(keys, packed) if cache else packed
 
 
@@ -134,6 +92,6 @@ def clear_pack_cache() -> None:
     _CACHE.clear()
 
 
-def pack_cache_info() -> PackCacheInfo:
+def pack_cache_info() -> CacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
     return _CACHE.info()

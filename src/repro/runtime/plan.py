@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.circuit.graph import CircuitGraph, EdgeBatch, edge_batches
 from repro.circuit.netlist import Netlist
-from repro.lru import FingerprintLRU
+from repro.lru import CacheInfo, FingerprintLRU
 
 __all__ = [
     "GraphPlan",
@@ -40,7 +40,6 @@ __all__ = [
     "clear_plan_cache",
     "configure_plan_cache",
     "plan_cache_info",
-    "PlanCacheInfo",
 ]
 
 
@@ -301,16 +300,7 @@ class GraphPlan:
 # process-wide LRU cache
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanCacheInfo:
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-
-_CACHE = FingerprintLRU(128, PlanCacheInfo, "plan cache")
+_CACHE = FingerprintLRU(128, "plan cache")
 
 
 def plan_for(circuit: CircuitGraph | Netlist, cache: bool = True) -> GraphPlan:
@@ -348,6 +338,6 @@ def clear_plan_cache() -> None:
     _CACHE.clear()
 
 
-def plan_cache_info() -> PlanCacheInfo:
+def plan_cache_info() -> CacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
     return _CACHE.info()

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.circuit.compose import MemberLayout
 from repro.models.base import RecurrentDagGnn
 from repro.nn.layers import l1_loss_grad
 from repro.runtime.pack import pack_graphs
@@ -45,7 +46,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PackedBatch:
+class PackedBatch(MemberLayout):
     """One compiled training minibatch: union plan + stacked supervision.
 
     Attributes:
@@ -55,8 +56,6 @@ class PackedBatch:
         target_tr: (N, 2) stacked transition-probability labels.
         target_lg: (N,) stacked logic-probability labels.
         names: member circuit names, for per-member reporting.
-        offsets: node-id offset of each member inside the union.
-        sizes: node count per member.
     """
 
     plan: GraphPlan
@@ -64,24 +63,14 @@ class PackedBatch:
     target_tr: np.ndarray
     target_lg: np.ndarray
     names: tuple[str, ...]
-    offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
 
     @property
     def graph(self):
         return self.plan.graph
 
     @property
-    def num_members(self) -> int:
-        return len(self.offsets)
-
-    @property
     def num_nodes(self) -> int:
         return self.plan.num_nodes
-
-    def member_slice(self, member: int) -> slice:
-        lo = self.offsets[member]
-        return slice(lo, lo + self.sizes[member])
 
 
 @dataclass(frozen=True)
@@ -112,8 +101,6 @@ def pack_samples(
     onwards (and any other trainer packing the same composition) skips
     both union construction and plan compilation.
     """
-    if not samples:
-        raise ValueError("cannot pack zero samples")
     packed = pack_graphs([s.graph for s in samples], cache=cache)
     if len(samples) == 1:
         s = samples[0]
@@ -128,13 +115,12 @@ def pack_samples(
         target_tr = np.concatenate([s.target_tr for s in samples], axis=0)
         target_lg = np.concatenate([s.target_lg for s in samples])
     return PackedBatch(
+        sizes=packed.sizes,
         plan=packed.plan,
         workload=workload,
         target_tr=target_tr,
         target_lg=target_lg,
         names=tuple(s.name for s in samples),
-        offsets=packed.offsets,
-        sizes=packed.sizes,
     )
 
 

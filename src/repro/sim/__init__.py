@@ -25,7 +25,6 @@ from repro.sim.coverage import ToggleCoverage, coverage_of_suite, toggle_coverag
 from repro.sim.pack import (
     MAX_PACK_MEMBERS,
     PackedSimPlan,
-    SimPackCacheInfo,
     clear_sim_pack_cache,
     configure_sim_pack_cache,
     pack_circuits,
@@ -70,7 +69,6 @@ __all__ = [
     "simulate",
     "MAX_PACK_MEMBERS",
     "PackedSimPlan",
-    "SimPackCacheInfo",
     "clear_sim_pack_cache",
     "configure_sim_pack_cache",
     "pack_circuits",

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.circuit.gates import GateKernel, GateType, gate_kernel
 from repro.circuit.levelize import levelize
-from repro.circuit.netlist import GATE_TYPES, Netlist, split_rows
+from repro.circuit.netlist import GATE_TYPES, Netlist, Structure, split_rows, structure_of
 from repro.memory import MemoryBudget
 from repro.sim.bitvec import popcount_int64, words_for
 from repro.sim.workload import PatternSource, Workload
@@ -91,9 +91,9 @@ class _LevelOp:
 class CompiledCircuit:
     """A netlist lowered to flat evaluation groups in level order.
 
-    ``netlist`` is ``None`` only for the synthetic union circuit a
-    :class:`repro.sim.pack.PackedSimPlan` evaluates — member results are
-    always attributed to the members' own netlists.
+    ``netlist`` is ``None`` when compiled from a bare :class:`Structure` —
+    the union circuit a :class:`repro.sim.pack.PackedSimPlan` evaluates;
+    member results are always attributed to the callers' netlists.
     """
 
     netlist: Netlist | None
@@ -105,10 +105,10 @@ class CompiledCircuit:
     comb_ids: np.ndarray
 
 
-def compile_netlist(nl: Netlist) -> CompiledCircuit:
+def compile_netlist(circuit: Netlist | Structure) -> CompiledCircuit:
     """Group combinational gates by (level, type, arity) for vector eval."""
-    structure = nl.structure()
-    comb_levels = levelize(nl).comb_forward
+    structure = structure_of(circuit)
+    comb_levels = levelize(structure).comb_forward
     ptr, idx = structure.fanin_ptr, structure.fanin_idx
     ops: list[_LevelOp] = []
     if comb_levels:
@@ -128,7 +128,7 @@ def compile_netlist(nl: Netlist) -> CompiledCircuit:
             ops.append(_LevelOp(GATE_TYPES[gt], members, fanins, level))
     dff_ids = structure.ids(GateType.DFF)
     return CompiledCircuit(
-        netlist=nl,
+        netlist=None if circuit is structure else circuit,
         num_nodes=structure.num_nodes,
         ops=ops,
         pi_ids=structure.ids(GateType.PI),

@@ -7,11 +7,12 @@ the data factory's hot path: Monte-Carlo fault labelling pays per-circuit
 Python/dispatch overhead K times over when netlists run one at a time.
 
 A :class:`PackedSimPlan` is compiled over the disjoint union of K member
-:class:`~repro.sim.logicsim.CompiledCircuit`\\ s — no union *netlist* is
-ever built; member evaluation groups of equal ``(level, gate type,
-arity)`` are concatenated directly with offset node ids, so one
-``np.take`` per level plus one in-place kernel per group evaluate every member
-at once, and the block engine's history/:meth:`ActivityCounter
+circuits through the same array union the runtime packs graphs with —
+:func:`~repro.sim.logicsim.compile_netlist` over
+:meth:`~repro.circuit.netlist.Structure.concat` of the members'
+lowerings, no union *netlist* — so one ``np.take`` per level plus one
+in-place kernel per ``(level, gate type, arity)`` group evaluate every
+member at once, and the block engine's history/:meth:`ActivityCounter
 .observe_block` reductions run on the stacked ``(block, N_total, words)``
 buffers.  Packed plans live in a bounded LRU keyed by the tuple of member
 content hashes, exactly like the runtime's pack cache.
@@ -56,9 +57,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType
-from repro.circuit.netlist import Netlist
-from repro.lru import FingerprintLRU
+from repro.circuit.compose import MAX_PACK_MEMBERS, MemberLayout, check_pack_size
+from repro.circuit.netlist import Netlist, Structure
+from repro.lru import CacheInfo, FingerprintLRU
 from repro.memory import MemoryBudget
 from repro.sim.bitvec import WORD_BITS, popcount_int64, words_for
 from repro.sim.faults import (
@@ -75,7 +76,6 @@ from repro.sim.logicsim import (
     SimPlan,
     SimResult,
     Simulator,
-    _LevelOp,
     compile_netlist,
 )
 from repro.sim.workload import PatternSource, Workload
@@ -89,26 +89,19 @@ __all__ = [
     "clear_sim_pack_cache",
     "configure_sim_pack_cache",
     "sim_pack_cache_info",
-    "SimPackCacheInfo",
 ]
-
-#: Hard ceiling on members per pack.  A pack this large would allocate
-#: union buffers far beyond any sane batch; requests above it are a
-#: caller bug (e.g. an unchunked corpus), not a workload.
-MAX_PACK_MEMBERS = 1024
 
 
 @dataclass(frozen=True)
-class PackedSimPlan:
+class PackedSimPlan(MemberLayout):
     """A compiled union circuit plus the bookkeeping to slice members out.
 
     Attributes:
-        compiled: the union-level :class:`CompiledCircuit` (its ``netlist``
-            is ``None`` — the union exists only as evaluation groups).
-            For a single member this is the member's own compiled circuit.
+        compiled: the union-level :class:`CompiledCircuit`, compiled from
+            the members' concatenated structures (its ``netlist`` is
+            ``None``).  For a single member this is the member's own
+            compiled circuit.
         members: the member compiled circuits, in pack order.
-        offsets: node-id offset of each member inside the union.
-        sizes: node count per member.
         pi_slices: row range of each member's PIs inside stacked stimulus
             blocks (stimulus concatenates member blocks in pack order).
         po_ids: union node ids of each member's primary outputs.
@@ -119,81 +112,20 @@ class PackedSimPlan:
 
     compiled: CompiledCircuit
     members: tuple[CompiledCircuit, ...]
-    offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
     pi_slices: tuple[slice, ...]
     po_ids: tuple[np.ndarray, ...]
     shifted_ops: tuple[tuple[np.ndarray, ...], ...]
 
     @property
-    def num_members(self) -> int:
-        return len(self.offsets)
-
-    @property
     def num_nodes(self) -> int:
         return self.compiled.num_nodes
 
-    def member_slice(self, member: int) -> slice:
-        lo = self.offsets[member]
-        return slice(lo, lo + self.sizes[member])
+
+_CACHE = FingerprintLRU(32, "sim pack cache")
 
 
-@dataclass(frozen=True)
-class SimPackCacheInfo:
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-
-_CACHE = FingerprintLRU(32, SimPackCacheInfo, "sim pack cache")
-
-
-def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
-    return arr + np.int64(offset) if arr.size else arr.copy()
-
-
-def _merge_members(members: Sequence[CompiledCircuit]) -> CompiledCircuit:
-    """Concatenate member evaluation groups into one union compiled circuit.
-
-    Groups of equal ``(level, gate type, arity)`` merge across members;
-    within a level no gate reads another's output, so any evaluation order
-    of the merged groups settles identical values.  Group order follows
-    :func:`compile_netlist`'s ``(level, type, arity)`` sort, member order
-    inside a merged group follows pack order — both deterministic.
-    """
-    offsets = np.cumsum([0] + [m.num_nodes for m in members[:-1]])
-    buckets: dict[tuple[int, str, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    types: dict[tuple[int, str, int], GateType] = {}
-    for member, off in zip(members, offsets):
-        for op in member.ops:
-            key = (op.level, op.gate_type.value, op.fanins.shape[0])
-            buckets.setdefault(key, []).append(
-                (_shift(op.nodes, off), _shift(op.fanins, off))
-            )
-            types[key] = op.gate_type
-    ops = []
-    for key in sorted(buckets):
-        parts = buckets[key]
-        nodes = np.concatenate([p[0] for p in parts])
-        fanins = np.concatenate([p[1] for p in parts], axis=1)
-        ops.append(_LevelOp(types[key], nodes, fanins, key[0]))
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate(
-            [_shift(getattr(m, name), off) for m, off in zip(members, offsets)]
-        )
-
-    return CompiledCircuit(
-        netlist=None,
-        num_nodes=int(sum(m.num_nodes for m in members)),
-        ops=ops,
-        pi_ids=cat("pi_ids"),
-        dff_ids=cat("dff_ids"),
-        dff_src=cat("dff_src"),
-        comb_ids=cat("comb_ids"),
-    )
+def _netlist(circuit: Netlist | CompiledCircuit) -> Netlist:
+    return circuit.netlist if isinstance(circuit, CompiledCircuit) else circuit
 
 
 def pack_circuits(
@@ -201,23 +133,18 @@ def pack_circuits(
 ) -> PackedSimPlan:
     """Pack member circuits into one compiled union simulation plan.
 
-    Accepts netlists (compiled here) or pre-compiled circuits.  Cached
-    plans are keyed by the tuple of member content hashes; ``cache=False``
-    neither hashes nor touches the LRU.  Raises a :class:`ValueError` for
-    empty packs and for packs above :data:`MAX_PACK_MEMBERS`.
+    Accepts netlists (compiled here) or pre-compiled circuits.  The union
+    is :func:`compile_netlist` over the members' concatenated structures
+    (:meth:`~repro.circuit.netlist.Structure.concat`, no union netlist),
+    so each union group holds gates of one true level, kind and arity
+    across every member.  Cached plans are keyed by the tuple of member
+    content hashes; ``cache=False`` neither hashes nor touches the LRU.
+    Raises a :class:`ValueError` for empty packs and for packs above
+    :data:`MAX_PACK_MEMBERS`.
     """
-    if not circuits:
-        raise ValueError("cannot pack zero circuits")
-    if len(circuits) > MAX_PACK_MEMBERS:
-        raise ValueError(
-            f"cannot pack {len(circuits)} circuits: exceeds "
-            f"MAX_PACK_MEMBERS={MAX_PACK_MEMBERS}; chunk the batch"
-        )
+    check_pack_size(len(circuits))
     if cache:
-        keys = tuple(
-            (c.netlist if isinstance(c, CompiledCircuit) else c).fingerprint()
-            for c in circuits
-        )
+        keys = tuple(_netlist(c).fingerprint() for c in circuits)
         packed = _CACHE.get(keys)
         if packed is not None:
             return packed
@@ -225,26 +152,25 @@ def pack_circuits(
         c if isinstance(c, CompiledCircuit) else compile_netlist(c)
         for c in circuits
     )
-    compiled = members[0] if len(members) == 1 else _merge_members(members)
-    offsets: list[int] = []
+    structures = [m.netlist.structure() for m in members]
+    if len(members) == 1:
+        compiled = members[0]
+    else:
+        compiled = compile_netlist(Structure.concat(structures))
     pi_slices: list[slice] = []
     po_ids: list[np.ndarray] = []
     shifted_ops: list[tuple[np.ndarray, ...]] = []
     node_off = pi_off = 0
-    for m in members:
-        offsets.append(node_off)
+    for m, structure in zip(members, structures):
         pi_slices.append(slice(pi_off, pi_off + m.pi_ids.size))
-        po_ids.append(
-            _shift(np.asarray(m.netlist.pos, dtype=np.int64), node_off)
-        )
-        shifted_ops.append(tuple(_shift(op.nodes, node_off) for op in m.ops))
+        po_ids.append(structure.pos + node_off)
+        shifted_ops.append(tuple(op.nodes + node_off for op in m.ops))
         node_off += m.num_nodes
         pi_off += m.pi_ids.size
     packed = PackedSimPlan(
+        sizes=tuple(m.num_nodes for m in members),
         compiled=compiled,
         members=members,
-        offsets=tuple(offsets),
-        sizes=tuple(m.num_nodes for m in members),
         pi_slices=tuple(pi_slices),
         po_ids=tuple(po_ids),
         shifted_ops=tuple(shifted_ops),
@@ -262,7 +188,7 @@ def clear_sim_pack_cache() -> None:
     _CACHE.clear()
 
 
-def sim_pack_cache_info() -> SimPackCacheInfo:
+def sim_pack_cache_info() -> CacheInfo:
     """Current cache statistics (hits/misses/evictions/size/maxsize)."""
     return _CACHE.info()
 
@@ -653,6 +579,22 @@ def _reset_members(
         raise ValueError(f"unknown init_state {init_state!r}")
 
 
+def _owners(
+    packed: PackedSimPlan, circuits: Sequence[Netlist | CompiledCircuit] | None
+) -> list[Netlist]:
+    """The netlists member results belong to: the caller's ``circuits``
+    (a cached plan may come from structurally equal netlists with other
+    names), or the plan's own members."""
+    if circuits is None:
+        return [m.netlist for m in packed.members]
+    if len(circuits) != packed.num_members:
+        raise ValueError(
+            f"got {len(circuits)} circuits for {packed.num_members} "
+            "packed circuits"
+        )
+    return [_netlist(c) for c in circuits]
+
+
 def _run_packed(
     packed: PackedSimPlan,
     workloads: Sequence[Workload],
@@ -660,9 +602,12 @@ def _run_packed(
     replay_seeds: Sequence[int | None] | None,
     block_cycles: int | None,
     budget: MemoryBudget | None = None,
+    circuits: Sequence[Netlist | CompiledCircuit] | None = None,
 ) -> list[SimResult]:
-    """The block executor's fault-free run over a pack of >= 1 members."""
+    """The block executor's fault-free run over a pack of >= 1 members;
+    results belong to :func:`_owners`."""
     _check_pack_inputs(packed, workloads)
+    owners = _owners(packed, circuits)
     sim = Simulator(packed.compiled, streams=config.streams)
     _reset_members(sim, packed, config.init_state, config.seed)
     source = _make_sources(packed, workloads, config.streams, replay_seeds)
@@ -676,8 +621,8 @@ def _run_packed(
         budget=budget,
     )
     return [
-        counter.result(member.netlist, sim.streams, packed.member_slice(k))
-        for k, member in enumerate(packed.members)
+        counter.result(nl, sim.streams, packed.member_slice(k))
+        for k, nl in enumerate(owners)
     ]
 
 
@@ -697,11 +642,14 @@ def simulate_packed(
     (the packed-engine tests pin this against golden digests): stimulus,
     DFF initialization and statistics are all per-member as documented in
     the module docstring.  All members share one :class:`SimConfig`.
+    Results are attributed to ``circuits`` (a compiled circuit's
+    ``netlist``), never to the netlists a cached plan was built from.
     """
     if packed is None:
         packed = pack_circuits(circuits, cache=cache)
     return _run_packed(
-        packed, workloads, config or SimConfig(), replay_seeds, block_cycles
+        packed, workloads, config or SimConfig(), replay_seeds, block_cycles,
+        circuits=circuits,
     )
 
 
@@ -713,6 +661,7 @@ def _run_packed_faults(
     replay_seeds: Sequence[int | None] | None,
     block_cycles: int | None,
     budget: MemoryBudget | None = None,
+    circuits: Sequence[Netlist | CompiledCircuit] | None = None,
 ) -> list[FaultSimResult]:
     """The block executor's golden/faulty lockstep pass over >= 1 members.
 
@@ -726,9 +675,10 @@ def _run_packed_faults(
     reduce over the two halves of the union history; PO-mismatch
     reliability reduces per member over that member's PO rows.  All
     accumulators are integers, so block summation is arithmetically
-    identical to per-cycle summation.
+    identical to per-cycle summation.  Results belong to :func:`_owners`.
     """
     _check_pack_inputs(packed, workloads)
+    owners = _owners(packed, circuits)
     words = words_for(sim_config.streams)
     streams = words * WORD_BITS
     sim = Simulator(packed.compiled, streams=2 * streams)
@@ -740,8 +690,8 @@ def _run_packed_faults(
     counts = np.zeros((4, packed.num_nodes), dtype=np.int64)
     obs0, obs1, e01, e10 = counts
     stats = [
-        _FaultStats(member.netlist, pos, counts[:, packed.member_slice(k)])
-        for k, (member, pos) in enumerate(zip(packed.members, packed.po_ids))
+        _FaultStats(nl, pos, counts[:, packed.member_slice(k)])
+        for k, (nl, pos) in enumerate(zip(owners, packed.po_ids))
     ]
     cycle = 0
     for episode, observe in enumerate(schedule):
@@ -798,7 +748,8 @@ def simulate_with_faults_packed(
     """Golden/faulty lockstep fault simulation of K members in one sweep.
 
     Results are bitwise-identical to K sequential
-    :func:`repro.sim.faults.simulate_with_faults` calls.
+    :func:`repro.sim.faults.simulate_with_faults` calls, and attributed
+    to ``circuits`` like :func:`simulate_packed`'s.
     """
     if packed is None:
         packed = pack_circuits(circuits, cache=cache)
@@ -809,4 +760,5 @@ def simulate_with_faults_packed(
         fault_config or FaultConfig(),
         replay_seeds,
         block_cycles,
+        circuits=circuits,
     )

@@ -31,6 +31,8 @@ import repro.sim.pack as pack_mod
 from repro.circuit.aig import to_aig
 from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
+from repro.circuit.levelize import levelize
+from repro.circuit.netlist import Netlist
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, compile_netlist, simulate
 from repro.sim.pack import (
@@ -65,6 +67,22 @@ def random_member(seed: int):
         )
     ).aig
     return nl, random_workload(nl, seed + 1)
+
+
+def dff_fed_netlist():
+    """PIs feed only DFFs and every gate reads DFFs or gates above them,
+    so the first combinational level is 2."""
+    nl = Netlist("dff_fed")
+    a, b = nl.add_pi("a"), nl.add_pi("b")
+    d0, d1 = nl.add_dff(a, "d0"), nl.add_dff(b, "d1")
+    d2 = nl.add_dff(None, "d2")
+    x = nl.add_gate(GateType.AND, [d0, d1], "x")
+    y = nl.add_gate(GateType.NOT, [d2], "y")
+    z = nl.add_gate(GateType.AND, [x, y], "z")
+    nl.set_fanins(d2, [z])
+    nl.add_po(z)
+    nl.add_po(x)
+    return nl
 
 
 def assert_sim_equal(ref, got, label=""):
@@ -176,6 +194,34 @@ class TestDifferential:
         )
         for a, b in zip(from_nl, from_cc):
             assert_sim_equal(a, b)
+
+    def test_member_without_level_one_gates(self):
+        """Every gate of ``fed`` reads DFFs, so its combinational levels
+        start at 2.  The union groups by true level: no union group mixes
+        its ANDs and NOTs with the ordinary AIG member's level-1 ones, and
+        results stay those of sequential runs."""
+        fed = dff_fed_netlist()
+        fed_levels = levelize(fed).level
+        assert fed_levels[fed.structure().comb_ids].min() == 2
+        members = [random_member(5), (fed, random_workload(fed, 6))]
+        circuits = [nl for nl, _ in members]
+        workloads = [wl for _, wl in members]
+        packed = pack_circuits(circuits, cache=False)
+        level = np.concatenate([levelize(nl).level for nl in circuits])
+        for op in packed.compiled.ops:
+            assert np.unique(level[op.nodes]).size == 1
+        cfg = SimConfig(cycles=30, streams=64, warmup=2, seed=5, init_state="random")
+        fault = FaultConfig(fault_rate=0.02, episode_cycles=11, seed=7)
+        got = simulate_packed(circuits, workloads, cfg, packed=packed)
+        got_fault = simulate_with_faults_packed(
+            circuits, workloads, cfg, fault, packed=packed
+        )
+        for i, (nl, wl) in enumerate(members):
+            assert_sim_equal(simulate(nl, wl, cfg), got[i], f"member {i}")
+            assert_fault_equal(
+                simulate_with_faults(nl, wl, cfg, fault), got_fault[i], f"member {i}"
+            )
+
 
 class TestSingleRunIsPackOfOne:
     """``simulate``/``simulate_with_faults`` are the one-member case of
@@ -420,13 +466,36 @@ class TestPackPlanCache:
         cfg = SimConfig(cycles=16, streams=64, seed=3)
         workloads = [zoo_workload(3), wl]
         miss = simulate_packed([zoo, other], workloads, cfg)
-        assert len(compiles) == 2
+        assert len(compiles) == 3  # two members, then their union
         hit = simulate_packed([zoo, other], workloads, cfg)
-        assert len(compiles) == 2
+        assert len(compiles) == 3
         info = sim_pack_cache_info()
         assert info.misses == 1 and info.hits == 1
         for a, b in zip(miss, hit):
             assert_sim_equal(a, b)
+
+    def test_hit_attributes_results_to_the_callers_netlists(self):
+        """The cache key ignores node names, so a hit may return a plan
+        built from another, structurally equal netlist; results still
+        belong to the circuits passed in."""
+        a, wl_a = random_member(3)
+        b = Netlist.from_structure(
+            a.structure(), [f"renamed{i}" for i in range(len(a))], name="b"
+        )
+        c, wl_c = gate_zoo_netlist(), zoo_workload(3)
+        cfg = SimConfig(cycles=12, streams=64, seed=3)
+        fault = FaultConfig(fault_rate=0.02, episode_cycles=5, seed=4)
+        simulate_packed([a, c], [wl_a, wl_c], cfg)
+        got = simulate_packed([b, c], [wl_a, wl_c], cfg)
+        got_fault = simulate_with_faults_packed(
+            [compile_netlist(b), c], [wl_a, wl_c], cfg, fault
+        )
+        info = sim_pack_cache_info()
+        assert info.misses == 1 and info.hits == 2
+        assert got[0].netlist is b and got[1].netlist is c
+        assert got_fault[0].netlist is b and got_fault[1].netlist is c
+        assert_sim_equal(simulate(b, wl_a, cfg), got[0])
+        assert_fault_equal(simulate_with_faults(b, wl_a, cfg, fault), got_fault[0])
 
     def test_distinct_compositions_miss_separately(self):
         zoo = gate_zoo_netlist()

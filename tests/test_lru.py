@@ -6,37 +6,27 @@ this pins the class's own contract.
 """
 
 import threading
-from dataclasses import dataclass
 
 import pytest
 
-from repro.lru import FingerprintLRU
-
-
-@dataclass(frozen=True)
-class Info:
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
+from repro.lru import CacheInfo, FingerprintLRU
 
 
 def test_hit_miss_eviction_counters_and_recency():
-    lru = FingerprintLRU(2, Info, "toy cache")
+    lru = FingerprintLRU(2, "toy cache")
     assert lru.get("a") is None
     assert lru.insert("a", 1) == 1
     assert lru.insert("b", 2) == 2
     assert lru.get("a") == 1  # refreshes "a"; "b" is now oldest
     assert lru.insert("c", 3) == 3
     assert lru.get("b") is None
-    assert lru.info() == Info(hits=1, misses=2, evictions=1, size=2, maxsize=2)
+    assert lru.info() == CacheInfo(hits=1, misses=2, evictions=1, size=2, maxsize=2)
     lru.clear()
-    assert lru.info() == Info(hits=0, misses=0, evictions=0, size=0, maxsize=2)
+    assert lru.info() == CacheInfo(hits=0, misses=0, evictions=0, size=0, maxsize=2)
 
 
 def test_insert_keeps_the_first_published_entry():
-    lru = FingerprintLRU(4, Info, "toy cache")
+    lru = FingerprintLRU(4, "toy cache")
     first, second = object(), object()
     assert lru.insert(("k",), first) is first
     assert lru.insert(("k",), second) is first
@@ -44,18 +34,18 @@ def test_insert_keeps_the_first_published_entry():
 
 
 def test_configure_shrinks_and_validates():
-    lru = FingerprintLRU(4, Info, "toy cache")
+    lru = FingerprintLRU(4, "toy cache")
     for k in range(4):
         lru.insert(k, str(k))
     lru.configure(1)
-    assert lru.info() == Info(hits=0, misses=0, evictions=3, size=1, maxsize=1)
+    assert lru.info() == CacheInfo(hits=0, misses=0, evictions=3, size=1, maxsize=1)
     assert lru.get(3) == "3"
     with pytest.raises(ValueError, match="toy cache needs room for at least one"):
         lru.configure(0)
 
 
 def test_concurrent_builders_share_one_entry():
-    lru = FingerprintLRU(8, Info, "toy cache")
+    lru = FingerprintLRU(8, "toy cache")
     barrier = threading.Barrier(8)
     seen = []
 

@@ -6,7 +6,7 @@ import pytest
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
 from repro.nn.optim import Adam
-from repro.nn.serialize import load_checkpoint, save_checkpoint
+from repro.nn.serialize import load_checkpoint, load_state, save_checkpoint, save_state
 from repro.train.trainer import TrainConfig, Trainer
 
 from tests.conftest import build_dataset_cached
@@ -98,6 +98,51 @@ class TestCheckpointFile:
         opt = Adam(model.parameters(), lr=1e-3)
         with pytest.raises(KeyError):
             opt.load_state_dict({})
+
+
+class TestDamagedCheckpoint:
+    """A damaged file raises one ``ValueError`` that names it, chained to
+    whatever zipfile or the npy parser raised."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = make_model("deepseq", CFG, "dual_attention")
+        path = tmp_path / "ck.npz"
+        save_checkpoint(
+            path, model, Adam(model.parameters(), lr=1e-3), epoch=2,
+            rng=np.random.default_rng(1), extra={"history": np.arange(3.0)},
+        )
+        return path
+
+    def test_every_sampled_prefix_raises_naming_the_file(self, saved):
+        raw = saved.read_bytes()
+        bad = saved.with_name("truncated.npz")
+        cuts = np.unique(np.r_[0, 1, 30, len(raw) - 1, np.linspace(2, len(raw) - 2, 60)])
+        for n in cuts.astype(int).tolist():
+            bad.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match="truncated.npz") as err:
+                load_checkpoint(bad)
+            assert err.value.__cause__ is not None, n
+
+    def test_missing_array_and_bare_state_raise_the_same_way(self, saved, tmp_path):
+        with np.load(saved) as data:
+            arrays = {k: data[k] for k in data.files if k != "meta::epoch"}
+        no_epoch = tmp_path / "no_epoch.npz"
+        np.savez(no_epoch, **arrays)
+        with pytest.raises(ValueError, match="no_epoch.npz") as err:
+            load_checkpoint(no_epoch)
+        assert isinstance(err.value.__cause__, KeyError)
+        state = tmp_path / "state.npz"
+        save_state({"w": np.arange(4.0)}, state)
+        state.write_bytes(state.read_bytes()[:-9])
+        with pytest.raises(ValueError, match="state.npz"):
+            load_state(state)
+
+    def test_missing_file_and_state_mismatch_keep_their_types(self, saved, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.npz")
+        with pytest.raises(KeyError):
+            load_checkpoint(saved, make_model("deepseq", CFG, "conv_sum"))
 
 
 class TestResumeDeterminism:
