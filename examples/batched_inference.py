@@ -7,9 +7,9 @@ Demonstrates the three pieces of :mod:`repro.runtime`:
 2. **Multi-circuit packing** — a :class:`BatchedPredictor` packs K
    circuits into one disjoint super-graph, so a single levelized sweep
    serves the whole batch;
-3. **The float32 fast path** — inference runs on a cached float32 shadow
-   of the weights while the float64 master copies stay untouched for
-   training.
+3. **The float32 fast path** — inference runs on a cached float32
+   replica of the model while the float64 master copies stay untouched
+   for training.
 
 Run:  python examples/batched_inference.py
 """

@@ -48,8 +48,8 @@ __all__ = [
 #: keyed by (num_nodes, hidden).  The base depends only on those two values
 #: (fixed seed), so re-deriving it per call is pure waste in the serving
 #: and training loops; a small LRU bounds memory for huge packed unions.
-#: Every serving worker thread draws from it (each replica has its own
-#: model lock, so nothing else serializes them) — hence the locked LRU.
+#: Every serving worker thread draws from it, and nothing else serializes
+#: them — hence the locked LRU.
 _H0_BASE_CACHE = FingerprintLRU(16, name="h0 base cache")
 
 
@@ -385,10 +385,10 @@ class RecurrentDagGnn(Module):
         """Inference helper (no context log, in-place propagation).
 
         Every dtype goes through :func:`repro.runtime.predictor.predict_one`
-        — one code path, serialized per model against concurrent runtime
-        calls that swap the parameter arrays.  ``None``/float64 runs on the
-        master weights, float32 on the runtime's parameter shadow; both
-        execute the same kernels.
+        — one code path.  ``None``/float64 runs on the master weights,
+        float32 on a cast replica (:func:`repro.runtime.predictor.cast_model`);
+        both execute the same kernels, and neither rebinds the parameters,
+        so concurrent calls need no lock.
         """
         from repro.runtime.predictor import predict_one
 
@@ -405,13 +405,11 @@ class RecurrentDagGnn(Module):
         natural graph-level summary for downstream classification /
         retrieval use-cases (see ``examples/family_classification.py``).
         ``mode``: ``mean`` | ``max`` | ``meanmax`` (concatenation).
-        Runs on the float64 master weights, serialized per model against
-        runtime calls that swap in a parameter shadow, as :meth:`predict`.
+        Runs at float64: on the master weights, as :meth:`predict` does.
         """
-        from repro.runtime.predictor import _model_lock, _shadow_context
+        from repro.runtime.predictor import cast_model
 
-        with _model_lock(self), _shadow_context(self, np.dtype(np.float64)):
-            h = self.embed(graph, workload)
+        h = cast_model(self, np.float64).embed(graph, workload)
         if mode == "mean":
             return h.mean(axis=0)
         if mode == "max":

@@ -10,7 +10,7 @@ __all__ = ["Parameter", "Module", "bump_parameter_version", "parameter_version"]
 
 # Process-wide counter bumped whenever parameter data is updated in place
 # (optimizer steps, state-dict loads).  Derived caches — the runtime's
-# dtype shadows, cached weight transposes — compare it to detect staleness,
+# dtype replicas, cached weight transposes — compare it to detect staleness,
 # since in-place mutation leaves array identities unchanged.  Code that
 # edits ``p.data`` directly by hand should call
 # :func:`bump_parameter_version` afterwards.

@@ -42,7 +42,7 @@ class Optimizer:
     def step(self) -> None:
         self._step()
         # In-place updates leave array identities unchanged; the version
-        # counter lets derived caches (dtype shadows, cached transposes)
+        # counter lets derived caches (dtype replicas, cached transposes)
         # notice the mutation.
         bump_parameter_version()
 

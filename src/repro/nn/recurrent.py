@@ -128,9 +128,8 @@ class GRUCell(Module):
         BLAS picks M-dependent kernels for a transposed-view right operand,
         which would break the runtime's bitwise packed-equals-sequential
         guarantee — so the transposes are contiguous copies, cached until
-        the parameter arrays are swapped (the runtime's dtype shadow
-        replaces ``data`` wholesale) or mutated in place (optimizer steps
-        bump the global parameter version).
+        the parameter arrays are replaced or mutated in place (optimizer
+        steps bump the global parameter version).
         """
         wi, wh = self.w_ih.data, self.w_hh.data
         version = parameter_version()
@@ -151,7 +150,7 @@ class GRUCell(Module):
         return cached[3], cached[4]
 
     def __getstate__(self) -> dict:
-        # The transpose cache is derived state that pins the float32
-        # shadow arrays; it must not ride the structure pickles shipped to
-        # worker processes.
+        # The transpose cache is derived state: it must not ride the
+        # structure pickles shipped to worker processes, nor the deep
+        # copies that become cast replicas.
         return {**self.__dict__, "_t_cache": None}

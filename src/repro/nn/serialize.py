@@ -102,7 +102,7 @@ def clone_module(module: M) -> M:
     The structure is deep-copied; the parameters are then re-loaded through
     the npz byte round-trip, so a replica is exactly what a worker process
     restoring the module from disk would hold — float64 weights survive
-    bitwise.  Mutating either copy (training, shadows) never touches the
+    bitwise.  Mutating either copy (training, dtype casts) never touches the
     other.
     """
     replica = copy.deepcopy(module)
@@ -128,7 +128,6 @@ _OPTIM_PREFIX = "optim::"
 _EXTRA_PREFIX = "extra::"
 _EPOCH_KEY = "meta::epoch"
 _RNG_KEY = "meta::rng"
-_SHARD_RNG_KEY = "meta::shard_rng"
 
 
 @dataclass
@@ -141,9 +140,6 @@ class Checkpoint:
             passed to :func:`load_checkpoint`).
         optim_state: optimizer slot state (likewise applied when given).
         rng_state: numpy BitGenerator state dict, or ``None``.
-        shard_rng_states: per-shard BitGenerator states of a data-parallel
-            run (one per worker rank, rank order), or ``None`` for
-            checkpoints written before/without data parallelism.
         extra: any additional arrays stored alongside.
     """
 
@@ -151,7 +147,6 @@ class Checkpoint:
     model_state: dict[str, np.ndarray] = field(default_factory=dict)
     optim_state: dict[str, np.ndarray] = field(default_factory=dict)
     rng_state: dict | None = None
-    shard_rng_states: list[dict] | None = None
     extra: dict[str, np.ndarray] = field(default_factory=dict)
 
     def restore_rng(self, rng: np.random.Generator) -> None:
@@ -159,24 +154,6 @@ class Checkpoint:
         if self.rng_state is None:
             raise ValueError("checkpoint holds no RNG state")
         rng.bit_generator.state = self.rng_state
-
-    def restore_shard_rngs(self, rngs: list[np.random.Generator]) -> None:
-        """Overwrite each shard generator with its checkpointed state.
-
-        The generator list must match the checkpointed shard count — a
-        run resumed on a different worker count re-derives fresh streams
-        instead (the trainer handles that; see
-        :meth:`repro.train.trainer.Trainer.train`).
-        """
-        if self.shard_rng_states is None:
-            raise ValueError("checkpoint holds no shard RNG state")
-        if len(rngs) != len(self.shard_rng_states):
-            raise ValueError(
-                f"checkpoint holds {len(self.shard_rng_states)} shard RNG "
-                f"streams, got {len(rngs)} generators"
-            )
-        for rng, state in zip(rngs, self.shard_rng_states):
-            rng.bit_generator.state = state
 
 
 def save_checkpoint(
@@ -186,17 +163,13 @@ def save_checkpoint(
     *,
     epoch: int = 0,
     rng: np.random.Generator | None = None,
-    shard_rngs: list[np.random.Generator] | None = None,
     extra: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Write a resumable training checkpoint to one ``.npz`` file.
 
     ``optimizer`` may be any object exposing ``state_dict()`` (the
     :mod:`repro.nn.optim` optimizers do); ``rng`` is the generator whose
-    epoch-shuffle state must survive the interruption; ``shard_rngs`` are
-    a data-parallel run's per-worker streams (rank order), saved so a
-    resumed run continues every shard's stream exactly where the
-    interruption caught it.
+    epoch-shuffle state must survive the interruption.
     """
     payload: dict[str, np.ndarray] = {
         _MODEL_PREFIX + k: v for k, v in model.state_dict().items()
@@ -210,10 +183,6 @@ def save_checkpoint(
         # BitGenerator state contains >64-bit integers; JSON round-trips
         # them exactly where fixed-width arrays cannot.
         payload[_RNG_KEY] = np.asarray(json.dumps(rng.bit_generator.state))
-    if shard_rngs is not None:
-        payload[_SHARD_RNG_KEY] = np.asarray(
-            json.dumps([g.bit_generator.state for g in shard_rngs])
-        )
     for k, v in (extra or {}).items():
         payload[_EXTRA_PREFIX + k] = np.asarray(v)
     payload[_EPOCH_KEY] = np.asarray(int(epoch), dtype=np.int64)
@@ -251,8 +220,6 @@ def _parse_checkpoint(data: np.lib.npyio.NpzFile) -> Checkpoint:
             ckpt.extra[key[len(_EXTRA_PREFIX):]] = data[key].copy()
         elif key == _RNG_KEY:
             ckpt.rng_state = json.loads(str(data[key]))
-        elif key == _SHARD_RNG_KEY:
-            ckpt.shard_rng_states = json.loads(str(data[key]))
     return ckpt
 
 

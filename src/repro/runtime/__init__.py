@@ -10,7 +10,8 @@ serving-oriented callers (tasks, experiments, examples, benchmarks):
 * :mod:`repro.runtime.predictor` — :class:`BatchedPredictor` (many
   circuits cut into packed sweeps on the calling thread; queued,
   deadline-flushed serving is :mod:`repro.serve`, which builds on this
-  layer) and the float32 parameter-shadow fast path;
+  layer) and the float32 fast path over cast model replicas
+  (:func:`cast_model`);
 * :mod:`repro.runtime.trainstep` — packed training minibatches
   (:func:`pack_samples` / :func:`train_step`) sharing the same plan and
   pack caches as serving;
@@ -58,11 +59,10 @@ _EXPORTS = {
     "LocalGradExecutor": "repro.runtime.ddp",
     "DdpGradExecutor": "repro.runtime.ddp",
     # predictor
-    "ParameterShadow": "repro.runtime.predictor",
+    "cast_model": "repro.runtime.predictor",
     "predict_one": "repro.runtime.predictor",
     "predict_packed": "repro.runtime.predictor",
     "run_packed_isolated": "repro.runtime.predictor",
-    "refresh_shadows": "repro.runtime.predictor",
     "BatchedPredictor": "repro.runtime.predictor",
 }
 

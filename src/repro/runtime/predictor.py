@@ -2,10 +2,11 @@
 
 Three layers, lowest first:
 
-* :class:`ParameterShadow` — cached dtype casts of a module's parameters,
-  swapped in around inference forward passes.  This is how the float32 fast
-  path avoids touching the float64 master weights that training and
-  gradient checking rely on.
+* :func:`cast_model` — a model whose parameters are at the execution
+  dtype: the model itself, or a cached cast replica.  This is how the
+  float32 fast path runs without touching the float64 master weights that
+  training and gradient checking rely on; no call ever rebinds another
+  caller's parameters, so inference needs no lock.
 * :func:`predict_one` / :func:`predict_packed` — functional entry points
   running one circuit (or one packed batch of K circuits) through a model
   at a chosen dtype, reusing compiled plans from the shared cache.
@@ -28,10 +29,9 @@ matches to ~1e-4 max-abs on probability outputs.
 
 from __future__ import annotations
 
-import threading
+import copy
 import weakref
-from contextlib import contextmanager, nullcontext
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,8 +43,10 @@ from repro.nn.module import Module, parameter_version
 from repro.runtime.pack import PackedPlan, pack_graphs
 from repro.runtime.plan import GraphPlan, plan_for
 
+M = TypeVar("M", bound=Module)
+
 __all__ = [
-    "ParameterShadow",
+    "cast_model",
     "predict_one",
     "predict_packed",
     "run_packed_isolated",
@@ -52,91 +54,46 @@ __all__ = [
 ]
 
 
-class ParameterShadow:
-    """Cached dtype casts of a module's parameters.
-
-    While :meth:`active` the module's parameters *are* the cast arrays —
-    forward passes run entirely in the shadow dtype — and the float64
-    master copies are restored on exit.  The cast re-syncs automatically
-    when the global parameter version changes (optimizer steps and
-    ``load_state_dict`` bump it); hand-edited ``p.data`` needs either
-    :func:`repro.nn.module.bump_parameter_version` or an explicit
-    :meth:`refresh`.
-
-    Activation is not synchronized against *other* threads running the
-    same model concurrently — the runtime entry points serialize per
-    model (see ``_model_lock``); bypassing them with direct concurrent
-    ``model.forward`` calls while a shadow is active is unsafe.
-    """
-
-    def __init__(self, module: Module, dtype) -> None:
-        self.dtype = np.dtype(dtype)
-        self._params = list(module.parameters())
-        self._cast = [p.data.astype(self.dtype) for p in self._params]
-        self._version = parameter_version()
-
-    def refresh(self) -> None:
-        """Re-cast from the current master parameter values."""
-        self._cast = [p.data.astype(self.dtype) for p in self._params]
-        self._version = parameter_version()
-
-    @contextmanager
-    def active(self) -> Iterator[None]:
-        if self._version != parameter_version():
-            self.refresh()
-        masters = [p.data for p in self._params]
-        for p, cast in zip(self._params, self._cast):
-            p.data = cast
-        try:
-            yield
-        finally:
-            for p, master in zip(self._params, masters):
-                p.data = master
-
-
-_SHADOWS: "weakref.WeakKeyDictionary[Module, dict[np.dtype, ParameterShadow]]" = (
-    weakref.WeakKeyDictionary()
-)
-_SHADOW_LOCK = threading.Lock()
-
-_MODEL_LOCKS: "weakref.WeakKeyDictionary[Module, threading.RLock]" = (
+#: model -> {dtype: (parameter_version() when cast, replica)}.
+_REPLICAS: "weakref.WeakKeyDictionary[Module, dict[np.dtype, tuple[int, Module]]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _model_lock(model: Module) -> threading.RLock:
-    """Per-model lock serializing runtime inference calls.
+def cast_model(model: M, dtype) -> M:
+    """``model`` with every parameter at ``dtype``.
 
-    A shadow swap temporarily rebinds the model's parameter arrays, so two
-    threads running the same model through the runtime must not overlap.
+    That is ``model`` itself when its parameters already are ``dtype``;
+    otherwise a cached replica: a deep copy whose parameters are
+    ``astype(dtype)`` copies of the masters.  A replica is never edited.
+    Once the global parameter version moves (optimizer steps and
+    ``load_state_dict`` bump it) the next call builds a new one, while a
+    caller still running the old replica finishes on the old weights.
+    Hand-edited ``p.data`` needs
+    :func:`~repro.nn.module.bump_parameter_version` or
+    :meth:`BatchedPredictor.refresh_parameters` to be seen.
     """
-    with _SHADOW_LOCK:
-        lock = _MODEL_LOCKS.get(model)
-        if lock is None:
-            lock = threading.RLock()
-            _MODEL_LOCKS[model] = lock
-    return lock
+    dt = np.dtype(dtype)
+    if all(p.data.dtype == dt for p in model.parameters()):
+        return model
+    per_model = _REPLICAS.setdefault(model, {})
+    # Read before copying: a step landing mid-copy leaves the entry
+    # tagged stale, and the next call rebuilds it.
+    version = parameter_version()
+    cached = per_model.get(dt)
+    if cached is not None and cached[0] == version:
+        return cached[1]
+    replica = copy.deepcopy(model)
+    for p in replica.parameters():
+        p.data = p.data.astype(dt)
+        p.grad = None
+    # Racing builders each store a correct replica; the last one stays.
+    per_model[dt] = (version, replica)
+    return replica
 
 
-def _shadow_context(model: Module, dtype: np.dtype):
-    """An ``active()`` shadow for ``dtype``, or a no-op when already there."""
-    params = model.parameters()
-    if all(p.data.dtype == dtype for p in params):
-        return nullcontext()
-    with _SHADOW_LOCK:
-        per_model = _SHADOWS.setdefault(model, {})
-        shadow = per_model.get(dtype)
-        if shadow is None:
-            shadow = ParameterShadow(model, dtype)
-            per_model[dtype] = shadow
-    return shadow.active()
-
-
-def refresh_shadows(model: Module) -> None:
-    """Re-sync every cached dtype shadow after a parameter update."""
-    with _SHADOW_LOCK:
-        for shadow in _SHADOWS.get(model, {}).values():
-            shadow.refresh()
+def _drop_replicas(model: Module) -> None:
+    _REPLICAS.pop(model, None)
 
 
 def _resolve(circuit: CircuitGraph | Netlist, plan: GraphPlan | None):
@@ -156,12 +113,10 @@ def predict_one(
     """Inference on one circuit at ``dtype`` through the compiled plan."""
     graph, plan = _resolve(circuit, plan)
     dt = np.dtype(dtype)
-    with _model_lock(model):
-        h0 = model.initial_hidden(graph, workload)
-        if h0.dtype != dt:
-            h0 = h0.astype(dt)
-        with _shadow_context(model, dt):
-            pred_tr, pred_lg = model.forward(graph, plan=plan, h0=h0)
+    h0 = model.initial_hidden(graph, workload)
+    if h0.dtype != dt:
+        h0 = h0.astype(dt)
+    pred_tr, pred_lg = cast_model(model, dt).forward(graph, plan=plan, h0=h0)
     return Prediction(tr=pred_tr, lg=pred_lg[:, 0].copy())
 
 
@@ -188,14 +143,12 @@ def predict_packed(
             f"packed plan holds {packed.num_members} members, got {len(graphs)} circuits"
         )
     dt = np.dtype(dtype)
-    with _model_lock(model):
-        h0 = np.empty((packed.num_nodes, model.config.hidden), dtype=dt)
-        for member, (g, wl) in enumerate(zip(graphs, workloads)):
-            model.initial_hidden_into(g, wl, h0[packed.member_slice(member)])
-        with _shadow_context(model, dt):
-            pred_tr, pred_lg = model.forward(
-                packed.plan.graph, plan=packed.plan, h0=h0
-            )
+    h0 = np.empty((packed.num_nodes, model.config.hidden), dtype=dt)
+    for member, (g, wl) in enumerate(zip(graphs, workloads)):
+        model.initial_hidden_into(g, wl, h0[packed.member_slice(member)])
+    pred_tr, pred_lg = cast_model(model, dt).forward(
+        packed.plan.graph, plan=packed.plan, h0=h0
+    )
     out: list[Prediction] = []
     for member in range(packed.num_members):
         sl = packed.member_slice(member)
@@ -255,9 +208,9 @@ class BatchedPredictor:
     Every call runs on the calling thread and holds no state between
     calls; for queued requests with a latency bound use
     :class:`repro.serve.Server` (``workers=1`` is this packed sweep
-    behind the serving batcher).  After fine-tuning the model, call
-    :meth:`refresh_parameters` so the cached low-precision parameter
-    shadow picks up the new weights.
+    behind the serving batcher).  Optimizer steps and ``load_state_dict``
+    are seen by the next call; after editing ``p.data`` by hand, call
+    :meth:`refresh_parameters`.
     """
 
     def __init__(
@@ -329,5 +282,6 @@ class BatchedPredictor:
         return self.predict_many([circuit], [workload])[0]
 
     def refresh_parameters(self) -> None:
-        """Re-sync dtype shadows after the model's parameters changed."""
-        refresh_shadows(self.model)
+        """Drop the model's cast replicas, so the next call casts its
+        current parameters."""
+        _drop_replicas(self.model)

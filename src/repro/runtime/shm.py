@@ -7,7 +7,7 @@ kinds of bulk numeric payload with their coordinator:
 * **arena traffic** — per-request PI-probability vectors in, prediction
   arrays or float64 gradients out;
 * **parameter blocks** — the model parameters in one dtype (the float32
-  serving shadow, the float64 training broadcast), identical in every
+  serving weights, the float64 training broadcast), identical in every
   worker, published once by the pool and mapped read-only by all of them.
 
 Both ride named :class:`multiprocessing.shared_memory.SharedMemory`
@@ -222,7 +222,7 @@ def collect_arrays(block: ShmBlock, meta: tuple, dtype) -> list[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# shared parameter shadows
+# shared parameter blocks
 # ----------------------------------------------------------------------
 
 def publish_param_block(

@@ -10,7 +10,7 @@ driven by a coordinator over one control pipe per worker.  It owns the
   use, so every worker's float64 parameters are bitwise-identical to the
   source model's;
 * **every named segment** — an optional parameter block in one dtype
-  (float32 serving shadow, float64 training broadcast) that all workers
+  (float32 serving weights, float64 training broadcast) that all workers
   map read-only, and per-slot arenas that outlive the slot's processes.
   The pool creates them and :meth:`WorkerPool.stop` unlinks them, so a
   worker dying at any point — SIGKILL included — cannot leak a

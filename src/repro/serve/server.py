@@ -1,10 +1,11 @@
 """Multi-worker serving front-end over the packed inference runtime.
 
 A :class:`Server` owns K worker threads.  Each worker holds its *own*
-model replica — cloned through the npz serialization round-trip
-(:func:`repro.nn.serialize.clone_module`), exactly what a worker process
-restoring the model from disk would hold — so packed sweeps on different
-workers never contend on the per-model runtime lock.  All workers share
+model replica at the serving dtype — cloned through the npz serialization
+round-trip (:func:`repro.nn.serialize.clone_module`), exactly what a
+worker process restoring the model from disk would hold, then cast once
+(:func:`repro.runtime.predictor.cast_model`).  No sweep ever rebinds a
+replica's parameters, so workers share no lock.  All workers share
 the process-wide fingerprint-keyed plan and pack LRUs, so a circuit
 structure is compiled once no matter which worker serves it.
 
@@ -40,8 +41,8 @@ from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
 from repro.experiments.config import ServeConfig
 from repro.models.base import Prediction, RecurrentDagGnn
-from repro.nn.serialize import clone_module, dumps_state, loads_state
-from repro.runtime.predictor import _model_lock, refresh_shadows, run_packed_isolated
+from repro.nn.serialize import clone_module
+from repro.runtime.predictor import cast_model, run_packed_isolated
 from repro.runtime.plan import plan_for
 from repro.serve.batching import (
     MicroBatcher,
@@ -121,7 +122,7 @@ class Server:
         self.model = model
         self.dtype = np.dtype(cfg.dtype)
         self.metrics = ServerMetrics()
-        self._replicas = [clone_module(model) for _ in range(cfg.workers)]
+        self._replicas = self._build_replicas()
         #: the batching policy; every call to it happens under ``_lock``.
         self._batcher = MicroBatcher(cfg, self.metrics)
         self._lock = threading.Lock()
@@ -140,11 +141,11 @@ class Server:
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
-                args=(replica,),
+                args=(i,),
                 name=f"serve-worker-{i}",
                 daemon=True,
             )
-            for i, replica in enumerate(self._replicas)
+            for i in range(cfg.workers)
         ]
         for worker in self._workers:
             worker.start()
@@ -232,14 +233,14 @@ class Server:
             self._not_full.notify_all()
         return live
 
-    def _worker_loop(self, replica: RecurrentDagGnn) -> None:
+    def _worker_loop(self, index: int) -> None:
         while True:
             live = self._take_batch()
             if live is None:
                 return
             try:
                 if live:
-                    self._execute(replica, live)
+                    self._execute(self._replicas[index], live)
             except BaseException as exc:
                 # run_packed_isolated already isolates per-member model
                 # failures; anything reaching here is bookkeeping gone
@@ -275,19 +276,21 @@ class Server:
         graph = circuit if isinstance(circuit, CircuitGraph) else plan_for(circuit).graph
         warm_plan(self.model, graph, self.dtype)
 
+    def _build_replicas(self) -> list[RecurrentDagGnn]:
+        return [
+            cast_model(clone_module(self.model), self.dtype)
+            for _ in range(self.config.workers)
+        ]
+
     def refresh_parameters(self) -> None:
         """Re-sync every worker replica from the source model.
 
-        Call after fine-tuning ``model``; each replica is updated through
-        the same serialized round-trip used at construction, under its
-        runtime model lock so in-flight batches finish on the old weights
-        and the next batch runs on the new ones.
+        Call after fine-tuning ``model``; fresh replicas are built as at
+        construction and swapped into the workers' slots, so in-flight
+        batches finish on the old weights and the next batch runs on the
+        new ones.
         """
-        payload = dumps_state(self.model.state_dict())
-        for replica in self._replicas:
-            with _model_lock(replica):
-                replica.load_state_dict(loads_state(payload))
-                refresh_shadows(replica)
+        self._replicas[:] = self._build_replicas()
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until the queue is empty and in-flight batches resolved.

@@ -12,9 +12,9 @@ does not travel on it.  Feature buffers arrive through the pool-owned
 shared-memory feature arena and predictions leave through the result
 arena, both in the one :func:`~repro.runtime.shm.stage_arrays` /
 :func:`~repro.runtime.shm.collect_arrays` shape.  When the serving dtype
-is float32 the worker additionally maps the
-pool's published parameter-shadow block read-only, so all K workers
-share one physical copy of the cast weights.
+is float32 the worker maps the pool's published parameter block
+read-only and its replica's parameters *are* those views, so all K
+workers share one physical copy of the cast weights.
 
 Message protocol (gateway -> worker)::
 
@@ -44,12 +44,7 @@ import pickle
 import numpy as np
 
 from repro.runtime.plan import plan_for
-from repro.runtime.predictor import (
-    _SHADOW_LOCK,
-    _SHADOWS,
-    ParameterShadow,
-    run_packed_isolated,
-)
+from repro.runtime.predictor import run_packed_isolated
 from repro.runtime.shm import collect_arrays, stage_arrays
 from repro.serve.batching import ServeError, warm_plan
 from repro.sim.workload import Workload
@@ -58,24 +53,6 @@ __all__ = ["FEATURES", "RESULTS", "make_handler"]
 
 #: Arena tags of a gateway worker slot.
 FEATURES, RESULTS = "feat", "res"
-
-
-def _install_shared_shadow(model, views: list[np.ndarray], dtype) -> None:
-    """Register a shm-backed :class:`ParameterShadow` for ``model``.
-
-    The runtime's shadow registry normally casts parameters per process;
-    pointing the cached shadow's arrays at the pool's published block
-    instead means every worker reads the same physical pages.
-    """
-    shadow = ParameterShadow(model, dtype)
-    for view, cast in zip(views, shadow._cast):
-        if view.shape != cast.shape:  # pragma: no cover - pool bug
-            raise ValueError(
-                f"shared shadow shape {view.shape} != parameter {cast.shape}"
-            )
-    shadow._cast = views
-    with _SHADOW_LOCK:
-        _SHADOWS.setdefault(model, {})[np.dtype(dtype)] = shadow
 
 
 def _picklable(exc: Exception) -> Exception:
@@ -91,7 +68,14 @@ def make_handler(replica, param_views, arenas, dtype):
     """The worker's message handler; ``dtype`` is the serving dtype."""
     dtype = np.dtype(dtype)
     if param_views is not None:
-        _install_shared_shadow(replica, param_views, dtype)
+        # The replica becomes a serving-dtype model over the shared pages,
+        # once, before any batch runs.
+        for p, view in zip(replica.parameters(), param_views, strict=True):
+            if view.shape != p.data.shape:  # pragma: no cover - pool bug
+                raise ValueError(
+                    f"shared parameter shape {view.shape} != {p.data.shape}"
+                )
+            p.data = view
     features, results = arenas[FEATURES], arenas[RESULTS]
     #: fingerprint -> compiled graph, or the exception compiling it raised
     #: (admission rejects those; one that slips through fails its requests).

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.sim.saif import SaifDocument
 from repro.tasks.power.celllib import TSMC90_LIKE, CellLibrary
@@ -58,33 +57,14 @@ class PowerAnalyzer:
     def analyze(self, nl: Netlist, saif: SaifDocument) -> PowerReport:
         """Match SAIF records to nodes by name and integrate power."""
         toggle = saif.toggle_rate()
-        dynamic = 0.0
-        leakage = 0.0
-        by_type: dict[str, float] = {}
-        missing: list[str] = []
-        for node in nl.nodes():
-            gt = nl.gate_type(node)
-            name = nl.node_name(node)
-            rate = toggle.get(name)
-            if rate is None:
-                missing.append(name)
-                continue
-            p_dyn = self.library.dynamic_power_w(gt, rate)
-            p_leak = self.library.leakage_power_w(gt)
-            dynamic += p_dyn
-            leakage += p_leak
-            by_type[gt.value] = by_type.get(gt.value, 0.0) + p_dyn + p_leak
+        names = [nl.node_name(node) for node in nl.nodes()]
+        missing = [name for name in names if name not in toggle]
         if missing:
             raise ValueError(
                 f"SAIF file missing activity for {len(missing)} signals "
                 f"(first: {missing[:3]})"
             )
-        return PowerReport(
-            design=nl.name,
-            dynamic_w=dynamic,
-            leakage_w=leakage,
-            by_type_w=by_type,
-        )
+        return self._report(nl, np.array([toggle[name] for name in names]))
 
     def analyze_probs(
         self,
@@ -93,7 +73,11 @@ class PowerAnalyzer:
         tr10: np.ndarray,
     ) -> PowerReport:
         """Shortcut bypassing SAIF serialization (used in tests/ablations)."""
-        rates = np.clip(tr01, 0.0, 1.0) + np.clip(tr10, 0.0, 1.0)
+        return self._report(nl, np.clip(tr01, 0.0, 1.0) + np.clip(tr10, 0.0, 1.0))
+
+    def _report(self, nl: Netlist, rates: np.ndarray) -> PowerReport:
+        """Per-node dynamic and leakage power at toggle rates ``rates``
+        (indexed by node id), summed in node order."""
         dynamic = 0.0
         leakage = 0.0
         by_type: dict[str, float] = {}

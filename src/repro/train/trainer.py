@@ -38,7 +38,6 @@ from repro.runtime.ddp import (
     reduce_gradients,
 )
 from repro.runtime.trainstep import minibatch_membership
-from repro.sim.workload import spawn_seeds
 from repro.train.dataset import CircuitSample
 from repro.train.metrics import EvalMetrics, avg_prediction_error
 
@@ -74,8 +73,8 @@ class TrainConfig:
       validation set is passed to :meth:`Trainer.train`, else training
       loss) by more than ``early_stop_min_delta``.
     * ``checkpoint_path``/``checkpoint_every`` — write a resumable
-      checkpoint (parameters + optimizer state + RNG + per-shard RNG
-      streams + epoch) every K epochs; ``resume=True`` continues from it.
+      checkpoint (parameters + optimizer state + RNG + epoch) every K
+      epochs; ``resume=True`` continues from it.
       ``stop_after`` bounds the epochs executed in *this* invocation
       (time-budgeted sessions / interruption testing) — the schedule
       itself stays ``epochs`` long.
@@ -168,10 +167,8 @@ class Trainer:
 
         When resuming (``config.resume`` with an existing checkpoint), the
         returned history includes the checkpointed epochs, so the caller
-        always sees the full run.  Shard RNG streams saved by a
-        data-parallel run are restored when the worker count matches;
-        resuming on a *different* worker count re-derives fresh streams
-        (the parameter trajectory is worker-count-independent either way).
+        always sees the full run.  The parameter trajectory is
+        worker-count-independent, so a run may resume on any worker count.
         """
         if not len(dataset):
             raise ValueError("empty dataset")
@@ -184,15 +181,6 @@ class Trainer:
             min_lr=cfg.lr_min, step_size=cfg.lr_step_size, gamma=cfg.lr_gamma,
         )
         rng = np.random.default_rng(cfg.seed)
-        # Per-shard streams (one per worker rank; one for the in-process
-        # path) spawned SeedSequence-style like dataset seeds, so shard
-        # randomness can never collide with the epoch-shuffle stream.
-        # They are checkpointed per rank: any stochastic per-shard state a
-        # worker accrues survives interruption exactly.
-        shards = max(1, cfg.train_workers)
-        shard_rngs = [
-            np.random.default_rng(s) for s in spawn_seeds(cfg.seed, shards)
-        ]
         # Membership is drawn from the fresh seed stream *before* any
         # resume, so a resumed run rebuilds identical minibatches and the
         # restored RNG state continues the epoch-shuffle stream exactly.
@@ -207,11 +195,6 @@ class Trainer:
             ckpt = load_checkpoint(ckpt_path, model, opt)
             if ckpt.rng_state is not None:
                 ckpt.restore_rng(rng)
-            if (
-                ckpt.shard_rng_states is not None
-                and len(ckpt.shard_rng_states) == shards
-            ):
-                ckpt.restore_shard_rngs(shard_rngs)
             start_epoch = ckpt.epoch + 1
             history = _history_from_array(ckpt.extra.get("history"))
             best = float(ckpt.extra.get("best", np.inf))
@@ -225,7 +208,6 @@ class Trainer:
         def save(epoch: int) -> None:
             save_checkpoint(
                 ckpt_path, model, opt, epoch=epoch, rng=rng,
-                shard_rngs=shard_rngs,
                 extra={
                     "history": _history_to_array(history),
                     "best": np.asarray(best),

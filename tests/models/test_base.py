@@ -10,7 +10,7 @@ import pytest
 from repro.models.base import ModelConfig, _h0_base, baseline_batches
 from repro.models.deepseq import DeepSeq
 from repro.models.baselines import DagRecGnn
-from repro.runtime.predictor import _model_lock, _shadow_context
+from repro.runtime.predictor import predict_one
 from repro.sim.workload import random_workload
 
 from tests.conftest import build_pair, perturb_parameters
@@ -94,51 +94,59 @@ class TestInitialHidden:
 
 
 class TestPredictEntryPoint:
-    def test_float64_predict_waits_for_the_model_lock(self, setup):
-        """While another caller holds the model lock with a float32 shadow
-        swapped in, ``predict`` must block — not compute a float64-typed
-        result from float32 weights."""
+    def test_mixed_dtypes_run_concurrently_bitwise(self, setup):
+        """Four threads interleave float64 ``predict``, float32
+        ``predict_one`` and ``readout`` on one model with no lock: every
+        result equals its sequential reference bitwise, at its own dtype.
+        A call that rebound the shared parameters would break one."""
         graph, wl = setup
         model = perturb_parameters(DeepSeq(CFG))
-        reference = model.predict(graph, wl)
-        got = []
-        worker = threading.Thread(
-            target=lambda: got.append(model.predict(graph, wl)), daemon=True
-        )
-        with _model_lock(model), _shadow_context(model, np.dtype(np.float32)):
-            assert model.forward_gru.w_ih.data.dtype == np.float32
-            worker.start()
-            worker.join(timeout=0.5)
-            assert worker.is_alive() and not got, "predict bypassed the model lock"
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert np.array_equal(got[0].tr, reference.tr)
-        assert np.array_equal(got[0].lg, reference.lg)
+        calls = [
+            ("f64", lambda: model.predict(graph, wl)),
+            ("f32", lambda: predict_one(model, graph, wl, dtype="float32")),
+            ("readout", lambda: model.readout(graph, wl, mode="meanmax")),
+        ]
 
-    def test_readout_waits_for_the_model_lock(self, setup):
-        """``readout`` embeds on the float64 masters: while a float32
-        shadow is swapped in under the model lock it blocks, and after
-        release it returns the float64 readout bitwise."""
-        graph, wl = setup
-        model = perturb_parameters(DeepSeq(CFG))
-        reference = model.readout(graph, wl, mode="meanmax")
-        got = []
-        worker = threading.Thread(
-            target=lambda: got.append(model.readout(graph, wl, mode="meanmax")),
-            daemon=True,
-        )
-        with _model_lock(model), _shadow_context(model, np.dtype(np.float32)):
-            worker.start()
-            worker.join(timeout=0.5)
-            assert worker.is_alive() and not got, "readout bypassed the model lock"
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert got[0].dtype == np.float64
-        assert np.array_equal(got[0], reference)
+        def arrays(result) -> tuple:
+            if isinstance(result, np.ndarray):
+                return (result,)
+            return (result.tr, result.lg)
+
+        reference = {name: arrays(call()) for name, call in calls}
+        assert [a.dtype for a in reference["f64"]] == [np.float64] * 2
+        assert [a.dtype for a in reference["f32"]] == [np.float32] * 2
+        assert reference["readout"][0].dtype == np.float64
+        errors: list[str] = []
+
+        def hammer(k: int) -> None:
+            try:
+                for i in range(15):
+                    name, call = calls[(k + i) % len(calls)]
+                    for got, want in zip(arrays(call()), reference[name]):
+                        if got.dtype != want.dtype or not np.array_equal(got, want):
+                            errors.append(f"thread {k} call {i}: {name} differs")
+            except Exception as exc:  # reported by the assert below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,), daemon=True)
+                for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
 
     def test_derived_caches_stay_out_of_the_pickle(self, setup):
         """The structure pickle shipped to workers must not grow once the
-        model has served: no cached transposes, no float32 shadow arrays."""
+        model has served: no cached transposes, no float32 replica."""
         graph, wl = setup
         model = perturb_parameters(DeepSeq(CFG))
         size = len(pickle.dumps(model))

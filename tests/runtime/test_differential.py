@@ -8,7 +8,7 @@ these tests pin the fast path to it:
   tape (``tests/nn/tape.py``), on the row inputs the sweep hands them:
   forward bitwise in both of the tape's grad modes, gradients to rounding
   error; row-deterministic at float64 and float32;
-* float32 parameter-shadow inference vs float64 — within tolerance;
+* float32 inference on a cast replica vs float64 — within tolerance;
 * packed K-circuit execution vs sequential per-circuit ``predict`` —
   float64 bitwise, across all three model families, DFF-heavy circuits
   and single-node edge cases;
@@ -30,7 +30,7 @@ from repro.models.registry import make_model
 from repro.nn.recurrent import GRUCell
 from repro.runtime.pack import clear_pack_cache, pack_graphs
 from repro.runtime.plan import clear_plan_cache, plan_for
-from repro.runtime.predictor import ParameterShadow, predict_one, predict_packed
+from repro.runtime.predictor import cast_model, predict_one, predict_packed
 from repro.runtime.trainstep import pack_samples, train_step
 from repro.sim.workload import Workload, random_workload
 from repro.train.dataset import CircuitSample
@@ -253,10 +253,10 @@ class TestOneKernelPerCell:
         """Rows 1 and 7 alone equal their rows in the stacked batch of 8:
         what the packed-equals-sequential guarantee needs from the cell,
         and what breaks if the cell feeds BLAS the transposed view."""
-        gru = perturb_parameters(GRUCell(132, 64, seed=1))
+        gru = cast_model(perturb_parameters(GRUCell(132, 64, seed=1)), dtype)
         (x1, h1), (x7, h7) = self.gru_inputs(1, dtype), self.gru_inputs(7, dtype)
         x7, h7 = x7[::-1].copy(), h7[::-1].copy()  # distinct from row 1
-        with no_grad(), ParameterShadow(gru, dtype).active():
+        with no_grad():
             out1 = apply_kernel(gru, (Tensor(x1), Tensor(h1))).data
             out7 = apply_kernel(gru, (Tensor(x7), Tensor(h7))).data
             out8 = apply_kernel(
@@ -273,7 +273,9 @@ class TestOneKernelPerCell:
         pairs = [make_pair(1), make_pair(2, n_gates=45)]
         graphs = [g for g, _ in pairs]
         packed = pack_graphs(graphs)
-        agg = perturb_parameters(DualAttentionAggregator(16, seed=2))
+        agg = cast_model(
+            perturb_parameters(DualAttentionAggregator(16, seed=2)), dtype
+        )
         states = [self.agg_inputs(g, dtype) for g in graphs]
         union_cur = np.concatenate([s[0] for s in states])
         union_prev = np.concatenate([s[1] for s in states])
@@ -282,7 +284,7 @@ class TestOneKernelPerCell:
         for k, union_batch in enumerate(union_batches):
             batch_of[union_batch.nodes] = k
         checked = 0
-        with no_grad(), ParameterShadow(agg, dtype).active():
+        with no_grad():
             union_out = [
                 apply_kernel(agg, level_rows(union_cur, union_prev, b), b).data
                 if b.num_edges
@@ -314,18 +316,15 @@ class TestOneKernelPerCell:
         with no_grad():
             gru64 = apply_kernel(gru, (Tensor(x), Tensor(h))).data
             agg64 = apply_kernel(agg, level_rows(h_cur, h_prev, batch), batch).data
-            with ParameterShadow(gru, np.float32).active():
-                gru32 = apply_kernel(
-                    gru, (Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32)))
-                ).data
-            with ParameterShadow(agg, np.float32).active():
-                agg32 = apply_kernel(
-                    agg,
-                    level_rows(
-                        h_cur.astype(np.float32), h_prev.astype(np.float32), batch
-                    ),
-                    batch,
-                ).data
+            gru32 = apply_kernel(
+                cast_model(gru, np.float32),
+                (Tensor(x.astype(np.float32)), Tensor(h.astype(np.float32))),
+            ).data
+            agg32 = apply_kernel(
+                cast_model(agg, np.float32),
+                level_rows(h_cur.astype(np.float32), h_prev.astype(np.float32), batch),
+                batch,
+            ).data
         assert gru32.dtype == np.float32 and agg32.dtype == np.float32
         np.testing.assert_allclose(gru32, gru64, atol=2e-5)
         np.testing.assert_allclose(agg32, agg64, atol=2e-5)

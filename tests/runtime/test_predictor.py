@@ -17,7 +17,7 @@ from repro.runtime.pack import clear_pack_cache
 from repro.runtime.plan import clear_plan_cache
 from repro.runtime.predictor import (
     BatchedPredictor,
-    ParameterShadow,
+    cast_model,
     predict_one,
     predict_packed,
     run_packed_isolated,
@@ -156,18 +156,23 @@ class TestPredictOne:
         assert np.abs(fast.tr - exact.tr).max() <= 1e-4
 
 
-class TestParameterShadow:
-    def test_masters_restored(self):
+class TestCastModel:
+    def test_masters_untouched(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
         masters = [p.data for p in model.parameters()]
-        shadow = ParameterShadow(model, np.float32)
-        with shadow.active():
-            assert all(p.data.dtype == np.float32 for p in model.parameters())
-        for p, master in zip(model.parameters(), masters):
-            assert p.data is master
-            assert p.data.dtype == np.float64
+        assert cast_model(model, np.float64) is model
+        replica = cast_model(model, np.float32)
+        assert replica is not model
+        assert cast_model(model, "float32") is replica  # cached
+        assert cast_model(replica, np.float32) is replica
+        for p, master, cast in zip(
+            model.parameters(), masters, replica.parameters()
+        ):
+            assert p.data is master and p.data.dtype == np.float64
+            assert cast.data.dtype == np.float32
+            assert np.array_equal(cast.data, master.astype(np.float32))
 
-    def test_shadow_auto_refreshes_after_optimizer_step(self):
+    def test_replica_rebuilt_after_optimizer_step(self):
         from repro.nn.optim import SGD
 
         from tests.nn.tape import model_forward
@@ -176,6 +181,8 @@ class TestParameterShadow:
         graph, wl = make_pair(seed=16)
         predictor = BatchedPredictor(model, batch_size=2, dtype=np.float32)
         before = predictor.predict(graph, wl)
+        old = cast_model(model, np.float32)
+        old_weights = [p.data.copy() for p in old.parameters()]
         opt = SGD(model.parameters(), lr=0.1)
         pred_tr, pred_lg = model_forward(model, graph, wl)
         (pred_tr.sum() + pred_lg.sum()).backward()
@@ -184,17 +191,21 @@ class TestParameterShadow:
         expected = model.predict(graph, wl)
         assert np.abs(after.tr - expected.tr).max() <= 1e-4
         assert np.abs(after.tr - before.tr).max() > 0
+        # A new replica replaced the stale one, which was never edited.
+        assert cast_model(model, np.float32) is not old
+        for p, weights in zip(old.parameters(), old_weights):
+            assert np.array_equal(p.data, weights)
 
-    def test_shadow_auto_refreshes_after_load_state_dict(self):
+    def test_replica_rebuilt_after_load_state_dict(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
         other = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=7))
         graph, wl = make_pair(seed=17)
         predictor = BatchedPredictor(model, batch_size=2, dtype=np.float32)
-        predictor.predict(graph, wl)  # populate the float32 shadow
+        predictor.predict(graph, wl)  # builds the float32 replica
         model.load_state_dict(other.state_dict())
         refreshed = predictor.predict(graph, wl)
-        expected = other.predict(graph, wl)
-        assert np.abs(refreshed.tr - expected.tr).max() <= 1e-4
+        expected = other.predict(graph, wl, dtype=np.float32)
+        np.testing.assert_array_equal(refreshed.tr, expected.tr)
 
     def test_refresh_picks_up_new_weights(self):
         model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
@@ -204,12 +215,39 @@ class TestParameterShadow:
         for p in model.parameters():
             p.data[...] += 0.05  # simulate a fine-tuning update
         stale = predictor.predict(graph, wl)
-        np.testing.assert_array_equal(before.tr, stale.tr)  # stale shadow
+        np.testing.assert_array_equal(before.tr, stale.tr)  # stale replica
         predictor.refresh_parameters()
         fresh = predictor.predict(graph, wl)
         expected = model.predict(graph, wl)
         assert np.abs(fresh.tr - expected.tr).max() <= 1e-4
         assert np.abs(fresh.tr - before.tr).max() > 1e-4
+
+
+    def test_server_serves_cast_replicas_and_refreshes_them(self):
+        from repro.serve import Server
+
+        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
+        other = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=7))
+        graph, wl = make_pair(seed=18)
+        with Server(model, workers=2, batch_size=2, max_latency_ms=5,
+                    dtype="float32") as srv:
+            old = list(srv._replicas)
+            assert all(
+                p.data.dtype == np.float32
+                for replica in old
+                for p in replica.parameters()
+            )
+            served = srv.predict(graph, wl)
+            exact = predict_one(model, graph, wl, dtype=np.float32)
+            np.testing.assert_array_equal(served.tr, exact.tr)
+            model.load_state_dict(other.state_dict())
+            srv.refresh_parameters()
+            assert not set(map(id, srv._replicas)) & set(map(id, old))
+            fresh = srv.predict(graph, wl)
+            expected = predict_one(other, graph, wl, dtype=np.float32)
+            np.testing.assert_array_equal(fresh.tr, expected.tr)
+            np.testing.assert_array_equal(fresh.lg, expected.lg)
+        assert all(p.data.dtype == np.float64 for p in model.parameters())
 
 
 class TestBatchedPredictor:

@@ -6,6 +6,7 @@ W-worker run resumed from its checkpoint matches the uninterrupted run
 bitwise — including resuming on a *different* worker count.
 """
 
+import json
 import os
 import signal
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.models.base import ModelConfig
 from repro.models.registry import make_model
-from repro.nn.serialize import load_checkpoint, save_checkpoint
+from repro.nn.serialize import load_checkpoint
 from repro.runtime.ddp import (
     DdpError,
     DdpGradExecutor,
@@ -177,41 +178,35 @@ class TestDdpResume:
         )
 
 
-class TestShardRngCheckpoint:
-    def test_round_trip_continues_streams(self, tmp_path):
-        model = fresh_model()
-        rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
-        for g in rngs:
-            g.standard_normal(5)  # advance past the seed state
-        path = tmp_path / "shards.npz"
-        save_checkpoint(path, model, epoch=0, shard_rngs=rngs)
-        ckpt = load_checkpoint(path)
-        restored = [np.random.default_rng(0) for _ in range(3)]
-        ckpt.restore_shard_rngs(restored)
-        for orig, back in zip(rngs, restored):
-            assert np.array_equal(
-                orig.standard_normal(4), back.standard_normal(4)
-            )
+class TestOlderCheckpoint:
+    def test_checkpoint_with_shard_streams_still_resumes(
+        self, tmp_path, dataset
+    ):
+        # Checkpoints written while the trainer still saved per-shard RNG
+        # streams hold a ``meta::shard_rng`` entry; loading skips it and
+        # the resumed run stays bitwise on the uninterrupted trajectory.
+        common = dict(epochs=4, lr=5e-3, batch_size=1, grad_accum=4, seed=3)
+        uninterrupted = fresh_model()
+        Trainer(TrainConfig(**common)).train(uninterrupted, dataset)
 
-    def test_count_mismatch_rejected(self, tmp_path):
-        model = fresh_model()
-        path = tmp_path / "shards.npz"
-        save_checkpoint(
-            path, model, epoch=0,
-            shard_rngs=[np.random.default_rng(0), np.random.default_rng(1)],
+        path = tmp_path / "older.npz"
+        resumed = fresh_model()
+        Trainer(
+            TrainConfig(**common, checkpoint_path=str(path), stop_after=2)
+        ).train(resumed, dataset)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        streams = [np.random.default_rng(s).bit_generator.state for s in (7, 8)]
+        payload["meta::shard_rng"] = np.asarray(json.dumps(streams))
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+        assert load_checkpoint(path).epoch == 1
+        Trainer(
+            TrainConfig(**common, checkpoint_path=str(path), resume=True)
+        ).train(resumed, dataset)
+        assert_states_equal(
+            state_of(uninterrupted), state_of(resumed), "older checkpoint"
         )
-        ckpt = load_checkpoint(path)
-        with pytest.raises(ValueError, match="shard RNG"):
-            ckpt.restore_shard_rngs([np.random.default_rng(0)])
-
-    def test_checkpoint_without_shard_state_rejects_restore(self, tmp_path):
-        model = fresh_model()
-        path = tmp_path / "bare.npz"
-        save_checkpoint(path, model, epoch=0)
-        ckpt = load_checkpoint(path)
-        assert ckpt.shard_rng_states is None
-        with pytest.raises(ValueError, match="no shard RNG"):
-            ckpt.restore_shard_rngs([np.random.default_rng(0)])
 
 
 class TestExecutorLifecycle:
