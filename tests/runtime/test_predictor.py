@@ -222,6 +222,42 @@ class TestCastModel:
         assert np.abs(fresh.tr - expected.tr).max() <= 1e-4
         assert np.abs(fresh.tr - before.tr).max() > 1e-4
 
+    def test_step_during_copy_leaves_the_entry_stale(self, monkeypatch):
+        # An optimizer step landing while a replica is being copied: the
+        # entry carries the version read before the copy, so the next call
+        # builds a replica of the stepped weights instead of reusing it.
+        from repro.nn.module import bump_parameter_version
+
+        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
+        real_deepcopy = predictor_mod.copy.deepcopy
+
+        def copy_then_step(obj):
+            replica = real_deepcopy(obj)
+            for p in model.parameters():
+                p.data += 0.05
+            bump_parameter_version()
+            return replica
+
+        monkeypatch.setattr(predictor_mod.copy, "deepcopy", copy_then_step)
+        raced = cast_model(model, np.float32)
+        monkeypatch.setattr(predictor_mod.copy, "deepcopy", real_deepcopy)
+        fresh = cast_model(model, np.float32)
+        assert fresh is not raced
+        for p, cast in zip(model.parameters(), fresh.parameters()):
+            assert np.array_equal(cast.data, p.data.astype(np.float32))
+        assert cast_model(model, np.float32) is fresh
+
+    def test_replicas_die_with_their_model(self):
+        import gc
+        import weakref
+
+        model = DeepSeq(ModelConfig(hidden=16, iterations=2, seed=0))
+        model_ref = weakref.ref(model)
+        replica_ref = weakref.ref(cast_model(model, np.float32))
+        del model
+        gc.collect()
+        assert model_ref() is None
+        assert replica_ref() is None
 
     def test_server_serves_cast_replicas_and_refreshes_them(self):
         from repro.serve import Server
