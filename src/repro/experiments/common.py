@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 from repro.circuit.benchmarks import training_corpus
 from repro.circuit.netlist import Netlist
 from repro.data import DataFactory, FactoryConfig
 from repro.experiments.config import ExperimentScale
+from repro.lru import FingerprintLRU
 from repro.models.base import ModelConfig, RecurrentDagGnn
 from repro.models.registry import make_model
 from repro.sim.logicsim import SimConfig
@@ -84,6 +88,33 @@ def training_dataset(
     return factory.build(circuits, sim_config(scale), seed=scale.seed)
 
 
+def _training_key(
+    name: str, config: ModelConfig, train: TrainConfig,
+    dataset: list[CircuitSample],
+) -> str:
+    """SHA-256 over everything that moves a pretrain's parameters.
+
+    The model, its config, the optimization schedule and, per sample in
+    order, every input :meth:`Trainer.train` reads: the structure, the PI
+    probabilities and the two label arrays.  ``verbose`` and
+    ``train_workers`` are normalized away; training at any worker count
+    is bitwise-identical.
+    """
+    h = hashlib.sha256()
+    schedule = replace(train, verbose=False, train_workers=0)
+    h.update(repr((name, config, schedule)).encode())
+    for s in dataset:
+        h.update(s.graph.structure.fingerprint().encode())
+        for a in (s.workload.pi_probs, s.target_tr, s.target_lg):
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
+
+
+#: Trained parameters of the distinct pretrains this process ran, as
+#: read-only state dicts under :func:`_training_key`.
+_PRETRAINED = FingerprintLRU(8, "pretrain memo")
+
+
 def pretrain(
     name: str,
     aggregator: str,
@@ -93,41 +124,32 @@ def pretrain(
 ) -> RecurrentDagGnn:
     """Train one model with the scale's schedule; returns the trained model.
 
-    Runs on the packed training runtime; when ``scale.checkpoint_dir`` is
-    set, the run writes a resumable per-model checkpoint there and picks
-    it up on re-invocation — interrupted table regenerations continue
-    instead of restarting.
+    Each distinct training runs once per process: a model with the same
+    name, config and schedule on the same samples (structures, workloads
+    and labels, in order) is a fresh model loaded with the parameters the
+    first run ended on, bitwise-equal to training it again.  The caller
+    owns the returned model and may fine-tune it in place.
     """
-    model = make_model(name, model_config(scale, aggregator))
-    checkpoint = None
-    if scale.checkpoint_dir is not None:
-        from pathlib import Path
-
-        from repro.data import CACHE_VERSION
-
-        ckdir = Path(scale.checkpoint_dir)
-        ckdir.mkdir(parents=True, exist_ok=True)
-        # The label-semantics version is part of the checkpoint identity:
-        # a checkpoint trained on one labelling of the corpus must not
-        # silently resume against a relabelled one (e.g. the PR-4 seed
-        # ownership change), so version bumps orphan old checkpoints the
-        # same way they orphan old cache entries.
-        checkpoint = str(
-            ckdir / f"{name}_{aggregator}_{scale.name}_{CACHE_VERSION}.npz"
-        )
-    trainer = Trainer(
-        TrainConfig(
-            epochs=scale.epochs,
-            lr=scale.lr,
-            batch_size=scale.batch_size,
-            seed=scale.seed,
-            verbose=verbose,
-            schedule=scale.schedule,
-            grad_accum=scale.grad_accum,
-            train_workers=scale.train_workers,
-            checkpoint_path=checkpoint,
-            resume=checkpoint is not None,
-        )
+    config = model_config(scale, aggregator)
+    train = TrainConfig(
+        epochs=scale.epochs,
+        lr=scale.lr,
+        batch_size=scale.batch_size,
+        seed=scale.seed,
+        verbose=verbose,
+        schedule=scale.schedule,
+        grad_accum=scale.grad_accum,
+        train_workers=scale.train_workers,
     )
-    trainer.train(model, dataset)
+    key = _training_key(name, config, train, dataset)
+    model = make_model(name, config)
+    state = _PRETRAINED.get(key)
+    if state is None:
+        Trainer(train).train(model, dataset)
+        state = model.state_dict()
+        for value in state.values():
+            value.flags.writeable = False
+        _PRETRAINED.insert(key, state)
+    else:
+        model.load_state_dict(state)
     return model

@@ -28,7 +28,9 @@ class ExperimentScale:
             10,000-cycle single-stream workload = 64 lanes x 157 cycles).
         hidden / iterations: model width d and recurrence depth T.
         epochs / lr / batch_size: pre-training schedule.  The quick mode
-            compensates for few epochs with a larger learning rate.
+            compensates for few epochs with a larger learning rate.  A
+            process trains each distinct pretrain once, in memory
+            (:func:`repro.experiments.common.pretrain`).
         design_scale: node-count multiplier for the six large test designs
             during *training-bearing* experiments (Tables V-VII quick mode
             uses 1/8-scale stand-ins; Table IV always reports full scale).
@@ -69,8 +71,6 @@ class ExperimentScale:
     #: identical at any value; the coordinator trains a share too, so set
     #: ``grad_accum >= train_workers + 1`` for every rank to get work.
     train_workers: int = 0
-    #: Directory for resumable pre-training checkpoints (None = off).
-    checkpoint_dir: str | None = None
     #: Data-factory pool size for label generation (None = auto-size to
     #: the CPUs this process may use, 0 = serial in-process).
     data_workers: int | None = None

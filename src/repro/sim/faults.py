@@ -190,7 +190,6 @@ def simulate_with_faults(
     sim_config: SimConfig | None = None,
     fault_config: FaultConfig | None = None,
     *,
-    replay_seed: int | None = None,
     block_cycles: int | None = None,
     budget: "MemoryBudget | None" = None,
 ) -> FaultSimResult:
@@ -199,8 +198,8 @@ def simulate_with_faults(
     Golden and faulty machines always share one
     :class:`~repro.sim.workload.PatternSource`, so
     their stimulus is identical bit-for-bit regardless of seeding.  The
-    stream itself defaults to the workload's own seed (matching
-    :func:`repro.sim.logicsim.simulate`); ``replay_seed`` overrides it.
+    stream is drawn from the workload's own seed (matching
+    :func:`repro.sim.logicsim.simulate`).
 
     Both machines run in one block-executor pass over a doubled word
     axis, as the one-member case of
@@ -223,7 +222,6 @@ def simulate_with_faults(
         [workload],
         sim_config,
         fault_config,
-        [replay_seed],
         block_cycles,
         budget,
     )[0]

@@ -661,7 +661,6 @@ def simulate(
     workload: Workload,
     config: SimConfig | None = None,
     *,
-    replay_seed: int | None = None,
     engine: str = "block",
     block_cycles: int | None = None,
     budget: MemoryBudget | None = None,
@@ -671,9 +670,7 @@ def simulate(
     Stimulus is drawn from the *workload's own* seed, so two workloads
     with different seeds produce decorrelated pattern streams even under
     one :class:`SimConfig` (``config.seed`` only drives random DFF
-    initialization).  Pass ``replay_seed`` to force a specific pattern
-    stream instead — the lockstep-replay hook
-    :func:`repro.sim.faults.simulate_with_faults` relies on.
+    initialization).
 
     ``block_cycles`` tunes the block executor's history depth (default
     :data:`DEFAULT_BLOCK_CYCLES`, capped by a flat memory bound) and
@@ -690,6 +687,4 @@ def simulate(
     from repro.sim.pack import _run_packed, pack_circuits
 
     packed = pack_circuits([circuit], cache=False)
-    return _run_packed(
-        packed, [workload], config, [replay_seed], block_cycles, budget
-    )[0]
+    return _run_packed(packed, [workload], config, block_cycles, budget)[0]

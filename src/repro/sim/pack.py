@@ -206,8 +206,8 @@ class _PackedSource:
     — block draws consume each stream in exactly the per-circuit order.
     """
 
-    def __init__(self, sources: Sequence[PatternSource]) -> None:
-        self.sources = list(sources)
+    def __init__(self, workloads: Sequence[Workload], streams: int) -> None:
+        self.sources = [PatternSource(wl, streams=streams) for wl in workloads]
 
     def next_block(self, cycles: int) -> np.ndarray:
         blocks = [s.next_block(cycles) for s in self.sources]
@@ -531,26 +531,6 @@ def _check_pack_inputs(
             )
 
 
-def _make_sources(
-    packed: PackedSimPlan,
-    workloads: Sequence[Workload],
-    streams: int,
-    replay_seeds: Sequence[int | None] | None,
-) -> _PackedSource:
-    if replay_seeds is not None and len(replay_seeds) != packed.num_members:
-        raise ValueError("replay_seeds must have one entry per member")
-    return _PackedSource(
-        [
-            PatternSource(
-                wl,
-                streams=streams,
-                seed=None if replay_seeds is None else replay_seeds[k],
-            )
-            for k, wl in enumerate(workloads)
-        ]
-    )
-
-
 def _reset_members(
     sim: Simulator,
     packed: PackedSimPlan,
@@ -599,7 +579,6 @@ def _run_packed(
     packed: PackedSimPlan,
     workloads: Sequence[Workload],
     config: SimConfig,
-    replay_seeds: Sequence[int | None] | None,
     block_cycles: int | None,
     budget: MemoryBudget | None = None,
     circuits: Sequence[Netlist | CompiledCircuit] | None = None,
@@ -610,7 +589,7 @@ def _run_packed(
     owners = _owners(packed, circuits)
     sim = Simulator(packed.compiled, streams=config.streams)
     _reset_members(sim, packed, config.init_state, config.seed)
-    source = _make_sources(packed, workloads, config.streams, replay_seeds)
+    source = _PackedSource(workloads, config.streams)
     counter = ActivityCounter(packed.num_nodes, sim.words)
     sim.run(
         config.cycles,
@@ -631,7 +610,6 @@ def simulate_packed(
     workloads: Sequence[Workload],
     config: SimConfig | None = None,
     *,
-    replay_seeds: Sequence[int | None] | None = None,
     block_cycles: int | None = None,
     packed: PackedSimPlan | None = None,
     cache: bool = True,
@@ -648,7 +626,7 @@ def simulate_packed(
     if packed is None:
         packed = pack_circuits(circuits, cache=cache)
     return _run_packed(
-        packed, workloads, config or SimConfig(), replay_seeds, block_cycles,
+        packed, workloads, config or SimConfig(), block_cycles,
         circuits=circuits,
     )
 
@@ -658,7 +636,6 @@ def _run_packed_faults(
     workloads: Sequence[Workload],
     sim_config: SimConfig,
     fault_config: FaultConfig,
-    replay_seeds: Sequence[int | None] | None,
     block_cycles: int | None,
     budget: MemoryBudget | None = None,
     circuits: Sequence[Netlist | CompiledCircuit] | None = None,
@@ -686,7 +663,7 @@ def _run_packed_faults(
     schedule = _episode_schedule(sim_config, fault_config)
     total_cycles = sum(sim_config.warmup + observe for observe in schedule)
     injector = _PackedInjector(packed, fault_config, words, total_cycles, budget)
-    source = _make_sources(packed, workloads, sim_config.streams, replay_seeds)
+    source = _PackedSource(workloads, sim_config.streams)
     counts = np.zeros((4, packed.num_nodes), dtype=np.int64)
     obs0, obs1, e01, e10 = counts
     stats = [
@@ -740,7 +717,6 @@ def simulate_with_faults_packed(
     sim_config: SimConfig | None = None,
     fault_config: FaultConfig | None = None,
     *,
-    replay_seeds: Sequence[int | None] | None = None,
     block_cycles: int | None = None,
     packed: PackedSimPlan | None = None,
     cache: bool = True,
@@ -758,7 +734,6 @@ def simulate_with_faults_packed(
         workloads,
         sim_config or SimConfig(),
         fault_config or FaultConfig(),
-        replay_seeds,
         block_cycles,
         circuits=circuits,
     )

@@ -152,6 +152,7 @@ class TestProtocolSurface:
         url = "http://%s:%d/nope" % gateway.address
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url, timeout=30)
+        err.value.close()  # the error holds the 404 response's socket
         assert err.value.code == 404
 
     def test_pi_mismatch_raises_client_side(self, gateway, problem_set):

@@ -159,14 +159,12 @@ def simulate(
     circuit: Netlist | CompiledCircuit,
     workload: Workload,
     config: SimConfig | None = None,
-    *,
-    replay_seed: int | None = None,
 ) -> SimResult:
     """:func:`repro.sim.logicsim.simulate`, one cycle at a time."""
     config = config or SimConfig()
     sim = CycleSimulator(circuit, streams=config.streams)
     sim.reset(config.init_state, np.random.default_rng(config.seed))
-    source = PatternSource(workload, streams=config.streams, seed=replay_seed)
+    source = PatternSource(workload, streams=config.streams)
     counter = CycleCounter(sim.compiled.num_nodes, sim.words)
     for cycle in range(config.warmup + config.cycles):
         values = sim.step(source.next_cycle(), cycle)
@@ -181,8 +179,6 @@ def simulate_with_faults(
     workload: Workload,
     sim_config: SimConfig | None = None,
     fault_config: FaultConfig | None = None,
-    *,
-    replay_seed: int | None = None,
 ) -> FaultSimResult:
     """:func:`repro.sim.faults.simulate_with_faults` as two stepping machines.
 
@@ -199,7 +195,7 @@ def simulate_with_faults(
         golden.words,
         np.random.default_rng(fault_config.seed),
     )
-    source = PatternSource(workload, streams=sim_config.streams, seed=replay_seed)
+    source = PatternSource(workload, streams=sim_config.streams)
     netlist = golden.compiled.netlist
     stats = _FaultStats(netlist, np.asarray(netlist.pos, dtype=np.int64))
     po_ids = stats.po_ids

@@ -219,13 +219,6 @@ class TestFaultFreeDifferential:
         got = simulate(nl, wl, cfg, block_cycles=block_cycles)
         assert_results_equal(ref, got)
 
-    def test_replay_seed_respected(self):
-        nl = gate_zoo_netlist()
-        cfg = SimConfig(cycles=30, streams=64, seed=0)
-        via_workload = simulate(nl, zoo_workload(seed=21), cfg)
-        via_replay = simulate(nl, zoo_workload(seed=4), cfg, replay_seed=21)
-        assert_results_equal(via_workload, via_replay)
-
 
 class TestFaultDifferential:
     @settings(max_examples=8, deadline=None)
@@ -390,8 +383,7 @@ class TestLockstepExecutor:
 
         with mock.patch.object(Simulator, "run_block", spy):
             got = _run_packed_faults(
-                packed, [wl for _, wl in picked], cfg, fc, None,
-                block_cycles, budget,
+                packed, [wl for _, wl in picked], cfg, fc, block_cycles, budget,
             )
         history = np.concatenate(blocks)
         for k, (nl, wl) in enumerate(picked):
@@ -577,8 +569,7 @@ class TestEveryGateKind:
         budget = self.ONE_BYTE if one_byte_budget else None
         with mock.patch.object(Simulator, "run_block", spy):
             _run_packed_faults(
-                pack_circuits([compiled], cache=False), [wl], cfg, fc, None, None,
-                budget,
+                pack_circuits([compiled], cache=False), [wl], cfg, fc, None, budget,
             )
         history = np.concatenate(blocks)
         # Faults landed in the faulty half, constants included.

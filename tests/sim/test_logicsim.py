@@ -236,13 +236,3 @@ class TestWorkloadSeedOwnership:
         b = simulate(nl, wl, SimConfig(cycles=64, streams=64, seed=17))
         assert np.array_equal(a.logic_prob, b.logic_prob)
         assert np.array_equal(a.tr01_prob, b.tr01_prob)
-
-    def test_replay_seed_overrides_workload_seed(self):
-        nl = self._two_pi_netlist()
-        cfg = SimConfig(cycles=64, streams=64, seed=0)
-        via_workload = simulate(nl, Workload(np.array([0.5]), seed=5), cfg)
-        via_replay = simulate(
-            nl, Workload(np.array([0.5]), seed=1), cfg, replay_seed=5
-        )
-        assert np.array_equal(via_workload.logic_prob, via_replay.logic_prob)
-        assert np.array_equal(via_workload.tr01_prob, via_replay.tr01_prob)

@@ -229,16 +229,17 @@ class TestSingleRunIsPackOfOne:
 
     def test_bitwise_equal_and_cache_untouched(self):
         nl, wl = random_member(5)
+        wl = Workload(wl.pi_probs, wl.name, seed=77)
         cfg = SimConfig(cycles=40, streams=128, warmup=3, seed=4, init_state="random")
         fault = FaultConfig(fault_rate=0.03, episode_cycles=15, seed=8)
         pack_circuits([nl, nl])  # one real entry, so the counters are live
         before = sim_pack_cache_info()
-        single = simulate(nl, wl, cfg, replay_seed=77)
-        single_fault = simulate_with_faults(nl, wl, cfg, fault, replay_seed=77)
+        single = simulate(nl, wl, cfg)
+        single_fault = simulate_with_faults(nl, wl, cfg, fault)
         assert sim_pack_cache_info() == before
-        [packed] = simulate_packed([nl], [wl], cfg, replay_seeds=[77], cache=False)
+        [packed] = simulate_packed([nl], [wl], cfg, cache=False)
         [packed_fault] = simulate_with_faults_packed(
-            [nl], [wl], cfg, fault, replay_seeds=[77], cache=False
+            [nl], [wl], cfg, fault, cache=False
         )
         assert_sim_equal(single, packed)
         assert (single.cycles, single.streams) == (packed.cycles, packed.streams)
@@ -430,14 +431,6 @@ class TestPackErrors:
         bad = Workload(np.array([0.5, 0.5]), "bad", seed=1)
         with pytest.raises(ValueError, match="PI probabilities"):
             simulate_packed([nl], [bad], SimConfig(cycles=4))
-
-    def test_replay_seeds_length_mismatch_raises(self):
-        nl = gate_zoo_netlist()
-        wl = zoo_workload()
-        with pytest.raises(ValueError, match="replay_seeds"):
-            simulate_packed(
-                [nl, nl], [wl, wl], SimConfig(cycles=4), replay_seeds=[1]
-            )
 
     def test_cache_maxsize_must_be_positive(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -241,11 +241,6 @@ class TestPartitionedEngine:
         assert np.array_equal(ref.err10, got.err10)
         assert ref.reliability == got.reliability
 
-    def test_replay_seed_honoured(self, circuit, workload):
-        a = simulate(circuit, workload, CFG, engine="partitioned", replay_seed=99)
-        b = reference.simulate(circuit, workload, CFG, replay_seed=99)
-        assert_same_sim(a, b)
-
     def test_combinational_only_netlist(self):
         from repro.circuit.netlist import Netlist
         from repro.circuit.gates import GateType
