@@ -103,7 +103,7 @@ def _check_table6(result, scale):
     # (wired by the `scale` fixture) must hold its persisted labels, so a
     # rerun of this benchmark skips every repeated simulation.
     assert scale.data_cache_dir is not None
-    assert any(Path(scale.data_cache_dir).glob("*/*.npz"))
+    assert any(Path(scale.data_cache_dir).glob("*/*.lbl"))
 
     prob = result.avg_error("probabilistic")
     grannite = result.avg_error("grannite")
@@ -122,7 +122,7 @@ def _check_table7(result, scale):
     # Monte-Carlo fault labels flow through the data factory and persist
     # in the session's content-addressed cache (see benchmarks/conftest).
     assert scale.data_cache_dir is not None
-    assert any(Path(scale.data_cache_dir).glob("*/*.npz"))
+    assert any(Path(scale.data_cache_dir).glob("*/*.lbl"))
 
     for name, cmp in result.rows.items():
         assert 0.9 <= cmp.gt <= 1.0, (name, cmp.gt)

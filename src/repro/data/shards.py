@@ -193,7 +193,14 @@ class ShardReader(Sequence):
             return npz
         path = self._path(shard_no)
         try:
-            npz = np.load(path)
+            # np.load(path) leaves its own handle open when the zip is
+            # unreadable; opened here, the handle closes on that path too.
+            fh = path.open("rb")
+            try:
+                npz = np.lib.npyio.NpzFile(fh, own_fid=True)
+            except BaseException:
+                fh.close()
+                raise
         except _UNREADABLE as exc:
             raise ShardError(f"unreadable shard {path}: {exc}") from exc
         self._handles[shard_no] = npz

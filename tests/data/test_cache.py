@@ -1,9 +1,16 @@
 """Tests for the content-addressed label cache (repro.data.cache)."""
 
+import json
+import struct
+import tempfile
+import zlib
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.data.cache import LabelCache, label_key
+from repro.data.cache import LabelCache, decode_entry, encode_entry, label_key
 from repro.sim.faults import FaultConfig
 from repro.sim.logicsim import SimConfig
 from repro.sim.workload import Workload
@@ -145,7 +152,7 @@ class TestDiskTier:
         key = label_key("sim", FP, WL, SIM)
         value = {"v": np.arange(64.0)}
         cache.put(key, value)
-        path = tmp_path / key[:2] / f"{key}.npz"
+        path = tmp_path / key[:2] / f"{key}.lbl"
         path.write_bytes(CORRUPTIONS[damage](path.read_bytes()))
         fresh = LabelCache(cache_dir=tmp_path)
         assert fresh.get(key) is None
@@ -156,6 +163,130 @@ class TestDiskTier:
 
     def test_memory_only_cache_reports_zero_disk(self):
         assert LabelCache().disk_entries() == 0
+
+
+#: Label-shaped values: numeric arrays of any rank from 0 to 3, empty ones
+#: included, under distinct names in a drawn order.
+ENTRY_VALUES = st.dictionaries(
+    st.text(max_size=6),
+    hnp.arrays(
+        st.sampled_from([np.bool_, np.int64, np.float64, np.uint8, np.float32]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    max_size=5,
+)
+
+
+def _same_entry(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(
+        a[k].dtype == b[k].dtype
+        and a[k].shape == b[k].shape
+        and a[k].tobytes() == b[k].tobytes()
+        for k in a
+    )
+
+
+def _hand_built(manifest, payload: bytes, magic=b"RLBL", version=1) -> bytes:
+    """An entry with a correct CRC around whatever manifest and payload."""
+    raw = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    body = raw + payload
+    return struct.pack("<4sIII", magic, version, zlib.crc32(body), len(raw)) + body
+
+
+#: Entries whose CRC is right and whose content is not a label dict.
+HOSTILE = {
+    "object dtype": _hand_built([["v", "|O", [1]]], bytes(8)),
+    "negative dimension": _hand_built([["v", "<f8", [-1]]], b""),
+    "count past the payload": _hand_built([["v", "<f8", [3]]], bytes(16)),
+    "trailing bytes": _hand_built([["v", "<f8", [1]]], bytes(9)),
+    "structured dtype": _hand_built([["v", "<f8,<i8", [1]]], bytes(16)),
+    "unknown dtype": _hand_built([["v", "zz", [1]]], bytes(8)),
+    "float dimension": _hand_built([["v", "<f8", [1.0]]], bytes(8)),
+    "duplicate name": _hand_built([["v", "<f8", []], ["v", "<f8", []]], bytes(16)),
+    "manifest not a list": _hand_built({"v": "<f8"}, bytes(8)),
+    "short field": _hand_built([["v", "<f8"]], bytes(8)),
+    "bool byte 2": _hand_built([["v", "|b1", [1]]], b"\x02"),
+    "deep nesting": _hand_built(b"[" * 100_000 + b"]" * 100_000, b""),
+    "manifest not UTF-8": _hand_built(b"[\xff]", b""),
+    "manifest past the file": (
+        struct.pack("<4sIII", b"RLBL", 1, zlib.crc32(b"[]"), 3) + b"[]"
+    ),
+    "other format version": _hand_built([], b"", version=2),
+    "other magic": _hand_built([], b"", magic=b"PK\x03\x04"),
+}
+
+
+class TestEntryFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(value=ENTRY_VALUES)
+    def test_roundtrip_through_the_disk_tier_is_exact_and_read_only(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            LabelCache(cache_dir=tmp).put("ab" * 32, value)
+            hit = LabelCache(cache_dir=tmp).get("ab" * 32)
+        assert hit is not None and _same_entry(hit, value)
+        for arr in hit.values():
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.asarray(2.5),
+            np.asarray(7, dtype=np.int64),
+            np.zeros(0),
+            np.zeros((3, 0), dtype=np.int64),
+            np.array([True, False, True]),
+            np.arange(12, dtype=np.int64).reshape(3, 4),
+            np.array([np.nan, -0.0, np.inf, 1e-310]),
+        ],
+        ids=["0d-f8", "0d-i8", "empty", "empty-2d", "bool", "i8-2d", "f8-edge"],
+    )
+    def test_roundtrip_kinds(self, arr):
+        value = {"first": arr, "second": np.asarray(1.0)}
+        assert _same_entry(decode_entry(encode_entry(value)), value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=ENTRY_VALUES, mask=st.integers(1, 255))
+    def test_every_byte_flip_and_truncation_is_rejected(self, value, mask):
+        data = encode_entry(value)
+        assert _same_entry(decode_entry(data), value)
+        for i in range(len(data)):
+            flipped = bytearray(data)
+            flipped[i] ^= mask
+            with pytest.raises(ValueError):
+                decode_entry(bytes(flipped))
+        for n in range(len(data)):
+            with pytest.raises(ValueError):
+                decode_entry(data[:n])
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_entry_with_a_valid_crc_is_a_miss(self, tmp_path, case):
+        key = label_key("sim", FP, WL, SIM)
+        path = tmp_path / key[:2] / f"{key}.lbl"
+        path.parent.mkdir()
+        path.write_bytes(HOSTILE[case])
+        with pytest.raises(ValueError):
+            decode_entry(HOSTILE[case])
+        cache = LabelCache(cache_dir=tmp_path)
+        assert cache.get(key) is None
+        assert (cache.stats.misses, cache.stats.disk_hits) == (1, 0)
+
+    def test_non_numeric_arrays_are_not_stored(self, tmp_path):
+        cache = LabelCache(cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="not numeric"):
+            cache.put("cd" * 32, {"v": np.array(["a", "b"])})
+        assert cache.disk_entries() == 0
+
+    def test_old_npz_entries_are_neither_read_nor_deleted(self, tmp_path):
+        key = label_key("sim", FP, WL, SIM)
+        old = tmp_path / key[:2] / f"{key}.npz"
+        old.parent.mkdir()
+        with old.open("wb") as fh:
+            np.savez(fh, v=np.arange(3.0))
+        cache = LabelCache(cache_dir=tmp_path)
+        assert cache.get(key) is None and cache.disk_entries() == 0
+        cache.put(key, {"v": np.arange(3.0)})
+        assert old.exists() and cache.disk_entries() == 1
 
 
 class TestImmutability:

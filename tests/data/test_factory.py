@@ -11,6 +11,7 @@ import pytest
 
 from repro.circuit.benchmarks import family_subcircuits
 from repro.data import DataFactory, FactoryConfig, get_factory, set_factory
+from repro.data.cache import decode_entry
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, simulate
 from repro.sim.pack import sim_pack_cache_info
@@ -116,7 +117,7 @@ class TestExtras:
 
 class TestCachedEntryLayout:
     """Results <-> label dicts go through one field table; the order and
-    dtypes it yields are the on-disk format (``np.savez`` order = bytes)."""
+    dtypes it yields are the on-disk format (manifest order = bytes)."""
 
     def test_disk_entries_keep_their_fields_and_results_their_types(
         self, circuits, tmp_path
@@ -126,9 +127,9 @@ class TestCachedEntryLayout:
         cold = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
         sim, faults = cold.simulate(nl, wl, SIM), cold.simulate_faults(nl, wl, SIM, FAULT)
         layouts = set()
-        for path in tmp_path.glob("*/*.npz"):
-            with np.load(path) as npz:
-                layouts.add(tuple((k, npz[k].dtype.str, npz[k].ndim) for k in npz.files))
+        for path in tmp_path.glob("*/*.lbl"):
+            entry = decode_entry(path.read_bytes())
+            layouts.add(tuple((k, v.dtype.str, v.ndim) for k, v in entry.items()))
         assert layouts == {
             (
                 ("logic_prob", "<f8", 1),
@@ -299,8 +300,8 @@ class TestCorruptDiskEntry:
         DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path)).build(
             circuits, SIM, seed=0
         )
-        victim = sorted(tmp_path.glob("*/*.npz"))[0]
-        victim.write_bytes(victim.read_bytes()[:100])  # truncated zip
+        victim = sorted(tmp_path.glob("*/*.lbl"))[0]
+        victim.write_bytes(victim.read_bytes()[:100])  # truncated entry
         fresh = DataFactory(FactoryConfig(workers=0, cache_dir=tmp_path))
         built = fresh.build(circuits, SIM, seed=0)
         for a, b in zip(reference, built):
