@@ -110,6 +110,17 @@ def edge_batches(
     ]
 
 
+def _sweep_batches(structure: Structure) -> tuple[list[EdgeBatch], list[EdgeBatch]]:
+    lv = levelize(structure)
+    # In the cut graph a DFF's fan-in edge is removed, so its data
+    # predecessor must not receive a reverse message from the DFF.
+    _, cut_fanouts = structure.adjacency(cut=True)
+    return (
+        edge_batches(lv.comb_forward, structure.fanin_ptr, structure.fanin_idx),
+        edge_batches(lv.comb_reverse, *cut_fanouts),
+    )
+
+
 class CircuitGraph:
     """Immutable array view of a sequential AIG used by models & simulator.
 
@@ -134,7 +145,9 @@ class CircuitGraph:
             combinational gates updated at that level with their
             predecessor edge lists.
         reverse_batches: per reverse level, an :class:`EdgeBatch` with
-            *successor* edge lists (reverse propagation).
+            *successor* edge lists (reverse propagation).  Both are built
+            on first read and kept on the structure, shared read-only by
+            every graph over it; a graph that is never swept builds none.
         pi_ids / and_ids / not_ids / dff_ids: node ids per type.
         dff_src: (num_dffs,) data predecessor per DFF (step-4 copy map).
     """
@@ -170,15 +183,15 @@ class CircuitGraph:
         self.reverse_level = lv.reverse_level
         self.num_levels = lv.num_levels
 
-        # In the cut graph a DFF's fan-in edge is removed, so its data
-        # predecessor must not receive a reverse message from the DFF.
-        _, cut_fanouts = structure.adjacency(cut=True)
-        self.forward_batches = edge_batches(
-            lv.comb_forward, structure.fanin_ptr, structure.fanin_idx
-        )
-        self.reverse_batches = edge_batches(lv.comb_reverse, *cut_fanouts)
-
     # ------------------------------------------------------------------
+    @property
+    def forward_batches(self) -> list[EdgeBatch]:
+        return self.structure.memo("sweep_batches", _sweep_batches)[0]
+
+    @property
+    def reverse_batches(self) -> list[EdgeBatch]:
+        return self.structure.memo("sweep_batches", _sweep_batches)[1]
+
     @property
     def num_pis(self) -> int:
         return int(self.pi_ids.size)

@@ -491,8 +491,9 @@ class Netlist:
         return iter(range(len(self._nodes)))
 
     def nodes_of_type(self, *types: GateType) -> list[int]:
-        wanted = frozenset(types)
-        return [i for i, n in enumerate(self._nodes) if n.gate_type in wanted]
+        # Tuple membership compares enum members by identity; a set would
+        # call the Python-level ``Enum.__hash__`` once per node.
+        return [i for i, n in enumerate(self._nodes) if n.gate_type in types]
 
     @property
     def pis(self) -> list[int]:

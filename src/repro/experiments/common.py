@@ -73,6 +73,11 @@ def training_circuits(scale: ExperimentScale) -> dict[str, list[Netlist]]:
     return training_corpus(counts=scale.family_counts, seed=scale.seed)
 
 
+#: Labelled pre-training corpora this process built, as tuples of samples
+#: keyed by what moves their labels: family counts, seed, sim config.
+_CORPORA = FingerprintLRU(2, "labelled corpus memo")
+
+
 def training_dataset(
     scale: ExperimentScale, factory: DataFactory | None = None
 ) -> list[CircuitSample]:
@@ -80,12 +85,20 @@ def training_dataset(
 
     Labels come from the data factory (pooled + cached); samples are lean
     (no pinned ``SimResult`` extras) — bitwise-identical targets to the
-    serial :func:`repro.train.dataset.build_dataset` path.
+    serial :func:`repro.train.dataset.build_dataset` path.  Each corpus is
+    labelled once per process: a later call with the same family counts,
+    seed and sim config returns the same samples in a new list and asks
+    no factory for anything.
     """
-    corpus = training_circuits(scale)
-    circuits = [nl for fam in sorted(corpus) for nl in corpus[fam]]
-    factory = factory or data_factory(scale)
-    return factory.build(circuits, sim_config(scale), seed=scale.seed)
+    key = repr((sorted(scale.family_counts.items()), scale.seed, sim_config(scale)))
+    samples = _CORPORA.get(key)
+    if samples is None:
+        corpus = training_circuits(scale)
+        circuits = [nl for fam in sorted(corpus) for nl in corpus[fam]]
+        factory = factory or data_factory(scale)
+        built = factory.build(circuits, sim_config(scale), seed=scale.seed)
+        samples = _CORPORA.insert(key, tuple(built))
+    return list(samples)
 
 
 def _training_key(

@@ -1,13 +1,22 @@
 """Tests for the learning-graph view (repro.circuit.graph)."""
 
+import pickle
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.aig import to_aig
 from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorConfig, random_sequential_netlist
-from repro.circuit.graph import CircuitGraph
-from repro.circuit.netlist import Netlist, NetlistError
+import repro.circuit.graph as graph_module
+from repro.circuit.graph import CircuitGraph, edge_batches
+from repro.circuit.levelize import levelize
+from repro.circuit.netlist import GATE_TYPES, Netlist, NetlistError
+from repro.data import DataFactory, FactoryConfig
+from repro.runtime.plan import baseline_batches
+from repro.sim.logicsim import SimConfig
 
 
 @pytest.fixture()
@@ -106,3 +115,117 @@ class TestProperties:
 
     def test_repr_mentions_name(self, graph):
         assert graph.netlist.name in repr(graph)
+
+
+def same_batches(got, want) -> bool:
+    return len(got) == len(want) and all(
+        all(
+            np.array_equal(a, b) and a.dtype == b.dtype
+            for a, b in ((g.nodes, w.nodes), (g.src, w.src), (g.dst_local, w.dst_local))
+        )
+        for g, w in zip(got, want)
+    )
+
+
+@contextmanager
+def counted_builds():
+    """Count the ``edge_batches`` calls ``repro.circuit.graph`` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return edge_batches(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "edge_batches", counting)
+        yield calls
+
+
+def aig(seed: int, n_dffs: int = 3) -> Netlist:
+    nl = random_sequential_netlist(
+        GeneratorConfig(n_pis=4, n_dffs=n_dffs, n_gates=30), seed=seed
+    )
+    return to_aig(nl).aig
+
+
+class TestLazyBatches:
+    """A graph builds its edge batches on first read, once per lowering."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_dffs=st.integers(0, 4))
+    def test_equal_edge_batches_over_the_levelization(self, seed, n_dffs):
+        nl = aig(seed, n_dffs)
+        with counted_builds() as calls:
+            graph = CircuitGraph(nl)
+            assert not calls
+            forward, reverse = graph.forward_batches, graph.reverse_batches
+            assert len(calls) == 2
+        s, lv = graph.structure, levelize(nl)
+        cut_fanouts = s.adjacency(cut=True)[1]
+        assert same_batches(forward, edge_batches(lv.comb_forward, s.fanin_ptr, s.fanin_idx))
+        assert same_batches(reverse, edge_batches(lv.comb_reverse, *cut_fanouts))
+        # the baseline schedule reads the same lazily built groups
+        base_forward, base_reverse = baseline_batches(graph)
+        dffs = 1 if graph.num_dffs else 0
+        assert same_batches(base_forward[dffs:], forward)
+        uncut_fanouts = s.adjacency(cut=False)[1]
+        assert same_batches(base_reverse, edge_batches(lv.comb_reverse, *uncut_fanouts))
+
+    def test_graphs_over_one_lowering_share_one_copy(self):
+        nl = aig(3)
+        with counted_builds() as calls:
+            first, second = CircuitGraph(nl), CircuitGraph(nl)
+            assert first.forward_batches is second.forward_batches
+            assert first.reverse_batches is second.reverse_batches
+            assert CircuitGraph(nl.structure()).forward_batches is first.forward_batches
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("call", ["build", "build_reliability"])
+    def test_factory_samples_build_no_batches(self, call):
+        circuits = [aig(seed) for seed in range(3)]
+        factory = DataFactory(FactoryConfig(workers=0))
+        with counted_builds() as calls:
+            samples = getattr(factory, call)(circuits, SimConfig(cycles=8, streams=2), seed=0)
+        assert len(samples) == len(circuits)
+        assert not calls
+
+    def test_pickled_before_batches_exist(self):
+        nl = aig(5)
+        graph = CircuitGraph(nl)
+        with counted_builds() as calls:
+            clone = pickle.loads(pickle.dumps(graph))
+            assert not calls
+            assert same_batches(clone.forward_batches, graph.forward_batches)
+            assert same_batches(clone.reverse_batches, graph.reverse_batches)
+        assert len(calls) == 4  # one pair per lowering
+
+
+class TestNodesOfType:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_equals_the_lowering_ids(self, seed):
+        nl = random_sequential_netlist(
+            GeneratorConfig(n_pis=4, n_dffs=3, n_gates=30), seed=seed
+        )
+        structure = nl.structure()
+        for gate_type in GATE_TYPES:
+            got = nl.nodes_of_type(gate_type)
+            assert type(got) is list
+            assert got == structure.ids(gate_type).tolist()
+        assert nl.pis == structure.ids(GateType.PI).tolist()
+        assert nl.dffs == structure.ids(GateType.DFF).tolist()
+        both = nl.nodes_of_type(GateType.DFF, GateType.PI)
+        assert both == sorted(nl.pis + nl.dffs)
+
+    def test_answers_before_the_dff_fanin_is_patched(self):
+        nl = Netlist()
+        a = nl.add_pi()
+        ff = nl.add_dff(None)
+        g = nl.add_gate(GateType.AND, [a, ff])
+        with pytest.raises(NetlistError):
+            nl.structure()
+        assert nl.pis == [a]
+        assert nl.dffs == [ff]
+        assert nl.nodes_of_type(GateType.AND, GateType.PI) == [a, g]
+        nl.set_fanins(ff, [g])
+        assert nl.dffs == nl.structure().ids(GateType.DFF).tolist()

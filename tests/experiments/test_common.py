@@ -1,8 +1,13 @@
 """Tests for shared experiment plumbing (repro.experiments.common)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.data.cache import CacheStats
+from repro.experiments import common
 from repro.experiments.common import (
+    data_factory,
     model_config,
     sim_config,
     training_circuits,
@@ -46,9 +51,36 @@ class TestDataset:
         assert any("opencores" in n for n in names)
 
     def test_dataset_deterministic(self):
+        common._CORPORA.clear()
         a = training_dataset(MICRO)
+        common._CORPORA.clear()
         b = training_dataset(MICRO)
         assert [s.name for s in a] == [s.name for s in b]
         assert all(
             (x.target_lg == y.target_lg).all() for x, y in zip(a, b)
         )
+
+
+class TestCorpusMemo:
+    """A process labels each pre-training corpus once."""
+
+    def test_second_call_simulates_nothing(self):
+        common._CORPORA.clear()
+        cold = data_factory(MICRO)
+        first = training_dataset(MICRO, factory=cold)
+        assert cold.stats.misses == len(first)
+        warm = data_factory(MICRO)
+        again = training_dataset(MICRO, factory=warm)
+        assert warm.stats == CacheStats(0, 0, 0, 0, 0)
+        assert again is not first and len(again) == len(first)
+        assert all(x is y for x, y in zip(again, first))
+
+    @pytest.mark.parametrize(
+        "moved", [{"sim_cycles": 21}, {"seed": 1}, {"family_counts": {"iscas89": 1}}]
+    )
+    def test_what_moves_labels_labels_anew(self, moved):
+        training_dataset(MICRO)
+        scale = replace(MICRO, **moved)
+        factory = data_factory(scale)
+        samples = training_dataset(scale, factory=factory)
+        assert factory.stats.misses == len(samples) > 0
