@@ -25,6 +25,7 @@ from repro.circuit.netlist import (
     Netlist,
     NetlistError,
     Structure,
+    _frozen,
     split_rows,
     structure_of,
 )
@@ -89,7 +90,8 @@ def edge_batches(
     groups: list[np.ndarray], ptr: np.ndarray, idx: np.ndarray
 ) -> list[EdgeBatch]:
     """One :class:`EdgeBatch` per node group: every node's CSR row
-    ``(ptr, idx)`` as its messages, nodes and rows in the given order."""
+    ``(ptr, idx)`` as its messages, nodes and rows in the given order.
+    ``src`` and ``dst_local`` are read-only views of two shared arrays."""
     if not groups:
         return []
     sizes = np.array([g.size for g in groups])
@@ -105,20 +107,20 @@ def edge_batches(
     return [
         EdgeBatch(members, s, d)
         for members, s, d in zip(
-            groups, split_rows(src, edges), split_rows(dst_local, edges)
+            groups,
+            split_rows(_frozen(src), edges),
+            split_rows(_frozen(dst_local), edges),
         )
     ]
 
 
-def _sweep_batches(structure: Structure) -> tuple[list[EdgeBatch], list[EdgeBatch]]:
+def _sweep_batches(structure: Structure) -> tuple[tuple[EdgeBatch, ...], ...]:
     lv = levelize(structure)
     # In the cut graph a DFF's fan-in edge is removed, so its data
     # predecessor must not receive a reverse message from the DFF.
     _, cut_fanouts = structure.adjacency(cut=True)
-    return (
-        edge_batches(lv.comb_forward, structure.fanin_ptr, structure.fanin_idx),
-        edge_batches(lv.comb_reverse, *cut_fanouts),
-    )
+    forward = edge_batches(lv.comb_forward, structure.fanin_ptr, structure.fanin_idx)
+    return tuple(forward), tuple(edge_batches(lv.comb_reverse, *cut_fanouts))
 
 
 class CircuitGraph:
@@ -146,8 +148,9 @@ class CircuitGraph:
             predecessor edge lists.
         reverse_batches: per reverse level, an :class:`EdgeBatch` with
             *successor* edge lists (reverse propagation).  Both are built
-            on first read and kept on the structure, shared read-only by
-            every graph over it; a graph that is never swept builds none.
+            on first read and kept on the structure: every graph over it
+            reads a new list of the same batches, whose arrays are
+            read-only.  A graph that is never swept builds none.
         pi_ids / and_ids / not_ids / dff_ids: node ids per type.
         dff_src: (num_dffs,) data predecessor per DFF (step-4 copy map).
     """
@@ -186,11 +189,11 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     @property
     def forward_batches(self) -> list[EdgeBatch]:
-        return self.structure.memo("sweep_batches", _sweep_batches)[0]
+        return list(self.structure.memo("sweep_batches", _sweep_batches)[0])
 
     @property
     def reverse_batches(self) -> list[EdgeBatch]:
-        return self.structure.memo("sweep_batches", _sweep_batches)[1]
+        return list(self.structure.memo("sweep_batches", _sweep_batches)[1])
 
     @property
     def num_pis(self) -> int:

@@ -73,9 +73,10 @@ def training_circuits(scale: ExperimentScale) -> dict[str, list[Netlist]]:
     return training_corpus(counts=scale.family_counts, seed=scale.seed)
 
 
-#: Labelled pre-training corpora this process built, as tuples of samples
-#: keyed by what moves their labels: family counts, seed, sim config.
-_CORPORA = FingerprintLRU(2, "labelled corpus memo")
+#: The factory :func:`training_dataset` labels through when handed none,
+#: by config: its memory tier, sized to a corpus and holding nothing else,
+#: answers a repeat call, and its label key decides what is the same corpus.
+_CORPUS_FACTORY = FingerprintLRU(1, "corpus label factory")
 
 
 def training_dataset(
@@ -85,20 +86,18 @@ def training_dataset(
 
     Labels come from the data factory (pooled + cached); samples are lean
     (no pinned ``SimResult`` extras) — bitwise-identical targets to the
-    serial :func:`repro.train.dataset.build_dataset` path.  Each corpus is
-    labelled once per process: a later call with the same family counts,
-    seed and sim config returns the same samples in a new list and asks
-    no factory for anything.
+    serial :func:`repro.train.dataset.build_dataset` path.  Without a
+    ``factory``, every call in a process labels through one shared
+    factory, so each corpus is simulated once per process.
     """
-    key = repr((sorted(scale.family_counts.items()), scale.seed, sim_config(scale)))
-    samples = _CORPORA.get(key)
-    if samples is None:
-        corpus = training_circuits(scale)
-        circuits = [nl for fam in sorted(corpus) for nl in corpus[fam]]
-        factory = factory or data_factory(scale)
-        built = factory.build(circuits, sim_config(scale), seed=scale.seed)
-        samples = _CORPORA.insert(key, tuple(built))
-    return list(samples)
+    if factory is None:
+        fresh = data_factory(scale)
+        factory = _CORPUS_FACTORY.get(fresh.config) or _CORPUS_FACTORY.insert(
+            fresh.config, fresh
+        )
+    corpus = training_circuits(scale)
+    circuits = [nl for fam in sorted(corpus) for nl in corpus[fam]]
+    return factory.build(circuits, sim_config(scale), seed=scale.seed)
 
 
 def _training_key(

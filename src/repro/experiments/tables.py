@@ -200,10 +200,10 @@ def _test_design(name: str, scale: ExperimentScale) -> Netlist:
 
 
 def _pretrained_deepseq(scale: ExperimentScale) -> tuple[DataFactory, RecurrentDagGnn]:
-    """The scale's label factory and a DeepSeq pre-trained through it."""
-    factory = data_factory(scale)
-    dataset = training_dataset(scale, factory=factory)
-    return factory, pretrain("deepseq", "dual_attention", scale, dataset)
+    """A fresh label factory for the scale and a DeepSeq pre-trained on
+    the scale's corpus."""
+    dataset = training_dataset(scale)
+    return data_factory(scale), pretrain("deepseq", "dual_attention", scale, dataset)
 
 
 def run_table1(scale: ExperimentScale = QUICK) -> TableResult:

@@ -1,5 +1,6 @@
 """Tests for the learning-graph view (repro.circuit.graph)."""
 
+import operator
 import pickle
 from contextlib import contextmanager
 
@@ -175,9 +176,14 @@ class TestLazyBatches:
         nl = aig(3)
         with counted_builds() as calls:
             first, second = CircuitGraph(nl), CircuitGraph(nl)
-            assert first.forward_batches is second.forward_batches
-            assert first.reverse_batches is second.reverse_batches
-            assert CircuitGraph(nl.structure()).forward_batches is first.forward_batches
+            third = CircuitGraph(nl.structure())
+            for name in ("forward_batches", "reverse_batches"):
+                batches = getattr(first, name)
+                for other in (second, third):
+                    assert all(map(operator.is_, getattr(other, name), batches))
+                # each read is a new list: editing one leaves the shared copy
+                batches.clear()
+                assert len(getattr(first, name)) == len(getattr(second, name)) > 0
         assert len(calls) == 2
 
     @pytest.mark.parametrize("call", ["build", "build_reliability"])

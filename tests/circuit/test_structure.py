@@ -154,6 +154,11 @@ class TestMemoHygiene:
             graph.level, graph.type_index, graph.po_ids,
             *lv.forward_order, *lv.reverse_order,
             *lv.comb_forward, *lv.comb_reverse,
+            *(
+                arr
+                for b in graph.forward_batches + graph.reverse_batches
+                for arr in (b.nodes, b.src, b.dst_local)
+            ),
         ]
         assert not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError, match="read-only"):

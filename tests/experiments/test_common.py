@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.data.cache import CacheStats
@@ -51,9 +52,9 @@ class TestDataset:
         assert any("opencores" in n for n in names)
 
     def test_dataset_deterministic(self):
-        common._CORPORA.clear()
+        common._CORPUS_FACTORY.clear()
         a = training_dataset(MICRO)
-        common._CORPORA.clear()
+        common._CORPUS_FACTORY.clear()
         b = training_dataset(MICRO)
         assert [s.name for s in a] == [s.name for s in b]
         assert all(
@@ -61,26 +62,40 @@ class TestDataset:
         )
 
 
-class TestCorpusMemo:
-    """A process labels each pre-training corpus once."""
+def corpus_factory_stats(scale) -> CacheStats:
+    return common._CORPUS_FACTORY.get(data_factory(scale).config).stats
+
+
+class TestCorpusFactory:
+    """Without a factory, a process labels each pre-training corpus once."""
 
     def test_second_call_simulates_nothing(self):
-        common._CORPORA.clear()
-        cold = data_factory(MICRO)
-        first = training_dataset(MICRO, factory=cold)
-        assert cold.stats.misses == len(first)
-        warm = data_factory(MICRO)
-        again = training_dataset(MICRO, factory=warm)
-        assert warm.stats == CacheStats(0, 0, 0, 0, 0)
-        assert again is not first and len(again) == len(first)
-        assert all(x is y for x, y in zip(again, first))
+        common._CORPUS_FACTORY.clear()
+        first = training_dataset(MICRO)
+        assert corpus_factory_stats(MICRO).misses == len(first)
+        again = training_dataset(MICRO)
+        stats = corpus_factory_stats(MICRO)
+        assert stats.misses == len(first)
+        assert stats.memory_hits == len(first)
+        for x, y in zip(first, again):
+            assert x.name == y.name
+            assert np.array_equal(x.target_tr, y.target_tr)
+            assert np.array_equal(x.target_lg, y.target_lg)
 
     @pytest.mark.parametrize(
-        "moved", [{"sim_cycles": 21}, {"seed": 1}, {"family_counts": {"iscas89": 1}}]
+        "moved", [{"sim_cycles": 21}, {"seed": 1}, {"family_counts": {"itc99": 2}}]
     )
     def test_what_moves_labels_labels_anew(self, moved):
         training_dataset(MICRO)
         scale = replace(MICRO, **moved)
-        factory = data_factory(scale)
-        samples = training_dataset(scale, factory=factory)
+        before = corpus_factory_stats(scale).misses
+        samples = training_dataset(scale)
+        assert corpus_factory_stats(scale).misses - before == len(samples) > 0
+
+    def test_a_given_factory_is_asked(self):
+        training_dataset(MICRO)
+        factory = data_factory(MICRO)
+        samples = training_dataset(MICRO, factory=factory)
         assert factory.stats.misses == len(samples) > 0
+        training_dataset(MICRO, factory=factory)
+        assert factory.stats.misses == len(samples)
