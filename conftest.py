@@ -7,9 +7,8 @@ environment lacks ``wheel``, making ``pip install -e .`` unavailable; use
 
 Also prunes stale ``__pycache__`` directories under ``tests/``: bytecode
 compiled under pytest's legacy prepend import mode records absolute
-``__file__`` paths, and a leftover cache for a duplicate basename (e.g.
-``test_analysis.py`` exists in both ``tests/circuit`` and ``tests/train``)
-makes collection fail with an import-file mismatch.
+``__file__`` paths, and a leftover cache for a basename shared by two
+test directories makes collection fail with an import-file mismatch.
 """
 
 import shutil

@@ -38,7 +38,6 @@ from repro.circuit.compose import (
     stitched_union,
 )
 from repro.circuit.library import LIBRARY, library_circuit, library_names
-from repro.circuit.extract import extract_dataset, extract_subcircuit
 from repro.circuit.gates import (
     AIG_TYPES,
     ONE_HOT_DIM,
@@ -92,8 +91,6 @@ __all__ = [
     "MemberLayout",
     "disjoint_union",
     "stitched_union",
-    "extract_dataset",
-    "extract_subcircuit",
     "AIG_TYPES",
     "ONE_HOT_DIM",
     "GateType",

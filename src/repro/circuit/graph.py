@@ -114,13 +114,16 @@ def edge_batches(
     ]
 
 
-def _sweep_batches(structure: Structure) -> tuple[tuple[EdgeBatch, ...], ...]:
-    lv = levelize(structure)
+def _forward_batches(structure: Structure) -> tuple[EdgeBatch, ...]:
+    groups = levelize(structure).comb_forward
+    return tuple(edge_batches(groups, structure.fanin_ptr, structure.fanin_idx))
+
+
+def _reverse_batches(structure: Structure) -> tuple[EdgeBatch, ...]:
     # In the cut graph a DFF's fan-in edge is removed, so its data
     # predecessor must not receive a reverse message from the DFF.
     _, cut_fanouts = structure.adjacency(cut=True)
-    forward = edge_batches(lv.comb_forward, structure.fanin_ptr, structure.fanin_idx)
-    return tuple(forward), tuple(edge_batches(lv.comb_reverse, *cut_fanouts))
+    return tuple(edge_batches(levelize(structure).comb_reverse, *cut_fanouts))
 
 
 class CircuitGraph:
@@ -189,11 +192,11 @@ class CircuitGraph:
     # ------------------------------------------------------------------
     @property
     def forward_batches(self) -> list[EdgeBatch]:
-        return list(self.structure.memo("sweep_batches", _sweep_batches)[0])
+        return list(self.structure.memo("forward_batches", _forward_batches))
 
     @property
     def reverse_batches(self) -> list[EdgeBatch]:
-        return list(self.structure.memo("sweep_batches", _sweep_batches)[1])
+        return list(self.structure.memo("reverse_batches", _reverse_batches))
 
     @property
     def num_pis(self) -> int:

@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -562,53 +562,6 @@ class Netlist:
         dup._pos = list(self._pos)
         dup._names = dict(self._names)
         return dup
-
-    def subcircuit(self, keep: Iterable[int], name: str | None = None) -> "Netlist":
-        """Extract the induced subcircuit on ``keep`` (plus renumbering).
-
-        Fanins pointing outside ``keep`` are replaced by fresh PIs so the
-        result is self-contained; kept nodes that originally fed dropped
-        nodes or were POs become POs of the extraction.
-        """
-        keep_list = sorted(set(int(k) for k in keep))
-        keep_set = set(keep_list)
-        sub = Netlist(name or f"{self.name}_sub")
-        mapping: dict[int, int] = {}
-        # First pass: create all kept nodes with placeholder fanins (fanins
-        # may reference kept nodes appearing later because of DFF loops).
-        for old in keep_list:
-            node = self._nodes[old]
-            mapping[old] = sub.add_gate(node.gate_type, (), node.name)
-        # Second pass: wire fanins, synthesizing boundary PIs on demand.
-        boundary: dict[int, int] = {}
-
-        def resolve(old_fanin: int) -> int:
-            if old_fanin in keep_set:
-                return mapping[old_fanin]
-            if old_fanin not in boundary:
-                boundary[old_fanin] = sub.add_pi(
-                    f"cut_{self._nodes[old_fanin].name}"
-                )
-            return boundary[old_fanin]
-
-        for old in keep_list:
-            node = self._nodes[old]
-            sub.set_fanins(mapping[old], [resolve(f) for f in node.fanins])
-        # POs: original POs plus nodes whose fanout was cut away.
-        fanout = self.fanouts()
-        for old in keep_list:
-            was_po = old in self._pos
-            feeds_outside = any(s not in keep_set for s in fanout[old])
-            if was_po or feeds_outside:
-                if self._nodes[old].gate_type is not GateType.PI:
-                    sub.add_po(mapping[old])
-        if not sub._pos:
-            # Guarantee at least one observable point.
-            for old in reversed(keep_list):
-                if self._nodes[old].gate_type is not GateType.PI:
-                    sub.add_po(mapping[old])
-                    break
-        return sub
 
     # ------------------------------------------------------------------
     # stats / dunder

@@ -27,8 +27,8 @@ written by either engine hit for both.
 * **memoization** — results are stored in a content-addressed
   :class:`~repro.data.cache.LabelCache` keyed by
   ``(fingerprint, workload, SimConfig[, FaultConfig])``, so repeated
-  trainer runs, benchmark regenerations, workload sweeps and CI jobs
-  never re-simulate identical work.
+  trainer runs, benchmark regenerations and CI jobs never re-simulate
+  identical work.
 
 Samples built here are *lean* by default (``keep_sim=False``): extras do
 not pin ``SimResult``/``FaultSimResult`` objects (and through them whole
@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -55,7 +56,7 @@ from repro.sim.pack import simulate_packed, simulate_with_faults_packed
 from repro.sim.workload import Workload
 from repro.train.dataset import CircuitSample, dataset_workloads
 
-__all__ = ["FactoryConfig", "DataFactory", "get_factory", "set_factory"]
+__all__ = ["FactoryConfig", "DataFactory", "LabelWorkerError"]
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +141,10 @@ def _label_job(
             nls, workloads, sim_config, fault_config, cache=cache
         )
     return [_to_labels(kind, r) for r in results]
+
+
+class LabelWorkerError(RuntimeError):
+    """A worker process of the labelling pool died before returning."""
 
 
 @dataclass(frozen=True)
@@ -350,20 +355,28 @@ class DataFactory:
                 _label_job, kind, sim_config=sim_config, fault_config=fault_config
             )
             if workers > 1:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=resolve_mp_context(self.config.mp_start_method),
-                    initializer=_init_worker_netlists,
-                    initargs=(self._pending_payload(circuits, fps, pending),),
-                ) as pool:
-                    grouped = list(
-                        pool.map(
-                            job,
-                            member_groups,
-                            workload_groups,
-                            chunksize=len(groups) // (4 * workers) or 1,
+                try:
+                    with ProcessPoolExecutor(
+                        max_workers=workers,
+                        mp_context=resolve_mp_context(self.config.mp_start_method),
+                        initializer=_init_worker_netlists,
+                        initargs=(self._pending_payload(circuits, fps, pending),),
+                    ) as pool:
+                        grouped = list(
+                            pool.map(
+                                job,
+                                member_groups,
+                                workload_groups,
+                                chunksize=len(groups) // (4 * workers) or 1,
+                            )
                         )
-                    )
+                except (BrokenProcessPool, BrokenPipeError) as exc:
+                    raise LabelWorkerError(
+                        "a labelling worker process died before returning its "
+                        "labels; the usual cause is a calling script without an "
+                        "`if __name__ == \"__main__\":` guard, which every worker "
+                        "re-imports and so starts labelling again"
+                    ) from exc
             else:
                 grouped = list(map(job, member_groups, workload_groups))
             fresh = (labels for batch in grouped for labels in batch)
@@ -386,33 +399,3 @@ class DataFactory:
     def stats(self):
         """Label-cache hit/miss counters (see :class:`CacheStats`)."""
         return self.cache.stats
-
-
-# ----------------------------------------------------------------------
-# process-default factory (mirrors the runtime's process-wide plan cache)
-# ----------------------------------------------------------------------
-
-_DEFAULT: list[DataFactory | None] = [None]
-
-
-def get_factory() -> DataFactory:
-    """The process-default factory, configured from the environment.
-
-    ``REPRO_DATA_CACHE`` sets the on-disk cache directory and
-    ``REPRO_DATA_WORKERS`` the pool size (``0`` = serial) for callers
-    that don't thread an explicit factory — benchmarks, examples, CI.
-    """
-    if _DEFAULT[0] is None:
-        workers_env = os.environ.get("REPRO_DATA_WORKERS")
-        _DEFAULT[0] = DataFactory(
-            FactoryConfig(
-                workers=int(workers_env) if workers_env else None,
-                cache_dir=os.environ.get("REPRO_DATA_CACHE") or None,
-            )
-        )
-    return _DEFAULT[0]
-
-
-def set_factory(factory: DataFactory | None) -> None:
-    """Replace (or with ``None`` reset) the process-default factory."""
-    _DEFAULT[0] = factory

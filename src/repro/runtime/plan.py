@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.graph import CircuitGraph, EdgeBatch, edge_batches
+from repro.circuit.levelize import levelize
 from repro.circuit.netlist import Netlist
 from repro.lru import CacheInfo, FingerprintLRU
 
@@ -182,7 +183,7 @@ def baseline_batches(graph: CircuitGraph) -> tuple[list[EdgeBatch], list[EdgeBat
         forward = [dff_batch] + forward
     # Re-derive successor edges *including* DFF consumers.
     _, fanouts = graph.structure.adjacency(cut=False)
-    reverse = edge_batches([b.nodes for b in graph.reverse_batches], *fanouts)
+    reverse = edge_batches(levelize(graph.structure).comb_reverse, *fanouts)
     return forward, reverse
 
 

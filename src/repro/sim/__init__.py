@@ -32,7 +32,6 @@ from repro.sim.pack import (
     simulate_packed,
     simulate_with_faults_packed,
 )
-from repro.sim.testbench import Phase, StimulusProgram, workload_from_program
 from repro.sim.vcd import VcdTracer, trace_simulation
 from repro.sim.saif import (
     SaifDocument,
@@ -78,9 +77,6 @@ __all__ = [
     "ToggleCoverage",
     "coverage_of_suite",
     "toggle_coverage",
-    "Phase",
-    "StimulusProgram",
-    "workload_from_program",
     "VcdTracer",
     "trace_simulation",
     "SaifDocument",

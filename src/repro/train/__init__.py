@@ -1,12 +1,5 @@
 """Training infrastructure: datasets, trainer, metrics, fine-tuning."""
 
-from repro.train.analysis import (
-    ErrorBreakdown,
-    analyze_model,
-    calibration_curve,
-    error_by_gate_type,
-    error_by_level,
-)
 from repro.train.dataset import (
     CircuitSample,
     build_dataset,
@@ -24,11 +17,6 @@ from repro.train.metrics import EvalMetrics, avg_prediction_error
 from repro.train.trainer import EpochStats, TrainConfig, Trainer, evaluate
 
 __all__ = [
-    "ErrorBreakdown",
-    "analyze_model",
-    "calibration_curve",
-    "error_by_gate_type",
-    "error_by_level",
     "CircuitSample",
     "build_dataset",
     "build_reliability_dataset",

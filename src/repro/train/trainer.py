@@ -160,10 +160,7 @@ class Trainer:
     ) -> list[EpochStats]:
         """Run the schedule; returns per-epoch loss statistics.
 
-        ``dataset`` is any sequence of samples — a plain list, or a
-        streaming :class:`repro.data.ShardReader` over a persisted
-        dataset, which decodes shards on demand instead of holding every
-        sample (let alone every ``SimResult``) in memory.
+        ``dataset`` is any sequence of samples (``len`` and indexing).
 
         When resuming (``config.resume`` with an existing checkpoint), the
         returned history includes the checkpointed epochs, so the caller

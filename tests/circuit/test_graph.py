@@ -186,6 +186,17 @@ class TestLazyBatches:
                 assert len(getattr(first, name)) == len(getattr(second, name)) > 0
         assert len(calls) == 2
 
+    def test_baseline_schedule_builds_no_cut_reverse_batches(self):
+        """The baseline reverse pass reads the uncut fan-outs over the
+        levelization's reverse groups, so it never builds the cut graph's
+        reverse batches; only a DeepSeq schedule reads those."""
+        graph = CircuitGraph(aig(7))
+        with counted_builds() as calls:
+            baseline_batches(graph)
+            assert len(calls) == 1  # the forward batches
+            graph.reverse_batches
+            assert len(calls) == 2
+
     @pytest.mark.parametrize("call", ["build", "build_reliability"])
     def test_factory_samples_build_no_batches(self, call):
         circuits = [aig(seed) for seed in range(3)]

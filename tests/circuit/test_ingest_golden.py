@@ -1,8 +1,8 @@
 """Golden digests of everything that *builds* a netlist from other data.
 
-The AIGER reader and writer, ``to_aig``, ``strash`` and the shard decoder
-decide node ids, node names and PO order for every design that reaches
-the model from outside.  The digests below were recorded at the commit
+The AIGER reader and writer, ``to_aig`` and ``strash`` decide node ids,
+node names and PO order for every design that reaches the model from
+outside.  The digests below were recorded at the commit
 *before* those paths were moved onto ``Netlist.from_structure`` (PR 19)
 and cover the four structure arrays, every node name and the netlist
 name, plus the exact bytes ``write_aiger`` emits.
@@ -13,7 +13,6 @@ bump) with ``python -m tests.circuit.test_ingest_golden``.
 
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from repro.circuit.aig import AigMapping, strash, to_aig
@@ -21,11 +20,7 @@ from repro.circuit.aiger import read_aiger, write_aiger
 from repro.circuit.benchmarks import FAMILY_STATS, family_subcircuits
 from repro.circuit.gates import GateType
 from repro.circuit.generate import HierarchicalConfig, hierarchical_netlist
-from repro.circuit.graph import CircuitGraph
 from repro.circuit.netlist import Netlist
-from repro.data import ShardReader, write_shards
-from repro.sim.workload import Workload
-from repro.train.dataset import CircuitSample
 
 from tests.circuit.test_aiger import TOGGLE
 from tests.circuit.test_structure_golden import (
@@ -189,28 +184,6 @@ def lowering_digest(nl: Netlist) -> str:
     return d.h.hexdigest()
 
 
-def shard_digest(tmp_path) -> str:
-    samples = []
-    for k, nl in enumerate(family_subcircuits("iscas89", 3, seed=4)):
-        n = len(nl)
-        samples.append(
-            CircuitSample(
-                graph=CircuitGraph(nl),
-                workload=Workload(np.full(len(nl.pis), 0.25), name=f"w{k}", seed=k),
-                target_tr=np.arange(2 * n, dtype=np.float64).reshape(n, 2),
-                target_lg=np.arange(n, dtype=np.float64),
-                name=f"sample{k}",
-            )
-        )
-    write_shards(samples, tmp_path, shard_size=2)
-    d = _Digest()
-    for sample in ShardReader(tmp_path):
-        netlist_into(d, sample.graph.netlist)
-        d.arrays([sample.workload.pi_probs, sample.target_tr, sample.target_lg])
-        d.text((sample.name, sample.workload.name, sample.workload.seed))
-    return d.h.hexdigest()
-
-
 def record() -> dict[str, str]:
     out = {f"write/{k}": write_digest(nl) for k, nl in aig_sources().items()}
     out.update({f"read/{k}": read_digest(nl) for k, nl in aig_sources().items()})
@@ -264,7 +237,6 @@ GOLDEN: dict[str, str] = {
     "lower/constants_without_pi": "57c8aa07d1f324be6556714c9f0e47df3f851c605ad92ae134f1985b6621985d",
     "lower/extras": "0add29a2d3ec8089034fddb00ac44cecd4ceb1f74c29aa625ae5676dffdbf531",
 }
-SHARD_GOLDEN = "d5abe429cd1cce4d3f452140fdf25de5e4090c7aa0f006719aac7a5e4eeb5fcf"
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -298,17 +270,8 @@ def test_binary_symbol_collisions_resolve_as_ascii():
     assert "n2_0" in names
 
 
-def test_shard_round_trip_pinned(tmp_path):
-    assert shard_digest(tmp_path) == SHARD_GOLDEN
-
-
 if __name__ == "__main__":
-    import tempfile
-    from pathlib import Path
-
     print("GOLDEN: dict[str, str] = {")
     for key, value in record().items():
         print(f'    "{key}": "{value}",')
     print("}")
-    with tempfile.TemporaryDirectory() as tmp:
-        print(f'SHARD_GOLDEN = "{shard_digest(Path(tmp))}"')

@@ -137,30 +137,9 @@ class TestAccessors:
         assert nl.nodes_of_type(GateType.PI, GateType.DFF) == [0, 1]
 
 
-class TestCopyAndSubcircuit:
+class TestCopy:
     def test_copy_is_independent(self):
         nl = toggle_circuit()
         dup = nl.copy()
         dup.add_pi("extra")
         assert len(dup) == len(nl) + 1
-
-    def test_subcircuit_cuts_boundary_to_pis(self):
-        nl = toggle_circuit()
-        inv, g = nl.node_by_name("inv"), nl.node_by_name("g")
-        sub = nl.subcircuit([inv, g])
-        sub.validate()
-        # ff and a become cut PIs.
-        assert len(sub.pis) == 2
-        assert len(sub) == 4
-
-    def test_subcircuit_keeps_dff_loop(self):
-        nl = toggle_circuit()
-        sub = nl.subcircuit(list(nl.nodes()))
-        sub.validate()
-        assert len(sub.dffs) == 1
-        assert len(sub) == len(nl)
-
-    def test_subcircuit_marks_observable_outputs(self):
-        nl = toggle_circuit()
-        sub = nl.subcircuit([nl.node_by_name("inv")])
-        assert sub.pos, "extraction must expose at least one PO"

@@ -1,6 +1,5 @@
 """Hypothesis-driven properties of the netlist IR and its transforms."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,20 +82,3 @@ class TestStructuralProperties:
         b = levelize(nl)
         assert (a.level == b.level).all()
         assert (a.reverse_level == b.reverse_level).all()
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_subcircuit_of_everything_is_identity_sized(self, seed):
-        nl = random_nl(seed)
-        sub = nl.subcircuit(list(nl.nodes()))
-        assert len(sub) == len(nl)
-        assert sub.type_counts() == nl.type_counts()
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 100_000), keep=st.integers(3, 12))
-    def test_arbitrary_subcircuits_validate(self, seed, keep):
-        nl = random_nl(seed)
-        rng = np.random.default_rng(seed)
-        nodes = rng.choice(len(nl), size=min(keep, len(nl)), replace=False)
-        sub = nl.subcircuit([int(n) for n in nodes])
-        sub.validate()

@@ -127,11 +127,10 @@ class TestMemoHygiene:
             assert nl._structure is None
             assert nl.structure() is not kept
 
-    def test_copy_and_subcircuit_start_clean(self):
+    def test_copy_starts_clean(self):
         nl = toggle()
         levelize(nl)
         assert nl.copy()._structure is None
-        assert nl.subcircuit([2, 3])._structure is None
         assert nl._structure is not None
 
     def test_pickle_carries_no_memo(self):
@@ -233,7 +232,7 @@ def test_ingest_builds_netlists_from_arrays_only():
     ``Netlist.from_structure``: no node-by-node replay, no reach into the
     netlist's private containers."""
     edits = {"add_gate", "add_pi", "add_dff", "set_fanins", "add_po"}
-    for name in ("circuit/aiger.py", "circuit/aig.py", "data/shards.py"):
+    for name in ("circuit/aiger.py", "circuit/aig.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         private = sorted(
             node.attr

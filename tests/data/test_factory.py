@@ -6,11 +6,18 @@ float64-bitwise-identical to the reference loops in
 values.
 """
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.circuit.benchmarks import family_subcircuits
-from repro.data import DataFactory, FactoryConfig, get_factory, set_factory
+from repro.data import DataFactory, FactoryConfig
 from repro.data.cache import decode_entry
 from repro.sim.faults import FaultConfig, simulate_with_faults
 from repro.sim.logicsim import SimConfig, simulate
@@ -364,26 +371,57 @@ class TestForkSafety:
             assert_bitwise(a, b)
 
 
-class TestDefaultFactory:
-    def test_env_configuration(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DATA_CACHE", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_DATA_WORKERS", "0")
-        set_factory(None)
-        try:
-            factory = get_factory()
-            assert factory is get_factory(), "singleton"
-            assert factory.config.resolve_workers() == 0
-            assert str(factory.cache.cache_dir) == str(tmp_path / "cache")
-        finally:
-            set_factory(None)
+GUARDLESS_SCRIPT = """
+from repro.circuit.benchmarks import family_subcircuits
+from repro.data import DataFactory, FactoryConfig
+from repro.sim.logicsim import SimConfig
 
-    def test_set_factory_overrides(self):
-        custom = DataFactory(FactoryConfig(workers=0))
-        set_factory(custom)
-        try:
-            assert get_factory() is custom
-        finally:
-            set_factory(None)
+circuits = family_subcircuits("iscas89", 4, seed=4)
+DataFactory(FactoryConfig(workers=2)).build(circuits, SimConfig(cycles=8), seed=0)
+"""
+
+
+def _session_members(sid: int) -> list[int]:
+    """Live processes in session ``sid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if os.getsid(int(entry)) == sid:
+                    members.append(int(entry))
+            except (ProcessLookupError, PermissionError):
+                pass
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+class TestWorkerDeath:
+    def test_guardless_script_gets_a_typed_error(self, tmp_path):
+        """A pooled build from a script with no ``__main__`` guard: every
+        worker re-imports the script, starts a pool of its own during
+        bootstrap and dies.  The caller gets one repro error naming the
+        cause, and no process of the run outlives it."""
+        script = tmp_path / "guardless.py"
+        script.write_text(GUARDLESS_SCRIPT)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode != 0
+        assert "LabelWorkerError" in stderr, stderr
+        assert "__main__" in stderr
+        deadline = time.monotonic() + 30
+        while _session_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _session_members(proc.pid) == []
 
 
 class TestFingerprintShipping:
