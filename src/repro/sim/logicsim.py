@@ -487,7 +487,7 @@ class Simulator:
         which consumes the generator stream in exactly the per-cycle order,
         so bitstreams match the per-cycle engine bit-for-bit — or a
         precompiled ``(warmup + cycles, num_pis, words)`` stimulus array
-        (testbench programs).  Observed cycles (the ones past ``warmup``)
+        (fixed vectors).  Observed cycles (the ones past ``warmup``)
         are accumulated into ``counter`` whole blocks at a time, as is
         every extra ``observers`` entry (anything with an
         ``observe_block(history)`` method — e.g. a

@@ -33,6 +33,8 @@ import ast
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -161,3 +163,50 @@ def test_every_src_module_has_a_user():
         "src modules reached from no entry point (only tests import them); "
         f"give each a user or delete it: {orphans}"
     )
+
+
+def _scan(tmp_path: Path, source: str) -> set[str]:
+    # A fresh file per call: parsed trees are memoized by path.
+    path = tmp_path / f"user{len(list(tmp_path.iterdir()))}.py"
+    path.write_text(source)
+    return _imports(path)
+
+
+class TestScanRules:
+    """The edge rules the reachability check above relies on."""
+
+    def test_imports_inside_functions_count(self, tmp_path):
+        source = "def main():\n    from repro.data import DataFactory\n"
+        assert _scan(tmp_path, source) == {"repro.data.factory"}
+
+    def test_a_reexport_reaches_only_its_defining_module(self, tmp_path):
+        reached = _scan(tmp_path, "from repro.data import DataFactory, LabelCache\n")
+        assert reached == {"repro.data.factory", "repro.data.cache"}
+        assert "repro.data" not in reached
+
+    def test_a_lazy_export_reaches_its_defining_module(self, tmp_path):
+        reached = _scan(tmp_path, "from repro.runtime import cast_model\n")
+        assert reached == {"repro.runtime.predictor"}
+
+    def test_importing_a_package_as_a_module_reaches_the_package(self, tmp_path):
+        assert _scan(tmp_path, "import repro.experiments\n") == {"repro.experiments"}
+        assert _scan(tmp_path, "from repro.sim import *\n") == {"repro.sim"}
+
+    def test_a_submodule_imported_by_name_is_reached(self, tmp_path):
+        assert _scan(tmp_path, "from repro.tasks import power\n") == {
+            "repro.tasks.power"
+        }
+
+    def test_a_reached_package_reaches_what_its_init_imports(self):
+        assert _imports(MODULES["repro.tasks"]) == {
+            "repro.tasks.power",
+            "repro.tasks.reliability",
+        }
+
+    def test_imports_outside_repro_are_ignored(self, tmp_path):
+        source = "import numpy as np\nfrom os import path\nimport reprolib\n"
+        assert _scan(tmp_path, source) == set()
+
+    def test_relative_imports_are_refused(self, tmp_path):
+        with pytest.raises(AssertionError, match="absolute imports only"):
+            _scan(tmp_path, "from . import sibling\n")
