@@ -246,6 +246,9 @@ class _IpCoreBuilder:
         sel = self.spine[:3]
         self.enables = self.b.decoder(sel)
         self.data_pis = [self.b.pi(f"din{i}") for i in range(spec.bus_width)]
+        #: Running total of :meth:`_estimated_aig_nodes` over its first
+        #: ``_costed`` nodes.
+        self._cost, self._costed = 0.0, 0
 
     def enable(self) -> int:
         # Module enables require a one-hot decoder state AND two control
@@ -362,18 +365,23 @@ class _IpCoreBuilder:
         return self.b.finish()
 
     def _estimated_aig_nodes(self) -> float:
-        total = 0.0
-        for node in self.b.nl.nodes():
-            gt = self.b.nl.gate_type(node)
+        """The AIG-cost total of the design so far.  Only the nodes added
+        since the last call are costed: a node's cost depends on its type
+        and arity, and nothing but a DFF's data input (cost 1 either way)
+        is rewired after a gate is added."""
+        nl = self.b.nl
+        for node in range(self._costed, len(nl)):
+            gt = nl.gate_type(node)
             if gt in (GateType.PI, GateType.DFF):
-                total += 1.0
+                self._cost += 1.0
             else:
-                arity = len(self.b.nl.fanins(node))
+                arity = len(nl.fanins(node))
                 cost = _AIG_COST.get(gt, 1.0)
                 if gt in (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR):
                     cost *= max(1, arity - 1)
-                total += cost
-        return total
+                self._cost += cost
+        self._costed = len(nl)
+        return self._cost
 
 
 def large_design(

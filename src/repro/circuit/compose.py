@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from repro.circuit.gates import GateType
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GATE_TYPES, Netlist, Structure
 
 __all__ = [
     "MAX_PACK_MEMBERS",
@@ -30,6 +32,8 @@ __all__ = [
     "Stitch",
     "stitched_union",
 ]
+
+_BUF = GATE_TYPES.index(GateType.BUF)
 
 #: Hard ceiling on members per pack.  A pack this large would compile a
 #: union far beyond any sane batch; requests above it are a caller bug
@@ -128,7 +132,9 @@ def stitched_union(
     into one large design by converting some of each member's PIs into BUF
     gates fed from upstream members.  The returned mapping uses the same
     offset arithmetic as :func:`disjoint_union`; stitched PIs become BUF
-    nodes (same node id) and disappear from the union's PI list.
+    nodes (same node id) and disappear from the union's PI list.  The
+    union is made from arrays: :meth:`Structure.concat` of the members,
+    with each stitched PI's row patched into a BUF row.
     """
     if not netlists:
         raise ValueError("empty union")
@@ -151,21 +157,26 @@ def stitched_union(
             raise ValueError(f"PI {s.pi} of member {s.dst} stitched twice")
         stitched_pis[key] = (s.src, s.src_node)
 
-    union = Netlist(name)
-    offsets: list[int] = []
-    for k, nl in enumerate(netlists):
-        offset = len(union)
-        offsets.append(offset)
-        for node in nl.nodes():
-            gt = GateType.BUF if (k, node) in stitched_pis else nl.gate_type(node)
-            union.add_gate(gt, (), f"c{k}_{nl.node_name(node)}")
-        for node in nl.nodes():
-            fanins = nl.fanins(node)
-            if fanins:
-                union.set_fanins(offset + node, [offset + f for f in fanins])
-        for po in nl.pos:
-            union.add_po(offset + po)
-    for (dst, pi), (src, src_node) in stitched_pis.items():
-        union.set_fanins(offsets[dst] + pi, [offsets[src] + src_node])
+    union = Structure.concat([nl.structure() for nl in netlists])
+    if stitched_pis:
+        offsets = np.cumsum([0] + [len(nl) for nl in netlists])
+        dst = np.array([offsets[k] + pi for k, pi in stitched_pis], dtype=np.int64)
+        src = np.array(
+            [offsets[k] + node for k, node in stitched_pis.values()], dtype=np.int64
+        )
+        by_dst = np.argsort(dst)
+        dst, src = dst[by_dst], src[by_dst]
+        code, arity = union.type_code.copy(), union.arity
+        code[dst] = _BUF
+        arity[dst] = 1  # was a PI: no fanins
+        union = Structure(
+            code,
+            np.concatenate([[0], np.cumsum(arity)]),
+            # Equal positions (adjacent PIs) take their fanins in dst order.
+            np.insert(union.fanin_idx, union.fanin_ptr[dst], src),
+            union.pos,
+        )
+    names = [f"c{k}_{nm}" for k, nl in enumerate(netlists) for nm in nl.node_names()]
+    union = Netlist.from_structure(union, names, name)
     union.validate()
     return UnionMapping(sizes=tuple(len(nl) for nl in netlists), union=union)

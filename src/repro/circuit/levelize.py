@@ -38,7 +38,7 @@ def cut_topo_order(nl: Netlist, smallest_first: bool) -> list[int]:
     which also fix *which* ready node goes next: the one readied last
     (``to_aig``, ``strash``) or always the smallest id (the AIGER writer)."""
     structure = nl.structure()
-    structure.levels()  # acyclic, or NetlistError
+    structure.forward_levels()  # acyclic, or NetlistError
     fanins, fanouts = structure.adjacency(cut=True)
     pending = np.diff(fanins[0]).tolist()
     return kahn(pending, fanouts, [0] * len(pending), smallest_first)
@@ -79,8 +79,10 @@ class Levelization:
 
 def levelize(nl: Netlist | Structure) -> Levelization:
     """The full forward/reverse levelization of ``nl``'s cut graph, computed
-    once per lowering and shared read-only by every consumer.  Raises
-    :class:`~repro.circuit.netlist.NetlistError` on a combinational cycle."""
+    once per lowering and shared read-only by every consumer.  The reverse
+    levels are swept here on first need (validation sweeps only forward).
+    Raises :class:`~repro.circuit.netlist.NetlistError` on a combinational
+    cycle."""
     return structure_of(nl).memo("levelization", _levelization)
 
 

@@ -157,8 +157,9 @@ class Structure:
             ``fanin_idx[fanin_ptr[i]:fanin_ptr[i + 1]]``, in pin order.
         pos: primary-output node ids in declaration order.
 
-    :meth:`check` runs every per-node check, :meth:`levels` the global one
-    (an acyclic cut graph); derived facts are kept through :meth:`memo`.
+    :meth:`check` runs every per-node check, :meth:`forward_levels` the
+    global one (an acyclic cut graph); derived facts are kept through
+    :meth:`memo`.
     """
 
     type_code: np.ndarray
@@ -217,7 +218,8 @@ class Structure:
     @classmethod
     def concat(cls, parts: Sequence["Structure"]) -> "Structure":
         """The disjoint union, members renumbered by node offset; its levels
-        are the members' levels, concatenated without a sweep."""
+        are the members' levels, concatenated without a sweep (reverse ones
+        only when every member has them)."""
         node_off = np.cumsum([0] + [p.num_nodes for p in parts])
         edge_off = np.cumsum([0] + [p.fanin_idx.size for p in parts])
         union = cls(
@@ -229,11 +231,20 @@ class Structure:
             np.concatenate([p.fanin_idx + off for p, off in zip(parts, node_off)]),
             np.concatenate([p.pos + off for p, off in zip(parts, node_off)]),
         )
-        union._memo["levels"] = tuple(
-            _frozen(np.concatenate(arrs))
-            for arrs in zip(*[p.levels() for p in parts])
+        union._memo["forward"] = _frozen(
+            np.concatenate([p.forward_levels() for p in parts])
         )
+        if all("reverse" in p._memo for p in parts):
+            union._memo["reverse"] = _frozen(
+                np.concatenate([p._memo["reverse"] for p in parts])
+            )
         return union
+
+    def renumbering_of(self, source: "Structure", old: np.ndarray) -> None:
+        """Declare this structure to be ``source`` with node ``old[j]`` as
+        node ``j``: its levels are then ``source``'s, gathered on the first
+        request instead of swept."""
+        self._memo["renumbered_from"] = (source, old)
 
     def memo(self, key: str, build: Callable[["Structure"], object]):
         """``build(self)``, computed on first request and kept."""
@@ -307,9 +318,22 @@ class Structure:
         constants at 0, DFFs "moved to logic level 1", gates one above
         their deepest fanin; reverse likewise from the sinks.  Raises
         :class:`NetlistError` when a cycle avoids every DFF."""
-        return self.memo("levels", Structure._levels)
+        return self.forward_levels(), self.memo("reverse", Structure._reverse_levels)
 
-    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+    def forward_levels(self) -> np.ndarray:
+        """The forward half of :meth:`levels`, alone: the acyclicity check
+        :meth:`Netlist.validate` runs."""
+        return self.memo("forward", Structure._levels)
+
+    def _levels(self) -> np.ndarray:
+        """Forward levels: a renumbering's are its source's, gathered (with
+        the reverse ones when the source has them); otherwise one Kahn sweep."""
+        renumbered = self._memo.pop("renumbered_from", None)
+        if renumbered is not None:
+            source, old = renumbered
+            if "reverse" in source._memo:
+                self._memo["reverse"] = _frozen(source._memo["reverse"][old])
+            return _frozen(source.forward_levels()[old])
         fanins, fanouts = self.adjacency(cut=True)
         pending = np.diff(fanins[0]).tolist()
         level = (self.type_code == _DFF).astype(np.int32).tolist()
@@ -320,9 +344,13 @@ class Structure:
                 f"combinational cycle through nodes {bad[:8]}"
                 f"{'...' if len(bad) > 8 else ''}"
             )
+        return _frozen(np.array(level, dtype=np.int32))
+
+    def _reverse_levels(self) -> np.ndarray:
+        fanins, fanouts = self.adjacency(cut=True)
         reverse = [0] * self.num_nodes
         kahn(np.diff(fanouts[0]).tolist(), fanins, reverse)
-        return tuple(_frozen(np.array(lv, dtype=np.int32)) for lv in (level, reverse))
+        return _frozen(np.array(reverse, dtype=np.int32))
 
 
 def structure_of(circuit: "Netlist | Structure") -> Structure:
@@ -361,11 +389,39 @@ class Netlist:
 
     #: The kept lowering; ``None`` until asked for and after every edit.
     _structure: Structure | None = None
+    #: A netlist made from arrays has no rows until a per-node accessor
+    #: needs them (:meth:`__getattr__`); until then it keeps its names here.
+    _lazy_names: list[str] | None = None
+
+    def __getattr__(self, attr: str):
+        # Reached only while ``_nodes`` is unset: build the rows once.
+        if attr != "_nodes":
+            raise AttributeError(attr)
+        names = self._lazy_names
+        if names is None:  # another thread may have built them meanwhile
+            try:
+                return self.__dict__["_nodes"]
+            except KeyError:
+                raise AttributeError(attr) from None
+        s = self._structure
+        codes, bounds, flat = (
+            a.tolist() for a in (s.type_code, s.fanin_ptr, s.fanin_idx)
+        )
+        rows = [
+            _Node(GATE_TYPES[c], tuple(flat[lo:hi]), nm)
+            for c, lo, hi, nm in zip(codes, bounds, bounds[1:], names)
+        ]
+        # Two threads may race here: the first rows stored win.
+        rows = self.__dict__.setdefault("_nodes", rows)
+        self.__dict__.pop("_lazy_names", None)
+        return rows
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_structure", None)
-        return state
+        # The row form, whatever the netlist was made from; no lowering.
+        nodes = self._nodes
+        return {
+            "name": self.name, "_nodes": nodes, "_pos": self._pos, "_names": self._names
+        }
 
     @classmethod
     def from_structure(
@@ -377,8 +433,9 @@ class Netlist:
         """The netlist whose lowering is ``structure`` — the one way arrays
         become a netlist.  Runs the checks of :meth:`structure` (plus: the
         arrays describe a CSR, names and POs are distinct) and keeps
-        ``structure`` as the lowering, so the result is never re-lowered.
-        ``names`` default to ``n<i>``."""
+        ``structure`` as the lowering, so the result is never re-lowered;
+        its per-node rows are built on first use.  ``names`` default to
+        ``n<i>``."""
         code, ptr, idx = structure.type_code, structure.fanin_ptr, structure.fanin_idx
         n = code.size
         if (
@@ -398,15 +455,15 @@ class Netlist:
         pos = structure.pos.tolist()
         if len(set(pos)) != len(pos):
             raise NetlistError("a PO is listed twice")
-        bounds, flat = ptr.tolist(), idx.tolist()
-        nodes = [
-            _Node(GATE_TYPES[c], tuple(flat[lo:hi]), nm)
-            for c, lo, hi, nm in zip(code.tolist(), bounds, bounds[1:], names)
-        ]
-        structure.check(nodes.__getitem__)
-        nl = cls(name)
-        nl._nodes, nl._names, nl._pos = nodes, index, pos
-        nl._structure = structure
+
+        def node_at(i: int) -> _Node:
+            fanins = tuple(idx[ptr[i] : ptr[i + 1]].tolist())
+            return _Node(GATE_TYPES[code[i]], fanins, names[i])
+
+        structure.check(node_at)
+        nl = cls.__new__(cls)
+        nl.name, nl._pos, nl._names = name, pos, index
+        nl._structure, nl._lazy_names = structure, names
         return nl
 
     # ------------------------------------------------------------------
@@ -462,24 +519,36 @@ class Netlist:
     # accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._nodes)
+        s = self._structure
+        return s.num_nodes if s is not None else len(self._nodes)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self)
 
     @property
     def num_edges(self) -> int:
+        s = self._structure
+        if s is not None:
+            return int(s.fanin_idx.size)
         return sum(len(n.fanins) for n in self._nodes)
 
     def gate_type(self, node: int) -> GateType:
+        if self._lazy_names is not None:
+            return GATE_TYPES[self._structure.type_code[node]]
         return self._nodes[node].gate_type
 
     def fanins(self, node: int) -> tuple[int, ...]:
         return self._nodes[node].fanins
 
     def node_name(self, node: int) -> str:
-        return self._nodes[node].name
+        names = self._lazy_names
+        return names[node] if names is not None else self._nodes[node].name
+
+    def node_names(self) -> list[str]:
+        """Every node's name, in id order."""
+        names = self._lazy_names
+        return list(names) if names is not None else [n.name for n in self._nodes]
 
     def node_by_name(self, name: str) -> int:
         try:
@@ -488,9 +557,15 @@ class Netlist:
             raise NetlistError(f"no node named {name!r}") from None
 
     def nodes(self) -> Iterator[int]:
-        return iter(range(len(self._nodes)))
+        return iter(range(len(self)))
 
     def nodes_of_type(self, *types: GateType) -> list[int]:
+        s = self._structure
+        if s is not None:  # ``np.isin`` costs more than the whole answer
+            hit = np.zeros(s.num_nodes, dtype=bool)
+            for t in types:
+                hit |= s.type_code == _CODE[t]
+            return np.flatnonzero(hit).tolist()
         # Tuple membership compares enum members by identity; a set would
         # call the Python-level ``Enum.__hash__`` once per node.
         return [i for i, n in enumerate(self._nodes) if n.gate_type in types]
@@ -551,7 +626,7 @@ class Netlist:
         least one DFF (i.e. the graph with DFF fan-in edges removed is
         acyclic); at least one PI or constant source exists.
         """
-        self.structure().levels()
+        self.structure().forward_levels()
 
     # ------------------------------------------------------------------
     # transforms

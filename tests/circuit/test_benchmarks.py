@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.circuit.benchmarks import (
+    _AIG_COST,
     FAMILY_STATS,
     LARGE_DESIGN_SPECS,
+    _IpCoreBuilder,
     family_subcircuits,
     large_design,
     training_corpus,
 )
+from repro.circuit.gates import GateType
 from repro.circuit.stats import corpus_stats
 
 
@@ -95,6 +98,36 @@ class TestLargeDesigns:
         a = large_design("ptc", seed=3)
         b = large_design("ptc", seed=3)
         assert len(a) == len(b)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_DESIGN_SPECS))
+    def test_running_cost_equals_a_full_walk(self, name, monkeypatch):
+        """The size estimate costs only new nodes; after every module it
+        equals a walk over the whole netlist."""
+
+        def full_walk(nl) -> float:
+            total = 0.0
+            for node in nl.nodes():
+                gt, arity = nl.gate_type(node), len(nl.fanins(node))
+                if gt in (GateType.PI, GateType.DFF):
+                    total += 1.0
+                elif gt in (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR):
+                    total += _AIG_COST[gt] * max(1, arity - 1)
+                else:
+                    total += _AIG_COST.get(gt, 1.0)
+            return total
+
+        running = _IpCoreBuilder._estimated_aig_nodes
+        totals: list[float] = []
+
+        def checked(builder) -> float:
+            total = running(builder)
+            assert total == full_walk(builder.b.nl)
+            totals.append(total)
+            return total
+
+        monkeypatch.setattr(_IpCoreBuilder, "_estimated_aig_nodes", checked)
+        large_design(name, seed=5, as_aig=False, scale=0.05)
+        assert len(totals) >= 2 and totals == sorted(totals)
 
     def test_designs_have_state_and_outputs(self):
         nl = large_design("rtcclock", scale=0.125)

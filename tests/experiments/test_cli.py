@@ -1,7 +1,9 @@
 """Tests for the experiments CLI (python -m repro.experiments)."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,12 +51,16 @@ class TestMain:
         assert "Table IV" in path.read_text()
 
     def test_subprocess_entry(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
         result = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "table1",
              "--sim-cycles", "20"],
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         assert "Table I" in result.stdout
